@@ -21,7 +21,7 @@
    groups — and under the central class every group is an enabled
    singleton. [Statespace.fold_transitions] establishes this by
    enumerating activation subsets in ascending-bitmask order;
-   [groups_well_ordered] asserts it at packing time so a future
+   [masks_well_ordered] asserts it at packing time so a future
    reordering of the subset enumeration cannot silently corrupt the
    fairness checks. *)
 module Obs = Stabobs.Obs
@@ -41,25 +41,14 @@ type graph = {
          every backward pass (possible convergence, best-case BFS) *)
 }
 
-(* Instrumentation: number of reverse-adjacency constructions, terminal
-   scans and SCC decompositions actually performed, so tests can assert
-   [analyze] derives each intermediate structure exactly once per
-   verdict. *)
-let reverse_builds = ref 0
-let terminal_scans = ref 0
-let scc_builds = ref 0
-let reverse_build_count () = !reverse_builds
-let terminal_scan_count () = !terminal_scans
-let scc_build_count () = !scc_builds
-
 (* Successor range of configuration [c] in the flat [succ] array. *)
 let succ_lo g c = g.succ_off.(g.grp_off.(c))
 let succ_hi g c = g.succ_off.(g.grp_off.(c + 1))
 
-(* Telemetry shared by both expansion paths: totals as counters plus
-   the per-configuration fan-out distribution. The sweep behind the
-   dist only runs when a sink is installed, so the dark path pays a
-   single branch per graph build. *)
+(* Expansion telemetry: totals as counters plus the per-configuration
+   fan-out distribution. The sweep behind the dist only runs when a
+   sink is installed, so the dark path pays a single branch per graph
+   build. *)
 let record_expansion g =
   Obs.Counter.add Obs.configs_expanded g.n;
   Obs.Counter.add Obs.transitions_emitted (Array.length g.succ);
@@ -68,229 +57,142 @@ let record_expansion g =
       Stabobs.Dist.record_int Stabobs.Dist.checker_out_degree (succ_hi g c - succ_lo g c)
     done
 
-(* Growable scratch buffers for the streaming expansion: the group and
-   edge counts are unknown until the whole space has been walked, so
-   the CSR arrays are accumulated with doubling and trimmed once. *)
-module Ibuf = struct
-  type t = { mutable data : int array; mutable len : int }
+(* Activated subsets travel through the expansion as process bitmasks
+   and are interned into set ids only by the ordered merge. *)
+let mask_of active = List.fold_left (fun m p -> m lor (1 lsl p)) 0 active
 
-  let create hint = { data = Array.make (max hint 16) 0; len = 0 }
+(* [fold_transitions] lists every activated subset in ascending process
+   order, so this rebuilds exactly the list it reported. *)
+let procs_of_mask mask =
+  let out = ref [] in
+  for p = Sys.int_size - 1 downto 0 do
+    if mask land (1 lsl p) <> 0 then out := p :: !out
+  done;
+  !out
 
-  let push b x =
-    if b.len = Array.length b.data then begin
-      let d = Array.make (2 * b.len) 0 in
-      Array.blit b.data 0 d 0 b.len;
-      b.data <- d
-    end;
-    b.data.(b.len) <- x;
-    b.len <- b.len + 1
+(* Replaces every mask of [grp_active] by its set id, in place, and
+   returns the sets by id. Ids are assigned in first-occurrence order
+   over the merged array, which is the order of a serial walk however
+   the configuration range was split. With few processes (the
+   exhaustive regime) a direct-indexed table avoids hashing entirely. *)
+let intern_masks nproc grp_active =
+  let direct = if nproc <= 16 then Array.make (1 lsl nproc) (-1) else [||] in
+  let hashed = Hashtbl.create 64 in
+  let sets = ref [] and nsets = ref 0 in
+  for grp = 0 to Array.length grp_active - 1 do
+    let mask = grp_active.(grp) in
+    let id =
+      if nproc <= 16 then direct.(mask)
+      else Option.value (Hashtbl.find_opt hashed mask) ~default:(-1)
+    in
+    if id >= 0 then grp_active.(grp) <- id
+    else begin
+      let id = !nsets in
+      incr nsets;
+      sets := procs_of_mask mask :: !sets;
+      if nproc <= 16 then direct.(mask) <- id else Hashtbl.add hashed mask id;
+      grp_active.(grp) <- id
+    end
+  done;
+  Array.of_list (List.rev !sets)
 
-  let contents b = Array.sub b.data 0 b.len
-end
+(* Debug check of the ordering contract documented on [graph], on the
+   merged activation masks before interning: for every configuration
+   with groups, every group is a subset of the last one, which makes the
+   last group the union (distributed/synchronous), or every group is a
+   singleton (central). Runs under [assert] so release builds compiled
+   with -noassert skip the pass. *)
+let masks_well_ordered cls grp_off masks =
+  match cls with
+  | Statespace.Central -> Array.for_all (fun m -> m <> 0 && m land (m - 1) = 0) masks
+  | Statespace.Distributed | Statespace.Synchronous ->
+    let ok = ref true in
+    for c = 0 to Array.length grp_off - 2 do
+      let lo = grp_off.(c) and hi = grp_off.(c + 1) in
+      for grp = lo to hi - 1 do
+        if masks.(grp) land masks.(hi - 1) <> masks.(grp) then ok := false
+      done
+    done;
+    !ok
 
-module Fbuf = struct
-  type t = { mutable data : float array; mutable len : int }
-
-  let create hint = { data = Array.make (max hint 16) 0.0; len = 0 }
-
-  let push b x =
-    if b.len = Array.length b.data then begin
-      let d = Array.make (2 * b.len) 0.0 in
-      Array.blit b.data 0 d 0 b.len;
-      b.data <- d
-    end;
-    b.data.(b.len) <- x;
-    b.len <- b.len + 1
-
-  let contents b = Array.sub b.data 0 b.len
-end
-
-(* Activated-subset interning. With few processes (the exhaustive
-   regime) subsets are identified by their process bitmask and a
-   direct-indexed table avoids hashing entirely; wider systems fall
-   back to hashing the subset list. Set ids are assigned in
-   first-occurrence order, which is deterministic because
-   configurations are visited in order. *)
-type interner = {
-  direct : int array; (* mask -> id, or -1; empty when too many processes *)
-  by_list : (int list, int) Hashtbl.t;
-  mutable sets_rev : int list list;
-  mutable nsets : int;
+(* One range [lo, hi) of the streaming expansion: each configuration's
+   transition groups are folded straight into range-local buffers, in
+   exactly the order {!Statespace.transitions} lists them, without
+   materializing per-configuration rows. [grp_off.(c)] is written
+   relative to the range's first group; the merge rebases it. Spaces
+   are immutable and protocol step functions are pure, so ranges run
+   concurrently on the pool. *)
+type part = {
+  lo : int;
+  hi : int;
+  masks : int Growbuf.t; (* activation bitmask per group *)
+  goff : int Growbuf.t; (* first successor of each group, relative to the range *)
+  psucc : int Growbuf.t;
+  psucc_w : float Growbuf.t;
 }
 
-let interner_create nproc =
-  {
-    direct = (if nproc <= 16 then Array.make (1 lsl nproc) (-1) else [||]);
-    by_list = Hashtbl.create 64;
-    sets_rev = [];
-    nsets = 0;
-  }
-
-let intern_set t active =
-  if Array.length t.direct > 0 then begin
-    let mask = List.fold_left (fun m p -> m lor (1 lsl p)) 0 active in
-    let id = t.direct.(mask) in
-    if id >= 0 then id
-    else begin
-      let id = t.nsets in
-      t.nsets <- id + 1;
-      t.sets_rev <- active :: t.sets_rev;
-      t.direct.(mask) <- id;
-      id
-    end
-  end
-  else
-    match Hashtbl.find_opt t.by_list active with
-    | Some id -> id
-    | None ->
-      let id = t.nsets in
-      t.nsets <- id + 1;
-      t.sets_rev <- active :: t.sets_rev;
-      Hashtbl.add t.by_list active id;
-      id
-
-let interner_sets t = Array.of_list (List.rev t.sets_rev)
-
-(* Debug check of the ordering contract documented on [graph]: for
-   every configuration with groups, the last group's activation set
-   must equal the union of all its groups (distributed/synchronous) or
-   every group must be a singleton (central). Runs under [assert] so
-   release builds compiled with -noassert skip the pass. *)
-let groups_well_ordered g =
-  let ok = ref true in
-  (match g.cls with
-  | Statespace.Central ->
-    (* [grp_active] is exactly the concatenation of all groups. *)
-    Array.iter
-      (fun id -> match g.active_sets.(id) with [ _ ] -> () | _ -> ok := false)
-      g.grp_active
-  | Statespace.Distributed | Statespace.Synchronous ->
-    (* Every group a subset of its configuration's last group makes the
-       last group the union. Sets are interned, so subset verdicts are
-       memoized per (set id, last set id) pair — an int-keyed lookup
-       per group instead of set algebra per configuration. *)
-    let nsets = Array.length g.active_sets in
-    let memo = Hashtbl.create 64 in
-    let subset a b =
-      let key = (a * nsets) + b in
-      match Hashtbl.find_opt memo key with
-      | Some r -> r
-      | None ->
-        let bs = g.active_sets.(b) in
-        let r = List.for_all (fun p -> List.mem p bs) g.active_sets.(a) in
-        Hashtbl.add memo key r;
-        r
-    in
-    for c = 0 to g.n - 1 do
-      let lo = g.grp_off.(c) and hi = g.grp_off.(c + 1) in
-      if hi > lo then
-        let last = g.grp_active.(hi - 1) in
-        for grp = lo to hi - 1 do
-          if not (subset g.grp_active.(grp) last) then ok := false
-        done
-    done);
-  !ok
-
-(* Single-pass streaming expansion: each configuration's transition
-   groups are folded straight into the CSR buffers, in exactly the
-   order {!Statespace.transitions} lists them, without materializing
-   per-configuration rows. *)
-let expand_serial space cls n nproc =
-  let grp_off = Array.make (n + 1) 0 in
-  let grp_active = Ibuf.create (2 * n) in
-  let succ_off = Ibuf.create (2 * n) in
-  let succ = Ibuf.create (4 * n) in
-  let succ_w = Fbuf.create (4 * n) in
-  let intern = interner_create nproc in
-  for c = 0 to n - 1 do
+let expand_range space cls grp_off ~lo ~hi =
+  let rows = hi - lo in
+  let ints k = Growbuf.create (k * rows) 0 in
+  let psucc_w = Growbuf.create (4 * rows) 0.0 in
+  let p = { lo; hi; masks = ints 2; goff = ints 2; psucc = ints 4; psucc_w } in
+  for c = lo to hi - 1 do
     if c land 255 = 0 then Cancel.poll ();
-    grp_off.(c) <- grp_active.Ibuf.len;
+    grp_off.(c) <- p.masks.len;
     Statespace.fold_transitions space cls c ~init:() ~f:(fun () active outcomes ->
-        Ibuf.push grp_active (intern_set intern active);
-        Ibuf.push succ_off succ.Ibuf.len;
+        Growbuf.push_int p.masks (mask_of active);
+        Growbuf.push_int p.goff p.psucc.len;
         List.iter
           (fun (c', w) ->
-            Ibuf.push succ c';
-            Fbuf.push succ_w w)
+            Growbuf.push_int p.psucc c';
+            Growbuf.push_float p.psucc_w w)
           outcomes)
   done;
-  grp_off.(n) <- grp_active.Ibuf.len;
-  Ibuf.push succ_off succ.Ibuf.len;
-  let g =
-    {
-      n;
-      cls;
-      grp_off;
-      grp_active = Ibuf.contents grp_active;
-      succ_off = Ibuf.contents succ_off;
-      succ = Ibuf.contents succ;
-      succ_w = Fbuf.contents succ_w;
-      active_sets = interner_sets intern;
-      rev_off = None;
-      rev = None;
-    }
-  in
-  assert (groups_well_ordered g);
-  record_expansion g;
-  g
+  p
 
-(* Multi-domain expansion: pool workers enumerate transition rows for
-   disjoint slices of the configuration range, so the merge is a join
-   and the result is deterministic regardless of scheduling. Spaces
-   are immutable and protocol step functions are pure, which makes the
-   per-configuration calls safe to run concurrently. The packing pass
-   then re-walks the rows in configuration order, so the CSR layout
-   (and the interned-set numbering) is identical to the serial path.
-   Cancellation propagation and first-exception-wins joining are the
-   pool's contract. *)
+(* Concatenates the ranges in ascending [lo] order, rebasing offsets,
+   then interns the masks: the packed layout and the set numbering are
+   the same at every pool width. Each range buffer is copied once and
+   dropped right after, largest structures first. *)
+let merge_parts n nproc cls grp_off parts =
+  let ngroups = List.fold_left (fun acc p -> acc + p.masks.len) 0 parts in
+  let succ_off = Array.make (ngroups + 1) 0 in
+  let gbase = ref 0 and ebase = ref 0 in
+  List.iter
+    (fun p ->
+      for c = p.lo to p.hi - 1 do
+        grp_off.(c) <- grp_off.(c) + !gbase
+      done;
+      for i = 0 to p.goff.len - 1 do
+        succ_off.(!gbase + i) <- p.goff.data.(i) + !ebase
+      done;
+      p.goff.data <- [||];
+      gbase := !gbase + p.masks.len;
+      ebase := !ebase + p.psucc.len)
+    parts;
+  grp_off.(n) <- ngroups;
+  succ_off.(ngroups) <- !ebase;
+  let succ_w = Growbuf.concat 0.0 (fun p -> p.psucc_w) parts in
+  let succ = Growbuf.concat 0 (fun p -> p.psucc) parts in
+  let grp_active = Growbuf.concat 0 (fun p -> p.masks) parts in
+  assert (masks_well_ordered cls grp_off grp_active);
+  let active_sets = intern_masks nproc grp_active in
+  { n; cls; grp_off; grp_active; succ_off; succ; succ_w; active_sets; rev_off = None; rev = None }
+
 let expand_grain = Pool.Grain.site "checker.expand"
 
-let expand_rows space cls n =
-  let rows = Array.make n [] in
-  Pool.parallel_for ~site:expand_grain ~min_chunk:64 n (fun ~lo ~hi ->
-      for c = lo to hi - 1 do
-        if c land 255 = 0 then Cancel.poll ();
-        rows.(c) <- Statespace.transitions space cls c
-      done);
-  rows
-
-let pack n nproc cls rows =
+(* Every width runs the same range body under the pool; at width 1
+   that is a single range covering the whole space. *)
+let build_graph space cls =
+  let n = Statespace.count space in
+  let nproc = Stabgraph.Graph.size (Statespace.protocol space).Protocol.graph in
+  if nproc > Sys.int_size then
+    invalid_arg "Checker.expand: more processes than bits in an activation mask";
   let grp_off = Array.make (n + 1) 0 in
-  let grp_active = Ibuf.create (2 * n) in
-  let succ_off = Ibuf.create (2 * n) in
-  let succ = Ibuf.create (4 * n) in
-  let succ_w = Fbuf.create (4 * n) in
-  let intern = interner_create nproc in
-  for c = 0 to n - 1 do
-    grp_off.(c) <- grp_active.Ibuf.len;
-    List.iter
-      (fun (active, outcomes) ->
-        Ibuf.push grp_active (intern_set intern active);
-        Ibuf.push succ_off succ.Ibuf.len;
-        List.iter
-          (fun (c', w) ->
-            Ibuf.push succ c';
-            Fbuf.push succ_w w)
-          outcomes)
-      rows.(c)
-  done;
-  grp_off.(n) <- grp_active.Ibuf.len;
-  Ibuf.push succ_off succ.Ibuf.len;
-  let g =
-    {
-      n;
-      cls;
-      grp_off;
-      grp_active = Ibuf.contents grp_active;
-      succ_off = Ibuf.contents succ_off;
-      succ = Ibuf.contents succ;
-      succ_w = Fbuf.contents succ_w;
-      active_sets = interner_sets intern;
-      rev_off = None;
-      rev = None;
-    }
+  let parts =
+    Pool.map_ranges ~site:expand_grain ~min_chunk:64 n (expand_range space cls grp_off)
   in
-  assert (groups_well_ordered g);
+  let g = merge_parts n nproc cls grp_off parts in
   record_expansion g;
   g
 
@@ -303,16 +205,6 @@ let cache : (int * Statespace.sched_class, graph) Hashtbl.t = Hashtbl.create 16
 let cache_queue : (int * Statespace.sched_class) Queue.t = Queue.create ()
 let cache_mutex = Mutex.create ()
 let cache_capacity = 8
-
-let build_graph space cls =
-  let n = Statespace.count space in
-  let nproc =
-    Stabgraph.Graph.size (Statespace.protocol space).Protocol.graph
-  in
-  (* Below ~1k configurations even pool scheduling is not worth the
-     row materialization; the streaming serial pass wins. *)
-  if Pool.width () <= 1 || n < 1024 then expand_serial space cls n nproc
-  else pack n nproc cls (expand_rows space cls n)
 
 let expand space cls =
   let key = (Statespace.uid space, cls) in
@@ -337,7 +229,7 @@ let reverse g =
   match (g.rev_off, g.rev) with
   | Some off, Some rev -> (off, rev)
   | _ ->
-    incr reverse_builds;
+    Obs.Counter.incr Obs.checker_reverse_builds;
     Obs.span "checker.reverse" @@ fun () ->
     let n = g.n in
     let nedges = Array.length g.succ in
@@ -504,7 +396,7 @@ type divergence = Cycle of int list | Dead_end of int
    process is enabled, so "no groups" coincides with "no enabled
    process". *)
 let terminals_of g ~legitimate =
-  incr terminal_scans;
+  Obs.Counter.incr Obs.checker_terminal_scans;
   let out = ref [] in
   for c = g.n - 1 downto 0 do
     if (not legitimate.(c)) && g.grp_off.(c) = g.grp_off.(c + 1) then out := c :: !out
@@ -512,7 +404,7 @@ let terminals_of g ~legitimate =
   !out
 
 let illegitimate_terminals space ~legitimate =
-  incr terminal_scans;
+  Obs.Counter.incr Obs.checker_terminal_scans;
   let n = Statespace.count space in
   let out = ref [] in
   for c = n - 1 downto 0 do
@@ -587,7 +479,7 @@ let certain_convergence _space g ~legitimate =
    topological completion order. Cursor-based like the cycle finder, so
    component order matches the list-based implementation exactly. *)
 let sccs g ~alive =
-  incr scc_builds;
+  Obs.Counter.incr Obs.checker_scc_builds;
   let n = g.n in
   let index = Array.make n (-1) in
   let low = Array.make n 0 in
@@ -656,7 +548,7 @@ let has_internal_edge g in_scc members =
 (* Enabled set of a configuration, read off the packed graph instead of
    re-decoding the configuration and re-evaluating guards, per the
    ordering contract documented on [graph] (and asserted by
-   [groups_well_ordered] at packing time): under the synchronous and
+   [masks_well_ordered] at packing time): under the synchronous and
    distributed classes the last group of [c] is exactly Enabled(c),
    and under the central class the groups are the enabled singletons.
    Terminal configurations have no groups. *)

@@ -135,27 +135,6 @@ val analyze : 'a Statespace.t -> Statespace.sched_class -> 'a Spec.t -> verdict
     verdict, while forcing a fairness field costs the same Streett
     analysis the full space would. *)
 
-(** {2 Instrumentation}
-
-    Monotone counters over the process lifetime, for tests asserting
-    that {!analyze} derives each shared intermediate structure exactly
-    once per verdict. *)
-
-val reverse_build_count : unit -> int
-(** Number of reverse-adjacency constructions performed so far. The
-    reverse graph is memoized on the {!graph} value, so repeated
-    backward passes over the same expansion count once. *)
-
-val terminal_scan_count : unit -> int
-(** Number of full terminal scans ({!illegitimate_terminals} or the
-    graph-side equivalent) performed so far. *)
-
-val scc_build_count : unit -> int
-(** Number of Tarjan SCC decompositions performed so far. {!analyze}
-    shares one decomposition of [C \ L] between the strong- and
-    weak-fairness checks (Streett refinement may add further
-    decompositions on pruned subsets). *)
-
 val weak_stabilizing : verdict -> bool
 (** Closure holds and possible convergence holds (Definition 3). *)
 

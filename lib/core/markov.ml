@@ -32,158 +32,106 @@ let merge_row entries =
   Hashtbl.fold (fun c w acc -> (c, w) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-(* Shared CSR packing. [each_row c add] must call [add target weight]
-   once per transition of [c]; duplicates are merged with a stamp
-   array (no per-row hash table), the merged targets are
-   insertion-sorted (rows are short and arrive nearly sorted off the
-   packed graph), and empty rows become absorbing self-loops. *)
-let pack_serial n ~each_row =
-  let off = Array.make (n + 1) 0 in
-  let cap = ref (max 16 (2 * n)) in
-  let cols = ref (Array.make !cap 0) in
-  let wbuf = ref (Array.make !cap 0.0) in
-  let len = ref 0 in
-  let push c w =
-    if !len = !cap then begin
-      cap := 2 * !cap;
-      let cols' = Array.make !cap 0 and wbuf' = Array.make !cap 0.0 in
-      Array.blit !cols 0 cols' 0 !len;
-      Array.blit !wbuf 0 wbuf' 0 !len;
-      cols := cols';
-      wbuf := wbuf'
-    end;
-    !cols.(!len) <- c;
-    !wbuf.(!len) <- w;
-    incr len
+(* Stable merge sort of [t.(lo .. hi - 1)] by target, carrying the
+   weights [w] along; [st]/[sw] hold the left run while it is merged
+   back in place. Rows off the packed graph arrive nearly descending,
+   which would make an insertion sort quadratic. *)
+let rec sort_row (t : int array) (w : float array) st sw lo hi =
+  if hi - lo > 1 then begin
+    let mid = (lo + hi) / 2 in
+    sort_row t w st sw lo mid;
+    sort_row t w st sw mid hi;
+    let n = mid - lo in
+    for i = 0 to n - 1 do
+      st.(i) <- t.(lo + i);
+      sw.(i) <- w.(lo + i)
+    done;
+    let a = ref 0 and b = ref mid and k = ref lo in
+    while !a < n do
+      if !b >= hi || st.(!a) <= t.(!b) then begin
+        t.(!k) <- st.(!a);
+        w.(!k) <- sw.(!a);
+        incr a
+      end
+      else begin
+        t.(!k) <- t.(!b);
+        w.(!k) <- w.(!b);
+        incr b
+      end;
+      incr k
+    done
+  end
+
+(* One range [lo, hi) of the CSR packing. [each_row c add] must call
+   [add target weight] once per transition of [c]. The pairs land at the
+   tail of the range buffers; once the row is complete they are
+   stable-sorted by target and each run of equal targets is summed left
+   to right in place. That is arrival order, so every merged weight is
+   the same float sum however the rows are split. Empty rows become
+   absorbing self-loops. [off.(c + 1)] is written relative to the range;
+   the merge rebases it. *)
+type part = { lo : int; hi : int; pcols : int Growbuf.t; pw : float Growbuf.t }
+
+let pack_range ~each_row off ~lo ~hi =
+  let cols = Growbuf.create (2 * (hi - lo)) 0 in
+  let ws = Growbuf.create (2 * (hi - lo)) 0.0 in
+  let add c' wgt =
+    Growbuf.push_int cols c';
+    Growbuf.push_float ws wgt
   in
-  let stamp = Array.make n (-1) in
-  let acc = Array.make n 0.0 in
-  let targets = ref (Array.make 16 0) in
-  let ntargets = ref 0 in
-  for c = 0 to n - 1 do
-    ntargets := 0;
-    each_row c (fun c' wgt ->
-        if stamp.(c') = c then acc.(c') <- acc.(c') +. wgt
-        else begin
-          stamp.(c') <- c;
-          acc.(c') <- wgt;
-          if !ntargets = Array.length !targets then begin
-            let grown = Array.make (2 * !ntargets) 0 in
-            Array.blit !targets 0 grown 0 !ntargets;
-            targets := grown
-          end;
-          !targets.(!ntargets) <- c';
-          incr ntargets
-        end);
-    if !ntargets = 0 then push c 1.0 (* terminal: absorbing *)
+  let st = ref [||] and sw = ref [||] in
+  for c = lo to hi - 1 do
+    if c land 1023 = 0 then Cancel.poll ();
+    let start = cols.len in
+    each_row c add;
+    let len = cols.len in
+    if len = start then add c 1.0 (* terminal: absorbing *)
     else begin
-      let t = !targets in
-      for i = 1 to !ntargets - 1 do
-        let v = t.(i) in
-        let j = ref (i - 1) in
-        while !j >= 0 && t.(!j) > v do
-          t.(!j + 1) <- t.(!j);
-          decr j
+      if Array.length !st < len - start then begin
+        st := Array.make (len - start) 0;
+        sw := Array.make (len - start) 0.0
+      end;
+      let t = cols.data and w = ws.data in
+      sort_row t w !st !sw start len;
+      let out = ref start and i = ref start in
+      while !i < len do
+        let target = t.(!i) in
+        let sum = ref w.(!i) in
+        incr i;
+        while !i < len && t.(!i) = target do
+          sum := !sum +. w.(!i);
+          incr i
         done;
-        t.(!j + 1) <- v
+        t.(!out) <- target;
+        w.(!out) <- !sum;
+        incr out
       done;
-      for i = 0 to !ntargets - 1 do
-        push t.(i) acc.(t.(i))
-      done
+      cols.len <- !out;
+      ws.len <- !out
     end;
-    off.(c + 1) <- !len
+    off.(c + 1) <- cols.len
   done;
-  { n; off; cols = Array.sub !cols 0 !len; w = Array.sub !wbuf 0 !len }
-
-(* Pool-parallel packing: rows are independent, so chunks of the row
-   range compute their merged-and-sorted target lists concurrently
-   into per-row buffers, and a serial pass concatenates them in row
-   order — the resulting CSR triple is byte-identical to
-   [pack_serial]'s (same per-row arrival order, so the same
-   first-occurrence weight sums and the same sorted layout). Each
-   domain keeps one stamp/accumulator scratch pair in domain-local
-   storage, tagged by a pack generation so a stale stamp from an
-   earlier chain can never alias a row of this one. *)
-type scratch = {
-  mutable s_gen : int;
-  mutable s_stamp : int array;
-  mutable s_acc : float array;
-}
-
-let pack_generation = Atomic.make 0
-
-let dls_scratch : scratch Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { s_gen = -1; s_stamp = [||]; s_acc = [||] })
+  { lo; hi; pcols = cols; pw = ws }
 
 let pack_grain = Pool.Grain.site "markov.pack"
 
-let pack_parallel n ~each_row =
-  let gen = Atomic.fetch_and_add pack_generation 1 in
-  let row_cols = Array.make n [||] in
-  let row_ws = Array.make n [||] in
-  Pool.parallel_for ~site:pack_grain ~min_chunk:64 n (fun ~lo ~hi ->
-      let s = Domain.DLS.get dls_scratch in
-      if s.s_gen <> gen || Array.length s.s_stamp < n then begin
-        s.s_stamp <- Array.make n (-1);
-        s.s_acc <- Array.make n 0.0;
-        s.s_gen <- gen
-      end;
-      let stamp = s.s_stamp and acc = s.s_acc in
-      let targets = ref (Array.make 16 0) in
-      for c = lo to hi - 1 do
-        if c land 1023 = 0 then Cancel.poll ();
-        let ntargets = ref 0 in
-        each_row c (fun c' wgt ->
-            if stamp.(c') = c then acc.(c') <- acc.(c') +. wgt
-            else begin
-              stamp.(c') <- c;
-              acc.(c') <- wgt;
-              if !ntargets = Array.length !targets then begin
-                let grown = Array.make (2 * !ntargets) 0 in
-                Array.blit !targets 0 grown 0 !ntargets;
-                targets := grown
-              end;
-              !targets.(!ntargets) <- c';
-              incr ntargets
-            end);
-        if !ntargets = 0 then begin
-          row_cols.(c) <- [| c |];
-          row_ws.(c) <- [| 1.0 |] (* terminal: absorbing *)
-        end
-        else begin
-          let t = !targets in
-          for i = 1 to !ntargets - 1 do
-            let v = t.(i) in
-            let j = ref (i - 1) in
-            while !j >= 0 && t.(!j) > v do
-              t.(!j + 1) <- t.(!j);
-              decr j
-            done;
-            t.(!j + 1) <- v
-          done;
-          let cs = Array.sub t 0 !ntargets in
-          row_cols.(c) <- cs;
-          row_ws.(c) <- Array.map (fun c' -> acc.(c')) cs
-        end
-      done);
-  let off = Array.make (n + 1) 0 in
-  for c = 0 to n - 1 do
-    off.(c + 1) <- off.(c) + Array.length row_cols.(c)
-  done;
-  let total = off.(n) in
-  let cols = Array.make total 0 and w = Array.make total 0.0 in
-  for c = 0 to n - 1 do
-    Array.blit row_cols.(c) 0 cols off.(c) (Array.length row_cols.(c));
-    Array.blit row_ws.(c) 0 w off.(c) (Array.length row_ws.(c))
-  done;
-  { n; off; cols; w }
-
-(* Below a few thousand rows the per-row buffer allocation outweighs
-   the sharding; the streaming serial pass also stays the width-1
-   reference the parallel path is pinned against. *)
+(* Rows are independent, so ranges pack concurrently on the pool (a
+   single range at width 1); the serial merge rebases the offsets and
+   concatenates the ranges in row order, copying each range buffer
+   once. *)
 let pack n ~each_row =
-  if Pool.width () <= 1 || n < 4096 then pack_serial n ~each_row
-  else pack_parallel n ~each_row
+  let off = Array.make (n + 1) 0 in
+  let parts = Pool.map_ranges ~site:pack_grain ~min_chunk:64 n (pack_range ~each_row off) in
+  let base = ref 0 in
+  List.iter
+    (fun p ->
+      for c = p.lo + 1 to p.hi do
+        off.(c) <- off.(c) + !base
+      done;
+      base := !base + p.pcols.len)
+    parts;
+  let w = Growbuf.concat 0.0 (fun p -> p.pw) parts in
+  { n; off; cols = Growbuf.concat 0 (fun p -> p.pcols) parts; w }
 
 (* Strong-lumpability audit of a quotient chain, enabled by paranoid
    mode: every orbit member of the *full* space must project (through
@@ -381,7 +329,6 @@ type sparse_kind = Gauss_seidel | Jacobi
 
 type hitting_method =
   | Exact
-  | Iterative of { tolerance : float; max_sweeps : int }
   | Sparse of { kind : sparse_kind; tolerance : float; max_sweeps : int }
 
 type solve_stats = { sweeps : int; residual : float; blocks : int }
@@ -565,7 +512,6 @@ let hitting_times_checked ?method_ chain ~legitimate =
       let out = Array.make n 0.0 in
       Array.iteri (fun i c -> out.(c) <- solved.(i)) transient;
       (out, None)
-    | Iterative { tolerance; max_sweeps }
     | Sparse { kind = Gauss_seidel; tolerance; max_sweeps } ->
       let times, outcome = sparse_hitting_times ~tolerance ~max_sweeps chain ~legitimate in
       (times, Some outcome)
@@ -577,7 +523,7 @@ let hitting_times_checked ?method_ chain ~legitimate =
   end
 
 let method_tolerance = function
-  | Some (Iterative { tolerance; _ }) | Some (Sparse { tolerance; _ }) -> tolerance
+  | Some (Sparse { tolerance; _ }) -> tolerance
   | Some Exact | None -> 1e-10
 
 let expected_hitting_times ?method_ chain ~legitimate =
@@ -626,7 +572,6 @@ let absorption_probabilities ?method_ chain ~legitimate =
   in
   match method_ with
   | Exact -> exact_absorption chain ~legitimate
-  | Iterative { tolerance; max_sweeps }
   | Sparse { kind = Gauss_seidel; tolerance; max_sweeps } -> (
     let p, outcome = sparse_absorption ~tolerance ~max_sweeps chain ~legitimate in
     match outcome with

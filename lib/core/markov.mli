@@ -69,8 +69,6 @@ type sparse_kind =
 
 type hitting_method =
   | Exact  (** dense Gaussian elimination; O(t^3) in transient count *)
-  | Iterative of { tolerance : float; max_sweeps : int }
-      (** legacy alias: identical to [Sparse] with [Gauss_seidel] *)
   | Sparse of { kind : sparse_kind; tolerance : float; max_sweeps : int }
       (** BSCC-blocked sweeps with relative-residual stopping:
           [||x_{k+1} - x_k||_inf / max(1, ||x||_inf) <= tolerance],

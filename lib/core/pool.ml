@@ -408,6 +408,17 @@ let parallel_for ?site ?(grain_ns = default_grain_ns) ?(min_chunk = 1) n body =
     end
   end
 
+let map_ranges ?site ?grain_ns ?min_chunk n body =
+  let parts = Atomic.make [] in
+  parallel_for ?site ?grain_ns ?min_chunk n (fun ~lo ~hi ->
+      let part = (lo, body ~lo ~hi) in
+      let rec add () =
+        let seen = Atomic.get parts in
+        if not (Atomic.compare_and_set parts seen (part :: seen)) then add ()
+      in
+      add ());
+  List.sort (fun (a, _) (b, _) -> Int.compare a b) (Atomic.get parts) |> List.map snd
+
 let scatter k f =
   if k > 0 then
     if width () <= 1 then

@@ -27,10 +27,11 @@
     uniform cheap ranges run as a few large chunks.
 
     {b Determinism.} The pool schedules {e where} work runs, never
-    {e what} it computes: all ported sites write results into
-    caller-indexed slots (row [c], run [r]) and merge serially in index
-    order, so outputs are byte-identical to the serial path at every
-    width. See [docs/parallelism.md].
+    {e what} it computes: every site writes results into
+    caller-indexed slots (row [c], run [r]) or returns them per range
+    through {!map_ranges}, and merges serially in index order, so
+    outputs are byte-identical at every width. See
+    [docs/parallelism.md].
 
     {b Cancellation and failures.} The submitter's current
     {!Cancel} token is captured at submission and installed around
@@ -107,6 +108,19 @@ val parallel_for :
     site is used otherwise); [grain_ns] is the sequential-grain
     threshold (default 500µs): ranges whose estimated cost exceeds it
     are split. [min_chunk] (default 1) floors the chunk size. *)
+
+val map_ranges :
+  ?site:Grain.site ->
+  ?grain_ns:int ->
+  ?min_chunk:int ->
+  int ->
+  (lo:int -> hi:int -> 'a) ->
+  'a list
+(** [map_ranges n body] is {!parallel_for} keeping each chunk's result:
+    the results come back in ascending [lo] order, whatever domain ran
+    each chunk, so a serial merge over them is deterministic. At width
+    1 the list has exactly one element, [body ~lo:0 ~hi:n]; it is empty
+    when [n = 0]. *)
 
 val scatter : int -> (int -> unit) -> unit
 (** [scatter k f] runs [f 0 .. f (k - 1)] as [k] independent pool

@@ -44,7 +44,7 @@ let resolve_method method_ legitimate =
 
 let backend_label = function
   | Markov.Exact -> "exact"
-  | Markov.Iterative _ | Markov.Sparse { kind = Markov.Gauss_seidel; _ } -> "gs"
+  | Markov.Sparse { kind = Markov.Gauss_seidel; _ } -> "gs"
   | Markov.Sparse { kind = Markov.Jacobi; _ } -> "jacobi"
 
 (* Exact mean/worst expected hitting time of a protocol under a

@@ -181,6 +181,9 @@ let symmetry_canon_misses = Counter.make "symmetry.canon-miss"
 let gc_minor_words = Counter.make "gc.minor_words"
 let gc_major_collections = Counter.make "gc.major_collections"
 let markov_solve_sweeps = Counter.make "markov.solve.sweeps"
+let checker_reverse_builds = Counter.make "checker.reverse_builds"
+let checker_terminal_scans = Counter.make "checker.terminal_scans"
+let checker_scc_builds = Counter.make "checker.scc_builds"
 let pool_tasks = Counter.make "pool.tasks"
 let pool_steals = Counter.make "pool.steals"
 let pool_splits = Counter.make "pool.splits"

@@ -117,6 +117,17 @@ val markov_solve_sweeps : Counter.t
     ("markov.solve.sweeps"), accumulated per solved block; exact
     singleton-block back-substitutions do not count. *)
 
+val checker_reverse_builds : Counter.t
+val checker_terminal_scans : Counter.t
+val checker_scc_builds : Counter.t
+(** Intermediate structures the checker derives
+    ("checker.reverse_builds" / "checker.terminal_scans" /
+    "checker.scc_builds"): reverse-adjacency constructions (memoized
+    per packed graph, so repeated backward passes count once), terminal
+    scans, and Tarjan SCC decompositions (Streett refinement may add
+    decompositions on pruned subsets). Tests read them to assert that
+    [Checker.analyze] derives each exactly once per verdict. *)
+
 val pool_tasks : Counter.t
 val pool_steals : Counter.t
 val pool_splits : Counter.t

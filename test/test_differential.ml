@@ -153,20 +153,27 @@ let test_verdicts_match_fixtures () =
     computed
 
 (* [analyze] must derive each shared intermediate exactly once, even
-   when both deferred fairness verdicts are forced. *)
+   when both deferred fairness verdicts are forced. The checker's
+   counters only tick while a sink is installed. *)
+let counting f =
+  Stabobs.Obs.install (Stabobs.Obs.null_sink ());
+  Fun.protect ~finally:Stabobs.Obs.clear f
+
 let analyze_counting () =
   let n = 4 in
   let p = Stabalgo.Token_ring.make ~n in
   let space = Statespace.build p in
-  let rev0 = Checker.reverse_build_count () in
-  let term0 = Checker.terminal_scan_count () in
-  let scc0 = Checker.scc_build_count () in
+  let value = Stabobs.Obs.Counter.value in
+  counting @@ fun () ->
+  let rev0 = value Stabobs.Obs.checker_reverse_builds in
+  let term0 = value Stabobs.Obs.checker_terminal_scans in
+  let scc0 = value Stabobs.Obs.checker_scc_builds in
   let v = Checker.analyze space Statespace.Distributed (Stabalgo.Token_ring.spec ~n) in
   ignore (Lazy.force v.Checker.strongly_fair_diverges);
   ignore (Lazy.force v.Checker.weakly_fair_diverges);
-  ( Checker.reverse_build_count () - rev0,
-    Checker.terminal_scan_count () - term0,
-    Checker.scc_build_count () - scc0 )
+  ( value Stabobs.Obs.checker_reverse_builds - rev0,
+    value Stabobs.Obs.checker_terminal_scans - term0,
+    value Stabobs.Obs.checker_scc_builds - scc0 )
 
 let test_single_reverse_build () =
   let rev_builds, _, _ = analyze_counting () in
@@ -235,11 +242,13 @@ let test_metrics_share_reverse_graph () =
   let space = Statespace.build p in
   let g = Checker.expand space Statespace.Distributed in
   let legitimate = Statespace.legitimate_set space (Stabalgo.Token_ring.spec ~n) in
-  let rev0 = Checker.reverse_build_count () in
+  counting @@ fun () ->
+  let builds () = Stabobs.Obs.Counter.value Stabobs.Obs.checker_reverse_builds in
+  let rev0 = builds () in
   ignore (Checker.possible_convergence space g ~legitimate);
   ignore (Checker.best_case_steps space g ~legitimate);
   ignore (Checker.convergence_radius_histogram space g ~legitimate);
-  Alcotest.(check int) "one shared reverse build" 1 (Checker.reverse_build_count () - rev0)
+  Alcotest.(check int) "one shared reverse build" 1 (builds () - rev0)
 
 let suite =
   [

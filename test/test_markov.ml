@@ -94,7 +94,9 @@ let test_gambler_exact_vs_iterative () =
   let exact = Markov.expected_hitting_times ~method_:Markov.Exact chain ~legitimate in
   let iter =
     Markov.expected_hitting_times
-      ~method_:(Markov.Iterative { tolerance = 1e-12; max_sweeps = 1_000_000 })
+      ~method_:
+        (Markov.Sparse
+           { kind = Markov.Gauss_seidel; tolerance = 1e-12; max_sweeps = 1_000_000 })
       chain ~legitimate
   in
   Array.iteri (fun i e -> check_float "methods agree" e iter.(i)) exact;

@@ -61,45 +61,65 @@ let test_scatter_covers () =
 
 (* --- determinism ---------------------------------------------------- *)
 
-(* The pooled expansion path (width > 1, >= 1024 states) must produce
-   the same packed graph as the serial one: same interned-set
-   numbering, same row order, same weights. A fresh [Statespace.build]
-   per run defeats the (space, scheduler) expansion cache. *)
-let expand_rows () =
-  let n = 5 in
-  let p = Stabalgo.Token_ring.make ~n in
-  let space = Statespace.build p in
-  let g = Checker.expand space Statespace.Distributed in
-  List.init (Statespace.count space) (fun c -> Checker.weighted_row g c)
+(* The expansion and the Markov CSR pack run one range body at every
+   width, merged in range order; these pin the merged structures
+   across widths on spaces large enough to split: token-ring ring:8
+   (6561 configurations) and the ring:10 quotient (5934 orbit
+   representatives). A fresh [Statespace.build] per run defeats the
+   (space, class) expansion cache. Under a null sink [pool.tasks] must
+   rise at width > 1, so the tests cannot silently fall back to a
+   single inline range. *)
+let spaces =
+  [
+    ("token-ring ring:8", fun () -> Statespace.build (Stabalgo.Token_ring.make ~n:8));
+    ( "token-ring ring:10 quotient",
+      fun () -> Statespace.quotient (Statespace.build (Stabalgo.Token_ring.make ~n:10)) );
+  ]
 
-let test_expansion_identical_across_widths () =
-  let reference = with_width 1 expand_rows in
+let counting_tasks f =
+  let before = Obs.Counter.value Obs.pool_tasks in
+  let r = f () in
+  (r, Obs.Counter.value Obs.pool_tasks - before)
+
+let expansion_rows build =
+  let space = build () in
+  let g, tasks = counting_tasks (fun () -> Checker.expand space Statespace.Distributed) in
+  (List.init (Statespace.count space) (Checker.weighted_row g), tasks)
+
+(* The expansion is cached before counting, so only the pack's tasks
+   are attributed to it. *)
+let markov_rows build =
+  let space = build () in
+  ignore (Checker.expand space Statespace.Distributed);
+  let chain, tasks =
+    counting_tasks (fun () -> Markov.of_space space Markov.Distributed_uniform)
+  in
+  (List.init (Markov.states chain) (Markov.row chain), tasks)
+
+let identical_across_widths what rows () =
+  Obs.install (Obs.null_sink ());
+  Fun.protect ~finally:Obs.clear @@ fun () ->
   List.iter
-    (fun w ->
-      with_width w (fun () ->
-          for rep = 1 to 2 do
-            if expand_rows () <> reference then
-              Alcotest.failf "width %d rep %d: expansion differs from serial" w
-                rep
-          done))
-    [ 2; 4 ]
+    (fun (label, build) ->
+      let reference, _ = with_width 1 (fun () -> rows build) in
+      List.iter
+        (fun w ->
+          with_width w (fun () ->
+              for rep = 1 to 2 do
+                let got, tasks = rows build in
+                if got <> reference then
+                  Alcotest.failf "%s, width %d rep %d: %s differ from width 1" label w
+                    rep what;
+                if w > 1 && tasks <= 0 then
+                  Alcotest.failf "%s, width %d: %s never reached the pool" label w what
+              done))
+        [ 1; 2; 4 ])
+    spaces
 
-(* Same for the sparse-chain CSR rows (pooled for >= 4096 states). *)
-let markov_rows () =
-  let n = 5 in
-  let p = Stabalgo.Token_ring.make ~n in
-  let space = Statespace.build p in
-  let chain = Markov.of_space space Markov.Distributed_uniform in
-  List.init (Markov.states chain) (fun c -> Markov.row chain c)
+let test_expansion_identical_across_widths =
+  identical_across_widths "weighted rows" expansion_rows
 
-let test_markov_identical_across_widths () =
-  let reference = with_width 1 markov_rows in
-  List.iter
-    (fun w ->
-      with_width w (fun () ->
-          if markov_rows () <> reference then
-            Alcotest.failf "width %d: CSR rows differ from serial" w))
-    [ 2; 4 ]
+let test_markov_identical_across_widths = identical_across_widths "CSR rows" markov_rows
 
 (* Pooled Monte-Carlo draws the same sample as the sequential
    estimator for the same seed: streams are pre-split in run order. *)
