@@ -298,6 +298,40 @@ let test_zero_timeout_exhausts_ladder () =
   Alcotest.(check bool)
     "demotions counted as retries" true (o.Runner.retries >= 2)
 
+(* Size-based demotion: a cell whose max_configs is below its space
+   never reaches the exact rung's answer. The payloads are pinned
+   byte for byte. *)
+let run_one cell =
+  let campaign = { (green_campaign ()) with Campaign.cells = [ cell ] } in
+  let outcomes, _ = Runner.run ~options:(quiet_options ()) campaign in
+  let o = List.hd outcomes in
+  (Checkpoint.status_to_string o.Runner.status, o.Runner.mode,
+   Json.to_string o.Runner.payload)
+
+let check_outcome what (status, mode, payload) got =
+  let got_status, got_mode, got_payload = got in
+  Alcotest.(check string) (what ^ " status") status got_status;
+  Alcotest.(check string) (what ^ " mode") mode got_mode;
+  Alcotest.(check string) (what ^ " payload") payload got_payload
+
+let test_check_over_budget_demotes_to_onthefly () =
+  let cell = List.hd (green_campaign ()).Campaign.cells in
+  (* 4096 configurations against a budget of 3000: the on-the-fly
+     exploration from five sampled configurations fits. *)
+  check_outcome "check ring:6"
+    ("degraded", "onthefly",
+     {|{"inits":5,"possible":"holds","certain":"fails@441","explored":2206}|})
+    (run_one { cell with Campaign.topology = "ring:6"; max_configs = 3000 })
+
+let test_markov_over_budget_demotes_to_montecarlo () =
+  let cell = List.nth (green_campaign ()).Campaign.cells 1 in
+  (* A Markov cell has no on-the-fly rung: 32 configurations against a
+     budget of 20 go straight to sampling. *)
+  check_outcome "markov ring:5"
+    ("degraded", "montecarlo",
+     {|{"runs":40,"converged":40,"timeouts":0,"mean_steps":1.825,"mean_rounds":0.225}|})
+    (run_one { cell with Campaign.topology = "ring:5"; max_configs = 20 })
+
 let test_degraded_montecarlo_is_deterministic () =
   (* A Monte-Carlo cell's numbers depend only on (cell, campaign seed):
      running the same campaign twice gives identical payloads. *)
@@ -477,6 +511,10 @@ let suite =
     Alcotest.test_case "kill and resume byte-identical" `Quick test_kill_and_resume_matches_uninterrupted;
     Alcotest.test_case "poison cell quarantined" `Quick test_poison_cell_quarantined;
     Alcotest.test_case "zero timeout exhausts ladder" `Quick test_zero_timeout_exhausts_ladder;
+    Alcotest.test_case "check over budget demotes to onthefly" `Quick
+      test_check_over_budget_demotes_to_onthefly;
+    Alcotest.test_case "markov over budget demotes to montecarlo" `Quick
+      test_markov_over_budget_demotes_to_montecarlo;
     Alcotest.test_case "degraded montecarlo deterministic" `Quick test_degraded_montecarlo_is_deterministic;
     Alcotest.test_case "status server scrape mid-run" `Quick
       test_status_server_scrape_mid_run;
