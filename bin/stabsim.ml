@@ -8,6 +8,7 @@
 
 open Cmdliner
 module Obs = Stabobs.Obs
+module Analysis = Stabcore.Analysis
 
 (* --- observability: flags shared by every subcommand --- *)
 
@@ -264,6 +265,16 @@ let seed_arg =
   let doc = "PRNG seed; equal seeds reproduce runs exactly." in
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
 
+(* Counts and budgets: zero or less fails with cmdliner's usage error,
+   before the subcommand prints anything. *)
+let positive =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let steps_arg =
   let doc = "Maximum number of steps to simulate." in
   Arg.(value & opt int 50 & info [ "steps" ] ~docv:"STEPS" ~doc)
@@ -313,14 +324,6 @@ let sched_class_arg =
            ])
         Stabcore.Statespace.Distributed
     & info [ "class" ] ~docv:"CLASS" ~doc)
-
-(* The simulation face of a scheduler class: its uniform randomized
-   daemon (Definition 6). *)
-let class_scheduler : type a. Stabcore.Statespace.sched_class -> a Stabcore.Scheduler.t =
-  function
-  | Stabcore.Statespace.Central -> Stabcore.Scheduler.central_random ()
-  | Stabcore.Statespace.Distributed -> Stabcore.Scheduler.distributed_random ()
-  | Stabcore.Statespace.Synchronous -> Stabcore.Scheduler.synchronous ()
 
 let quick_arg =
   let doc = "Keep experiment instance sizes small (fast); disable for the full sweep." in
@@ -412,6 +415,10 @@ let resolve ~protocol ~topology ~transformed ~file =
       Stabexp.Registry.Entry
         { label; protocol = base_protocol; spec; relabel = None; describe }
 
+(* The subcommands answer on a fixed rung: a rung that cannot answer is
+   an error, not a demotion. *)
+let answer request rung = Result.fold ~ok:Fun.id ~error:failwith (Analysis.attempt request rung)
+
 (* --- trace --- *)
 
 let trace_cmd =
@@ -471,14 +478,17 @@ let check_cmd =
               Printf.sprintf "%s, crash-faulted [%s]" e.label
                 (String.concat "," (List.map string_of_int crash)) )
         in
-        let full = Stabcore.Statespace.build protocol in
-        let space =
-          if quotient then Stabcore.Statespace.quotient ?relabel:e.relabel full else full
+        let request =
+          Analysis.(request ~quotient (instance ?relabel:e.relabel protocol e.spec) cls Check)
         in
-        let v = Stabcore.Checker.analyze space cls e.spec in
+        let space, v =
+          match answer request Analysis.Exact_rung with
+          | Analysis.Verdicts { space; verdict } -> (space, verdict)
+          | _ -> assert false
+        in
         Format.printf "%s under the %a class (%d configurations)@.%s@."
           label Stabcore.Statespace.pp_sched_class cls
-          (Stabcore.Statespace.count full)
+          (Stabcore.Statespace.count (Stabcore.Statespace.base space))
           e.describe;
         if quotient then
           if Stabcore.Statespace.is_quotient space then
@@ -518,37 +528,38 @@ let check_cmd =
 
 (* --- markov --- *)
 
+(* The uniform randomized daemon of each scheduler class, by name. *)
+let randomizations =
+  [
+    ("central-random", Stabcore.Statespace.Central);
+    ("distributed-random", Stabcore.Statespace.Distributed);
+    ("synchronous", Stabcore.Statespace.Synchronous);
+  ]
+
 let markov_cmd =
-  let run () protocol topology transformed file r quotient method_ allow_nonconverged =
+  let run () protocol topology transformed file cls quotient hitting allow_nonconverged =
     wrap (fun () ->
         let (Stabexp.Registry.Entry e) = resolve ~protocol ~topology ~transformed ~file in
-        let randomization =
-          match r with
-          | Stabcore.Markov.Central_uniform -> "central-random"
-          | Stabcore.Markov.Distributed_uniform -> "distributed-random"
-          | Stabcore.Markov.Sync -> "synchronous"
+        let randomization = fst (List.find (fun (_, c) -> c = cls) randomizations) in
+        (* A sweep-budget exhaustion is kept: the policy (fail loudly vs.
+           --allow-nonconverged) lives here. *)
+        let request =
+          Analysis.(
+            request ~quotient ?hitting ~keep_nonconverged:true
+              (instance ?relabel:e.relabel e.protocol e.spec)
+              cls Markov)
         in
-        let space = Stabcore.Statespace.build e.protocol in
-        let space =
-          if quotient then Stabcore.Statespace.quotient ?relabel:e.relabel space
-          else space
+        let space, hitting =
+          match answer request Analysis.Exact_rung with
+          | Analysis.Chain { space; hitting } -> (space, hitting)
+          | _ -> assert false
         in
-        let legitimate = Stabcore.Statespace.legitimate_set space e.spec in
-        let chain = Stabcore.Markov.of_space space r in
         if Stabcore.Statespace.is_quotient space then
           Format.printf "orbit-lumped chain: %d states for %d configurations@."
             (Stabcore.Statespace.count space)
             (Stabcore.Statespace.count (Stabcore.Statespace.base space));
-        (match Stabcore.Markov.converges_with_prob_one chain ~legitimate with
-        | Ok () ->
-          let weights = Stabcore.Statespace.orbit_sizes space in
-          (* The typed entry point never raises on a sweep-budget
-             exhaustion: the outcome says whether the numbers are exact
-             or a partial iterate, and the policy (fail loudly vs.
-             --allow-nonconverged) lives here, not in the library. *)
-          let stats, outcome =
-            Stabcore.Markov.hitting_stats_checked ?method_ ?weights chain ~legitimate
-          in
+        (match hitting with
+        | Ok (stats, outcome) ->
           let nonconverged =
             match outcome with
             | Some (Stabcore.Markov.Converged s) ->
@@ -590,14 +601,7 @@ let markov_cmd =
     let doc = "Randomized daemon: central-random, distributed-random, synchronous." in
     Arg.(
       value
-      & opt
-          (enum
-             [
-               ("central-random", Stabcore.Markov.Central_uniform);
-               ("distributed-random", Stabcore.Markov.Distributed_uniform);
-               ("synchronous", Stabcore.Markov.Sync);
-             ])
-          Stabcore.Markov.Distributed_uniform
+      & opt (enum randomizations) Stabcore.Statespace.Distributed
       & info [ "r"; "randomization" ] ~docv:"R" ~doc)
   in
   let quotient_arg =
@@ -642,11 +646,11 @@ let montecarlo_cmd =
           e.label (scheduler_label scheduler) runs Stabcore.Montecarlo.pp_result result)
   in
   let runs_arg =
-    Arg.(value & opt int 1000 & info [ "runs" ] ~docv:"RUNS" ~doc:"Number of sampled runs.")
+    Arg.(value & opt positive 1000 & info [ "runs" ] ~docv:"RUNS" ~doc:"Number of sampled runs.")
   in
   let max_steps_arg =
     Arg.(
-      value & opt int 1_000_000
+      value & opt positive 1_000_000
       & info [ "max-steps" ] ~docv:"N" ~doc:"Per-run step budget before declaring a timeout.")
   in
   let term =
@@ -663,12 +667,18 @@ let reach_cmd =
   let run () protocol topology transformed file cls seed inits max_states =
     wrap (fun () ->
         let (Stabexp.Registry.Entry e) = resolve ~protocol ~topology ~transformed ~file in
-        let space = Stabcore.Statespace.build ~max_configs:max_int e.protocol in
-        let rng = Stabrng.Rng.create seed in
-        let init_configs =
-          List.init inits (fun _ -> Stabcore.Protocol.random_config rng e.protocol)
+        let request =
+          Analysis.(
+            request ~max_configs:max_states ~inits:(Random_inits inits) ~seed
+              (instance e.protocol e.spec) cls Check)
         in
-        let show (verdict, stats) what =
+        let space, result =
+          match answer request Analysis.Onthefly_rung with
+          | Analysis.Reachable { space; result; _ } -> (space, result)
+          | _ -> assert false
+        in
+        let show verdict what =
+          let stats = result.Stabcore.Onthefly.stats in
           Format.printf "%s: %s (explored %d configurations, %d edges%s)@." what
             (match verdict with
             | Stabcore.Onthefly.Converges -> "HOLDS on the reachable sub-system"
@@ -682,23 +692,17 @@ let reach_cmd =
         in
         Format.printf "%s under the %a class, %d random initial configurations (seed %d)@."
           e.label Stabcore.Statespace.pp_sched_class cls inits seed;
-        show
-          (Stabcore.Onthefly.possible_convergence_from ~max_states space cls e.spec
-             ~inits:init_configs)
-          "possible convergence (weak)";
-        show
-          (Stabcore.Onthefly.certain_convergence_from ~max_states space cls e.spec
-             ~inits:init_configs)
-          "certain convergence (self)")
+        show result.Stabcore.Onthefly.possible "possible convergence (weak)";
+        show result.Stabcore.Onthefly.certain "certain convergence (self)")
   in
   let inits_arg =
     Arg.(
-      value & opt int 5
+      value & opt positive 5
       & info [ "inits" ] ~docv:"K" ~doc:"Number of random initial configurations.")
   in
   let max_states_arg =
     Arg.(
-      value & opt int 1_000_000
+      value & opt positive 1_000_000
       & info [ "max-states" ] ~docv:"N" ~doc:"On-the-fly exploration budget.")
   in
   let term =
@@ -768,8 +772,9 @@ let faults_cmd =
         let ks = List.sort_uniq compare ks in
         if ks = [] then invalid_arg "no fault counts given";
         if List.exists (fun k -> k < 0) ks then invalid_arg "negative fault count";
-        let sched = class_scheduler cls in
+        let sched = Analysis.scheduler cls in
         let rng = Stabrng.Rng.create seed in
+        let inst = Analysis.instance e.protocol e.spec in
         let availability_line start k =
           let plan = Stabcore.Faults.periodic e.protocol ~gap ~faults:k in
           let s =
@@ -799,8 +804,8 @@ let faults_cmd =
           Format.printf "availability under recurrent faults (horizon %d steps):@." horizon;
           List.iter (availability_line start) ks
         in
-        match Stabcore.Statespace.plan ~max_configs e.protocol with
-        | `Exact space ->
+        match Analysis.(plan (request ~max_configs inst cls Check)) with
+        | Analysis.Fits space ->
           let n = Stabcore.Statespace.count space in
           Format.printf "%s resilience under the %a class (%d configurations, exact)@.%s@.@."
             e.label Stabcore.Statespace.pp_sched_class cls n e.describe;
@@ -850,7 +855,7 @@ let faults_cmd =
           in
           Format.printf "availability under recurrent faults (horizon %d steps):@." horizon;
           List.iter (availability_line start) ks
-        | `Onthefly space ->
+        | Analysis.Over_budget space ->
           Obs.warnf
             "warning: %d configurations exceed the exact budget (--max-configs %d); \
              degrading to on-the-fly + Monte-Carlo analysis"
@@ -872,23 +877,19 @@ let faults_cmd =
                   Printf.sprintf "fails (counterexample code %d)" c
                 | Stabcore.Onthefly.Unknown -> "unknown (state budget exhausted)"
               in
-              let possible, _ =
-                Stabcore.Onthefly.possible_convergence_from ~max_states:max_configs space
-                  cls e.spec ~inits
-              in
-              let certain, stats =
-                Stabcore.Onthefly.certain_convergence_from ~max_states:max_configs space
-                  cls e.spec ~inits
-              in
-              Format.printf
-                "k = %d (%d sampled corruptions): possible convergence %s; certain \
-                 convergence %s (explored %d configurations)@."
-                k samples (verdict_string possible) (verdict_string certain)
-                stats.Stabcore.Onthefly.explored)
+              let request = Analysis.(request ~max_configs ~inits:(Inits inits) inst cls Check) in
+              match answer request Analysis.Onthefly_rung with
+              | Analysis.Reachable { result = { possible; certain; stats }; _ } ->
+                Format.printf
+                  "k = %d (%d sampled corruptions): possible convergence %s; certain \
+                   convergence %s (explored %d configurations)@."
+                  k samples (verdict_string possible) (verdict_string certain)
+                  stats.Stabcore.Onthefly.explored
+              | _ -> assert false)
             ks;
           Format.printf "@.";
           montecarlo_block start
-        | `Montecarlo reason ->
+        | Analysis.Too_large reason ->
           Obs.warnf "warning: %s; degrading to Monte-Carlo analysis" reason;
           Format.printf "%s resilience under the %a class (sampled only)@.%s@.@." e.label
             Stabcore.Statespace.pp_sched_class cls e.describe;
@@ -902,21 +903,21 @@ let faults_cmd =
       & info [ "k" ] ~docv:"K,K,..." ~doc:"Fault counts to profile.")
   in
   let runs_arg =
-    Arg.(value & opt int 500 & info [ "runs" ] ~docv:"RUNS" ~doc:"Runs per fault count.")
+    Arg.(value & opt positive 500 & info [ "runs" ] ~docv:"RUNS" ~doc:"Runs per fault count.")
   in
   let horizon_arg =
     Arg.(
-      value & opt int 2_000
+      value & opt positive 2_000
       & info [ "horizon" ] ~docv:"N" ~doc:"Steps per availability run.")
   in
   let gap_arg =
     Arg.(
-      value & opt int 50
+      value & opt positive 50
       & info [ "gap" ] ~docv:"G" ~doc:"Steps between recurrent fault injections.")
   in
   let max_configs_arg =
     Arg.(
-      value & opt int 2_000_000
+      value & opt positive 2_000_000
       & info [ "max-configs" ] ~docv:"N"
           ~doc:
             "Exact-analysis budget; larger spaces degrade to on-the-fly exploration or \
@@ -1024,31 +1025,22 @@ let profile_cmd =
         let profile = Obs.Profile.create () in
         Obs.install (Obs.Profile.sink profile);
         Obs.Counter.reset_all ();
-        let rng = Stabrng.Rng.create seed in
         (* The full pipeline, end to end: exhaustive verdicts, the
            induced Markov chain, and a Monte-Carlo estimate, each phase
-           showing up as its own span. *)
-        let space = Stabcore.Statespace.build e.protocol in
-        let v = Stabcore.Checker.analyze space cls e.spec in
-        let legitimate = Stabcore.Statespace.legitimate_set space e.spec in
-        let randomization =
-          match cls with
-          | Stabcore.Statespace.Central -> Stabcore.Markov.Central_uniform
-          | Stabcore.Statespace.Distributed -> Stabcore.Markov.Distributed_uniform
-          | Stabcore.Statespace.Synchronous -> Stabcore.Markov.Sync
+           showing up as its own span. The three questions share one
+           instance, hence one space and one expansion. *)
+        let inst = Analysis.instance e.protocol e.spec in
+        let ask question = answer (Analysis.request ~seed ~runs inst cls question) in
+        let verdicts = Analysis.(ask Check Exact_rung) in
+        let chain = Analysis.(ask Markov Exact_rung) in
+        let sampled = Analysis.(ask Montecarlo Montecarlo_rung) in
+        let space, v, hitting, mc =
+          match (verdicts, chain, sampled) with
+          | Verdicts { space; verdict }, Chain { hitting; _ }, Simulated mc ->
+            (space, verdict, Result.map fst hitting, mc)
+          | _ -> assert false
         in
-        let chain = Stabcore.Markov.of_space space randomization in
-        let prob1 = Stabcore.Markov.converges_with_prob_one chain ~legitimate in
-        let hit_stats =
-          match prob1 with
-          | Ok () -> Some (Stabcore.Markov.hitting_stats chain ~legitimate)
-          | Error _ -> None
-        in
-        let sched = class_scheduler cls in
-        let mc =
-          Stabcore.Montecarlo.estimate ~runs ~max_steps:1_000_000 rng e.protocol sched
-            e.spec
-        in
+        let prob1 = Result.is_ok hitting and hit_stats = Result.to_option hitting in
         if json then begin
           let module Json = Stabobs.Json in
           let doc =
@@ -1064,9 +1056,7 @@ let profile_cmd =
                     [
                       ("weak", Json.Bool (Stabcore.Checker.weak_stabilizing v));
                       ("self", Json.Bool (Stabcore.Checker.self_stabilizing v));
-                      ( "prob1",
-                        Json.Bool
-                          (match prob1 with Ok () -> true | Error _ -> false) );
+                      ("prob1", Json.Bool prob1);
                     ] );
                 ( "hitting",
                   match hit_stats with
@@ -1103,7 +1093,7 @@ let profile_cmd =
             "verdicts: weak-stabilizing %b, self-stabilizing %b, prob-1 convergence %b@."
             (Stabcore.Checker.weak_stabilizing v)
             (Stabcore.Checker.self_stabilizing v)
-            (match prob1 with Ok () -> true | Error _ -> false);
+            prob1;
           (match hit_stats with
           | Some s ->
             Format.printf "expected stabilization time: mean %.4f steps, worst %.4f steps@."
@@ -1133,7 +1123,8 @@ let profile_cmd =
   in
   let runs_arg =
     Arg.(
-      value & opt int 200 & info [ "runs" ] ~docv:"RUNS" ~doc:"Monte-Carlo runs to sample.")
+      value & opt positive 200
+      & info [ "runs" ] ~docv:"RUNS" ~doc:"Monte-Carlo runs to sample.")
   in
   let json_arg =
     let doc =

@@ -100,31 +100,34 @@ let () =
   let big_n = 12 in
   let big = Stabalgo.Token_ring.make ~n:big_n in
   let big_spec = Stabalgo.Token_ring.spec ~n:big_n in
-  let space = Statespace.build ~max_configs:max_int big in
   let bad = Stabalgo.Token_ring.config_with_tokens_at ~n:big_n [ 0; 4; 8 ] in
   Format.printf "--- on-the-fly verification on the %d-ring (5^%d configurations total)@."
     big_n big_n;
   Format.printf "corrupted start with three tokens: %a@." (Protocol.pp_config big) bad;
-  let verdict, stats =
-    Onthefly.possible_convergence_from space Statespace.Central big_spec ~inits:[ bad ]
+  let request =
+    Analysis.request ~max_configs:1_000_000 ~inits:(Analysis.Inits [ bad ])
+      (Analysis.instance big big_spec) Statespace.Central Analysis.Check
   in
-  (match verdict with
-  | Onthefly.Converges ->
-    Format.printf
-      "every reachable configuration can recover (sub-system: %d configurations, %d edges)@."
-      stats.Onthefly.explored stats.Onthefly.edges
-  | Onthefly.Counterexample _ -> Format.printf "unexpected: recovery impossible@."
-  | Onthefly.Unknown -> Format.printf "budget exhausted@.");
-  let verdict2, _ =
-    Onthefly.certain_convergence_from space Statespace.Central big_spec ~inits:[ bad ]
-  in
-  match verdict2 with
-  | Onthefly.Counterexample code ->
-    Format.printf
-      "but an adversarial daemon can avoid recovery forever (witness: %a) —@.\
-       weak, not self, stabilization: the paper's Theorem 2 at n = %d.@."
-      (Protocol.pp_config big)
-      (Statespace.config space code)
-      big_n
-  | Onthefly.Converges -> Format.printf "unexpected: certain convergence@."
-  | Onthefly.Unknown -> Format.printf "budget exhausted@."
+  match Analysis.attempt request Analysis.Onthefly_rung with
+  | Ok (Analysis.Reachable { space; result; _ }) -> (
+    let stats = result.Onthefly.stats in
+    (match result.Onthefly.possible with
+    | Onthefly.Converges ->
+      Format.printf
+        "every reachable configuration can recover (sub-system: %d configurations, %d \
+         edges)@."
+        stats.Onthefly.explored stats.Onthefly.edges
+    | Onthefly.Counterexample _ -> Format.printf "unexpected: recovery impossible@."
+    | Onthefly.Unknown -> Format.printf "budget exhausted@.");
+    match result.Onthefly.certain with
+    | Onthefly.Counterexample code ->
+      Format.printf
+        "but an adversarial daemon can avoid recovery forever (witness: %a) —@.\
+         weak, not self, stabilization: the paper's Theorem 2 at n = %d.@."
+        (Protocol.pp_config big)
+        (Statespace.config space code)
+        big_n
+    | Onthefly.Converges -> Format.printf "unexpected: certain convergence@."
+    | Onthefly.Unknown -> Format.printf "budget exhausted@.")
+  | Ok _ -> assert false
+  | Error reason -> Format.printf "no on-the-fly answer: %s@." reason

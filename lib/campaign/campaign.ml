@@ -1,6 +1,6 @@
 module Json = Stabobs.Json
 
-type analysis = Check | Markov | Montecarlo
+type analysis = Stabcore.Analysis.question = Check | Markov | Montecarlo
 
 type faults =
   | No_faults
@@ -44,10 +44,7 @@ let analysis_of_string = function
   | "montecarlo" | "mc" -> Montecarlo
   | s -> fail "unknown analysis %S (expected check|markov|montecarlo)" s
 
-let sched_to_string = function
-  | Stabcore.Statespace.Central -> "central"
-  | Stabcore.Statespace.Distributed -> "distributed"
-  | Stabcore.Statespace.Synchronous -> "synchronous"
+let sched_to_string = Format.asprintf "%a" Stabcore.Statespace.pp_sched_class
 
 let sched_of_string = function
   | "central" -> Stabcore.Statespace.Central
@@ -106,6 +103,24 @@ let list_ ~what = function
 
 let opt f ~what ~default j = match j with None -> default | Some j -> f ~what j
 
+(* Load-time validation, cheap enough to build no protocol: a malformed
+   field fails the load, naming the field, rather than every attempt. *)
+let at_least bound ~what j =
+  let n = int_ ~what j in
+  if n < bound then fail "%s: expected an integer >= %d, got %d" what bound n else n
+
+let protocol_name ~what j =
+  let names = Stabexp.Registry.names and name = str ~what j in
+  if not (List.mem name names) then
+    fail "%s: unknown protocol %S (one of: %s)" what name (String.concat ", " names);
+  name
+
+let topology ~what j =
+  let t = str ~what j in
+  (try ignore (Stabexp.Registry.topology_of_string t)
+   with Invalid_argument m | Failure m -> fail "%s: bad topology %S (%s)" what t m);
+  t
+
 (* {1 Canonical representation, hashing, seeding} *)
 
 let cell_json c =
@@ -156,20 +171,21 @@ let cell_of_json defaults j =
     fail "cell with faults %S needs analysis \"montecarlo\""
       (faults_to_string faults);
   {
-    protocol = opt str ~what:"cell.protocol" ~default:"token-ring" (get "protocol");
-    topology = opt str ~what:"cell.topology" ~default:"ring:5" (get "topology");
+    protocol =
+      opt protocol_name ~what:"cell.protocol" ~default:"token-ring" (get "protocol");
+    topology = opt topology ~what:"cell.topology" ~default:"ring:5" (get "topology");
     transformed =
       opt bool_ ~what:"cell.transformed" ~default:false (get "transformed");
     sched =
       sched_of_string (opt str ~what:"cell.sched" ~default:"central" (get "sched"));
     analysis;
     faults;
-    runs = opt int_ ~what:"cell.runs" ~default:defaults.d_runs (get "runs");
+    runs = opt (at_least 1) ~what:"cell.runs" ~default:defaults.d_runs (get "runs");
     max_steps =
-      opt int_ ~what:"cell.max_steps" ~default:defaults.d_max_steps
+      opt (at_least 1) ~what:"cell.max_steps" ~default:defaults.d_max_steps
         (get "max_steps");
     max_configs =
-      opt int_ ~what:"cell.max_configs" ~default:defaults.d_max_configs
+      opt (at_least 1) ~what:"cell.max_configs" ~default:defaults.d_max_configs
         (get "max_configs");
   }
 
@@ -181,8 +197,8 @@ let axis matrix name ~default of_string to_value =
       (list_ ~what:("matrix." ^ name) l)
 
 let matrix_cells defaults matrix =
-  let protocols = axis matrix "protocol" ~default:[ "token-ring" ] Fun.id str in
-  let topologies = axis matrix "topology" ~default:[ "ring:5" ] Fun.id str in
+  let protocols = axis matrix "protocol" ~default:[ "token-ring" ] Fun.id protocol_name in
+  let topologies = axis matrix "topology" ~default:[ "ring:5" ] Fun.id topology in
   let scheds = axis matrix "sched" ~default:[ "central" ] sched_of_string str in
   let analyses = axis matrix "analysis" ~default:[ "check" ] analysis_of_string str in
   let faultss = axis matrix "faults" ~default:[ "none" ] faults_of_string str in
@@ -240,10 +256,10 @@ let of_json j =
     | _ -> fail "campaign: expected a JSON object at top level");
     let defaults =
       {
-        d_runs = opt int_ ~what:"runs" ~default:400 (get "runs");
-        d_max_steps = opt int_ ~what:"max_steps" ~default:200_000 (get "max_steps");
+        d_runs = opt (at_least 1) ~what:"runs" ~default:400 (get "runs");
+        d_max_steps = opt (at_least 1) ~what:"max_steps" ~default:200_000 (get "max_steps");
         d_max_configs =
-          opt int_ ~what:"max_configs" ~default:2_000_000 (get "max_configs");
+          opt (at_least 1) ~what:"max_configs" ~default:2_000_000 (get "max_configs");
       }
     in
     let from_matrix =
@@ -262,9 +278,9 @@ let of_json j =
       {
         name = opt str ~what:"name" ~default:"campaign" (get "name");
         seed = opt int_ ~what:"seed" ~default:42 (get "seed");
-        timeout_ms = Option.map (int_ ~what:"timeout_ms") (get "timeout_ms");
-        retries = opt int_ ~what:"retries" ~default:2 (get "retries");
-        backoff_ms = opt int_ ~what:"backoff_ms" ~default:100 (get "backoff_ms");
+        timeout_ms = Option.map (at_least 0 ~what:"timeout_ms") (get "timeout_ms");
+        retries = opt (at_least 0) ~what:"retries" ~default:2 (get "retries");
+        backoff_ms = opt (at_least 0) ~what:"backoff_ms" ~default:100 (get "backoff_ms");
         cells;
       }
   with Parse m -> Error m

@@ -37,7 +37,7 @@
     plan with a non-["montecarlo"] analysis are dropped rather than
     generated. See [docs/campaigns.md]. *)
 
-type analysis = Check | Markov | Montecarlo
+type analysis = Stabcore.Analysis.question = Check | Markov | Montecarlo
 
 type faults =
   | No_faults
@@ -46,8 +46,8 @@ type faults =
   | Burst of { at : int list; faults : int }
 
 type cell = {
-  protocol : string;  (** a {!Stabexp.Registry} name; validated at run time *)
-  topology : string;  (** e.g. ["ring:5"]; validated at run time *)
+  protocol : string;  (** a {!Stabexp.Registry} name *)
+  topology : string;  (** e.g. ["ring:5"] *)
   transformed : bool;  (** pass through the Section 4 transformer *)
   sched : Stabcore.Statespace.sched_class;
   analysis : analysis;
@@ -67,6 +67,9 @@ type t = {
 }
 
 val of_json : Stabobs.Json.t -> (t, string) result
+(** Parse and validate a campaign; [Error] names the first malformed
+    field (see [docs/campaigns.md]). No protocol is built. *)
+
 val load : string -> (t, string) result
 (** Read and parse a campaign file. *)
 

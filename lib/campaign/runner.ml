@@ -295,39 +295,10 @@ let backoff_delays ~seed ~base_ms ~attempts =
 
 (* {1 One cell's analysis}
 
-   Everything below runs inside the attempt's Cancel token, so a
-   timeout or drain can interrupt any of it at the library poll
-   points. Results must be a pure function of (cell, campaign seed):
-   only the serial Monte-Carlo estimator is used (its sample is
-   deterministic per seed), and on-the-fly initial configurations are
-   drawn from the cell's own stream. *)
-
-exception Demote of string
-
-type rung = Exact_rung | Onthefly_rung | Montecarlo_rung
-
-let rung_label = function
-  | Exact_rung -> "exact"
-  | Onthefly_rung -> "onthefly"
-  | Montecarlo_rung -> "montecarlo"
-
-let ladder (cell : Campaign.cell) =
-  match cell.analysis with
-  | Campaign.Check -> [ Exact_rung; Onthefly_rung; Montecarlo_rung ]
-  (* A Markov cell has no on-the-fly rung: hitting times need the full
-     chain, so the only weaker analysis is simulation. *)
-  | Campaign.Markov -> [ Exact_rung; Montecarlo_rung ]
-  | Campaign.Montecarlo -> [ Montecarlo_rung ]
-
-let scheduler_of = function
-  | Statespace.Central -> Scheduler.central_random ()
-  | Statespace.Distributed -> Scheduler.distributed_random ()
-  | Statespace.Synchronous -> Scheduler.synchronous ()
-
-let randomization_of = function
-  | Statespace.Central -> Markov.Central_uniform
-  | Statespace.Distributed -> Markov.Distributed_uniform
-  | Statespace.Synchronous -> Markov.Sync
+   One rung of the cell's {!Analysis} request, run inside the attempt's
+   Cancel token so a timeout or drain interrupts it at the library poll
+   points. Every rung draws from the cell's own seed, so results are a
+   pure function of (cell, campaign seed). *)
 
 let onthefly_verdict = function
   | Onthefly.Converges -> "holds"
@@ -338,96 +309,35 @@ let mc_field = function
   | Some s -> Json.Float s.Stabstats.Stats.mean
   | None -> Json.Null
 
-let run_cell_analysis campaign (cell : Campaign.cell) rung =
-  let (Stabexp.Registry.Entry { protocol; spec; _ }) =
-    Stabexp.Registry.find ~name:cell.protocol ~topology:cell.topology
-      ~transformed:cell.transformed ()
-  in
-  let rng = Stabrng.Rng.create (Campaign.cell_seed campaign cell) in
-  match rung with
-  | Exact_rung -> (
-    match Statespace.try_build ~max_configs:cell.max_configs protocol with
-    | Error reason -> raise (Demote reason)
-    | Ok space -> (
-      match cell.analysis with
-      | Campaign.Check ->
-        let v = Checker.analyze space cell.sched spec in
-        Json.Obj
-          [
-            ("configs", Json.Int (Statespace.count space));
-            ("weak", Json.Bool (Checker.weak_stabilizing v));
-            ("self", Json.Bool (Checker.self_stabilizing v));
-            ("self_weakly_fair", Json.Bool (Checker.self_stabilizing_weakly_fair v));
-            ( "self_strongly_fair",
-              Json.Bool (Checker.self_stabilizing_strongly_fair v) );
-          ]
-      | Campaign.Markov -> (
-        let legitimate = Statespace.legitimate_set space spec in
-        let chain = Markov.of_space space (randomization_of cell.sched) in
-        match Markov.converges_with_prob_one chain ~legitimate with
-        | Error c ->
-          Json.Obj
-            [ ("prob1", Json.Bool false); ("unreachable_from", Json.Int c) ]
-        | Ok () -> (
-          let stats, outcome = Markov.hitting_stats_checked chain ~legitimate in
-          match outcome with
-          | Some (Markov.Max_sweeps _) ->
-            (* The Max_sweeps-prone solve the ladder exists for: the
-               exact answer is out of reach, fall back to sampling. *)
-            raise (Demote "sparse solver hit its sweep budget")
-          | Some (Markov.Converged _) | None ->
-            Json.Obj
-              [
-                ("prob1", Json.Bool true);
-                ("configs", Json.Int (Statespace.count space));
-                ("mean", Json.Float stats.Markov.mean);
-                ("max", Json.Float stats.Markov.max);
-              ]))
-      | Campaign.Montecarlo ->
-        (* The ladder never sends a Monte-Carlo cell here. *)
-        raise (Demote "montecarlo cell on the exact rung")))
-  | Onthefly_rung ->
-    let space =
-      (* Only the encoding is materialized here; the exploration hash
-         table is capped by the cell's budget below. *)
-      match Statespace.plan ~max_configs:max_int protocol with
-      | `Exact space | `Onthefly space -> space
-      | `Montecarlo reason -> raise (Demote reason)
-    in
-    let inits =
-      List.init 5 (fun _ -> Protocol.random_config rng protocol)
-    in
-    let possible, pstats =
-      Onthefly.possible_convergence_from ~max_states:cell.max_configs space
-        cell.sched spec ~inits
-    in
-    let certain, _ =
-      Onthefly.certain_convergence_from ~max_states:cell.max_configs space
-        cell.sched spec ~inits
-    in
+let payload (cell : Campaign.cell) = function
+  | Analysis.Verdicts { space; verdict = v } ->
     Json.Obj
       [
-        ("inits", Json.Int (List.length inits));
-        ("possible", Json.String (onthefly_verdict possible));
-        ("certain", Json.String (onthefly_verdict certain));
-        ("explored", Json.Int pstats.Onthefly.explored);
+        ("configs", Json.Int (Statespace.count space));
+        ("weak", Json.Bool (Checker.weak_stabilizing v));
+        ("self", Json.Bool (Checker.self_stabilizing v));
+        ("self_weakly_fair", Json.Bool (Checker.self_stabilizing_weakly_fair v));
+        ("self_strongly_fair", Json.Bool (Checker.self_stabilizing_strongly_fair v));
       ]
-  | Montecarlo_rung ->
-    let sched = scheduler_of cell.sched in
-    let inject =
-      match cell.faults with
-      | Campaign.No_faults -> None
-      | Campaign.Periodic { gap; faults } ->
-        Some (Faults.arm (Faults.periodic protocol ~gap ~faults))
-      | Campaign.Bernoulli { rate; faults } ->
-        Some (Faults.arm (Faults.bernoulli protocol ~rate ~faults))
-      | Campaign.Burst { at; faults } ->
-        Some (Faults.arm (Faults.burst protocol ~at ~faults))
-    in
-    let r =
-      Montecarlo.estimate ?inject ~runs:cell.runs ~max_steps:cell.max_steps rng
-        protocol sched spec
-    in
+  | Analysis.Chain { hitting = Error c; _ } ->
+    Json.Obj [ ("prob1", Json.Bool false); ("unreachable_from", Json.Int c) ]
+  | Analysis.Chain { space; hitting = Ok (stats, _) } ->
+    Json.Obj
+      [
+        ("prob1", Json.Bool true);
+        ("configs", Json.Int (Statespace.count space));
+        ("mean", Json.Float stats.Markov.mean);
+        ("max", Json.Float stats.Markov.max);
+      ]
+  | Analysis.Reachable { inits; result; _ } ->
+    Json.Obj
+      [
+        ("inits", Json.Int inits);
+        ("possible", Json.String (onthefly_verdict result.Onthefly.possible));
+        ("certain", Json.String (onthefly_verdict result.Onthefly.certain));
+        ("explored", Json.Int result.Onthefly.stats.Onthefly.explored);
+      ]
+  | Analysis.Simulated r ->
     Json.Obj
       [
         ("runs", Json.Int cell.runs);
@@ -436,6 +346,27 @@ let run_cell_analysis campaign (cell : Campaign.cell) rung =
         ("mean_steps", mc_field r.Montecarlo.summary);
         ("mean_rounds", mc_field r.Montecarlo.rounds_summary);
       ]
+
+let run_cell_analysis campaign (cell : Campaign.cell) rung =
+  let (Stabexp.Registry.Entry { protocol; spec; _ }) =
+    Stabexp.Registry.find ~name:cell.protocol ~topology:cell.topology
+      ~transformed:cell.transformed ()
+  in
+  let inject =
+    match cell.faults with
+    | Campaign.No_faults -> None
+    | Campaign.Periodic { gap; faults } ->
+      Some (Faults.arm (Faults.periodic protocol ~gap ~faults))
+    | Campaign.Bernoulli { rate; faults } ->
+      Some (Faults.arm (Faults.bernoulli protocol ~rate ~faults))
+    | Campaign.Burst { at; faults } -> Some (Faults.arm (Faults.burst protocol ~at ~faults))
+  in
+  let request =
+    Analysis.request ~max_configs:cell.max_configs
+      ~seed:(Campaign.cell_seed campaign cell) ~runs:cell.runs ~max_steps:cell.max_steps
+      ?inject (Analysis.instance protocol spec) cell.sched cell.analysis
+  in
+  Result.map (payload cell) (Analysis.attempt request rung)
 
 (* {1 The per-cell attempt state machine} *)
 
@@ -462,12 +393,12 @@ let attempt_cell (campaign : Campaign.t) options (cell : Campaign.cell) =
   let delays =
     (* Enough delays for every retry source: transient retries, crash
        retries and one demotion per remaining rung. *)
-    backoff_delays
-      ~seed:(Campaign.cell_seed campaign cell)
-      ~base_ms:campaign.Campaign.backoff_ms
-      ~attempts:(campaign.Campaign.retries + crash_budget + 3)
+    Array.of_list
+      (backoff_delays
+         ~seed:(Campaign.cell_seed campaign cell)
+         ~base_ms:campaign.Campaign.backoff_ms
+         ~attempts:(campaign.Campaign.retries + crash_budget + 3))
   in
-  let delays = Array.of_list delays in
   let backoff_idx = ref 0 in
   let backoff () =
     let i = min !backoff_idx (Array.length delays - 1) in
@@ -488,7 +419,11 @@ let attempt_cell (campaign : Campaign.t) options (cell : Campaign.cell) =
     { f_status = status; f_mode = mode; f_retries = !retries; f_payload = payload;
       f_error = error }
   in
-  let rec attempt rung rest degraded =
+  let rec again rung rest degraded =
+    retry ();
+    backoff ();
+    attempt rung rest degraded
+  and attempt rung rest degraded =
     if draining () then raise Drain_exit;
     let deadline_ns =
       Option.map (fun ms -> Obs.now_ns () + (ms * 1_000_000)) timeout_ms
@@ -501,51 +436,41 @@ let attempt_cell (campaign : Campaign.t) options (cell : Campaign.cell) =
     let outcome =
       Fun.protect ~finally:(fun () -> inflight_remove tok) @@ fun () ->
       match Cancel.with_current tok (fun () -> run_cell_analysis campaign cell rung) with
-      | payload -> `Ok payload
+      | Ok payload -> `Ok payload
+      | Error reason -> `Demote reason
       | exception Cancel.Cancelled Cancel.Drained -> `Drained
       | exception Cancel.Cancelled Cancel.Timeout -> `Timeout
-      | exception Demote reason -> `Demote reason
       | exception Sys_error msg -> `Transient msg
       | exception e -> `Crash (Printexc.to_string e)
     in
-    let mode = rung_label rung in
+    let mode = Analysis.rung_label rung in
+    (* Down one rung, or end [status] when none is left; a timeout
+       counts as a retry and backs off. *)
+    let demote ~timeout status why =
+      let note =
+        Printf.sprintf "campaign: %s %s on the %s rung" (Campaign.cell_label cell) why mode
+      in
+      match rest with
+      | next :: rest' ->
+        Obs.infof "%s; demoting" note;
+        Stabobs.Flight.notef "%s; demoting" note;
+        if timeout then again next rest' true else attempt next rest' true
+      | [] ->
+        Stabobs.Flight.notef "%s (no rung left)" note;
+        finish status mode Json.Null
+          (Some (Printf.sprintf "%s on the %s rung (no rung left)" why mode))
+    in
     match outcome with
     | `Ok payload ->
       finish (if degraded then Checkpoint.Degraded else Checkpoint.Done) mode payload None
     | `Drained -> raise Drain_exit
-    | `Timeout -> (
-      match rest with
-      | next :: rest' ->
-        Obs.infof "campaign: %s timed out on the %s rung; demoting"
-          (Campaign.cell_label cell) mode;
-        Stabobs.Flight.notef "campaign: %s timed out on the %s rung; demoting"
-          (Campaign.cell_label cell) mode;
-        retry ();
-        backoff ();
-        attempt next rest' true
-      | [] ->
-        Stabobs.Flight.notef "campaign: %s timed out on the %s rung (no rung left)"
-          (Campaign.cell_label cell) mode;
-        finish Checkpoint.Timed_out mode Json.Null
-          (Some (Printf.sprintf "timed out on the %s rung (no rung left)" mode)))
-    | `Demote reason -> (
-      match rest with
-      | next :: rest' ->
-        Obs.infof "campaign: %s degrades below the %s rung (%s)"
-          (Campaign.cell_label cell) mode reason;
-        Stabobs.Flight.notef "campaign: %s degrades below the %s rung (%s)"
-          (Campaign.cell_label cell) mode reason;
-        attempt next rest' true
-      | [] ->
-        Stabobs.Flight.notef "campaign: quarantining %s on the %s rung (%s)"
-          (Campaign.cell_label cell) mode reason;
-        finish Checkpoint.Quarantined mode Json.Null (Some reason))
+    | `Timeout -> demote ~timeout:true Checkpoint.Timed_out "timed out"
+    | `Demote reason ->
+      demote ~timeout:false Checkpoint.Quarantined ("could not answer (" ^ reason ^ ")")
     | `Transient msg ->
       if !transients < campaign.Campaign.retries then begin
         incr transients;
-        retry ();
-        backoff ();
-        attempt rung rest degraded
+        again rung rest degraded
       end
       else
         finish Checkpoint.Quarantined mode Json.Null
@@ -557,13 +482,9 @@ let attempt_cell (campaign : Campaign.t) options (cell : Campaign.cell) =
         (Campaign.cell_label cell) mode !crashes crash_budget msg;
       if !crashes >= crash_budget then
         finish Checkpoint.Quarantined mode Json.Null (Some msg)
-      else begin
-        retry ();
-        backoff ();
-        attempt rung rest degraded
-      end
+      else again rung rest degraded
   in
-  match ladder cell with
+  match Analysis.ladder cell.analysis with
   | [] -> assert false
   | first :: rest -> attempt first rest false
 

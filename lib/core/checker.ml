@@ -1056,50 +1056,3 @@ let sync_closed_set space member =
      done
    with Found -> ());
   !result
-
-(* --- graceful degradation under a state budget --- *)
-
-type onthefly_analysis = {
-  possible_from : Onthefly.verdict;
-  certain_from : Onthefly.verdict;
-  exploration : Onthefly.stats;
-}
-
-type budgeted =
-  [ `Exact of verdict | `Onthefly of onthefly_analysis | `Montecarlo of string ]
-
-let analyze_under_budget ?max_configs ?onthefly_configs ?(inits = [])
-    ?(quotient = false) ?relabel protocol cls spec =
-  match Statespace.plan ?max_configs ?onthefly_configs protocol with
-  | `Montecarlo reason ->
-    Obs.warnf "warning: %s; degrading to Monte-Carlo analysis" reason;
-    `Montecarlo reason
-  | `Exact space ->
-    (* Prefer the symmetry quotient when asked and the group turns out
-       nontrivial; [Statespace.quotient] is the identity otherwise. *)
-    let space = if quotient then Statespace.quotient ?relabel space else space in
-    `Exact (analyze space cls spec)
-  | `Onthefly space ->
-    if inits = [] then begin
-      let reason =
-        "space exceeds the exact budget and no initial configurations were given \
-         for on-the-fly analysis; only sampling remains"
-      in
-      Obs.warnf "warning: %s" reason;
-      `Montecarlo reason
-    end
-    else begin
-      Obs.warnf
-        "warning: %d configurations exceed the exact budget; degrading to \
-         on-the-fly analysis from %d initial configurations"
-        (Statespace.count space) (List.length inits);
-      (* The exact budget bounds materialized configurations either
-         way: the on-the-fly hash table gets the same allowance. *)
-      let possible_from, _ =
-        Onthefly.possible_convergence_from ?max_states:max_configs space cls spec ~inits
-      in
-      let certain_from, exploration =
-        Onthefly.certain_convergence_from ?max_states:max_configs space cls spec ~inits
-      in
-      `Onthefly { possible_from; certain_from; exploration }
-    end

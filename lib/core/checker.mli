@@ -235,35 +235,3 @@ val sync_closed_set :
     [member] is closed under synchronous steps — the induction behind
     the Theorem 3 impossibility argument. Returns a counter-example
     [(config, successor)] crossing the boundary, or [None] if closed. *)
-
-(** {1 Graceful degradation under a state budget} *)
-
-type onthefly_analysis = {
-  possible_from : Onthefly.verdict;  (** weak-stabilization relative to the inits *)
-  certain_from : Onthefly.verdict;  (** certain convergence relative to the inits *)
-  exploration : Onthefly.stats;
-}
-
-type budgeted =
-  [ `Exact of verdict | `Onthefly of onthefly_analysis | `Montecarlo of string ]
-
-val analyze_under_budget :
-  ?max_configs:int ->
-  ?onthefly_configs:int ->
-  ?inits:'a array list ->
-  ?quotient:bool ->
-  ?relabel:(perm:int array -> int -> 'a -> 'a) ->
-  'a Protocol.t ->
-  Statespace.sched_class ->
-  'a Spec.t ->
-  budgeted
-(** {!analyze}, degraded to the strongest analysis the budgets allow
-    (see {!Statespace.plan}): the full exact verdict when the space
-    fits [max_configs]; on-the-fly convergence verdicts relative to
-    [inits] (with the hash table capped at the same budget) when only
-    the encoding fits; [`Montecarlo reason] when even that is out of
-    reach — or when degradation was needed but no [inits] were given.
-    Never raises on size: oversized spaces degrade instead.
-    [quotient] (default false) analyses the exact space modulo its
-    validated symmetry group when that group is nontrivial, passing
-    [relabel] through to {!Statespace.quotient}. *)

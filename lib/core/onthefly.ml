@@ -2,14 +2,9 @@ type stats = { explored : int; edges : int; complete : bool }
 
 type verdict = Converges | Counterexample of int | Unknown
 
-(* The explored sub-system: codes indexed densely in discovery order,
-   forward edges as index lists. *)
-type subsystem = {
-  codes : int array;  (** index -> code *)
-  fwd : int list array;  (** index -> successor indexes *)
-  stats : stats;
-}
-
+(* The explored sub-system: codes indexed densely in discovery order
+   (index -> code), forward edges as index lists (index -> successor
+   indexes), and the stats. *)
 let explore ?(max_states = 1_000_000) space cls ~inits =
   let index_of = Hashtbl.create 1024 in
   let codes = ref [] in
@@ -54,93 +49,73 @@ let explore ?(max_states = 1_000_000) space cls ~inits =
   let fwd = Array.make n [] in
   (* adjacency was pushed in processing order, which is discovery
      order 0, 1, 2, ... for fully processed nodes. *)
-  let processed = List.rev !adjacency in
-  List.iteri (fun idx succs -> fwd.(idx) <- succs) processed;
-  {
-    codes = Array.of_list (List.rev !codes);
-    fwd;
-    stats = { explored = n; edges = !edges; complete = !complete };
-  }
+  List.iteri (fun idx succs -> fwd.(idx) <- succs) (List.rev !adjacency);
+  (Array.of_list (List.rev !codes), fwd, { explored = n; edges = !edges; complete = !complete })
 
-let explore_size ?max_states space cls ~inits =
-  (explore ?max_states space cls ~inits).stats
+let possible_verdict codes fwd legitimate =
+  let n = Array.length codes in
+  let rev = Array.make n [] in
+  Array.iteri (fun idx succs -> List.iter (fun j -> rev.(j) <- idx :: rev.(j)) succs) fwd;
+  let reaches = Array.copy legitimate in
+  let queue = Queue.create () in
+  Array.iteri (fun idx ok -> if ok then Queue.add idx queue) legitimate;
+  while not (Queue.is_empty queue) do
+    let idx = Queue.pop queue in
+    List.iter
+      (fun pred ->
+        if not reaches.(pred) then begin
+          reaches.(pred) <- true;
+          Queue.add pred queue
+        end)
+      rev.(idx)
+  done;
+  match Array.find_index not reaches with
+  | None -> Converges
+  | Some idx -> Counterexample codes.(idx)
 
-let legitimate_flags space spec sub =
-  Array.map (fun code -> spec.Spec.legitimate (Statespace.config space code)) sub.codes
+let certain_verdict codes fwd legitimate =
+  let n = Array.length codes in
+  (* Dead ends: no successors and illegitimate. *)
+  let dead_end idx succs = if succs = [] && not legitimate.(idx) then Some idx else None in
+  match Array.find_mapi dead_end fwd with
+  | Some idx -> Counterexample codes.(idx)
+  | None ->
+    (* Cycle detection on the sub-graph outside L. *)
+    let color = Array.make n 0 in
+    let exception Found of int in
+    (try
+       for start = 0 to n - 1 do
+         if (not legitimate.(start)) && color.(start) = 0 then begin
+           let stack = Stack.create () in
+           let outside idx = List.filter (fun j -> not legitimate.(j)) fwd.(idx) in
+           color.(start) <- 1;
+           Stack.push (start, ref (outside start)) stack;
+           while not (Stack.is_empty stack) do
+             let node, remaining = Stack.top stack in
+             match !remaining with
+             | [] ->
+               color.(node) <- 2;
+               ignore (Stack.pop stack)
+             | next :: rest ->
+               remaining := rest;
+               if color.(next) = 1 then raise (Found next)
+               else if color.(next) = 0 then begin
+                 color.(next) <- 1;
+                 Stack.push (next, ref (outside next)) stack
+               end
+           done
+         end
+       done;
+       Converges
+     with Found idx -> Counterexample codes.(idx))
 
-let possible_convergence_from ?max_states space cls spec ~inits =
-  let sub = explore ?max_states space cls ~inits in
-  if not sub.stats.complete then (Unknown, sub.stats)
-  else begin
-    let legitimate = legitimate_flags space spec sub in
-    let n = Array.length sub.codes in
-    let rev = Array.make n [] in
-    Array.iteri (fun idx succs -> List.iter (fun j -> rev.(j) <- idx :: rev.(j)) succs) sub.fwd;
-    let reaches = Array.copy legitimate in
-    let queue = Queue.create () in
-    Array.iteri (fun idx ok -> if ok then Queue.add idx queue) legitimate;
-    while not (Queue.is_empty queue) do
-      let idx = Queue.pop queue in
-      List.iter
-        (fun pred ->
-          if not reaches.(pred) then begin
-            reaches.(pred) <- true;
-            Queue.add pred queue
-          end)
-        rev.(idx)
-    done;
-    let rec find idx =
-      if idx >= n then None else if reaches.(idx) then find (idx + 1) else Some idx
-    in
-    match find 0 with
-    | None -> (Converges, sub.stats)
-    | Some idx -> (Counterexample sub.codes.(idx), sub.stats)
-  end
+type analysis = { possible : verdict; certain : verdict; stats : stats }
 
-let certain_convergence_from ?max_states space cls spec ~inits =
-  let sub = explore ?max_states space cls ~inits in
-  if not sub.stats.complete then (Unknown, sub.stats)
-  else begin
-    let legitimate = legitimate_flags space spec sub in
-    let n = Array.length sub.codes in
-    (* Dead ends: no successors and illegitimate. *)
-    let dead_end = ref None in
-    Array.iteri
-      (fun idx succs ->
-        if !dead_end = None && succs = [] && not legitimate.(idx) then dead_end := Some idx)
-      sub.fwd;
-    match !dead_end with
-    | Some idx -> (Counterexample sub.codes.(idx), sub.stats)
-    | None ->
-      (* Cycle detection on the sub-graph outside L. *)
-      let color = Array.make n 0 in
-      let witness = ref None in
-      let exception Found of int in
-      (try
-         for start = 0 to n - 1 do
-           if (not legitimate.(start)) && color.(start) = 0 then begin
-             let stack = Stack.create () in
-             let outside idx = List.filter (fun j -> not legitimate.(j)) sub.fwd.(idx) in
-             color.(start) <- 1;
-             Stack.push (start, ref (outside start)) stack;
-             while not (Stack.is_empty stack) do
-               let node, remaining = Stack.top stack in
-               match !remaining with
-               | [] ->
-                 color.(node) <- 2;
-                 ignore (Stack.pop stack)
-               | next :: rest ->
-                 remaining := rest;
-                 if color.(next) = 1 then raise (Found next)
-                 else if color.(next) = 0 then begin
-                   color.(next) <- 1;
-                   Stack.push (next, ref (outside next)) stack
-                 end
-             done
-           end
-         done
-       with Found idx -> witness := Some idx);
-      (match !witness with
-      | Some idx -> (Counterexample sub.codes.(idx), sub.stats)
-      | None -> (Converges, sub.stats))
-  end
+let analyze ?max_states space cls spec ~inits =
+  let codes, fwd, stats = explore ?max_states space cls ~inits in
+  if not stats.complete then { possible = Unknown; certain = Unknown; stats }
+  else
+    let legit code = spec.Spec.legitimate (Statespace.config space code) in
+    let legitimate = Array.map legit codes in
+    { possible = possible_verdict codes fwd legitimate;
+      certain = certain_verdict codes fwd legitimate; stats }

@@ -25,32 +25,23 @@ type verdict =
   | Counterexample of int  (** a configuration code witnessing failure *)
   | Unknown  (** exploration hit the budget *)
 
-val explore_size :
-  ?max_states:int ->
-  'a Statespace.t ->
-  Statespace.sched_class ->
-  inits:'a array list ->
-  stats
-(** Just measure the reachable sub-system. [max_states] defaults to
-    [1_000_000]. *)
+type analysis = {
+  possible : verdict;
+      (** weak stabilization relative to [inits]: from every reachable
+          configuration some execution reaches the legitimate set *)
+  certain : verdict;
+      (** certain convergence relative to [inits]: no reachable cycle
+          outside [L], no reachable illegitimate terminal configuration *)
+  stats : stats;
+}
 
-val possible_convergence_from :
+val analyze :
   ?max_states:int ->
   'a Statespace.t ->
   Statespace.sched_class ->
   'a Spec.t ->
   inits:'a array list ->
-  verdict * stats
-(** Weak-stabilization relative to [inits]: from every reachable
-    configuration some execution reaches the legitimate set. *)
-
-val certain_convergence_from :
-  ?max_states:int ->
-  'a Statespace.t ->
-  Statespace.sched_class ->
-  'a Spec.t ->
-  inits:'a array list ->
-  verdict * stats
-(** Self-stabilization-style convergence relative to [inits]: no
-    reachable cycle outside [L] and no reachable illegitimate terminal
-    configuration. *)
+  analysis
+(** Explore the sub-system reachable from [inits] once and decide both
+    verdicts on it; both are [Unknown] when the budget ([max_states],
+    default [1_000_000]) stops the exploration. *)

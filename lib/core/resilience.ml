@@ -1,8 +1,3 @@
-let randomization_of_class = function
-  | Statespace.Central -> Markov.Central_uniform
-  | Statespace.Distributed -> Markov.Distributed_uniform
-  | Statespace.Synchronous -> Markov.Sync
-
 type metric = {
   k : int;
   faulty_configs : int;
@@ -38,7 +33,7 @@ let prepare space cls spec =
   Stabobs.Obs.span "resilience.prepare" @@ fun () ->
   let graph = Checker.expand space cls in
   let legitimate = Statespace.legitimate_set space spec in
-  let chain = Markov.of_space space (randomization_of_class cls) in
+  let chain = Markov.of_space space (Analysis.randomization cls) in
   let reach_l = Markov.reaches chain ~target:legitimate in
   let no_return = Array.map not reach_l in
   let doomed = Markov.reaches chain ~target:no_return in

@@ -58,7 +58,3 @@ val radius_of : metric list -> radius
 val radius :
   'a Statespace.t -> Statespace.sched_class -> 'a Spec.t -> max_k:int -> radius
 (** [radius_of (analyze ~ks:[0; ...; max_k])]. *)
-
-val randomization_of_class : Statespace.sched_class -> Markov.randomization
-(** The uniform randomized daemon of a scheduler class (Definition 6);
-    [Synchronous] maps to {!Markov.Sync}. *)

@@ -38,13 +38,11 @@ and 'a t = {
          rebuilds: correct, merely unshared. *)
 }
 
-let default_max_configs = 2_000_000
-
 (* Every space gets a process-unique id so expansion caches (see
    Checker) can key on identity without retaining the space itself. *)
 let next_uid = Atomic.make 0
 
-let build ?(max_configs = default_max_configs) protocol =
+let build ?(max_configs = 2_000_000) protocol =
   Stabobs.Obs.span "statespace.build" @@ fun () ->
   let encoding = Encoding.of_protocol protocol in
   if Encoding.count encoding > max_configs then
@@ -58,41 +56,6 @@ let build ?(max_configs = default_max_configs) protocol =
     view = Full;
     quots = [];
   }
-
-let try_build ?max_configs protocol =
-  match build ?max_configs protocol with
-  | space -> Ok space
-  | exception Invalid_argument msg -> Error msg
-
-let estimated_configs (p : 'a Protocol.t) =
-  let n = Stabgraph.Graph.size p.Protocol.graph in
-  let acc = ref 1.0 in
-  for i = 0 to n - 1 do
-    acc := !acc *. float_of_int (List.length (p.Protocol.domain i))
-  done;
-  !acc
-
-type 'a strategy = [ `Exact of 'a t | `Onthefly of 'a t | `Montecarlo of string ]
-
-let default_onthefly_configs = 1_000_000_000
-
-let plan ?(max_configs = default_max_configs)
-    ?(onthefly_configs = default_onthefly_configs) protocol =
-  if max_configs <= 0 then invalid_arg "Statespace.plan: max_configs must be positive";
-  let estimate = estimated_configs protocol in
-  (* The float estimate guards the encoding itself: past the on-the-fly
-     budget even lazy code/decode arithmetic risks overflow, and only
-     sampling remains honest. *)
-  if estimate > float_of_int onthefly_configs then
-    `Montecarlo
-      (Printf.sprintf
-         "~%.3g configurations exceed the on-the-fly budget of %d; only sampling \
-          remains"
-         estimate onthefly_configs)
-  else
-    let space = build ~max_configs:max_int protocol in
-    if Encoding.count space.encoding <= max_configs then `Exact space
-    else `Onthefly space
 
 let protocol t = t.protocol
 let encoding t = t.encoding

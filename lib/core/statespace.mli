@@ -20,27 +20,6 @@ val build : ?max_configs:int -> 'a Protocol.t -> 'a t
     [Invalid_argument]. Nothing is expanded eagerly beyond the
     encoding. *)
 
-val try_build : ?max_configs:int -> 'a Protocol.t -> ('a t, string) result
-(** {!build} that reports a budget overrun as [Error] instead of
-    raising, for callers that degrade gracefully. *)
-
-val estimated_configs : 'a Protocol.t -> float
-(** Product of the domain sizes, as a float — safe to compute even when
-    the space would overflow the integer encoding. *)
-
-type 'a strategy = [ `Exact of 'a t | `Onthefly of 'a t | `Montecarlo of string ]
-
-val plan :
-  ?max_configs:int -> ?onthefly_configs:int -> 'a Protocol.t -> 'a strategy
-(** Pick the strongest analysis the budgets allow. [`Exact space]: the
-    space fits [max_configs] (default [2_000_000]) and the explicit
-    {!Checker} applies. [`Onthefly space]: the encoding fits
-    [onthefly_configs] (default [1_000_000_000]) but full enumeration
-    does not — {!Onthefly} exploration from given initial
-    configurations is the strongest sound option. [`Montecarlo reason]:
-    the space is too large even to encode safely; only simulation
-    ({!Montecarlo}) remains, and [reason] says why. *)
-
 val protocol : 'a t -> 'a Protocol.t
 
 val encoding : 'a t -> 'a Encoding.t

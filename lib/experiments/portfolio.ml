@@ -9,16 +9,11 @@ type verdict_row = {
   prob1_randomized : bool;
 }
 
-let randomization_of = function
-  | Statespace.Central -> Markov.Central_uniform
-  | Statespace.Distributed -> Markov.Distributed_uniform
-  | Statespace.Synchronous -> Markov.Sync
-
 let classify_instance (Registry.Entry e) cls =
   let space = Statespace.build e.protocol in
   let v = Checker.analyze space cls e.spec in
   let legitimate = Statespace.legitimate_set space e.spec in
-  let chain = Markov.of_space space (randomization_of cls) in
+  let chain = Markov.of_space space (Analysis.randomization cls) in
   {
     algorithm = e.label;
     sched_class = Format.asprintf "%a" Statespace.pp_sched_class cls;

@@ -88,6 +88,38 @@ let test_parse_rejects_empty () =
     | Ok _ -> Alcotest.fail "empty campaign accepted"
     | Error _ -> ())
 
+(* Malformed fields fail the load, naming the field, instead of
+   running (negative counts) or crashing every attempt (bad names). *)
+let rejects ~field json () =
+  match Json.of_string json with
+  | Error m -> Alcotest.fail m
+  | Ok j -> (
+    match Campaign.of_json j with
+    | Ok _ -> Alcotest.failf "accepted: %s" json
+    | Error m ->
+      let prefix = String.sub m 0 (min (String.length m) (String.length field)) in
+      Alcotest.(check string) "diagnostic names the field" field prefix)
+
+let with_cell field = Printf.sprintf {|{%s,"cells":[{"topology":"ring:4"}]}|} field
+
+let rejections =
+  [
+    ("non-positive runs rejected", "runs", with_cell {|"runs":-3|});
+    ( "non-positive max_steps rejected",
+      "cell.max_steps",
+      {|{"cells":[{"analysis":"montecarlo","max_steps":0}]}|} );
+    ("non-positive max_configs rejected", "max_configs", with_cell {|"max_configs":0|});
+    ("negative retries rejected", "retries", with_cell {|"retries":-1|});
+    ("negative backoff_ms rejected", "backoff_ms", with_cell {|"backoff_ms":-5|});
+    ("negative timeout_ms rejected", "timeout_ms", with_cell {|"timeout_ms":-1|});
+    ( "unknown protocol rejected",
+      "matrix.protocol",
+      {|{"matrix":{"protocol":["nope"]}}|} );
+    ( "unparsable topology rejected",
+      "cell.topology",
+      {|{"cells":[{"topology":"banana:3"}]}|} );
+  ]
+
 let test_cell_hash_is_content_addressed () =
   let c = green_campaign () in
   let cells = Array.of_list c.Campaign.cells in
@@ -497,6 +529,11 @@ let suite =
     Alcotest.test_case "matrix cross product" `Quick test_matrix_cross_product;
     Alcotest.test_case "faulty check cell rejected" `Quick test_parse_rejects_faulty_check_cell;
     Alcotest.test_case "empty campaign rejected" `Quick test_parse_rejects_empty;
+  ]
+  @ List.map
+      (fun (name, field, json) -> Alcotest.test_case name `Quick (rejects ~field json))
+      rejections
+  @ [
     Alcotest.test_case "cell hash content-addressed" `Quick test_cell_hash_is_content_addressed;
     Alcotest.test_case "checkpoint json roundtrip" `Quick test_checkpoint_roundtrip;
     Alcotest.test_case "checkpoint tolerates torn tail" `Quick test_checkpoint_parse_tolerates_torn_tail;

@@ -28,6 +28,7 @@ let () =
       ("random-systems", Test_random_systems.suite);
       ("taxonomy", Test_taxonomy.suite);
       ("onthefly", Test_onthefly.suite);
+      ("analysis", Test_analysis.suite);
       ("faults", Test_faults.suite);
       ("campaign", Test_campaign.suite);
       ("resilience", Test_resilience.suite);

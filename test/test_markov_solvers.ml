@@ -10,11 +10,6 @@
 
 open Stabcore
 
-let randomization_of = function
-  | Statespace.Central -> Markov.Central_uniform
-  | Statespace.Distributed -> Markov.Distributed_uniform
-  | Statespace.Synchronous -> Markov.Sync
-
 let class_tag = function
   | Statespace.Central -> "central"
   | Statespace.Distributed -> "distributed"
@@ -42,7 +37,7 @@ let test_differential_backends () =
       List.iter
         (fun cls ->
           let tag = Printf.sprintf "%s/%s" tag (class_tag cls) in
-          let chain = Markov.of_space space (randomization_of cls) in
+          let chain = Markov.of_space space (Analysis.randomization cls) in
           (match Markov.converges_with_prob_one chain ~legitimate with
           | Ok () ->
             let dense = Markov.expected_hitting_times ~method_:Markov.Exact chain ~legitimate in

@@ -4,6 +4,15 @@
 
 open Stabcore
 
+(* Each verdict of the one exploration entry, with its stats. *)
+let possible_from ?max_states space cls spec ~inits =
+  let r = Onthefly.analyze ?max_states space cls spec ~inits in
+  (r.Onthefly.possible, r.Onthefly.stats)
+
+let certain_from ?max_states space cls spec ~inits =
+  let r = Onthefly.analyze ?max_states space cls spec ~inits in
+  (r.Onthefly.certain, r.Onthefly.stats)
+
 let test_explore_size_legitimate_orbit () =
   (* From a legitimate token-ring configuration the reachable set is
      the circulation orbit: 12 configurations for n = 6 — one
@@ -13,8 +22,9 @@ let test_explore_size_legitimate_orbit () =
   let p = Stabalgo.Token_ring.make ~n in
   let space = Statespace.build p in
   let stats =
-    Onthefly.explore_size space Statespace.Central
-      ~inits:[ Stabalgo.Token_ring.legitimate_config ~n ]
+    (Onthefly.analyze space Statespace.Central (Stabalgo.Token_ring.spec ~n)
+       ~inits:[ Stabalgo.Token_ring.legitimate_config ~n ])
+      .Onthefly.stats
   in
   Alcotest.(check int) "orbit size" (2 * n) stats.Onthefly.explored;
   Alcotest.(check bool) "complete" true stats.Onthefly.complete
@@ -26,7 +36,7 @@ let test_budget_yields_unknown () =
   let spec = Stabalgo.Token_ring.spec ~n in
   let init = Stabalgo.Token_ring.config_with_tokens_at ~n [ 0; 3 ] in
   let verdict, stats =
-    Onthefly.possible_convergence_from ~max_states:5 space Statespace.Distributed spec
+    possible_from ~max_states:5 space Statespace.Distributed spec
       ~inits:[ init ]
   in
   Alcotest.(check bool) "unknown" true (verdict = Onthefly.Unknown);
@@ -43,13 +53,13 @@ let test_matches_full_checker_token_ring () =
   let all = ref [] in
   Encoding.iter enc (fun _ cfg -> all := Array.copy cfg :: !all);
   let verdict, stats =
-    Onthefly.possible_convergence_from space Statespace.Distributed spec ~inits:!all
+    possible_from space Statespace.Distributed spec ~inits:!all
   in
   Alcotest.(check bool) "converges" true (verdict = Onthefly.Converges);
   Alcotest.(check int) "explored everything" (Statespace.count space) stats.Onthefly.explored;
   (* Certain convergence fails globally (Theorem 2). *)
   let verdict2, _ =
-    Onthefly.certain_convergence_from space Statespace.Distributed spec ~inits:!all
+    certain_from space Statespace.Distributed spec ~inits:!all
   in
   match verdict2 with
   | Onthefly.Counterexample _ -> ()
@@ -63,7 +73,7 @@ let test_certain_from_legitimate_orbit () =
   let space = Statespace.build p in
   let spec = Stabalgo.Token_ring.spec ~n in
   let verdict, _ =
-    Onthefly.certain_convergence_from space Statespace.Central spec
+    certain_from space Statespace.Central spec
       ~inits:[ Stabalgo.Token_ring.legitimate_config ~n ]
   in
   Alcotest.(check bool) "converges" true (verdict = Onthefly.Converges)
@@ -78,12 +88,12 @@ let test_large_instance_two_tokens () =
   let spec = Stabalgo.Token_ring.spec ~n in
   let init = Stabalgo.Token_ring.config_with_tokens_at ~n [ 0; 6 ] in
   let verdict, stats =
-    Onthefly.possible_convergence_from space Statespace.Central spec ~inits:[ init ]
+    possible_from space Statespace.Central spec ~inits:[ init ]
   in
   Alcotest.(check bool) "weak convergence" true (verdict = Onthefly.Converges);
   Alcotest.(check bool) "tiny sub-system" true (stats.Onthefly.explored < 2_000);
   let verdict2, _ =
-    Onthefly.certain_convergence_from space Statespace.Central spec ~inits:[ init ]
+    certain_from space Statespace.Central spec ~inits:[ init ]
   in
   (match verdict2 with
   | Onthefly.Counterexample code ->
@@ -101,7 +111,7 @@ let test_large_leader_tree () =
   let rng = Stabrng.Rng.create 6 in
   let inits = List.init 3 (fun _ -> Protocol.random_config rng p) in
   let verdict, stats =
-    Onthefly.possible_convergence_from ~max_states:200_000 space Statespace.Central spec
+    possible_from ~max_states:200_000 space Statespace.Central spec
       ~inits
   in
   match verdict with
@@ -149,7 +159,7 @@ let qcheck_onthefly_matches_checker =
       let all = ref [] in
       Encoding.iter enc (fun _ cfg -> all := Array.copy cfg :: !all);
       let otf, _ =
-        Onthefly.possible_convergence_from space Statespace.Distributed spec ~inits:!all
+        possible_from space Statespace.Distributed spec ~inits:!all
       in
       let g = Checker.expand space Statespace.Distributed in
       let legitimate = Statespace.legitimate_set space spec in

@@ -98,68 +98,67 @@ let test_radius_of_requires_metrics () =
   Alcotest.check_raises "empty" (Invalid_argument "Resilience.radius_of: no metrics")
     (fun () -> ignore (Resilience.radius_of []))
 
-(* --- graceful degradation: Statespace.plan / Checker.analyze_under_budget --- *)
+(* --- graceful degradation: the Analysis planner and ladder --- *)
+
+let token_ring_request ?max_configs ?inits n =
+  Analysis.request ?max_configs ?inits
+    (Analysis.instance (Stabalgo.Token_ring.make ~n) (Stabalgo.Token_ring.spec ~n))
+    Statespace.Central Analysis.Check
 
 let test_plan_exact_when_small () =
-  let p = Stabalgo.Token_ring.make ~n:5 in
-  match Statespace.plan p with
-  | `Exact space -> Alcotest.(check int) "full space" 32 (Statespace.count space)
-  | `Onthefly _ | `Montecarlo _ -> Alcotest.fail "expected exact"
+  match Analysis.plan (token_ring_request 5) with
+  | Analysis.Fits space -> Alcotest.(check int) "full space" 32 (Statespace.count space)
+  | Analysis.Over_budget _ | Analysis.Too_large _ -> Alcotest.fail "expected exact"
 
 let test_plan_degrades_to_onthefly () =
-  let p = Stabalgo.Token_ring.make ~n:5 in
-  match Statespace.plan ~max_configs:10 p with
-  | `Onthefly space -> Alcotest.(check int) "encoding intact" 32 (Statespace.count space)
-  | `Exact _ | `Montecarlo _ -> Alcotest.fail "expected on-the-fly"
+  match Analysis.plan (token_ring_request ~max_configs:10 5) with
+  | Analysis.Over_budget space ->
+    Alcotest.(check int) "encoding intact" 32 (Statespace.count space)
+  | Analysis.Fits _ | Analysis.Too_large _ -> Alcotest.fail "expected on-the-fly"
 
 let test_plan_degrades_to_montecarlo () =
-  let p = Stabalgo.Token_ring.make ~n:5 in
-  match Statespace.plan ~max_configs:10 ~onthefly_configs:16 p with
-  | `Montecarlo reason -> Alcotest.(check bool) "reason given" true (reason <> "")
-  | `Exact _ | `Onthefly _ -> Alcotest.fail "expected montecarlo"
+  (* 3^20 ~ 3.5e9 configurations: past what the encoding can hold. *)
+  match Analysis.plan (token_ring_request ~max_configs:10 20) with
+  | Analysis.Too_large reason -> Alcotest.(check bool) "reason given" true (reason <> "")
+  | Analysis.Fits _ | Analysis.Over_budget _ -> Alcotest.fail "expected montecarlo"
 
 let test_try_build_reports_overflow () =
-  let p = Stabalgo.Token_ring.make ~n:5 in
-  (match Statespace.try_build p with
+  (match Analysis.attempt (token_ring_request 5) Analysis.Exact_rung with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "small space should build");
-  match Statespace.try_build ~max_configs:10 p with
+  match Analysis.attempt (token_ring_request ~max_configs:10 5) Analysis.Exact_rung with
   | Ok _ -> Alcotest.fail "budget should fail the build"
   | Error msg -> Alcotest.(check bool) "message" true (msg <> "")
 
 let test_analyze_under_budget_exact () =
-  let n = 5 in
-  let p = Stabalgo.Token_ring.make ~n in
-  let spec = Stabalgo.Token_ring.spec ~n in
-  match Checker.analyze_under_budget p Statespace.Central spec with
-  | `Exact v ->
+  match Analysis.run (token_ring_request 5) with
+  | { Analysis.answer = Analysis.Verdicts { verdict = v; _ }; _ } ->
     Alcotest.(check bool) "weak-stabilizing" true (Checker.weak_stabilizing v);
     Alcotest.(check bool) "not self-stabilizing" true (not (Checker.self_stabilizing v))
-  | `Onthefly _ | `Montecarlo _ -> Alcotest.fail "expected exact verdict"
+  | _ -> Alcotest.fail "expected exact verdict"
 
 let test_analyze_under_budget_onthefly () =
   let n = 5 in
-  let p = Stabalgo.Token_ring.make ~n in
-  let spec = Stabalgo.Token_ring.spec ~n in
-  let inits = [ Stabalgo.Token_ring.legitimate_config ~n ] in
+  let inits = Analysis.Inits [ Stabalgo.Token_ring.legitimate_config ~n ] in
   (* Budget below the 32 configurations but big enough to finish the
      forward exploration from one legitimate start. *)
-  match Checker.analyze_under_budget ~max_configs:20 ~inits p Statespace.Central spec with
-  | `Onthefly a ->
+  match Analysis.run (token_ring_request ~max_configs:20 ~inits n) with
+  | { Analysis.answer = Analysis.Reachable { result; _ }; _ } ->
     Alcotest.(check bool)
       "possible convergence holds from L" true
-      (a.Checker.possible_from = Onthefly.Converges);
-    Alcotest.(check bool) "exploration bounded" true (a.Checker.exploration.Onthefly.explored <= 20)
-  | `Exact _ -> Alcotest.fail "budget should preclude exact analysis"
-  | `Montecarlo _ -> Alcotest.fail "on-the-fly should apply"
+      (result.Onthefly.possible = Onthefly.Converges);
+    Alcotest.(check bool) "exploration bounded" true
+      (result.Onthefly.stats.Onthefly.explored <= 20)
+  | { Analysis.answer = Analysis.Verdicts _; _ } ->
+    Alcotest.fail "budget should preclude exact analysis"
+  | _ -> Alcotest.fail "on-the-fly should apply"
 
 let test_analyze_under_budget_montecarlo_without_inits () =
-  let n = 5 in
-  let p = Stabalgo.Token_ring.make ~n in
-  let spec = Stabalgo.Token_ring.spec ~n in
-  match Checker.analyze_under_budget ~max_configs:10 p Statespace.Central spec with
-  | `Montecarlo reason -> Alcotest.(check bool) "reason" true (reason <> "")
-  | `Exact _ | `Onthefly _ -> Alcotest.fail "no inits: only sampling remains"
+  match Analysis.run (token_ring_request ~max_configs:10 ~inits:(Analysis.Inits []) 5) with
+  | { Analysis.answer = Analysis.Simulated _; demotions; _ } ->
+    let reason = snd (List.nth demotions 1) in
+    Alcotest.(check bool) "reason" true (reason <> "")
+  | _ -> Alcotest.fail "no inits: only sampling remains"
 
 let suite =
   [
