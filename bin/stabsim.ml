@@ -672,13 +672,12 @@ let reach_cmd =
             request ~max_configs:max_states ~inits:(Random_inits inits) ~seed
               (instance e.protocol e.spec) cls Check)
         in
-        let space, result =
+        let space, { Stabcore.Onthefly.possible; certain; stats } =
           match answer request Analysis.Onthefly_rung with
           | Analysis.Reachable { space; result; _ } -> (space, result)
           | _ -> assert false
         in
         let show verdict what =
-          let stats = result.Stabcore.Onthefly.stats in
           Format.printf "%s: %s (explored %d configurations, %d edges%s)@." what
             (match verdict with
             | Stabcore.Onthefly.Converges -> "HOLDS on the reachable sub-system"
@@ -692,8 +691,8 @@ let reach_cmd =
         in
         Format.printf "%s under the %a class, %d random initial configurations (seed %d)@."
           e.label Stabcore.Statespace.pp_sched_class cls inits seed;
-        show result.Stabcore.Onthefly.possible "possible convergence (weak)";
-        show result.Stabcore.Onthefly.certain "certain convergence (self)")
+        show possible "possible convergence (weak)";
+        show certain "certain convergence (self)")
   in
   let inits_arg =
     Arg.(

@@ -44,7 +44,10 @@ let analysis_of_string = function
   | "montecarlo" | "mc" -> Montecarlo
   | s -> fail "unknown analysis %S (expected check|markov|montecarlo)" s
 
-let sched_to_string = Format.asprintf "%a" Stabcore.Statespace.pp_sched_class
+let sched_to_string = function
+  | Stabcore.Statespace.Central -> "central"
+  | Stabcore.Statespace.Distributed -> "distributed"
+  | Stabcore.Statespace.Synchronous -> "synchronous"
 
 let sched_of_string = function
   | "central" -> Stabcore.Statespace.Central

@@ -122,26 +122,22 @@ let onthefly req space =
     Ok (Reachable { space; inits = List.length inits; result })
 
 let attempt req rung =
-  match rung with
-  | Exact_rung -> (
-    match plan req with
-    | Fits space -> exact req space
-    | Over_budget space ->
-      Error
-        (Printf.sprintf "%d configurations exceed the exact budget of %d"
-           (Statespace.count space) req.max_configs)
-    | Too_large reason -> Error reason)
-  | Onthefly_rung -> (
-    match plan req with
-    | Fits space | Over_budget space -> onthefly req space
-    | Too_large reason -> Error reason)
-  | Montecarlo_rung ->
-    let { protocol; spec; _ } = req.instance in
+  let { protocol; spec; _ } = req.instance in
+  if rung = Montecarlo_rung then
     let rng = Stabrng.Rng.create req.seed in
     Ok
       (Simulated
          (Montecarlo.estimate ?inject:req.inject ~runs:req.runs ~max_steps:req.max_steps
             rng protocol (scheduler req.cls) spec))
+  else
+    match (plan req, rung) with
+    | Too_large reason, _ -> Error reason
+    | Fits space, Exact_rung -> exact req space
+    | Over_budget space, Exact_rung ->
+      Error
+        (Printf.sprintf "%d configurations exceed the exact budget of %d"
+           (Statespace.count space) req.max_configs)
+    | (Fits space | Over_budget space), _ -> onthefly req space
 
 type 'a outcome = { rung : rung; demotions : (rung * string) list; answer : 'a answer }
 

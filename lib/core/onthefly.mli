@@ -42,6 +42,5 @@ val analyze :
   'a Spec.t ->
   inits:'a array list ->
   analysis
-(** Explore the sub-system reachable from [inits] once and decide both
-    verdicts on it; both are [Unknown] when the budget ([max_states],
-    default [1_000_000]) stops the exploration. *)
+(** Explore the sub-system reachable from [inits] once (at most
+    [max_states], default [1_000_000]) and decide both verdicts on it. *)
