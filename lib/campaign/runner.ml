@@ -437,7 +437,7 @@ let attempt_cell (campaign : Campaign.t) options (cell : Campaign.cell) =
       Fun.protect ~finally:(fun () -> inflight_remove tok) @@ fun () ->
       match Cancel.with_current tok (fun () -> run_cell_analysis campaign cell rung) with
       | Ok payload -> `Ok payload
-      | Error reason -> `Demote reason
+      | Error reason -> `Unanswered reason
       | exception Cancel.Cancelled Cancel.Drained -> `Drained
       | exception Cancel.Cancelled Cancel.Timeout -> `Timeout
       | exception Sys_error msg -> `Transient msg
@@ -465,7 +465,7 @@ let attempt_cell (campaign : Campaign.t) options (cell : Campaign.cell) =
       finish (if degraded then Checkpoint.Degraded else Checkpoint.Done) mode payload None
     | `Drained -> raise Drain_exit
     | `Timeout -> demote ~timeout:true Checkpoint.Timed_out "timed out"
-    | `Demote reason ->
+    | `Unanswered reason ->
       demote ~timeout:false Checkpoint.Quarantined ("could not answer (" ^ reason ^ ")")
     | `Transient msg ->
       if !transients < campaign.Campaign.retries then begin

@@ -31,8 +31,8 @@ val scheduler : Statespace.sched_class -> 'a Scheduler.t
 
 type 'a instance
 (** A protocol and its specification. The space is built on first use
-    and shared by every request on the instance, so questions about
-    one space share the checker's expansion. *)
+    (from one domain at a time) and shared by every request on the
+    instance, so questions about one space share the expansion. *)
 
 val instance :
   ?relabel:(perm:int array -> int -> 'a -> 'a) -> 'a Protocol.t -> 'a Spec.t -> 'a instance

@@ -13,7 +13,7 @@ let certain_from ?max_states space cls spec ~inits =
   let r = Onthefly.analyze ?max_states space cls spec ~inits in
   (r.Onthefly.certain, r.Onthefly.stats)
 
-let test_explore_size_legitimate_orbit () =
+let test_legitimate_orbit_size () =
   (* From a legitimate token-ring configuration the reachable set is
      the circulation orbit: 12 configurations for n = 6 — one
      revolution moves the token around but shifts every counter by +2
@@ -168,7 +168,7 @@ let qcheck_onthefly_matches_checker =
 
 let suite =
   [
-    Alcotest.test_case "legitimate orbit size" `Quick test_explore_size_legitimate_orbit;
+    Alcotest.test_case "legitimate orbit size" `Quick test_legitimate_orbit_size;
     Alcotest.test_case "budget yields unknown" `Quick test_budget_yields_unknown;
     Alcotest.test_case "matches full checker" `Quick test_matches_full_checker_token_ring;
     Alcotest.test_case "certain on orbit" `Quick test_certain_from_legitimate_orbit;

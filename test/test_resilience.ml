@@ -130,14 +130,14 @@ let test_try_build_reports_overflow () =
   | Ok _ -> Alcotest.fail "budget should fail the build"
   | Error msg -> Alcotest.(check bool) "message" true (msg <> "")
 
-let test_analyze_under_budget_exact () =
+let test_run_budget_exact () =
   match Analysis.run (token_ring_request 5) with
   | { Analysis.answer = Analysis.Verdicts { verdict = v; _ }; _ } ->
     Alcotest.(check bool) "weak-stabilizing" true (Checker.weak_stabilizing v);
     Alcotest.(check bool) "not self-stabilizing" true (not (Checker.self_stabilizing v))
   | _ -> Alcotest.fail "expected exact verdict"
 
-let test_analyze_under_budget_onthefly () =
+let test_run_budget_onthefly () =
   let n = 5 in
   let inits = Analysis.Inits [ Stabalgo.Token_ring.legitimate_config ~n ] in
   (* Budget below the 32 configurations but big enough to finish the
@@ -153,7 +153,7 @@ let test_analyze_under_budget_onthefly () =
     Alcotest.fail "budget should preclude exact analysis"
   | _ -> Alcotest.fail "on-the-fly should apply"
 
-let test_analyze_under_budget_montecarlo_without_inits () =
+let test_run_budget_montecarlo_without_inits () =
   match Analysis.run (token_ring_request ~max_configs:10 ~inits:(Analysis.Inits []) 5) with
   | { Analysis.answer = Analysis.Simulated _; demotions; _ } ->
     let reason = snd (List.nth demotions 1) in
@@ -171,7 +171,7 @@ let suite =
     Alcotest.test_case "plan onthefly" `Quick test_plan_degrades_to_onthefly;
     Alcotest.test_case "plan montecarlo" `Quick test_plan_degrades_to_montecarlo;
     Alcotest.test_case "try_build" `Quick test_try_build_reports_overflow;
-    Alcotest.test_case "budget exact" `Quick test_analyze_under_budget_exact;
-    Alcotest.test_case "budget onthefly" `Quick test_analyze_under_budget_onthefly;
-    Alcotest.test_case "budget montecarlo" `Quick test_analyze_under_budget_montecarlo_without_inits;
+    Alcotest.test_case "budget exact" `Quick test_run_budget_exact;
+    Alcotest.test_case "budget onthefly" `Quick test_run_budget_onthefly;
+    Alcotest.test_case "budget montecarlo" `Quick test_run_budget_montecarlo_without_inits;
   ]
