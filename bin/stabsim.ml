@@ -417,7 +417,7 @@ let resolve ~protocol ~topology ~transformed ~file =
 
 (* The subcommands answer on a fixed rung: a rung that cannot answer is
    an error, not a demotion. *)
-let answer request rung = Result.fold ~ok:Fun.id ~error:failwith (Analysis.attempt request rung)
+let answered r = Result.fold ~ok:Fun.id ~error:failwith r
 
 (* --- trace --- *)
 
@@ -478,13 +478,9 @@ let check_cmd =
               Printf.sprintf "%s, crash-faulted [%s]" e.label
                 (String.concat "," (List.map string_of_int crash)) )
         in
-        let request =
-          Analysis.(request ~quotient (instance ?relabel:e.relabel protocol e.spec) cls Check)
-        in
         let space, v =
-          match answer request Analysis.Exact_rung with
-          | Analysis.Verdicts { space; verdict } -> (space, verdict)
-          | _ -> assert false
+          let instance = Analysis.instance ?relabel:e.relabel protocol e.spec in
+          answered (Analysis.verdicts (Analysis.request ~quotient instance cls))
         in
         Format.printf "%s under the %a class (%d configurations)@.%s@."
           label Stabcore.Statespace.pp_sched_class cls
@@ -543,16 +539,11 @@ let markov_cmd =
         let randomization = fst (List.find (fun (_, c) -> c = cls) randomizations) in
         (* A sweep-budget exhaustion is kept: the policy (fail loudly vs.
            --allow-nonconverged) lives here. *)
-        let request =
-          Analysis.(
-            request ~quotient ?hitting ~keep_nonconverged:true
-              (instance ?relabel:e.relabel e.protocol e.spec)
-              cls Markov)
-        in
         let space, hitting =
-          match answer request Analysis.Exact_rung with
-          | Analysis.Chain { space; hitting } -> (space, hitting)
-          | _ -> assert false
+          let instance = Analysis.instance ?relabel:e.relabel e.protocol e.spec in
+          answered
+            (Analysis.chain ~keep_nonconverged:true
+               (Analysis.request ~quotient ?hitting instance cls))
         in
         if Stabcore.Statespace.is_quotient space then
           Format.printf "orbit-lumped chain: %d states for %d configurations@."
@@ -667,15 +658,12 @@ let reach_cmd =
   let run () protocol topology transformed file cls seed inits max_states =
     wrap (fun () ->
         let (Stabexp.Registry.Entry e) = resolve ~protocol ~topology ~transformed ~file in
-        let request =
-          Analysis.(
-            request ~max_configs:max_states ~inits:(Random_inits inits) ~seed
-              (instance e.protocol e.spec) cls Check)
-        in
         let space, { Stabcore.Onthefly.possible; certain; stats } =
-          match answer request Analysis.Onthefly_rung with
-          | Analysis.Reachable { space; result; _ } -> (space, result)
-          | _ -> assert false
+          answered
+            Analysis.(
+              reachable
+                (request ~max_configs:max_states ~inits:(Random_inits inits) ~seed
+                   (instance e.protocol e.spec) cls))
         in
         let show verdict what =
           Format.printf "%s: %s (explored %d configurations, %d edges%s)@." what
@@ -803,7 +791,7 @@ let faults_cmd =
           Format.printf "availability under recurrent faults (horizon %d steps):@." horizon;
           List.iter (availability_line start) ks
         in
-        match Analysis.(plan (request ~max_configs inst cls Check)) with
+        match Analysis.(plan (request ~max_configs inst cls)) with
         | Analysis.Fits space ->
           let n = Stabcore.Statespace.count space in
           Format.printf "%s resilience under the %a class (%d configurations, exact)@.%s@.@."
@@ -876,15 +864,14 @@ let faults_cmd =
                   Printf.sprintf "fails (counterexample code %d)" c
                 | Stabcore.Onthefly.Unknown -> "unknown (state budget exhausted)"
               in
-              let request = Analysis.(request ~max_configs ~inits:(Inits inits) inst cls Check) in
-              match answer request Analysis.Onthefly_rung with
-              | Analysis.Reachable { result = { possible; certain; stats }; _ } ->
-                Format.printf
-                  "k = %d (%d sampled corruptions): possible convergence %s; certain \
-                   convergence %s (explored %d configurations)@."
-                  k samples (verdict_string possible) (verdict_string certain)
-                  stats.Stabcore.Onthefly.explored
-              | _ -> assert false)
+              let _, { Stabcore.Onthefly.possible; certain; stats } =
+                answered Analysis.(reachable (request ~max_configs ~inits:(Inits inits) inst cls))
+              in
+              Format.printf
+                "k = %d (%d sampled corruptions): possible convergence %s; certain \
+                 convergence %s (explored %d configurations)@."
+                k samples (verdict_string possible) (verdict_string certain)
+                stats.Stabcore.Onthefly.explored)
             ks;
           Format.printf "@.";
           montecarlo_block start
@@ -1029,16 +1016,10 @@ let profile_cmd =
            showing up as its own span. The three questions share one
            instance, hence one space and one expansion. *)
         let inst = Analysis.instance e.protocol e.spec in
-        let ask question = answer (Analysis.request ~seed ~runs inst cls question) in
-        let verdicts = Analysis.(ask Check Exact_rung) in
-        let chain = Analysis.(ask Markov Exact_rung) in
-        let sampled = Analysis.(ask Montecarlo Montecarlo_rung) in
-        let space, v, hitting, mc =
-          match (verdicts, chain, sampled) with
-          | Verdicts { space; verdict }, Chain { hitting; _ }, Simulated mc ->
-            (space, verdict, Result.map fst hitting, mc)
-          | _ -> assert false
-        in
+        let request = Analysis.request ~seed ~runs inst cls in
+        let space, v = answered (Analysis.verdicts request) in
+        let hitting = Result.map fst (snd (answered (Analysis.chain request))) in
+        let mc = Analysis.simulate request in
         let prob1 = Result.is_ok hitting and hit_stats = Result.to_option hitting in
         if json then begin
           let module Json = Stabobs.Json in

@@ -106,10 +106,10 @@ let () =
   Format.printf "corrupted start with three tokens: %a@." (Protocol.pp_config big) bad;
   let request =
     Analysis.request ~max_configs:1_000_000 ~inits:(Analysis.Inits [ bad ])
-      (Analysis.instance big big_spec) Statespace.Central Analysis.Check
+      (Analysis.instance big big_spec) Statespace.Central
   in
-  match Analysis.attempt request Analysis.Onthefly_rung with
-  | Ok (Analysis.Reachable { space; result; _ }) -> (
+  match Analysis.reachable request with
+  | Ok (space, result) -> (
     let stats = result.Onthefly.stats in
     (match result.Onthefly.possible with
     | Onthefly.Converges ->
@@ -129,5 +129,4 @@ let () =
         big_n
     | Onthefly.Converges -> Format.printf "unexpected: certain convergence@."
     | Onthefly.Unknown -> Format.printf "budget exhausted@.")
-  | Ok _ -> assert false
   | Error reason -> Format.printf "no on-the-fly answer: %s@." reason

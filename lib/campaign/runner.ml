@@ -364,9 +364,9 @@ let run_cell_analysis campaign (cell : Campaign.cell) rung =
   let request =
     Analysis.request ~max_configs:cell.max_configs
       ~seed:(Campaign.cell_seed campaign cell) ~runs:cell.runs ~max_steps:cell.max_steps
-      ?inject (Analysis.instance protocol spec) cell.sched cell.analysis
+      ?inject (Analysis.instance protocol spec) cell.sched
   in
-  Result.map (payload cell) (Analysis.attempt request rung)
+  Result.map (payload cell) (Analysis.attempt request cell.analysis rung)
 
 (* {1 The per-cell attempt state machine} *)
 

@@ -9,9 +9,11 @@
     the class's randomized daemon). A rung that cannot answer says why
     and the ladder demotes: the exact rung when the space exceeds the
     budget or a sparse solve exhausts its sweep budget, the on-the-fly
-    rung when the encoding is out of reach or there are no initial
+    rung past 10^9 configurations or when there are no initial
     configurations. This module is the only place that knows the rungs,
-    their order, these rules and the class maps. *)
+    their order, these rules and the class maps; the campaign runner
+    walks the ladder with {!attempt}, and the CLI asks one rung through
+    the typed entry points. *)
 
 type question = Check | Markov | Montecarlo
 type rung = Exact_rung | Onthefly_rung | Montecarlo_rung
@@ -30,8 +32,8 @@ val scheduler : Statespace.sched_class -> 'a Scheduler.t
 (** The same daemon as a simulation scheduler. *)
 
 type 'a instance
-(** A protocol and its specification. The space is built on first use
-    (from one domain at a time) and shared by every request on the
+(** A protocol and its specification. The full space is built on first
+    use (from one domain at a time) and shared by every request on the
     instance, so questions about one space share the expansion. *)
 
 val instance :
@@ -50,10 +52,8 @@ val request :
   ?max_steps:int ->
   ?inject:(Stabrng.Rng.t -> step:int -> cfg:'a array -> 'a array option) ->
   ?hitting:Markov.hitting_method ->
-  ?keep_nonconverged:bool ->
   'a instance ->
   Statespace.sched_class ->
-  question ->
   'a request
 (** [max_configs] (default 2_000_000) is the exact budget and the
     on-the-fly state budget. [quotient] analyses the symmetry quotient
@@ -61,33 +61,46 @@ val request :
     [Random_inits 5]). Every rung draws from a fresh stream of [seed]
     (default 42). The Monte-Carlo rung samples [runs] (default 400)
     runs of at most [max_steps] (default 1_000_000) steps, with
-    {!Montecarlo.estimate}'s [inject]. [hitting] picks the solver;
-    [keep_nonconverged] answers with a solve that exhausted its sweep
-    budget (its outcome says so) instead of demoting. *)
+    {!Montecarlo.estimate}'s [inject]. [hitting] picks the solver. *)
 
 (** The size planner: within [max_configs]; encodable but too large to
-    enumerate; beyond 10^9 configurations, with the reason. *)
+    enumerate; beyond the ladder's on-the-fly limit of 10^9
+    configurations (or beyond the encoding), with the reason. *)
 type 'a plan = Fits of 'a Statespace.t | Over_budget of 'a Statespace.t | Too_large of string
 
 val plan : 'a request -> 'a plan
 
+(** {1 Answers on one rung, or why not} *)
+
+val verdicts : 'a request -> ('a Statespace.t * Checker.verdict, string) result
+(** Exact; the space is the quotient when one was asked for and the
+    group is nontrivial. Refuses a space over [max_configs]. *)
+
+type hitting = (Markov.hitting_stats * Markov.solve_outcome option, int) result
+(** Orbit-weighted on a quotient; [Error c]: [L] is unreachable from
+    state [c]. *)
+
+val chain :
+  ?keep_nonconverged:bool -> 'a request -> ('a Statespace.t * hitting, string) result
+(** Exact. Refuses a space over [max_configs], and a sparse solve that
+    exhausted its sweep budget unless [keep_nonconverged] (default
+    [false]; the outcome then says so). *)
+
+val reachable : 'a request -> ('a Statespace.t * Onthefly.analysis, string) result
+(** One exploration from the initial configurations within
+    [max_configs] states. Refuses only no initial configurations or an
+    encoding that overflows an int, so unlike the ladder's on-the-fly
+    rung it explores spaces past 10^9 configurations. *)
+
+val simulate : 'a request -> Montecarlo.result
+
 type 'a answer =
   | Verdicts of { space : 'a Statespace.t; verdict : Checker.verdict }
-      (** [space] is the quotient when one was asked for and the group
-          is nontrivial *)
-  | Chain of {
-      space : 'a Statespace.t;
-      hitting : (Markov.hitting_stats * Markov.solve_outcome option, int) result;
-          (** orbit-weighted on a quotient; [Error c]: [L] is
-              unreachable from state [c] *)
-    }
-  | Reachable of { space : 'a Statespace.t; inits : int; result : Onthefly.analysis }
+  | Chain of { space : 'a Statespace.t; hitting : hitting }
+  | Reachable of { inits : int; result : Onthefly.analysis }
   | Simulated of Montecarlo.result
 
-val attempt : 'a request -> rung -> ('a answer, string) result
-(** Answer on one rung, or say why it cannot. *)
-
-type 'a outcome = { rung : rung; demotions : (rung * string) list; answer : 'a answer }
-
-val run : 'a request -> 'a outcome
-(** Walk {!ladder} from the top, warning on each demotion. *)
+val attempt : 'a request -> question -> rung -> ('a answer, string) result
+(** [question] on [rung] through the entries above, for a caller
+    walking {!ladder}. The on-the-fly rung also refuses what {!plan}
+    calls [Too_large]. *)

@@ -50,6 +50,9 @@ golden markov-central-gs cat markov -p dijkstra-3state -t ring:5 -r central-rand
 golden reach cat reach -p token-ring -t ring:6
 golden reach-central-budget cat reach -p token-ring -t ring:6 --class central \
   --max-states 100
+# 8^20 configurations: an explicit exploration runs past 10^9.
+golden reach-past-1e9 cat reach --file "$dir/../../examples/gcp/max.gcp" -t random:20:7 \
+  --class central --max-states 2000
 golden faults-exact cat faults -p token-ring -t ring:5 --class central --runs 50 \
   --horizon 500
 golden faults-onthefly cat faults -p token-ring -t ring:5 --class central --runs 50 \

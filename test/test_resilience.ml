@@ -101,9 +101,14 @@ let test_radius_of_requires_metrics () =
 (* --- graceful degradation: the Analysis planner and ladder --- *)
 
 let token_ring_request ?max_configs ?inits n =
-  Analysis.request ?max_configs ?inits
+  Analysis.request ?max_configs ?inits ~runs:20
     (Analysis.instance (Stabalgo.Token_ring.make ~n) (Stabalgo.Token_ring.spec ~n))
-    Statespace.Central Analysis.Check
+    Statespace.Central
+
+(* What each rung of the Check ladder answers, in ladder order: the
+   first [Ok] is where a ladder walk stops. *)
+let rungs request =
+  List.map (Analysis.attempt request Analysis.Check) (Analysis.ladder Analysis.Check)
 
 let test_plan_exact_when_small () =
   match Analysis.plan (token_ring_request 5) with
@@ -117,46 +122,44 @@ let test_plan_degrades_to_onthefly () =
   | Analysis.Fits _ | Analysis.Too_large _ -> Alcotest.fail "expected on-the-fly"
 
 let test_plan_degrades_to_montecarlo () =
-  (* 3^20 ~ 3.5e9 configurations: past what the encoding can hold. *)
+  (* 3^20 ~ 3.5e9 configurations: past the ladder's on-the-fly limit. *)
   match Analysis.plan (token_ring_request ~max_configs:10 20) with
   | Analysis.Too_large reason -> Alcotest.(check bool) "reason given" true (reason <> "")
   | Analysis.Fits _ | Analysis.Over_budget _ -> Alcotest.fail "expected montecarlo"
 
 let test_try_build_reports_overflow () =
-  (match Analysis.attempt (token_ring_request 5) Analysis.Exact_rung with
+  (match Analysis.verdicts (token_ring_request 5) with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "small space should build");
-  match Analysis.attempt (token_ring_request ~max_configs:10 5) Analysis.Exact_rung with
+  match Analysis.verdicts (token_ring_request ~max_configs:10 5) with
   | Ok _ -> Alcotest.fail "budget should fail the build"
   | Error msg -> Alcotest.(check bool) "message" true (msg <> "")
 
-let test_run_budget_exact () =
-  match Analysis.run (token_ring_request 5) with
-  | { Analysis.answer = Analysis.Verdicts { verdict = v; _ }; _ } ->
+let test_budget_exact () =
+  match rungs (token_ring_request 5) with
+  | Ok (Analysis.Verdicts { verdict = v; _ }) :: _ ->
     Alcotest.(check bool) "weak-stabilizing" true (Checker.weak_stabilizing v);
     Alcotest.(check bool) "not self-stabilizing" true (not (Checker.self_stabilizing v))
   | _ -> Alcotest.fail "expected exact verdict"
 
-let test_run_budget_onthefly () =
+let test_budget_onthefly () =
   let n = 5 in
   let inits = Analysis.Inits [ Stabalgo.Token_ring.legitimate_config ~n ] in
   (* Budget below the 32 configurations but big enough to finish the
      forward exploration from one legitimate start. *)
-  match Analysis.run (token_ring_request ~max_configs:20 ~inits n) with
-  | { Analysis.answer = Analysis.Reachable { result; _ }; _ } ->
+  match rungs (token_ring_request ~max_configs:20 ~inits n) with
+  | [ Error _; Ok (Analysis.Reachable { result; _ }); _ ] ->
     Alcotest.(check bool)
       "possible convergence holds from L" true
       (result.Onthefly.possible = Onthefly.Converges);
     Alcotest.(check bool) "exploration bounded" true
       (result.Onthefly.stats.Onthefly.explored <= 20)
-  | { Analysis.answer = Analysis.Verdicts _; _ } ->
-    Alcotest.fail "budget should preclude exact analysis"
+  | Ok _ :: _ -> Alcotest.fail "budget should preclude exact analysis"
   | _ -> Alcotest.fail "on-the-fly should apply"
 
-let test_run_budget_montecarlo_without_inits () =
-  match Analysis.run (token_ring_request ~max_configs:10 ~inits:(Analysis.Inits []) 5) with
-  | { Analysis.answer = Analysis.Simulated _; demotions; _ } ->
-    let reason = snd (List.nth demotions 1) in
+let test_budget_montecarlo_without_inits () =
+  match rungs (token_ring_request ~max_configs:10 ~inits:(Analysis.Inits []) 5) with
+  | [ Error _; Error reason; Ok (Analysis.Simulated _) ] ->
     Alcotest.(check bool) "reason" true (reason <> "")
   | _ -> Alcotest.fail "no inits: only sampling remains"
 
@@ -171,7 +174,7 @@ let suite =
     Alcotest.test_case "plan onthefly" `Quick test_plan_degrades_to_onthefly;
     Alcotest.test_case "plan montecarlo" `Quick test_plan_degrades_to_montecarlo;
     Alcotest.test_case "try_build" `Quick test_try_build_reports_overflow;
-    Alcotest.test_case "budget exact" `Quick test_run_budget_exact;
-    Alcotest.test_case "budget onthefly" `Quick test_run_budget_onthefly;
-    Alcotest.test_case "budget montecarlo" `Quick test_run_budget_montecarlo_without_inits;
+    Alcotest.test_case "budget exact" `Quick test_budget_exact;
+    Alcotest.test_case "budget onthefly" `Quick test_budget_onthefly;
+    Alcotest.test_case "budget montecarlo" `Quick test_budget_montecarlo_without_inits;
   ]
