@@ -1,7 +1,7 @@
 (** Fixed-length bit vectors over configuration codes.
 
-    The exhaustive analyses in {!Checker} manipulate many sets of
-    configurations (reached, alive, on-stack, membership masks). A
+    The exhaustive analyses in {!Checker} and {!Digraph} manipulate
+    many sets of configurations (alive, on-stack, membership masks). A
     [bool array] spends a word per element; this Bytes-backed
     representation spends a bit, which keeps whole-space masks resident
     in cache for the packed-graph passes. Indices are [0 .. length-1];

@@ -2,13 +2,17 @@
    the groups (activated subset -> outcome distribution) of
    configuration [c] occupy [grp_off.(c) .. grp_off.(c+1) - 1], and
    the successors of group [grp] occupy
-   [succ_off.(grp) .. succ_off.(grp+1) - 1] of the flat [succ] array.
-   Because groups of a configuration are contiguous and [succ_off] is
-   monotone, ALL successors of [c] occupy the flat range
-   [succ_off.(grp_off.(c)) .. succ_off.(grp_off.(c+1)) - 1], in
+   [succ_off.(grp) .. succ_off.(grp+1) - 1] of the flat successor
+   array [fwd.dst]. Because groups of a configuration are contiguous
+   and [succ_off] is monotone, ALL successors of [c] occupy one flat
+   range, which the merge records once per configuration as
+   [fwd.off.(c) = succ_off.(grp_off.(c))]: [fwd] is the successor
+   relation as a {!Digraph} CSR, and every graph pass here (backward
+   reachability, the cycle search, Tarjan, forward closure) runs in
+   that kernel over [fwd] or its memoized reverse. Successors come in
    exactly the order the list-based expansion used to produce them
-   (groups in transition order, successors in outcome order) — the
-   DFS/Tarjan passes below rely on that to keep witnesses stable.
+   (groups in transition order, successors in outcome order), so the
+   kernel's witnesses and component order stay stable.
    Activated subsets are interned: [grp_active.(grp)] indexes
    [active_sets]. [succ_w] carries the outcome probabilities so the
    Markov chain of a randomized daemon can be read off the same
@@ -27,33 +31,31 @@
 module Obs = Stabobs.Obs
 
 type graph = {
-  n : int;
   cls : Statespace.sched_class; (* the class the graph was expanded under *)
   grp_off : int array; (* length n+1 *)
   grp_active : int array; (* length ngroups *)
   succ_off : int array; (* length ngroups+1 *)
-  succ : int array; (* length nedges *)
+  fwd : Digraph.t; (* n configurations; off length n+1; dst length nedges *)
   succ_w : float array; (* length nedges *)
   active_sets : int list array;
-  mutable rev_off : int array option;
-  mutable rev : int array option;
-      (* CSR reverse adjacency, built on first demand and shared by
-         every backward pass (possible convergence, best-case BFS) *)
+  mutable rev : Digraph.t option;
+      (* reverse of [fwd], built on first demand and shared by every
+         backward pass (possible convergence, best-case BFS) *)
 }
 
-(* Successor range of configuration [c] in the flat [succ] array. *)
-let succ_lo g c = g.succ_off.(g.grp_off.(c))
-let succ_hi g c = g.succ_off.(g.grp_off.(c + 1))
+(* Successor range of configuration [c] in the flat [fwd.dst] array. *)
+let succ_lo g c = g.fwd.off.(c)
+let succ_hi g c = g.fwd.off.(c + 1)
 
 (* Expansion telemetry: totals as counters plus the per-configuration
    fan-out distribution. The sweep behind the dist only runs when a
    sink is installed, so the dark path pays a single branch per graph
    build. *)
 let record_expansion g =
-  Obs.Counter.add Obs.configs_expanded g.n;
-  Obs.Counter.add Obs.transitions_emitted (Array.length g.succ);
+  Obs.Counter.add Obs.configs_expanded g.fwd.n;
+  Obs.Counter.add Obs.transitions_emitted (Array.length g.fwd.dst);
   if Obs.on () then
-    for c = 0 to g.n - 1 do
+    for c = 0 to g.fwd.n - 1 do
       Stabobs.Dist.record_int Stabobs.Dist.checker_out_degree (succ_hi g c - succ_lo g c)
     done
 
@@ -153,8 +155,10 @@ let expand_range space cls grp_off ~lo ~hi =
 (* Concatenates the ranges in ascending [lo] order, rebasing offsets,
    then interns the masks: the packed layout and the set numbering are
    the same at every pool width. Each range buffer is copied once and
-   dropped right after, largest structures first. *)
-let merge_parts n nproc cls grp_off parts =
+   dropped right after, largest structures first. The per-configuration
+   successor offsets of [fwd] cost n+1 ints on top of the two-level
+   packing; they let the kernel passes index one flat CSR. *)
+let merge_parts n nproc cls grp_off off parts =
   let ngroups = List.fold_left (fun acc p -> acc + p.masks.len) 0 parts in
   let succ_off = Array.make (ngroups + 1) 0 in
   let gbase = ref 0 and ebase = ref 0 in
@@ -177,7 +181,11 @@ let merge_parts n nproc cls grp_off parts =
   let grp_active = Growbuf.concat 0 (fun p -> p.masks) parts in
   assert (masks_well_ordered cls grp_off grp_active);
   let active_sets = intern_masks nproc grp_active in
-  { n; cls; grp_off; grp_active; succ_off; succ; succ_w; active_sets; rev_off = None; rev = None }
+  for c = 0 to n do
+    off.(c) <- succ_off.(grp_off.(c))
+  done;
+  let fwd = { Digraph.n; off; dst = succ } in
+  { cls; grp_off; grp_active; succ_off; fwd; succ_w; active_sets; rev = None }
 
 let expand_grain = Pool.Grain.site "checker.expand"
 
@@ -188,11 +196,16 @@ let build_graph space cls =
   let nproc = Stabgraph.Graph.size (Statespace.protocol space).Protocol.graph in
   if nproc > Sys.int_size then
     invalid_arg "Checker.expand: more processes than bits in an activation mask";
+  (* Both per-configuration offset arrays outlive the expansion, so
+     they are allocated before its short-lived range buffers: filling
+     a fresh [off] after the merge instead raised the peak RSS of the
+     token-ring quotient pipeline by 2% (glibc malloc, 2-vCPU host). *)
   let grp_off = Array.make (n + 1) 0 in
+  let off = Array.make (n + 1) 0 in
   let parts =
     Pool.map_ranges ~site:expand_grain ~min_chunk:64 n (expand_range space cls grp_off)
   in
-  let g = merge_parts n nproc cls grp_off parts in
+  let g = merge_parts n nproc cls grp_off off parts in
   record_expansion g;
   g
 
@@ -226,32 +239,17 @@ let expand space cls =
           g)
 
 let reverse g =
-  match (g.rev_off, g.rev) with
-  | Some off, Some rev -> (off, rev)
-  | _ ->
+  match g.rev with
+  | Some rev -> rev
+  | None ->
     Obs.Counter.incr Obs.checker_reverse_builds;
-    Obs.span "checker.reverse" @@ fun () ->
-    let n = g.n in
-    let nedges = Array.length g.succ in
-    let off = Array.make (n + 1) 0 in
-    Array.iter (fun c' -> off.(c' + 1) <- off.(c' + 1) + 1) g.succ;
-    for i = 0 to n - 1 do
-      off.(i + 1) <- off.(i + 1) + off.(i)
-    done;
-    let rev = Array.make nedges 0 in
-    let cursor = Array.copy off in
-    for c = 0 to n - 1 do
-      for i = succ_lo g c to succ_hi g c - 1 do
-        let c' = g.succ.(i) in
-        rev.(cursor.(c')) <- c;
-        cursor.(c') <- cursor.(c') + 1
-      done
-    done;
-    g.rev_off <- Some off;
+    let rev = Obs.span "checker.reverse" (fun () -> Digraph.reverse g.fwd) in
     g.rev <- Some rev;
-    (off, rev)
+    rev
 
-let graph_edge_count g = Array.length g.succ
+let successors g = g.fwd
+
+let graph_edge_count g = Array.length g.fwd.dst
 
 let weighted_row g c =
   let glo = g.grp_off.(c) in
@@ -261,7 +259,7 @@ let weighted_row g c =
     let subset_weight = 1.0 /. float_of_int (ghi - glo) in
     let out = ref [] in
     for i = succ_hi g c - 1 downto succ_lo g c do
-      out := (g.succ.(i), g.succ_w.(i) *. subset_weight) :: !out
+      out := (g.fwd.dst.(i), g.succ_w.(i) *. subset_weight) :: !out
     done;
     !out
   end
@@ -272,7 +270,7 @@ let iter_weighted_row g c f =
   if ghi > glo then begin
     let subset_weight = 1.0 /. float_of_int (ghi - glo) in
     for i = succ_lo g c to succ_hi g c - 1 do
-      f g.succ.(i) (g.succ_w.(i) *. subset_weight)
+      f g.fwd.dst.(i) (g.succ_w.(i) *. subset_weight)
     done
   end
 
@@ -328,11 +326,11 @@ let check_closure_full space g spec =
     let violation = ref None in
     (let exception Found in
      try
-       for c = 0 to g.n - 1 do
+       for c = 0 to g.fwd.n - 1 do
          if legitimate.(c) then
            for grp = g.grp_off.(c) to g.grp_off.(c + 1) - 1 do
              for i = g.succ_off.(grp) to g.succ_off.(grp + 1) - 1 do
-               let c' = g.succ.(i) in
+               let c' = g.fwd.dst.(i) in
                if not legitimate.(c') then begin
                  violation :=
                    Some
@@ -368,26 +366,9 @@ let check_closure space g spec =
   | None -> check_closure_full space g spec
 
 let possible_convergence _space g ~legitimate =
-  let n = g.n in
-  (* Backward BFS from L over reversed edges. *)
-  let rev_off, rev = reverse g in
-  let reaches = Bitset.of_bool_array legitimate in
-  let queue = Queue.create () in
-  Array.iteri (fun c ok -> if ok then Queue.add c queue) legitimate;
-  while not (Queue.is_empty queue) do
-    let c = Queue.pop queue in
-    for i = rev_off.(c) to rev_off.(c + 1) - 1 do
-      let pred = rev.(i) in
-      if not (Bitset.mem reaches pred) then begin
-        Bitset.set reaches pred;
-        Queue.add pred queue
-      end
-    done
-  done;
-  let rec find c =
-    if c >= n then None else if Bitset.mem reaches c then find (c + 1) else Some c
-  in
-  match find 0 with None -> Ok () | Some c -> Error c
+  match Array.find_index not (Digraph.reach (reverse g) ~seeds:legitimate) with
+  | None -> Ok ()
+  | Some c -> Error c
 
 type divergence = Cycle of int list | Dead_end of int
 
@@ -398,7 +379,7 @@ type divergence = Cycle of int list | Dead_end of int
 let terminals_of g ~legitimate =
   Obs.Counter.incr Obs.checker_terminal_scans;
   let out = ref [] in
-  for c = g.n - 1 downto 0 do
+  for c = g.fwd.n - 1 downto 0 do
     if (not legitimate.(c)) && g.grp_off.(c) = g.grp_off.(c + 1) then out := c :: !out
   done;
   !out
@@ -412,136 +393,33 @@ let illegitimate_terminals space ~legitimate =
   done;
   !out
 
-(* Iterative depth-first cycle detection on the subgraph of
-   configurations outside L. color: 0 white, 1 on current path, 2 done.
-   Each stack frame keeps a cursor into the flat successor range, which
-   visits exactly the sequence the list-based expansion produced. *)
-let find_cycle_outside g ~legitimate =
-  let n = g.n in
-  let color = Array.make n 0 in
-  let parent = Array.make n (-1) in
-  let cycle = ref None in
-  let exception Found in
-  (try
-     for start = 0 to n - 1 do
-       if (not legitimate.(start)) && color.(start) = 0 then begin
-         let stack = Stack.create () in
-         color.(start) <- 1;
-         Stack.push (start, ref (succ_lo g start)) stack;
-         while not (Stack.is_empty stack) do
-           let node, cursor = Stack.top stack in
-           let hi = succ_hi g node in
-           while !cursor < hi && legitimate.(g.succ.(!cursor)) do
-             incr cursor
-           done;
-           if !cursor >= hi then begin
-             color.(node) <- 2;
-             ignore (Stack.pop stack)
-           end
-           else begin
-             let next = g.succ.(!cursor) in
-             incr cursor;
-             if color.(next) = 1 then begin
-               (* Back edge: walk parents from [node] to [next]. *)
-               let rec collect acc v =
-                 if v = next then v :: acc else collect (v :: acc) parent.(v)
-               in
-               cycle := Some (collect [] node);
-               raise Found
-             end
-             else if color.(next) = 0 then begin
-               color.(next) <- 1;
-               parent.(next) <- node;
-               Stack.push (next, ref (succ_lo g next)) stack
-             end
-           end
-         done
-       end
-     done
-   with Found -> ());
-  !cycle
-
 (* Certain convergence given an already-computed terminal list, so
    [analyze] scans for terminals exactly once per verdict. *)
 let certain_of_terminals g ~legitimate ~terminals =
   match terminals with
   | c :: _ -> Error (Dead_end c)
   | [] -> (
-    match find_cycle_outside g ~legitimate with
+    match Digraph.cycle_outside g.fwd ~inside:legitimate with
     | Some cycle -> Error (Cycle cycle)
     | None -> Ok ())
 
 let certain_convergence _space g ~legitimate =
   certain_of_terminals g ~legitimate ~terminals:(terminals_of g ~legitimate)
 
-(* Iterative Tarjan SCC over the subgraph of nodes in [alive],
-   following only internal edges. Returns SCCs as lists, in reverse
-   topological completion order. Cursor-based like the cycle finder, so
-   component order matches the list-based implementation exactly. *)
-let sccs g ~alive =
+(* SCCs of the configurations [keep] accepts, in topological order of
+   the condensation (sources first): the reverse of the kernel's
+   completion order. Members are ascending. *)
+let sccs ?keep g =
   Obs.Counter.incr Obs.checker_scc_builds;
-  let n = g.n in
-  let index = Array.make n (-1) in
-  let low = Array.make n 0 in
-  let on_stack = Bitset.create n in
-  let scc_stack = Stack.create () in
-  let next_index = ref 0 in
-  let out = ref [] in
-  let visit root =
-    let work = Stack.create () in
-    Stack.push (root, ref (succ_lo g root)) work;
-    index.(root) <- !next_index;
-    low.(root) <- !next_index;
-    incr next_index;
-    Stack.push root scc_stack;
-    Bitset.set on_stack root;
-    while not (Stack.is_empty work) do
-      let node, cursor = Stack.top work in
-      let hi = succ_hi g node in
-      while !cursor < hi && not (Bitset.mem alive g.succ.(!cursor)) do
-        incr cursor
-      done;
-      if !cursor < hi then begin
-        let next = g.succ.(!cursor) in
-        incr cursor;
-        if index.(next) < 0 then begin
-          index.(next) <- !next_index;
-          low.(next) <- !next_index;
-          incr next_index;
-          Stack.push next scc_stack;
-          Bitset.set on_stack next;
-          Stack.push (next, ref (succ_lo g next)) work
-        end
-        else if Bitset.mem on_stack next then low.(node) <- min low.(node) index.(next)
-      end
-      else begin
-        ignore (Stack.pop work);
-        if low.(node) = index.(node) then begin
-          let rec pop acc =
-            let v = Stack.pop scc_stack in
-            Bitset.clear on_stack v;
-            if v = node then v :: acc else pop (v :: acc)
-          in
-          out := pop [] :: !out
-        end;
-        (match Stack.top work with
-        | parent, _ -> low.(parent) <- min low.(parent) low.(node)
-        | exception Stack.Empty -> ())
-      end
-    done
-  in
-  for c = 0 to n - 1 do
-    if Bitset.mem alive c && index.(c) < 0 then visit c
-  done;
-  !out
+  List.rev (Digraph.sccs ?keep g.fwd)
 
-(* True iff the SCC (given as a membership test plus member list) has at
-   least one internal edge — needed to sustain an infinite execution. *)
+(* True iff the SCC (given as a membership test plus member array) has
+   at least one internal edge — needed to sustain an infinite execution. *)
 let has_internal_edge g in_scc members =
-  List.exists
+  Array.exists
     (fun c ->
       let hi = succ_hi g c in
-      let rec go i = i < hi && (in_scc g.succ.(i) || go (i + 1)) in
+      let rec go i = i < hi && (in_scc g.fwd.dst.(i) || go (i + 1)) in
       go (succ_lo g c))
     members
 
@@ -570,7 +448,7 @@ let graph_enabled g c =
 
 let enabled_in g members =
   let seen = Hashtbl.create 16 in
-  List.iter
+  Array.iter
     (fun c -> List.iter (fun p -> Hashtbl.replace seen p ()) (graph_enabled g c))
     members;
   seen
@@ -578,12 +456,12 @@ let enabled_in g members =
 (* Processes firing on internal edges of the member set. *)
 let firing_in g in_scc members =
   let seen = Hashtbl.create 16 in
-  List.iter
+  Array.iter
     (fun c ->
       for grp = g.grp_off.(c) to g.grp_off.(c + 1) - 1 do
         let internal = ref false in
         for i = g.succ_off.(grp) to g.succ_off.(grp + 1) - 1 do
-          if in_scc g.succ.(i) then internal := true
+          if in_scc g.fwd.dst.(i) then internal := true
         done;
         if !internal then
           List.iter
@@ -595,7 +473,7 @@ let firing_in g in_scc members =
 
 let membership n members =
   let mask = Bitset.create n in
-  List.iter (Bitset.set mask) members;
+  Array.iter (Bitset.set mask) members;
   mask
 
 (* Streett refinement for strong fairness: an SCC is accepting if every
@@ -604,7 +482,7 @@ let membership n members =
    recurse. The top-level SCC decomposition is taken as an argument so
    [analyze] can share it with the weak-fairness check. *)
 let rec strongly_fair_from g components =
-  let n = g.n in
+  let n = g.fwd.n in
   let try_component members =
     let mask = membership n members in
     let in_scc c = Bitset.mem mask c in
@@ -618,12 +496,12 @@ let rec strongly_fair_from g components =
           enabled []
       in
       match bad with
-      | [] -> Some (List.sort compare members)
+      | [] -> Some (Array.to_list members)
       | _ ->
         (* Remove states where a never-firing process is enabled. *)
         let alive' = Bitset.create n in
         let kept = ref 0 in
-        List.iter
+        Array.iter
           (fun c ->
             let here = graph_enabled g c in
             if not (List.exists (fun p -> List.mem p here) bad) then begin
@@ -631,20 +509,15 @@ let rec strongly_fair_from g components =
               incr kept
             end)
           members;
-        if !kept = 0 then None else strongly_fair_from g (sccs g ~alive:alive')
+        if !kept = 0 then None
+        else strongly_fair_from g (sccs ~keep:(Bitset.mem alive') g)
     end
   in
   List.fold_left
     (fun acc members -> match acc with Some _ -> acc | None -> try_component members)
     None components
 
-let alive_outside legitimate =
-  let n = Array.length legitimate in
-  let alive = Bitset.create n in
-  for c = 0 to n - 1 do
-    if not legitimate.(c) then Bitset.set alive c
-  done;
-  alive
+let sccs_outside g legitimate = sccs ~keep:(fun c -> not legitimate.(c)) g
 
 (* Per-process fairness is NOT orbit-invariant, so the Streett checks
    cannot run on the naive symmetry quotient: a validated automorphism
@@ -673,12 +546,12 @@ let fairness_arena space g ~legitimate =
 
 let strongly_fair_divergence space g ~legitimate =
   let g, legitimate = fairness_arena space g ~legitimate in
-  strongly_fair_from g (sccs g ~alive:(alive_outside legitimate))
+  strongly_fair_from g (sccs_outside g legitimate)
 
 (* Weak fairness needs no refinement: acceptance is monotone in the
    component (see the design notes) — check maximal SCCs only. *)
 let weakly_fair_from g components =
-  let n = g.n in
+  let n = g.fwd.n in
   let accepting members =
     let mask = membership n members in
     let in_scc c = Bitset.mem mask c in
@@ -686,7 +559,7 @@ let weakly_fair_from g components =
     else begin
       let firing = firing_in g in_scc members in
       let everywhere_enabled p =
-        List.for_all (fun c -> List.mem p (graph_enabled g c)) members
+        Array.for_all (fun c -> List.mem p (graph_enabled g c)) members
       in
       let processes = enabled_in g members in
       Hashtbl.fold
@@ -694,11 +567,11 @@ let weakly_fair_from g components =
         processes true
     end
   in
-  List.find_opt accepting components |> Option.map (List.sort compare)
+  List.find_opt accepting components |> Option.map Array.to_list
 
 let weakly_fair_divergence space g ~legitimate =
   let g, legitimate = fairness_arena space g ~legitimate in
-  weakly_fair_from g (sccs g ~alive:(alive_outside legitimate))
+  weakly_fair_from g (sccs_outside g legitimate)
 
 type verdict = {
   closure : (unit, closure_violation) result;
@@ -727,7 +600,7 @@ let analyze space cls spec =
   let components =
     lazy
       (let fg, fleg = Lazy.force arena in
-       Obs.span "checker.sccs" (fun () -> sccs fg ~alive:(alive_outside fleg)))
+       Obs.span "checker.sccs" (fun () -> sccs_outside fg fleg))
   in
   let closure = Obs.span "checker.closure" (fun () -> check_closure space g spec) in
   let possible =
@@ -794,21 +667,16 @@ let pseudo_stabilizing _space g ~legitimate =
   match terminals_of g ~legitimate with
   | c :: _ -> Error (Dead_end c)
   | [] ->
-    let n = g.n in
-    let alive = Bitset.create n in
-    for c = 0 to n - 1 do
-      Bitset.set alive c
-    done;
     let offending =
       List.find_opt
         (fun members ->
-          let mask = membership n members in
+          let mask = membership g.fwd.n members in
           has_internal_edge g (fun c -> Bitset.mem mask c) members
-          && List.exists (fun c -> not legitimate.(c)) members)
-        (sccs g ~alive)
+          && Array.exists (fun c -> not legitimate.(c)) members)
+        (sccs g)
     in
     (match offending with
-    | Some members -> Error (Cycle (List.sort compare members))
+    | Some members -> Error (Cycle (Array.to_list members))
     | None -> Ok ())
 
 let hamming space c1 c2 =
@@ -863,66 +731,20 @@ let k_faulty_set space ~legitimate ~k =
 
 let k_stabilizing space g ~legitimate ~k =
   let faulty = k_faulty_set space ~legitimate ~k in
-  (* Forward closure of the faulty set. *)
-  let n = g.n in
-  let reachable = Bitset.create n in
-  let queue = Queue.create () in
-  Array.iteri
-    (fun c f ->
-      if f then begin
-        Bitset.set reachable c;
-        Queue.add c queue
-      end)
-    faulty;
-  while not (Queue.is_empty queue) do
-    let c = Queue.pop queue in
-    for i = succ_lo g c to succ_hi g c - 1 do
-      let c' = g.succ.(i) in
-      if not (Bitset.mem reachable c') then begin
-        Bitset.set reachable c';
-        Queue.add c' queue
-      end
-    done
-  done;
+  let reachable = Digraph.reach g.fwd ~seeds:faulty in
   (* Certain convergence restricted to the reachable sub-system:
      configurations outside it are treated as if legitimate (they
      cannot occur). *)
-  let restricted =
-    Array.init n (fun c -> legitimate.(c) || not (Bitset.mem reachable c))
-  in
-  let dead_end =
-    List.find_opt (fun c -> Bitset.mem reachable c) (terminals_of g ~legitimate)
-  in
+  let restricted = Array.mapi (fun c l -> l || not reachable.(c)) legitimate in
+  let dead_end = List.find_opt (fun c -> reachable.(c)) (terminals_of g ~legitimate) in
   match dead_end with
   | Some c -> Error (Dead_end c)
   | None -> (
-    match find_cycle_outside g ~legitimate:restricted with
+    match Digraph.cycle_outside g.fwd ~inside:restricted with
     | Some cycle -> Error (Cycle cycle)
     | None -> Ok ())
 
-let best_case_steps _space g ~legitimate =
-  let n = g.n in
-  let rev_off, rev = reverse g in
-  let dist = Array.make n max_int in
-  let queue = Queue.create () in
-  Array.iteri
-    (fun c ok ->
-      if ok then begin
-        dist.(c) <- 0;
-        Queue.add c queue
-      end)
-    legitimate;
-  while not (Queue.is_empty queue) do
-    let c = Queue.pop queue in
-    for i = rev_off.(c) to rev_off.(c + 1) - 1 do
-      let pred = rev.(i) in
-      if dist.(pred) = max_int then begin
-        dist.(pred) <- dist.(c) + 1;
-        Queue.add pred queue
-      end
-    done
-  done;
-  dist
+let best_case_steps _space g ~legitimate = Digraph.distances (reverse g) ~seeds:legitimate
 
 let worst_case_steps space g ~legitimate =
   match certain_convergence space g ~legitimate with
@@ -932,14 +754,14 @@ let worst_case_steps space g ~legitimate =
        topological order (iterative Kahn peeling, so deep spaces cannot
        blow the OCaml stack). A successor inside L ends the escape in
        one step; a successor outside contributes 1 + its own value. *)
-    let n = g.n in
+    let n = g.fwd.n in
     let value = Array.make n 0 in
     let pending = Array.make n 0 in
     let preds = Array.make n [] in
     for c = 0 to n - 1 do
       if not legitimate.(c) then
         for i = succ_lo g c to succ_hi g c - 1 do
-          let c' = g.succ.(i) in
+          let c' = g.fwd.dst.(i) in
           if legitimate.(c') then value.(c) <- max value.(c) 1
           else begin
             pending.(c) <- pending.(c) + 1;

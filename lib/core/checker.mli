@@ -38,6 +38,12 @@ val expand : 'a Statespace.t -> Statespace.sched_class -> graph
 
 val graph_edge_count : graph -> int
 
+val successors : graph -> Digraph.t
+(** The successor relation as a {!Digraph} CSR over configuration
+    codes: the packed arrays themselves, not a copy. The successors of
+    [c] come in transition order, one entry per (activated subset,
+    outcome) pair, so a target may repeat. *)
+
 val weighted_row : graph -> int -> (int * float) list
 (** [weighted_row g c] reads off the Markov row of [c] under the
     uniform randomized daemon of the graph's class: each outcome's

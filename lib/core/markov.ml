@@ -212,65 +212,10 @@ let of_rows rows =
     rows;
   pack n ~each_row:(fun c add -> List.iter (fun (c', w) -> add c' w) rows.(c))
 
-(* Iterative Tarjan over the positive-probability graph restricted to
-   the states [keep] accepts. Components are returned in emission
-   order — every edge out of a component lands inside it, in an
-   earlier component, or outside the kept set — i.e. sinks-first
-   (reverse topological order of the condensation), which is exactly
-   the order in which per-block solves can run. Members come out
-   sorted ascending. *)
-let components ?keep chain =
-  let n = chain.n in
-  let kept = match keep with None -> fun _ -> true | Some mask -> fun c -> mask.(c) in
-  let index = Array.make n (-1) in
-  let low = Array.make n 0 in
-  let on_stack = Array.make n false in
-  let scc_stack = Stack.create () in
-  let next_index = ref 0 in
-  let out = ref [] in
-  let visit root =
-    let work = Stack.create () in
-    let push_node v =
-      index.(v) <- !next_index;
-      low.(v) <- !next_index;
-      incr next_index;
-      Stack.push v scc_stack;
-      on_stack.(v) <- true;
-      Stack.push (v, ref chain.off.(v)) work
-    in
-    push_node root;
-    while not (Stack.is_empty work) do
-      let node, cursor = Stack.top work in
-      if !cursor < chain.off.(node + 1) then begin
-        let next = chain.cols.(!cursor) in
-        incr cursor;
-        if kept next then
-          if index.(next) < 0 then push_node next
-          else if on_stack.(next) then low.(node) <- min low.(node) index.(next)
-      end
-      else begin
-        ignore (Stack.pop work);
-        if low.(node) = index.(node) then begin
-          let rec pop acc =
-            let v = Stack.pop scc_stack in
-            on_stack.(v) <- false;
-            if v = node then v :: acc else pop (v :: acc)
-          in
-          out := Array.of_list (List.sort Int.compare (pop [])) :: !out
-        end;
-        match Stack.top work with
-        | parent, _ -> low.(parent) <- min low.(parent) low.(node)
-        | exception Stack.Empty -> ()
-      end
-    done
-  in
-  for c = 0 to n - 1 do
-    if kept c && index.(c) < 0 then visit c
-  done;
-  List.rev !out
+let graph chain = { Digraph.n = chain.n; off = chain.off; dst = chain.cols }
 
 let bsccs chain =
-  let comps = components chain in
+  let comps = Digraph.sccs (graph chain) in
   let component = Array.make chain.n (-1) in
   List.iteri (fun i members -> Array.iter (fun c -> component.(c) <- i) members) comps;
   List.filteri
@@ -284,46 +229,15 @@ let bsccs chain =
     comps
   |> List.map Array.to_list
 
-let transient_blocks chain ~transient = components ~keep:transient chain
+let transient_blocks chain ~transient =
+  Digraph.sccs ~keep:(fun c -> transient.(c)) (graph chain)
 
-let reaches chain ~target =
-  let n = chain.n in
-  (* Counting-sort reverse adjacency over the CSR edges, then BFS. *)
-  let nedges = Array.length chain.cols in
-  let roff = Array.make (n + 1) 0 in
-  Array.iter (fun c' -> roff.(c' + 1) <- roff.(c' + 1) + 1) chain.cols;
-  for i = 0 to n - 1 do
-    roff.(i + 1) <- roff.(i + 1) + roff.(i)
-  done;
-  let rev = Array.make nedges 0 in
-  let cursor = Array.copy roff in
-  for c = 0 to n - 1 do
-    for i = chain.off.(c) to chain.off.(c + 1) - 1 do
-      let c' = chain.cols.(i) in
-      rev.(cursor.(c')) <- c;
-      cursor.(c') <- cursor.(c') + 1
-    done
-  done;
-  let ok = Array.copy target in
-  let queue = Queue.create () in
-  Array.iteri (fun c t -> if t then Queue.add c queue) target;
-  while not (Queue.is_empty queue) do
-    let c = Queue.pop queue in
-    for i = roff.(c) to roff.(c + 1) - 1 do
-      let pred = rev.(i) in
-      if not ok.(pred) then begin
-        ok.(pred) <- true;
-        Queue.add pred queue
-      end
-    done
-  done;
-  ok
+let reaches chain ~target = Digraph.reach (Digraph.reverse (graph chain)) ~seeds:target
 
 let converges_with_prob_one chain ~legitimate =
-  let ok = reaches chain ~target:legitimate in
-  let n = states chain in
-  let rec find c = if c >= n then None else if ok.(c) then find (c + 1) else Some c in
-  match find 0 with None -> Ok () | Some c -> Error c
+  match Array.find_index not (reaches chain ~target:legitimate) with
+  | None -> Ok ()
+  | Some c -> Error c
 
 type sparse_kind = Gauss_seidel | Jacobi
 

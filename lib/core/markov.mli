@@ -51,6 +51,11 @@ val states : t -> int
 val row : t -> int -> (int * float) list
 (** Successor distribution of a state, merged and sorted by code. *)
 
+val graph : t -> Digraph.t
+(** The positive-probability edges as a {!Digraph} CSR (the chain's
+    own arrays, not a copy): each row's targets ascending and distinct,
+    an absorbing state with its self-loop. *)
+
 val bsccs : t -> int list list
 (** Bottom strongly connected components (no edge leaving). *)
 
@@ -93,7 +98,8 @@ val transient_blocks : t -> transient:bool array -> int array list
     [transient], in reverse topological order of the condensation:
     every positive-probability edge out of a block lands inside it, in
     an {e earlier} block, or outside [transient]. This is the order the
-    sparse solvers process blocks in. Members are sorted ascending. *)
+    sparse solvers process blocks in. Members are sorted ascending.
+    This is {!Digraph.sccs} on {!graph}. *)
 
 val sparse_hitting_times :
   ?kind:sparse_kind ->

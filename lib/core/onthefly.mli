@@ -43,4 +43,7 @@ val analyze :
   inits:'a array list ->
   analysis
 (** Explore the sub-system reachable from [inits] once (at most
-    [max_states], default [1_000_000]) and decide both verdicts on it. *)
+    [max_states] configurations, default [1_000_000], the distinct
+    [inits] included: more distinct inits than that leave the
+    exploration incomplete) and decide both verdicts on it. The
+    traversals run in {!Digraph}. *)

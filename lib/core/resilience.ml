@@ -34,42 +34,27 @@ let prepare space cls spec =
   let graph = Checker.expand space cls in
   let legitimate = Statespace.legitimate_set space spec in
   let chain = Markov.of_space space (Analysis.randomization cls) in
-  let reach_l = Markov.reaches chain ~target:legitimate in
-  let no_return = Array.map not reach_l in
-  let doomed = Markov.reaches chain ~target:no_return in
+  (* One reverse adjacency serves both backward searches; probability-1
+     convergence from every state is [L] reachable from every state. *)
+  let rev = Digraph.reverse (Markov.graph chain) in
+  let reach_l = Digraph.reach rev ~seeds:legitimate in
+  let doomed = Digraph.reach rev ~seeds:(Array.map not reach_l) in
   let hitting =
-    match Markov.converges_with_prob_one chain ~legitimate with
-    | Ok () -> Some (Markov.expected_hitting_times chain ~legitimate)
-    | Error _ -> None
+    if Array.for_all Fun.id reach_l then Some (Markov.expected_hitting_times chain ~legitimate)
+    else None
   in
   { space; graph; legitimate; chain; doomed; hitting }
 
 let metric_of_lab lab ~k =
   Stabobs.Obs.span ~args:[ ("k", Stabobs.Json.Int k) ] "resilience.metric" @@ fun () ->
   let faulty = Checker.k_faulty_set lab.space ~legitimate:lab.legitimate ~k in
-  let n = Statespace.count lab.space in
   (* Forward closure of the corrupted configurations through
      illegitimate states: recovery executions live entirely inside it,
      ending at their first legitimate configuration. *)
-  let reachable = Array.make n false in
-  let q = Queue.create () in
-  Array.iteri
-    (fun c f ->
-      if f && not lab.legitimate.(c) then begin
-        reachable.(c) <- true;
-        Queue.add c q
-      end)
-    faulty;
-  while not (Queue.is_empty q) do
-    let c = Queue.pop q in
-    List.iter
-      (fun (s, _) ->
-        if (not lab.legitimate.(s)) && not reachable.(s) then begin
-          reachable.(s) <- true;
-          Queue.add s q
-        end)
-      (Checker.weighted_row lab.graph c)
-  done;
+  let reachable =
+    Digraph.reach (Checker.successors lab.graph) ~seeds:faulty
+      ~within:(fun c -> not lab.legitimate.(c))
+  in
   (* Treating everything outside the closure as already recovered
      restricts the longest-path computation to exactly the sub-system
      the faulty set can see; [None] means some execution from a faulty

@@ -6,6 +6,7 @@ let () =
       ("rng", Test_rng.suite);
       ("graph", Test_graph.suite);
       ("bitset", Test_bitset.suite);
+      ("digraph", Test_digraph.suite);
       ("matrix", Test_matrix.suite);
       ("stats", Test_stats.suite);
       ("encoding", Test_encoding.suite);

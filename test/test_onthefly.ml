@@ -42,6 +42,24 @@ let test_budget_yields_unknown () =
   Alcotest.(check bool) "unknown" true (verdict = Onthefly.Unknown);
   Alcotest.(check bool) "incomplete" false stats.Onthefly.complete
 
+let test_inits_count_against_budget () =
+  (* Three distinct initial configurations and a budget of two: the
+     inits alone exhaust it, so nothing is expanded. *)
+  let n = 6 in
+  let space = Statespace.build (Stabalgo.Token_ring.make ~n) in
+  let spec = Stabalgo.Token_ring.spec ~n in
+  let tokens at = Stabalgo.Token_ring.config_with_tokens_at ~n at in
+  let inits = [ tokens [ 0; 3 ]; tokens [ 0; 3 ]; tokens [ 1; 4 ]; tokens [ 2; 5 ] ] in
+  let verdict, stats = possible_from ~max_states:2 space Statespace.Distributed spec ~inits in
+  Alcotest.(check bool) "unknown" true (verdict = Onthefly.Unknown);
+  Alcotest.(check bool) "incomplete" false stats.Onthefly.complete;
+  Alcotest.(check int) "explored the budget" 2 stats.Onthefly.explored;
+  Alcotest.(check int) "no row expanded" 0 stats.Onthefly.edges;
+  (* A repeated init is one configuration: three distinct inits fit a
+     budget of three. *)
+  let _, stats = possible_from ~max_states:3 space Statespace.Distributed spec ~inits in
+  Alcotest.(check bool) "three fit" true (stats.Onthefly.explored >= 3)
+
 let test_matches_full_checker_token_ring () =
   (* Possible convergence from ALL configurations must agree with the
      global checker when the initial set is the full space. *)
@@ -170,6 +188,7 @@ let suite =
   [
     Alcotest.test_case "legitimate orbit size" `Quick test_legitimate_orbit_size;
     Alcotest.test_case "budget yields unknown" `Quick test_budget_yields_unknown;
+    Alcotest.test_case "inits count against budget" `Quick test_inits_count_against_budget;
     Alcotest.test_case "matches full checker" `Quick test_matches_full_checker_token_ring;
     Alcotest.test_case "certain on orbit" `Quick test_certain_from_legitimate_orbit;
     Alcotest.test_case "large token instance" `Quick test_large_instance_two_tokens;
