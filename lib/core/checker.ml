@@ -471,51 +471,54 @@ let firing_in g in_scc members =
     members;
   seen
 
-let membership n members =
-  let mask = Bitset.create n in
+(* Runs [f] on the membership test of [members], backed by a pass's
+   one scratch [mask]: the members are set, tested, then cleared, so a
+   pass over many components allocates one n-bit mask in all and pays
+   per component only for its members. *)
+let with_members mask members f =
   Array.iter (Bitset.set mask) members;
-  mask
+  let r = f (Bitset.mem mask) in
+  Array.iter (Bitset.clear mask) members;
+  r
 
 (* Streett refinement for strong fairness: an SCC is accepting if every
    process enabled somewhere inside also fires inside; otherwise prune
    the states where the never-firing processes are enabled and
    recurse. The top-level SCC decomposition is taken as an argument so
    [analyze] can share it with the weak-fairness check. *)
-let rec strongly_fair_from g components =
-  let n = g.fwd.n in
-  let try_component members =
-    let mask = membership n members in
-    let in_scc c = Bitset.mem mask c in
-    if not (has_internal_edge g in_scc members) then None
-    else begin
-      let enabled = enabled_in g members in
-      let firing = firing_in g in_scc members in
-      let bad =
-        Hashtbl.fold
-          (fun p () acc -> if Hashtbl.mem firing p then acc else p :: acc)
-          enabled []
+let strongly_fair_from g components =
+  let mask = Bitset.create g.fwd.n in
+  let rec refine components =
+    List.fold_left
+      (fun acc members -> match acc with Some _ -> acc | None -> try_component members)
+      None components
+  and try_component members =
+    let never_firing =
+      with_members mask members (fun in_scc ->
+          if not (has_internal_edge g in_scc members) then None
+          else begin
+            let enabled = enabled_in g members in
+            let firing = firing_in g in_scc members in
+            Some
+              (Hashtbl.fold
+                 (fun p () acc -> if Hashtbl.mem firing p then acc else p :: acc)
+                 enabled [])
+          end)
+    in
+    match never_firing with
+    | None -> None
+    | Some [] -> Some (Array.to_list members)
+    | Some bad ->
+      (* Remove states where a never-firing process is enabled. *)
+      let enables_bad c =
+        let here = graph_enabled g c in
+        List.exists (fun p -> List.mem p here) bad
       in
-      match bad with
-      | [] -> Some (Array.to_list members)
-      | _ ->
-        (* Remove states where a never-firing process is enabled. *)
-        let alive' = Bitset.create n in
-        let kept = ref 0 in
-        Array.iter
-          (fun c ->
-            let here = graph_enabled g c in
-            if not (List.exists (fun p -> List.mem p here) bad) then begin
-              Bitset.set alive' c;
-              incr kept
-            end)
-          members;
-        if !kept = 0 then None
-        else strongly_fair_from g (sccs ~keep:(Bitset.mem alive') g)
-    end
+      let kept = Array.of_seq (Seq.filter (Fun.negate enables_bad) (Array.to_seq members)) in
+      if kept = [||] then None
+      else refine (with_members mask kept (fun keep -> sccs ~keep g))
   in
-  List.fold_left
-    (fun acc members -> match acc with Some _ -> acc | None -> try_component members)
-    None components
+  refine components
 
 let sccs_outside g legitimate = sccs ~keep:(fun c -> not legitimate.(c)) g
 
@@ -551,10 +554,9 @@ let strongly_fair_divergence space g ~legitimate =
 (* Weak fairness needs no refinement: acceptance is monotone in the
    component (see the design notes) — check maximal SCCs only. *)
 let weakly_fair_from g components =
-  let n = g.fwd.n in
+  let mask = Bitset.create g.fwd.n in
   let accepting members =
-    let mask = membership n members in
-    let in_scc c = Bitset.mem mask c in
+    with_members mask members @@ fun in_scc ->
     if not (has_internal_edge g in_scc members) then false
     else begin
       let firing = firing_in g in_scc members in
@@ -667,11 +669,11 @@ let pseudo_stabilizing _space g ~legitimate =
   match terminals_of g ~legitimate with
   | c :: _ -> Error (Dead_end c)
   | [] ->
+    let mask = Bitset.create g.fwd.n in
     let offending =
       List.find_opt
         (fun members ->
-          let mask = membership g.fwd.n members in
-          has_internal_edge g (fun c -> Bitset.mem mask c) members
+          with_members mask members (fun in_scc -> has_internal_edge g in_scc members)
           && Array.exists (fun c -> not legitimate.(c)) members)
         (sccs g)
     in
@@ -746,43 +748,13 @@ let k_stabilizing space g ~legitimate ~k =
 
 let best_case_steps _space g ~legitimate = Digraph.distances (reverse g) ~seeds:legitimate
 
-let worst_case_steps space g ~legitimate =
-  match certain_convergence space g ~legitimate with
-  | Error (Cycle _ | Dead_end _) -> None
-  | Ok () ->
-    (* The C \ L subgraph is a DAG: longest-path DP in reverse
-       topological order (iterative Kahn peeling, so deep spaces cannot
-       blow the OCaml stack). A successor inside L ends the escape in
-       one step; a successor outside contributes 1 + its own value. *)
-    let n = g.fwd.n in
-    let value = Array.make n 0 in
-    let pending = Array.make n 0 in
-    let preds = Array.make n [] in
-    for c = 0 to n - 1 do
-      if not legitimate.(c) then
-        for i = succ_lo g c to succ_hi g c - 1 do
-          let c' = g.fwd.dst.(i) in
-          if legitimate.(c') then value.(c) <- max value.(c) 1
-          else begin
-            pending.(c) <- pending.(c) + 1;
-            preds.(c') <- c :: preds.(c')
-          end
-        done
-    done;
-    let queue = Queue.create () in
-    for c = 0 to n - 1 do
-      if (not legitimate.(c)) && pending.(c) = 0 then Queue.add c queue
-    done;
-    while not (Queue.is_empty queue) do
-      let c = Queue.pop queue in
-      List.iter
-        (fun p ->
-          value.(p) <- max value.(p) (1 + value.(c));
-          pending.(p) <- pending.(p) - 1;
-          if pending.(p) = 0 then Queue.add p queue)
-        preds.(c)
-    done;
-    Some value
+(* Certain convergence is "no terminal outside L, and C \ L acyclic";
+   the kernel's outside-set DFS checks the second half and yields the
+   longest escape from every configuration in the same pass. *)
+let worst_case_steps _space g ~legitimate =
+  match terminals_of g ~legitimate with
+  | _ :: _ -> None
+  | [] -> Result.to_option (Digraph.heights_outside g.fwd ~inside:legitimate)
 
 let convergence_radius_histogram space g ~legitimate =
   let dist = best_case_steps space g ~legitimate in

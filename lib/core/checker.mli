@@ -207,7 +207,10 @@ val worst_case_steps : 'a Statespace.t -> graph -> legitimate:bool array -> int 
     — finite only when the system certainly converges (the [C \ L]
     subgraph is a DAG with no terminal configuration); [None]
     otherwise. For a self-stabilizing protocol this is its exact
-    stabilization time under the worst daemon of the class. *)
+    stabilization time under the worst daemon of the class. One scan
+    for terminals and one depth-first search ({!Digraph.heights_outside})
+    decide certain convergence and fill the values together, in O(n)
+    ints of scratch beyond the graph. *)
 
 val convergence_radius_histogram :
   'a Statespace.t -> graph -> legitimate:bool array -> (int * int) list

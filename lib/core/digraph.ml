@@ -50,51 +50,64 @@ let distances ?(within = fun _ -> true) g ~seeds =
 let reach ?within g ~seeds = Array.map (fun d -> d <> max_int) (distances ?within g ~seeds)
 
 (* Iterative depth-first search: frame [k] of the current path is node
-   [path.(k)] with its next successor at [cursor.(k)]. color: 0
-   unvisited, 1 on the current path, 2 finished. *)
-let cycle_outside g ~inside =
-  let color = Array.make g.n 0 in
+   [path.(k)] with its next successor at [cursor.(k)]. [mark.(v)] is 0
+   while [v] is unvisited and 1 + its height once it is finished, which
+   is what an edge into [v] adds to its source's height; an inside node
+   starts at 1, as if finished at height 0. So each edge reads one
+   mark, as a plain cycle search would. On the path a mark is negative:
+   minus what the successors scanned so far give the node (at least 1),
+   and finishing flips its sign. *)
+let heights_outside g ~inside =
+  let mark = Array.init g.n (fun v -> if inside.(v) then 1 else 0) in
   let path = Array.make g.n 0 and cursor = Array.make g.n 0 in
   let depth = ref 0 in
   let enter v =
-    color.(v) <- 1;
+    mark.(v) <- -1;
     path.(!depth) <- v;
     cursor.(!depth) <- g.off.(v);
     incr depth
   in
+  (* [u] is on the path: a successor marked [m] makes its mark >= 1 + m. *)
+  let raise_to u m = if m + 1 > -mark.(u) then mark.(u) <- -(m + 1) in
   let exception Cycle of int list in
   try
     for start = 0 to g.n - 1 do
-      if (not inside.(start)) && color.(start) = 0 then begin
+      if mark.(start) = 0 then begin
         enter start;
         while !depth > 0 do
           let top = !depth - 1 in
           let u = path.(top) and i = cursor.(top) in
           if i = g.off.(u + 1) then begin
-            color.(u) <- 2;
-            depth := top
+            mark.(u) <- -mark.(u);
+            depth := top;
+            if top > 0 then raise_to path.(top - 1) mark.(u)
           end
           else begin
             cursor.(top) <- i + 1;
             let v = g.dst.(i) in
-            if not inside.(v) then
-              if color.(v) = 1 then begin
-                (* Back edge u -> v: the path from v to u closes it. *)
-                let rec collect k acc =
-                  if path.(k) = v then v :: acc else collect (k - 1) (path.(k) :: acc)
-                in
-                raise_notrace (Cycle (collect top []))
-              end
-              else if color.(v) = 0 then enter v
+            let m = mark.(v) in
+            if m < 0 then begin
+              (* Back edge u -> v: the path from v to u closes it. *)
+              let rec collect k acc =
+                if path.(k) = v then v :: acc else collect (k - 1) (path.(k) :: acc)
+              in
+              raise_notrace (Cycle (collect top []))
+            end
+            else if m = 0 then enter v
+            else raise_to u m
           end
         done
       end
     done;
-    None
-  with Cycle cycle -> Some cycle
+    Array.map_inplace (fun m -> m - 1) mark;
+    Ok mark
+  with Cycle cycle -> Error cycle
+
+let cycle_outside g ~inside =
+  match heights_outside g ~inside with Ok _ -> None | Error cycle -> Some cycle
 
 (* Iterative Tarjan with the DFS frames in [work]/[cursor] as in
-   [cycle_outside]. A completed component gets the next id in [comp];
+   [heights_outside]. A completed component gets the next id in [comp];
    members are bucketed by id at the end, which lists them ascending. *)
 let sccs ?(keep = fun _ -> true) g =
   let n = g.n in

@@ -37,12 +37,22 @@ val distances : ?within:(int -> bool) -> t -> seeds:bool array -> int array
 val reach : ?within:(int -> bool) -> t -> seeds:bool array -> bool array
 (** The nodes {!distances} reaches. *)
 
+val heights_outside : t -> inside:bool array -> (int array, int list) result
+(** The longest-path heights of the subgraph outside [inside], or a
+    cycle through outside nodes only if it has one. The height of a
+    node in [inside], and of an outside node with no successor, is 0;
+    any other outside node's height is the maximum over its successors
+    of 1 if the successor is in [inside], else 1 + the successor's
+    height. One depth-first search from each unvisited outside node in
+    ascending order fills each height as its node finishes; the first
+    back edge [u -> v] found instead returns [Error] with the cycle it
+    closes, listed along its edges from [v] to [u]: the head is the
+    back-edge target. *)
+
 val cycle_outside : t -> inside:bool array -> int list option
 (** A cycle through nodes outside [inside] only, or [None] if the
-    subgraph they induce is acyclic. Depth-first search from each
-    unvisited outside node in ascending order; the first back edge
-    [u -> v] found closes the returned cycle, listed along its edges
-    from [v] to [u]: the head is the back-edge target. *)
+    subgraph they induce is acyclic: {!heights_outside} with the
+    heights dropped, so the cycle is the one it returns. *)
 
 val sccs : ?keep:(int -> bool) -> t -> int array list
 (** Tarjan's strongly connected components of the subgraph induced by

@@ -61,6 +61,9 @@ golden faults-onthefly-complete cat faults -p token-ring -t ring:6 --class centr
   --runs 30 --horizon 300 --max-configs 3000
 golden faults-sampled cat faults -p token-ring -t ring:20 --class central --runs 20 \
   --horizon 300 -k 1
+# Self-stabilizing, so the exact arm prints a finite worst case per k.
+golden faults-exact-selfstab cat faults -p dijkstra-3state -t ring:6 --runs 20 \
+  --horizon 200 -k 1,2,3
 golden montecarlo cat montecarlo -p token-ring -t ring:5 --runs 200
 golden profile answers profile token-ring --n 5 --runs 100
 exit $failed

@@ -110,22 +110,44 @@ let qcheck_forward_closure =
       && Digraph.reach ~within (csr c) ~seeds:c.mark
          = Array.map (fun d -> d <> max_int) expected)
 
+(* Longest-path value iteration outside [mark], on an acyclic outside
+   subgraph: 0 inside and at a node without successors, else the
+   maximum over the successors of 1 (inside) or 1 + its value. *)
+let naive_heights c =
+  let h = Array.make (nodes c) 0 in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun (u, v) ->
+        let via = if c.mark.(v) then 1 else 1 + h.(v) in
+        if (not c.mark.(u)) && via > h.(u) then begin
+          h.(u) <- via;
+          changed := true
+        end)
+      (edges c)
+  done;
+  h
+
 let qcheck_cycle_outside =
-  QCheck.Test.make ~count:500 ~name:"cycle outside a set exists iff the fixpoint finds one"
-    arb (fun c ->
+  QCheck.Test.make ~count:500
+    ~name:"cycle outside a set exists iff the fixpoint finds one, else heights match" arb
+    (fun c ->
       let n = nodes c in
       let outside v = not c.mark.(v) in
       let paths = naive_paths c outside in
       let exists = List.exists (fun v -> paths.(v).(v)) (List.init n Fun.id) in
-      match Digraph.cycle_outside (csr c) ~inside:c.mark with
-      | None -> not exists
-      | Some cycle ->
-        let arr = Array.of_list cycle in
+      let heights = Digraph.heights_outside (csr c) ~inside:c.mark in
+      let cycle = Digraph.cycle_outside (csr c) ~inside:c.mark in
+      match heights with
+      | Ok h -> (not exists) && cycle = None && h = naive_heights c
+      | Error cycle' ->
+        let arr = Array.of_list cycle' in
         let len = Array.length arr in
         let is_edge u v = List.mem v c.adj.(u) in
-        exists && len > 0
-        && List.for_all outside cycle
-        && List.length (List.sort_uniq compare cycle) = len
+        exists && cycle = Some cycle' && len > 0
+        && List.for_all outside cycle'
+        && List.length (List.sort_uniq compare cycle') = len
         && List.for_all
              (fun k -> is_edge arr.(k) arr.((k + 1) mod len))
              (List.init len Fun.id))

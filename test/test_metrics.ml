@@ -152,7 +152,11 @@ let test_best_case_unreachable_marked () =
   let dist = Checker.best_case_steps space g ~legitimate in
   Alcotest.(check int) "unreachable is max_int" max_int dist.(0);
   let histogram = Checker.convergence_radius_histogram space g ~legitimate in
-  Alcotest.(check (list (pair int int))) "histogram buckets" [ (-1, 1); (0, 1) ] histogram
+  Alcotest.(check (list (pair int int))) "histogram buckets" [ (-1, 1); (0, 1) ] histogram;
+  (* The outside-set DFS alone gives the dead end a finite height of 0;
+     only the terminal check rules the worst case out. *)
+  Alcotest.(check bool) "dead end has no worst case" true
+    (Checker.worst_case_steps space g ~legitimate = None)
 
 let test_radius_histogram_sums_to_count () =
   let n = 4 in
