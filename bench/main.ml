@@ -75,8 +75,7 @@ let faults_campaign () =
   let availability =
     Stabcore.Faults.availability_profile ~runs:500 ~horizon:2000
       (Stabrng.Rng.create 42) p
-      (Stabcore.Scheduler.central_random ())
-      spec ~plan
+      Stabcore.Scheduler.central_random spec ~plan
       ~init:(Stabalgo.Token_ring.legitimate_config ~n)
   in
   (metrics, availability)
@@ -448,8 +447,7 @@ let capture_profile () =
       ignore
         (Stabcore.Montecarlo.estimate ~runs:200 ~max_steps:1_000_000
            (Stabrng.Rng.create 42) p
-           (Stabcore.Scheduler.distributed_random ())
-           spec));
+           Stabcore.Scheduler.distributed_random spec));
   let phases =
     List.map
       (fun (r : Obs.Profile.row) ->

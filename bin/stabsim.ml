@@ -304,12 +304,12 @@ let scheduler_arg =
 let scheduler_label kind =
   fst (List.find (fun (_, k) -> k = kind) scheduler_names)
 
-let instantiate_scheduler : type a. _ -> a Stabcore.Scheduler.t = function
-  | `Central_random -> Stabcore.Scheduler.central_random ()
-  | `Distributed_random -> Stabcore.Scheduler.distributed_random ()
-  | `Synchronous -> Stabcore.Scheduler.synchronous ()
-  | `Central_first -> Stabcore.Scheduler.central_first ()
-  | `Round_robin -> Stabcore.Scheduler.round_robin ()
+let instantiate_scheduler : type a. _ -> unit -> a Stabcore.Scheduler.t = function
+  | `Central_random -> Stabcore.Scheduler.central_random
+  | `Distributed_random -> Stabcore.Scheduler.distributed_random
+  | `Synchronous -> Stabcore.Scheduler.synchronous
+  | `Central_first -> Stabcore.Scheduler.central_first
+  | `Round_robin -> Stabcore.Scheduler.round_robin
 
 let sched_class_arg =
   let doc = "Scheduler class for exhaustive checking: central, distributed, synchronous." in
@@ -330,14 +330,16 @@ let quick_arg =
   Arg.(value & opt bool true & info [ "quick" ] ~docv:"BOOL" ~doc)
 
 (* Hitting-time solver selection, shared by `markov` and
-   `experiments`. [None] keeps the library's size-based default (dense
-   below 1200 transient states, sparse Gauss-Seidel above). *)
+   `experiments`. [None] keeps the library's size-based default,
+   [Markov.default_method]. *)
 let solver_term =
   let solver_arg =
     let doc =
-      "Hitting-time solver: auto (dense below 1200 transient states, sparse above), \
-       exact (dense Gaussian elimination), gs (BSCC-blocked sparse Gauss-Seidel), \
-       jacobi (BSCC-blocked sparse Jacobi)."
+      Printf.sprintf
+        "Hitting-time solver: auto (dense up to %d transient states, sparse Gauss-Seidel \
+         above), exact (dense Gaussian elimination), gs (BSCC-blocked sparse \
+         Gauss-Seidel), jacobi (BSCC-blocked sparse Jacobi)."
+        Stabcore.Markov.dense_limit
     in
     Arg.(
       value
@@ -426,7 +428,7 @@ let trace_cmd =
     wrap (fun () ->
         let (Stabexp.Registry.Entry e) = resolve ~protocol ~topology ~transformed ~file in
         let rng = Stabrng.Rng.create seed in
-        let sched = instantiate_scheduler scheduler in
+        let sched = instantiate_scheduler scheduler () in
         let sched =
           if crash = [] then sched
           else Stabcore.Scheduler.crash ~wake_p ~failed:crash sched
@@ -778,7 +780,7 @@ let faults_cmd =
         in
         let montecarlo_block start =
           Format.printf "sampled recovery from a stabilized start, %s daemon:@."
-            sched.Stabcore.Scheduler.name;
+            (sched ()).Stabcore.Scheduler.name;
           List.iter
             (fun k ->
               let profile =

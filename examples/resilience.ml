@@ -42,7 +42,7 @@ let () =
     (fun faults ->
       let profile =
         Faults.recovery_profile ~runs:500 ~max_steps:100_000 rng protocol
-          (Scheduler.central_random ()) spec ~from:legitimate ~faults
+          Scheduler.central_random spec ~from:legitimate ~faults
       in
       Format.printf "k = %d: %a@." faults Montecarlo.pp_result profile)
     [ 1; 2; 3; 5 ];
@@ -56,7 +56,7 @@ let () =
     (fun (label, plan) ->
       let s =
         Faults.availability_profile ~runs:200 ~horizon:2000 rng protocol
-          (Scheduler.central_random ()) spec ~plan ~init:legitimate
+          Scheduler.central_random spec ~plan ~init:legitimate
       in
       Format.printf "%-28s mean %.4f  [%.4f, %.4f]@." label
         s.Stabstats.Stats.mean s.Stabstats.Stats.ci95_low s.Stabstats.Stats.ci95_high)

@@ -82,7 +82,7 @@ let () =
       times.(code)
   | Error _ -> Format.printf "unexpected: no probability-1 convergence@.");
   let mc =
-    Montecarlo.estimate_from ~runs:2000 ~max_steps:100_000 (Stabrng.Rng.create 9) protocol
-      (Scheduler.distributed_random ()) spec ~init
+    Montecarlo.estimate ~init:(fun _ -> init) ~runs:2000 ~max_steps:100_000
+      (Stabrng.Rng.create 9) protocol Scheduler.distributed_random spec
   in
   Format.printf "Monte-Carlo estimate over 2000 runs: %a@." Montecarlo.pp_result mc

@@ -83,8 +83,8 @@ let () =
 
   (* Cross-validate one point by simulation. *)
   let mc =
-    Montecarlo.estimate_from ~runs:5000 ~max_steps:10_000 (Stabrng.Rng.create 11)
-      transformed (Scheduler.synchronous ()) tspec ~init
+    Montecarlo.estimate ~init:(fun _ -> init) ~runs:5000 ~max_steps:10_000
+      (Stabrng.Rng.create 11) transformed Scheduler.synchronous tspec
   in
   Format.printf "@.Monte-Carlo for bias 0.5 from (false,false): %a@." Montecarlo.pp_result
     mc

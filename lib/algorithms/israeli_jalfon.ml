@@ -70,23 +70,22 @@ let legitimate ~n = Array.init (1 lsl n) (fun mask -> popcount mask = 1)
 let sample_convergence ~runs ~max_steps rng ~n ~init_tokens =
   if init_tokens = [] then invalid_arg "Israeli_jalfon.sample_convergence: no tokens";
   let init_mask = List.fold_left (fun acc p -> acc lor (1 lsl (p mod n))) 0 init_tokens in
-  let times = ref [] in
-  let timeouts = ref 0 in
-  for _ = 1 to runs do
-    let stream = Stabrng.Rng.split rng in
-    let rec go mask steps =
-      if popcount mask = 1 then times := steps :: !times
-      else if steps >= max_steps then incr timeouts
-      else begin
-        let tokens = Array.of_list (token_positions ~n mask) in
-        let p = Stabrng.Rng.choice stream tokens in
-        let right = Stabrng.Rng.bool stream in
-        go (move ~n mask p ~right) (steps + 1)
-      end
-    in
-    go init_mask 0
-  done;
-  let times = Array.of_list (List.rev !times) in
+  let out =
+    Stabcore.Montecarlo.sample ~runs rng (fun stream ->
+        let rec go mask steps =
+          if popcount mask = 1 then Some steps
+          else if steps >= max_steps then None
+          else begin
+            let tokens = Array.of_list (token_positions ~n mask) in
+            let p = Stabrng.Rng.choice stream tokens in
+            let right = Stabrng.Rng.bool stream in
+            go (move ~n mask p ~right) (steps + 1)
+          end
+        in
+        go init_mask 0)
+  in
+  let times = Array.of_list (List.filter_map Fun.id (Array.to_list out)) in
   (* In the token-level abstraction each step activates one token, so
      steps and rounds coincide. *)
-  Stabcore.Montecarlo.of_samples ~times ~rounds:(Array.copy times) ~timeouts:!timeouts
+  Stabcore.Montecarlo.of_samples ~times ~rounds:(Array.copy times)
+    ~timeouts:(runs - Array.length times)

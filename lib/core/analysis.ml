@@ -16,10 +16,10 @@ let randomization = function
   | Statespace.Distributed -> Markov.Distributed_uniform
   | Statespace.Synchronous -> Markov.Sync
 
-let scheduler : type a. Statespace.sched_class -> a Scheduler.t = function
-  | Statespace.Central -> Scheduler.central_random ()
-  | Statespace.Distributed -> Scheduler.distributed_random ()
-  | Statespace.Synchronous -> Scheduler.synchronous ()
+let scheduler : type a. Statespace.sched_class -> unit -> a Scheduler.t = function
+  | Statespace.Central -> Scheduler.central_random
+  | Statespace.Distributed -> Scheduler.distributed_random
+  | Statespace.Synchronous -> Scheduler.synchronous
 
 type 'a instance = {
   protocol : 'a Protocol.t;

@@ -28,8 +28,9 @@ val ladder : question -> rung list
 val randomization : Statespace.sched_class -> Markov.randomization
 (** The uniform randomized daemon of a class (Definition 6). *)
 
-val scheduler : Statespace.sched_class -> 'a Scheduler.t
-(** The same daemon as a simulation scheduler. *)
+val scheduler : Statespace.sched_class -> unit -> 'a Scheduler.t
+(** The same daemon's simulation scheduler constructor, ready for
+    {!Montecarlo.estimate}. *)
 
 type 'a instance
 (** A protocol and its specification. The full space is built on first

@@ -18,7 +18,7 @@
     {b Domains.} The current token is per-domain state ([Domain.DLS]).
     Library code that shards work across [Domain.spawn] re-installs the
     parent's token inside each worker (see {!Checker.expand} and
-    {!Montecarlo.estimate_parallel}), so a timeout covers the whole
+    {!Montecarlo.sample}), so a timeout covers the whole
     domain tree of one analysis. Raising the flag is an atomic store
     and is safe from any domain — including a signal handler. *)
 

@@ -19,36 +19,6 @@ let corrupt rng (p : 'a Protocol.t) cfg ~faults =
   done;
   out
 
-type recovery = {
-  faults : int;
-  steps : int option;
-  rounds : int option;
-}
-
-let recovery_time ~max_steps rng protocol scheduler spec ~from ~faults =
-  let corrupted = corrupt rng protocol from ~faults in
-  match Engine.convergence_cost ~max_steps rng protocol scheduler spec ~init:corrupted with
-  | Some (steps, rounds) -> { faults; steps = Some steps; rounds = Some rounds }
-  | None -> { faults; steps = None; rounds = None }
-
-let recovery_profile ~runs ~max_steps rng protocol scheduler spec ~from ~faults =
-  Stabobs.Obs.span "faults.recovery_profile" @@ fun () ->
-  let times = ref [] in
-  let rounds = ref [] in
-  let timeouts = ref 0 in
-  for _ = 1 to runs do
-    let stream = Stabrng.Rng.split rng in
-    match recovery_time ~max_steps stream protocol scheduler spec ~from ~faults with
-    | { steps = Some s; rounds = Some r; _ } ->
-      times := s :: !times;
-      rounds := r :: !rounds
-    | _ -> incr timeouts
-  done;
-  Montecarlo.of_samples
-    ~times:(Array.of_list (List.rev !times))
-    ~rounds:(Array.of_list (List.rev !rounds))
-    ~timeouts:!timeouts
-
 (* --- fault plans: injection schedules applied mid-run --- *)
 
 type 'a plan = {
@@ -155,31 +125,13 @@ let adversarial space g spec ~gap ~faults =
         if step > 0 && step mod gap = 0 then inject_once cfg else None);
   }
 
-(* --- recovery and availability under a recurrent-fault plan --- *)
+(* --- recovery and availability, optionally under a recurrent-fault plan --- *)
 
-let recovery_profile_under_plan ~runs ~max_steps rng protocol scheduler spec ~plan ~from
-    ~faults =
-  Stabobs.Obs.span "faults.recovery_profile_under_plan" @@ fun () ->
-  let times = ref [] in
-  let rounds = ref [] in
-  let timeouts = ref 0 in
-  for _ = 1 to runs do
-    let stream = Stabrng.Rng.split rng in
-    let corrupted = corrupt stream protocol from ~faults in
-    let inject = arm plan stream in
-    match
-      Engine.convergence_cost ~inject ~max_steps stream protocol scheduler spec
-        ~init:corrupted
-    with
-    | Some (s, r) ->
-      times := s :: !times;
-      rounds := r :: !rounds
-    | None -> incr timeouts
-  done;
-  Montecarlo.of_samples
-    ~times:(Array.of_list (List.rev !times))
-    ~rounds:(Array.of_list (List.rev !rounds))
-    ~timeouts:!timeouts
+let recovery_profile ?plan ~runs ~max_steps rng protocol scheduler spec ~from ~faults =
+  Stabobs.Obs.span "faults.recovery_profile" @@ fun () ->
+  Montecarlo.estimate ?inject:(Option.map arm plan)
+    ~init:(fun stream -> corrupt stream protocol from ~faults)
+    ~runs ~max_steps rng protocol scheduler spec
 
 type availability = {
   observed : int;
@@ -228,12 +180,9 @@ let availability ~horizon rng protocol scheduler spec ~plan ~init =
 let availability_profile ~runs ~horizon rng protocol scheduler spec ~plan ~init =
   if runs <= 0 then invalid_arg "Faults.availability_profile: runs must be positive";
   Stabobs.Obs.span "faults.availability_profile" @@ fun () ->
-  let samples =
-    Array.init runs (fun _ ->
-        let stream = Stabrng.Rng.split rng in
-        (availability ~horizon stream protocol scheduler spec ~plan ~init).availability)
-  in
-  Stabstats.Stats.summarize samples
+  Montecarlo.sample ~runs rng (fun stream ->
+      (availability ~horizon stream protocol (scheduler ()) spec ~plan ~init).availability)
+  |> Stabstats.Stats.summarize
 
 (* --- crash faults, protocol view --- *)
 

@@ -24,37 +24,6 @@ val corrupt :
     whose domain is a singleton cannot be corrupted and is skipped).
     The input is not modified. *)
 
-type recovery = {
-  faults : int;
-  steps : int option;  (** steps to re-reach [L]; [None] on timeout *)
-  rounds : int option;
-}
-
-val recovery_time :
-  max_steps:int ->
-  Stabrng.Rng.t ->
-  'a Protocol.t ->
-  'a Scheduler.t ->
-  'a Spec.t ->
-  from:'a array ->
-  faults:int ->
-  recovery
-(** Corrupt [from] (assumed legitimate) with [faults] faults, then run
-    until the legitimate set is re-reached. *)
-
-val recovery_profile :
-  runs:int ->
-  max_steps:int ->
-  Stabrng.Rng.t ->
-  'a Protocol.t ->
-  'a Scheduler.t ->
-  'a Spec.t ->
-  from:'a array ->
-  faults:int ->
-  Montecarlo.result
-(** Repeat {!recovery_time} with independent corruption draws and
-    scheduler randomness. *)
-
 (** {1 Fault plans: in-run injection schedules}
 
     A plan decides, at every engine iteration, whether to corrupt the
@@ -98,20 +67,26 @@ val adversarial :
     convergence radius it can reach within its fault budget. Injections
     that cannot increase the distance are skipped. Deterministic. *)
 
-val recovery_profile_under_plan :
+(** {1 Recovery and availability} *)
+
+val recovery_profile :
+  ?plan:'a plan ->
   runs:int ->
   max_steps:int ->
   Stabrng.Rng.t ->
   'a Protocol.t ->
-  'a Scheduler.t ->
+  (unit -> 'a Scheduler.t) ->
   'a Spec.t ->
-  plan:'a plan ->
   from:'a array ->
   faults:int ->
   Montecarlo.result
-(** Like {!recovery_profile}, but the plan keeps injecting while the
-    system tries to recover from the initial corruption: time to first
-    re-entry of [L] under recurrent faults. *)
+(** [recovery_profile ~runs ~max_steps rng p scheduler spec ~from
+    ~faults] is {!Montecarlo.estimate} from [from] (assumed legitimate)
+    corrupted by [faults] faults, a fresh corruption drawn from each
+    run's own stream: the time to re-reach [L], over independent
+    corruption draws and scheduler randomness. With [plan], the plan
+    keeps injecting while the system recovers (armed per run with
+    {!arm}): time to first re-entry of [L] under recurrent faults. *)
 
 type availability = {
   observed : int;  (** configurations observed (one per engine iteration) *)
@@ -140,12 +115,14 @@ val availability_profile :
   horizon:int ->
   Stabrng.Rng.t ->
   'a Protocol.t ->
-  'a Scheduler.t ->
+  (unit -> 'a Scheduler.t) ->
   'a Spec.t ->
   plan:'a plan ->
   init:'a array ->
   Stabstats.Stats.summary
-(** Availability over [runs] independent runs (split streams). *)
+(** {!availability} over [runs] independent runs, each with its own
+    stream and daemon ([scheduler ()]), sampled through
+    {!Montecarlo.sample}: the same summary at every pool width. *)
 
 (** {1 Crash faults} *)
 

@@ -400,6 +400,12 @@ let exact_hitting chain ~legitimate ~transient =
     transient;
   Stablinalg.Matrix.solve a (Array.make t_count 1.0)
 
+let dense_limit = 1200
+
+let default_method ~transient =
+  if transient <= dense_limit then Exact
+  else Sparse { kind = Gauss_seidel; tolerance = 1e-10; max_sweeps = 1_000_000 }
+
 let hitting_times_checked ?method_ chain ~legitimate =
   (match converges_with_prob_one chain ~legitimate with
   | Ok () -> ()
@@ -416,9 +422,7 @@ let hitting_times_checked ?method_ chain ~legitimate =
     let method_ =
       match method_ with
       | Some m -> m
-      | None ->
-        if Array.length transient <= 1200 then Exact
-        else Sparse { kind = Gauss_seidel; tolerance = 1e-10; max_sweeps = 1_000_000 }
+      | None -> default_method ~transient:(Array.length transient)
     in
     match method_ with
     | Exact ->

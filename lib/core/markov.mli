@@ -79,6 +79,16 @@ type hitting_method =
           [||x_{k+1} - x_k||_inf / max(1, ||x||_inf) <= tolerance],
           [max_sweeps] per block *)
 
+val dense_limit : int
+(** Transient-state count up to which {!default_method} solves densely
+    (1200). *)
+
+val default_method : transient:int -> hitting_method
+(** The solver the hitting-time entry points use when no [method_] is
+    given, by transient-state count: [Exact] up to {!dense_limit},
+    otherwise sparse Gauss-Seidel at tolerance [1e-10] with [1_000_000]
+    sweeps per block. *)
+
 type solve_stats = {
   sweeps : int;  (** iterative sweeps over every multi-state block *)
   residual : float;  (** worst final relative residual over blocks *)
@@ -146,8 +156,7 @@ val expected_hitting_times :
   ?method_:hitting_method -> t -> legitimate:bool array -> float array
 (** Expected number of steps to reach [L], per starting state (0 inside
     [L]). Requires probability-1 convergence; raises [Invalid_argument]
-    otherwise. Default method: [Exact] below 1200 transient states,
-    sparse Gauss-Seidel with tolerance 1e-10 above. A sparse solve that
+    otherwise. Default method: {!default_method}. A sparse solve that
     exhausts its sweep budget raises [Failure] naming
     [Markov.sparse_hitting_times] with the sweep count and final
     relative residual. *)

@@ -18,92 +18,43 @@ let of_samples ~times ~rounds ~timeouts =
     rounds_summary = summarize rounds;
   }
 
-let collect ~runs ~sample =
-  let times = ref [] in
-  let rounds = ref [] in
-  let timeouts = ref 0 in
-  for _ = 1 to runs do
-    Cancel.poll ();
-    Stabobs.Obs.Counter.incr Stabobs.Obs.montecarlo_runs;
-    match sample () with
-    | Some (steps, rnds) ->
-      times := steps :: !times;
-      rounds := rnds :: !rounds
-    | None -> incr timeouts
-  done;
-  of_samples
-    ~times:(Array.of_list (List.rev !times))
-    ~rounds:(Array.of_list (List.rev !rounds))
-    ~timeouts:!timeouts
+let runs_grain = Pool.Grain.site "montecarlo.runs"
+
+(* One stream per run is split off [rng] in run order BEFORE anything
+   is scheduled, so run [r]'s outcome is a pure function of its stream
+   and the sample is the same at every pool width. Each run draws from
+   a fresh copy: the pre-split stream has aged into the major heap by
+   the time its run starts, and every draw would promote boxed state
+   into it. The pool propagates the caller's cancellation token into
+   every chunk and joins all of them even when one raises. *)
+let sample ~runs rng f =
+  if runs < 0 then invalid_arg "Montecarlo.sample: negative run count";
+  let streams = Array.init runs (fun _ -> Stabrng.Rng.split rng) in
+  Pool.map_ranges ~site:runs_grain runs (fun ~lo ~hi ->
+      Array.init (hi - lo) (fun i ->
+          Cancel.poll ();
+          f (Stabrng.Rng.copy streams.(lo + i))))
+  |> Array.concat
 
 (* [inject] is an armer, not a hook: each run hands it the run's own
    stream and gets a fresh per-run injection hook back, so one fault
    plan (see Faults.arm) drives every sample independently. *)
-let estimate ?inject ~runs ~max_steps rng protocol scheduler spec =
+let estimate ?inject ?init ~runs ~max_steps rng protocol scheduler spec =
   Stabobs.Obs.span "montecarlo.estimate" @@ fun () ->
-  collect ~runs ~sample:(fun () ->
-      let stream = Stabrng.Rng.split rng in
-      let init = Protocol.random_config stream protocol in
-      let inject = Option.map (fun arm -> arm stream) inject in
-      Engine.convergence_cost ?inject ~max_steps stream protocol scheduler spec ~init)
-
-let estimate_from ?inject ~runs ~max_steps rng protocol scheduler spec ~init =
-  collect ~runs ~sample:(fun () ->
-      let stream = Stabrng.Rng.split rng in
-      let inject = Option.map (fun arm -> arm stream) inject in
-      Engine.convergence_cost ?inject ~max_steps stream protocol scheduler spec ~init)
-
-let merge results =
-  let times = Array.concat (List.map (fun r -> r.times) results) in
-  let rounds = Array.concat (List.map (fun r -> r.rounds) results) in
-  let timeouts = List.fold_left (fun acc r -> acc + r.timeouts) 0 results in
-  of_samples ~times ~rounds ~timeouts
-
-let mc_grain = Pool.Grain.site "montecarlo.runs"
-
-let estimate_parallel ?domains ~runs ~max_steps rng protocol scheduler spec =
-  let domains = match domains with Some d -> max 1 d | None -> Pool.width () in
-  if domains <= 1 || runs <= 1 then estimate ~runs ~max_steps rng protocol scheduler spec
-  else begin
-    Stabobs.Obs.span "montecarlo.estimate_parallel" @@ fun () ->
-    (* Split one stream per run BEFORE scheduling, in exactly the order
-       the sequential [estimate] loop would: run [r]'s outcome is a
-       pure function of its pre-split stream, so the pooled sample is
-       identical to the sequential one for the same seed, whatever the
-       pool width or scheduling. *)
-    let streams = Array.make runs rng in
-    for r = 0 to runs - 1 do
-      streams.(r) <- Stabrng.Rng.split rng
-    done;
-    let out = Array.make runs None in
-    (* The pool propagates the caller's cancellation token into every
-       chunk and joins all of them even when one raises; the first
-       exception wins. *)
-    Pool.parallel_for ~site:mc_grain runs (fun ~lo ~hi ->
-        for r = lo to hi - 1 do
-          Cancel.poll ();
-          Stabobs.Obs.Counter.incr Stabobs.Obs.montecarlo_runs;
-          let stream = streams.(r) in
-          let init = Protocol.random_config stream protocol in
-          out.(r) <-
-            Engine.convergence_cost ~max_steps stream protocol scheduler spec ~init
-        done);
-    (* Reassemble in run order, as [collect] does. *)
-    let times = ref [] in
-    let rounds = ref [] in
-    let timeouts = ref 0 in
-    for r = runs - 1 downto 0 do
-      match out.(r) with
-      | Some (steps, rnds) ->
-        times := steps :: !times;
-        rounds := rnds :: !rounds
-      | None -> incr timeouts
-    done;
-    of_samples
-      ~times:(Array.of_list !times)
-      ~rounds:(Array.of_list !rounds)
-      ~timeouts:!timeouts
-  end
+  let init =
+    match init with Some f -> f | None -> fun s -> Protocol.random_config s protocol
+  in
+  let out =
+    sample ~runs rng (fun stream ->
+        Stabobs.Obs.Counter.incr Stabobs.Obs.montecarlo_runs;
+        let init = init stream in
+        let inject = Option.map (fun arm -> arm stream) inject in
+        Engine.convergence_cost ?inject ~max_steps stream protocol (scheduler ()) spec
+          ~init)
+  in
+  let converged = Array.of_list (List.filter_map Fun.id (Array.to_list out)) in
+  of_samples ~times:(Array.map fst converged) ~rounds:(Array.map snd converged)
+    ~timeouts:(runs - Array.length converged)
 
 let pp_result fmt r =
   match (r.summary, r.rounds_summary) with

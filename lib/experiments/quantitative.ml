@@ -27,20 +27,14 @@ let table ~title data =
   List.iter (fun d -> Report.add_row t (datum_row d)) data;
   t
 
-(* Mirror of Markov.expected_hitting_times' size-based default, made
-   explicit here so the reported method label states which backend
-   actually solved the system. *)
+(* Markov's size-based default, resolved here so the reported method
+   label states which backend actually solved the system. *)
 let resolve_method method_ legitimate =
   match method_ with
   | Some m -> m
   | None ->
-    let transient =
-      Array.fold_left (fun acc l -> if l then acc else acc + 1) 0 legitimate
-    in
-    if transient <= 1200 then Markov.Exact
-    else
-      Markov.Sparse
-        { kind = Markov.Gauss_seidel; tolerance = 1e-10; max_sweeps = 1_000_000 }
+    Markov.default_method
+      ~transient:(Array.fold_left (fun acc l -> if l then acc else acc + 1) 0 legitimate)
 
 let backend_label = function
   | Markov.Exact -> "exact"
@@ -87,11 +81,8 @@ let exact_datum ?method_ ?(quotient = false) ?relabel ~algorithm ~scheduler ~n p
     method_ = backend;
   }
 
-(* Sampled via the parallel estimator: the per-run pre-split keeps the
-   sample identical to the serial one, so the recorded tables are
-   unchanged while multi-core machines shard the runs. *)
 let mc_datum ~algorithm ~scheduler ~n ~runs ~max_steps rng p spec sched =
-  let result = Montecarlo.estimate_parallel ~runs ~max_steps rng p sched spec in
+  let result = Montecarlo.estimate ~runs ~max_steps rng p sched spec in
   match result.Montecarlo.summary with
   | Some s ->
     {
@@ -157,7 +148,7 @@ let e1_token_sweep ?method_ ?(seed = 42) ?(quick = true) () =
         let spec = Stabalgo.Token_ring.spec ~n in
         mc_datum ~algorithm:"algorithm-1" ~scheduler:"central-random" ~n ~runs
           ~max_steps:2_000_000 (Stabrng.Rng.split rng) p spec
-          (Scheduler.central_random ()))
+          Scheduler.central_random)
       mc_sizes
   in
   let transformed =
@@ -243,7 +234,7 @@ let e2_leader_sweep ?method_ ?(seed = 43) ?(quick = true) () =
         let spec = Stabalgo.Leader_tree.spec g in
         mc_datum ~algorithm:"algorithm-2" ~scheduler:"central-random" ~n ~runs
           ~max_steps:1_000_000 (Stabrng.Rng.split rng) p spec
-          (Scheduler.central_random ()))
+          Scheduler.central_random)
       mc_sizes
   in
   let data = exact @ mc in
@@ -382,16 +373,16 @@ let e6_steps_vs_rounds ?(seed = 44) ?(quick = true) () =
     (fun n ->
       let p = Stabalgo.Token_ring.make ~n in
       let spec = Stabalgo.Token_ring.spec ~n in
-      add "algorithm-1" n p spec (Scheduler.central_random ()) "central-random";
-      add "algorithm-1" n p spec (Scheduler.distributed_random ()) "distributed-random")
+      add "algorithm-1" n p spec Scheduler.central_random "central-random";
+      add "algorithm-1" n p spec Scheduler.distributed_random "distributed-random")
     sizes;
   List.iter
     (fun n ->
       let g = Stabgraph.Graph.random_tree (Stabrng.Rng.split rng) n in
       let p = Stabalgo.Leader_tree.make g in
       let spec = Stabalgo.Leader_tree.spec g in
-      add "algorithm-2" n p spec (Scheduler.central_random ()) "central-random";
-      add "algorithm-2" n p spec (Scheduler.distributed_random ()) "distributed-random")
+      add "algorithm-2" n p spec Scheduler.central_random "central-random";
+      add "algorithm-2" n p spec Scheduler.distributed_random "distributed-random")
     sizes;
   t
 
@@ -484,7 +475,7 @@ let e10_fault_recovery ?(seed = 46) ?(quick = true) () =
   let add label n p spec from faults =
     let result =
       Faults.recovery_profile ~runs ~max_steps:500_000 (Stabrng.Rng.split rng) p
-        (Scheduler.central_random ()) spec ~from ~faults
+        Scheduler.central_random spec ~from ~faults
     in
     let cell f = function
       | Some (s : Stabstats.Stats.summary) -> Report.cell_float (f s)
@@ -539,11 +530,10 @@ let e11_availability ?(seed = 47) ?(quick = true) () =
   let g = Checker.expand space Statespace.Central in
   let runs = if quick then 200 else 1000 in
   let horizon = 2_000 in
-  let sched = Scheduler.central_random () in
   let add plan ~gap ~k =
     let s =
-      Faults.availability_profile ~runs ~horizon (Stabrng.Rng.split rng) p sched spec
-        ~plan ~init
+      Faults.availability_profile ~runs ~horizon (Stabrng.Rng.split rng) p
+        Scheduler.central_random spec ~plan ~init
     in
     Report.add_row t
       [

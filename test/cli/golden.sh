@@ -65,5 +65,7 @@ golden faults-sampled cat faults -p token-ring -t ring:20 --class central --runs
 golden faults-exact-selfstab cat faults -p dijkstra-3state -t ring:6 --runs 20 \
   --horizon 200 -k 1,2,3
 golden montecarlo cat montecarlo -p token-ring -t ring:5 --runs 200
+# Every sampled table: the E1/E2 Monte-Carlo rows, E6, E10 and E11.
+golden experiments cat experiments
 golden profile answers profile token-ring --n 5 --runs 100
 exit $failed

@@ -21,7 +21,7 @@ let test_class_maps () =
   List.iter
     (fun (cls, randomization, name) ->
       Alcotest.(check bool) name true (Analysis.randomization cls = randomization);
-      Alcotest.(check string) name name (Analysis.scheduler cls).Scheduler.name)
+      Alcotest.(check string) name name (Analysis.scheduler cls ()).Scheduler.name)
     [
       (Statespace.Central, Markov.Central_uniform, "central-random");
       (Statespace.Distributed, Markov.Distributed_uniform, "distributed-random");

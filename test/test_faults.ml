@@ -76,20 +76,19 @@ let test_recovery_zero_faults_is_instant () =
   let p = Stabalgo.Token_ring.make ~n in
   let rng = Stabrng.Rng.create 5 in
   let r =
-    Faults.recovery_time ~max_steps:100 rng p (Scheduler.central_random ())
+    Faults.recovery_profile ~runs:1 ~max_steps:100 rng p Scheduler.central_random
       (Stabalgo.Token_ring.spec ~n)
       ~from:(Stabalgo.Token_ring.legitimate_config ~n)
       ~faults:0
   in
-  Alcotest.(check (option int)) "zero steps" (Some 0) r.Faults.steps
+  Alcotest.(check (array int)) "zero steps" [| 0 |] r.Montecarlo.times
 
 let test_recovery_profile_all_converge () =
   let n = 6 in
   let p = Stabalgo.Token_ring.make ~n in
   let rng = Stabrng.Rng.create 6 in
   let profile =
-    Faults.recovery_profile ~runs:100 ~max_steps:100_000 rng p
-      (Scheduler.central_random ())
+    Faults.recovery_profile ~runs:100 ~max_steps:100_000 rng p Scheduler.central_random
       (Stabalgo.Token_ring.spec ~n)
       ~from:(Stabalgo.Token_ring.legitimate_config ~n)
       ~faults:2
@@ -103,8 +102,7 @@ let test_recovery_cost_grows_with_faults () =
   let rng = Stabrng.Rng.create 7 in
   let mean faults =
     let profile =
-      Faults.recovery_profile ~runs:400 ~max_steps:100_000 rng p
-        (Scheduler.central_random ())
+      Faults.recovery_profile ~runs:400 ~max_steps:100_000 rng p Scheduler.central_random
         (Stabalgo.Token_ring.spec ~n)
         ~from:(Stabalgo.Token_ring.legitimate_config ~n)
         ~faults
@@ -261,16 +259,14 @@ let test_availability_bounds_and_entries () =
     "mostly up: faults are rare" true
     (a.Faults.availability > 0.5)
 
-let test_recovery_profile_under_plan_converges () =
+let test_recovery_profile_with_plan_converges () =
   let n = 5 in
   let p = Stabalgo.Token_ring.make ~n in
   let spec = Stabalgo.Token_ring.spec ~n in
   let plan = Faults.periodic p ~gap:100 ~faults:1 in
   let profile =
-    Faults.recovery_profile_under_plan ~runs:50 ~max_steps:100_000
-      (Stabrng.Rng.create 17) p
-      (Scheduler.central_random ())
-      spec ~plan
+    Faults.recovery_profile ~plan ~runs:50 ~max_steps:100_000 (Stabrng.Rng.create 17) p
+      Scheduler.central_random spec
       ~from:(Stabalgo.Token_ring.legitimate_config ~n)
       ~faults:2
   in
@@ -400,11 +396,9 @@ let test_montecarlo_estimate_with_inject () =
   let spec = Stabalgo.Token_ring.spec ~n in
   let plan = Faults.periodic p ~gap:200 ~faults:1 in
   let result =
-    Montecarlo.estimate_from ~inject:(Faults.arm plan) ~runs:50 ~max_steps:100_000
-      (Stabrng.Rng.create 20) p
-      (Scheduler.central_random ())
-      spec
-      ~init:(Stabalgo.Token_ring.legitimate_config ~n)
+    Montecarlo.estimate ~inject:(Faults.arm plan)
+      ~init:(fun _ -> Stabalgo.Token_ring.legitimate_config ~n)
+      ~runs:50 ~max_steps:100_000 (Stabrng.Rng.create 20) p Scheduler.central_random spec
   in
   Alcotest.(check int) "all converge despite faults" 0 result.Montecarlo.timeouts
 
@@ -485,7 +479,7 @@ let suite =
     Alcotest.test_case "crash wake_p 1 rejected" `Quick test_crash_wake_p_one_rejected;
     Alcotest.test_case "inject hook stepless" `Quick test_engine_injections_counted_and_stepless;
     Alcotest.test_case "availability bounds" `Quick test_availability_bounds_and_entries;
-    Alcotest.test_case "recovery under plan" `Quick test_recovery_profile_under_plan_converges;
+    Alcotest.test_case "recovery under plan" `Quick test_recovery_profile_with_plan_converges;
     Alcotest.test_case "crash permanent stalls" `Quick test_crash_scheduler_silences_permanently;
     Alcotest.test_case "crash intermittent progresses" `Quick test_crash_scheduler_intermittent_progresses;
     Alcotest.test_case "crash scheduler validation" `Quick test_crash_scheduler_validation;

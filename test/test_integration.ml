@@ -158,8 +158,8 @@ let test_transformed_hitting_time_cross_validation () =
   let code = Statespace.code space init in
   let rng = Stabrng.Rng.create 777 in
   let mc =
-    Montecarlo.estimate_from ~runs:3000 ~max_steps:200_000 rng tp
-      (Scheduler.distributed_random ()) spec ~init
+    Montecarlo.estimate ~init:(fun _ -> init) ~runs:3000 ~max_steps:200_000 rng tp
+      Scheduler.distributed_random spec
   in
   match mc.Montecarlo.summary with
   | None -> Alcotest.fail "no converged runs"

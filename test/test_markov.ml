@@ -183,8 +183,8 @@ let test_hitting_times_match_simulation () =
   let code = Statespace.code space init in
   let rng = Stabrng.Rng.create 2024 in
   let mc =
-    Montecarlo.estimate_from ~runs:4000 ~max_steps:100_000 rng p
-      (Scheduler.central_random ()) spec ~init
+    Montecarlo.estimate ~init:(fun _ -> init) ~runs:4000 ~max_steps:100_000 rng p
+      Scheduler.central_random spec
   in
   match mc.Montecarlo.summary with
   | None -> Alcotest.fail "no converged runs"

@@ -71,7 +71,7 @@ let test_montecarlo_reports_rounds () =
   let p = Stabalgo.Token_ring.make ~n in
   let rng = Stabrng.Rng.create 6 in
   let r =
-    Montecarlo.estimate ~runs:50 ~max_steps:10_000 rng p (Scheduler.central_random ())
+    Montecarlo.estimate ~runs:50 ~max_steps:10_000 rng p Scheduler.central_random
       (Stabalgo.Token_ring.spec ~n)
   in
   match (r.Montecarlo.summary, r.Montecarlo.rounds_summary) with
@@ -79,6 +79,20 @@ let test_montecarlo_reports_rounds () =
     Alcotest.(check bool) "mean rounds <= mean steps" true
       (rs.Stabstats.Stats.mean <= s.Stabstats.Stats.mean +. 1e-9)
   | _ -> Alcotest.fail "expected summaries"
+
+(* Each run gets its own daemon: a round-robin cursor left behind by
+   one run must not shorten the next (a shared cursor gave 3 1 1 3 1 1
+   here). *)
+let test_montecarlo_round_robin_per_run () =
+  let n = 5 in
+  let p = Stabalgo.Token_ring.make ~n in
+  let r =
+    Montecarlo.estimate
+      ~init:(fun _ -> [| 0; 1; 0; 0; 0 |])
+      ~runs:6 ~max_steps:1_000 (Stabrng.Rng.create 1) p Scheduler.round_robin
+      (Stabalgo.Token_ring.spec ~n)
+  in
+  Alcotest.(check (array int)) "independent runs" (Array.make 6 3) r.Montecarlo.times
 
 (* --- best/worst case convergence --- *)
 
@@ -265,6 +279,8 @@ let suite =
     Alcotest.test_case "rounds synchronous" `Quick test_rounds_synchronous;
     Alcotest.test_case "convergence cost" `Quick test_convergence_cost;
     Alcotest.test_case "montecarlo rounds" `Quick test_montecarlo_reports_rounds;
+    Alcotest.test_case "montecarlo round-robin per run" `Quick
+      test_montecarlo_round_robin_per_run;
     Alcotest.test_case "best case steps" `Quick test_best_case_steps;
     Alcotest.test_case "worst case steps" `Quick test_worst_case_steps;
     Alcotest.test_case "worst case unbounded" `Quick test_worst_case_unbounded_for_weak;
@@ -278,78 +294,3 @@ let suite =
     Alcotest.test_case "mass_in" `Quick test_mass_in;
     Alcotest.test_case "stabilized mass monotone" `Quick test_transient_mass_monotone_toward_closed_target;
   ]
-
-(* --- parallel Monte-Carlo --- *)
-
-let test_parallel_montecarlo_counts () =
-  let n = 5 in
-  let p = Stabalgo.Token_ring.make ~n in
-  let rng = Stabrng.Rng.create 99 in
-  let r =
-    Montecarlo.estimate_parallel ~domains:3 ~runs:100 ~max_steps:10_000 rng p
-      (Scheduler.central_random ())
-      (Stabalgo.Token_ring.spec ~n)
-  in
-  Alcotest.(check int) "all runs accounted for" 100
-    (Array.length r.Montecarlo.times + r.Montecarlo.timeouts)
-
-let test_parallel_montecarlo_deterministic () =
-  let n = 4 in
-  let p = Stabalgo.Token_ring.make ~n in
-  let spec = Stabalgo.Token_ring.spec ~n in
-  let sample () =
-    let rng = Stabrng.Rng.create 123 in
-    let r =
-      Montecarlo.estimate_parallel ~domains:2 ~runs:60 ~max_steps:10_000 rng p
-        (Scheduler.central_random ()) spec
-    in
-    Array.to_list r.Montecarlo.times |> List.sort compare
-  in
-  Alcotest.(check (list int)) "same seed, same pooled samples" (sample ()) (sample ())
-
-let test_parallel_equals_serial () =
-  (* Streams are pre-split per run in sequential order, so the parallel
-     estimator must reproduce the serial sample exactly — same times,
-     same order — whatever the domain count. *)
-  let n = 4 in
-  let p = Stabalgo.Token_ring.make ~n in
-  let spec = Stabalgo.Token_ring.spec ~n in
-  let serial =
-    Montecarlo.estimate ~runs:60 ~max_steps:10_000 (Stabrng.Rng.create 321) p
-      (Scheduler.central_random ()) spec
-  in
-  let parallel =
-    Montecarlo.estimate_parallel ~domains:3 ~runs:60 ~max_steps:10_000
-      (Stabrng.Rng.create 321) p
-      (Scheduler.central_random ()) spec
-  in
-  Alcotest.(check (list int))
-    "same times, same order"
-    (Array.to_list serial.Montecarlo.times)
-    (Array.to_list parallel.Montecarlo.times);
-  Alcotest.(check (list int))
-    "same rounds, same order"
-    (Array.to_list serial.Montecarlo.rounds)
-    (Array.to_list parallel.Montecarlo.rounds);
-  Alcotest.(check int) "same timeouts" serial.Montecarlo.timeouts
-    parallel.Montecarlo.timeouts
-
-let test_merge () =
-  let a = Montecarlo.of_samples ~times:[| 1; 2 |] ~rounds:[| 1; 1 |] ~timeouts:1 in
-  let b = Montecarlo.of_samples ~times:[| 3 |] ~rounds:[| 2 |] ~timeouts:0 in
-  let m = Montecarlo.merge [ a; b ] in
-  Alcotest.(check int) "times pooled" 3 (Array.length m.Montecarlo.times);
-  Alcotest.(check int) "timeouts summed" 1 m.Montecarlo.timeouts;
-  match m.Montecarlo.summary with
-  | Some s -> Alcotest.(check (float 1e-9)) "mean" 2.0 s.Stabstats.Stats.mean
-  | None -> Alcotest.fail "summary expected"
-
-let parallel_suite =
-  [
-    Alcotest.test_case "parallel counts" `Quick test_parallel_montecarlo_counts;
-    Alcotest.test_case "parallel deterministic" `Quick test_parallel_montecarlo_deterministic;
-    Alcotest.test_case "parallel equals serial" `Quick test_parallel_equals_serial;
-    Alcotest.test_case "merge" `Quick test_merge;
-  ]
-
-let suite = suite @ parallel_suite

@@ -367,8 +367,7 @@ let test_dist_profile_capture_in_pipeline () =
       ignore
         (Stabcore.Montecarlo.estimate ~runs:20 ~max_steps:100_000
            (Stabrng.Rng.create 7) p
-           (Stabcore.Scheduler.central_random ())
-           spec);
+           Stabcore.Scheduler.central_random spec);
       Alcotest.(check int) "one sample per run" 20 (Dist.count Dist.engine_run_steps);
       let space = Stabcore.Statespace.build p in
       ignore (Stabcore.Checker.analyze space Stabcore.Statespace.Central spec);

@@ -121,26 +121,77 @@ let test_expansion_identical_across_widths =
 
 let test_markov_identical_across_widths = identical_across_widths "CSR rows" markov_rows
 
-(* Pooled Monte-Carlo draws the same sample as the sequential
-   estimator for the same seed: streams are pre-split in run order. *)
+(* Every sampler draws the same sample at every pool width: one stream
+   per run is pre-split in run order (Montecarlo.sample), and each run
+   builds its own daemon, so even round-robin is safe on the pool.
+   Clearing the grain estimates before each call makes the pool open
+   with 2 * width chunks, so at width > 1 every sampler must split
+   (pool.tasks > 1) however cheap its runs are. *)
 let test_montecarlo_identical_across_widths () =
+  Obs.install (Obs.null_sink ());
+  Fun.protect ~finally:Obs.clear @@ fun () ->
   let n = 4 in
   let p = Stabalgo.Token_ring.make ~n in
   let spec = Stabalgo.Token_ring.spec ~n in
-  let sample () =
-    let rng = Stabrng.Rng.create 2024 in
-    let r =
-      Montecarlo.estimate_parallel ~runs:40 ~max_steps:10_000 rng p
-        (Scheduler.central_random ()) spec
-    in
-    (r.Montecarlo.times, r.Montecarlo.rounds, r.Montecarlo.timeouts)
+  let legitimate = Stabalgo.Token_ring.legitimate_config ~n in
+  let plan = Faults.periodic p ~gap:7 ~faults:1 in
+  let runs = 40 in
+  let rng () = Stabrng.Rng.create 2024 in
+  let ints a = String.concat " " (Array.to_list (Array.map string_of_int a)) in
+  let result (r : Montecarlo.result) =
+    if Array.length r.times + r.timeouts <> runs then
+      Alcotest.failf "%d runs sampled, %d accounted for" runs
+        (Array.length r.times + r.timeouts);
+    Printf.sprintf "%s / %s / %d" (ints r.times) (ints r.rounds) r.timeouts
   in
-  let reference = with_width 1 sample in
+  let summary (s : Stabstats.Stats.summary) =
+    Printf.sprintf "%d %h %h %h %h" s.count s.mean s.stddev s.min s.max
+  in
+  let samplers =
+    [
+      ( "estimate",
+        fun () ->
+          result
+            (Montecarlo.estimate ~runs ~max_steps:10_000 (rng ()) p
+               Scheduler.central_random spec) );
+      ( "estimate ~inject ~init",
+        fun () ->
+          result
+            (Montecarlo.estimate ~inject:(Faults.arm plan)
+               ~init:(fun s -> Faults.corrupt s p legitimate ~faults:2)
+               ~runs ~max_steps:10_000 (rng ()) p Scheduler.distributed_random spec) );
+      ( "recovery_profile ~plan",
+        fun () ->
+          result
+            (Faults.recovery_profile ~plan ~runs ~max_steps:10_000 (rng ()) p
+               Scheduler.central_random spec ~from:legitimate ~faults:2) );
+      ( "availability_profile",
+        fun () ->
+          summary
+            (Faults.availability_profile ~runs ~horizon:200 (rng ()) p
+               Scheduler.round_robin spec ~plan ~init:legitimate) );
+      ( "sample_convergence",
+        fun () ->
+          result
+            (Stabalgo.Israeli_jalfon.sample_convergence ~runs ~max_steps:10_000 (rng ())
+               ~n:8 ~init_tokens:[ 0; 2; 4; 6 ]) );
+    ]
+  in
+  let run sampler =
+    Pool.Grain.reset_all ();
+    counting_tasks sampler
+  in
+  let reference = with_width 1 (fun () -> List.map (fun (_, f) -> fst (run f)) samplers) in
   List.iter
     (fun w ->
       with_width w (fun () ->
-          if sample () <> reference then
-            Alcotest.failf "width %d: Monte-Carlo sample differs" w))
+          List.iter2
+            (fun (name, f) want ->
+              let got, tasks = run f in
+              if got <> want then Alcotest.failf "width %d: %s sample differs" w name;
+              if tasks <= 1 then
+                Alcotest.failf "width %d: %s ran as one chunk (%d tasks)" w name tasks)
+            samplers reference))
     [ 2; 4 ]
 
 (* --- stealing ------------------------------------------------------- *)

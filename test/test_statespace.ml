@@ -111,7 +111,7 @@ let test_montecarlo_estimate () =
   let p = Fixtures.coin_protocol ~p_stop:0.5 () in
   let rng = Stabrng.Rng.create 1 in
   let r =
-    Montecarlo.estimate ~runs:500 ~max_steps:10_000 rng p (Scheduler.central_first ())
+    Montecarlo.estimate ~runs:500 ~max_steps:10_000 rng p Scheduler.central_first
       Fixtures.coin_spec
   in
   Alcotest.(check int) "no timeouts" 0 r.Montecarlo.timeouts;
@@ -128,20 +128,20 @@ let test_montecarlo_timeouts () =
   let p = Stabalgo.Two_bool.make () in
   let rng = Stabrng.Rng.create 2 in
   let r =
-    Montecarlo.estimate_from ~runs:20 ~max_steps:50 rng p (Scheduler.central_random ())
-      Stabalgo.Two_bool.spec ~init:[| false; false |]
+    Montecarlo.estimate ~init:(fun _ -> [| false; false |]) ~runs:20 ~max_steps:50 rng p
+      Scheduler.central_random Stabalgo.Two_bool.spec
   in
   Alcotest.(check int) "all time out" 20 r.Montecarlo.timeouts;
   Alcotest.(check bool) "no summary" true (r.Montecarlo.summary = None)
 
-let test_montecarlo_estimate_from_fixed_init () =
+let test_montecarlo_fixed_init () =
   let n = 5 in
   let p = Stabalgo.Token_ring.make ~n in
   let rng = Stabrng.Rng.create 3 in
   let init = Stabalgo.Token_ring.legitimate_config ~n in
   let r =
-    Montecarlo.estimate_from ~runs:50 ~max_steps:100 rng p (Scheduler.central_random ())
-      (Stabalgo.Token_ring.spec ~n) ~init
+    Montecarlo.estimate ~init:(fun _ -> init) ~runs:50 ~max_steps:100 rng p
+      Scheduler.central_random (Stabalgo.Token_ring.spec ~n)
   in
   (match r.Montecarlo.summary with
   | Some s -> Alcotest.(check (float 1e-9)) "zero steps from legitimate" 0.0 s.Stabstats.Stats.mean
@@ -170,6 +170,6 @@ let suite =
     Alcotest.test_case "spec project" `Quick test_spec_project;
     Alcotest.test_case "montecarlo estimate" `Slow test_montecarlo_estimate;
     Alcotest.test_case "montecarlo timeouts" `Quick test_montecarlo_timeouts;
-    Alcotest.test_case "montecarlo fixed init" `Quick test_montecarlo_estimate_from_fixed_init;
+    Alcotest.test_case "montecarlo fixed init" `Quick test_montecarlo_fixed_init;
     Alcotest.test_case "montecarlo pp" `Quick test_montecarlo_pp;
   ]
