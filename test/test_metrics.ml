@@ -294,3 +294,71 @@ let suite =
     Alcotest.test_case "mass_in" `Quick test_mass_in;
     Alcotest.test_case "stabilized mass monotone" `Quick test_transient_mass_monotone_toward_closed_target;
   ]
+
+(* --- pooled Monte-Carlo --- *)
+
+(* Runs spread over the shared pool at width > 1; width is
+   process-global, so each test restores width 1 before returning. *)
+let with_width w f =
+  Pool.set_width w;
+  Fun.protect ~finally:(fun () -> Pool.set_width 1) f
+
+let test_parallel_montecarlo_counts () =
+  let n = 5 in
+  let p = Stabalgo.Token_ring.make ~n in
+  let rng = Stabrng.Rng.create 99 in
+  let r =
+    with_width 3 (fun () ->
+        Montecarlo.estimate ~runs:100 ~max_steps:10_000 rng p Scheduler.central_random
+          (Stabalgo.Token_ring.spec ~n))
+  in
+  Alcotest.(check int) "all runs accounted for" 100
+    (Array.length r.Montecarlo.times + r.Montecarlo.timeouts)
+
+let test_parallel_montecarlo_deterministic () =
+  let n = 4 in
+  let p = Stabalgo.Token_ring.make ~n in
+  let spec = Stabalgo.Token_ring.spec ~n in
+  let sample () =
+    let rng = Stabrng.Rng.create 123 in
+    let r =
+      with_width 2 (fun () ->
+          Montecarlo.estimate ~runs:60 ~max_steps:10_000 rng p Scheduler.central_random
+            spec)
+    in
+    Array.to_list r.Montecarlo.times
+  in
+  Alcotest.(check (list int)) "same seed, same pooled samples" (sample ()) (sample ())
+
+let test_parallel_equals_serial () =
+  (* Streams are pre-split per run in run order, so the pooled estimate
+     must reproduce the width-1 sample exactly — same times, same
+     order — whatever the pool width. *)
+  let n = 4 in
+  let p = Stabalgo.Token_ring.make ~n in
+  let spec = Stabalgo.Token_ring.spec ~n in
+  let estimate () =
+    Montecarlo.estimate ~runs:60 ~max_steps:10_000 (Stabrng.Rng.create 321) p
+      Scheduler.central_random spec
+  in
+  let serial = with_width 1 estimate in
+  let parallel = with_width 3 estimate in
+  Alcotest.(check (list int))
+    "same times, same order"
+    (Array.to_list serial.Montecarlo.times)
+    (Array.to_list parallel.Montecarlo.times);
+  Alcotest.(check (list int))
+    "same rounds, same order"
+    (Array.to_list serial.Montecarlo.rounds)
+    (Array.to_list parallel.Montecarlo.rounds);
+  Alcotest.(check int) "same timeouts" serial.Montecarlo.timeouts
+    parallel.Montecarlo.timeouts
+
+let parallel_suite =
+  [
+    Alcotest.test_case "parallel counts" `Quick test_parallel_montecarlo_counts;
+    Alcotest.test_case "parallel deterministic" `Quick test_parallel_montecarlo_deterministic;
+    Alcotest.test_case "parallel equals serial" `Quick test_parallel_equals_serial;
+  ]
+
+let suite = suite @ parallel_suite
