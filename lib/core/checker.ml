@@ -5,30 +5,44 @@
    [succ_off.(grp) .. succ_off.(grp+1) - 1] of the flat successor
    array [fwd.dst]. Because groups of a configuration are contiguous
    and [succ_off] is monotone, ALL successors of [c] occupy one flat
-   range, which the merge records once per configuration as
+   range, which the count pass sizes once per configuration as
    [fwd.off.(c) = succ_off.(grp_off.(c))]: [fwd] is the successor
    relation as a {!Digraph} CSR, and every graph pass here (backward
    reachability, the cycle search, Tarjan, forward closure) runs in
    that kernel over [fwd] or its memoized reverse. Successors come in
-   exactly the order the list-based expansion used to produce them
-   (groups in transition order, successors in outcome order), so the
-   kernel's witnesses and component order stay stable.
-   Activated subsets are interned: [grp_active.(grp)] indexes
-   [active_sets]. [succ_w] carries the outcome probabilities so the
-   Markov chain of a randomized daemon can be read off the same
-   packing.
+   {!Statespace.transitions} order (groups in transition order,
+   successors in outcome order), so the kernel's witnesses and
+   component order stay stable. Activated subsets are interned:
+   [grp_active.(grp)] indexes [active_sets]. [succ_w] carries the
+   outcome probabilities so the Markov chain of a randomized daemon can
+   be read off the same packing.
+
+   Ownership: [build_graph] allocates every array of the graph once, at
+   its exact size, after the count pass; the fill pass's ranges write
+   disjoint slices of them, and nothing else writes them after
+   [expand] returns. The graph is shared read-only through the
+   expansion cache, except for [rev], which is filled on first
+   demand.
 
    Ordering contract (relied on by [graph_enabled], which reads
    Enabled(c) off the packing instead of re-evaluating guards): under
    the distributed and synchronous classes the LAST group of a
    configuration activates the full enabled set — the union of all its
    groups — and under the central class every group is an enabled
-   singleton. [Statespace.fold_transitions] establishes this by
-   enumerating activation subsets in ascending-bitmask order;
+   singleton. [Statespace.expander] establishes this by enumerating
+   activation subsets in ascending-bitmask order;
    [masks_well_ordered] asserts it at packing time so a future
    reordering of the subset enumeration cannot silently corrupt the
    fairness checks. *)
 module Obs = Stabobs.Obs
+
+type packing = {
+  grp_off : int array;
+  grp_active : int array;
+  succ_off : int array;
+  succ_w : float array;
+  active_sets : int list array;
+}
 
 type graph = {
   cls : Statespace.sched_class; (* the class the graph was expanded under *)
@@ -59,22 +73,9 @@ let record_expansion g =
       Stabobs.Dist.record_int Stabobs.Dist.checker_out_degree (succ_hi g c - succ_lo g c)
     done
 
-(* Activated subsets travel through the expansion as process bitmasks
-   and are interned into set ids only by the ordered merge. *)
-let mask_of active = List.fold_left (fun m p -> m lor (1 lsl p)) 0 active
-
-(* [fold_transitions] lists every activated subset in ascending process
-   order, so this rebuilds exactly the list it reported. *)
-let procs_of_mask mask =
-  let out = ref [] in
-  for p = Sys.int_size - 1 downto 0 do
-    if mask land (1 lsl p) <> 0 then out := p :: !out
-  done;
-  !out
-
 (* Replaces every mask of [grp_active] by its set id, in place, and
    returns the sets by id. Ids are assigned in first-occurrence order
-   over the merged array, which is the order of a serial walk however
+   over the filled array, which is the order of a serial walk however
    the configuration range was split. With few processes (the
    exhaustive regime) a direct-indexed table avoids hashing entirely. *)
 let intern_masks nproc grp_active =
@@ -91,7 +92,7 @@ let intern_masks nproc grp_active =
     else begin
       let id = !nsets in
       incr nsets;
-      sets := procs_of_mask mask :: !sets;
+      sets := Statespace.procs_of_mask mask :: !sets;
       if nproc <= 16 then direct.(mask) <- id else Hashtbl.add hashed mask id;
       grp_active.(grp) <- id
     end
@@ -99,7 +100,7 @@ let intern_masks nproc grp_active =
   Array.of_list (List.rev !sets)
 
 (* Debug check of the ordering contract documented on [graph], on the
-   merged activation masks before interning: for every configuration
+   filled activation masks before interning: for every configuration
    with groups, every group is a subset of the last one, which makes the
    last group the union (distributed/synchronous), or every group is a
    singleton (central). Runs under [assert] so release builds compiled
@@ -117,95 +118,100 @@ let masks_well_ordered cls grp_off masks =
     done;
     !ok
 
-(* One range [lo, hi) of the streaming expansion: each configuration's
-   transition groups are folded straight into range-local buffers, in
-   exactly the order {!Statespace.transitions} lists them, without
-   materializing per-configuration rows. [grp_off.(c)] is written
-   relative to the range's first group; the merge rebases it. Spaces
-   are immutable and protocol step functions are pure, so ranges run
-   concurrently on the pool. *)
-type part = {
-  lo : int;
-  hi : int;
-  masks : int Growbuf.t; (* activation bitmask per group *)
-  goff : int Growbuf.t; (* first successor of each group, relative to the range *)
-  psucc : int Growbuf.t;
-  psucc_w : float Growbuf.t;
-}
+let count_grain = Pool.Grain.site "checker.expand.count"
+let fill_grain = Pool.Grain.site "checker.expand.fill"
 
-let expand_range space cls grp_off ~lo ~hi =
-  let rows = hi - lo in
-  let ints k = Growbuf.create (k * rows) 0 in
-  let psucc_w = Growbuf.create (4 * rows) 0.0 in
-  let p = { lo; hi; masks = ints 2; goff = ints 2; psucc = ints 4; psucc_w } in
+let each_config ~lo ~hi f =
   for c = lo to hi - 1 do
     if c land 255 = 0 then Cancel.poll ();
-    grp_off.(c) <- p.masks.len;
-    Statespace.fold_transitions space cls c ~init:() ~f:(fun () active outcomes ->
-        Growbuf.push_int p.masks (mask_of active);
-        Growbuf.push_int p.goff p.psucc.len;
-        List.iter
-          (fun (c', w) ->
-            Growbuf.push_int p.psucc c';
-            Growbuf.push_float p.psucc_w w)
-          outcomes)
-  done;
-  p
+    f c
+  done
 
-(* Concatenates the ranges in ascending [lo] order, rebasing offsets,
-   then interns the masks: the packed layout and the set numbering are
-   the same at every pool width. Each range buffer is copied once and
-   dropped right after, largest structures first. The per-configuration
-   successor offsets of [fwd] cost n+1 ints on top of the two-level
-   packing; they let the kernel passes index one flat CSR. *)
-let merge_parts n nproc cls grp_off off parts =
-  let ngroups = List.fold_left (fun acc p -> acc + p.masks.len) 0 parts in
-  let succ_off = Array.make (ngroups + 1) 0 in
-  let gbase = ref 0 and ebase = ref 0 in
-  List.iter
-    (fun p ->
-      for c = p.lo to p.hi - 1 do
-        grp_off.(c) <- grp_off.(c) + !gbase
-      done;
-      for i = 0 to p.goff.len - 1 do
-        succ_off.(!gbase + i) <- p.goff.data.(i) + !ebase
-      done;
-      p.goff.data <- [||];
-      gbase := !gbase + p.masks.len;
-      ebase := !ebase + p.psucc.len)
-    parts;
-  grp_off.(n) <- ngroups;
-  succ_off.(ngroups) <- !ebase;
-  let succ_w = Growbuf.concat 0.0 (fun p -> p.psucc_w) parts in
-  let succ = Growbuf.concat 0 (fun p -> p.psucc) parts in
-  let grp_active = Growbuf.concat 0 (fun p -> p.masks) parts in
-  assert (masks_well_ordered cls grp_off grp_active);
-  let active_sets = intern_masks nproc grp_active in
-  for c = 0 to n do
-    off.(c) <- succ_off.(grp_off.(c))
-  done;
-  let fwd = { Digraph.n; off; dst = succ } in
-  { cls; grp_off; grp_active; succ_off; fwd; succ_w; active_sets; rev = None }
-
-let expand_grain = Pool.Grain.site "checker.expand"
-
-(* Every width runs the same range body under the pool; at width 1
-   that is a single range covering the whole space. *)
+(* Two passes over the same enumeration. The count pass stores the
+   group and successor counts of [c] at index [c + 1] of [grp_off] and
+   [off]; a deterministic protocol has one successor per group, so its
+   counts come from the guards alone. A serial prefix sum turns the
+   counts into offsets, the packed arrays are allocated once at their
+   exact size, and the fill pass writes every range at its global
+   offsets, so the layout does not depend on how the pool split either
+   pass. Masks are interned after the fill, so set ids follow a serial
+   walk at every pool width. Each range gets its own expander scratch;
+   spaces are immutable and guards and statements are pure, so ranges
+   run concurrently. The per-configuration successor offsets of [fwd]
+   cost n+1 ints on top of the two-level packing; they let the kernel
+   passes index one flat CSR. *)
 let build_graph space cls =
   let n = Statespace.count space in
-  let nproc = Stabgraph.Graph.size (Statespace.protocol space).Protocol.graph in
-  if nproc > Sys.int_size then
-    invalid_arg "Checker.expand: more processes than bits in an activation mask";
-  (* Both per-configuration offset arrays outlive the expansion, so
-     they are allocated before its short-lived range buffers: filling
-     a fresh [off] after the merge instead raised the peak RSS of the
-     token-ring quotient pipeline by 2% (glibc malloc, 2-vCPU host). *)
+  let protocol = Statespace.protocol space in
+  let nproc = Stabgraph.Graph.size protocol.Protocol.graph in
   let grp_off = Array.make (n + 1) 0 in
   let off = Array.make (n + 1) 0 in
-  let parts =
-    Pool.map_ranges ~site:expand_grain ~min_chunk:64 n (expand_range space cls grp_off)
+  Pool.parallel_for ~site:count_grain ~min_chunk:64 n (fun ~lo ~hi ->
+      if Protocol.deterministic protocol then begin
+        let groups = Statespace.group_counter space cls in
+        each_config ~lo ~hi (fun c ->
+            let k = groups c in
+            grp_off.(c + 1) <- k;
+            off.(c + 1) <- k)
+      end
+      else begin
+        let expand = Statespace.expander space cls in
+        let groups = ref 0 and succs = ref 0 in
+        let group _ = incr groups and succ _ _ = incr succs in
+        each_config ~lo ~hi (fun c ->
+            groups := 0;
+            succs := 0;
+            expand c ~group ~succ;
+            grp_off.(c + 1) <- !groups;
+            off.(c + 1) <- !succs)
+      end);
+  for c = 1 to n do
+    grp_off.(c) <- grp_off.(c) + grp_off.(c - 1);
+    off.(c) <- off.(c) + off.(c - 1)
+  done;
+  let ngroups = grp_off.(n) and nedges = off.(n) in
+  let grp_active = Array.make ngroups 0 in
+  let succ_off = Array.make (ngroups + 1) nedges in
+  let dst = Array.make nedges 0 in
+  let succ_w = Array.make nedges 0.0 in
+  (* A range never writes past its own slices: if its fill outruns its
+     count, or falls short of it, the expansion fails. *)
+  let disagree () =
+    invalid_arg
+      "Checker.expand: the fill pass disagrees with the count pass (does a protocol flagged \
+       deterministic return several outcomes?)"
   in
-  let g = merge_parts n nproc cls grp_off off parts in
+  Pool.parallel_for ~site:fill_grain ~min_chunk:64 n (fun ~lo ~hi ->
+      let expand = Statespace.expander space cls in
+      let grp = ref grp_off.(lo) and e = ref off.(lo) in
+      let grp_hi = grp_off.(hi) and e_hi = off.(hi) in
+      let group mask =
+        if !grp >= grp_hi then disagree ();
+        grp_active.(!grp) <- mask;
+        succ_off.(!grp) <- !e;
+        incr grp
+      and succ code w =
+        if !e >= e_hi then disagree ();
+        dst.(!e) <- code;
+        succ_w.(!e) <- w;
+        incr e
+      in
+      each_config ~lo ~hi (fun c -> expand c ~group ~succ);
+      if !grp <> grp_hi || !e <> e_hi then disagree ());
+  assert (masks_well_ordered cls grp_off grp_active);
+  let active_sets = intern_masks nproc grp_active in
+  let g =
+    {
+      cls;
+      grp_off;
+      grp_active;
+      succ_off;
+      fwd = { Digraph.n; off; dst };
+      succ_w;
+      active_sets;
+      rev = None;
+    }
+  in
   record_expansion g;
   g
 
@@ -249,6 +255,15 @@ let reverse g =
 
 let successors g = g.fwd
 
+let packing g : packing =
+  {
+    grp_off = g.grp_off;
+    grp_active = g.grp_active;
+    succ_off = g.succ_off;
+    succ_w = g.succ_w;
+    active_sets = g.active_sets;
+  }
+
 let graph_edge_count g = Array.length g.fwd.dst
 
 let weighted_row g c =
@@ -289,30 +304,33 @@ let check_closure_quotient space base reps rep_of cls spec =
   let legitimate = Statespace.legitimate_set space spec in
   if not (Array.exists Fun.id legitimate) then Error Empty_legitimate_set
   else begin
+    let expand = Statespace.expander base cls in
     let violation = ref None in
     (let exception Found in
      try
        for i = 0 to Array.length reps - 1 do
          if legitimate.(i) then begin
            let src = Statespace.config base reps.(i) in
-           Statespace.fold_transitions base cls reps.(i) ~init:()
-             ~f:(fun () active outcomes ->
-               List.iter
-                 (fun (s, _) ->
-                   let j = rep_of.(s) in
-                   if not legitimate.(j) then begin
-                     violation := Some (Escape { config = i; active; successor = j });
+           let active = ref 0 in
+           expand reps.(i)
+             ~group:(fun mask -> active := mask)
+             ~succ:(fun s _ ->
+               let j = rep_of.(s) in
+               if not legitimate.(j) then begin
+                 violation :=
+                   Some
+                     (Escape
+                        { config = i; active = Statespace.procs_of_mask !active; successor = j });
+                 raise Found
+               end
+               else
+                 match spec.Spec.step_ok with
+                 | None -> ()
+                 | Some ok ->
+                   if not (ok src (Statespace.config base s)) then begin
+                     violation := Some (Step_spec { config = i; successor = j });
                      raise Found
-                   end
-                   else
-                     match spec.Spec.step_ok with
-                     | None -> ()
-                     | Some ok ->
-                       if not (ok src (Statespace.config base s)) then begin
-                         violation := Some (Step_spec { config = i; successor = j });
-                         raise Found
-                       end)
-                 outcomes)
+                   end)
          end
        done
      with Found -> ());

@@ -29,8 +29,10 @@ type graph
 
 val expand : 'a Statespace.t -> Statespace.sched_class -> graph
 (** Materialize all transitions. Cost is proportional to the number of
-    (configuration, allowed subset, outcome) triples; row enumeration
-    is sharded across OCaml 5 domains (deterministic merge). Results
+    (configuration, allowed subset, outcome) triples; a count pass and
+    a fill pass over {!Statespace.expander} are sharded across OCaml 5
+    domains, and the fill writes every range at its global offsets, so
+    the packing is the same at every pool width. Results
     are cached per ({!Statespace.uid}, class) in a small bounded
     store, so the theorem checks, the portfolio, the quantitative
     sweeps and {!Markov.of_space} share one expansion per space
@@ -43,6 +45,22 @@ val successors : graph -> Digraph.t
     codes: the packed arrays themselves, not a copy. The successors of
     [c] come in transition order, one entry per (activated subset,
     outcome) pair, so a target may repeat. *)
+
+type packing = {
+  grp_off : int array;  (** groups of [c]: [grp_off.(c) .. grp_off.(c+1) - 1] *)
+  grp_active : int array;  (** set id of each group's activated subset *)
+  succ_off : int array;
+      (** successors of group [grp]: [succ_off.(grp) .. succ_off.(grp+1) - 1]
+          of the {!successors} [dst] array *)
+  succ_w : float array;  (** outcome probability of each successor entry *)
+  active_sets : int list array;  (** activated subsets by set id, ascending *)
+}
+(** The two-level packing behind {!successors}. *)
+
+val packing : graph -> packing
+(** The packed arrays themselves, not copies: treat them as read-only.
+    For audits of the layout, which must not depend on the pool
+    width. *)
 
 val weighted_row : graph -> int -> (int * float) list
 (** [weighted_row g c] reads off the Markov row of [c] under the

@@ -50,14 +50,17 @@ let index_opt t i s =
   in
   go 0
 
+(* A loop rather than a local recursive function: expansion calls this
+   once per enabled process, and the closure would be allocated each
+   time. *)
 let index_in_domain t i s =
   let dom = t.domains.(i) in
-  let rec go k =
-    if k >= Array.length dom then invalid_arg "Encoding.encode: state outside domain"
-    else if t.equal s dom.(k) then k
-    else go (k + 1)
-  in
-  go 0
+  let k = ref 0 in
+  while !k < Array.length dom && not (t.equal s dom.(!k)) do
+    incr k
+  done;
+  if !k >= Array.length dom then invalid_arg "Encoding.encode: state outside domain";
+  !k
 
 let encode t cfg =
   if Array.length cfg <> Array.length t.domains then
@@ -66,11 +69,19 @@ let encode t cfg =
   Array.iteri (fun i s -> code := !code + (index_in_domain t i s * t.weights.(i))) cfg;
   !code
 
-let decode t code =
+let decode_into t code cfg =
   if code < 0 || code >= t.count then invalid_arg "Encoding.decode: code out of range";
-  Array.mapi
-    (fun i dom -> dom.((code / t.weights.(i)) mod Array.length dom))
-    t.domains
+  if Array.length cfg <> Array.length t.domains then
+    invalid_arg "Encoding.decode_into: wrong configuration length";
+  for i = 0 to Array.length cfg - 1 do
+    let dom = t.domains.(i) in
+    cfg.(i) <- dom.((code / t.weights.(i)) mod Array.length dom)
+  done
+
+let decode t code =
+  let cfg = Array.map (fun dom -> dom.(0)) t.domains in
+  decode_into t code cfg;
+  cfg
 
 let iter t f =
   let n = Array.length t.domains in

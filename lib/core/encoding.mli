@@ -50,6 +50,11 @@ val encode : 'a t -> 'a array -> int
 val decode : 'a t -> int -> 'a array
 (** Fresh array; inverse of {!encode}. *)
 
+val decode_into : 'a t -> int -> 'a array -> unit
+(** [decode_into t code cfg] overwrites [cfg] with the configuration of
+    [code], so a hot loop can reuse one buffer. [cfg] must have one
+    slot per process. *)
+
 val iter : 'a t -> (int -> 'a array -> unit) -> unit
 (** Iterate over the full space in code order. The configuration array
     is reused between calls; copy it if you keep it. *)

@@ -1,11 +1,12 @@
-(** Growable buffers for streaming CSR construction.
+(** Growable buffers for streaming construction.
 
-    {!Checker.expand} and {!Markov.of_space} do not know their group,
-    edge or entry counts until a range of rows has been walked, so each
-    range accumulates into these doubling buffers and the ordered merge
-    copies every buffer once into the exact-size packed array. The
-    fields are exposed for offset rebasing and in-place row
-    compaction. *)
+    {!Markov.of_space} does not know a range's entry count until the
+    range has been walked, so each range accumulates into these
+    doubling buffers and the ordered merge copies every buffer once
+    into the exact-size packed array. {!Onthefly} grows its discovered
+    codes and CSR rows in them, and {!Statespace.successors} collects
+    one configuration's successor codes in one. The fields are exposed
+    for offset rebasing and in-place row compaction. *)
 
 type 'a t = { mutable data : 'a array; mutable len : int; zero : 'a }
 

@@ -26,6 +26,15 @@ type 'a action = {
           when the guard holds. *)
 }
 
+(** {b Purity.} Guards and statements are functions of the
+    configuration they receive. They must not mutate that array nor
+    retain it beyond the call: the
+    explicit-state expansion ({!Statespace.expander}) decodes every
+    configuration into one buffer per range and overwrites it for the
+    next configuration, and it may evaluate the same configuration
+    again in a later pass. The local states inside the array are shared
+    domain values and must not be mutated either. *)
+
 type 'a t = {
   name : string;
   graph : Stabgraph.Graph.t;

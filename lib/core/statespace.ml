@@ -167,42 +167,140 @@ let legitimate_set t spec =
 
 let subset_count k = (1 lsl k) - 1
 
-(* Streamed transition enumeration: the distributed class visits the
-   2^k - 1 activation subsets in ascending bitmask order without ever
-   materializing the subset list twice. Each enabled process's action
+let procs_of_mask mask =
+  let out = ref [] in
+  for p = Sys.int_size - 1 downto 0 do
+    if mask land (1 lsl p) <> 0 then out := p :: !out
+  done;
+  !out
+
+(* Index of the lowest set bit of a non-zero mask. *)
+let low_index mask =
+  let b = ref (mask land -mask) and i = ref 0 in
+  while !b > 1 do
+    b := !b lsr 1;
+    incr i
+  done;
+  !i
+
+(* Per-configuration scratch shared by {!expander} and
+   {!group_counter}: a decode buffer and the enabled processes with
+   their enabled actions, allocated once and overwritten by each
+   [scan]. *)
+type 'a scan = {
+  space : 'a t;
+  cfg : 'a array;
+  procs : int array; (* enabled processes, ascending *)
+  acts : 'a Protocol.action array; (* the enabled action of each *)
+  mutable enabled : int;
+  mutable raw : int; (* full-space code of the scanned configuration *)
+}
+
+let scan_scratch t =
+  let enc = t.encoding in
+  let nproc = Encoding.processes enc in
+  if nproc > Sys.int_size then
+    invalid_arg "Statespace.expander: more processes than bits in an activation mask";
+  {
+    space = t;
+    cfg = Array.init nproc (fun p -> Encoding.value enc p 0);
+    procs = Array.make nproc 0;
+    acts =
+      (match t.protocol.Protocol.actions with [] -> [||] | a :: _ -> Array.make nproc a);
+    enabled = 0;
+    raw = 0;
+  }
+
+(* First action whose guard holds at [p], as {!Protocol.enabled_action}. *)
+let rec scan_process s p = function
+  | [] -> ()
+  | a :: rest ->
+    if a.Protocol.guard s.cfg p then begin
+      s.procs.(s.enabled) <- p;
+      s.acts.(s.enabled) <- a;
+      s.enabled <- s.enabled + 1
+    end
+    else scan_process s p rest
+
+(* Decodes configuration [c] (a representative on a quotient) into the
+   buffer and evaluates every guard once. *)
+let scan s c =
+  let t = s.space in
+  s.raw <- (match t.view with Full -> c | Quotient q -> q.reps.(c));
+  Encoding.decode_into t.encoding s.raw s.cfg;
+  s.enabled <- 0;
+  for p = 0 to Array.length s.cfg - 1 do
+    scan_process s p t.protocol.Protocol.actions
+  done
+
+let group_count cls k =
+  match cls with
+  | Central -> k
+  | Synchronous -> if k > 0 then 1 else 0
+  | Distributed ->
+    if k > 20 then invalid_arg "Statespace: too many enabled processes to enumerate subsets";
+    subset_count k
+
+let group_counter t cls =
+  let s = scan_scratch t in
+  fun c ->
+    scan s c;
+    group_count cls s.enabled
+
+(* Mask-native transition enumeration. Each enabled process's action
    is evaluated exactly once per configuration; its local outcomes are
    turned into packed-code deltas against the source code, so a
    composite activation is an integer sum (and a product of weights for
    randomized statements) instead of a re-evaluation of every member's
-   guards. Group order is identical to {!transitions}. On a quotient
-   the source is the representative's configuration and every successor
-   is canonicalized to its representative index on the fly. *)
-let fold_transitions t cls c ~init ~f =
-  let cfg = config t c in
-  match Protocol.enabled_with_actions t.protocol cfg with
-  | [] -> init
-  | en ->
-    let enc = t.encoding in
-    let raw = match t.view with Full -> c | Quotient q -> q.reps.(c) in
-    let to_target =
-      match t.view with
-      | Full -> fun code -> code
-      | Quotient q -> fun code -> q.rep_of.(code)
+   guards. The distributed class visits the 2^k - 1 activation subsets
+   in ascending bitmask order: [mask land (mask - 1)] was visited just
+   before, so the memoized sum and process mask of a subset extend the
+   smaller one's by its lowest member. On a quotient the source is the
+   representative's configuration and every successor is canonicalized
+   to its representative index.
+
+   All per-configuration state lives in scratch allocated once per
+   expander: the scan, the deltas, and the memo, grown to the largest
+   2^k met. Deterministic protocols therefore allocate only what their
+   guards and statements allocate, and every weight is the literal
+   [1.0], which is never boxed. Randomized protocols take the
+   list-based product/merge branch, whose float operations are those
+   of {!Protocol.step_outcomes}. *)
+let expander t cls =
+  let enc = t.encoding in
+  let s = scan_scratch t in
+  let nproc = Array.length s.cfg in
+  let rep_of = match t.view with Full -> [||] | Quotient q -> q.rep_of in
+  let quotient = is_quotient t in
+  let target code = if quotient then rep_of.(code) else code in
+  let procs = s.procs in
+  let deltas = Array.make nproc 0 in
+  let dists = Array.make nproc [] in
+  let sums = ref [||] and masks = ref [||] in
+  (* Randomized branch: one (delta, weight) list per enabled process. *)
+  let local i =
+    let p = procs.(i) in
+    let w = Encoding.weight enc p and cur = Encoding.digit enc p s.raw in
+    List.map (fun (st, pw) -> ((Encoding.index_in_domain enc p st - cur) * w, pw)) dists.(i)
+  in
+  (* Product of the members' local distributions, last process varying
+     fastest, then a merge of equal codes keeping first-occurrence order
+     and summing weights: the contract of {!Protocol.step_outcomes}.
+     Merging happens on base codes, before any quotient projection. *)
+  let emit_product ~group ~succ mask subset =
+    let outs =
+      List.fold_left
+        (fun acc local ->
+          match local with
+          | [ (d, _) ] -> List.map (fun (code, w) -> (code + d, w)) acc
+          | _ ->
+            List.concat_map
+              (fun (code, w) -> List.map (fun (d, pw) -> (code + d, w *. pw)) local)
+              acc)
+        [ (s.raw, 1.0) ]
+        subset
     in
-    let locals =
-      List.map
-        (fun (p, a) ->
-          let w = Encoding.weight enc p in
-          let cur = Encoding.digit enc p raw in
-          let dist = a.Protocol.result cfg p in
-          (p, List.map (fun (s, pw) -> ((Encoding.index_in_domain enc p s - cur) * w, pw)) dist))
-        en
-    in
-    (* Merge equal successor codes, keeping first-occurrence order and
-       summing weights — the contract of {!Protocol.step_outcomes}.
-       Merging happens on base codes, before any quotient projection,
-       exactly as the materializing path merged on configurations. *)
-    let merge outs =
+    let outs =
       match outs with
       | [ _ ] -> outs
       | _ ->
@@ -214,99 +312,101 @@ let fold_transitions t cls c ~init ~f =
         in
         List.fold_left add [] outs
     in
-    (* Product of the members' local distributions, last process
-       varying fastest, matching {!Protocol.step_outcomes}. *)
-    let product subset =
-      List.fold_left
-        (fun acc (_, local) ->
-          match local with
-          | [ (d, _) ] -> List.map (fun (code, w) -> (code + d, w)) acc
-          | _ ->
-            List.concat_map
-              (fun (code, w) -> List.map (fun (d, pw) -> (code + d, w *. pw)) local)
-              acc)
-        [ (raw, 1.0) ]
-        subset
-    in
-    let step acc subset =
-      let active = List.map fst subset in
-      let outs = merge (product subset) in
-      f acc active (List.map (fun (code, w) -> (to_target code, w)) outs)
-    in
-    let deterministic =
-      List.for_all (fun (_, local) -> match local with [ _ ] -> true | _ -> false) locals
-    in
-    (match cls with
-    | Central ->
-      if deterministic then
-        List.fold_left
-          (fun acc (p, local) ->
-            match local with
-            | [ (d, _) ] -> f acc [ p ] [ (to_target (raw + d), 1.0) ]
-            | _ -> assert false)
-          init locals
-      else List.fold_left (fun acc l -> step acc [ l ]) init locals
-    | Synchronous -> step init locals
-    | Distributed ->
-      let arr = Array.of_list locals in
-      let k = Array.length arr in
-      if k > 20 then
-        invalid_arg "Statespace: too many enabled processes to enumerate subsets";
-      let acc = ref init in
-      (* Ascending masks mean [mask land (mask - 1)] was already
-         visited, so per-mask work is O(1): share the list tail and
-         extend the memoized value of the smaller mask by the lowest
-         set bit. Lists stay sorted because the lowest bit is the
-         smallest enabled process. The 2^k memo tables are bounded by
-         the k <= 20 guard above and freed with the configuration. *)
-      let low_index mask =
-        let b = mask land -mask in
-        let i = ref 0 in
-        let b = ref b in
-        while !b > 1 do
-          b := !b lsr 1;
-          incr i
+    group mask;
+    List.iter (fun (code, w) -> succ (target code) w) outs
+  in
+  fun c ~group ~succ ->
+    scan s c;
+    let k = s.enabled in
+    let raw = s.raw in
+    let deterministic = ref true in
+    for i = 0 to k - 1 do
+      let p = procs.(i) in
+      let dist = s.acts.(i).Protocol.result s.cfg p in
+      dists.(i) <- dist;
+      match dist with
+      | [ (st, _) ] ->
+        deltas.(i) <-
+          (Encoding.index_in_domain enc p st - Encoding.digit enc p raw) * Encoding.weight enc p
+      | _ -> deterministic := false
+    done;
+    if k > 0 then
+      match cls with
+      | Central ->
+        for i = 0 to k - 1 do
+          let mask = 1 lsl procs.(i) in
+          if !deterministic then begin
+            group mask;
+            succ (target (raw + deltas.(i))) 1.0
+          end
+          else emit_product ~group ~succ mask [ local i ]
+        done
+      | Synchronous ->
+        let mask = ref 0 in
+        for i = 0 to k - 1 do
+          mask := !mask lor (1 lsl procs.(i))
         done;
-        !i
-      in
-      if deterministic then begin
-        (* Every composite outcome is a single code: sum the member
-           deltas directly, no distribution product to fold. *)
-        let procs = Array.map fst arr in
-        let deltas =
-          Array.map (fun (_, l) -> match l with [ (d, _) ] -> d | _ -> assert false) arr
-        in
-        let sums = Array.make (1 lsl k) raw in
-        let actives = Array.make (1 lsl k) [] in
-        for mask = 1 to (1 lsl k) - 1 do
-          let i = low_index mask in
-          let rest = mask land (mask - 1) in
-          let active = procs.(i) :: actives.(rest) in
-          let sum = sums.(rest) + deltas.(i) in
-          actives.(mask) <- active;
-          sums.(mask) <- sum;
-          acc := f !acc active [ (to_target sum, 1.0) ]
-        done
-      end
-      else begin
-        let subsets = Array.make (1 lsl k) [] in
-        for mask = 1 to (1 lsl k) - 1 do
-          let i = low_index mask in
-          let rest = mask land (mask - 1) in
-          let subset = arr.(i) :: subsets.(rest) in
-          subsets.(mask) <- subset;
-          acc := step !acc subset
-        done
-      end;
-      !acc)
+        if !deterministic then begin
+          let sum = ref raw in
+          for i = 0 to k - 1 do
+            sum := !sum + deltas.(i)
+          done;
+          group !mask;
+          succ (target !sum) 1.0
+        end
+        else emit_product ~group ~succ !mask (List.init k local)
+      | Distributed ->
+        let size = group_count cls k + 1 in
+        if Array.length !masks < size then begin
+          sums := Array.make size 0;
+          masks := Array.make size 0
+        end;
+        let sums = !sums and masks = !masks in
+        sums.(0) <- raw;
+        masks.(0) <- 0;
+        if !deterministic then
+          for mask = 1 to size - 1 do
+            let i = low_index mask in
+            let rest = mask land (mask - 1) in
+            let m = masks.(rest) lor (1 lsl procs.(i)) in
+            let sum = sums.(rest) + deltas.(i) in
+            masks.(mask) <- m;
+            sums.(mask) <- sum;
+            group m;
+            succ (target sum) 1.0
+          done
+        else begin
+          (* Shared list tails, ascending members: the lowest set bit is
+             the smallest enabled process. *)
+          let locals = Array.init k local in
+          let subsets = Array.make size [] in
+          for mask = 1 to size - 1 do
+            let i = low_index mask in
+            let rest = mask land (mask - 1) in
+            let subset = locals.(i) :: subsets.(rest) in
+            subsets.(mask) <- subset;
+            masks.(mask) <- masks.(rest) lor (1 lsl procs.(i));
+            emit_product ~group ~succ masks.(mask) subset
+          done
+        end
 
 let transitions t cls c =
-  List.rev
-    (fold_transitions t cls c ~init:[] ~f:(fun acc active outcomes ->
-         (active, outcomes) :: acc))
+  let groups = ref [] in
+  expander t cls c
+    ~group:(fun mask -> groups := (mask, ref []) :: !groups)
+    ~succ:(fun code w ->
+      match !groups with
+      | (_, outs) :: _ -> outs := (code, w) :: !outs
+      | [] -> assert false);
+  List.rev_map (fun (mask, outs) -> (procs_of_mask mask, List.rev !outs)) !groups
 
 let successors t cls c =
-  let seen = Hashtbl.create 16 in
-  fold_transitions t cls c ~init:() ~f:(fun () _ outcomes ->
-      List.iter (fun (c', _) -> Hashtbl.replace seen c' ()) outcomes);
-  Hashtbl.fold (fun c' () acc -> c' :: acc) seen [] |> List.sort Int.compare
+  let codes = Growbuf.create 16 0 in
+  expander t cls c ~group:ignore ~succ:(fun code _ -> Growbuf.push_int codes code);
+  let sorted = Array.sub codes.data 0 codes.len in
+  Array.sort Int.compare sorted;
+  let out = ref [] in
+  for i = Array.length sorted - 1 downto 0 do
+    if i = 0 || sorted.(i) <> sorted.(i - 1) then out := sorted.(i) :: !out
+  done;
+  !out

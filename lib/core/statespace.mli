@@ -93,22 +93,41 @@ val transitions : 'a t -> sched_class -> int -> (int list * (int * float) list) 
     configuration [c]: each element is the activated subset together
     with the distribution over successor codes (singleton distributions
     for deterministic protocols). Terminal configurations have no
-    transitions. *)
+    transitions. Built on {!expander}. *)
 
-val fold_transitions :
+val expander :
   'a t ->
   sched_class ->
   int ->
-  init:'acc ->
-  f:('acc -> int list -> (int * float) list -> 'acc) ->
-  'acc
-(** Streamed version of {!transitions}: calls [f] once per allowed
-    step, in the same order, without materializing the subset list —
-    under the distributed class this avoids building all [2^k - 1]
-    activation subsets up front. Graph expansion consumes this. *)
+  group:(int -> unit) ->
+  succ:(int -> float -> unit) ->
+  unit
+(** [expander space cls] allocates per-expander scratch and returns a
+    function that enumerates the steps of one configuration: for each
+    step of {!transitions}, in the same order, [group] receives the
+    activated subset as a process bitmask, then [succ] receives each
+    successor code and its probability, in outcome order. Distributed
+    subsets come in ascending bitmask order, central singletons and
+    outcomes in ascending process order. Deterministic protocols pass
+    weight [1.0] and allocate nothing per step. The returned function
+    reuses its scratch, so one expander must not run on two domains at
+    once; create one per range. Raises [Invalid_argument] when the
+    protocol has more processes than an [int] has bits, or when more
+    than 20 processes are enabled under the distributed class. *)
+
+val group_counter : 'a t -> sched_class -> int -> int
+(** [group_counter space cls] allocates scratch like {!expander} and
+    returns a function giving the number of steps (groups) of a
+    configuration from its guards alone, without running a statement.
+    A deterministic protocol has one successor per step, so this sizes
+    its expansion. Same sharing rule and exceptions as {!expander}. *)
+
+val procs_of_mask : int -> int list
+(** The processes of an activation bitmask, ascending. *)
 
 val successors : 'a t -> sched_class -> int -> int list
-(** De-duplicated successor codes over all subsets and outcomes. *)
+(** De-duplicated successor codes over all subsets and outcomes,
+    ascending. *)
 
 val subset_count : int -> int
 (** [subset_count k] = number of non-empty subsets of a [k]-set; guards

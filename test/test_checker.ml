@@ -154,6 +154,40 @@ let test_expand_edge_count () =
   Alcotest.(check int) "distributed edges" 9 (count Statespace.Distributed);
   Alcotest.(check int) "sync edges" 3 (count Statespace.Synchronous)
 
+(* Expansion allocates per configuration (the statements' own outcome
+   lists) and per range (the expander's scratch), not per transition:
+   about 2.5 minor words per transition here. *)
+let test_expand_allocation () =
+  Pool.set_width 1;
+  let space = Statespace.build (Stabalgo.Dijkstra_three.make ~n:6) in
+  let before = Gc.minor_words () in
+  let g = Checker.expand space Statespace.Distributed in
+  let words = Gc.minor_words () -. before in
+  let per_edge = words /. float_of_int (Checker.graph_edge_count g) in
+  if per_edge > 4.0 then
+    Alcotest.failf "%.2f minor words per transition, at most 4 allowed" per_edge
+
+(* The count pass sizes a protocol flagged deterministic from its
+   guards alone; one whose statement still returns two outcomes must
+   make the expansion fail, not pack a truncated relation. *)
+let test_expand_rejects_mislabelled_protocol () =
+  let flip = oscillator () in
+  let coin =
+    {
+      flip with
+      Protocol.actions =
+        List.map
+          (fun (a : int Protocol.action) ->
+            { a with Protocol.result = (fun cfg p -> [ (cfg.(p), 0.5); (1 - cfg.(p), 0.5) ]) })
+          flip.Protocol.actions;
+    }
+  in
+  match Checker.expand (Statespace.build coin) Statespace.Distributed with
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool) "names the disagreeing passes" true
+      (String.starts_with ~prefix:"Checker.expand: the fill pass disagrees" msg)
+
 let test_synchronous_lasso_terminal () =
   let space = Statespace.build (countdown ()) in
   let prefix, cycle = Checker.synchronous_lasso space ~init:0 in
@@ -249,6 +283,9 @@ let suite =
     Alcotest.test_case "dead-end detection" `Quick test_dead_end_detection;
     Alcotest.test_case "step-spec violation" `Quick test_step_spec_violation;
     Alcotest.test_case "expand edge counts" `Quick test_expand_edge_count;
+    Alcotest.test_case "expand allocation" `Quick test_expand_allocation;
+    Alcotest.test_case "expand rejects mislabelled protocol" `Quick
+      test_expand_rejects_mislabelled_protocol;
     Alcotest.test_case "sync lasso to terminal" `Quick test_synchronous_lasso_terminal;
     Alcotest.test_case "sync lasso cycle" `Quick test_synchronous_lasso_cycle;
     Alcotest.test_case "sync lasso rejects randomized" `Quick test_synchronous_lasso_rejects_randomized;

@@ -62,6 +62,30 @@ let random_protocol seed =
     randomized = false;
   }
 
+(* The randomized counterpart: the same random guard tables, and a
+   statement drawing from a two-point distribution with a weight picked
+   by the local view. The two points may coincide, which exercises the
+   merge of equal outcomes, and some local views keep the deterministic
+   singleton. *)
+let random_randomized_protocol seed =
+  let p = random_protocol seed in
+  let act = List.hd p.Protocol.actions in
+  let k = List.length (p.Protocol.domain 0) in
+  let weights = [| 0.25; 0.5; 0.125; 0.3 |] in
+  let result cfg q =
+    match act.Protocol.result cfg q with
+    | [ (s, _) ] when (s + cfg.(q)) mod 3 <> 0 ->
+      let w = weights.((s + (2 * cfg.(q))) mod 4) in
+      [ (s, w); ((s + cfg.(q)) mod k, 1.0 -. w) ]
+    | dist -> dist
+  in
+  {
+    p with
+    Protocol.name = Printf.sprintf "random-coin-%d" seed;
+    actions = [ { act with Protocol.result } ];
+    randomized = true;
+  }
+
 let random_target seed space =
   let rng = Stabrng.Rng.create (seed * 7919) in
   let n = Statespace.count space in

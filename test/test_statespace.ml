@@ -90,6 +90,168 @@ let test_sched_class_pp () =
   Alcotest.(check string) "central" "central"
     (Format.asprintf "%a" Statespace.pp_sched_class Statespace.Central)
 
+(* --- Expander against the reference path --- *)
+
+type system = System : string * (unit -> 'a Statespace.t) -> system
+
+let classes = Statespace.[ Central; Distributed; Synchronous ]
+
+let reference_systems =
+  let build p () = Statespace.build p in
+  List.concat
+    [
+      List.init 30 (fun seed ->
+          System
+            (Printf.sprintf "random-%d" seed, build (Test_random_systems.random_protocol seed)));
+      List.init 30 (fun seed ->
+          System
+            ( Printf.sprintf "random-coin-%d" seed,
+              build (Test_random_systems.random_randomized_protocol seed) ));
+      [
+        System ("mod3", build (Fixtures.mod3_protocol ()));
+        System ("coin", build (Fixtures.coin_protocol ()));
+        System ("token-ring ring:4", build (Stabalgo.Token_ring.make ~n:4));
+        System
+          ( "transformed random-3",
+            build (Transformer.randomize (Test_random_systems.random_protocol 3)) );
+        System
+          ( "token-ring ring:6 quotient",
+            fun () -> Statespace.quotient (Statespace.build (Stabalgo.Token_ring.make ~n:6)) );
+      ];
+    ]
+
+let bits outcomes = List.map (fun (code, w) -> (code, Int64.bits_of_float w)) outcomes
+
+(* The groups of configuration [c] rebuilt without the expander:
+   enabled processes, every activation subset enumerated explicitly
+   (ascending masks over the enabled list under the distributed class),
+   [Protocol.step_outcomes], [Encoding.encode] and, on a quotient,
+   [rep_of]. *)
+let reference_groups space cls c =
+  let p = Statespace.protocol space in
+  let enc = Statespace.encoding space in
+  let cfg = Encoding.decode enc (Statespace.representative space c) in
+  let project =
+    match Statespace.quotient_view space with
+    | None -> Fun.id
+    | Some (_, _, rep_of, _) -> fun code -> rep_of.(code)
+  in
+  let enabled = Array.of_list (Protocol.enabled_processes p cfg) in
+  let k = Array.length enabled in
+  let members mask =
+    List.filter_map
+      (fun i -> if mask land (1 lsl i) <> 0 then Some enabled.(i) else None)
+      (List.init k Fun.id)
+  in
+  let subsets =
+    match cls with
+    | Statespace.Central -> List.map (fun q -> [ q ]) (Array.to_list enabled)
+    | Statespace.Synchronous -> if k = 0 then [] else [ Array.to_list enabled ]
+    | Statespace.Distributed -> List.init ((1 lsl k) - 1) (fun m -> members (m + 1))
+  in
+  List.map
+    (fun subset ->
+      ( List.fold_left (fun mask q -> mask lor (1 lsl q)) 0 subset,
+        bits
+          (List.map
+             (fun (cfg', w) -> (project (Encoding.encode enc cfg'), w))
+             (Protocol.step_outcomes p cfg subset)) ))
+    subsets
+
+(* One expander per (space, class), reused across every configuration,
+   as a range of the expansion reuses it. *)
+let expander_groups expand c =
+  let groups = ref [] in
+  expand c
+    ~group:(fun mask -> groups := (mask, ref []) :: !groups)
+    ~succ:(fun code w ->
+      match !groups with
+      | (_, outs) :: _ -> outs := (code, w) :: !outs
+      | [] -> Alcotest.fail "successor before its group");
+  List.rev_map (fun (mask, outs) -> (mask, bits (List.rev !outs))) !groups
+
+let test_expander_matches_reference () =
+  List.iter
+    (fun (System (name, build)) ->
+      let space = build () in
+      List.iter
+        (fun cls ->
+          let expand = Statespace.expander space cls in
+          let count = Statespace.group_counter space cls in
+          for c = 0 to Statespace.count space - 1 do
+            let where = Format.asprintf "%s, %a, config %d" name Statespace.pp_sched_class cls c in
+            let expected = reference_groups space cls c in
+            if expander_groups expand c <> expected then
+              Alcotest.failf "%s: expander groups differ from the reference path" where;
+            if count c <> List.length expected then
+              Alcotest.failf "%s: group_counter gives %d groups, reference %d" where (count c)
+                (List.length expected);
+            let listed =
+              List.map
+                (fun (active, outcomes) ->
+                  (List.fold_left (fun mask q -> mask lor (1 lsl q)) 0 active, bits outcomes))
+                (Statespace.transitions space cls c)
+            in
+            if listed <> expected then
+              Alcotest.failf "%s: transitions differ from the reference path" where
+          done)
+        classes)
+    reference_systems
+
+(* The packed layout is the same at widths 1 and 2. Clearing the grain
+   estimates before each expansion makes the pool open with 2 * width
+   chunks, so at width 2 both passes split wherever the space is large
+   enough (at least two 64-configuration chunks). A fresh space per
+   expansion defeats the expansion cache. *)
+let layout space cls =
+  let before = Stabobs.Obs.Counter.value Stabobs.Obs.pool_tasks in
+  Pool.Grain.reset_all ();
+  let g = Checker.expand space cls in
+  let tasks = Stabobs.Obs.Counter.value Stabobs.Obs.pool_tasks - before in
+  let pk = Checker.packing g and fwd = Checker.successors g in
+  ( ( pk.Checker.grp_off,
+      pk.Checker.grp_active,
+      pk.Checker.succ_off,
+      pk.Checker.active_sets,
+      fwd.Digraph.off,
+      fwd.Digraph.dst,
+      Array.map Int64.bits_of_float pk.Checker.succ_w ),
+    tasks )
+
+let test_expand_layout_across_widths () =
+  Stabobs.Obs.install (Stabobs.Obs.null_sink ());
+  Fun.protect
+    ~finally:(fun () ->
+      Pool.set_width 1;
+      Stabobs.Obs.clear ())
+  @@ fun () ->
+  let systems =
+    reference_systems
+    @ [
+        System ("dijkstra-3state ring:6", fun () ->
+            Statespace.build (Stabalgo.Dijkstra_three.make ~n:6));
+        System ("transformed token-ring ring:3", fun () ->
+            Statespace.build (Transformer.randomize (Stabalgo.Token_ring.make ~n:3)));
+        System ("token-ring ring:8 quotient", fun () ->
+            Statespace.quotient (Statespace.build (Stabalgo.Token_ring.make ~n:8)));
+      ]
+  in
+  List.iter
+    (fun (System (name, build)) ->
+      List.iter
+        (fun cls ->
+          Pool.set_width 1;
+          let reference, _ = layout (build ()) cls in
+          Pool.set_width 2;
+          let space = build () in
+          let got, tasks = layout space cls in
+          let where = Format.asprintf "%s, %a" name Statespace.pp_sched_class cls in
+          if got <> reference then Alcotest.failf "%s: width 2 packs differently" where;
+          if Statespace.count space >= 128 && tasks < 2 then
+            Alcotest.failf "%s: width 2 never split the expansion" where)
+        classes)
+    systems
+
 (* --- Spec --- *)
 
 let test_terminal_spec () =
@@ -163,6 +325,8 @@ let suite =
     Alcotest.test_case "synchronous transition" `Quick test_transitions_synchronous;
     Alcotest.test_case "terminal has none" `Quick test_terminal_no_transitions;
     Alcotest.test_case "successors dedup" `Quick test_successors_dedup;
+    Alcotest.test_case "expander = reference path" `Quick test_expander_matches_reference;
+    Alcotest.test_case "expand layout across widths" `Quick test_expand_layout_across_widths;
     Alcotest.test_case "subset count" `Quick test_subset_count;
     Alcotest.test_case "legitimate set" `Quick test_legitimate_set;
     Alcotest.test_case "sched class pp" `Quick test_sched_class_pp;
