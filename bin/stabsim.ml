@@ -275,6 +275,16 @@ let positive =
   in
   Arg.conv (parse, Format.pp_print_int)
 
+(* Tolerances: a negative or non-finite value would never be met, so it
+   fails at parse time instead of spending a whole sweep budget. *)
+let tolerance =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && x >= 0.0 -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "expected a non-negative finite number, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let steps_arg =
   let doc = "Maximum number of steps to simulate." in
   Arg.(value & opt int 50 & info [ "steps" ] ~docv:"STEPS" ~doc)
@@ -351,11 +361,11 @@ let solver_term =
       "Relative-residual stopping tolerance of the sparse solvers \
        (ignored by $(b,exact))."
     in
-    Arg.(value & opt float 1e-10 & info [ "tol" ] ~docv:"TOL" ~doc)
+    Arg.(value & opt tolerance 1e-10 & info [ "tol" ] ~docv:"TOL" ~doc)
   in
   let max_sweeps_arg =
     let doc = "Sweep budget per strongly connected block of the sparse solvers." in
-    Arg.(value & opt int 1_000_000 & info [ "max-sweeps" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive 1_000_000 & info [ "max-sweeps" ] ~docv:"N" ~doc)
   in
   let make solver tolerance max_sweeps =
     match solver with

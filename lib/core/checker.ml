@@ -12,8 +12,10 @@
    that kernel over [fwd] or its memoized reverse. Successors come in
    {!Statespace.transitions} order (groups in transition order,
    successors in outcome order), so the kernel's witnesses and
-   component order stay stable. Activated subsets are interned:
-   [grp_active.(grp)] indexes [active_sets]. [succ_w] carries the
+   component order stay stable. [enabled.(c)] is Enabled(c) as a
+   process bitmask; the activated subset of each group is derived from
+   it by {!Statespace.next_group}, in the order the expander emits
+   groups, so no mask is stored per group. [succ_w] carries the
    outcome probabilities so the Markov chain of a randomized daemon can
    be read off the same packing.
 
@@ -22,36 +24,23 @@
    disjoint slices of them, and nothing else writes them after
    [expand] returns. The graph is shared read-only through the
    expansion cache, except for [rev], which is filled on first
-   demand.
-
-   Ordering contract (relied on by [graph_enabled], which reads
-   Enabled(c) off the packing instead of re-evaluating guards): under
-   the distributed and synchronous classes the LAST group of a
-   configuration activates the full enabled set — the union of all its
-   groups — and under the central class every group is an enabled
-   singleton. [Statespace.expander] establishes this by enumerating
-   activation subsets in ascending-bitmask order;
-   [masks_well_ordered] asserts it at packing time so a future
-   reordering of the subset enumeration cannot silently corrupt the
-   fairness checks. *)
+   demand. *)
 module Obs = Stabobs.Obs
 
 type packing = {
   grp_off : int array;
-  grp_active : int array;
+  enabled : int array;
   succ_off : int array;
   succ_w : float array;
-  active_sets : int list array;
 }
 
 type graph = {
   cls : Statespace.sched_class; (* the class the graph was expanded under *)
   grp_off : int array; (* length n+1 *)
-  grp_active : int array; (* length ngroups *)
+  enabled : int array; (* length n: Enabled(c) as a process bitmask *)
   succ_off : int array; (* length ngroups+1 *)
   fwd : Digraph.t; (* n configurations; off length n+1; dst length nedges *)
   succ_w : float array; (* length nedges *)
-  active_sets : int list array;
   mutable rev : Digraph.t option;
       (* reverse of [fwd], built on first demand and shared by every
          backward pass (possible convergence, best-case BFS) *)
@@ -73,51 +62,6 @@ let record_expansion g =
       Stabobs.Dist.record_int Stabobs.Dist.checker_out_degree (succ_hi g c - succ_lo g c)
     done
 
-(* Replaces every mask of [grp_active] by its set id, in place, and
-   returns the sets by id. Ids are assigned in first-occurrence order
-   over the filled array, which is the order of a serial walk however
-   the configuration range was split. With few processes (the
-   exhaustive regime) a direct-indexed table avoids hashing entirely. *)
-let intern_masks nproc grp_active =
-  let direct = if nproc <= 16 then Array.make (1 lsl nproc) (-1) else [||] in
-  let hashed = Hashtbl.create 64 in
-  let sets = ref [] and nsets = ref 0 in
-  for grp = 0 to Array.length grp_active - 1 do
-    let mask = grp_active.(grp) in
-    let id =
-      if nproc <= 16 then direct.(mask)
-      else Option.value (Hashtbl.find_opt hashed mask) ~default:(-1)
-    in
-    if id >= 0 then grp_active.(grp) <- id
-    else begin
-      let id = !nsets in
-      incr nsets;
-      sets := Statespace.procs_of_mask mask :: !sets;
-      if nproc <= 16 then direct.(mask) <- id else Hashtbl.add hashed mask id;
-      grp_active.(grp) <- id
-    end
-  done;
-  Array.of_list (List.rev !sets)
-
-(* Debug check of the ordering contract documented on [graph], on the
-   filled activation masks before interning: for every configuration
-   with groups, every group is a subset of the last one, which makes the
-   last group the union (distributed/synchronous), or every group is a
-   singleton (central). Runs under [assert] so release builds compiled
-   with -noassert skip the pass. *)
-let masks_well_ordered cls grp_off masks =
-  match cls with
-  | Statespace.Central -> Array.for_all (fun m -> m <> 0 && m land (m - 1) = 0) masks
-  | Statespace.Distributed | Statespace.Synchronous ->
-    let ok = ref true in
-    for c = 0 to Array.length grp_off - 2 do
-      let lo = grp_off.(c) and hi = grp_off.(c + 1) in
-      for grp = lo to hi - 1 do
-        if masks.(grp) land masks.(hi - 1) <> masks.(grp) then ok := false
-      done
-    done;
-    !ok
-
 let count_grain = Pool.Grain.site "checker.expand.count"
 let fill_grain = Pool.Grain.site "checker.expand.fill"
 
@@ -128,40 +72,50 @@ let each_config ~lo ~hi f =
   done
 
 (* Two passes over the same enumeration. The count pass stores the
-   group and successor counts of [c] at index [c + 1] of [grp_off] and
-   [off]; a deterministic protocol has one successor per group, so its
-   counts come from the guards alone. A serial prefix sum turns the
-   counts into offsets, the packed arrays are allocated once at their
-   exact size, and the fill pass writes every range at its global
-   offsets, so the layout does not depend on how the pool split either
-   pass. Masks are interned after the fill, so set ids follow a serial
-   walk at every pool width. Each range gets its own expander scratch;
-   spaces are immutable and guards and statements are pure, so ranges
-   run concurrently. The per-configuration successor offsets of [fwd]
-   cost n+1 ints on top of the two-level packing; they let the kernel
-   passes index one flat CSR. *)
+   enabled mask of [c] at [enabled.(c)] and its group and successor
+   counts at index [c + 1] of [grp_off] and [off]; a deterministic
+   protocol has one successor per group, so its mask and counts come
+   from the guards alone. A serial prefix sum turns the counts into
+   offsets, the packed arrays are allocated once at their exact size,
+   and the fill pass writes every range at its global offsets, so the
+   layout does not depend on how the pool split either pass. The fill
+   pass checks every configuration against the count pass: the same
+   number of groups and successors, and each group activating the
+   subset {!Statespace.next_group} derives from the enabled mask. Each
+   range gets its own expander scratch; spaces are immutable and
+   guards and statements are pure, so ranges run concurrently. The
+   per-configuration successor offsets of [fwd] cost n+1 ints on top
+   of the two-level packing; they let the kernel passes index one flat
+   CSR. *)
 let build_graph space cls =
   let n = Statespace.count space in
   let protocol = Statespace.protocol space in
-  let nproc = Stabgraph.Graph.size protocol.Protocol.graph in
+  let enabled = Array.make n 0 in
   let grp_off = Array.make (n + 1) 0 in
   let off = Array.make (n + 1) 0 in
   Pool.parallel_for ~site:count_grain ~min_chunk:64 n (fun ~lo ~hi ->
       if Protocol.deterministic protocol then begin
-        let groups = Statespace.group_counter space cls in
+        let enabled_mask = Statespace.enabled_mask space in
         each_config ~lo ~hi (fun c ->
-            let k = groups c in
+            let mask = enabled_mask c in
+            let k = Statespace.group_count cls mask in
+            enabled.(c) <- mask;
             grp_off.(c + 1) <- k;
             off.(c + 1) <- k)
       end
       else begin
         let expand = Statespace.expander space cls in
-        let groups = ref 0 and succs = ref 0 in
-        let group _ = incr groups and succ _ _ = incr succs in
+        let mask = ref 0 and groups = ref 0 and succs = ref 0 in
+        let group m =
+          mask := !mask lor m;
+          incr groups
+        and succ _ _ = incr succs in
         each_config ~lo ~hi (fun c ->
+            mask := 0;
             groups := 0;
             succs := 0;
             expand c ~group ~succ;
+            enabled.(c) <- !mask;
             grp_off.(c + 1) <- !groups;
             off.(c + 1) <- !succs)
       end);
@@ -170,48 +124,45 @@ let build_graph space cls =
     off.(c) <- off.(c) + off.(c - 1)
   done;
   let ngroups = grp_off.(n) and nedges = off.(n) in
-  let grp_active = Array.make ngroups 0 in
   let succ_off = Array.make (ngroups + 1) nedges in
   let dst = Array.make nedges 0 in
   let succ_w = Array.make nedges 0.0 in
-  (* A range never writes past its own slices: if its fill outruns its
-     count, or falls short of it, the expansion fails. *)
+  (* A configuration never writes past its own slices: if its fill
+     outruns its count, or falls short of it, the expansion fails. *)
   let disagree () =
     invalid_arg
       "Checker.expand: the fill pass disagrees with the count pass (does a protocol flagged \
        deterministic return several outcomes?)"
   in
+  let misordered c mask expected =
+    invalid_arg
+      (Printf.sprintf
+         "Checker.expand: configuration %d activates mask %#x where its enabled mask %#x gives \
+          %#x (are the guards pure?)"
+         c mask enabled.(c) expected)
+  in
   Pool.parallel_for ~site:fill_grain ~min_chunk:64 n (fun ~lo ~hi ->
       let expand = Statespace.expander space cls in
+      let cur = ref lo and prev = ref 0 in
       let grp = ref grp_off.(lo) and e = ref off.(lo) in
-      let grp_hi = grp_off.(hi) and e_hi = off.(hi) in
       let group mask =
-        if !grp >= grp_hi then disagree ();
-        grp_active.(!grp) <- mask;
+        if !grp >= grp_off.(!cur + 1) then disagree ();
+        prev := Statespace.next_group cls enabled.(!cur) !prev;
+        if mask <> !prev then misordered !cur mask !prev;
         succ_off.(!grp) <- !e;
         incr grp
       and succ code w =
-        if !e >= e_hi then disagree ();
+        if !e >= off.(!cur + 1) then disagree ();
         dst.(!e) <- code;
         succ_w.(!e) <- w;
         incr e
       in
-      each_config ~lo ~hi (fun c -> expand c ~group ~succ);
-      if !grp <> grp_hi || !e <> e_hi then disagree ());
-  assert (masks_well_ordered cls grp_off grp_active);
-  let active_sets = intern_masks nproc grp_active in
-  let g =
-    {
-      cls;
-      grp_off;
-      grp_active;
-      succ_off;
-      fwd = { Digraph.n; off; dst };
-      succ_w;
-      active_sets;
-      rev = None;
-    }
-  in
+      each_config ~lo ~hi (fun c ->
+          cur := c;
+          prev := 0;
+          expand c ~group ~succ;
+          if !grp <> grp_off.(c + 1) || !e <> off.(c + 1) then disagree ()));
+  let g = { cls; grp_off; enabled; succ_off; fwd = { Digraph.n; off; dst }; succ_w; rev = None } in
   record_expansion g;
   g
 
@@ -256,13 +207,7 @@ let reverse g =
 let successors g = g.fwd
 
 let packing g : packing =
-  {
-    grp_off = g.grp_off;
-    grp_active = g.grp_active;
-    succ_off = g.succ_off;
-    succ_w = g.succ_w;
-    active_sets = g.active_sets;
-  }
+  { grp_off = g.grp_off; enabled = g.enabled; succ_off = g.succ_off; succ_w = g.succ_w }
 
 let graph_edge_count g = Array.length g.fwd.dst
 
@@ -345,19 +290,17 @@ let check_closure_full space g spec =
     (let exception Found in
      try
        for c = 0 to g.fwd.n - 1 do
-         if legitimate.(c) then
+         if legitimate.(c) then begin
+           let active = ref 0 in
            for grp = g.grp_off.(c) to g.grp_off.(c + 1) - 1 do
+             active := Statespace.next_group g.cls g.enabled.(c) !active;
              for i = g.succ_off.(grp) to g.succ_off.(grp + 1) - 1 do
                let c' = g.fwd.dst.(i) in
                if not legitimate.(c') then begin
                  violation :=
                    Some
                      (Escape
-                        {
-                          config = c;
-                          active = g.active_sets.(g.grp_active.(grp));
-                          successor = c';
-                        });
+                        { config = c; active = Statespace.procs_of_mask !active; successor = c' });
                  raise Found
                end
                else
@@ -372,6 +315,7 @@ let check_closure_full space g spec =
                    end
              done
            done
+         end
        done
      with Found -> ());
     match !violation with None -> Ok () | Some v -> Error v
@@ -441,53 +385,23 @@ let has_internal_edge g in_scc members =
       go (succ_lo g c))
     members
 
-(* Enabled set of a configuration, read off the packed graph instead of
-   re-decoding the configuration and re-evaluating guards, per the
-   ordering contract documented on [graph] (and asserted by
-   [masks_well_ordered] at packing time): under the synchronous and
-   distributed classes the last group of [c] is exactly Enabled(c),
-   and under the central class the groups are the enabled singletons.
-   Terminal configurations have no groups. *)
-let graph_enabled g c =
-  let lo = g.grp_off.(c) and hi = g.grp_off.(c + 1) in
-  if lo = hi then []
-  else
-    match g.cls with
-    | Statespace.Synchronous | Statespace.Distributed ->
-      g.active_sets.(g.grp_active.(hi - 1))
-    | Statespace.Central ->
-      let out = ref [] in
-      for grp = hi - 1 downto lo do
-        match g.active_sets.(g.grp_active.(grp)) with
-        | [ p ] -> out := p :: !out
-        | s -> out := s @ !out
-      done;
-      !out
+(* Processes enabled somewhere in the member set, as a bitmask. *)
+let enabled_in g members = Array.fold_left (fun acc c -> acc lor g.enabled.(c)) 0 members
 
-let enabled_in g members =
-  let seen = Hashtbl.create 16 in
-  Array.iter
-    (fun c -> List.iter (fun p -> Hashtbl.replace seen p ()) (graph_enabled g c))
-    members;
-  seen
-
-(* Processes firing on internal edges of the member set. *)
+(* Processes firing on internal edges of the member set, as a
+   bitmask. *)
 let firing_in g in_scc members =
-  let seen = Hashtbl.create 16 in
-  Array.iter
-    (fun c ->
+  Array.fold_left
+    (fun acc c ->
+      let fired = ref acc and active = ref 0 in
       for grp = g.grp_off.(c) to g.grp_off.(c + 1) - 1 do
-        let internal = ref false in
+        active := Statespace.next_group g.cls g.enabled.(c) !active;
         for i = g.succ_off.(grp) to g.succ_off.(grp + 1) - 1 do
-          if in_scc g.fwd.dst.(i) then internal := true
-        done;
-        if !internal then
-          List.iter
-            (fun p -> Hashtbl.replace seen p ())
-            g.active_sets.(g.grp_active.(grp))
-      done)
-    members;
-  seen
+          if in_scc g.fwd.dst.(i) then fired := !fired lor !active
+        done
+      done;
+      !fired)
+    0 members
 
 (* Runs [f] on the membership test of [members], backed by a pass's
    one scratch [mask]: the members are set, tested, then cleared, so a
@@ -514,24 +428,14 @@ let strongly_fair_from g components =
     let never_firing =
       with_members mask members (fun in_scc ->
           if not (has_internal_edge g in_scc members) then None
-          else begin
-            let enabled = enabled_in g members in
-            let firing = firing_in g in_scc members in
-            Some
-              (Hashtbl.fold
-                 (fun p () acc -> if Hashtbl.mem firing p then acc else p :: acc)
-                 enabled [])
-          end)
+          else Some (enabled_in g members land lnot (firing_in g in_scc members)))
     in
     match never_firing with
     | None -> None
-    | Some [] -> Some (Array.to_list members)
+    | Some 0 -> Some (Array.to_list members)
     | Some bad ->
       (* Remove states where a never-firing process is enabled. *)
-      let enables_bad c =
-        let here = graph_enabled g c in
-        List.exists (fun p -> List.mem p here) bad
-      in
+      let enables_bad c = g.enabled.(c) land bad <> 0 in
       let kept = Array.of_seq (Seq.filter (Fun.negate enables_bad) (Array.to_seq members)) in
       if kept = [||] then None
       else refine (with_members mask kept (fun keep -> sccs ~keep g))
@@ -575,17 +479,10 @@ let weakly_fair_from g components =
   let mask = Bitset.create g.fwd.n in
   let accepting members =
     with_members mask members @@ fun in_scc ->
-    if not (has_internal_edge g in_scc members) then false
-    else begin
-      let firing = firing_in g in_scc members in
-      let everywhere_enabled p =
-        Array.for_all (fun c -> List.mem p (graph_enabled g c)) members
-      in
-      let processes = enabled_in g members in
-      Hashtbl.fold
-        (fun p () acc -> acc && (Hashtbl.mem firing p || not (everywhere_enabled p)))
-        processes true
-    end
+    has_internal_edge g in_scc members
+    &&
+    let everywhere = Array.fold_left (fun acc c -> acc land g.enabled.(c)) (-1) members in
+    everywhere land lnot (firing_in g in_scc members) = 0
   in
   List.find_opt accepting components |> Option.map Array.to_list
 

@@ -23,16 +23,19 @@
 type graph
 (** Expanded transition relation of a space under a scheduler class,
     packed in compressed-sparse-row form: flat successor/offset int
-    arrays with interned activation subsets, so the graph passes below
-    run over contiguous memory. Every edge carries the activated
-    subset and its outcome probability. *)
+    arrays plus one enabled mask per configuration, so the graph passes
+    below run over contiguous memory. Every edge carries its outcome
+    probability; the activated subset of each group is derived from the
+    enabled mask ({!Statespace.next_group}). *)
 
 val expand : 'a Statespace.t -> Statespace.sched_class -> graph
 (** Materialize all transitions. Cost is proportional to the number of
     (configuration, allowed subset, outcome) triples; a count pass and
     a fill pass over {!Statespace.expander} are sharded across OCaml 5
     domains, and the fill writes every range at its global offsets, so
-    the packing is the same at every pool width. Results
+    the packing is the same at every pool width. Raises
+    [Invalid_argument] when the fill pass disagrees with the count
+    pass, in counts or in an activated subset (an impure guard). Results
     are cached per ({!Statespace.uid}, class) in a small bounded
     store, so the theorem checks, the portfolio, the quantitative
     sweeps and {!Markov.of_space} share one expansion per space
@@ -48,12 +51,14 @@ val successors : graph -> Digraph.t
 
 type packing = {
   grp_off : int array;  (** groups of [c]: [grp_off.(c) .. grp_off.(c+1) - 1] *)
-  grp_active : int array;  (** set id of each group's activated subset *)
+  enabled : int array;
+      (** Enabled(c) as a process bitmask; the groups of [c] activate
+          the subsets {!Statespace.next_group} derives from it, in
+          order *)
   succ_off : int array;
       (** successors of group [grp]: [succ_off.(grp) .. succ_off.(grp+1) - 1]
           of the {!successors} [dst] array *)
   succ_w : float array;  (** outcome probability of each successor entry *)
-  active_sets : int list array;  (** activated subsets by set id, ascending *)
 }
 (** The two-level packing behind {!successors}. *)
 

@@ -16,9 +16,6 @@
 
 type ('a, 'b) layered = { base : 'a; overlay : 'b }
 
-val base_config : ('a, 'b) layered array -> 'a array
-val overlay_config : ('a, 'b) layered array -> 'b array
-
 val collateral :
   name:string ->
   base:'a Protocol.t ->

@@ -60,7 +60,7 @@ let adversary ~name strategy =
   }
 
 let crash ?(wake_p = 0.0) ~failed sched =
-  if wake_p < 0.0 || wake_p >= 1.0 then
+  if not (wake_p >= 0.0 && wake_p < 1.0) then
     invalid_arg "Scheduler.crash: wake_p outside [0, 1)";
   if failed = [] then invalid_arg "Scheduler.crash: empty failed set";
   let tag =

@@ -184,7 +184,7 @@ let low_index mask =
   !i
 
 (* Per-configuration scratch shared by {!expander} and
-   {!group_counter}: a decode buffer and the enabled processes with
+   {!enabled_mask}: a decode buffer and the enabled processes with
    their enabled actions, allocated once and overwritten by each
    [scan]. *)
 type 'a scan = {
@@ -193,6 +193,7 @@ type 'a scan = {
   procs : int array; (* enabled processes, ascending *)
   acts : 'a Protocol.action array; (* the enabled action of each *)
   mutable enabled : int;
+  mutable mask : int; (* the enabled processes as a bitmask *)
   mutable raw : int; (* full-space code of the scanned configuration *)
 }
 
@@ -208,6 +209,7 @@ let scan_scratch t =
     acts =
       (match t.protocol.Protocol.actions with [] -> [||] | a :: _ -> Array.make nproc a);
     enabled = 0;
+    mask = 0;
     raw = 0;
   }
 
@@ -218,7 +220,8 @@ let rec scan_process s p = function
     if a.Protocol.guard s.cfg p then begin
       s.procs.(s.enabled) <- p;
       s.acts.(s.enabled) <- a;
-      s.enabled <- s.enabled + 1
+      s.enabled <- s.enabled + 1;
+      s.mask <- s.mask lor (1 lsl p)
     end
     else scan_process s p rest
 
@@ -229,11 +232,15 @@ let scan s c =
   s.raw <- (match t.view with Full -> c | Quotient q -> q.reps.(c));
   Encoding.decode_into t.encoding s.raw s.cfg;
   s.enabled <- 0;
+  s.mask <- 0;
   for p = 0 to Array.length s.cfg - 1 do
     scan_process s p t.protocol.Protocol.actions
   done
 
-let group_count cls k =
+let rec popcount mask = if mask = 0 then 0 else 1 + popcount (mask land (mask - 1))
+
+let group_count cls enabled =
+  let k = popcount enabled in
   match cls with
   | Central -> k
   | Synchronous -> if k > 0 then 1 else 0
@@ -241,11 +248,19 @@ let group_count cls k =
     if k > 20 then invalid_arg "Statespace: too many enabled processes to enumerate subsets";
     subset_count k
 
-let group_counter t cls =
+let next_group cls enabled prev =
+  match cls with
+  | Synchronous -> enabled
+  | Central ->
+    let above = if prev = 0 then enabled else enabled land -(prev lsl 1) in
+    above land -above
+  | Distributed -> ((prev lor lnot enabled) + 1) land enabled
+
+let enabled_mask t =
   let s = scan_scratch t in
   fun c ->
     scan s c;
-    group_count cls s.enabled
+    s.mask
 
 (* Mask-native transition enumeration. Each enabled process's action
    is evaluated exactly once per configuration; its local outcomes are
@@ -342,21 +357,17 @@ let expander t cls =
           else emit_product ~group ~succ mask [ local i ]
         done
       | Synchronous ->
-        let mask = ref 0 in
-        for i = 0 to k - 1 do
-          mask := !mask lor (1 lsl procs.(i))
-        done;
         if !deterministic then begin
           let sum = ref raw in
           for i = 0 to k - 1 do
             sum := !sum + deltas.(i)
           done;
-          group !mask;
+          group s.mask;
           succ (target !sum) 1.0
         end
-        else emit_product ~group ~succ !mask (List.init k local)
+        else emit_product ~group ~succ s.mask (List.init k local)
       | Distributed ->
-        let size = group_count cls k + 1 in
+        let size = group_count cls s.mask + 1 in
         if Array.length !masks < size then begin
           sums := Array.make size 0;
           masks := Array.make size 0

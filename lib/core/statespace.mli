@@ -106,21 +106,39 @@ val expander :
     function that enumerates the steps of one configuration: for each
     step of {!transitions}, in the same order, [group] receives the
     activated subset as a process bitmask, then [succ] receives each
-    successor code and its probability, in outcome order. Distributed
-    subsets come in ascending bitmask order, central singletons and
-    outcomes in ascending process order. Deterministic protocols pass
-    weight [1.0] and allocate nothing per step. The returned function
+    successor code and its probability, in outcome order. The
+    activated subsets come in the order {!next_group} derives from the
+    enabled mask. Deterministic protocols pass weight [1.0] and
+    allocate nothing per step. The returned function
     reuses its scratch, so one expander must not run on two domains at
     once; create one per range. Raises [Invalid_argument] when the
     protocol has more processes than an [int] has bits, or when more
     than 20 processes are enabled under the distributed class. *)
 
-val group_counter : 'a t -> sched_class -> int -> int
-(** [group_counter space cls] allocates scratch like {!expander} and
-    returns a function giving the number of steps (groups) of a
-    configuration from its guards alone, without running a statement.
-    A deterministic protocol has one successor per step, so this sizes
-    its expansion. Same sharing rule and exceptions as {!expander}. *)
+val enabled_mask : 'a t -> int -> int
+(** [enabled_mask space] allocates scratch like {!expander} and returns
+    a function giving Enabled(c) of a configuration as a process
+    bitmask, from its guards alone, without running a statement. Same
+    sharing rule as {!expander}; raises [Invalid_argument] when the
+    protocol has more processes than an [int] has bits. *)
+
+val group_count : sched_class -> int -> int
+(** [group_count cls enabled] is the number of steps (groups) the class
+    allows from a configuration whose enabled mask is [enabled]: one
+    per enabled process (central), one per non-empty subset
+    (distributed), one if any process is enabled (synchronous). A
+    deterministic protocol has one successor per step, so this sizes
+    its expansion. Raises [Invalid_argument] when more than 20
+    processes are enabled under the distributed class. *)
+
+val next_group : sched_class -> int -> int -> int
+(** [next_group cls enabled prev] is the activated subset of the step
+    after the one activating [prev], with [prev = 0] before the first:
+    [enabled] itself (synchronous), the lowest enabled process above
+    [prev] (central), the next non-empty submask of [enabled] in
+    ascending order (distributed). Iterated {!group_count} times from
+    0, it gives the groups in {!expander} order, so a packing can keep
+    one enabled mask per configuration instead of a mask per group. *)
 
 val procs_of_mask : int -> int list
 (** The processes of an activation bitmask, ascending. *)

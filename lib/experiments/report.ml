@@ -13,8 +13,6 @@ let add_row t row =
     invalid_arg "Report.add_row: column count mismatch";
   t.rows <- row :: t.rows
 
-let add_rows t rows = List.iter (add_row t) rows
-
 let render t =
   let rows = List.rev t.rows in
   let widths =

@@ -9,8 +9,6 @@ val create : title:string -> columns:string list -> t
 val add_row : t -> string list -> unit
 (** Raises [Invalid_argument] on column-count mismatch. *)
 
-val add_rows : t -> string list list -> unit
-
 val render : t -> string
 (** The title, a header line, a separator and the rows, columns padded
     to their widest cell. *)

@@ -203,7 +203,6 @@ let logf level fmt =
 let errorf fmt = logf Error fmt
 let warnf fmt = logf Warn fmt
 let infof fmt = logf Info fmt
-let debugf fmt = logf Debug fmt
 
 (* --- spans --- *)
 

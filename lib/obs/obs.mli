@@ -33,15 +33,13 @@ val set_level : level -> unit
 
 val get_level : unit -> level
 
-val logf : level -> ('a, Format.formatter, unit, unit) format4 -> 'a
+val errorf : ('a, Format.formatter, unit, unit) format4 -> 'a
 (** Messages at or below the current level are printed to stderr and
     emitted to every installed sink as a {!Message} event; others are
     dropped without formatting. *)
 
-val errorf : ('a, Format.formatter, unit, unit) format4 -> 'a
 val warnf : ('a, Format.formatter, unit, unit) format4 -> 'a
 val infof : ('a, Format.formatter, unit, unit) format4 -> 'a
-val debugf : ('a, Format.formatter, unit, unit) format4 -> 'a
 
 (** {1 Counters} *)
 

@@ -40,6 +40,22 @@ golden() {
   rm -f "$out" "$out.raw"
 }
 
+# rejects NAME ARGS...: stabsim ARGS at the pool width must exit
+# non-zero before printing anything on stdout.
+rejects() {
+  name=$1
+  shift
+  out=$(mktemp)
+  if "$stabsim" "$@" --domains "$width" > "$out" 2>/dev/null; then
+    echo "cli reject $name: stabsim $* succeeded" >&2
+    failed=1
+  elif [ -s "$out" ]; then
+    echo "cli reject $name: stabsim $* printed on stdout before failing" >&2
+    failed=1
+  fi
+  rm -f "$out"
+}
+
 golden check cat check -p token-ring -t ring:5
 golden check-quotient cat check -p token-ring -t ring:6 --quotient
 golden check-crash cat check -p token-ring -t ring:5 --crash 0
@@ -68,4 +84,9 @@ golden montecarlo cat montecarlo -p token-ring -t ring:5 --runs 200
 # Every sampled table: the E1/E2 Monte-Carlo rows, E6, E10 and E11.
 golden experiments cat experiments
 golden profile answers profile token-ring --n 5 --runs 100
+# Nonsense solver and fault parameters are usage errors, not runs.
+rejects tol-negative markov -p token-ring -t ring:5 --solver gs --tol=-1
+rejects tol-nan markov -p token-ring -t ring:5 --solver gs --tol nan
+rejects max-sweeps-zero markov -p token-ring -t ring:5 --solver gs --max-sweeps 0
+rejects wake-p-nan trace -p token-ring -t ring:5 --crash 1 --wake-p nan
 exit $failed

@@ -188,6 +188,45 @@ let test_expand_rejects_mislabelled_protocol () =
     Alcotest.(check bool) "names the disagreeing passes" true
       (String.starts_with ~prefix:"Checker.expand: the fill pass disagrees" msg)
 
+(* The packing stores one enabled mask per configuration and derives
+   each group's activated subset from it. A guard that answers
+   differently on the same configuration breaks that derivation even
+   when the counts agree: here every scan enables exactly one of two
+   processes, process 0 on one scan and process 1 on the next, so the
+   count pass records {0} and the fill pass activates {1}. *)
+let test_expand_rejects_impure_guard () =
+  Pool.set_width 1;
+  let phase = ref false in
+  let impure : int Protocol.action =
+    {
+      label = "impure";
+      guard =
+        (fun _ p ->
+          if p = 0 then begin
+            phase := not !phase;
+            !phase
+          end
+          else not !phase);
+      result = (fun cfg p -> [ (cfg.(p), 1.0) ]);
+    }
+  in
+  let p =
+    {
+      Protocol.name = "impure";
+      graph = Stabgraph.Graph.chain 2;
+      domain = (fun _ -> [ 0 ]);
+      actions = [ impure ];
+      equal = Int.equal;
+      pp = Format.pp_print_int;
+      randomized = false;
+    }
+  in
+  match Checker.expand (Statespace.build p) Statespace.Central with
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool) "names the configuration's activated mask" true
+      (String.starts_with ~prefix:"Checker.expand: configuration 0 activates mask 0x2" msg)
+
 let test_synchronous_lasso_terminal () =
   let space = Statespace.build (countdown ()) in
   let prefix, cycle = Checker.synchronous_lasso space ~init:0 in
@@ -286,6 +325,7 @@ let suite =
     Alcotest.test_case "expand allocation" `Quick test_expand_allocation;
     Alcotest.test_case "expand rejects mislabelled protocol" `Quick
       test_expand_rejects_mislabelled_protocol;
+    Alcotest.test_case "expand rejects impure guard" `Quick test_expand_rejects_impure_guard;
     Alcotest.test_case "sync lasso to terminal" `Quick test_synchronous_lasso_terminal;
     Alcotest.test_case "sync lasso cycle" `Quick test_synchronous_lasso_cycle;
     Alcotest.test_case "sync lasso rejects randomized" `Quick test_synchronous_lasso_rejects_randomized;

@@ -317,12 +317,19 @@ let test_crash_wake_p_zero_is_permanent () =
 
 let test_crash_wake_p_one_rejected () =
   (* wake_p = 1 would mean "crashed but always awake" — the interval is
-     half-open [0, 1) and the top end is rejected. *)
-  Alcotest.check_raises "wake_p 1"
-    (Invalid_argument "Scheduler.crash: wake_p outside [0, 1)") (fun () ->
-      ignore
-        (Scheduler.crash ~wake_p:1.0 ~failed:[ 0 ]
-           (Scheduler.central_random () : int Scheduler.t)))
+     half-open [0, 1) and the top end is rejected. NaN compares false
+     with everything, so it must be rejected too rather than silently
+     running a permanent crash. *)
+  List.iter
+    (fun wake_p ->
+      Alcotest.check_raises
+        (Printf.sprintf "wake_p %g" wake_p)
+        (Invalid_argument "Scheduler.crash: wake_p outside [0, 1)")
+        (fun () ->
+          ignore
+            (Scheduler.crash ~wake_p ~failed:[ 0 ]
+               (Scheduler.central_random () : int Scheduler.t))))
+    [ 1.0; Float.nan ]
 
 (* --- crash faults --- *)
 

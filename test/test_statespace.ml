@@ -170,6 +170,19 @@ let expander_groups expand c =
       | [] -> Alcotest.fail "successor before its group");
   List.rev_map (fun (mask, outs) -> (mask, bits (List.rev !outs))) !groups
 
+(* The activated subsets of configuration [c] in the checker's packing,
+   derived from its one enabled mask. *)
+let packed_masks g cls c =
+  let pk = Checker.packing g in
+  let enabled = pk.Checker.enabled.(c) in
+  let rec go prev grp =
+    if grp = pk.Checker.grp_off.(c + 1) then []
+    else
+      let mask = Statespace.next_group cls enabled prev in
+      mask :: go mask (grp + 1)
+  in
+  go 0 pk.Checker.grp_off.(c)
+
 let test_expander_matches_reference () =
   List.iter
     (fun (System (name, build)) ->
@@ -177,15 +190,29 @@ let test_expander_matches_reference () =
       List.iter
         (fun cls ->
           let expand = Statespace.expander space cls in
-          let count = Statespace.group_counter space cls in
+          let enabled_mask = Statespace.enabled_mask space in
+          let g = Checker.expand space cls in
           for c = 0 to Statespace.count space - 1 do
             let where = Format.asprintf "%s, %a, config %d" name Statespace.pp_sched_class cls c in
             let expected = reference_groups space cls c in
             if expander_groups expand c <> expected then
               Alcotest.failf "%s: expander groups differ from the reference path" where;
-            if count c <> List.length expected then
-              Alcotest.failf "%s: group_counter gives %d groups, reference %d" where (count c)
-                (List.length expected);
+            let enabled =
+              List.fold_left
+                (fun mask q -> mask lor (1 lsl q))
+                0
+                (Protocol.enabled_processes (Statespace.protocol space)
+                   (Statespace.config space c))
+            in
+            if enabled_mask c <> enabled then
+              Alcotest.failf "%s: enabled_mask gives %#x, reference %#x" where (enabled_mask c)
+                enabled;
+            if Statespace.group_count cls enabled <> List.length expected then
+              Alcotest.failf "%s: group_count gives %d groups, reference %d" where
+                (Statespace.group_count cls enabled) (List.length expected);
+            if packed_masks g cls c <> List.map fst expected then
+              Alcotest.failf "%s: the packing derives other activated subsets than the reference"
+                where;
             let listed =
               List.map
                 (fun (active, outcomes) ->
@@ -210,9 +237,8 @@ let layout space cls =
   let tasks = Stabobs.Obs.Counter.value Stabobs.Obs.pool_tasks - before in
   let pk = Checker.packing g and fwd = Checker.successors g in
   ( ( pk.Checker.grp_off,
-      pk.Checker.grp_active,
+      pk.Checker.enabled,
       pk.Checker.succ_off,
-      pk.Checker.active_sets,
       fwd.Digraph.off,
       fwd.Digraph.dst,
       Array.map Int64.bits_of_float pk.Checker.succ_w ),
