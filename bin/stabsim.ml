@@ -265,15 +265,22 @@ let seed_arg =
   let doc = "PRNG seed; equal seeds reproduce runs exactly." in
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
 
-(* Counts and budgets: zero or less fails with cmdliner's usage error,
-   before the subcommand prints anything. *)
-let positive =
+(* Integers below [least] fail with cmdliner's usage error, before the
+   subcommand prints anything. *)
+let int_at_least least what =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n > 0 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+    | Some n when n >= least -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a %s integer, got %S" what s))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+(* Counts and budgets. *)
+let positive = int_at_least 1 "positive"
+
+(* Lengths where 0 means "nothing beyond the start" (the initial
+   configuration, an empty timeline). *)
+let non_negative = int_at_least 0 "non-negative"
 
 (* Tolerances: a negative or non-finite value would never be met, so it
    fails at parse time instead of spending a whole sweep budget. *)
@@ -287,7 +294,7 @@ let tolerance =
 
 let steps_arg =
   let doc = "Maximum number of steps to simulate." in
-  Arg.(value & opt int 50 & info [ "steps" ] ~docv:"STEPS" ~doc)
+  Arg.(value & opt non_negative 50 & info [ "steps" ] ~docv:"STEPS" ~doc)
 
 (* Scheduler/class/randomization names are validated at parse time
    (Arg.enum), so a typo yields cmdliner's one-line usage error and a
@@ -1535,7 +1542,7 @@ let doctor_cmd =
   in
   let last_arg =
     let doc = "Show the last $(docv) events of the merged timeline." in
-    Arg.(value & opt int 20 & info [ "last" ] ~docv:"N" ~doc)
+    Arg.(value & opt non_negative 20 & info [ "last" ] ~docv:"N" ~doc)
   in
   let term = Term.(term_result (const run $ obs_term $ dump_pos_arg $ last_arg)) in
   Cmd.v

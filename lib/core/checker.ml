@@ -1,13 +1,7 @@
-(* The transition relation is packed in compressed-sparse-row form:
-   the groups (activated subset -> outcome distribution) of
-   configuration [c] occupy [grp_off.(c) .. grp_off.(c+1) - 1], and
-   the successors of group [grp] occupy
-   [succ_off.(grp) .. succ_off.(grp+1) - 1] of the flat successor
-   array [fwd.dst]. Because groups of a configuration are contiguous
-   and [succ_off] is monotone, ALL successors of [c] occupy one flat
-   range, which the count pass sizes once per configuration as
-   [fwd.off.(c) = succ_off.(grp_off.(c))]: [fwd] is the successor
-   relation as a {!Digraph} CSR, and every graph pass here (backward
+(* The transition relation is packed in compressed-sparse-row form.
+   [fwd] is the successor relation as a {!Digraph} CSR: all successors
+   of configuration [c] occupy [fwd.off.(c) .. fwd.off.(c+1) - 1] of
+   the flat array [fwd.dst], and every graph pass here (backward
    reachability, the cycle search, Tarjan, forward closure) runs in
    that kernel over [fwd] or its memoized reverse. Successors come in
    {!Statespace.transitions} order (groups in transition order,
@@ -15,9 +9,21 @@
    component order stay stable. [enabled.(c)] is Enabled(c) as a
    process bitmask; the activated subset of each group is derived from
    it by {!Statespace.next_group}, in the order the expander emits
-   groups, so no mask is stored per group. [succ_w] carries the
-   outcome probabilities so the Markov chain of a randomized daemon can
-   be read off the same packing.
+   groups, so no mask is stored per group.
+
+   The group level (activated subset -> outcome distribution) has one
+   of two layouts, chosen by {!Protocol.deterministic}:
+   - [Singleton]: a deterministic protocol gives every group exactly
+     one successor of weight 1.0, so group [i] of the graph is edge [i]
+     of [fwd] and nothing more is stored;
+   - [Outcomes]: the groups of [c] occupy
+     [grp_off.(c) .. grp_off.(c+1) - 1], the successors of group [grp]
+     occupy [succ_off.(grp) .. succ_off.(grp+1) - 1] of [fwd.dst]
+     (groups of a configuration are contiguous and [succ_off] is
+     monotone, so [fwd.off.(c) = succ_off.(grp_off.(c))]), and
+     [succ_w] carries each outcome's probability.
+   Readers go through [iter_groups], [group_count] and [weight] and
+   never index the group arrays, so they read both layouts alike.
 
    Ownership: [build_graph] allocates every array of the graph once, at
    its exact size, after the count pass; the fill pass's ranges write
@@ -27,20 +33,21 @@
    demand. *)
 module Obs = Stabobs.Obs
 
-type packing = {
-  grp_off : int array;
-  enabled : int array;
-  succ_off : int array;
-  succ_w : float array;
-}
+type groups =
+  | Singleton
+  | Outcomes of {
+      grp_off : int array; (* length n+1 *)
+      succ_off : int array; (* length ngroups+1 *)
+      succ_w : float array; (* length nedges *)
+    }
+
+type packing = { enabled : int array; groups : groups }
 
 type graph = {
   cls : Statespace.sched_class; (* the class the graph was expanded under *)
-  grp_off : int array; (* length n+1 *)
   enabled : int array; (* length n: Enabled(c) as a process bitmask *)
-  succ_off : int array; (* length ngroups+1 *)
+  groups : groups;
   fwd : Digraph.t; (* n configurations; off length n+1; dst length nedges *)
-  succ_w : float array; (* length nedges *)
   mutable rev : Digraph.t option;
       (* reverse of [fwd], built on first demand and shared by every
          backward pass (possible convergence, best-case BFS) *)
@@ -49,6 +56,33 @@ type graph = {
 (* Successor range of configuration [c] in the flat [fwd.dst] array. *)
 let succ_lo g c = g.fwd.off.(c)
 let succ_hi g c = g.fwd.off.(c + 1)
+
+(* [iter_groups g c f] calls [f active lo hi] on each group of [c] in
+   transition order: its activated mask and its successor range
+   [lo, hi) of [fwd.dst]. *)
+let iter_groups g c f =
+  let enabled = g.enabled.(c) in
+  let active = ref 0 in
+  match g.groups with
+  | Singleton ->
+    for i = succ_lo g c to succ_hi g c - 1 do
+      active := Statespace.next_group g.cls enabled !active;
+      f !active i (i + 1)
+    done
+  | Outcomes { grp_off; succ_off; _ } ->
+    for grp = grp_off.(c) to grp_off.(c + 1) - 1 do
+      active := Statespace.next_group g.cls enabled !active;
+      f !active succ_off.(grp) succ_off.(grp + 1)
+    done
+
+let group_count g c =
+  match g.groups with
+  | Singleton -> succ_hi g c - succ_lo g c
+  | Outcomes { grp_off; _ } -> grp_off.(c + 1) - grp_off.(c)
+
+(* Outcome probability of edge [i] of [fwd.dst]. *)
+let[@inline] weight g i =
+  match g.groups with Singleton -> 1.0 | Outcomes { succ_w; _ } -> succ_w.(i)
 
 (* Expansion telemetry: totals as counters plus the per-configuration
    fan-out distribution. The sweep behind the dist only runs when a
@@ -72,36 +106,35 @@ let each_config ~lo ~hi f =
   done
 
 (* Two passes over the same enumeration. The count pass stores the
-   enabled mask of [c] at [enabled.(c)] and its group and successor
-   counts at index [c + 1] of [grp_off] and [off]; a deterministic
-   protocol has one successor per group, so its mask and counts come
-   from the guards alone. A serial prefix sum turns the counts into
-   offsets, the packed arrays are allocated once at their exact size,
-   and the fill pass writes every range at its global offsets, so the
-   layout does not depend on how the pool split either pass. The fill
-   pass checks every configuration against the count pass: the same
-   number of groups and successors, and each group activating the
-   subset {!Statespace.next_group} derives from the enabled mask. Each
-   range gets its own expander scratch; spaces are immutable and
-   guards and statements are pure, so ranges run concurrently. The
-   per-configuration successor offsets of [fwd] cost n+1 ints on top
-   of the two-level packing; they let the kernel passes index one flat
-   CSR. *)
+   enabled mask of [c] at [enabled.(c)] and its successor count (and,
+   for the [Outcomes] layout, its group count) at index [c + 1] of
+   [off] (and [grp_off]); a deterministic protocol has one successor
+   per group, so its mask and count come from the guards alone. A
+   serial prefix sum turns the counts into offsets, the packed arrays
+   are allocated once at their exact size, and the fill pass writes
+   every range at its global offsets, so the layout does not depend on
+   how the pool split either pass. The fill pass checks every
+   configuration against the count pass: the same number of groups
+   and successors (exactly one successor of weight 1.0 per group in
+   the [Singleton] layout), and each group activating the subset
+   {!Statespace.next_group} derives from the enabled mask. Each range
+   gets its own expander scratch; spaces are immutable and guards and
+   statements are pure, so ranges run concurrently. *)
 let build_graph space cls =
   let n = Statespace.count space in
-  let protocol = Statespace.protocol space in
+  let deterministic = Protocol.deterministic (Statespace.protocol space) in
   let enabled = Array.make n 0 in
-  let grp_off = Array.make (n + 1) 0 in
   let off = Array.make (n + 1) 0 in
+  (* Group offsets per configuration: in the [Singleton] layout group
+     [i] is edge [i], so they are [off] itself. *)
+  let grp_off = if deterministic then off else Array.make (n + 1) 0 in
   Pool.parallel_for ~site:count_grain ~min_chunk:64 n (fun ~lo ~hi ->
-      if Protocol.deterministic protocol then begin
+      if deterministic then begin
         let enabled_mask = Statespace.enabled_mask space in
         each_config ~lo ~hi (fun c ->
             let mask = enabled_mask c in
-            let k = Statespace.group_count cls mask in
             enabled.(c) <- mask;
-            grp_off.(c + 1) <- k;
-            off.(c + 1) <- k)
+            off.(c + 1) <- Statespace.group_count cls mask)
       end
       else begin
         let expand = Statespace.expander space cls in
@@ -120,13 +153,17 @@ let build_graph space cls =
             off.(c + 1) <- !succs)
       end);
   for c = 1 to n do
-    grp_off.(c) <- grp_off.(c) + grp_off.(c - 1);
-    off.(c) <- off.(c) + off.(c - 1)
+    off.(c) <- off.(c) + off.(c - 1);
+    if not deterministic then grp_off.(c) <- grp_off.(c) + grp_off.(c - 1)
   done;
-  let ngroups = grp_off.(n) and nedges = off.(n) in
-  let succ_off = Array.make (ngroups + 1) nedges in
+  let nedges = off.(n) in
   let dst = Array.make nedges 0 in
-  let succ_w = Array.make nedges 0.0 in
+  let groups =
+    if deterministic then Singleton
+    else
+      Outcomes
+        { grp_off; succ_off = Array.make (grp_off.(n) + 1) nedges; succ_w = Array.make nedges 0.0 }
+  in
   (* A configuration never writes past its own slices: if its fill
      outruns its count, or falls short of it, the expansion fails. *)
   let disagree () =
@@ -145,24 +182,41 @@ let build_graph space cls =
       let expand = Statespace.expander space cls in
       let cur = ref lo and prev = ref 0 in
       let grp = ref grp_off.(lo) and e = ref off.(lo) in
-      let group mask =
+      let open_group mask =
         if !grp >= grp_off.(!cur + 1) then disagree ();
         prev := Statespace.next_group cls enabled.(!cur) !prev;
-        if mask <> !prev then misordered !cur mask !prev;
-        succ_off.(!grp) <- !e;
-        incr grp
-      and succ code w =
-        if !e >= off.(!cur + 1) then disagree ();
-        dst.(!e) <- code;
-        succ_w.(!e) <- w;
-        incr e
+        if mask <> !prev then misordered !cur mask !prev
+      in
+      let group, succ =
+        match groups with
+        | Singleton ->
+          (* A group opens only once the one before it has its
+             successor, and takes exactly one, of weight 1.0. *)
+          ( (fun mask ->
+              if !grp <> !e then disagree ();
+              open_group mask;
+              incr grp),
+            fun code w ->
+              if !e <> !grp - 1 || w <> 1.0 then disagree ();
+              dst.(!e) <- code;
+              incr e )
+        | Outcomes { succ_off; succ_w; _ } ->
+          ( (fun mask ->
+              open_group mask;
+              succ_off.(!grp) <- !e;
+              incr grp),
+            fun code w ->
+              if !e >= off.(!cur + 1) then disagree ();
+              dst.(!e) <- code;
+              succ_w.(!e) <- w;
+              incr e )
       in
       each_config ~lo ~hi (fun c ->
           cur := c;
           prev := 0;
           expand c ~group ~succ;
           if !grp <> grp_off.(c + 1) || !e <> off.(c + 1) then disagree ()));
-  let g = { cls; grp_off; enabled; succ_off; fwd = { Digraph.n; off; dst }; succ_w; rev = None } in
+  let g = { cls; enabled; groups; fwd = { Digraph.n; off; dst }; rev = None } in
   record_expansion g;
   g
 
@@ -206,31 +260,28 @@ let reverse g =
 
 let successors g = g.fwd
 
-let packing g : packing =
-  { grp_off = g.grp_off; enabled = g.enabled; succ_off = g.succ_off; succ_w = g.succ_w }
+let packing g : packing = { enabled = g.enabled; groups = g.groups }
 
 let graph_edge_count g = Array.length g.fwd.dst
 
 let weighted_row g c =
-  let glo = g.grp_off.(c) in
-  let ghi = g.grp_off.(c + 1) in
-  if ghi = glo then []
+  let k = group_count g c in
+  if k = 0 then []
   else begin
-    let subset_weight = 1.0 /. float_of_int (ghi - glo) in
+    let subset_weight = 1.0 /. float_of_int k in
     let out = ref [] in
     for i = succ_hi g c - 1 downto succ_lo g c do
-      out := (g.fwd.dst.(i), g.succ_w.(i) *. subset_weight) :: !out
+      out := (g.fwd.dst.(i), weight g i *. subset_weight) :: !out
     done;
     !out
   end
 
 let iter_weighted_row g c f =
-  let glo = g.grp_off.(c) in
-  let ghi = g.grp_off.(c + 1) in
-  if ghi > glo then begin
-    let subset_weight = 1.0 /. float_of_int (ghi - glo) in
+  let k = group_count g c in
+  if k > 0 then begin
+    let subset_weight = 1.0 /. float_of_int k in
     for i = succ_lo g c to succ_hi g c - 1 do
-      f g.fwd.dst.(i) (g.succ_w.(i) *. subset_weight)
+      f g.fwd.dst.(i) (weight g i *. subset_weight)
     done
   end
 
@@ -291,30 +342,27 @@ let check_closure_full space g spec =
      try
        for c = 0 to g.fwd.n - 1 do
          if legitimate.(c) then begin
-           let active = ref 0 in
-           for grp = g.grp_off.(c) to g.grp_off.(c + 1) - 1 do
-             active := Statespace.next_group g.cls g.enabled.(c) !active;
-             for i = g.succ_off.(grp) to g.succ_off.(grp + 1) - 1 do
-               let c' = g.fwd.dst.(i) in
-               if not legitimate.(c') then begin
-                 violation :=
-                   Some
-                     (Escape
-                        { config = c; active = Statespace.procs_of_mask !active; successor = c' });
-                 raise Found
-               end
-               else
-                 match spec.Spec.step_ok with
-                 | None -> ()
-                 | Some ok ->
-                   if
-                     not (ok (Statespace.config space c) (Statespace.config space c'))
-                   then begin
-                     violation := Some (Step_spec { config = c; successor = c' });
-                     raise Found
-                   end
-             done
-           done
+           iter_groups g c (fun active lo hi ->
+               for i = lo to hi - 1 do
+                 let c' = g.fwd.dst.(i) in
+                 if not legitimate.(c') then begin
+                   violation :=
+                     Some
+                       (Escape
+                          { config = c; active = Statespace.procs_of_mask active; successor = c' });
+                   raise Found
+                 end
+                 else
+                   match spec.Spec.step_ok with
+                   | None -> ()
+                   | Some ok ->
+                     if
+                       not (ok (Statespace.config space c) (Statespace.config space c'))
+                     then begin
+                       violation := Some (Step_spec { config = c; successor = c' });
+                       raise Found
+                     end
+               done)
          end
        done
      with Found -> ());
@@ -336,13 +384,13 @@ type divergence = Cycle of int list | Dead_end of int
 
 (* A configuration is terminal iff it has no transition group: every
    scheduler class allows at least one activation whenever some
-   process is enabled, so "no groups" coincides with "no enabled
-   process". *)
+   process is enabled, so "no groups" coincides with an empty enabled
+   mask. *)
 let terminals_of g ~legitimate =
   Obs.Counter.incr Obs.checker_terminal_scans;
   let out = ref [] in
   for c = g.fwd.n - 1 downto 0 do
-    if (not legitimate.(c)) && g.grp_off.(c) = g.grp_off.(c + 1) then out := c :: !out
+    if (not legitimate.(c)) && g.enabled.(c) = 0 then out := c :: !out
   done;
   !out
 
@@ -393,13 +441,11 @@ let enabled_in g members = Array.fold_left (fun acc c -> acc lor g.enabled.(c)) 
 let firing_in g in_scc members =
   Array.fold_left
     (fun acc c ->
-      let fired = ref acc and active = ref 0 in
-      for grp = g.grp_off.(c) to g.grp_off.(c + 1) - 1 do
-        active := Statespace.next_group g.cls g.enabled.(c) !active;
-        for i = g.succ_off.(grp) to g.succ_off.(grp + 1) - 1 do
-          if in_scc g.fwd.dst.(i) then fired := !fired lor !active
-        done
-      done;
+      let fired = ref acc in
+      iter_groups g c (fun active lo hi ->
+          for i = lo to hi - 1 do
+            if in_scc g.fwd.dst.(i) then fired := !fired lor active
+          done);
       !fired)
     0 members
 

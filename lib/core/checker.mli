@@ -24,9 +24,12 @@ type graph
 (** Expanded transition relation of a space under a scheduler class,
     packed in compressed-sparse-row form: flat successor/offset int
     arrays plus one enabled mask per configuration, so the graph passes
-    below run over contiguous memory. Every edge carries its outcome
-    probability; the activated subset of each group is derived from the
-    enabled mask ({!Statespace.next_group}). *)
+    below run over contiguous memory. The activated subset of each
+    group is derived from the enabled mask
+    ({!Statespace.next_group}). A deterministic protocol's graph stores
+    nothing per group: each group is one edge of weight 1.0. A
+    randomized protocol's graph also stores group and outcome offsets
+    and every edge's outcome probability (see {!groups}). *)
 
 val expand : 'a Statespace.t -> Statespace.sched_class -> graph
 (** Materialize all transitions. Cost is proportional to the number of
@@ -49,16 +52,27 @@ val successors : graph -> Digraph.t
     [c] come in transition order, one entry per (activated subset,
     outcome) pair, so a target may repeat. *)
 
+type groups =
+  | Singleton
+      (** the layout of a {!Protocol.deterministic} protocol: group [i]
+          is edge [i] of the {!successors} [dst] array, with weight
+          1.0 *)
+  | Outcomes of {
+      grp_off : int array;  (** groups of [c]: [grp_off.(c) .. grp_off.(c+1) - 1] *)
+      succ_off : int array;
+          (** successors of group [grp]: [succ_off.(grp) .. succ_off.(grp+1) - 1]
+              of the {!successors} [dst] array *)
+      succ_w : float array;  (** outcome probability of each successor entry *)
+    }  (** the layout of a randomized protocol *)
+(** The group level of the packing, chosen by
+    {!Protocol.deterministic} alone. *)
+
 type packing = {
-  grp_off : int array;  (** groups of [c]: [grp_off.(c) .. grp_off.(c+1) - 1] *)
   enabled : int array;
       (** Enabled(c) as a process bitmask; the groups of [c] activate
           the subsets {!Statespace.next_group} derives from it, in
           order *)
-  succ_off : int array;
-      (** successors of group [grp]: [succ_off.(grp) .. succ_off.(grp+1) - 1]
-          of the {!successors} [dst] array *)
-  succ_w : float array;  (** outcome probability of each successor entry *)
+  groups : groups;
 }
 (** The two-level packing behind {!successors}. *)
 
@@ -66,6 +80,17 @@ val packing : graph -> packing
 (** The packed arrays themselves, not copies: treat them as read-only.
     For audits of the layout, which must not depend on the pool
     width. *)
+
+val iter_groups : graph -> int -> (int -> int -> int -> unit) -> unit
+(** [iter_groups g c f] calls [f active lo hi] once per transition
+    group of [c], in transition order: [active] is the group's
+    activated subset as a process bitmask, and [lo .. hi - 1] its
+    successor range in the {!successors} [dst] array. The same in
+    both {!groups} layouts. *)
+
+val weight : graph -> int -> float
+(** [weight g i] is the outcome probability of entry [i] of the
+    {!successors} [dst] array: 1.0 in the [Singleton] layout. *)
 
 val weighted_row : graph -> int -> (int * float) list
 (** [weighted_row g c] reads off the Markov row of [c] under the

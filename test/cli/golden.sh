@@ -89,4 +89,14 @@ rejects tol-negative markov -p token-ring -t ring:5 --solver gs --tol=-1
 rejects tol-nan markov -p token-ring -t ring:5 --solver gs --tol nan
 rejects max-sweeps-zero markov -p token-ring -t ring:5 --solver gs --max-sweeps 0
 rejects wake-p-nan trace -p token-ring -t ring:5 --crash 1 --wake-p nan
+# Negative lengths are usage errors too (0 shows the initial
+# configuration, or no timeline). The dump holds one event, so only
+# --last can make doctor fail.
+rejects steps-negative trace -p token-ring -t ring:5 --steps=-5 --seed 2
+dump=$(mktemp)
+printf '%s\n%s\n' \
+  '{"type":"flight","schema":1,"reason":"cli","ts_ns":2000000000,"pid":1,"cmdline":["stabsim"],"ocaml":"5.1","cores":1,"commit":"0","dirty":false}' \
+  '{"type":"message","level":"warn","ts_ns":1000000000,"domain":0,"text":"event"}' > "$dump"
+rejects last-negative doctor "$dump" --last=-1
+rm -f "$dump"
 exit $failed

@@ -167,6 +167,28 @@ let test_expand_allocation () =
   if per_edge > 4.0 then
     Alcotest.failf "%.2f minor words per transition, at most 4 allowed" per_edge
 
+(* A deterministic protocol's graph stores no group level: the
+   forward and reverse [dst] arrays are its only per-edge words, and
+   per configuration it keeps the enabled mask and the two offset
+   arrays. Measured after [analyze], so the reverse graph is counted.
+   A randomized protocol keeps its group and outcome arrays. *)
+let test_graph_footprint () =
+  let n = 6 in
+  let space = Statespace.build (Stabalgo.Dijkstra_three.make ~n) in
+  ignore (Checker.analyze space Statespace.Distributed (Stabalgo.Dijkstra_three.spec ~n));
+  let g = Checker.expand space Statespace.Distributed in
+  let words = Obj.reachable_words (Obj.repr g) in
+  let bound = (2 * Checker.graph_edge_count g) + (4 * Statespace.count space) + 64 in
+  if words > bound then
+    Alcotest.failf "the graph holds %d words, at most %d allowed (%d edges, %d configurations)"
+      words bound (Checker.graph_edge_count g) (Statespace.count space);
+  let transformed =
+    Statespace.build (Transformer.randomize (Stabalgo.Token_ring.make ~n:3))
+  in
+  match (Checker.packing (Checker.expand transformed Statespace.Distributed)).Checker.groups with
+  | Checker.Outcomes _ -> ()
+  | Checker.Singleton -> Alcotest.fail "a transformed protocol's graph has the Singleton layout"
+
 (* The count pass sizes a protocol flagged deterministic from its
    guards alone; one whose statement still returns two outcomes must
    make the expansion fail, not pack a truncated relation. *)
@@ -323,6 +345,7 @@ let suite =
     Alcotest.test_case "step-spec violation" `Quick test_step_spec_violation;
     Alcotest.test_case "expand edge counts" `Quick test_expand_edge_count;
     Alcotest.test_case "expand allocation" `Quick test_expand_allocation;
+    Alcotest.test_case "graph footprint" `Quick test_graph_footprint;
     Alcotest.test_case "expand rejects mislabelled protocol" `Quick
       test_expand_rejects_mislabelled_protocol;
     Alcotest.test_case "expand rejects impure guard" `Quick test_expand_rejects_impure_guard;

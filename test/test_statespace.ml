@@ -170,20 +170,21 @@ let expander_groups expand c =
       | [] -> Alcotest.fail "successor before its group");
   List.rev_map (fun (mask, outs) -> (mask, bits (List.rev !outs))) !groups
 
-(* The activated subsets of configuration [c] in the checker's packing,
-   derived from its one enabled mask. *)
-let packed_masks g cls c =
-  let pk = Checker.packing g in
-  let enabled = pk.Checker.enabled.(c) in
-  let rec go prev grp =
-    if grp = pk.Checker.grp_off.(c + 1) then []
-    else
-      let mask = Statespace.next_group cls enabled prev in
-      mask :: go mask (grp + 1)
-  in
-  go 0 pk.Checker.grp_off.(c)
+(* The groups of configuration [c] in the checker's graph, read through
+   its group iterator: each activated subset (derived from the one
+   enabled mask) with its successors and their weights. *)
+let packed_groups g c =
+  let fwd = Checker.successors g in
+  let groups = ref [] in
+  Checker.iter_groups g c (fun active lo hi ->
+      let outcomes =
+        List.init (hi - lo) (fun k -> (fwd.Digraph.dst.(lo + k), Checker.weight g (lo + k)))
+      in
+      groups := (active, bits outcomes) :: !groups);
+  List.rev !groups
 
 let test_expander_matches_reference () =
+  let layouts = ref [] in
   List.iter
     (fun (System (name, build)) ->
       let space = build () in
@@ -192,6 +193,11 @@ let test_expander_matches_reference () =
           let expand = Statespace.expander space cls in
           let enabled_mask = Statespace.enabled_mask space in
           let g = Checker.expand space cls in
+          let singleton = (Checker.packing g).Checker.groups = Checker.Singleton in
+          layouts := singleton :: !layouts;
+          if singleton <> Protocol.deterministic (Statespace.protocol space) then
+            Alcotest.failf "%s, %a: the group layout is not the one Protocol.deterministic selects"
+              name Statespace.pp_sched_class cls;
           for c = 0 to Statespace.count space - 1 do
             let where = Format.asprintf "%s, %a, config %d" name Statespace.pp_sched_class cls c in
             let expected = reference_groups space cls c in
@@ -210,9 +216,8 @@ let test_expander_matches_reference () =
             if Statespace.group_count cls enabled <> List.length expected then
               Alcotest.failf "%s: group_count gives %d groups, reference %d" where
                 (Statespace.group_count cls enabled) (List.length expected);
-            if packed_masks g cls c <> List.map fst expected then
-              Alcotest.failf "%s: the packing derives other activated subsets than the reference"
-                where;
+            if packed_groups g c <> expected then
+              Alcotest.failf "%s: the checker graph's groups differ from the reference path" where;
             let listed =
               List.map
                 (fun (active, outcomes) ->
@@ -223,7 +228,9 @@ let test_expander_matches_reference () =
               Alcotest.failf "%s: transitions differ from the reference path" where
           done)
         classes)
-    reference_systems
+    reference_systems;
+  if not (List.mem true !layouts && List.mem false !layouts) then
+    Alcotest.fail "the reference systems do not cover both group layouts"
 
 (* The packed layout is the same at widths 1 and 2. Clearing the grain
    estimates before each expansion makes the pool open with 2 * width
@@ -236,13 +243,13 @@ let layout space cls =
   let g = Checker.expand space cls in
   let tasks = Stabobs.Obs.Counter.value Stabobs.Obs.pool_tasks - before in
   let pk = Checker.packing g and fwd = Checker.successors g in
-  ( ( pk.Checker.grp_off,
-      pk.Checker.enabled,
-      pk.Checker.succ_off,
-      fwd.Digraph.off,
-      fwd.Digraph.dst,
-      Array.map Int64.bits_of_float pk.Checker.succ_w ),
-    tasks )
+  let groups =
+    match pk.Checker.groups with
+    | Checker.Singleton -> None
+    | Checker.Outcomes { grp_off; succ_off; succ_w } ->
+      Some (grp_off, succ_off, Array.map Int64.bits_of_float succ_w)
+  in
+  ((pk.Checker.enabled, groups, fwd.Digraph.off, fwd.Digraph.dst), tasks)
 
 let test_expand_layout_across_widths () =
   Stabobs.Obs.install (Stabobs.Obs.null_sink ());
