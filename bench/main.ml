@@ -52,7 +52,14 @@ let speclist =
       Arg.Set_string compare_path,
       "FILE baseline bench record to gate against" );
     ( "--gate-pct",
-      Arg.Set_float gate_pct,
+      Arg.Float
+        (fun p ->
+          (* NaN or infinity would never gate. *)
+          if Float.is_finite p && p >= 0.0 then gate_pct := p
+          else
+            raise
+              (Arg.Bad
+                 (Printf.sprintf "--gate-pct: expected a non-negative finite number, got %g" p))),
       "P significant regressions under P percent do not gate (default 20)" );
     ("--quick", Arg.Set quick, " reduced sampling quotas (CI mode)");
     ("--micro-only", Arg.Set micro_only, " skip figure/theorem/experiment replay");

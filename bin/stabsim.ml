@@ -1263,11 +1263,11 @@ let bench_cmd =
         match Stabexp.Benchcmp.gate_failures deltas with
         | [] -> Printf.printf "gate: PASS (no significant regression >= %.0f%%)\n" gate_pct
         | failures ->
-          failwith
-            (Printf.sprintf "gate: FAIL — %d significant regression(s): %s"
-               (List.length failures)
-               (String.concat ", "
-                  (List.map (fun d -> d.Stabexp.Benchcmp.name) failures))))
+          (* A failed gate is not a usage error: exit 1, not cmdliner's 124. *)
+          Printf.eprintf "stabsim: gate: FAIL — %d significant regression(s): %s\n"
+            (List.length failures)
+            (String.concat ", " (List.map (fun d -> d.Stabexp.Benchcmp.name) failures));
+          exit 1)
   in
   let baseline_arg =
     Arg.(
@@ -1286,7 +1286,7 @@ let bench_cmd =
   let gate_pct_arg =
     Arg.(
       value
-      & opt float 20.0
+      & opt tolerance 20.0
       & info [ "gate-pct" ] ~docv:"P"
           ~doc:
             "Fail only on mean slowdowns of at least $(docv) percent that also \

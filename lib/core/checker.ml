@@ -1,7 +1,8 @@
 (* The transition relation is packed in compressed-sparse-row form.
    [fwd] is the successor relation as a {!Digraph} CSR: all successors
    of configuration [c] occupy [fwd.off.(c) .. fwd.off.(c+1) - 1] of
-   the flat array [fwd.dst], and every graph pass here (backward
+   the flat int32 edge array [fwd.dst] (off the OCaml heap, read
+   through {!Digraph.target}), and every graph pass here (backward
    reachability, the cycle search, Tarjan, forward closure) runs in
    that kernel over [fwd] or its memoized reverse. Successors come in
    {!Statespace.transitions} order (groups in transition order,
@@ -90,7 +91,7 @@ let[@inline] weight g i =
    build. *)
 let record_expansion g =
   Obs.Counter.add Obs.configs_expanded g.fwd.n;
-  Obs.Counter.add Obs.transitions_emitted (Array.length g.fwd.dst);
+  Obs.Counter.add Obs.transitions_emitted (Bigarray.Array1.dim g.fwd.dst);
   if Obs.on () then
     for c = 0 to g.fwd.n - 1 do
       Stabobs.Dist.record_int Stabobs.Dist.checker_out_degree (succ_hi g c - succ_lo g c)
@@ -157,7 +158,7 @@ let build_graph space cls =
     if not deterministic then grp_off.(c) <- grp_off.(c) + grp_off.(c - 1)
   done;
   let nedges = off.(n) in
-  let dst = Array.make nedges 0 in
+  let dst = Digraph.create_edges ~nodes:n nedges in
   let groups =
     if deterministic then Singleton
     else
@@ -198,7 +199,7 @@ let build_graph space cls =
               incr grp),
             fun code w ->
               if !e <> !grp - 1 || w <> 1.0 then disagree ();
-              dst.(!e) <- code;
+              Digraph.set_target dst !e code;
               incr e )
         | Outcomes { succ_off; succ_w; _ } ->
           ( (fun mask ->
@@ -207,7 +208,7 @@ let build_graph space cls =
               incr grp),
             fun code w ->
               if !e >= off.(!cur + 1) then disagree ();
-              dst.(!e) <- code;
+              Digraph.set_target dst !e code;
               succ_w.(!e) <- w;
               incr e )
       in
@@ -262,7 +263,15 @@ let successors g = g.fwd
 
 let packing g : packing = { enabled = g.enabled; groups = g.groups }
 
-let graph_edge_count g = Array.length g.fwd.dst
+let graph_edge_count g = Bigarray.Array1.dim g.fwd.dst
+
+(* The edge arrays sit outside the heap, where [Obj.reachable_words]
+   sees only their headers, so their payloads are added by hand. *)
+let graph_bytes g =
+  let payload (d : Digraph.t) = Bigarray.Array1.size_in_bytes d.dst in
+  (Obj.reachable_words (Obj.repr g) * (Sys.word_size / 8))
+  + payload g.fwd
+  + Option.fold ~none:0 ~some:payload g.rev
 
 let weighted_row g c =
   let k = group_count g c in
@@ -271,7 +280,7 @@ let weighted_row g c =
     let subset_weight = 1.0 /. float_of_int k in
     let out = ref [] in
     for i = succ_hi g c - 1 downto succ_lo g c do
-      out := (g.fwd.dst.(i), weight g i *. subset_weight) :: !out
+      out := (Digraph.target g.fwd.dst i, weight g i *. subset_weight) :: !out
     done;
     !out
   end
@@ -281,7 +290,7 @@ let iter_weighted_row g c f =
   if k > 0 then begin
     let subset_weight = 1.0 /. float_of_int k in
     for i = succ_lo g c to succ_hi g c - 1 do
-      f g.fwd.dst.(i) (weight g i *. subset_weight)
+      f (Digraph.target g.fwd.dst i) (weight g i *. subset_weight)
     done
   end
 
@@ -344,7 +353,7 @@ let check_closure_full space g spec =
          if legitimate.(c) then begin
            iter_groups g c (fun active lo hi ->
                for i = lo to hi - 1 do
-                 let c' = g.fwd.dst.(i) in
+                 let c' = Digraph.target g.fwd.dst i in
                  if not legitimate.(c') then begin
                    violation :=
                      Some
@@ -429,7 +438,7 @@ let has_internal_edge g in_scc members =
   Array.exists
     (fun c ->
       let hi = succ_hi g c in
-      let rec go i = i < hi && (in_scc g.fwd.dst.(i) || go (i + 1)) in
+      let rec go i = i < hi && (in_scc (Digraph.target g.fwd.dst i) || go (i + 1)) in
       go (succ_lo g c))
     members
 
@@ -444,7 +453,7 @@ let firing_in g in_scc members =
       let fired = ref acc in
       iter_groups g c (fun active lo hi ->
           for i = lo to hi - 1 do
-            if in_scc g.fwd.dst.(i) then fired := !fired lor active
+            if in_scc (Digraph.target g.fwd.dst i) then fired := !fired lor active
           done);
       !fired)
     0 members

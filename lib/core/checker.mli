@@ -22,11 +22,11 @@
 
 type graph
 (** Expanded transition relation of a space under a scheduler class,
-    packed in compressed-sparse-row form: flat successor/offset int
-    arrays plus one enabled mask per configuration, so the graph passes
-    below run over contiguous memory. The activated subset of each
-    group is derived from the enabled mask
-    ({!Statespace.next_group}). A deterministic protocol's graph stores
+    packed in compressed-sparse-row form: a flat int32 successor array
+    ({!Digraph.edges}, outside the OCaml heap), an int offset array and
+    one enabled mask per configuration, so the graph passes below run
+    over contiguous memory. The activated subset of each group is
+    derived from the enabled mask ({!Statespace.next_group}). A deterministic protocol's graph stores
     nothing per group: each group is one edge of weight 1.0. A
     randomized protocol's graph also stores group and outcome offsets
     and every edge's outcome probability (see {!groups}). *)
@@ -46,11 +46,18 @@ val expand : 'a Statespace.t -> Statespace.sched_class -> graph
 
 val graph_edge_count : graph -> int
 
+val graph_bytes : graph -> int
+(** The bytes the graph holds: its words on the OCaml heap plus the
+    payloads of its edge arrays, the forward one and, once built, the
+    memoized reverse. [Obj.reachable_words] alone sees only the edge
+    arrays' headers. *)
+
 val successors : graph -> Digraph.t
 (** The successor relation as a {!Digraph} CSR over configuration
-    codes: the packed arrays themselves, not a copy. The successors of
-    [c] come in transition order, one entry per (activated subset,
-    outcome) pair, so a target may repeat. *)
+    codes: the packed arrays themselves, not a copy; read a target with
+    {!Digraph.target}. The successors of [c] come in transition order,
+    one entry per (activated subset, outcome) pair, so a target may
+    repeat. *)
 
 type groups =
   | Singleton

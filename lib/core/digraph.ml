@@ -1,4 +1,30 @@
-type t = { n : int; off : int array; dst : int array }
+type edges = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+let create_edges ~nodes k =
+  if nodes > Int32.to_int Int32.max_int then
+    invalid_arg (Printf.sprintf "Digraph.create_edges: %d nodes do not fit in 32 bits" nodes);
+  Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout k
+
+(* Annotated so that both compile to a plain 32-bit load or store. *)
+let[@inline] target (dst : edges) i = Int32.to_int (Bigarray.Array1.get dst i)
+let[@inline] set_target (dst : edges) i v = Bigarray.Array1.set dst i (Int32.of_int v)
+
+let edges_of_buffers ~nodes (bufs : int Growbuf.t list) =
+  let total = List.fold_left (fun acc (b : _ Growbuf.t) -> acc + b.len) 0 bufs in
+  let dst = create_edges ~nodes total in
+  let pos = ref 0 in
+  List.iter
+    (fun (b : _ Growbuf.t) ->
+      for i = 0 to b.len - 1 do
+        set_target dst (!pos + i) b.data.(i)
+      done;
+      pos := !pos + b.len;
+      b.data <- [||];
+      b.len <- 0)
+    bufs;
+  dst
+
+type t = { n : int; off : int array; dst : edges }
 
 (* Counting sort of the edges by target, scanning sources in ascending
    order, so each predecessor row comes out ascending. *)
@@ -7,18 +33,18 @@ let reverse g =
   let nedges = g.off.(n) in
   let off = Array.make (n + 1) 0 in
   for i = 0 to nedges - 1 do
-    let v = g.dst.(i) in
+    let v = target g.dst i in
     off.(v + 1) <- off.(v + 1) + 1
   done;
   for v = 0 to n - 1 do
     off.(v + 1) <- off.(v + 1) + off.(v)
   done;
-  let dst = Array.make nedges 0 in
+  let dst = create_edges ~nodes:n nedges in
   let cursor = Array.sub off 0 n in
   for u = 0 to n - 1 do
     for i = g.off.(u) to g.off.(u + 1) - 1 do
-      let v = g.dst.(i) in
-      dst.(cursor.(v)) <- u;
+      let v = target g.dst i in
+      set_target dst cursor.(v) u;
       cursor.(v) <- cursor.(v) + 1
     done
   done;
@@ -41,7 +67,7 @@ let distances ?(within = fun _ -> true) g ~seeds =
     let u = queue.(!head) in
     incr head;
     for i = g.off.(u) to g.off.(u + 1) - 1 do
-      let v = g.dst.(i) in
+      let v = target g.dst i in
       if dist.(v) = max_int && within v then enter v (dist.(u) + 1)
     done
   done;
@@ -84,7 +110,7 @@ let heights_outside g ~inside =
           end
           else begin
             cursor.(top) <- i + 1;
-            let v = g.dst.(i) in
+            let v = target g.dst i in
             let m = mark.(v) in
             if m < 0 then begin
               (* Back edge u -> v: the path from v to u closes it. *)
@@ -137,7 +163,7 @@ let sccs ?(keep = fun _ -> true) g =
         let u = work.(top) and i = cursor.(top) in
         if i < g.off.(u + 1) then begin
           cursor.(top) <- i + 1;
-          let v = g.dst.(i) in
+          let v = target g.dst i in
           if keep v then
             if index.(v) < 0 then enter v
             else if Bitset.mem on_stack v then low.(u) <- min low.(u) index.(v)

@@ -12,13 +12,37 @@
     An independent validator of these answers must not call this
     module. *)
 
+type edges = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** A CSR target array: one 32-bit node per entry, outside the OCaml
+    heap. Every graph of the tree stores its targets in one, so nodes
+    must be below [2^31] ({!create_edges}). *)
+
+val create_edges : nodes:int -> int -> edges
+(** [create_edges ~nodes k] is a fresh target array of [k] entries
+    for a graph of [nodes] nodes; its contents are unspecified until
+    written. Raises [Invalid_argument] when [nodes > Int32.max_int],
+    before allocating anything: such a node would not survive the
+    narrowing. *)
+
+val target : edges -> int -> int
+(** [target dst i] is entry [i] of [dst], bounds-checked. *)
+
+val set_target : edges -> int -> int -> unit
+(** [set_target dst i v] stores node [v] at entry [i], bounds-checked;
+    [v] must be a node of the graph {!create_edges} sized [dst] for. *)
+
+val edges_of_buffers : nodes:int -> int Growbuf.t list -> edges
+(** The contents of the buffers, in list order, as one exact-size
+    target array from {!create_edges}. Each buffer is emptied once
+    copied, so the GC can reclaim it before the next one is read. *)
+
 type t = {
   n : int;  (** nodes are [0 .. n - 1] *)
   off : int array;
       (** [off.(0) .. off.(n)] non-decreasing (later entries are
-          ignored): the successors of [v] are
-          [dst.(off.(v)) .. dst.(off.(v + 1) - 1)] *)
-  dst : int array;  (** successor targets; entries past [off.(n)] are ignored *)
+          ignored): the successors of [v] are entries
+          [off.(v) .. off.(v + 1) - 1] of [dst] *)
+  dst : edges;  (** successor targets; entries past [off.(n)] are ignored *)
 }
 
 val reverse : t -> t

@@ -3,10 +3,12 @@
     {!Markov.of_space} does not know a range's entry count until the
     range has been walked, so each range accumulates into these
     doubling buffers and the ordered merge copies every buffer once
-    into the exact-size packed array. {!Onthefly} grows its discovered
-    codes and CSR rows in them, and {!Statespace.successors} collects
-    one configuration's successor codes in one. The fields are exposed
-    for offset rebasing and in-place row compaction. *)
+    into the exact-size packed arrays ({!concat} for the weights,
+    {!Digraph.edges_of_buffers} for the targets). {!Onthefly} grows
+    its discovered codes and CSR rows in them, and
+    {!Statespace.successors} collects one configuration's successor
+    codes in one. The fields are exposed for offset rebasing and
+    in-place row compaction. *)
 
 type 'a t = { mutable data : 'a array; mutable len : int; zero : 'a }
 

@@ -3,23 +3,25 @@ type randomization = Central_uniform | Distributed_uniform | Sync
 (* The chain lives in compressed-sparse-row form, packed straight off
    the checker's flat successor arrays: row [c] occupies
    [off.(c) .. off.(c + 1) - 1] of [cols]/[w], targets merged and
-   sorted ascending, weights summing to 1. Terminal configurations are
-   stored as probability-1 self-loops, so every row is non-empty and
-   the solvers never special-case absorption. *)
-type t = { n : int; off : int array; cols : int array; w : float array }
+   sorted ascending, weights summing to 1. [cols] is an int32
+   {!Digraph.edges} array read through {!Digraph.target}, so
+   {!graph} hands it to the kernel without a copy. Terminal
+   configurations are stored as probability-1 self-loops, so every row
+   is non-empty and the solvers never special-case absorption. *)
+type t = { n : int; off : int array; cols : Digraph.edges; w : float array }
 
 let states chain = chain.n
 
 let row chain c =
   let out = ref [] in
   for i = chain.off.(c + 1) - 1 downto chain.off.(c) do
-    out := (chain.cols.(i), chain.w.(i)) :: !out
+    out := (Digraph.target chain.cols i, chain.w.(i)) :: !out
   done;
   !out
 
 let iter_row chain c f =
   for i = chain.off.(c) to chain.off.(c + 1) - 1 do
-    f chain.cols.(i) chain.w.(i)
+    f (Digraph.target chain.cols i) chain.w.(i)
   done
 
 let merge_row entries =
@@ -118,7 +120,8 @@ let pack_grain = Pool.Grain.site "markov.pack"
 (* Rows are independent, so ranges pack concurrently on the pool (a
    single range at width 1); the serial merge rebases the offsets and
    concatenates the ranges in row order, copying each range buffer
-   once. *)
+   once: the targets into one exact-size edge array, the weights into
+   one float array. *)
 let pack n ~each_row =
   let off = Array.make (n + 1) 0 in
   let parts = Pool.map_ranges ~site:pack_grain ~min_chunk:64 n (pack_range ~each_row off) in
@@ -131,7 +134,7 @@ let pack n ~each_row =
       base := !base + p.pcols.len)
     parts;
   let w = Growbuf.concat 0.0 (fun p -> p.pw) parts in
-  { n; off; cols = Growbuf.concat 0 (fun p -> p.pcols) parts; w }
+  { n; off; cols = Digraph.edges_of_buffers ~nodes:n (List.map (fun p -> p.pcols) parts); w }
 
 (* Strong-lumpability audit of a quotient chain, enabled by paranoid
    mode: every orbit member of the *full* space must project (through
@@ -278,7 +281,7 @@ let solve_transient ~kind ~tolerance ~max_sweeps chain ~transient ~base x =
     let acc = ref base in
     let self = ref 0.0 in
     for i = chain.off.(c) to chain.off.(c + 1) - 1 do
-      let c' = chain.cols.(i) in
+      let c' = Digraph.target chain.cols i in
       let wv = chain.w.(i) in
       if c' = c then self := !self +. wv
       else if block_of.(c') = block_of.(c) then acc := !acc +. (wv *. read_in c')

@@ -9,8 +9,10 @@ type verdict = Converges | Counterexample of int | Unknown
    past it stops the exploration, and [edges] counts the rows packed by
    then. A complete exploration also returns its sub-system: the codes
    by index and the successor relation as a CSR over indexes, each row
-   the sorted, deduplicated {!Statespace.successors} (the buffers are
-   handed over as they are, longer than they need to be). *)
+   the sorted, deduplicated {!Statespace.successors} (the code and
+   offset buffers are handed over as they are, longer than they need
+   to be; the targets are copied once into an exact-size edge
+   array). *)
 let explore ?(max_states = 1_000_000) space cls ~inits =
   let index_of = Hashtbl.create 1024 in
   let codes = Growbuf.create 1024 0 in
@@ -45,7 +47,9 @@ let explore ?(max_states = 1_000_000) space cls ~inits =
   let n = codes.len in
   let stats = { explored = n; edges = off.data.(off.len - 1); complete } in
   if not complete then (stats, None)
-  else (stats, Some (codes.data, { Digraph.n; off = off.data; dst = dst.data }))
+  else
+    let dst = Digraph.edges_of_buffers ~nodes:n [ dst ] in
+    (stats, Some (codes.data, { Digraph.n; off = off.data; dst }))
 
 let possible_verdict codes graph legitimate =
   match Array.find_index not (Digraph.reach (Digraph.reverse graph) ~seeds:legitimate) with

@@ -145,8 +145,17 @@ let compare_entries ~gate_pct ~noise_floor_ns name (b : entry) (c : entry) =
   in
   { name; base = Some b; cand = Some c; pct; noise_pct; significant; status }
 
+(* A NaN tolerance fails every [p >= gate_pct] test and an infinite one
+   is never reached, so either would switch the gate off silently. *)
+let check_gate_pct fn gate_pct =
+  if not (Float.is_finite gate_pct && gate_pct >= 0.0) then
+    invalid_arg
+      (Printf.sprintf "Benchcmp.%s: gate_pct must be a non-negative finite number, got %g" fn
+         gate_pct)
+
 let compare_docs ?(noise_floor_ns = default_noise_floor_ns) ~gate_pct ~baseline
     ~candidate () =
+  check_gate_pct "compare_docs" gate_pct;
   let in_base =
     List.map
       (fun (name, b) ->
@@ -236,6 +245,7 @@ let cores_mismatch ~baseline ~candidate =
   | _ -> None
 
 let markdown ~gate_pct ~baseline ~candidate deltas =
+  check_gate_pct "markdown" gate_pct;
   let dirty d = if d then " (dirty)" else "" in
   let cores_note =
     match cores_mismatch ~baseline ~candidate with

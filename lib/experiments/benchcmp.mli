@@ -83,7 +83,8 @@ val compare_docs :
 (** One delta per artifact in either document, baseline order first,
     candidate-only entries appended. The significance band of each
     entry is the pooled ci95 half-width or [noise_floor_ns], whichever
-    is larger. *)
+    is larger. Raises [Invalid_argument] unless [gate_pct] is finite
+    and non-negative: a NaN or infinite tolerance would never gate. *)
 
 val gate_failures : delta list -> delta list
 (** The deltas that should fail CI: status {!Regression}. *)
@@ -101,4 +102,5 @@ val cores_mismatch : baseline:doc -> candidate:doc -> string option
 val markdown : gate_pct:float -> baseline:doc -> candidate:doc -> delta list -> string
 (** The delta table as GitHub markdown, prefixed with the two commits
     and the gate parameters and followed by a verdict summary — ready
-    to paste into a PR description. *)
+    to paste into a PR description. Raises [Invalid_argument] on the
+    [gate_pct] values {!compare_docs} rejects. *)

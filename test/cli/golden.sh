@@ -93,6 +93,10 @@ rejects wake-p-nan trace -p token-ring -t ring:5 --crash 1 --wake-p nan
 # configuration, or no timeline). The dump holds one event, so only
 # --last can make doctor fail.
 rejects steps-negative trace -p token-ring -t ring:5 --steps=-5 --seed 2
+# A NaN or infinite gate tolerance would never fail the perf gate.
+bench=$dir/../../BENCH_checker.json
+rejects gate-pct-nan bench --baseline "$bench" --candidate "$bench" --gate-pct nan
+rejects gate-pct-inf bench --baseline "$bench" --candidate "$bench" --gate-pct inf
 dump=$(mktemp)
 printf '%s\n%s\n' \
   '{"type":"flight","schema":1,"reason":"cli","ts_ns":2000000000,"pid":1,"cmdline":["stabsim"],"ocaml":"5.1","cores":1,"commit":"0","dirty":false}' \

@@ -236,6 +236,26 @@ let test_markdown_rendering () =
   in
   Alcotest.(check bool) "identical docs render a pass" true contains_pass
 
+(* NaN fails every [>=] test and infinity is never reached, so either
+   tolerance would pass a 3x slowdown; both are refused instead, as is
+   a negative one. *)
+let test_rejects_non_finite_gate () =
+  let baseline = parse (v3_doc [ ("hot", 100.0, 3.0) ]) in
+  let candidate = parse (v3_doc [ ("hot", 300.0, 3.0) ]) in
+  List.iter
+    (fun gate_pct ->
+      let rejected f =
+        match f () with
+        | exception Invalid_argument _ -> ()
+        | _ -> Alcotest.failf "gate_pct %g was accepted" gate_pct
+      in
+      rejected (fun () -> ignore (Benchcmp.compare_docs ~gate_pct ~baseline ~candidate ()));
+      rejected (fun () -> ignore (Benchcmp.markdown ~gate_pct ~baseline ~candidate [])))
+    [ Float.nan; Float.infinity; -1.0 ];
+  Alcotest.(check int) "a finite tolerance still gates the slowdown" 1
+    (List.length
+       (Benchcmp.gate_failures (Benchcmp.compare_docs ~gate_pct:20.0 ~baseline ~candidate ())))
+
 let test_load_missing_file () =
   match Benchcmp.load "/nonexistent/bench.json" with
   | Ok _ -> Alcotest.fail "loading a missing file must error"
@@ -261,4 +281,5 @@ let suite =
       test_legacy_baseline_degenerates_to_point_compare;
     Alcotest.test_case "markdown rendering" `Quick test_markdown_rendering;
     Alcotest.test_case "missing baseline errors" `Quick test_load_missing_file;
+    Alcotest.test_case "rejects a non-finite gate" `Quick test_rejects_non_finite_gate;
   ]

@@ -168,20 +168,24 @@ let test_expand_allocation () =
     Alcotest.failf "%.2f minor words per transition, at most 4 allowed" per_edge
 
 (* A deterministic protocol's graph stores no group level: the
-   forward and reverse [dst] arrays are its only per-edge words, and
-   per configuration it keeps the enabled mask and the two offset
-   arrays. Measured after [analyze], so the reverse graph is counted.
-   A randomized protocol keeps its group and outcome arrays. *)
+   forward and reverse int32 [dst] arrays, one word per edge together,
+   are its only per-edge bytes, and per configuration it keeps the
+   enabled mask and the two offset arrays. Measured after [analyze],
+   so the reverse graph is counted, and through [graph_bytes], which
+   sees the edge arrays outside the heap. A randomized protocol keeps
+   its group and outcome arrays. *)
 let test_graph_footprint () =
   let n = 6 in
   let space = Statespace.build (Stabalgo.Dijkstra_three.make ~n) in
   ignore (Checker.analyze space Statespace.Distributed (Stabalgo.Dijkstra_three.spec ~n));
   let g = Checker.expand space Statespace.Distributed in
-  let words = Obj.reachable_words (Obj.repr g) in
-  let bound = (2 * Checker.graph_edge_count g) + (4 * Statespace.count space) + 64 in
-  if words > bound then
-    Alcotest.failf "the graph holds %d words, at most %d allowed (%d edges, %d configurations)"
-      words bound (Checker.graph_edge_count g) (Statespace.count space);
+  let bytes = Checker.graph_bytes g in
+  let bound =
+    (Checker.graph_edge_count g + (4 * Statespace.count space) + 64) * (Sys.word_size / 8)
+  in
+  if bytes > bound then
+    Alcotest.failf "the graph holds %d bytes, at most %d allowed (%d edges, %d configurations)"
+      bytes bound (Checker.graph_edge_count g) (Statespace.count space);
   let transformed =
     Statespace.build (Transformer.randomize (Stabalgo.Token_ring.make ~n:3))
   in

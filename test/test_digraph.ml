@@ -34,7 +34,9 @@ let csr c =
   let n = nodes c in
   let off = Array.make (n + 1) 0 in
   Array.iteri (fun u l -> off.(u + 1) <- off.(u) + List.length l) c.adj;
-  { Digraph.n; off; dst = Array.of_list (List.concat (Array.to_list c.adj)) }
+  let dst = Digraph.create_edges ~nodes:n off.(n) in
+  List.iteri (Digraph.set_target dst) (List.concat (Array.to_list c.adj));
+  { Digraph.n; off; dst }
 
 let edges c =
   List.concat (List.mapi (fun u l -> List.map (fun v -> (u, v)) l) (Array.to_list c.adj))
@@ -86,7 +88,9 @@ let qcheck_reverse =
       let r = Digraph.reverse (csr c) in
       let flipped = ref [] in
       for v = 0 to r.n - 1 do
-        let row = Array.to_list (Array.sub r.dst r.off.(v) (r.off.(v + 1) - r.off.(v))) in
+        let row =
+          List.init (r.off.(v + 1) - r.off.(v)) (fun k -> Digraph.target r.dst (r.off.(v) + k))
+        in
         if row <> List.sort compare row then QCheck.Test.fail_reportf "row %d not ascending" v;
         List.iter (fun u -> flipped := (u, v) :: !flipped) row
       done;
@@ -181,6 +185,29 @@ let qcheck_sccs =
       && List.map Array.to_list (Digraph.sccs (csr c))
          |> List.concat |> List.sort compare = List.init n Fun.id)
 
+(* A node past [Int32.max_int] would wrap on the narrowing, so the
+   allocator refuses the graph before it allocates: the 2^40 entries
+   asked for here (4 TiB) would fail with [Out_of_memory] first if the
+   check came after the allocation. *)
+let test_create_edges_rejects_wide () =
+  Alcotest.check_raises "2^31 nodes"
+    (Invalid_argument "Digraph.create_edges: 2147483648 nodes do not fit in 32 bits")
+    (fun () -> ignore (Digraph.create_edges ~nodes:(1 lsl 31) (1 lsl 40)));
+  Alcotest.(check int)
+    "2^31 - 1 nodes" 1
+    (Bigarray.Array1.dim (Digraph.create_edges ~nodes:(Int32.to_int Int32.max_int) 1))
+
+let test_target_round_trip () =
+  let top = Int32.to_int Int32.max_int in
+  let dst = Digraph.create_edges ~nodes:top 3 in
+  List.iteri (Digraph.set_target dst) [ 0; 1; top ];
+  Alcotest.(check (list int)) "targets" [ 0; 1; top ] (List.init 3 (Digraph.target dst))
+
 let suite =
-  List.map QCheck_alcotest.to_alcotest
-    [ qcheck_reverse; qcheck_backward; qcheck_forward_closure; qcheck_cycle_outside; qcheck_sccs ]
+  Alcotest.
+    [
+      test_case "create_edges rejects 2^31 nodes" `Quick test_create_edges_rejects_wide;
+      test_case "set_target/target round-trip" `Quick test_target_round_trip;
+    ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ qcheck_reverse; qcheck_backward; qcheck_forward_closure; qcheck_cycle_outside; qcheck_sccs ]

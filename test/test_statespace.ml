@@ -178,7 +178,8 @@ let packed_groups g c =
   let groups = ref [] in
   Checker.iter_groups g c (fun active lo hi ->
       let outcomes =
-        List.init (hi - lo) (fun k -> (fwd.Digraph.dst.(lo + k), Checker.weight g (lo + k)))
+        List.init (hi - lo) (fun k ->
+            (Digraph.target fwd.Digraph.dst (lo + k), Checker.weight g (lo + k)))
       in
       groups := (active, bits outcomes) :: !groups);
   List.rev !groups
