@@ -2,9 +2,10 @@
    [fwd] is the successor relation as a {!Digraph} CSR: all successors
    of configuration [c] occupy [fwd.off.(c) .. fwd.off.(c+1) - 1] of
    the flat int32 edge array [fwd.dst] (off the OCaml heap, read
-   through {!Digraph.target}), and every graph pass here (backward
-   reachability, the cycle search, Tarjan, forward closure) runs in
-   that kernel over [fwd] or its memoized reverse. Successors come in
+   through {!Digraph.target}), and every graph pass here (reachability
+   of [L], the cycle search, Tarjan, forward closure) runs in that
+   kernel over [fwd]; only [best_case_steps] builds a reverse, per
+   call, for its backward distances. Successors come in
    {!Statespace.transitions} order (groups in transition order,
    successors in outcome order), so the kernel's witnesses and
    component order stay stable. [enabled.(c)] is Enabled(c) as a
@@ -28,10 +29,9 @@
 
    Ownership: [build_graph] allocates every array of the graph once, at
    its exact size, after the count pass; the fill pass's ranges write
-   disjoint slices of them, and nothing else writes them after
-   [expand] returns. The graph is shared read-only through the
-   expansion cache, except for [rev], which is filled on first
-   demand. *)
+   disjoint slices of them, and nothing writes the graph after
+   [expand] returns: it is immutable, and shared read-only across
+   domains through the expansion cache. *)
 module Obs = Stabobs.Obs
 
 type groups =
@@ -49,9 +49,6 @@ type graph = {
   enabled : int array; (* length n: Enabled(c) as a process bitmask *)
   groups : groups;
   fwd : Digraph.t; (* n configurations; off length n+1; dst length nedges *)
-  mutable rev : Digraph.t option;
-      (* reverse of [fwd], built on first demand and shared by every
-         backward pass (possible convergence, best-case BFS) *)
 }
 
 (* Successor range of configuration [c] in the flat [fwd.dst] array. *)
@@ -217,7 +214,7 @@ let build_graph space cls =
           prev := 0;
           expand c ~group ~succ;
           if !grp <> grp_off.(c + 1) || !e <> off.(c + 1) then disagree ()));
-  let g = { cls; enabled; groups; fwd = { Digraph.n; off; dst }; rev = None } in
+  let g = { cls; enabled; groups; fwd = { Digraph.n; off; dst } } in
   record_expansion g;
   g
 
@@ -250,28 +247,17 @@ let expand space cls =
           Queue.add key cache_queue;
           g)
 
-let reverse g =
-  match g.rev with
-  | Some rev -> rev
-  | None ->
-    Obs.Counter.incr Obs.checker_reverse_builds;
-    let rev = Obs.span "checker.reverse" (fun () -> Digraph.reverse g.fwd) in
-    g.rev <- Some rev;
-    rev
-
 let successors g = g.fwd
 
 let packing g : packing = { enabled = g.enabled; groups = g.groups }
 
 let graph_edge_count g = Bigarray.Array1.dim g.fwd.dst
 
-(* The edge arrays sit outside the heap, where [Obj.reachable_words]
-   sees only their headers, so their payloads are added by hand. *)
+(* The edge array sits outside the heap, where [Obj.reachable_words]
+   sees only its header, so its payload is added by hand. *)
 let graph_bytes g =
-  let payload (d : Digraph.t) = Bigarray.Array1.size_in_bytes d.dst in
   (Obj.reachable_words (Obj.repr g) * (Sys.word_size / 8))
-  + payload g.fwd
-  + Option.fold ~none:0 ~some:payload g.rev
+  + Bigarray.Array1.size_in_bytes g.fwd.dst
 
 let weighted_row g c =
   let k = group_count g c in
@@ -385,7 +371,7 @@ let check_closure space g spec =
   | None -> check_closure_full space g spec
 
 let possible_convergence _space g ~legitimate =
-  match Array.find_index not (Digraph.reach (reverse g) ~seeds:legitimate) with
+  match Array.find_index not (Digraph.reaches g.fwd ~target:legitimate) with
   | None -> Ok ()
   | Some c -> Error c
 
@@ -558,8 +544,9 @@ let analyze space cls spec =
   Obs.span "checker.analyze" @@ fun () ->
   let g = expand space cls in
   let legitimate = Statespace.legitimate_set space spec in
-  (* Shared intermediates: the reverse adjacency (memoized on [g]) and
-     the terminal list are derived exactly once per verdict. The SCC
+  (* Shared intermediates: the terminal list is derived exactly once
+     per verdict; reaching [L] is decided forward, so no reverse
+     adjacency is built. The SCC
      decomposition of C \ L feeds only the two fairness checks, so it
      is deferred with them: callers that never force a fairness field
      (weak/self verdicts) skip the Streett machinery entirely, and
@@ -716,7 +703,8 @@ let k_stabilizing space g ~legitimate ~k =
     | Some cycle -> Error (Cycle cycle)
     | None -> Ok ())
 
-let best_case_steps _space g ~legitimate = Digraph.distances (reverse g) ~seeds:legitimate
+let best_case_steps _space g ~legitimate =
+  Digraph.distances (Digraph.reverse g.fwd) ~seeds:legitimate
 
 (* Certain convergence is "no terminal outside L, and C \ L acyclic";
    the kernel's outside-set DFS checks the second half and yields the

@@ -48,9 +48,9 @@ val graph_edge_count : graph -> int
 
 val graph_bytes : graph -> int
 (** The bytes the graph holds: its words on the OCaml heap plus the
-    payloads of its edge arrays, the forward one and, once built, the
-    memoized reverse. [Obj.reachable_words] alone sees only the edge
-    arrays' headers. *)
+    payload of its one int32 edge array, the forward [dst]. The graph
+    keeps no reverse, so the figure is final once {!expand} returns.
+    [Obj.reachable_words] alone sees only the edge array's header. *)
 
 val successors : graph -> Digraph.t
 (** The successor relation as a {!Digraph} CSR over configuration
@@ -132,8 +132,11 @@ val check_closure :
 val possible_convergence :
   'a Statespace.t -> graph -> legitimate:bool array -> (unit, int) result
 (** [Error c] gives a configuration from which no execution reaches
-    [L] (backward reachability from [L] over all positive-probability
-    edges). *)
+    [L], over all positive-probability edges: the least such code.
+    Decided forward by {!Digraph.reaches}, with no reverse graph: a
+    strongly connected component reaches [L] iff a member is in [L]
+    or has an edge into a component that does, so [L] is reachable
+    from everywhere iff every bottom component meets it (Thm 7). *)
 
 type divergence =
   | Cycle of int list  (** configuration codes of a cycle outside [L] *)
@@ -255,7 +258,9 @@ val best_case_steps : 'a Statespace.t -> graph -> legitimate:bool array -> int a
     length of the shortest execution reaching [L] (0 inside [L],
     [max_int] if unreachable — the system is then not
     weak-stabilizing). This is the paper's possible-convergence
-    distance, computed by backward BFS. *)
+    distance, computed by backward BFS: each call builds the
+    predecessor relation afresh and drops it afterwards, so a caller
+    needing the distances twice keeps the array. *)
 
 val worst_case_steps : 'a Statespace.t -> graph -> legitimate:bool array -> int array option
 (** Longest execution prefix that stays outside [L], per configuration

@@ -26,9 +26,17 @@ let edges_of_buffers ~nodes (bufs : int Growbuf.t list) =
 
 type t = { n : int; off : int array; dst : edges }
 
+let check_length fn g what a =
+  if Array.length a <> g.n then
+    invalid_arg
+      (Printf.sprintf "Digraph.%s: %s has length %d, the graph %d nodes" fn what
+         (Array.length a) g.n)
+
 (* Counting sort of the edges by target, scanning sources in ascending
    order, so each predecessor row comes out ascending. *)
 let reverse g =
+  Stabobs.Obs.Counter.incr Stabobs.Obs.checker_reverse_builds;
+  Stabobs.Obs.span "checker.reverse" @@ fun () ->
   let n = g.n in
   let nedges = g.off.(n) in
   let off = Array.make (n + 1) 0 in
@@ -53,6 +61,7 @@ let reverse g =
 (* Every node enters the queue at most once, so an n-slot array is the
    whole queue. *)
 let distances ?(within = fun _ -> true) g ~seeds =
+  check_length "distances" g "seeds" seeds;
   let dist = Array.make g.n max_int in
   let queue = Array.make g.n 0 in
   let tail = ref 0 in
@@ -73,7 +82,9 @@ let distances ?(within = fun _ -> true) g ~seeds =
   done;
   dist
 
-let reach ?within g ~seeds = Array.map (fun d -> d <> max_int) (distances ?within g ~seeds)
+let reach ?within g ~seeds =
+  check_length "reach" g "seeds" seeds;
+  Array.map (fun d -> d <> max_int) (distances ?within g ~seeds)
 
 (* Iterative depth-first search: frame [k] of the current path is node
    [path.(k)] with its next successor at [cursor.(k)]. [mark.(v)] is 0
@@ -84,6 +95,7 @@ let reach ?within g ~seeds = Array.map (fun d -> d <> max_int) (distances ?withi
    minus what the successors scanned so far give the node (at least 1),
    and finishing flips its sign. *)
 let heights_outside g ~inside =
+  check_length "heights_outside" g "inside" inside;
   let mark = Array.init g.n (fun v -> if inside.(v) then 1 else 0) in
   let path = Array.make g.n 0 and cursor = Array.make g.n 0 in
   let depth = ref 0 in
@@ -130,15 +142,16 @@ let heights_outside g ~inside =
   with Cycle cycle -> Error cycle
 
 let cycle_outside g ~inside =
+  check_length "cycle_outside" g "inside" inside;
   match heights_outside g ~inside with Ok _ -> None | Error cycle -> Some cycle
 
 (* Iterative Tarjan with the DFS frames in [work]/[cursor] as in
-   [heights_outside]. A completed component gets the next id in [comp];
+   [heights_outside]. A completed component gets the next id in [comp],
+   so a visited node is on the Tarjan stack iff it has no id yet;
    members are bucketed by id at the end, which lists them ascending. *)
 let sccs ?(keep = fun _ -> true) g =
   let n = g.n in
   let index = Array.make n (-1) and low = Array.make n 0 in
-  let on_stack = Bitset.create n in
   let stack = Array.make n 0 and sp = ref 0 in
   let work = Array.make n 0 and cursor = Array.make n 0 in
   let depth = ref 0 in
@@ -150,7 +163,6 @@ let sccs ?(keep = fun _ -> true) g =
     incr next_index;
     stack.(!sp) <- v;
     incr sp;
-    Bitset.set on_stack v;
     work.(!depth) <- v;
     cursor.(!depth) <- g.off.(v);
     incr depth
@@ -166,7 +178,7 @@ let sccs ?(keep = fun _ -> true) g =
           let v = target g.dst i in
           if keep v then
             if index.(v) < 0 then enter v
-            else if Bitset.mem on_stack v then low.(u) <- min low.(u) index.(v)
+            else if comp.(v) < 0 then low.(u) <- min low.(u) index.(v)
         end
         else begin
           depth := top;
@@ -174,7 +186,6 @@ let sccs ?(keep = fun _ -> true) g =
             let rec pop () =
               decr sp;
               let v = stack.(!sp) in
-              Bitset.clear on_stack v;
               comp.(v) <- !ncomp;
               if v <> u then pop ()
             in
@@ -201,3 +212,17 @@ let sccs ?(keep = fun _ -> true) g =
       end)
     comp;
   Array.to_list members
+
+(* Components complete sinks first, so every edge leaving a component
+   lands in one whose mark is already final; an edge inside it reads a
+   target seed at worst, which the component reaches anyway. *)
+let reaches g ~target:goal =
+  check_length "reaches" g "target" goal;
+  let marked = Array.copy goal in
+  let rec hits_from i hi = i < hi && (marked.(target g.dst i) || hits_from (i + 1) hi) in
+  let hits u = marked.(u) || hits_from g.off.(u) g.off.(u + 1) in
+  List.iter
+    (fun members ->
+      if Array.exists hits members then Array.iter (fun u -> marked.(u) <- true) members)
+    (sccs g);
+  marked

@@ -8,6 +8,13 @@
     back; none of them holds a traversal of its own. Traversals visit
     nodes in ascending order and each node's successors in CSR order,
     so every witness below is a deterministic function of the CSR.
+    Every pass runs forward over the CSR it is given; {!reaches}
+    decides "can reach a target" without the predecessor relation,
+    which only a backward distance needs ({!reverse}).
+
+    Every per-node array argument ([seeds], [inside], [target]) must
+    have length [n]; a pass raises [Invalid_argument], naming itself,
+    on any other length.
 
     An independent validator of these answers must not call this
     module. *)
@@ -48,7 +55,9 @@ type t = {
 val reverse : t -> t
 (** The predecessor relation: for every edge [u -> v] of the input,
     [v -> u]. Predecessors of a node come in ascending order; an edge
-    listed twice in the input is listed twice here. *)
+    listed twice in the input is listed twice here. A full second copy
+    of the edges: each build ticks {!Stabobs.Obs.checker_reverse_builds}
+    and runs in a ["checker.reverse"] span. *)
 
 val distances : ?within:(int -> bool) -> t -> seeds:bool array -> int array
 (** Breadth-first search from every seed along the edges of [t]:
@@ -85,3 +94,12 @@ val sccs : ?keep:(int -> bool) -> t -> int array list
     Tarjan completes them, which is reverse topological order of the
     condensation, sinks first: every edge leaving a component lands in
     an earlier one or outside [keep]. Members are ascending. *)
+
+val reaches : t -> target:bool array -> bool array
+(** The nodes from which some path (of zero or more edges) reaches a
+    [target] node: {!reach} on {!reverse} from [target], node for node,
+    decided forward. One {!sccs} pass marks a component, sinks first,
+    when a member is a target or has an edge into a marked node, and
+    then marks all its members. In a finite graph, every node reaches
+    the target set iff every bottom component meets it (Thm 7's
+    criterion). *)

@@ -208,7 +208,8 @@ let of_rows rows =
         List.iter
           (fun (c, w) ->
             if c < 0 || c >= n then invalid_arg "Markov.of_rows: target out of range";
-            if w <= 0.0 then invalid_arg "Markov.of_rows: non-positive weight")
+            if not (w > 0.0 && Float.is_finite w) then
+              invalid_arg "Markov.of_rows: weight not finite and positive")
           entries;
         if Float.abs (total -. 1.0) > 1e-9 then
           invalid_arg "Markov.of_rows: row does not sum to 1")
@@ -235,7 +236,7 @@ let bsccs chain =
 let transient_blocks chain ~transient =
   Digraph.sccs ~keep:(fun c -> transient.(c)) (graph chain)
 
-let reaches chain ~target = Digraph.reach (Digraph.reverse (graph chain)) ~seeds:target
+let reaches chain ~target = Digraph.reaches (graph chain) ~target
 
 let converges_with_prob_one chain ~legitimate =
   match Array.find_index not (reaches chain ~target:legitimate) with

@@ -43,8 +43,9 @@ val of_space : 'a Statespace.t -> randomization -> t
 val of_rows : (int * float) list array -> t
 (** Build a chain from explicit rows (state [i]'s successor
     distribution). Rows are merged and validated: every target in
-    range, weights positive and summing to 1 within [1e-9]; empty rows
-    become absorbing. Used for comparator systems modelled directly at
+    range, weights finite, positive and summing to 1 within [1e-9]
+    ([Invalid_argument] otherwise, NaN included); empty rows become
+    absorbing. Used for comparator systems modelled directly at
     a coarser abstraction (e.g. Israeli-Jalfon token positions). *)
 
 val states : t -> int
@@ -61,7 +62,9 @@ val bsccs : t -> int list list
 
 val reaches : t -> target:bool array -> bool array
 (** [reaches chain ~target] marks states from which [target] is
-    reachable through positive-probability paths. *)
+    reachable through positive-probability paths: {!Digraph.reaches}
+    on {!graph}, forward over the chain's own arrays, with no reverse
+    built. [target] must have one entry per state. *)
 
 val converges_with_prob_one : t -> legitimate:bool array -> (unit, int) result
 (** Probability-1 convergence to [L] from {e every} state —

@@ -52,7 +52,7 @@ let explore ?(max_states = 1_000_000) space cls ~inits =
     (stats, Some (codes.data, { Digraph.n; off = off.data; dst }))
 
 let possible_verdict codes graph legitimate =
-  match Array.find_index not (Digraph.reach (Digraph.reverse graph) ~seeds:legitimate) with
+  match Array.find_index not (Digraph.reaches graph ~target:legitimate) with
   | None -> Converges
   | Some idx -> Counterexample codes.(idx)
 

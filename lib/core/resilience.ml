@@ -34,11 +34,11 @@ let prepare space cls spec =
   let graph = Checker.expand space cls in
   let legitimate = Statespace.legitimate_set space spec in
   let chain = Markov.of_space space (Analysis.randomization cls) in
-  (* One reverse adjacency serves both backward searches; probability-1
-     convergence from every state is [L] reachable from every state. *)
-  let rev = Digraph.reverse (Markov.graph chain) in
-  let reach_l = Digraph.reach rev ~seeds:legitimate in
-  let doomed = Digraph.reach rev ~seeds:(Array.map not reach_l) in
+  (* Two forward passes, no reverse: probability-1 convergence from
+     every state is [L] reachable from every state, and a state is
+     doomed iff it can reach one that cannot reach [L]. *)
+  let reach_l = Markov.reaches chain ~target:legitimate in
+  let doomed = Markov.reaches chain ~target:(Array.map not reach_l) in
   let hitting =
     if Array.for_all Fun.id reach_l then Some (Markov.expected_hitting_times chain ~legitimate)
     else None

@@ -118,13 +118,16 @@ val markov_solve_sweeps : Counter.t
 val checker_reverse_builds : Counter.t
 val checker_terminal_scans : Counter.t
 val checker_scc_builds : Counter.t
-(** Intermediate structures the checker derives
+(** Intermediate structures the analyses derive
     ("checker.reverse_builds" / "checker.terminal_scans" /
-    "checker.scc_builds"): reverse-adjacency constructions (memoized
-    per packed graph, so repeated backward passes count once), terminal
-    scans, and Tarjan SCC decompositions (Streett refinement may add
-    decompositions on pruned subsets). Tests read them to assert that
-    [Checker.analyze] derives each exactly once per verdict. *)
+    "checker.scc_builds"): reverse-adjacency constructions (every one
+    the graph kernel builds, wherever called: nothing memoizes one, and
+    no verdict path builds one), the checker's terminal scans, and its
+    Tarjan SCC decompositions for fairness and pseudo-stabilization
+    (Streett refinement may add decompositions on pruned subsets; the
+    kernel's own pass inside [Digraph.reaches] is not counted). Tests
+    read them to assert that [Checker.analyze] builds no reverse and
+    derives the others exactly once per verdict. *)
 
 val pool_tasks : Counter.t
 val pool_steals : Counter.t

@@ -159,35 +159,54 @@ let counting f =
   Stabobs.Obs.install (Stabobs.Obs.null_sink ());
   Fun.protect ~finally:Stabobs.Obs.clear f
 
-let analyze_counting () =
+let token_ring_instance () =
   let n = 4 in
   let p = Stabalgo.Token_ring.make ~n in
-  let space = Statespace.build p in
+  (Statespace.build p, Stabalgo.Token_ring.spec ~n)
+
+let analyze_counting () =
+  let space, spec = token_ring_instance () in
   let value = Stabobs.Obs.Counter.value in
   counting @@ fun () ->
-  let rev0 = value Stabobs.Obs.checker_reverse_builds in
   let term0 = value Stabobs.Obs.checker_terminal_scans in
   let scc0 = value Stabobs.Obs.checker_scc_builds in
-  let v = Checker.analyze space Statespace.Distributed (Stabalgo.Token_ring.spec ~n) in
+  let v = Checker.analyze space Statespace.Distributed spec in
   ignore (Lazy.force v.Checker.strongly_fair_diverges);
   ignore (Lazy.force v.Checker.weakly_fair_diverges);
-  ( value Stabobs.Obs.checker_reverse_builds - rev0,
-    value Stabobs.Obs.checker_terminal_scans - term0,
+  ( value Stabobs.Obs.checker_terminal_scans - term0,
     value Stabobs.Obs.checker_scc_builds - scc0 )
 
-let test_single_reverse_build () =
-  let rev_builds, _, _ = analyze_counting () in
-  Alcotest.(check int) "one reverse-graph build per analyze" 1 rev_builds
+(* Reaching [L] is decided forward ([Digraph.reaches]), so no verdict
+   path builds a reverse graph; [Digraph.reverse] ticks the counter on
+   every build, wherever it is called from. *)
+let test_no_reverse_build () =
+  let space, spec = token_ring_instance () in
+  let legitimate = Statespace.legitimate_set space spec in
+  let builds () = Stabobs.Obs.Counter.value Stabobs.Obs.checker_reverse_builds in
+  counting @@ fun () ->
+  let rev0 = builds () in
+  let v = Checker.analyze space Statespace.Distributed spec in
+  ignore (Lazy.force v.Checker.strongly_fair_diverges);
+  ignore (Lazy.force v.Checker.weakly_fair_diverges);
+  let chain = Markov.of_space space Markov.Distributed_uniform in
+  ignore (Markov.converges_with_prob_one chain ~legitimate);
+  ignore (Markov.hitting_stats_checked chain ~legitimate);
+  ignore (Markov.absorption_probabilities chain ~legitimate);
+  ignore
+    (Onthefly.analyze space Statespace.Distributed spec
+       ~inits:(List.init 3 (Statespace.config space)));
+  ignore (Resilience.analyze space Statespace.Distributed spec ~ks:[ 0; 1 ]);
+  Alcotest.(check int) "no reverse-graph build" 0 (builds () - rev0)
 
 let test_single_terminal_scan () =
-  let _, term_scans, _ = analyze_counting () in
+  let term_scans, _ = analyze_counting () in
   Alcotest.(check int) "one terminal scan per analyze" 1 term_scans
 
 let test_single_scc_decomposition () =
   (* Both fairness checks share one decomposition of C \ L; the Streett
      refinement finds its witness in the first accepting component on
      this instance, so no pruned re-decomposition happens either. *)
-  let _, _, scc_passes = analyze_counting () in
+  let _, scc_passes = analyze_counting () in
   Alcotest.(check int) "one SCC decomposition per analyze" 1 scc_passes
 
 let test_profiling_does_not_perturb_verdicts () =
@@ -234,32 +253,33 @@ let test_gc_and_dist_do_not_perturb_verdicts () =
       Alcotest.(check string) (Printf.sprintf "%s under %s" label cls) base inst)
     baseline instrumented
 
-let test_metrics_share_reverse_graph () =
-  (* possible_convergence and best_case_steps on the same expansion
-     must share one reverse adjacency. *)
-  let n = 4 in
-  let p = Stabalgo.Token_ring.make ~n in
-  let space = Statespace.build p in
+(* The backward BFS distance is the one pass that still needs the
+   predecessor relation; the graph keeps no memo, so every call builds
+   its own. *)
+let test_best_case_builds_per_call () =
+  let space, spec = token_ring_instance () in
   let g = Checker.expand space Statespace.Distributed in
-  let legitimate = Statespace.legitimate_set space (Stabalgo.Token_ring.spec ~n) in
+  let legitimate = Statespace.legitimate_set space spec in
   counting @@ fun () ->
   let builds () = Stabobs.Obs.Counter.value Stabobs.Obs.checker_reverse_builds in
   let rev0 = builds () in
-  ignore (Checker.possible_convergence space g ~legitimate);
   ignore (Checker.best_case_steps space g ~legitimate);
+  Alcotest.(check int) "first call" 1 (builds () - rev0);
+  ignore (Checker.best_case_steps space g ~legitimate);
+  Alcotest.(check int) "second call" 2 (builds () - rev0);
   ignore (Checker.convergence_radius_histogram space g ~legitimate);
-  Alcotest.(check int) "one shared reverse build" 1 (builds () - rev0)
+  Alcotest.(check int) "histogram" 3 (builds () - rev0)
 
 let suite =
   [
     Alcotest.test_case "verdicts match pre-rework fixtures" `Quick
       test_verdicts_match_fixtures;
-    Alcotest.test_case "analyze builds reverse graph once" `Quick test_single_reverse_build;
+    Alcotest.test_case "verdict paths build no reverse graph" `Quick test_no_reverse_build;
     Alcotest.test_case "analyze scans terminals once" `Quick test_single_terminal_scan;
     Alcotest.test_case "analyze decomposes SCCs once" `Quick
       test_single_scc_decomposition;
-    Alcotest.test_case "metrics share the reverse graph" `Quick
-      test_metrics_share_reverse_graph;
+    Alcotest.test_case "best_case_steps builds one reverse per call" `Quick
+      test_best_case_builds_per_call;
     Alcotest.test_case "profiling does not perturb verdicts" `Quick
       test_profiling_does_not_perturb_verdicts;
     Alcotest.test_case "gc sampling and dists do not perturb verdicts" `Quick

@@ -96,14 +96,17 @@ let qcheck_reverse =
       done;
       List.sort compare !flipped = List.sort compare (edges c))
 
+(* [reaches] decides the backward reach set forward, over SCCs, so it
+   is held to the same fixpoint as the BFS on the reverse. *)
 let qcheck_backward =
   QCheck.Test.make ~count:500 ~name:"backward distances and reach match the fixpoint" arb
     (fun c ->
       let g = csr c in
       let expected = naive_distances ~backward:true c ~seeds:c.mark in
+      let reach_set = Array.map (fun d -> d <> max_int) expected in
       Digraph.distances (Digraph.reverse g) ~seeds:c.mark = expected
-      && Digraph.reach (Digraph.reverse g) ~seeds:c.mark
-         = Array.map (fun d -> d <> max_int) expected)
+      && Digraph.reach (Digraph.reverse g) ~seeds:c.mark = reach_set
+      && Digraph.reaches g ~target:c.mark = reach_set)
 
 let qcheck_forward_closure =
   QCheck.Test.make ~count:500 ~name:"forward closure inside a predicate matches the fixpoint"
@@ -203,11 +206,41 @@ let test_target_round_trip () =
   List.iteri (Digraph.set_target dst) [ 0; 1; top ];
   Alcotest.(check (list int)) "targets" [ 0; 1; top ] (List.init 3 (Digraph.target dst))
 
+(* Every per-node array must have one entry per node, neither fewer
+   nor more, and the refusal names the pass. *)
+let test_rejects_wrong_lengths () =
+  let g = csr { adj = [| [ 1 ]; [] |]; mark = [||]; keep = [||] } in
+  let rejects name what arr f =
+    Alcotest.check_raises
+      (Printf.sprintf "%s, length %d" name (Array.length arr))
+      (Invalid_argument
+         (Printf.sprintf "Digraph.%s: %s has length %d, the graph 2 nodes" name what
+            (Array.length arr)))
+      (fun () -> ignore (f arr))
+  in
+  List.iter
+    (fun arr ->
+      rejects "reaches" "target" arr (fun target -> Digraph.reaches g ~target);
+      rejects "distances" "seeds" arr (fun seeds -> Digraph.distances g ~seeds);
+      rejects "reach" "seeds" arr (fun seeds -> Digraph.reach g ~seeds);
+      rejects "heights_outside" "inside" arr (fun inside -> Digraph.heights_outside g ~inside);
+      rejects "cycle_outside" "inside" arr (fun inside -> Digraph.cycle_outside g ~inside))
+    [ [| false |]; [| false; false; true |] ];
+  (* A one-entry legitimate set on a two-state chain is refused, not
+     read as "state 0 cannot reach [L]". *)
+  Alcotest.check_raises "prob-1 on a short legitimate set"
+    (Invalid_argument "Digraph.reaches: target has length 1, the graph 2 nodes") (fun () ->
+      ignore
+        (Markov.converges_with_prob_one
+           (Markov.of_rows [| [ (1, 1.0) ]; [] |])
+           ~legitimate:[| false |]))
+
 let suite =
   Alcotest.
     [
       test_case "create_edges rejects 2^31 nodes" `Quick test_create_edges_rejects_wide;
       test_case "set_target/target round-trip" `Quick test_target_round_trip;
+      test_case "per-node arrays must have length n" `Quick test_rejects_wrong_lengths;
     ]
   @ List.map QCheck_alcotest.to_alcotest
       [ qcheck_reverse; qcheck_backward; qcheck_forward_closure; qcheck_cycle_outside; qcheck_sccs ]

@@ -20,8 +20,19 @@ let test_of_rows_validation () =
     (fun () -> ignore (Markov.of_rows [| [ (5, 1.0) ] |]));
   Alcotest.check_raises "bad sum" (Invalid_argument "Markov.of_rows: row does not sum to 1")
     (fun () -> ignore (Markov.of_rows [| [ (0, 0.5) ] |]));
-  Alcotest.check_raises "non-positive" (Invalid_argument "Markov.of_rows: non-positive weight")
-    (fun () -> ignore (Markov.of_rows [| [ (0, 0.0); (0, 1.0) ] |]))
+  (* NaN compares false both ways, so a [w <= 0.0] test and the sum
+     check would both let it through. *)
+  List.iter
+    (fun (name, row) ->
+      Alcotest.check_raises name
+        (Invalid_argument "Markov.of_rows: weight not finite and positive")
+        (fun () -> ignore (Markov.of_rows [| row; [] |])))
+    [
+      ("non-positive", [ (0, 0.0); (0, 1.0) ]);
+      ("nan", [ (0, Float.nan) ]);
+      ("nan beside 0.5", [ (0, 0.5); (1, Float.nan) ]);
+      ("infinite", [ (0, Float.infinity) ]);
+    ]
 
 let test_of_rows_merges_and_absorbs () =
   let chain = Markov.of_rows [| [ (1, 0.5); (1, 0.5) ]; [] |] in
