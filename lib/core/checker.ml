@@ -1,11 +1,10 @@
 (* The transition relation is packed in compressed-sparse-row form.
-   [fwd] is the successor relation as a {!Digraph} CSR: all successors
-   of configuration [c] occupy [fwd.off.(c) .. fwd.off.(c+1) - 1] of
-   the flat int32 edge array [fwd.dst] (off the OCaml heap, read
-   through {!Digraph.target}), and every graph pass here (reachability
-   of [L], the cycle search, Tarjan, forward closure) runs in that
-   kernel over [fwd]; only [best_case_steps] builds a reverse, per
-   call, for its backward distances. Successors come in
+   [fwd] is the successor relation as a {!Digraph} graph: the row of
+   configuration [c] is [fwd.off.(c) .. fwd.off.(c+1) - 1] of one flat
+   int32 array (off the OCaml heap), and every graph pass here
+   (reachability of [L], the cycle search, Tarjan, forward closure)
+   runs in that kernel over [fwd]; only [best_case_steps] builds a
+   reverse, per call, for its backward distances. Successors come in
    {!Statespace.transitions} order (groups in transition order,
    successors in outcome order), so the kernel's witnesses and
    component order stay stable. [enabled.(c)] is Enabled(c) as a
@@ -14,18 +13,27 @@
    groups, so no mask is stored per group.
 
    The group level (activated subset -> outcome distribution) has one
-   of two layouts, chosen by {!Protocol.deterministic}:
-   - [Singleton]: a deterministic protocol gives every group exactly
-     one successor of weight 1.0, so group [i] of the graph is edge [i]
-     of [fwd] and nothing more is stored;
-   - [Outcomes]: the groups of [c] occupy
+   of three layouts, chosen by the input: {!Protocol.deterministic},
+   the class, and whether the space is a quotient.
+   - [Subsets]: a deterministic protocol on a full space under the
+     distributed class. Each of the 2^k - 1 groups of a configuration
+     with k enabled processes has one successor of weight 1.0, the
+     configuration's code plus the deltas of the activated processes
+     (each changes only its own digit of the code). So [fwd] stores
+     the k deltas, [Digraph.Subsets], and the kernel enumerates the
+     subset sums in the expander's ascending mask order.
+   - [Singleton]: any other deterministic graph (central or
+     synchronous, whose k or 1 groups leave nothing to factor, or a
+     quotient, whose canonicalized targets are not sums). Group [i] is
+     edge [i] of [fwd], [Digraph.Edges].
+   - [Outcomes]: a randomized protocol. The groups of [c] occupy
      [grp_off.(c) .. grp_off.(c+1) - 1], the successors of group [grp]
-     occupy [succ_off.(grp) .. succ_off.(grp+1) - 1] of [fwd.dst]
+     occupy [succ_off.(grp) .. succ_off.(grp+1) - 1] of [fwd]'s edges
      (groups of a configuration are contiguous and [succ_off] is
      monotone, so [fwd.off.(c) = succ_off.(grp_off.(c))]), and
      [succ_w] carries each outcome's probability.
-   Readers go through [iter_groups], [group_count] and [weight] and
-   never index the group arrays, so they read both layouts alike.
+   Readers go through [iter_groups], [group_count] and the kernel and
+   never index the packed arrays, so they read every layout alike.
 
    Ownership: [build_graph] allocates every array of the graph once, at
    its exact size, after the count pass; the fill pass's ranges write
@@ -36,6 +44,7 @@ module Obs = Stabobs.Obs
 
 type groups =
   | Singleton
+  | Subsets
   | Outcomes of {
       grp_off : int array; (* length n+1 *)
       succ_off : int array; (* length ngroups+1 *)
@@ -48,50 +57,55 @@ type graph = {
   cls : Statespace.sched_class; (* the class the graph was expanded under *)
   enabled : int array; (* length n: Enabled(c) as a process bitmask *)
   groups : groups;
-  fwd : Digraph.t; (* n configurations; off length n+1; dst length nedges *)
+  fwd : Digraph.t; (* n configurations; off length n+1 *)
 }
 
-(* Successor range of configuration [c] in the flat [fwd.dst] array. *)
-let succ_lo g c = g.fwd.off.(c)
-let succ_hi g c = g.fwd.off.(c + 1)
-
-(* [iter_groups g c f] calls [f active lo hi] on each group of [c] in
-   transition order: its activated mask and its successor range
-   [lo, hi) of [fwd.dst]. *)
-let iter_groups g c f =
+(* [iter_groups g c ~group ~succ] replays configuration [c] as the
+   expander emitted it: [group active] per group in transition order,
+   then [succ target weight] per outcome. *)
+let iter_groups g c ~group ~succ =
   let enabled = g.enabled.(c) in
   let active = ref 0 in
+  let open_group () =
+    active := Statespace.next_group g.cls enabled !active;
+    group !active
+  in
   match g.groups with
-  | Singleton ->
-    for i = succ_lo g c to succ_hi g c - 1 do
-      active := Statespace.next_group g.cls enabled !active;
-      f !active i (i + 1)
-    done
-  | Outcomes { grp_off; succ_off; _ } ->
-    for grp = grp_off.(c) to grp_off.(c + 1) - 1 do
-      active := Statespace.next_group g.cls enabled !active;
-      f !active succ_off.(grp) succ_off.(grp + 1)
-    done
+  | Singleton | Subsets ->
+    Digraph.iter_succ g.fwd c (fun v ->
+        open_group ();
+        succ v 1.0)
+  | Outcomes { grp_off; succ_off; succ_w } ->
+    (* Each group opens once the edge cursor reaches its first
+       successor, so a group without outcomes opens with the next. *)
+    let grp = ref grp_off.(c) and e = ref g.fwd.off.(c) in
+    let open_to e =
+      while !grp < grp_off.(c + 1) && succ_off.(!grp) <= e do
+        open_group ();
+        incr grp
+      done
+    in
+    Digraph.iter_succ g.fwd c (fun v ->
+        open_to !e;
+        succ v succ_w.(!e);
+        incr e);
+    open_to g.fwd.off.(c + 1)
 
 let group_count g c =
   match g.groups with
-  | Singleton -> succ_hi g c - succ_lo g c
+  | Singleton | Subsets -> Digraph.out_degree g.fwd c
   | Outcomes { grp_off; _ } -> grp_off.(c + 1) - grp_off.(c)
 
-(* Outcome probability of edge [i] of [fwd.dst]. *)
-let[@inline] weight g i =
-  match g.groups with Singleton -> 1.0 | Outcomes { succ_w; _ } -> succ_w.(i)
-
 (* Expansion telemetry: totals as counters plus the per-configuration
-   fan-out distribution. The sweep behind the dist only runs when a
-   sink is installed, so the dark path pays a single branch per graph
-   build. *)
+   fan-out distribution, in logical transitions whatever the layout
+   stores. The sweep behind the dist only runs when a sink is
+   installed, so the dark path pays a single branch per graph build. *)
 let record_expansion g =
   Obs.Counter.add Obs.configs_expanded g.fwd.n;
-  Obs.Counter.add Obs.transitions_emitted (Bigarray.Array1.dim g.fwd.dst);
+  Obs.Counter.add Obs.transitions_emitted (Digraph.edge_count g.fwd);
   if Obs.on () then
     for c = 0 to g.fwd.n - 1 do
-      Stabobs.Dist.record_int Stabobs.Dist.checker_out_degree (succ_hi g c - succ_lo g c)
+      Stabobs.Dist.record_int Stabobs.Dist.checker_out_degree (Digraph.out_degree g.fwd c)
     done
 
 let count_grain = Pool.Grain.site "checker.expand.count"
@@ -104,35 +118,45 @@ let each_config ~lo ~hi f =
   done
 
 (* Two passes over the same enumeration. The count pass stores the
-   enabled mask of [c] at [enabled.(c)] and its successor count (and,
-   for the [Outcomes] layout, its group count) at index [c + 1] of
-   [off] (and [grp_off]); a deterministic protocol has one successor
-   per group, so its mask and count come from the guards alone. A
-   serial prefix sum turns the counts into offsets, the packed arrays
-   are allocated once at their exact size, and the fill pass writes
-   every range at its global offsets, so the layout does not depend on
-   how the pool split either pass. The fill pass checks every
-   configuration against the count pass: the same number of groups
-   and successors (exactly one successor of weight 1.0 per group in
-   the [Singleton] layout), and each group activating the subset
-   {!Statespace.next_group} derives from the enabled mask. Each range
-   gets its own expander scratch; spaces are immutable and guards and
-   statements are pure, so ranges run concurrently. *)
+   enabled mask of [c] at [enabled.(c)] and its entry count (and, for
+   the [Outcomes] layout, its group count) at index [c + 1] of [off]
+   (and [grp_off]); a deterministic protocol has one successor per
+   group, so its mask and count come from the guards alone: one entry
+   per group, or one delta per enabled process in the [Subsets]
+   layout. A serial prefix sum turns the counts into offsets, the
+   packed arrays are allocated once at their exact size, and the fill
+   pass writes every range at its global offsets, so the layout does
+   not depend on how the pool split either pass. The [Subsets] fill
+   runs {!Statespace.delta_expander}, whose groups are the enabled
+   processes, and enumerates no subsets. The fill pass checks every
+   configuration against the count pass: the same number of groups and
+   successors (exactly one successor, or delta, of weight 1.0 per
+   group in the deterministic layouts), and each group activating the
+   subset {!Statespace.next_group} derives from the enabled mask. Each
+   range gets its own expander scratch; spaces are immutable and
+   guards and statements are pure, so ranges run concurrently. *)
 let build_graph space cls =
   let n = Statespace.count space in
   let deterministic = Protocol.deterministic (Statespace.protocol space) in
+  let subsets =
+    deterministic && cls = Statespace.Distributed && not (Statespace.is_quotient space)
+  in
+  (* The fill's expander reports the groups of this class. *)
+  let fill_cls = if subsets then Statespace.Central else cls in
   let enabled = Array.make n 0 in
   let off = Array.make (n + 1) 0 in
-  (* Group offsets per configuration: in the [Singleton] layout group
-     [i] is edge [i], so they are [off] itself. *)
+  (* Group offsets per configuration: in the deterministic layouts
+     group [i] of the fill is entry [i], so they are [off] itself. *)
   let grp_off = if deterministic then off else Array.make (n + 1) 0 in
   Pool.parallel_for ~site:count_grain ~min_chunk:64 n (fun ~lo ~hi ->
       if deterministic then begin
         let enabled_mask = Statespace.enabled_mask space in
         each_config ~lo ~hi (fun c ->
             let mask = enabled_mask c in
+            (* Bounds the distributed fan-out even where it is not stored. *)
+            let groups = Statespace.group_count cls mask in
             enabled.(c) <- mask;
-            off.(c + 1) <- Statespace.group_count cls mask)
+            off.(c + 1) <- (if subsets then Statespace.group_count fill_cls mask else groups))
       end
       else begin
         let expand = Statespace.expander space cls in
@@ -154,13 +178,18 @@ let build_graph space cls =
     off.(c) <- off.(c) + off.(c - 1);
     if not deterministic then grp_off.(c) <- grp_off.(c) + grp_off.(c - 1)
   done;
-  let nedges = off.(n) in
-  let dst = Digraph.create_edges ~nodes:n nedges in
+  let nentries = off.(n) in
+  let dst = Digraph.create_edges ~nodes:n nentries in
   let groups =
-    if deterministic then Singleton
+    if subsets then Subsets
+    else if deterministic then Singleton
     else
       Outcomes
-        { grp_off; succ_off = Array.make (grp_off.(n) + 1) nedges; succ_w = Array.make nedges 0.0 }
+        {
+          grp_off;
+          succ_off = Array.make (grp_off.(n) + 1) nentries;
+          succ_w = Array.make nentries 0.0;
+        }
   in
   (* A configuration never writes past its own slices: if its fill
      outruns its count, or falls short of it, the expansion fails. *)
@@ -177,26 +206,29 @@ let build_graph space cls =
          c mask enabled.(c) expected)
   in
   Pool.parallel_for ~site:fill_grain ~min_chunk:64 n (fun ~lo ~hi ->
-      let expand = Statespace.expander space cls in
+      let expand =
+        if subsets then Statespace.delta_expander space else Statespace.expander space cls
+      in
       let cur = ref lo and prev = ref 0 in
       let grp = ref grp_off.(lo) and e = ref off.(lo) in
       let open_group mask =
         if !grp >= grp_off.(!cur + 1) then disagree ();
-        prev := Statespace.next_group cls enabled.(!cur) !prev;
+        prev := Statespace.next_group fill_cls enabled.(!cur) !prev;
         if mask <> !prev then misordered !cur mask !prev
       in
       let group, succ =
         match groups with
-        | Singleton ->
+        | Singleton | Subsets ->
           (* A group opens only once the one before it has its
-             successor, and takes exactly one, of weight 1.0. *)
+             successor (or delta), and takes exactly one, of weight
+             1.0. *)
           ( (fun mask ->
               if !grp <> !e then disagree ();
               open_group mask;
               incr grp),
-            fun code w ->
+            fun entry w ->
               if !e <> !grp - 1 || w <> 1.0 then disagree ();
-              Digraph.set_target dst !e code;
+              Digraph.set_target dst !e entry;
               incr e )
         | Outcomes { succ_off; succ_w; _ } ->
           ( (fun mask ->
@@ -214,7 +246,8 @@ let build_graph space cls =
           prev := 0;
           expand c ~group ~succ;
           if !grp <> grp_off.(c + 1) || !e <> off.(c + 1) then disagree ()));
-  let g = { cls; enabled; groups; fwd = { Digraph.n; off; dst } } in
+  let rows = if subsets then Digraph.Subsets dst else Digraph.Edges dst in
+  let g = { cls; enabled; groups; fwd = { Digraph.n; off; rows } } in
   record_expansion g;
   g
 
@@ -251,34 +284,32 @@ let successors g = g.fwd
 
 let packing g : packing = { enabled = g.enabled; groups = g.groups }
 
-let graph_edge_count g = Bigarray.Array1.dim g.fwd.dst
+let graph_edge_count g = Digraph.edge_count g.fwd
 
-(* The edge array sits outside the heap, where [Obj.reachable_words]
+(* The row array sits outside the heap, where [Obj.reachable_words]
    sees only its header, so its payload is added by hand. *)
 let graph_bytes g =
+  let (Digraph.Edges entries | Digraph.Subsets entries) = g.fwd.rows in
   (Obj.reachable_words (Obj.repr g) * (Sys.word_size / 8))
-  + Bigarray.Array1.size_in_bytes g.fwd.dst
-
-let weighted_row g c =
-  let k = group_count g c in
-  if k = 0 then []
-  else begin
-    let subset_weight = 1.0 /. float_of_int k in
-    let out = ref [] in
-    for i = succ_hi g c - 1 downto succ_lo g c do
-      out := (Digraph.target g.fwd.dst i, weight g i *. subset_weight) :: !out
-    done;
-    !out
-  end
+  + Bigarray.Array1.size_in_bytes entries
 
 let iter_weighted_row g c f =
   let k = group_count g c in
   if k > 0 then begin
     let subset_weight = 1.0 /. float_of_int k in
-    for i = succ_lo g c to succ_hi g c - 1 do
-      f (Digraph.target g.fwd.dst i) (weight g i *. subset_weight)
-    done
+    match g.groups with
+    | Singleton | Subsets -> Digraph.iter_succ g.fwd c (fun v -> f v subset_weight)
+    | Outcomes { succ_w; _ } ->
+      let e = ref g.fwd.off.(c) in
+      Digraph.iter_succ g.fwd c (fun v ->
+          f v (succ_w.(!e) *. subset_weight);
+          incr e)
   end
+
+let weighted_row g c =
+  let out = ref [] in
+  iter_weighted_row g c (fun v w -> out := (v, w) :: !out);
+  List.rev !out
 
 type closure_violation =
   | Empty_legitimate_set
@@ -337,27 +368,25 @@ let check_closure_full space g spec =
      try
        for c = 0 to g.fwd.n - 1 do
          if legitimate.(c) then begin
-           iter_groups g c (fun active lo hi ->
-               for i = lo to hi - 1 do
-                 let c' = Digraph.target g.fwd.dst i in
-                 if not legitimate.(c') then begin
-                   violation :=
-                     Some
-                       (Escape
-                          { config = c; active = Statespace.procs_of_mask active; successor = c' });
-                   raise Found
-                 end
-                 else
-                   match spec.Spec.step_ok with
-                   | None -> ()
-                   | Some ok ->
-                     if
-                       not (ok (Statespace.config space c) (Statespace.config space c'))
-                     then begin
-                       violation := Some (Step_spec { config = c; successor = c' });
-                       raise Found
-                     end
-               done)
+           let active = ref 0 in
+           iter_groups g c
+             ~group:(fun a -> active := a)
+             ~succ:(fun c' _ ->
+               if not legitimate.(c') then begin
+                 violation :=
+                   Some
+                     (Escape
+                        { config = c; active = Statespace.procs_of_mask !active; successor = c' });
+                 raise Found
+               end
+               else
+                 match spec.Spec.step_ok with
+                 | None -> ()
+                 | Some ok ->
+                   if not (ok (Statespace.config space c) (Statespace.config space c')) then begin
+                     violation := Some (Step_spec { config = c; successor = c' });
+                     raise Found
+                   end)
          end
        done
      with Found -> ());
@@ -421,12 +450,7 @@ let sccs ?keep g =
 (* True iff the SCC (given as a membership test plus member array) has
    at least one internal edge — needed to sustain an infinite execution. *)
 let has_internal_edge g in_scc members =
-  Array.exists
-    (fun c ->
-      let hi = succ_hi g c in
-      let rec go i = i < hi && (in_scc (Digraph.target g.fwd.dst i) || go (i + 1)) in
-      go (succ_lo g c))
-    members
+  Array.exists (fun c -> Digraph.exists_succ g.fwd c in_scc) members
 
 (* Processes enabled somewhere in the member set, as a bitmask. *)
 let enabled_in g members = Array.fold_left (fun acc c -> acc lor g.enabled.(c)) 0 members
@@ -436,11 +460,10 @@ let enabled_in g members = Array.fold_left (fun acc c -> acc lor g.enabled.(c)) 
 let firing_in g in_scc members =
   Array.fold_left
     (fun acc c ->
-      let fired = ref acc in
-      iter_groups g c (fun active lo hi ->
-          for i = lo to hi - 1 do
-            if in_scc (Digraph.target g.fwd.dst i) then fired := !fired lor active
-          done);
+      let fired = ref acc and active = ref 0 in
+      iter_groups g c
+        ~group:(fun a -> active := a)
+        ~succ:(fun c' _ -> if in_scc c' then fired := !fired lor !active);
       !fired)
     0 members
 

@@ -22,12 +22,15 @@
 
 type graph
 (** Expanded transition relation of a space under a scheduler class,
-    packed in compressed-sparse-row form: a flat int32 successor array
+    packed in compressed-sparse-row form: one flat int32 row array
     ({!Digraph.edges}, outside the OCaml heap), an int offset array and
     one enabled mask per configuration, so the graph passes below run
     over contiguous memory. The activated subset of each group is
-    derived from the enabled mask ({!Statespace.next_group}). A deterministic protocol's graph stores
-    nothing per group: each group is one edge of weight 1.0. A
+    derived from the enabled mask ({!Statespace.next_group}). A
+    deterministic protocol's graph stores nothing per group: each
+    group is one transition of weight 1.0, and under the distributed
+    class on a full space the rows hold each configuration's [k]
+    per-process deltas in place of its [2^k - 1] successors. A
     randomized protocol's graph also stores group and outcome offsets
     and every edge's outcome probability (see {!groups}). *)
 
@@ -45,34 +48,48 @@ val expand : 'a Statespace.t -> Statespace.sched_class -> graph
     instead of re-deriving it. *)
 
 val graph_edge_count : graph -> int
+(** The number of transitions, one per (configuration, activated
+    subset, outcome) triple: in the {!Subsets} layout the [2^k - 1]
+    subset sums of each configuration, not the [k] deltas stored. *)
 
 val graph_bytes : graph -> int
 (** The bytes the graph holds: its words on the OCaml heap plus the
-    payload of its one int32 edge array, the forward [dst]. The graph
-    keeps no reverse, so the figure is final once {!expand} returns.
-    [Obj.reachable_words] alone sees only the edge array's header. *)
+    payload of its one int32 row array (targets, or deltas in the
+    {!Subsets} layout). The graph keeps no reverse, so the figure is
+    final once {!expand} returns. [Obj.reachable_words] alone sees only
+    the row array's header. *)
 
 val successors : graph -> Digraph.t
-(** The successor relation as a {!Digraph} CSR over configuration
-    codes: the packed arrays themselves, not a copy; read a target with
-    {!Digraph.target}. The successors of [c] come in transition order,
-    one entry per (activated subset, outcome) pair, so a target may
-    repeat. *)
+(** The successor relation as a {!Digraph} graph over configuration
+    codes: the packed arrays themselves, not a copy; walk it with the
+    kernel's passes, {!Digraph.iter_succ} or {!Digraph.exists_succ}.
+    The successors of [c] come in transition order, one per
+    (activated subset, outcome) pair, so a target may repeat. Its rows
+    are {!Digraph.Subsets} in the {!Subsets} layout and
+    {!Digraph.Edges} otherwise. *)
 
 type groups =
   | Singleton
-      (** the layout of a {!Protocol.deterministic} protocol: group [i]
-          is edge [i] of the {!successors} [dst] array, with weight
-          1.0 *)
+      (** a {!Protocol.deterministic} protocol under the central or
+          synchronous class, or on a quotient: group [i] is edge [i] of
+          the {!successors} rows, with weight 1.0 *)
+  | Subsets
+      (** a {!Protocol.deterministic} protocol on a full space under the
+          distributed class: the {!successors} rows are
+          {!Digraph.Subsets}, [k] deltas per configuration with [k]
+          enabled processes, and group [i] is its [i]-th subset sum,
+          with weight 1.0 *)
   | Outcomes of {
       grp_off : int array;  (** groups of [c]: [grp_off.(c) .. grp_off.(c+1) - 1] *)
       succ_off : int array;
           (** successors of group [grp]: [succ_off.(grp) .. succ_off.(grp+1) - 1]
-              of the {!successors} [dst] array *)
+              of the {!successors} edges *)
       succ_w : float array;  (** outcome probability of each successor entry *)
     }  (** the layout of a randomized protocol *)
-(** The group level of the packing, chosen by
-    {!Protocol.deterministic} alone. *)
+(** The group level of the packing, chosen by properties of the input
+    alone: {!Protocol.deterministic}, the class, and whether the space
+    is a quotient (whose canonicalized targets are not sums of
+    deltas). *)
 
 type packing = {
   enabled : int array;
@@ -81,23 +98,20 @@ type packing = {
           order *)
   groups : groups;
 }
-(** The two-level packing behind {!successors}. *)
+(** The group level behind {!successors}, whose offsets and row array
+    hold the rest of the packing. *)
 
 val packing : graph -> packing
 (** The packed arrays themselves, not copies: treat them as read-only.
     For audits of the layout, which must not depend on the pool
     width. *)
 
-val iter_groups : graph -> int -> (int -> int -> int -> unit) -> unit
-(** [iter_groups g c f] calls [f active lo hi] once per transition
-    group of [c], in transition order: [active] is the group's
-    activated subset as a process bitmask, and [lo .. hi - 1] its
-    successor range in the {!successors} [dst] array. The same in
-    both {!groups} layouts. *)
-
-val weight : graph -> int -> float
-(** [weight g i] is the outcome probability of entry [i] of the
-    {!successors} [dst] array: 1.0 in the [Singleton] layout. *)
+val iter_groups : graph -> int -> group:(int -> unit) -> succ:(int -> float -> unit) -> unit
+(** [iter_groups g c ~group ~succ] replays the transitions of [c] as
+    {!Statespace.expander} emitted them: for each group, in transition
+    order, [group active] with its activated subset as a process
+    bitmask, then [succ target weight] for each of its outcomes, in
+    outcome order. The same in every {!groups} layout. *)
 
 val weighted_row : graph -> int -> (int * float) list
 (** [weighted_row g c] reads off the Markov row of [c] under the
@@ -108,7 +122,7 @@ val weighted_row : graph -> int -> (int * float) list
 
 val iter_weighted_row : graph -> int -> (int -> float -> unit) -> unit
 (** [iter_weighted_row g c f] is [weighted_row] without the list:
-    [f target weight] is called once per packed transition of [c], in
+    [f target weight] is called once per transition of [c], in
     transition order, straight off the packed arrays. This is the
     allocation-free handoff {!Markov.of_space} packs its CSR rows
     from. *)

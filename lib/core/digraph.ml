@@ -24,7 +24,84 @@ let edges_of_buffers ~nodes (bufs : int Growbuf.t list) =
     bufs;
   dst
 
-type t = { n : int; off : int array; dst : edges }
+type rows = Edges of edges | Subsets of edges
+type t = { n : int; off : int array; rows : rows }
+
+(* Row walking, written once for both sources and inlined into every
+   pass, so no edge costs a call. A pass walks the row of [u] with a
+   cursor [i] from [first g u] up to [stop g u], exclusive, and reads
+   the target at [i] with [next_target g u i prev], where [prev] is the
+   target at the cursor before ([u] itself before the first).
+   - [Edges]: the cursor indexes the target array; [prev] is unused.
+   - [Subsets]: the row holds k deltas and the cursor is a mask over
+     them, 1 .. 2^k - 1 ascending; the target is [u] plus the deltas
+     the mask selects. Mask [i - 1] becomes [i] by clearing its
+     trailing ones and setting the bit above them, so the target is
+     [prev] minus those deltas plus one: two reads on average. *)
+let[@inline] first g u = match g.rows with Edges _ -> g.off.(u) | Subsets _ -> 1
+
+let[@inline] stop g u =
+  match g.rows with
+  | Edges _ -> g.off.(u + 1)
+  | Subsets _ -> 1 lsl (g.off.(u + 1) - g.off.(u))
+
+let[@inline] next_target g u i prev =
+  match g.rows with
+  | Edges dst -> target dst i
+  | Subsets deltas ->
+    let j = ref g.off.(u) and sum = ref prev and carry = ref (i - 1) in
+    while !carry land 1 = 1 do
+      sum := !sum - target deltas !j;
+      incr j;
+      carry := !carry lsr 1
+    done;
+    !sum + target deltas !j
+
+(* The depth-first passes keep each frame's last target beside its
+   cursor, for [next_target]; an [Edges] graph needs none. *)
+let last_targets g = match g.rows with Edges _ -> [||] | Subsets _ -> Array.make g.n 0
+
+let[@inline] set_last g last depth v =
+  match g.rows with Edges _ -> () | Subsets _ -> last.(depth) <- v
+
+let[@inline] next_in_frame g last depth u i =
+  match g.rows with
+  | Edges dst -> target dst i
+  | Subsets _ ->
+    let v = next_target g u i last.(depth) in
+    last.(depth) <- v;
+    v
+
+let out_degree g u = stop g u - first g u
+
+let edge_count g =
+  match g.rows with
+  | Edges _ -> g.off.(g.n)
+  | Subsets _ ->
+    let total = ref 0 in
+    for u = 0 to g.n - 1 do
+      total := !total + out_degree g u
+    done;
+    !total
+
+let iter_succ g u f =
+  let prev = ref u in
+  for i = first g u to stop g u - 1 do
+    let v = next_target g u i !prev in
+    prev := v;
+    f v
+  done
+
+let exists_succ g u f =
+  let prev = ref u and i = ref (first g u) and hit = ref false in
+  let hi = stop g u in
+  while (not !hit) && !i < hi do
+    let v = next_target g u !i !prev in
+    prev := v;
+    hit := f v;
+    incr i
+  done;
+  !hit
 
 let check_length fn g what a =
   if Array.length a <> g.n then
@@ -38,25 +115,30 @@ let reverse g =
   Stabobs.Obs.Counter.incr Stabobs.Obs.checker_reverse_builds;
   Stabobs.Obs.span "checker.reverse" @@ fun () ->
   let n = g.n in
-  let nedges = g.off.(n) in
   let off = Array.make (n + 1) 0 in
-  for i = 0 to nedges - 1 do
-    let v = target g.dst i in
-    off.(v + 1) <- off.(v + 1) + 1
+  for u = 0 to n - 1 do
+    let prev = ref u in
+    for i = first g u to stop g u - 1 do
+      let v = next_target g u i !prev in
+      prev := v;
+      off.(v + 1) <- off.(v + 1) + 1
+    done
   done;
   for v = 0 to n - 1 do
     off.(v + 1) <- off.(v + 1) + off.(v)
   done;
-  let dst = create_edges ~nodes:n nedges in
+  let dst = create_edges ~nodes:n off.(n) in
   let cursor = Array.sub off 0 n in
   for u = 0 to n - 1 do
-    for i = g.off.(u) to g.off.(u + 1) - 1 do
-      let v = target g.dst i in
+    let prev = ref u in
+    for i = first g u to stop g u - 1 do
+      let v = next_target g u i !prev in
+      prev := v;
       set_target dst cursor.(v) u;
       cursor.(v) <- cursor.(v) + 1
     done
   done;
-  { n; off; dst }
+  { n; off; rows = Edges dst }
 
 (* Every node enters the queue at most once, so an n-slot array is the
    whole queue. *)
@@ -75,8 +157,10 @@ let distances ?(within = fun _ -> true) g ~seeds =
   while !head < !tail do
     let u = queue.(!head) in
     incr head;
-    for i = g.off.(u) to g.off.(u + 1) - 1 do
-      let v = target g.dst i in
+    let prev = ref u in
+    for i = first g u to stop g u - 1 do
+      let v = next_target g u i !prev in
+      prev := v;
       if dist.(v) = max_int && within v then enter v (dist.(u) + 1)
     done
   done;
@@ -87,7 +171,8 @@ let reach ?within g ~seeds =
   Array.map (fun d -> d <> max_int) (distances ?within g ~seeds)
 
 (* Iterative depth-first search: frame [k] of the current path is node
-   [path.(k)] with its next successor at [cursor.(k)]. [mark.(v)] is 0
+   [path.(k)] with its next successor at [cursor.(k)] (and, in a
+   [Subsets] row, the target before it at [last.(k)]). [mark.(v)] is 0
    while [v] is unvisited and 1 + its height once it is finished, which
    is what an edge into [v] adds to its source's height; an inside node
    starts at 1, as if finished at height 0. So each edge reads one
@@ -97,12 +182,13 @@ let reach ?within g ~seeds =
 let heights_outside g ~inside =
   check_length "heights_outside" g "inside" inside;
   let mark = Array.init g.n (fun v -> if inside.(v) then 1 else 0) in
-  let path = Array.make g.n 0 and cursor = Array.make g.n 0 in
+  let path = Array.make g.n 0 and cursor = Array.make g.n 0 and last = last_targets g in
   let depth = ref 0 in
   let enter v =
     mark.(v) <- -1;
     path.(!depth) <- v;
-    cursor.(!depth) <- g.off.(v);
+    cursor.(!depth) <- first g v;
+    set_last g last !depth v;
     incr depth
   in
   (* [u] is on the path: a successor marked [m] makes its mark >= 1 + m. *)
@@ -115,14 +201,14 @@ let heights_outside g ~inside =
         while !depth > 0 do
           let top = !depth - 1 in
           let u = path.(top) and i = cursor.(top) in
-          if i = g.off.(u + 1) then begin
+          if i = stop g u then begin
             mark.(u) <- -mark.(u);
             depth := top;
             if top > 0 then raise_to path.(top - 1) mark.(u)
           end
           else begin
             cursor.(top) <- i + 1;
-            let v = target g.dst i in
+            let v = next_in_frame g last top u i in
             let m = mark.(v) in
             if m < 0 then begin
               (* Back edge u -> v: the path from v to u closes it. *)
@@ -145,15 +231,16 @@ let cycle_outside g ~inside =
   check_length "cycle_outside" g "inside" inside;
   match heights_outside g ~inside with Ok _ -> None | Error cycle -> Some cycle
 
-(* Iterative Tarjan with the DFS frames in [work]/[cursor] as in
-   [heights_outside]. A completed component gets the next id in [comp],
-   so a visited node is on the Tarjan stack iff it has no id yet;
-   members are bucketed by id at the end, which lists them ascending. *)
+(* Iterative Tarjan with the DFS frames in [work]/[cursor]/[last] as in
+   [heights_outside]. A completed component gets the next id in
+   [comp], so a visited node is on the Tarjan stack iff it has no id
+   yet; members are bucketed by id at the end, which lists them
+   ascending. *)
 let sccs ?(keep = fun _ -> true) g =
   let n = g.n in
   let index = Array.make n (-1) and low = Array.make n 0 in
   let stack = Array.make n 0 and sp = ref 0 in
-  let work = Array.make n 0 and cursor = Array.make n 0 in
+  let work = Array.make n 0 and cursor = Array.make n 0 and last = last_targets g in
   let depth = ref 0 in
   let comp = Array.make n (-1) and ncomp = ref 0 in
   let next_index = ref 0 in
@@ -164,7 +251,8 @@ let sccs ?(keep = fun _ -> true) g =
     stack.(!sp) <- v;
     incr sp;
     work.(!depth) <- v;
-    cursor.(!depth) <- g.off.(v);
+    cursor.(!depth) <- first g v;
+    set_last g last !depth v;
     incr depth
   in
   for root = 0 to n - 1 do
@@ -173,9 +261,9 @@ let sccs ?(keep = fun _ -> true) g =
       while !depth > 0 do
         let top = !depth - 1 in
         let u = work.(top) and i = cursor.(top) in
-        if i < g.off.(u + 1) then begin
+        if i < stop g u then begin
           cursor.(top) <- i + 1;
-          let v = target g.dst i in
+          let v = next_in_frame g last top u i in
           if keep v then
             if index.(v) < 0 then enter v
             else if comp.(v) < 0 then low.(u) <- min low.(u) index.(v)
@@ -219,8 +307,19 @@ let sccs ?(keep = fun _ -> true) g =
 let reaches g ~target:goal =
   check_length "reaches" g "target" goal;
   let marked = Array.copy goal in
-  let rec hits_from i hi = i < hi && (marked.(target g.dst i) || hits_from (i + 1) hi) in
-  let hits u = marked.(u) || hits_from g.off.(u) g.off.(u + 1) in
+  let hits u =
+    marked.(u)
+    ||
+    let prev = ref u and i = ref (first g u) and hit = ref false in
+    let hi = stop g u in
+    while (not !hit) && !i < hi do
+      let v = next_target g u !i !prev in
+      prev := v;
+      hit := marked.(v);
+      incr i
+    done;
+    !hit
+  in
   List.iter
     (fun members ->
       if Array.exists hits members then Array.iter (fun u -> marked.(u) <- true) members)

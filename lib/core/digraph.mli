@@ -4,13 +4,18 @@
     {!Checker} (the expanded transition relation), {!Markov} (the
     positive-probability edges of a chain) and {!Onthefly} (the
     explored sub-system) each hand their successor relation to this
-    module as a flat compressed-sparse-row view and read the answers
-    back; none of them holds a traversal of its own. Traversals visit
-    nodes in ascending order and each node's successors in CSR order,
-    so every witness below is a deterministic function of the CSR.
-    Every pass runs forward over the CSR it is given; {!reaches}
-    decides "can reach a target" without the predecessor relation,
-    which only a backward distance needs ({!reverse}).
+    module as a compressed-sparse-row view ({!t}) and read the answers
+    back; none of them holds a traversal of its own. A row is stored
+    either as its targets ({!Edges}) or, for a deterministic protocol
+    under the distributed daemon, factored as the per-process deltas
+    whose non-empty subset sums are its targets ({!Subsets}); every
+    pass below runs on both, with the per-edge step inside this module.
+    Traversals visit nodes in ascending order and each node's
+    successors in row order, so every witness below is a deterministic
+    function of the rows. Every pass runs forward over the rows it is
+    given; {!reaches} decides "can reach a target" without the
+    predecessor relation, which only a backward distance needs
+    ({!reverse}).
 
     Every per-node array argument ([seeds], [inside], [target]) must
     have length [n]; a pass raises [Invalid_argument], naming itself,
@@ -20,9 +25,10 @@
     module. *)
 
 type edges = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
-(** A CSR target array: one 32-bit node per entry, outside the OCaml
-    heap. Every graph of the tree stores its targets in one, so nodes
-    must be below [2^31] ({!create_edges}). *)
+(** A row array: one signed 32-bit entry per slot, outside the OCaml
+    heap. Every graph of the tree stores its rows in one, as targets or
+    as deltas between nodes, so nodes must be below [2^31]
+    ({!create_edges}). *)
 
 val create_edges : nodes:int -> int -> edges
 (** [create_edges ~nodes k] is a fresh target array of [k] entries
@@ -35,28 +41,59 @@ val target : edges -> int -> int
 (** [target dst i] is entry [i] of [dst], bounds-checked. *)
 
 val set_target : edges -> int -> int -> unit
-(** [set_target dst i v] stores node [v] at entry [i], bounds-checked;
-    [v] must be a node of the graph {!create_edges} sized [dst] for. *)
+(** [set_target dst i v] stores [v] at entry [i], bounds-checked; [v]
+    must be a node of the graph {!create_edges} sized [dst] for, or the
+    difference of two of its nodes. *)
 
 val edges_of_buffers : nodes:int -> int Growbuf.t list -> edges
 (** The contents of the buffers, in list order, as one exact-size
     target array from {!create_edges}. Each buffer is emptied once
     copied, so the GC can reclaim it before the next one is read. *)
 
+type rows =
+  | Edges of edges
+      (** the successors of [v] are entries [off.(v) .. off.(v + 1) - 1],
+          in order; entries past [off.(n)] are ignored *)
+  | Subsets of edges
+      (** entries [off.(v) .. off.(v + 1) - 1] are [k] deltas
+          [d_0 .. d_(k-1)], and the successors of [v] are the [2^k - 1]
+          sums [v + sum of d_j over the set bits j of m], for masks [m]
+          from 1 to [2^k - 1] in ascending order: the distributed
+          daemon's steps of a deterministic protocol, one delta per
+          enabled process. Every sum must be a node; [k] is at most 61. *)
+(** Where a row's successors come from. Both give the same passes the
+    same answers on the same successor lists. *)
+
 type t = {
   n : int;  (** nodes are [0 .. n - 1] *)
   off : int array;
       (** [off.(0) .. off.(n)] non-decreasing (later entries are
-          ignored): the successors of [v] are entries
-          [off.(v) .. off.(v + 1) - 1] of [dst] *)
-  dst : edges;  (** successor targets; entries past [off.(n)] are ignored *)
+          ignored): node [v]'s row is entries [off.(v) .. off.(v + 1) - 1]
+          of [rows] *)
+  rows : rows;
 }
+
+val out_degree : t -> int -> int
+(** [out_degree g v] is the length of [v]'s successor list: its entry
+    count, or [2^k - 1] in a {!Subsets} row of [k] deltas. *)
+
+val edge_count : t -> int
+(** The sum of {!out_degree} over the nodes: [off.(n)] for {!Edges},
+    one pass over the offsets for {!Subsets}. *)
+
+val iter_succ : t -> int -> (int -> unit) -> unit
+(** [iter_succ g v f] calls [f] on each successor of [v], in row
+    order, repeats included. *)
+
+val exists_succ : t -> int -> (int -> bool) -> bool
+(** [exists_succ g v p] is whether [p] holds of some successor of [v],
+    testing them in row order and stopping at the first that passes. *)
 
 val reverse : t -> t
 (** The predecessor relation: for every edge [u -> v] of the input,
-    [v -> u]. Predecessors of a node come in ascending order; an edge
-    listed twice in the input is listed twice here. A full second copy
-    of the edges: each build ticks {!Stabobs.Obs.checker_reverse_builds}
+    [v -> u], as {!Edges} rows. Predecessors of a node come in
+    ascending order; an edge listed twice in the input is listed twice
+    here. A full copy of every edge, factored or not: each build ticks {!Stabobs.Obs.checker_reverse_builds}
     and runs in a ["checker.reverse"] span. *)
 
 val distances : ?within:(int -> bool) -> t -> seeds:bool array -> int array

@@ -216,7 +216,7 @@ let of_rows rows =
     rows;
   pack n ~each_row:(fun c add -> List.iter (fun (c', w) -> add c' w) rows.(c))
 
-let graph chain = { Digraph.n = chain.n; off = chain.off; dst = chain.cols }
+let graph chain = { Digraph.n = chain.n; off = chain.off; rows = Edges chain.cols }
 
 let bsccs chain =
   let comps = Digraph.sccs (graph chain) in

@@ -49,7 +49,7 @@ let explore ?(max_states = 1_000_000) space cls ~inits =
   if not complete then (stats, None)
   else
     let dst = Digraph.edges_of_buffers ~nodes:n [ dst ] in
-    (stats, Some (codes.data, { Digraph.n; off = off.data; dst }))
+    (stats, Some (codes.data, { Digraph.n; off = off.data; rows = Edges dst }))
 
 let possible_verdict codes graph legitimate =
   match Array.find_index not (Digraph.reaches graph ~target:legitimate) with

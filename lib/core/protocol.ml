@@ -44,8 +44,9 @@ let check_dist dist =
   | [] -> invalid_arg "Protocol.check_dist: empty distribution"
   | _ ->
     let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 dist in
-    if List.exists (fun (_, w) -> w <= 0.0) dist then
-      invalid_arg "Protocol.check_dist: non-positive weight";
+    (* Written so that NaN fails: every comparison with it is false. *)
+    if not (List.for_all (fun (_, w) -> w > 0.0 && Float.is_finite w) dist) then
+      invalid_arg "Protocol.check_dist: weight not finite and positive";
     if Float.abs (total -. 1.0) > dist_tolerance then
       invalid_arg "Protocol.check_dist: weights do not sum to 1"
 

@@ -105,5 +105,6 @@ val exclusive_guards_violation : 'a t -> 'a array -> int option
     configuration — a modelling error in the protocol definition. *)
 
 val check_dist : 'a dist -> unit
-(** Raises [Invalid_argument] unless weights are positive and sum to 1
-    within [1e-9]. *)
+(** Raises [Invalid_argument] unless every weight is finite and
+    positive (a NaN weight included) and the weights sum to 1 within
+    [1e-9]. *)

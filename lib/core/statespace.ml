@@ -280,14 +280,19 @@ let enabled_mask t =
    guards and statements allocate, and every weight is the literal
    [1.0], which is never boxed. Randomized protocols take the
    list-based product/merge branch, whose float operations are those
-   of {!Protocol.step_outcomes}. *)
-let expander t cls =
+   of {!Protocol.step_outcomes}.
+
+   With [relative] every successor is reported as its difference from
+   the source code instead ({!delta_expander}). *)
+let make_expander ~relative t cls =
   let enc = t.encoding in
   let s = scan_scratch t in
   let nproc = Array.length s.cfg in
   let rep_of = match t.view with Full -> [||] | Quotient q -> q.rep_of in
   let quotient = is_quotient t in
-  let target code = if quotient then rep_of.(code) else code in
+  let target code =
+    if relative then code - s.raw else if quotient then rep_of.(code) else code
+  in
   let procs = s.procs in
   let deltas = Array.make nproc 0 in
   let dists = Array.make nproc [] in
@@ -400,6 +405,13 @@ let expander t cls =
             emit_product ~group ~succ masks.(mask) subset
           done
         end
+
+let expander t cls = make_expander ~relative:false t cls
+
+let delta_expander t =
+  if is_quotient t then
+    invalid_arg "Statespace.delta_expander: a quotient's successors are not sums of deltas";
+  make_expander ~relative:true t Central
 
 let transitions t cls c =
   let groups = ref [] in

@@ -115,6 +115,19 @@ val expander :
     protocol has more processes than an [int] has bits, or when more
     than 20 processes are enabled under the distributed class. *)
 
+val delta_expander :
+  'a t -> int -> group:(int -> unit) -> succ:(int -> float -> unit) -> unit
+(** [delta_expander space] is [expander space Central] with every
+    successor reported as its code minus the configuration's own: one
+    group per enabled process, ascending, then that process's outcomes
+    as deltas. In a full space a step changes each activated process's
+    digit alone, so when every enabled process has one outcome the
+    distributed step activating a subset lands on the code plus the sum
+    of the subset's deltas: the [k] deltas stand for all [2^k - 1]
+    distributed steps. Same sharing rule as {!expander}; raises
+    [Invalid_argument] on a quotient, whose canonicalized successors
+    are not such sums. *)
+
 val enabled_mask : 'a t -> int -> int
 (** [enabled_mask space] allocates scratch like {!expander} and returns
     a function giving Enabled(c) of a configuration as a process

@@ -167,32 +167,43 @@ let test_expand_allocation () =
   if per_edge > 4.0 then
     Alcotest.failf "%.2f minor words per transition, at most 4 allowed" per_edge
 
-(* A deterministic protocol's graph stores no group level and no
-   reverse: the forward int32 [dst] array, 4 bytes per edge, holds its
-   only per-edge bytes, and per configuration it keeps the enabled
-   mask and one offset. Measured after [analyze], so a reverse graph
-   memoized by any verdict pass would be counted, and through
-   [graph_bytes], which sees the edge array outside the heap. A
-   randomized protocol keeps its group and outcome arrays. *)
+(* A deterministic protocol's graph under the distributed class stores
+   no group level, no reverse and no edge: per configuration it keeps
+   the enabled mask, one offset and one int32 delta per enabled
+   process, from which the kernel sums the 2^k - 1 successors. So its
+   only per-transition bytes would be a regression: the bound is 4
+   bytes per enabled process (about 3 per configuration here, against
+   about 12 edges), 2 words per configuration and 64 words. Measured
+   after [analyze], so a reverse graph memoized by any verdict pass
+   would be counted, and through [graph_bytes], which sees the row
+   array outside the heap. A randomized protocol keeps its group and
+   outcome arrays. *)
 let test_graph_footprint () =
   let n = 6 in
   let space = Statespace.build (Stabalgo.Dijkstra_three.make ~n) in
   ignore (Checker.analyze space Statespace.Distributed (Stabalgo.Dijkstra_three.spec ~n));
   let g = Checker.expand space Statespace.Distributed in
   let bytes = Checker.graph_bytes g in
+  let enabled_processes =
+    Array.fold_left
+      (fun acc mask -> acc + List.length (Statespace.procs_of_mask mask))
+      0 (Checker.packing g).Checker.enabled
+  in
   let bound =
-    (4 * Checker.graph_edge_count g)
-    + (((2 * Statespace.count space) + 64) * (Sys.word_size / 8))
+    (4 * enabled_processes) + (((2 * Statespace.count space) + 64) * (Sys.word_size / 8))
   in
   if bytes > bound then
-    Alcotest.failf "the graph holds %d bytes, at most %d allowed (%d edges, %d configurations)"
-      bytes bound (Checker.graph_edge_count g) (Statespace.count space);
+    Alcotest.failf
+      "the graph holds %d bytes, at most %d allowed (%d enabled processes, %d edges, %d \
+       configurations)"
+      bytes bound enabled_processes (Checker.graph_edge_count g) (Statespace.count space);
   let transformed =
     Statespace.build (Transformer.randomize (Stabalgo.Token_ring.make ~n:3))
   in
   match (Checker.packing (Checker.expand transformed Statespace.Distributed)).Checker.groups with
   | Checker.Outcomes _ -> ()
-  | Checker.Singleton -> Alcotest.fail "a transformed protocol's graph has the Singleton layout"
+  | Checker.Singleton | Checker.Subsets ->
+    Alcotest.fail "a transformed protocol's graph has a deterministic layout"
 
 (* The count pass sizes a protocol flagged deterministic from its
    guards alone; one whose statement still returns two outcomes must

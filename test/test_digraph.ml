@@ -5,11 +5,22 @@
    checker) no longer test a traversal independently. Here every pass
    is compared with a list-based fixpoint over the same edge lists that
    shares no code with the kernel. Graphs have self-loops and repeated
-   edges; [mark] and [keep] are random node sets. *)
+   edges; [mark] and [keep] are random node sets.
+
+   Each property runs on both row sources: on edge lists stored as
+   [Edges], and on factored graphs stored as [Subsets], whose [adj] is
+   the subset sums listed here in ascending mask order. A last property
+   holds every pass on a factored graph to its answer on the same
+   successors materialized as [Edges]. *)
 
 open Stabcore
 
-type case = { adj : int list array; mark : bool array; keep : bool array }
+type case = {
+  adj : int list array;
+  mark : bool array;
+  keep : bool array;
+  deltas : int list array option;  (** [Some] for a factored graph *)
+}
 
 let nodes c = Array.length c.adj
 
@@ -18,25 +29,77 @@ let gen =
     int_range 1 9 >>= fun n ->
     array_size (return n) (list_size (int_bound 3) (int_bound (n - 1))) >>= fun adj ->
     array_size (return n) bool >>= fun mark ->
-    array_size (return n) bool >|= fun keep -> { adj; mark; keep })
+    array_size (return n) bool >|= fun keep -> { adj; mark; keep; deltas = None })
+
+(* [u + sum of the deltas mask m selects], for m = 1 .. 2^k - 1: the
+   [Subsets] row, spelled out independently of the kernel. *)
+let subset_sums u deltas =
+  let d = Array.of_list deltas in
+  List.init ((1 lsl Array.length d) - 1) (fun m ->
+      let m = m + 1 in
+      let sum = ref u in
+      Array.iteri (fun j dj -> if m land (1 lsl j) <> 0 then sum := !sum + dj) d;
+      !sum)
+
+(* Up to four candidate deltas per node, each kept only if every subset
+   sum with the deltas kept before it stays a node, so rows have up to
+   15 successors, with repeats when a delta is 0 or two sums meet. *)
+let gen_subsets =
+  QCheck.Gen.(
+    int_range 1 9 >>= fun n ->
+    array_size (return n) (list_size (int_bound 4) (int_range (-(n - 1)) (n - 1)))
+    >>= fun candidates ->
+    let deltas =
+      Array.mapi
+        (fun u cands ->
+          List.fold_left
+            (fun kept d ->
+              let fits v = v + d >= 0 && v + d < n in
+              if fits u && List.for_all fits (subset_sums u kept) then kept @ [ d ] else kept)
+            [] cands)
+        candidates
+    in
+    array_size (return n) bool >>= fun mark ->
+    array_size (return n) bool >|= fun keep ->
+    { adj = Array.mapi subset_sums deltas; mark; keep; deltas = Some deltas })
 
 let print c =
   let ints l = String.concat "," (List.map string_of_int l) in
   let set s = ints (List.filter (fun v -> s.(v)) (List.init (Array.length s) Fun.id)) in
   let row u l = Printf.sprintf "%d->%s" u (ints l) in
-  Printf.sprintf "adj=[%s] mark={%s} keep={%s}"
+  let deltas =
+    match c.deltas with
+    | None -> ""
+    | Some d -> Printf.sprintf " deltas=[%s]" (String.concat "; " (List.mapi row (Array.to_list d)))
+  in
+  Printf.sprintf "adj=[%s]%s mark={%s} keep={%s}"
     (String.concat "; " (List.mapi row (Array.to_list c.adj)))
-    (set c.mark) (set c.keep)
+    deltas (set c.mark) (set c.keep)
 
 let arb = QCheck.make ~print gen
+let arb_subsets = QCheck.make ~print gen_subsets
 
-let csr c =
-  let n = nodes c in
+(* Rows of lists, packed as [Digraph.t] rows of either source. *)
+let pack n rows make =
   let off = Array.make (n + 1) 0 in
-  Array.iteri (fun u l -> off.(u + 1) <- off.(u) + List.length l) c.adj;
-  let dst = Digraph.create_edges ~nodes:n off.(n) in
-  List.iteri (Digraph.set_target dst) (List.concat (Array.to_list c.adj));
-  { Digraph.n; off; dst }
+  Array.iteri (fun u l -> off.(u + 1) <- off.(u) + List.length l) rows;
+  let entries = Digraph.create_edges ~nodes:n off.(n) in
+  List.iteri (Digraph.set_target entries) (List.concat (Array.to_list rows));
+  { Digraph.n; off; rows = make entries }
+
+(* The edge lists as [Edges], whatever the case's source. *)
+let csr c = pack (nodes c) c.adj (fun e -> Digraph.Edges e)
+
+(* The case's own graph: factored when it has deltas. *)
+let graph c =
+  match c.deltas with
+  | None -> csr c
+  | Some d -> pack (nodes c) d (fun e -> Digraph.Subsets e)
+
+let succs g v =
+  let out = ref [] in
+  Digraph.iter_succ g v (fun w -> out := w :: !out);
+  List.rev !out
 
 let edges c =
   List.concat (List.mapi (fun u l -> List.map (fun v -> (u, v)) l) (Array.to_list c.adj))
@@ -83,14 +146,13 @@ let naive_paths c ok =
   done;
   reach
 
-let qcheck_reverse =
-  QCheck.Test.make ~count:300 ~name:"reverse flips every edge, rows ascending" arb (fun c ->
-      let r = Digraph.reverse (csr c) in
+let qcheck_reverse (name, arb) =
+  QCheck.Test.make ~count:300 ~name:(name ^ "reverse flips every edge, rows ascending") arb
+    (fun c ->
+      let r = Digraph.reverse (graph c) in
       let flipped = ref [] in
       for v = 0 to r.n - 1 do
-        let row =
-          List.init (r.off.(v + 1) - r.off.(v)) (fun k -> Digraph.target r.dst (r.off.(v) + k))
-        in
+        let row = succs r v in
         if row <> List.sort compare row then QCheck.Test.fail_reportf "row %d not ascending" v;
         List.iter (fun u -> flipped := (u, v) :: !flipped) row
       done;
@@ -98,23 +160,23 @@ let qcheck_reverse =
 
 (* [reaches] decides the backward reach set forward, over SCCs, so it
    is held to the same fixpoint as the BFS on the reverse. *)
-let qcheck_backward =
-  QCheck.Test.make ~count:500 ~name:"backward distances and reach match the fixpoint" arb
-    (fun c ->
-      let g = csr c in
+let qcheck_backward (name, arb) =
+  QCheck.Test.make ~count:500 ~name:(name ^ "backward distances and reach match the fixpoint")
+    arb (fun c ->
+      let g = graph c in
       let expected = naive_distances ~backward:true c ~seeds:c.mark in
       let reach_set = Array.map (fun d -> d <> max_int) expected in
       Digraph.distances (Digraph.reverse g) ~seeds:c.mark = expected
       && Digraph.reach (Digraph.reverse g) ~seeds:c.mark = reach_set
       && Digraph.reaches g ~target:c.mark = reach_set)
 
-let qcheck_forward_closure =
-  QCheck.Test.make ~count:500 ~name:"forward closure inside a predicate matches the fixpoint"
-    arb (fun c ->
+let qcheck_forward_closure (name, arb) =
+  QCheck.Test.make ~count:500
+    ~name:(name ^ "forward closure inside a predicate matches the fixpoint") arb (fun c ->
       let within v = c.keep.(v) in
       let expected = naive_distances ~within ~backward:false c ~seeds:c.mark in
-      Digraph.distances ~within (csr c) ~seeds:c.mark = expected
-      && Digraph.reach ~within (csr c) ~seeds:c.mark
+      Digraph.distances ~within (graph c) ~seeds:c.mark = expected
+      && Digraph.reach ~within (graph c) ~seeds:c.mark
          = Array.map (fun d -> d <> max_int) expected)
 
 (* Longest-path value iteration outside [mark], on an acyclic outside
@@ -136,16 +198,16 @@ let naive_heights c =
   done;
   h
 
-let qcheck_cycle_outside =
+let qcheck_cycle_outside (name, arb) =
   QCheck.Test.make ~count:500
-    ~name:"cycle outside a set exists iff the fixpoint finds one, else heights match" arb
-    (fun c ->
+    ~name:(name ^ "cycle outside a set exists iff the fixpoint finds one, else heights match")
+    arb (fun c ->
       let n = nodes c in
       let outside v = not c.mark.(v) in
       let paths = naive_paths c outside in
       let exists = List.exists (fun v -> paths.(v).(v)) (List.init n Fun.id) in
-      let heights = Digraph.heights_outside (csr c) ~inside:c.mark in
-      let cycle = Digraph.cycle_outside (csr c) ~inside:c.mark in
+      let heights = Digraph.heights_outside (graph c) ~inside:c.mark in
+      let cycle = Digraph.cycle_outside (graph c) ~inside:c.mark in
       match heights with
       | Ok h -> (not exists) && cycle = None && h = naive_heights c
       | Error cycle' ->
@@ -159,9 +221,9 @@ let qcheck_cycle_outside =
              (fun k -> is_edge arr.(k) arr.((k + 1) mod len))
              (List.init len Fun.id))
 
-let qcheck_sccs =
-  QCheck.Test.make ~count:500 ~name:"SCC partition and completion order match the fixpoint"
-    arb (fun c ->
+let qcheck_sccs (name, arb) =
+  QCheck.Test.make ~count:500
+    ~name:(name ^ "SCC partition and completion order match the fixpoint") arb (fun c ->
       let n = nodes c in
       let kept v = c.keep.(v) in
       let paths = naive_paths c kept in
@@ -171,7 +233,7 @@ let qcheck_sccs =
         |> List.map (fun u -> List.filter (fun v -> kept v && same u v) (List.init n Fun.id))
         |> List.sort_uniq compare
       in
-      let comps = Digraph.sccs ~keep:kept (csr c) in
+      let comps = Digraph.sccs ~keep:kept (graph c) in
       let got = List.map Array.to_list comps in
       let position = Array.make n (-1) in
       List.iteri (fun i m -> List.iter (fun v -> position.(v) <- i) m) got;
@@ -185,8 +247,36 @@ let qcheck_sccs =
       List.for_all (fun m -> m = List.sort compare m) got
       && List.sort compare got = expected
       && sinks_first
-      && List.map Array.to_list (Digraph.sccs (csr c))
+      && List.map Array.to_list (Digraph.sccs (graph c))
          |> List.concat |> List.sort compare = List.init n Fun.id)
+
+(* Every pass answers the same on a factored graph as on its subset
+   sums materialized as edge lists: the same witnesses, heights and
+   component order, since both walk each row in the same order. *)
+let qcheck_subsets_match_edges =
+  QCheck.Test.make ~count:500 ~name:"subsets: every pass matches the materialized edges"
+    arb_subsets (fun c ->
+      let f = graph c and e = csr c in
+      let within v = c.keep.(v) and keep v = c.keep.(v) in
+      let reverse g =
+        let r = Digraph.reverse g in
+        List.init r.n (succs r)
+      in
+      List.init f.n (succs f) = Array.to_list c.adj
+      && List.init f.n (Digraph.out_degree f) = List.map List.length (Array.to_list c.adj)
+      && Digraph.edge_count f = Digraph.edge_count e
+      && List.for_all
+           (fun v -> Digraph.exists_succ f v (Array.get c.mark) = Digraph.exists_succ e v (Array.get c.mark))
+           (List.init f.n Fun.id)
+      && Digraph.distances ~within f ~seeds:c.mark = Digraph.distances ~within e ~seeds:c.mark
+      && Digraph.distances f ~seeds:c.mark = Digraph.distances e ~seeds:c.mark
+      && Digraph.reach ~within f ~seeds:c.mark = Digraph.reach ~within e ~seeds:c.mark
+      && Digraph.heights_outside f ~inside:c.mark = Digraph.heights_outside e ~inside:c.mark
+      && Digraph.cycle_outside f ~inside:c.mark = Digraph.cycle_outside e ~inside:c.mark
+      && Digraph.sccs ~keep f = Digraph.sccs ~keep e
+      && Digraph.sccs f = Digraph.sccs e
+      && Digraph.reaches f ~target:c.mark = Digraph.reaches e ~target:c.mark
+      && reverse f = reverse e)
 
 (* A node past [Int32.max_int] would wrap on the narrowing, so the
    allocator refuses the graph before it allocates: the 2^40 entries
@@ -209,7 +299,7 @@ let test_target_round_trip () =
 (* Every per-node array must have one entry per node, neither fewer
    nor more, and the refusal names the pass. *)
 let test_rejects_wrong_lengths () =
-  let g = csr { adj = [| [ 1 ]; [] |]; mark = [||]; keep = [||] } in
+  let g = csr { adj = [| [ 1 ]; [] |]; mark = [||]; keep = [||]; deltas = None } in
   let rejects name what arr f =
     Alcotest.check_raises
       (Printf.sprintf "%s, length %d" name (Array.length arr))
@@ -243,4 +333,14 @@ let suite =
       test_case "per-node arrays must have length n" `Quick test_rejects_wrong_lengths;
     ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ qcheck_reverse; qcheck_backward; qcheck_forward_closure; qcheck_cycle_outside; qcheck_sccs ]
+      (List.concat_map
+         (fun source ->
+           [
+             qcheck_reverse source;
+             qcheck_backward source;
+             qcheck_forward_closure source;
+             qcheck_cycle_outside source;
+             qcheck_sccs source;
+           ])
+         [ ("", arb); ("subsets: ", arb_subsets) ]
+      @ [ qcheck_subsets_match_edges ])

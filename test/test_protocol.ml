@@ -123,9 +123,19 @@ let test_check_dist () =
   Alcotest.check_raises "bad sum"
     (Invalid_argument "Protocol.check_dist: weights do not sum to 1") (fun () ->
       Protocol.check_dist [ (1, 0.4); (2, 0.4) ]);
-  Alcotest.check_raises "non-positive"
-    (Invalid_argument "Protocol.check_dist: non-positive weight") (fun () ->
-      Protocol.check_dist [ (1, 0.0); (2, 1.0) ])
+  (* NaN compares false with everything, so neither the sign test nor
+     the sum test alone would catch it. *)
+  List.iter
+    (fun (name, dist) ->
+      Alcotest.check_raises name
+        (Invalid_argument "Protocol.check_dist: weight not finite and positive") (fun () ->
+          Protocol.check_dist dist))
+    [
+      ("non-positive", [ (1, 0.0); (2, 1.0) ]);
+      ("nan", [ (1, Float.nan) ]);
+      ("nan beside 0.5", [ (1, 0.5); (2, Float.nan) ]);
+      ("infinity", [ (1, Float.infinity) ]);
+    ]
 
 let test_exclusive_guards () =
   let p = Fixtures.mod3_protocol () in

@@ -170,19 +170,35 @@ let expander_groups expand c =
       | [] -> Alcotest.fail "successor before its group");
   List.rev_map (fun (mask, outs) -> (mask, bits (List.rev !outs))) !groups
 
-(* The groups of configuration [c] in the checker's graph, read through
+(* The groups of configuration [c] in the checker's graph, replayed by
    its group iterator: each activated subset (derived from the one
-   enabled mask) with its successors and their weights. *)
+   enabled mask) with its successors and their weights. In the
+   [Subsets] layout each successor is a subset sum the kernel computes
+   from the stored deltas. *)
 let packed_groups g c =
-  let fwd = Checker.successors g in
   let groups = ref [] in
-  Checker.iter_groups g c (fun active lo hi ->
-      let outcomes =
-        List.init (hi - lo) (fun k ->
-            (Digraph.target fwd.Digraph.dst (lo + k), Checker.weight g (lo + k)))
-      in
-      groups := (active, bits outcomes) :: !groups);
-  List.rev !groups
+  Checker.iter_groups g c
+    ~group:(fun active -> groups := (active, ref []) :: !groups)
+    ~succ:(fun code w ->
+      match !groups with
+      | (_, outs) :: _ -> outs := (code, w) :: !outs
+      | [] -> Alcotest.fail "successor before its group");
+  List.rev_map (fun (mask, outs) -> (mask, bits (List.rev !outs))) !groups
+
+(* The layout rule: [Subsets] exactly for a deterministic protocol on a
+   full space under the distributed class, [Singleton] for any other
+   deterministic graph, [Outcomes] for a randomized protocol. *)
+let expected_layout space cls =
+  match (Protocol.deterministic (Statespace.protocol space), cls) with
+  | false, _ -> "outcomes"
+  | true, Statespace.Distributed when not (Statespace.is_quotient space) -> "subsets"
+  | true, _ -> "singleton"
+
+let layout_name g =
+  match (Checker.packing g).Checker.groups with
+  | Checker.Singleton -> "singleton"
+  | Checker.Subsets -> "subsets"
+  | Checker.Outcomes _ -> "outcomes"
 
 let test_expander_matches_reference () =
   let layouts = ref [] in
@@ -194,11 +210,11 @@ let test_expander_matches_reference () =
           let expand = Statespace.expander space cls in
           let enabled_mask = Statespace.enabled_mask space in
           let g = Checker.expand space cls in
-          let singleton = (Checker.packing g).Checker.groups = Checker.Singleton in
-          layouts := singleton :: !layouts;
-          if singleton <> Protocol.deterministic (Statespace.protocol space) then
-            Alcotest.failf "%s, %a: the group layout is not the one Protocol.deterministic selects"
-              name Statespace.pp_sched_class cls;
+          let layout = layout_name g in
+          layouts := layout :: !layouts;
+          if layout <> expected_layout space cls then
+            Alcotest.failf "%s, %a: the graph has the %s layout, the input selects %s" name
+              Statespace.pp_sched_class cls layout (expected_layout space cls);
           for c = 0 to Statespace.count space - 1 do
             let where = Format.asprintf "%s, %a, config %d" name Statespace.pp_sched_class cls c in
             let expected = reference_groups space cls c in
@@ -230,8 +246,11 @@ let test_expander_matches_reference () =
           done)
         classes)
     reference_systems;
-  if not (List.mem true !layouts && List.mem false !layouts) then
-    Alcotest.fail "the reference systems do not cover both group layouts"
+  List.iter
+    (fun layout ->
+      if not (List.mem layout !layouts) then
+        Alcotest.failf "the reference systems never produce the %s layout" layout)
+    [ "singleton"; "subsets"; "outcomes" ]
 
 (* The packed layout is the same at widths 1 and 2. Clearing the grain
    estimates before each expansion makes the pool open with 2 * width
@@ -246,11 +265,18 @@ let layout space cls =
   let pk = Checker.packing g and fwd = Checker.successors g in
   let groups =
     match pk.Checker.groups with
-    | Checker.Singleton -> None
+    | Checker.Singleton | Checker.Subsets -> (layout_name g, None)
     | Checker.Outcomes { grp_off; succ_off; succ_w } ->
-      Some (grp_off, succ_off, Array.map Int64.bits_of_float succ_w)
+      (layout_name g, Some (grp_off, succ_off, Array.map Int64.bits_of_float succ_w))
   in
-  ((pk.Checker.enabled, groups, fwd.Digraph.off, fwd.Digraph.dst), tasks)
+  (* The row array itself: targets, or the deltas in the [Subsets]
+     layout, compared entry for entry along with the row kind. *)
+  let rows =
+    match fwd.Digraph.rows with
+    | Digraph.Edges e -> ("edges", e)
+    | Digraph.Subsets d -> ("subsets", d)
+  in
+  ((pk.Checker.enabled, groups, fwd.Digraph.off, rows), tasks)
 
 let test_expand_layout_across_widths () =
   Stabobs.Obs.install (Stabobs.Obs.null_sink ());
