@@ -23,10 +23,6 @@ type state = { level : int; flag : bool }
 val make : Stabgraph.Graph.t -> state Stabcore.Protocol.t
 (** Raises [Invalid_argument] on non-trees. *)
 
-val is_unique_leader : Stabgraph.Graph.t -> state array -> int -> bool
-(** The elected-leader predicate: [p] satisfies the center predicate
-    and either no neighbor ties its level, or [p] wins the boolean
-    tie-break against the tying neighbor. *)
 
 val leaders : Stabgraph.Graph.t -> state array -> int list
 

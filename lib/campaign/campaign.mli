@@ -73,16 +73,9 @@ val of_json : Stabobs.Json.t -> (t, string) result
 val load : string -> (t, string) result
 (** Read and parse a campaign file. *)
 
-val analysis_to_string : analysis -> string
-val faults_to_string : faults -> string
-val sched_to_string : Stabcore.Statespace.sched_class -> string
-
-val cell_json : cell -> Stabobs.Json.t
-(** Canonical (fixed key order) JSON of a cell spec — the hashing and
-    checkpoint representation. *)
-
 val cell_hash : cell -> string
-(** Content hash (hex digest of {!cell_json}'s compact rendering).
+(** Content hash: the hex digest of the compact rendering of the cell
+    spec's canonical (fixed key order) JSON.
     Checkpoint records are keyed by this, so editing a cell's spec in
     any way invalidates its checkpoint entry while leaving every other
     cell's intact. *)

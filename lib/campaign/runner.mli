@@ -56,8 +56,10 @@ type options = {
           disables them. With [Some base], the runner refreshes
           {!rolling_dump_path}[ base] after every settled cell (an
           atomic-rename write, so a SIGKILL always leaves a parseable
-          dump) and writes {!cell_dump_path} for every quarantined or
-          timed-out cell while the rings still hold its final events.
+          dump) and writes [base ^ ".flight-" ^ hash12 ^ ".jsonl"]
+          ([hash12]: the first 12 characters of the cell hash) for
+          every quarantined or timed-out cell while the rings still
+          hold its final events.
           The CLI passes the checkpoint path minus its extension so
           the dumps sit next to the checkpoint they explain. *)
 }
@@ -69,11 +71,6 @@ val default_options : unit -> options
 val rolling_dump_path : string -> string
 (** [base ^ ".flight.jsonl"] — the crash-surviving dump refreshed
     after every settled cell. *)
-
-val cell_dump_path : string -> string -> string
-(** [cell_dump_path base hash] = [base ^ ".flight-" ^ hash12 ^
-    ".jsonl"] where [hash12] is the first 12 characters of the cell
-    hash — the per-cell post-mortem written on quarantine / timeout. *)
 
 val request_drain : unit -> unit
 (** Ask the campaign to stop gracefully: running cells are cancelled at

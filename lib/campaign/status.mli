@@ -45,16 +45,6 @@ val port : server -> int option
 
 (** {1 Rendering} (exposed for tests and the CLI client) *)
 
-val metrics_text : unit -> string
-(** The [/metrics] body: [# TYPE] lines and samples, names prefixed
-    [stabsim_] and sanitized to [[A-Za-z0-9_]]. Counters render as
-    [counter], gauges as [gauge], labels as [<name>_info{value="..."} 1],
-    distributions as [summary] (quantiles 0.5 / 0.95 / 0.99 plus
-    [_sum] / [_count]). *)
-
-val status_json : unit -> Stabobs.Json.t
-(** The [/status] body; see docs/observability.md for the schema. *)
-
 (** {1 Client} (the [stabsim status] subcommand) *)
 
 val client_fetch : target:string -> path:string -> (string, string) result

@@ -5,8 +5,8 @@
    (reachability of [L], the cycle search, Tarjan, forward closure)
    runs in that kernel over [fwd]; only [best_case_steps] builds a
    reverse, per call, for its backward distances. Successors come in
-   {!Statespace.transitions} order (groups in transition order,
-   successors in outcome order), so the kernel's witnesses and
+   {!Statespace.expander} order (groups in expander order, successors
+   in outcome order), so the kernel's witnesses and
    component order stay stable. [enabled.(c)] is Enabled(c) as a
    process bitmask; the activated subset of each group is derived from
    it by {!Statespace.next_group}, in the order the expander emits
@@ -316,88 +316,53 @@ type closure_violation =
   | Escape of { config : int; active : int list; successor : int }
   | Step_spec of { config : int; successor : int }
 
-(* Closure on a quotient must consult the *base* relation: [step_ok]
-   relates a configuration to its actual successor, and canonicalizing
-   the successor first would hand it a rotated/permuted pair (e.g. the
+(* One violation loop over two enumerators of the legitimate
+   configurations' steps: the graph's groups on a full space, the base
+   expander over the representatives on a quotient. Closure on a
+   quotient must consult the *base* relation: [step_ok] relates a
+   configuration to its actual successor, and canonicalizing the
+   successor first would hand it a rotated/permuted pair (e.g. the
    ring token would appear to jump to the representative's position).
    The legitimate set is orbit-invariant, so checking each
-   representative's base transitions covers every orbit member. *)
-let check_closure_quotient space base reps rep_of cls spec =
-  let legitimate = Statespace.legitimate_set space spec in
-  if not (Array.exists Fun.id legitimate) then Error Empty_legitimate_set
-  else begin
-    let expand = Statespace.expander base cls in
-    let violation = ref None in
-    (let exception Found in
-     try
-       for i = 0 to Array.length reps - 1 do
-         if legitimate.(i) then begin
-           let src = Statespace.config base reps.(i) in
-           let active = ref 0 in
-           expand reps.(i)
-             ~group:(fun mask -> active := mask)
-             ~succ:(fun s _ ->
-               let j = rep_of.(s) in
-               if not legitimate.(j) then begin
-                 violation :=
-                   Some
-                     (Escape
-                        { config = i; active = Statespace.procs_of_mask !active; successor = j });
-                 raise Found
-               end
-               else
-                 match spec.Spec.step_ok with
-                 | None -> ()
-                 | Some ok ->
-                   if not (ok src (Statespace.config base s)) then begin
-                     violation := Some (Step_spec { config = i; successor = j });
-                     raise Found
-                   end)
-         end
-       done
-     with Found -> ());
-    match !violation with None -> Ok () | Some v -> Error v
-  end
-
-let check_closure_full space g spec =
-  let legitimate = Statespace.legitimate_set space spec in
-  if not (Array.exists Fun.id legitimate) then Error Empty_legitimate_set
-  else begin
-    let violation = ref None in
-    (let exception Found in
-     try
-       for c = 0 to g.fwd.n - 1 do
-         if legitimate.(c) then begin
-           let active = ref 0 in
-           iter_groups g c
-             ~group:(fun a -> active := a)
-             ~succ:(fun c' _ ->
-               if not legitimate.(c') then begin
-                 violation :=
-                   Some
-                     (Escape
-                        { config = c; active = Statespace.procs_of_mask !active; successor = c' });
-                 raise Found
-               end
-               else
-                 match spec.Spec.step_ok with
-                 | None -> ()
-                 | Some ok ->
-                   if not (ok (Statespace.config space c) (Statespace.config space c')) then begin
-                     violation := Some (Step_spec { config = c; successor = c' });
-                     raise Found
-                   end)
-         end
-       done
-     with Found -> ());
-    match !violation with None -> Ok () | Some v -> Error v
-  end
-
+   representative's base transitions covers every orbit member.
+   [source c] is the code [steps] expands and [decode] reads for
+   configuration [c], and [index] maps a successor code back to a
+   configuration. *)
 let check_closure space g spec =
-  match Statespace.quotient_view space with
-  | Some (base, reps, rep_of, _) ->
-    check_closure_quotient space base reps rep_of g.cls spec
-  | None -> check_closure_full space g spec
+  let legitimate = Statespace.legitimate_set space spec in
+  if not (Array.exists Fun.id legitimate) then Error Empty_legitimate_set
+  else begin
+    let decode, source, steps, index =
+      match Statespace.quotient_view space with
+      | None -> (Statespace.config space, Fun.id, iter_groups g, Fun.id)
+      | Some (base, reps, rep_of, _) ->
+        (Statespace.config base, Array.get reps, Statespace.expander base g.cls, Array.get rep_of)
+    in
+    let exception Found of closure_violation in
+    try
+      Array.iteri
+        (fun c legit ->
+          if legit then begin
+            let active = ref 0 in
+            steps (source c)
+              ~group:(fun a -> active := a)
+              ~succ:(fun s _ ->
+                let c' = index s in
+                if not legitimate.(c') then
+                  raise
+                    (Found
+                       (Escape
+                          { config = c; active = Statespace.procs_of_mask !active; successor = c' }))
+                else
+                  match spec.Spec.step_ok with
+                  | Some ok when not (ok (decode (source c)) (decode s)) ->
+                    raise (Found (Step_spec { config = c; successor = c' }))
+                  | _ -> ())
+          end)
+        legitimate;
+      Ok ()
+    with Found v -> Error v
+  end
 
 let possible_convergence _space g ~legitimate =
   match Array.find_index not (Digraph.reaches g.fwd ~target:legitimate) with
@@ -409,23 +374,19 @@ type divergence = Cycle of int list | Dead_end of int
 (* A configuration is terminal iff it has no transition group: every
    scheduler class allows at least one activation whenever some
    process is enabled, so "no groups" coincides with an empty enabled
-   mask. *)
-let terminals_of g ~legitimate =
+   mask. [terminal_scan n enabled] reads the masks from [enabled]. *)
+let terminal_scan n enabled ~legitimate =
   Obs.Counter.incr Obs.checker_terminal_scans;
   let out = ref [] in
-  for c = g.fwd.n - 1 downto 0 do
-    if (not legitimate.(c)) && g.enabled.(c) = 0 then out := c :: !out
+  for c = n - 1 downto 0 do
+    if (not legitimate.(c)) && enabled c = 0 then out := c :: !out
   done;
   !out
 
+let terminals_of g ~legitimate = terminal_scan g.fwd.n (Array.get g.enabled) ~legitimate
+
 let illegitimate_terminals space ~legitimate =
-  Obs.Counter.incr Obs.checker_terminal_scans;
-  let n = Statespace.count space in
-  let out = ref [] in
-  for c = n - 1 downto 0 do
-    if (not legitimate.(c)) && Statespace.enabled space c = [] then out := c :: !out
-  done;
-  !out
+  terminal_scan (Statespace.count space) (Statespace.enabled_mask space) ~legitimate
 
 (* Certain convergence given an already-computed terminal list, so
    [analyze] scans for terminals exactly once per verdict. *)
@@ -711,20 +672,11 @@ let k_faulty_set space ~legitimate ~k =
   done;
   Array.map (fun d -> d <> max_int) dist
 
+(* Configurations the faulty set cannot reach cannot occur, so they
+   count as legitimate. *)
 let k_stabilizing space g ~legitimate ~k =
-  let faulty = k_faulty_set space ~legitimate ~k in
-  let reachable = Digraph.reach g.fwd ~seeds:faulty in
-  (* Certain convergence restricted to the reachable sub-system:
-     configurations outside it are treated as if legitimate (they
-     cannot occur). *)
-  let restricted = Array.mapi (fun c l -> l || not reachable.(c)) legitimate in
-  let dead_end = List.find_opt (fun c -> reachable.(c)) (terminals_of g ~legitimate) in
-  match dead_end with
-  | Some c -> Error (Dead_end c)
-  | None -> (
-    match Digraph.cycle_outside g.fwd ~inside:restricted with
-    | Some cycle -> Error (Cycle cycle)
-    | None -> Ok ())
+  let reachable = Digraph.reach g.fwd ~seeds:(k_faulty_set space ~legitimate ~k) in
+  certain_convergence space g ~legitimate:(Array.mapi (fun c l -> l || not reachable.(c)) legitimate)
 
 let best_case_steps _space g ~legitimate =
   Digraph.distances (Digraph.reverse g.fwd) ~seeds:legitimate
@@ -747,87 +699,85 @@ let convergence_radius_histogram space g ~legitimate =
     dist;
   Hashtbl.fold (fun d c acc -> (d, c) :: acc) tbl [] |> List.sort compare
 
+(* The synchronous step of a deterministic protocol as a function:
+   [step c] is the code of [c]'s one synchronous successor, or [-1] for
+   a terminal configuration. Raises [Invalid_argument], naming [fn], on
+   a randomized protocol or a step with several outcomes. *)
+let sync_step fn space =
+  let fail why = invalid_arg (Printf.sprintf "Checker.%s: %s" fn why) in
+  if (Statespace.protocol space).Protocol.randomized then fail "randomized protocol";
+  let expand = Statespace.expander space Statespace.Synchronous in
+  let next = ref (-1) in
+  let succ c' _ =
+    if !next >= 0 then fail "non-deterministic step";
+    next := c'
+  in
+  fun c ->
+    next := -1;
+    expand c ~group:ignore ~succ;
+    !next
+
 let synchronous_lasso space ~init =
-  if (Statespace.protocol space).Protocol.randomized then
-    invalid_arg "Checker.synchronous_lasso: randomized protocol";
+  let step = sync_step "synchronous_lasso" space in
   let seen = Hashtbl.create 64 in
   let rec go c position acc =
     match Hashtbl.find_opt seen c with
     | Some first ->
       let visited = List.rev acc in
-      let prefix = List.filteri (fun i _ -> i < first) visited in
-      let cycle = List.filteri (fun i _ -> i >= first) visited in
-      (prefix, cycle)
-    | None -> (
+      (List.filteri (fun i _ -> i < first) visited, List.filteri (fun i _ -> i >= first) visited)
+    | None ->
       Hashtbl.add seen c position;
-      match Statespace.transitions space Statespace.Synchronous c with
-      | [] -> (List.rev (c :: acc), [])
-      | [ (_, [ (c', _) ]) ] -> go c' (position + 1) (c :: acc)
-      | _ -> invalid_arg "Checker.synchronous_lasso: non-deterministic step")
+      let c' = step c in
+      if c' < 0 then (List.rev (c :: acc), []) else go c' (position + 1) (c :: acc)
   in
   go init 0 []
 
+(* Functional-graph coloring: walk from each configuration whose limit
+   is unknown, stamping every configuration on the path with its
+   position, until the walk falls off a terminal configuration (limit
+   0), meets a known limit, or meets its own path (a new cycle of the
+   position difference); then walk the path again to record the limit.
+   A stamp outlives its walk harmlessly: every stamped configuration
+   has a known limit by then, which is read first. *)
 let sync_orbit_census space =
-  if (Statespace.protocol space).Protocol.randomized then
-    invalid_arg "Checker.sync_orbit_census: randomized protocol";
+  let step = sync_step "sync_orbit_census" space in
   let n = Statespace.count space in
-  (* successor function: -1 for terminal configurations *)
-  let succ = Array.make n (-1) in
-  for c = 0 to n - 1 do
-    match Statespace.transitions space Statespace.Synchronous c with
-    | [] -> ()
-    | [ (_, [ (c', _) ]) ] -> succ.(c) <- c'
-    | _ -> invalid_arg "Checker.sync_orbit_census: non-deterministic step"
-  done;
-  (* Standard functional-graph coloring: walk unvisited paths, detect
-     the cycle (or terminal) they fall into, memoize the limit length
-     for every node on the path. *)
-  let limit = Array.make n (-2) in
-  for start = 0 to n - 1 do
-    if limit.(start) = -2 then begin
-      (* Walk forward, marking the path with a temporary stamp. *)
-      let path = ref [] in
-      let on_path = Hashtbl.create 16 in
-      let rec walk c position =
-        if c = -1 then 0 (* fell off a terminal configuration *)
-        else if limit.(c) <> -2 then limit.(c)
-        else
-          match Hashtbl.find_opt on_path c with
-          | Some first ->
-            (* new cycle of length position - first *)
-            position - first
-          | None ->
-            Hashtbl.add on_path c position;
-            path := c :: !path;
-            walk succ.(c) (position + 1)
-      in
-      let length = walk start 0 in
-      List.iter (fun c -> if limit.(c) = -2 then limit.(c) <- length) !path
+  let succ = Array.init n step in
+  let limit = Array.make n (-1) and stamp = Array.make n (-1) in
+  let rec walk c position =
+    if c < 0 then 0
+    else if limit.(c) >= 0 then limit.(c)
+    else if stamp.(c) >= 0 then position - stamp.(c)
+    else begin
+      stamp.(c) <- position;
+      walk succ.(c) (position + 1)
     end
+  in
+  let rec record length c =
+    if c >= 0 && limit.(c) < 0 then begin
+      limit.(c) <- length;
+      record length succ.(c)
+    end
+  in
+  for start = 0 to n - 1 do
+    if limit.(start) < 0 then record (walk start 0) start
   done;
-  let tbl = Hashtbl.create 8 in
-  Array.iter
-    (fun l -> Hashtbl.replace tbl l (1 + Option.value (Hashtbl.find_opt tbl l) ~default:0))
-    limit;
-  Hashtbl.fold (fun l c acc -> (l, c) :: acc) tbl [] |> List.sort compare
+  let counts = Array.make (n + 1) 0 in
+  Array.iter (fun l -> counts.(l) <- counts.(l) + 1) limit;
+  let census = ref [] in
+  for l = n downto 0 do
+    if counts.(l) > 0 then census := (l, counts.(l)) :: !census
+  done;
+  !census
 
 let sync_closed_set space member =
+  let step = sync_step "sync_closed_set" space in
   let n = Statespace.count space in
-  let result = ref None in
-  (let exception Found in
-   try
-     for c = 0 to n - 1 do
-       if member (Statespace.config space c) then
-         List.iter
-           (fun (_, outcomes) ->
-             List.iter
-               (fun (c', _) ->
-                 if not (member (Statespace.config space c')) then begin
-                   result := Some (c, c');
-                   raise Found
-                 end)
-               outcomes)
-           (Statespace.transitions space Statespace.Synchronous c)
-     done
-   with Found -> ());
-  !result
+  let inside c = member (Statespace.config space c) in
+  let rec scan c =
+    if c = n then None
+    else
+      let c' = if inside c then step c else -1 in
+      if c' >= 0 && not (inside c') then Some (c, c') else scan (c + 1)
+  in
+  scan 0

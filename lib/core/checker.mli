@@ -138,10 +138,12 @@ type closure_violation =
 val check_closure :
   'a Statespace.t -> graph -> 'a Spec.t -> (unit, closure_violation) result
 (** Strong closure of the spec's legitimate set. Fails with the first
-    violation found. Also fails if [L] is empty, which Definitions 1-3
-    exclude. On a quotient space the check walks each representative's
-    *base* transitions so [step_ok] sees actual successor
-    configurations, never canonicalized ones. *)
+    violation found, in code order and then in {!iter_groups} order.
+    Also fails if [L] is empty, which Definitions 1-3 exclude. One
+    violation loop reads one of two step enumerators: the graph's
+    groups on a full space, and on a quotient each representative's
+    *base* steps from {!Statespace.expander}, so [step_ok] sees actual
+    successor configurations, never canonicalized ones. *)
 
 val possible_convergence :
   'a Statespace.t -> graph -> legitimate:bool array -> (unit, int) result
@@ -187,8 +189,11 @@ val weakly_fair_divergence :
 
 val illegitimate_terminals :
   'a Statespace.t -> legitimate:bool array -> int list
-(** Terminal configurations outside [L]; any of these is a maximal
-    finite execution that never converges, whatever the fairness. *)
+(** Terminal configurations outside [L], ascending; any of these is a
+    maximal finite execution that never converges, whatever the
+    fairness. Needs no graph: the scan behind {!certain_convergence}'s
+    dead ends, reading each configuration's enabled mask from
+    {!Statespace.enabled_mask}. *)
 
 (** {1 Verdicts} *)
 
@@ -255,9 +260,11 @@ val k_faulty_set : 'a Statespace.t -> legitimate:bool array -> k:int -> bool arr
 val k_stabilizing :
   'a Statespace.t -> graph -> legitimate:bool array -> k:int -> (unit, divergence) result
 (** k-stabilization: from every configuration that [k] faults can
-    produce, every execution converges to [L]. Note the faulty set is
-    generally not closed, so the check runs certain convergence on the
-    sub-system reachable from the faulty set. *)
+    produce, every execution converges to [L]. The faulty set is
+    generally not closed, so this is {!certain_convergence} with [L]
+    widened by every configuration the faulty set cannot reach: those
+    cannot occur, so only dead ends and cycles reachable from a faulty
+    configuration count. *)
 
 (** {1 Convergence-time metrics}
 
@@ -292,29 +299,35 @@ val convergence_radius_histogram :
     configurations), sorted by distance. Unreachable configurations
     are reported under distance [-1]. *)
 
-(** {1 Synchronous analyses} *)
+(** {1 Synchronous analyses}
+
+    For a deterministic protocol the synchronous step is a (partial)
+    function on configurations. All three analyses read it from
+    {!Statespace.expander} under the synchronous class, and all three
+    raise [Invalid_argument] naming themselves on a randomized protocol
+    or on a step with several outcomes. *)
 
 val synchronous_lasso : 'a Statespace.t -> init:int -> int list * int list
 (** The unique synchronous execution of a deterministic protocol from
     [init], as a lasso [(prefix, cycle)] of configuration codes. An
     execution reaching a terminal configuration has an empty cycle and
-    the terminal code ends the prefix. Raises [Invalid_argument] on a
-    randomized protocol. *)
+    the terminal code ends the prefix. *)
 
 val sync_orbit_census : 'a Statespace.t -> (int * int) list
-(** For a deterministic protocol the synchronous step is a (partial)
-    function on configurations, so every configuration falls into a
-    terminal configuration or a unique limit cycle.
+(** Every configuration's synchronous execution falls into a terminal
+    configuration or a unique limit cycle.
     [sync_orbit_census space] returns pairs (cycle length, number of
     configurations whose synchronous execution ends in a cycle of that
     length), sorted; terminal configurations count as cycles of length
     0. This measures how prevalent Figure-3-style synchronous
-    oscillations are across the whole space. Raises [Invalid_argument]
-    on randomized protocols. *)
+    oscillations are across the whole space. One walk per unvisited
+    configuration, with a position stamp per configuration: O(n) time
+    and O(n) ints beyond the successor array. *)
 
 val sync_closed_set :
   'a Statespace.t -> ('a array -> bool) -> (int * int) option
 (** [sync_closed_set space member] checks that the configuration set
     [member] is closed under synchronous steps — the induction behind
-    the Theorem 3 impossibility argument. Returns a counter-example
-    [(config, successor)] crossing the boundary, or [None] if closed. *)
+    the Theorem 3 impossibility argument. Returns the least member
+    configuration whose synchronous successor leaves the set, as
+    [(config, successor)], or [None] if closed. *)

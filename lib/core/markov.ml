@@ -366,18 +366,21 @@ let solve_transient ~kind ~tolerance ~max_sweeps chain ~transient ~base x =
 
 let sparse_hitting_times ?(kind = Gauss_seidel) ?(tolerance = 1e-10)
     ?(max_sweeps = 1_000_000) chain ~legitimate =
-  let n = chain.n in
+  let x = Array.make chain.n 0.0 in
   let transient = Array.map not legitimate in
-  let x = Array.make n 0.0 in
   let outcome = solve_transient ~kind ~tolerance ~max_sweeps chain ~transient ~base:1.0 x in
   (x, outcome)
 
+(* The absorption system: the states outside L that can reach it are
+   transient; L is pinned at 1 and the doomed rest at 0. *)
+let absorption_system chain ~legitimate =
+  let can_reach = reaches chain ~target:legitimate in
+  ( Array.mapi (fun c l -> can_reach.(c) && not l) legitimate,
+    Array.map (fun l -> if l then 1.0 else 0.0) legitimate )
+
 let sparse_absorption ?(kind = Gauss_seidel) ?(tolerance = 1e-12)
     ?(max_sweeps = 1_000_000) chain ~legitimate =
-  let n = chain.n in
-  let can_reach = reaches chain ~target:legitimate in
-  let transient = Array.init n (fun c -> can_reach.(c) && not legitimate.(c)) in
-  let x = Array.init n (fun c -> if legitimate.(c) then 1.0 else 0.0) in
+  let transient, x = absorption_system chain ~legitimate in
   let outcome = solve_transient ~kind ~tolerance ~max_sweeps chain ~transient ~base:0.0 x in
   (x, outcome)
 
@@ -388,21 +391,31 @@ let no_convergence fn ~tolerance (stats : solve_stats) =
         residual %g, tolerance %g)"
        fn stats.sweeps stats.blocks stats.residual tolerance)
 
-let exact_hitting chain ~legitimate ~transient =
-  Stabobs.Obs.span "markov.solve.exact" @@ fun () ->
-  let t_count = Array.length transient in
-  let pos = Array.make (states chain) (-1) in
-  Array.iteri (fun i c -> pos.(c) <- i) transient;
-  let a = Stablinalg.Matrix.identity t_count in
-  Array.iteri
-    (fun i c ->
-      iter_row chain c (fun c' w ->
-          if not legitimate.(c') then begin
+(* The dense twin of [solve_transient]: x = base + P x over the
+   [transient] states, solved exactly as (I - Q) x = b by Gaussian
+   elimination, where Q is P restricted to [transient] and b is [base]
+   plus each row's one-step mass into the boundary values already in
+   [x]; entries outside [transient] are never written. A boundary value
+   of 0 or 1 adds an exact [0.0] or [w], so b carries no rounding the
+   boundary did not. *)
+let dense_transient chain ~transient ~base x =
+  let states = Array.of_seq (Seq.filter (Array.get transient) (Seq.init chain.n Fun.id)) in
+  let t_count = Array.length states in
+  if t_count > 0 then begin
+    Stabobs.Obs.span "markov.solve.exact" @@ fun () ->
+    let pos = Array.make chain.n (-1) in
+    Array.iteri (fun i c -> pos.(c) <- i) states;
+    let a = Stablinalg.Matrix.identity t_count and b = Array.make t_count base in
+    Array.iteri
+      (fun i c ->
+        iter_row chain c (fun c' w ->
             let j = pos.(c') in
-            Stablinalg.Matrix.set a i j (Stablinalg.Matrix.get a i j -. w)
-          end))
-    transient;
-  Stablinalg.Matrix.solve a (Array.make t_count 1.0)
+            if j >= 0 then Stablinalg.Matrix.set a i j (Stablinalg.Matrix.get a i j -. w)
+            else b.(i) <- b.(i) +. (w *. x.(c'))))
+      states;
+    let solved = Stablinalg.Matrix.solve a b in
+    Array.iteri (fun i c -> x.(c) <- solved.(i)) states
+  end
 
 let dense_limit = 1200
 
@@ -417,32 +430,18 @@ let hitting_times_checked ?method_ chain ~legitimate =
     invalid_arg
       (Printf.sprintf
          "Markov.expected_hitting_times: state %d cannot reach the legitimate set" c));
-  let n = states chain in
-  let transient =
-    Array.of_list (List.filter (fun c -> not legitimate.(c)) (List.init n Fun.id))
-  in
-  if Array.length transient = 0 then (Array.make n 0.0, None)
-  else begin
-    let method_ =
-      match method_ with
-      | Some m -> m
-      | None -> default_method ~transient:(Array.length transient)
-    in
-    match method_ with
+  let transient = Array.map not legitimate in
+  let count = Array.fold_left (fun k t -> if t then k + 1 else k) 0 transient in
+  let x = Array.make chain.n 0.0 in
+  if count = 0 then (x, None)
+  else
+    match Option.value method_ ~default:(default_method ~transient:count) with
     | Exact ->
-      let solved = exact_hitting chain ~legitimate ~transient in
-      let out = Array.make n 0.0 in
-      Array.iteri (fun i c -> out.(c) <- solved.(i)) transient;
-      (out, None)
-    | Sparse { kind = Gauss_seidel; tolerance; max_sweeps } ->
-      let times, outcome = sparse_hitting_times ~tolerance ~max_sweeps chain ~legitimate in
-      (times, Some outcome)
-    | Sparse { kind = Jacobi; tolerance; max_sweeps } ->
-      let times, outcome =
-        sparse_hitting_times ~kind:Jacobi ~tolerance ~max_sweeps chain ~legitimate
-      in
-      (times, Some outcome)
-  end
+      dense_transient chain ~transient ~base:1.0 x;
+      (x, None)
+    | Sparse { kind; tolerance; max_sweeps } ->
+      let outcome = solve_transient ~kind ~tolerance ~max_sweeps chain ~transient ~base:1.0 x in
+      (x, Some outcome)
 
 let method_tolerance = function
   | Some (Sparse { tolerance; _ }) -> tolerance
@@ -454,38 +453,6 @@ let expected_hitting_times ?method_ chain ~legitimate =
   | _, Some (Max_sweeps stats) ->
     no_convergence "sparse_hitting_times" ~tolerance:(method_tolerance method_) stats
 
-(* Dense oracle for absorption: solve (I - Q) p = (one-step mass into
-   L) on the transient states that can reach L; everything else is
-   pinned at 0 (doomed) or 1 (inside L). *)
-let exact_absorption chain ~legitimate =
-  let n = states chain in
-  let can_reach = reaches chain ~target:legitimate in
-  let transient =
-    Array.of_list
-      (List.filter (fun c -> can_reach.(c) && not legitimate.(c)) (List.init n Fun.id))
-  in
-  let p = Array.init n (fun c -> if legitimate.(c) then 1.0 else 0.0) in
-  let t_count = Array.length transient in
-  if t_count = 0 then p
-  else begin
-    Stabobs.Obs.span "markov.solve.exact" @@ fun () ->
-    let pos = Array.make n (-1) in
-    Array.iteri (fun i c -> pos.(c) <- i) transient;
-    let a = Stablinalg.Matrix.identity t_count in
-    let b = Array.make t_count 0.0 in
-    Array.iteri
-      (fun i c ->
-        iter_row chain c (fun c' w ->
-            if legitimate.(c') then b.(i) <- b.(i) +. w
-            else if pos.(c') >= 0 then
-              Stablinalg.Matrix.set a i (pos.(c'))
-                (Stablinalg.Matrix.get a i (pos.(c')) -. w)))
-      transient;
-    let solved = Stablinalg.Matrix.solve a b in
-    Array.iteri (fun i c -> p.(c) <- solved.(i)) transient;
-    p
-  end
-
 let absorption_probabilities ?method_ chain ~legitimate =
   Stabobs.Obs.span "markov.absorption" @@ fun () ->
   let method_ =
@@ -493,19 +460,14 @@ let absorption_probabilities ?method_ chain ~legitimate =
       ~default:(Sparse { kind = Gauss_seidel; tolerance = 1e-12; max_sweeps = 1_000_000 })
   in
   match method_ with
-  | Exact -> exact_absorption chain ~legitimate
-  | Sparse { kind = Gauss_seidel; tolerance; max_sweeps } -> (
-    let p, outcome = sparse_absorption ~tolerance ~max_sweeps chain ~legitimate in
-    match outcome with
-    | Converged _ -> p
-    | Max_sweeps stats -> no_convergence "sparse_absorption" ~tolerance stats)
-  | Sparse { kind = Jacobi; tolerance; max_sweeps } -> (
-    let p, outcome =
-      sparse_absorption ~kind:Jacobi ~tolerance ~max_sweeps chain ~legitimate
-    in
-    match outcome with
-    | Converged _ -> p
-    | Max_sweeps stats -> no_convergence "sparse_absorption" ~tolerance stats)
+  | Exact ->
+    let transient, x = absorption_system chain ~legitimate in
+    dense_transient chain ~transient ~base:0.0 x;
+    x
+  | Sparse { kind; tolerance; max_sweeps } -> (
+    match sparse_absorption ~kind ~tolerance ~max_sweeps chain ~legitimate with
+    | p, Converged _ -> p
+    | _, Max_sweeps stats -> no_convergence "sparse_absorption" ~tolerance stats)
 
 let transient_distribution chain ~init ~steps =
   let n = states chain in

@@ -143,8 +143,6 @@ let quotient ?relabel t =
       t.quots <- (relabel, q) :: t.quots;
       q)
 
-let enabled t c = Protocol.enabled_processes t.protocol (config t c)
-
 let legitimate_set t spec =
   match t.view with
   | Full ->
@@ -412,16 +410,6 @@ let delta_expander t =
   if is_quotient t then
     invalid_arg "Statespace.delta_expander: a quotient's successors are not sums of deltas";
   make_expander ~relative:true t Central
-
-let transitions t cls c =
-  let groups = ref [] in
-  expander t cls c
-    ~group:(fun mask -> groups := (mask, ref []) :: !groups)
-    ~succ:(fun code w ->
-      match !groups with
-      | (_, outs) :: _ -> outs := (code, w) :: !outs
-      | [] -> assert false);
-  List.rev_map (fun (mask, outs) -> (procs_of_mask mask, List.rev !outs)) !groups
 
 let successors t cls c =
   let codes = Growbuf.create 16 0 in

@@ -82,18 +82,8 @@ val config : 'a t -> int -> 'a array
 
 val code : 'a t -> 'a array -> int
 
-val enabled : 'a t -> int -> int list
-(** Enabled processes of a configuration, by code. *)
-
 val legitimate_set : 'a t -> 'a Spec.t -> bool array
 (** Bitmap over codes of the spec's legitimate configurations. *)
-
-val transitions : 'a t -> sched_class -> int -> (int list * (int * float) list) list
-(** [transitions space cls c] lists the steps the class allows from
-    configuration [c]: each element is the activated subset together
-    with the distribution over successor codes (singleton distributions
-    for deterministic protocols). Terminal configurations have no
-    transitions. Built on {!expander}. *)
 
 val expander :
   'a t ->
@@ -103,13 +93,16 @@ val expander :
   succ:(int -> float -> unit) ->
   unit
 (** [expander space cls] allocates per-expander scratch and returns a
-    function that enumerates the steps of one configuration: for each
-    step of {!transitions}, in the same order, [group] receives the
-    activated subset as a process bitmask, then [succ] receives each
-    successor code and its probability, in outcome order. The
+    function that enumerates the steps the class allows from one
+    configuration: for each step, [group] receives the activated
+    subset as a process bitmask, then [succ] receives each successor
+    code and its probability, in outcome order (a singleton
+    distribution of weight [1.0] for deterministic protocols). The
     activated subsets come in the order {!next_group} derives from the
-    enabled mask. Deterministic protocols pass weight [1.0] and
-    allocate nothing per step. The returned function
+    enabled mask; a terminal configuration has no steps. This is the
+    one per-configuration step enumeration: the checker's graph,
+    closure on a quotient and the synchronous analyses all read it.
+    Deterministic protocols allocate nothing per step. The returned function
     reuses its scratch, so one expander must not run on two domains at
     once; create one per range. Raises [Invalid_argument] when the
     protocol has more processes than an [int] has bits, or when more

@@ -43,5 +43,3 @@ val instantiate :
     [first] without a match) raise [Failure] with position information
     when the protocol is later exercised. *)
 
-val pp_state : program -> Format.formatter -> int array -> unit
-(** Render a local state as [x=3,b=true]. *)

@@ -15,5 +15,3 @@ exception Error of string * Ast.position
 val tokenize : string -> lexeme list
 (** Raises [Error] on unrecognized input. *)
 
-val keywords : string list
-(** The reserved words, for reference. *)

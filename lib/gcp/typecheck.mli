@@ -11,5 +11,3 @@ exception Error of string * Ast.position
 val check : Ast.program -> unit
 (** Raises [Error] on the first problem found. *)
 
-val var_type : Ast.program -> string -> ty
-(** Type of a declared variable; raises [Not_found] otherwise. *)

@@ -16,15 +16,12 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-val to_buffer : Buffer.t -> t -> unit
-(** Compact (single-line) rendering. Non-finite floats render as
-    [null]; finite floats use the shortest representation that parses
-    back to the same value. *)
-
 val to_string : ?minify:bool -> t -> string
 (** [minify:true] (default) is single-line; [minify:false] pretty-prints
     with two-space indentation, for committed artifacts that should
-    diff well. *)
+    diff well. Non-finite floats render as [null]; finite floats use
+    the shortest representation that parses back to the same
+    value. *)
 
 val output : out_channel -> t -> unit
 (** Compact rendering straight to a channel. *)

@@ -212,7 +212,6 @@ let infof fmt = logf Info fmt
    stays allocation-light. *)
 let gc_mode = Atomic.make false
 let set_gc_sampling b = Atomic.set gc_mode b
-let gc_sampling () = Atomic.get gc_mode
 
 let word_bytes = Sys.word_size / 8
 

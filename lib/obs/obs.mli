@@ -103,7 +103,6 @@ val symmetry_canon_misses : Counter.t
     ("symmetry.canon-hit" / "symmetry.canon-miss"). *)
 
 val gc_minor_words : Counter.t
-val gc_major_collections : Counter.t
 (** Per-span GC deltas, accumulated at span close when GC sampling is
     on ("gc.minor_words" / "gc.major_collections"). Inclusive like
     span durations: a nested sampled span contributes to every
@@ -166,11 +165,9 @@ val current_tags : unit -> (string * Json.t) list
 val set_gc_sampling : bool -> unit
 (** Off by default. When on, every span brackets its body with a
     [Gc.quick_stat] pair and reports the deltas ({!gc_delta}) on its
-    end event, bumping {!gc_minor_words} / {!gc_major_collections}.
+    end event, bumping {!gc_minor_words} and "gc.major_collections".
     Costs two GC stat reads per span on the lit path only; the dark
     path (no sink) is unchanged — no stat read, no allocation. *)
-
-val gc_sampling : unit -> bool
 
 (** {1 Events and sinks} *)
 

@@ -84,6 +84,13 @@ golden montecarlo cat montecarlo -p token-ring -t ring:5 --runs 200
 # Every sampled table: the E1/E2 Monte-Carlo rows, E6, E10 and E11.
 golden experiments cat experiments
 golden profile answers profile token-ring --n 5 --runs 100
+# The synchronous analyses: the E9 census (leader-tree reaches
+# terminals, cycle length 0), Figure 3's lasso and Theorem 3's closed
+# set among the theorem checks.
+golden orbit-tree cat orbit -p leader-tree -t chain:4
+golden orbit-ring cat orbit -p token-ring -t ring:5
+golden figures cat figures
+golden theorems cat theorems
 # Nonsense solver and fault parameters are usage errors, not runs.
 rejects tol-negative markov -p token-ring -t ring:5 --solver gs --tol=-1
 rejects tol-nan markov -p token-ring -t ring:5 --solver gs --tol nan

@@ -215,8 +215,108 @@ let qcheck_simulation_agrees_with_reachability =
         (fun cfg -> Hashtbl.mem reachable (Statespace.code space cfg))
         (Engine.configs r.Engine.trace))
 
+(* The synchronous analyses against a naive walk built from
+   [Protocol.enabled_processes], [Protocol.step_outcomes] and
+   [Encoding] alone. A "lazy" variant of each random protocol lets a
+   process keep its state (when its state plus its index is even), so
+   some configurations step to themselves (cycle length 1); the
+   guard-disabled ones are terminal (length 0). *)
+let lazy_protocol p =
+  let act = List.hd p.Protocol.actions in
+  let result cfg q =
+    if (cfg.(q) + q) mod 2 = 0 then [ (cfg.(q), 1.0) ] else act.Protocol.result cfg q
+  in
+  { p with Protocol.name = p.Protocol.name ^ "-lazy"; actions = [ { act with Protocol.result } ] }
+
+(* The one synchronous successor code of [c], or [None] at a terminal
+   configuration. *)
+let naive_sync_step space c =
+  let p = Statespace.protocol space and enc = Statespace.encoding space in
+  let cfg = Encoding.decode enc c in
+  match Protocol.enabled_processes p cfg with
+  | [] -> None
+  | enabled -> (
+    match Protocol.step_outcomes p cfg enabled with
+    | [ (cfg', _) ] -> Some (Encoding.encode enc cfg')
+    | _ -> Alcotest.fail "deterministic protocol with several outcomes")
+
+(* The execution from [init] as a lasso, by list search. *)
+let naive_lasso space init =
+  let rec go visited c =
+    match List.find_index (( = ) c) visited with
+    | Some i -> (List.filteri (fun j _ -> j < i) visited, List.filteri (fun j _ -> j >= i) visited)
+    | None -> (
+      match naive_sync_step space c with
+      | None -> (visited @ [ c ], [])
+      | Some c' -> go (visited @ [ c ]) c')
+  in
+  go [] init
+
+let naive_census space =
+  let lengths =
+    List.init (Statespace.count space) (fun c -> List.length (snd (naive_lasso space c)))
+  in
+  List.sort_uniq compare lengths
+  |> List.map (fun l -> (l, List.length (List.filter (( = ) l) lengths)))
+
+let naive_closed_set space member =
+  let n = Statespace.count space in
+  let enc = Statespace.encoding space in
+  let inside c = member (Encoding.decode enc c) in
+  List.find_map
+    (fun c ->
+      if not (inside c) then None
+      else
+        match naive_sync_step space c with
+        | Some c' when not (inside c') -> Some (c, c')
+        | _ -> None)
+    (List.init n Fun.id)
+
+let test_synchronous_analyses_match_naive_walk () =
+  let self_loops = ref 0 and terminals = ref 0 and closed = ref 0 and open_ = ref 0 in
+  for seed = 0 to 59 do
+    List.iter
+      (fun p ->
+        let space = Statespace.build p in
+        let enc = Statespace.encoding space in
+        let census = Checker.sync_orbit_census space in
+        if census <> naive_census space then
+          Alcotest.failf "%s: census differs from the naive walk" p.Protocol.name;
+        List.iter
+          (fun (l, k) ->
+            if l = 1 then self_loops := !self_loops + k;
+            if l = 0 then terminals := !terminals + k)
+          census;
+        for c = 0 to Statespace.count space - 1 do
+          let lasso = Checker.synchronous_lasso space ~init:c in
+          if lasso <> naive_lasso space c then
+            Alcotest.failf "%s: lasso from %d differs from the naive walk" p.Protocol.name c
+        done;
+        (* A random set (rarely closed) and the cycle of one lasso
+           (always closed). *)
+        let target = random_target seed space in
+        let cycle = snd (naive_lasso space 0) in
+        List.iter
+          (fun member ->
+            let found = Checker.sync_closed_set space member in
+            if found <> naive_closed_set space member then
+              Alcotest.failf "%s: closed-set answer differs from the naive walk" p.Protocol.name;
+            if found = None then incr closed else incr open_)
+          [
+            (fun cfg -> target.(Encoding.encode enc cfg));
+            (fun cfg -> List.mem (Encoding.encode enc cfg) cycle);
+          ])
+      [ random_protocol (seed + 80_000); lazy_protocol (random_protocol (seed + 80_000)) ]
+  done;
+  if !self_loops = 0 || !terminals = 0 || !closed = 0 || !open_ = 0 then
+    Alcotest.failf
+      "coverage: %d self-loop and %d terminal configurations, %d closed and %d open sets"
+      !self_loops !terminals !closed !open_
+
 let suite =
   [
+    Alcotest.test_case "synchronous analyses = naive walk" `Quick
+      test_synchronous_analyses_match_naive_walk;
     QCheck_alcotest.to_alcotest qcheck_theorem7_core;
     QCheck_alcotest.to_alcotest qcheck_certain_implies_no_fair_divergence;
     QCheck_alcotest.to_alcotest qcheck_strong_divergence_implies_weak;

@@ -18,20 +18,31 @@ let test_build_guard () =
     (Invalid_argument "Statespace.build: 4096 configurations exceed the 100 limit")
     (fun () -> ignore (Statespace.build ~max_configs:100 p))
 
-let test_enabled_matches_protocol () =
-  let p = Fixtures.mod3_protocol () in
-  let space = Statespace.build p in
-  for c = 0 to Statespace.count space - 1 do
-    Alcotest.(check (list int)) "enabled sets agree"
-      (Protocol.enabled_processes p (Statespace.config space c))
-      (Statespace.enabled space c)
-  done
+(* The groups of configuration [c] as [expand] emits them (an
+   expander, or a checker graph's group iterator): each activated mask
+   with its successor codes and weights. *)
+let collect expand c =
+  let groups = ref [] in
+  expand c
+    ~group:(fun mask -> groups := (mask, ref []) :: !groups)
+    ~succ:(fun code w ->
+      match !groups with
+      | (_, outs) :: _ -> outs := (code, w) :: !outs
+      | [] -> Alcotest.fail "successor before its group");
+  List.rev_map (fun (mask, outs) -> (mask, List.rev !outs)) !groups
+
+(* The steps of configuration [c], each activated subset as a process
+   list. *)
+let steps space cls c =
+  List.map
+    (fun (mask, outs) -> (Statespace.procs_of_mask mask, outs))
+    (collect (Statespace.expander space cls) c)
 
 let test_transitions_central () =
   let p = Fixtures.mod3_protocol () in
   let space = Statespace.build p in
   let code = Statespace.code space [| 1; 1 |] in
-  let ts = Statespace.transitions space Statespace.Central code in
+  let ts = steps space Statespace.Central code in
   Alcotest.(check int) "two singleton subsets" 2 (List.length ts);
   List.iter
     (fun (active, outcomes) ->
@@ -43,7 +54,7 @@ let test_transitions_distributed_subsets () =
   let p = Fixtures.mod3_protocol () in
   let space = Statespace.build p in
   let code = Statespace.code space [| 2; 2 |] in
-  let ts = Statespace.transitions space Statespace.Distributed code in
+  let ts = steps space Statespace.Distributed code in
   let subsets = List.map fst ts |> List.sort compare in
   Alcotest.(check (list (list int))) "all non-empty subsets" [ [ 0 ]; [ 0; 1 ]; [ 1 ] ]
     subsets
@@ -52,7 +63,7 @@ let test_transitions_synchronous () =
   let p = Fixtures.mod3_protocol () in
   let space = Statespace.build p in
   let code = Statespace.code space [| 0; 0 |] in
-  match Statespace.transitions space Statespace.Synchronous code with
+  match steps space Statespace.Synchronous code with
   | [ (active, [ (next, w) ]) ] ->
     Alcotest.(check (list int)) "all enabled" [ 0; 1 ] active;
     Alcotest.(check (float 1e-9)) "prob 1" 1.0 w;
@@ -64,7 +75,7 @@ let test_terminal_no_transitions () =
   let space = Statespace.build p in
   let code = Statespace.code space [| 0; 1 |] in
   Alcotest.(check int) "no transitions" 0
-    (List.length (Statespace.transitions space Statespace.Distributed code))
+    (List.length (steps space Statespace.Distributed code))
 
 let test_successors_dedup () =
   let p = Fixtures.mod3_protocol () in
@@ -158,32 +169,17 @@ let reference_groups space cls c =
              (Protocol.step_outcomes p cfg subset)) ))
     subsets
 
-(* One expander per (space, class), reused across every configuration,
-   as a range of the expansion reuses it. *)
-let expander_groups expand c =
-  let groups = ref [] in
-  expand c
-    ~group:(fun mask -> groups := (mask, ref []) :: !groups)
-    ~succ:(fun code w ->
-      match !groups with
-      | (_, outs) :: _ -> outs := (code, w) :: !outs
-      | [] -> Alcotest.fail "successor before its group");
-  List.rev_map (fun (mask, outs) -> (mask, bits (List.rev !outs))) !groups
+(* [collect] with bit-exact weights. One expander per (space, class)
+   is reused across every configuration, as a range of the expansion
+   reuses it. *)
+let expander_groups expand c = List.map (fun (mask, outs) -> (mask, bits outs)) (collect expand c)
 
 (* The groups of configuration [c] in the checker's graph, replayed by
    its group iterator: each activated subset (derived from the one
    enabled mask) with its successors and their weights. In the
    [Subsets] layout each successor is a subset sum the kernel computes
    from the stored deltas. *)
-let packed_groups g c =
-  let groups = ref [] in
-  Checker.iter_groups g c
-    ~group:(fun active -> groups := (active, ref []) :: !groups)
-    ~succ:(fun code w ->
-      match !groups with
-      | (_, outs) :: _ -> outs := (code, w) :: !outs
-      | [] -> Alcotest.fail "successor before its group");
-  List.rev_map (fun (mask, outs) -> (mask, bits (List.rev !outs))) !groups
+let packed_groups g c = expander_groups (Checker.iter_groups g) c
 
 (* The layout rule: [Subsets] exactly for a deterministic protocol on a
    full space under the distributed class, [Singleton] for any other
@@ -234,15 +230,7 @@ let test_expander_matches_reference () =
               Alcotest.failf "%s: group_count gives %d groups, reference %d" where
                 (Statespace.group_count cls enabled) (List.length expected);
             if packed_groups g c <> expected then
-              Alcotest.failf "%s: the checker graph's groups differ from the reference path" where;
-            let listed =
-              List.map
-                (fun (active, outcomes) ->
-                  (List.fold_left (fun mask q -> mask lor (1 lsl q)) 0 active, bits outcomes))
-                (Statespace.transitions space cls c)
-            in
-            if listed <> expected then
-              Alcotest.failf "%s: transitions differ from the reference path" where
+              Alcotest.failf "%s: the checker graph's groups differ from the reference path" where
           done)
         classes)
     reference_systems;
@@ -379,7 +367,6 @@ let suite =
   [
     Alcotest.test_case "count/roundtrip" `Quick test_count_and_roundtrip;
     Alcotest.test_case "build guard" `Quick test_build_guard;
-    Alcotest.test_case "enabled matches protocol" `Quick test_enabled_matches_protocol;
     Alcotest.test_case "central transitions" `Quick test_transitions_central;
     Alcotest.test_case "distributed subsets" `Quick test_transitions_distributed_subsets;
     Alcotest.test_case "synchronous transition" `Quick test_transitions_synchronous;
