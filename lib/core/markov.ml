@@ -4,24 +4,29 @@ type randomization = Central_uniform | Distributed_uniform | Sync
    the checker's flat successor arrays: row [c] occupies
    [off.(c) .. off.(c + 1) - 1] of [cols]/[w], targets merged and
    sorted ascending, weights summing to 1. [cols] is an int32
-   {!Digraph.edges} array read through {!Digraph.target}, so
-   {!graph} hands it to the kernel without a copy. Terminal
-   configurations are stored as probability-1 self-loops, so every row
-   is non-empty and the solvers never special-case absorption. *)
+   {!Digraph.edges} array, so {!graph} hands it to the kernel without
+   a copy. Terminal configurations are stored as probability-1
+   self-loops, so every row is non-empty and the solvers never
+   special-case absorption. *)
 type t = { n : int; off : int array; cols : Digraph.edges; w : float array }
 
 let states chain = chain.n
 
+(* A local read of the target array, so that it compiles to a plain
+   32-bit load: the kernel's {!Digraph.target} is a call across a
+   module boundary. *)
+let[@inline] col chain i = Int32.to_int (Bigarray.Array1.get chain.cols i)
+
 let row chain c =
   let out = ref [] in
   for i = chain.off.(c + 1) - 1 downto chain.off.(c) do
-    out := (Digraph.target chain.cols i, chain.w.(i)) :: !out
+    out := (col chain i, chain.w.(i)) :: !out
   done;
   !out
 
 let iter_row chain c f =
   for i = chain.off.(c) to chain.off.(c + 1) - 1 do
-    f (Digraph.target chain.cols i) chain.w.(i)
+    f (col chain i) chain.w.(i)
   done
 
 let merge_row entries =
@@ -34,107 +39,152 @@ let merge_row entries =
   Hashtbl.fold (fun c w acc -> (c, w) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-(* Stable merge sort of [t.(lo .. hi - 1)] by target, carrying the
-   weights [w] along; [st]/[sw] hold the left run while it is merged
-   back in place. Rows off the packed graph arrive nearly descending,
-   which would make an insertion sort quadratic. *)
-let rec sort_row (t : int array) (w : float array) st sw lo hi =
-  if hi - lo > 1 then begin
+(* Merge sort of the ints [a.(lo .. hi - 1)], insertion-sorting short
+   runs; [tmp] holds the left run while it is merged back in place.
+   Rows off the packed graph arrive nearly descending, which would make
+   an insertion sort of a whole row quadratic. *)
+let rec sort_ints (a : int array) (tmp : int array) lo hi =
+  if hi - lo <= 16 then
+    for i = lo + 1 to hi - 1 do
+      let v = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && a.(!j) > v do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- v
+    done
+  else begin
     let mid = (lo + hi) / 2 in
-    sort_row t w st sw lo mid;
-    sort_row t w st sw mid hi;
+    sort_ints a tmp lo mid;
+    sort_ints a tmp mid hi;
     let n = mid - lo in
     for i = 0 to n - 1 do
-      st.(i) <- t.(lo + i);
-      sw.(i) <- w.(lo + i)
+      tmp.(i) <- a.(lo + i)
     done;
-    let a = ref 0 and b = ref mid and k = ref lo in
-    while !a < n do
-      if !b >= hi || st.(!a) <= t.(!b) then begin
-        t.(!k) <- st.(!a);
-        w.(!k) <- sw.(!a);
-        incr a
+    let i = ref 0 and j = ref mid and k = ref lo in
+    while !i < n do
+      if !j >= hi || tmp.(!i) <= a.(!j) then begin
+        a.(!k) <- tmp.(!i);
+        incr i
       end
       else begin
-        t.(!k) <- t.(!b);
-        w.(!k) <- w.(!b);
-        incr b
+        a.(!k) <- a.(!j);
+        incr j
       end;
       incr k
     done
   end
 
-(* One range [lo, hi) of the CSR packing. [each_row c add] must call
-   [add target weight] once per transition of [c]. The pairs land at the
-   tail of the range buffers; once the row is complete they are
-   stable-sorted by target and each run of equal targets is summed left
-   to right in place. That is arrival order, so every merged weight is
-   the same float sum however the rows are split. Empty rows become
-   absorbing self-loops. [off.(c + 1)] is written relative to the range;
-   the merge rebases it. *)
-type part = { lo : int; hi : int; pcols : int Growbuf.t; pw : float Growbuf.t }
+(* One row at a time, in arrival order: its targets in [keys], its
+   weights in [ws]. A range's scratch doubles as needed, so it stays
+   within twice the range's longest row, whatever [n] is. *)
+type scratch = {
+  mutable keys : int array;
+  mutable ws : float array;
+  mutable tmp : int array;
+  mutable len : int;
+}
 
-let pack_range ~each_row off ~lo ~hi =
-  let cols = Growbuf.create (2 * (hi - lo)) 0 in
-  let ws = Growbuf.create (2 * (hi - lo)) 0.0 in
-  let add c' wgt =
-    Growbuf.push_int cols c';
-    Growbuf.push_float ws wgt
-  in
-  let st = ref [||] and sw = ref [||] in
-  for c = lo to hi - 1 do
-    if c land 1023 = 0 then Cancel.poll ();
-    let start = cols.len in
-    each_row c add;
-    let len = cols.len in
-    if len = start then add c 1.0 (* terminal: absorbing *)
-    else begin
-      if Array.length !st < len - start then begin
-        st := Array.make (len - start) 0;
-        sw := Array.make (len - start) 0.0
-      end;
-      let t = cols.data and w = ws.data in
-      sort_row t w !st !sw start len;
-      let out = ref start and i = ref start in
-      while !i < len do
-        let target = t.(!i) in
-        let sum = ref w.(!i) in
-        incr i;
-        while !i < len && t.(!i) = target do
-          sum := !sum +. w.(!i);
-          incr i
-        done;
-        t.(!out) <- target;
-        w.(!out) <- !sum;
-        incr out
-      done;
-      cols.len <- !out;
-      ws.len <- !out
-    end;
-    off.(c + 1) <- cols.len
-  done;
-  { lo; hi; pcols = cols; pw = ws }
+let push s target wgt =
+  if s.len = Array.length s.keys then begin
+    let size = max 16 (2 * s.len) in
+    let grow a zero =
+      let b = Array.make size zero in
+      Array.blit a 0 b 0 s.len;
+      b
+    in
+    s.keys <- grow s.keys 0;
+    s.ws <- grow s.ws 0.0;
+    s.tmp <- Array.make (size / 2) 0
+  end;
+  s.keys.(s.len) <- target;
+  s.ws.(s.len) <- wgt;
+  s.len <- s.len + 1
 
-let pack_grain = Pool.Grain.site "markov.pack"
+(* Reads row [c] into [s] through [iter c add]; an empty row becomes an
+   absorbing self-loop. *)
+let read_row s iter add c =
+  if c land 1023 = 0 then Cancel.poll ();
+  s.len <- 0;
+  iter c add;
+  if s.len = 0 then push s c 1.0
 
-(* Rows are independent, so ranges pack concurrently on the pool (a
-   single range at width 1); the serial merge rebases the offsets and
-   concatenates the ranges in row order, copying each range buffer
-   once: the targets into one exact-size edge array, the weights into
-   one float array. *)
-let pack n ~each_row =
+(* A fill key is a target above its arrival index in the row, so that
+   an int sort orders equal targets by arrival. Targets are below 2^31
+   ({!Digraph.create_edges}), and a row of 2^31 entries would need
+   48 GiB of scratch, so a key fits in 62 bits. *)
+let arrival_bits = 31
+let arrival_mask = (1 lsl arrival_bits) - 1
+let count_grain = Pool.Grain.site "markov.pack.count"
+let fill_grain = Pool.Grain.site "markov.pack.fill"
+
+(* The CSR pack, in two passes over the rows, as {!Checker.expand}
+   builds its graph. [each_row c add] must call [add target weight] once
+   per transition of [c], and [targets c add] [add target] once per
+   transition too; the count pass reads [targets], which need compute no
+   weight. It sorts each row's targets and stores their number of
+   distinct ones at [off.(c + 1)]; a serial prefix sum turns the counts
+   into offsets, and [cols] and [w] are allocated once at their exact
+   size. The fill pass sorts each row's keys, so equal
+   targets come together in arrival order, sums each run left to right
+   and writes the merged row at its global offset. Every merged weight
+   is therefore the same float sum however the pool split either pass.
+   Rows are independent, so ranges run concurrently with scratch of
+   their own; a row whose fill disagrees with its count raises. *)
+let pack n ~targets ~each_row =
   let off = Array.make (n + 1) 0 in
-  let parts = Pool.map_ranges ~site:pack_grain ~min_chunk:64 n (pack_range ~each_row off) in
-  let base = ref 0 in
-  List.iter
-    (fun p ->
-      for c = p.lo + 1 to p.hi do
-        off.(c) <- off.(c) + !base
-      done;
-      base := !base + p.pcols.len)
-    parts;
-  let w = Growbuf.concat 0.0 (fun p -> p.pw) parts in
-  { n; off; cols = Digraph.edges_of_buffers ~nodes:n (List.map (fun p -> p.pcols) parts); w }
+  let scratch () = { keys = [||]; ws = [||]; tmp = [||]; len = 0 } in
+  Pool.parallel_for ~site:count_grain ~min_chunk:64 n (fun ~lo ~hi ->
+      let s = scratch () in
+      let add target = push s target 0.0 in
+      for c = lo to hi - 1 do
+        read_row s targets add c;
+        sort_ints s.keys s.tmp 0 s.len;
+        let distinct = ref 1 in
+        for i = 1 to s.len - 1 do
+          if s.keys.(i) <> s.keys.(i - 1) then incr distinct
+        done;
+        off.(c + 1) <- !distinct
+      done);
+  for c = 1 to n do
+    off.(c) <- off.(c) + off.(c - 1)
+  done;
+  let cols = Digraph.create_edges ~nodes:n off.(n) and w = Array.create_float off.(n) in
+  let disagree c =
+    invalid_arg
+      (Printf.sprintf
+         "Markov: the fill pass disagrees with the count pass at state %d (is the row \
+          source pure?)"
+         c)
+  in
+  Pool.parallel_for ~site:fill_grain ~min_chunk:64 n (fun ~lo ~hi ->
+      let s = scratch () in
+      let add = push s in
+      for c = lo to hi - 1 do
+        read_row s each_row add c;
+        let keys = s.keys and len = s.len in
+        for i = 0 to len - 1 do
+          keys.(i) <- (keys.(i) lsl arrival_bits) lor i
+        done;
+        sort_ints keys s.tmp 0 len;
+        let e = ref off.(c) and i = ref 0 in
+        while !i < len do
+          let target = keys.(!i) lsr arrival_bits in
+          let sum = ref s.ws.(keys.(!i) land arrival_mask) in
+          incr i;
+          while !i < len && keys.(!i) lsr arrival_bits = target do
+            sum := !sum +. s.ws.(keys.(!i) land arrival_mask);
+            incr i
+          done;
+          if !e >= off.(c + 1) then disagree c;
+          Bigarray.Array1.set cols !e (Int32.of_int target);
+          w.(!e) <- !sum;
+          incr e
+        done;
+        if !e <> off.(c + 1) then disagree c
+      done);
+  { n; off; cols; w }
 
 (* Strong-lumpability audit of a quotient chain, enabled by paranoid
    mode: every orbit member of the *full* space must project (through
@@ -189,7 +239,11 @@ let of_space space randomization =
   in
   let g = Checker.expand space cls in
   let n = Statespace.count space in
-  let chain = pack n ~each_row:(fun c add -> Checker.iter_weighted_row g c add) in
+  let chain =
+    pack n
+      ~targets:(Digraph.iter_succ (Checker.successors g))
+      ~each_row:(Checker.iter_weighted_row g)
+  in
   (if Symmetry.paranoid_enabled () then
      match Statespace.quotient_view space with
      | None -> ()
@@ -214,7 +268,9 @@ let of_rows rows =
         if Float.abs (total -. 1.0) > 1e-9 then
           invalid_arg "Markov.of_rows: row does not sum to 1")
     rows;
-  pack n ~each_row:(fun c add -> List.iter (fun (c', w) -> add c' w) rows.(c))
+  pack n
+    ~targets:(fun c add -> List.iter (fun (c', _) -> add c') rows.(c))
+    ~each_row:(fun c add -> List.iter (fun (c', w) -> add c' w) rows.(c))
 
 let graph chain = { Digraph.n = chain.n; off = chain.off; rows = Edges chain.cols }
 
@@ -276,16 +332,18 @@ let solve_transient ~kind ~tolerance ~max_sweeps chain ~transient ~base x =
   let total_sweeps = ref 0 in
   let worst = ref 0.0 in
   let failed = ref false in
-  let value c read_in read_self =
-    (* One diagonal-solved evaluation of state [c]'s equation;
-       [read_in] resolves targets inside the current block. *)
+  let value c src =
+    (* One diagonal-solved evaluation of state [c]'s equation; targets
+       inside the current block are read from [src] ([x] in place, or
+       the previous sweep's [x_old]). *)
     let acc = ref base in
     let self = ref 0.0 in
+    let b = block_of.(c) in
     for i = chain.off.(c) to chain.off.(c + 1) - 1 do
-      let c' = Digraph.target chain.cols i in
+      let c' = col chain i in
       let wv = chain.w.(i) in
       if c' = c then self := !self +. wv
-      else if block_of.(c') = block_of.(c) then acc := !acc +. (wv *. read_in c')
+      else if block_of.(c') = b then acc := !acc +. (wv *. src.(c'))
       else acc := !acc +. (wv *. x.(c'))
     done;
     let d = 1.0 -. !self in
@@ -295,19 +353,18 @@ let solve_transient ~kind ~tolerance ~max_sweeps chain ~transient ~base x =
          A transient state with w_cc = 1 violates the solvability
          precondition; this keeps the sweep finite so the block times
          out instead of dividing by zero. *)
-      !acc +. (!self *. read_self c)
+      !acc +. (!self *. src.(c))
   in
   let solve_block bid block =
     let bsize = Array.length block in
     Array.iter (fun c -> block_of.(c) <- bid) block;
     if bsize = 1 then begin
       let c = block.(0) in
-      let d =
-        let self = ref 0.0 in
-        iter_row chain c (fun c' wv -> if c' = c then self := !self +. wv);
-        1.0 -. !self
-      in
-      if d > 1e-12 then x.(c) <- value c (fun c' -> x.(c')) (fun c' -> x.(c'))
+      let self = ref 0.0 in
+      for i = chain.off.(c) to chain.off.(c + 1) - 1 do
+        if col chain i = c then self := !self +. chain.w.(i)
+      done;
+      if 1.0 -. !self > 1e-12 then x.(c) <- value c x
       else failed := true (* absorbing-in-transient: no finite solution *)
     end
     else
@@ -325,27 +382,23 @@ let solve_transient ~kind ~tolerance ~max_sweeps chain ~transient ~base x =
         end
         else begin
           incr sweeps;
+          let src =
+            match kind with
+            | Gauss_seidel -> x
+            | Jacobi ->
+              Array.iter (fun c -> x_old.(c) <- x.(c)) block;
+              x_old
+          in
           let delta = ref 0.0 in
           (* max(1, ||x||_inf) folded into the starting norm. *)
           let norm = ref 1.0 in
-          (match kind with
-          | Gauss_seidel ->
-            Array.iter
-              (fun c ->
-                let v = value c (fun c' -> x.(c')) (fun c' -> x.(c')) in
-                delta := Float.max !delta (Float.abs (v -. x.(c)));
-                norm := Float.max !norm (Float.abs v);
-                x.(c) <- v)
-              block
-          | Jacobi ->
-            Array.iter (fun c -> x_old.(c) <- x.(c)) block;
-            Array.iter
-              (fun c ->
-                let v = value c (fun c' -> x_old.(c')) (fun c' -> x_old.(c')) in
-                delta := Float.max !delta (Float.abs (v -. x.(c)));
-                norm := Float.max !norm (Float.abs v);
-                x.(c) <- v)
-              block);
+          for k = 0 to bsize - 1 do
+            let c = block.(k) in
+            let v = value c src in
+            delta := Float.max !delta (Float.abs (v -. x.(c)));
+            norm := Float.max !norm (Float.abs v);
+            x.(c) <- v
+          done;
           let rel = !delta /. !norm in
           residual := rel;
           Stabobs.Dist.record Stabobs.Dist.markov_solve_residual rel;

@@ -206,10 +206,124 @@ let test_hitting_times_match_simulation () =
     if Float.abs (s.Stabstats.Stats.mean -. exact) > slack then
       Alcotest.failf "MC mean %f vs exact %f (slack %f)" s.Stabstats.Stats.mean exact slack
 
+(* The pack's reference: equal targets summed left to right in arrival
+   order, then sorted by target; an empty row is an absorbing
+   self-loop. Weights are compared bit for bit. The second result
+   counts the repeated targets merged, so a caller can insist that a
+   summation order was actually exercised. *)
+let arrival_merge c entries =
+  match entries with
+  | [] -> ([ (c, 1.0) ], 0)
+  | _ ->
+    let sums = Hashtbl.create 16 and repeats = ref 0 in
+    List.iter
+      (fun (t, w) ->
+        match Hashtbl.find_opt sums t with
+        | Some sum ->
+          incr repeats;
+          Hashtbl.replace sums t (sum +. w)
+        | None -> Hashtbl.replace sums t w)
+      entries;
+    ( List.sort compare (Hashtbl.fold (fun t w acc -> (t, w) :: acc) sums []),
+      !repeats )
+
+let bits row = List.map (fun (t, w) -> (t, Int64.bits_of_float w)) row
+
+(* Every row of [chain] against the reference merge of [arrivals c];
+   returns the number of repeated targets merged. *)
+let check_pack label chain arrivals =
+  let repeats = ref 0 in
+  for c = 0 to Markov.states chain - 1 do
+    let expected, r = arrival_merge c (arrivals c) in
+    repeats := !repeats + r;
+    Alcotest.(check (list (pair int int64)))
+      (Printf.sprintf "%s row %d" label c)
+      (bits expected)
+      (bits (Markov.row chain c))
+  done;
+  !repeats
+
+(* Random rows over few targets, so most rows repeat some, with
+   unequal weights normalized to sum to 1; some rows are empty, and
+   the last chain has one row over 4096 entries. *)
+let random_rows rng ~n ~long =
+  Array.init n (fun c ->
+      let len =
+        if long && c = 0 then 5000
+        else if Random.State.int rng 5 = 0 then 0
+        else 1 + Random.State.int rng 30
+      in
+      let span = 1 + Random.State.int rng (min n 6) in
+      let raw =
+        List.init len (fun _ -> (Random.State.int rng span, 0.01 +. Random.State.float rng 1.0))
+      in
+      let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 raw in
+      List.map (fun (t, w) -> (t, w /. total)) raw)
+
+let test_pack_is_arrival_merge () =
+  let rng = Random.State.make [| 2024 |] in
+  let repeats = ref 0 in
+  for trial = 0 to 20 do
+    let long = trial = 20 in
+    let rows = random_rows rng ~n:(if long then 300 else 1 + Random.State.int rng 40) ~long in
+    let chain = Markov.of_rows rows in
+    repeats := !repeats + check_pack (Printf.sprintf "of_rows %d" trial) chain (Array.get rows)
+  done;
+  Alcotest.(check bool) "random rows repeat targets" true (!repeats > 0);
+  let of_space label space cls randomization =
+    let g = Checker.expand space cls in
+    check_pack label (Markov.of_space space randomization) (Checker.weighted_row g)
+  in
+  (* Herman's coin flips can land a process on its old value, so under
+     the distributed daemon several subsets reach the same target with
+     unequal weights. *)
+  let herman = Statespace.build (Stabalgo.Herman.make ~n:7) in
+  ignore (of_space "herman sync" herman Statespace.Synchronous Markov.Sync);
+  Alcotest.(check bool) "herman rows repeat targets" true
+    (of_space "herman distributed" herman Statespace.Distributed Markov.Distributed_uniform
+    > 0);
+  let quotient = Statespace.quotient (Statespace.build (Stabalgo.Token_ring.make ~n:10)) in
+  Alcotest.(check bool) "quotient rows repeat targets" true
+    (of_space "ring:10 quotient" quotient Statespace.Distributed Markov.Distributed_uniform
+    > 0)
+
+(* Memory gates on token-ring ring:8 (6561 configurations, 384,063
+   chain entries), the expansion cached first. The pack allocates its
+   arrays once at their exact size, so it allocates at most twice the
+   chain's heap arrays (the int32 targets live outside the heap); the
+   sparse solvers read the chain in place and box nothing per edge, so
+   a full solve allocates at most 2 minor words per chain entry. *)
+let test_pack_and_solve_allocation () =
+  let n = 8 in
+  let space = Statespace.build (Stabalgo.Token_ring.make ~n) in
+  let legitimate = Statespace.legitimate_set space (Stabalgo.Token_ring.spec ~n) in
+  ignore (Checker.expand space Statespace.Distributed);
+  let before = Gc.allocated_bytes () in
+  let chain = Markov.of_space space Markov.Distributed_uniform in
+  let allocated = Gc.allocated_bytes () -. before in
+  let heap = float_of_int (Obj.reachable_words (Obj.repr chain) * (Sys.word_size / 8)) in
+  if allocated > 2.0 *. heap then
+    Alcotest.failf "of_space allocated %.0f B for %.0f B of chain arrays (%.2fx > 2x)"
+      allocated heap (allocated /. heap);
+  let entries = float_of_int (Digraph.edge_count (Markov.graph chain)) in
+  List.iter
+    (fun (name, kind) ->
+      let before = Gc.minor_words () in
+      (match Markov.sparse_hitting_times ~kind chain ~legitimate with
+      | _, Markov.Converged _ -> ()
+      | _, Markov.Max_sweeps _ -> Alcotest.failf "%s did not converge" name);
+      let per_entry = (Gc.minor_words () -. before) /. entries in
+      if per_entry > 2.0 then
+        Alcotest.failf "%s allocated %.2f minor words per chain entry (> 2)" name per_entry)
+    [ ("Gauss-Seidel", Markov.Gauss_seidel); ("Jacobi", Markov.Jacobi) ]
+
 let suite =
   [
     Alcotest.test_case "of_rows validation" `Quick test_of_rows_validation;
     Alcotest.test_case "of_rows merge/absorb" `Quick test_of_rows_merges_and_absorbs;
+    Alcotest.test_case "pack = arrival-order merge, bit for bit" `Quick
+      test_pack_is_arrival_merge;
+    Alcotest.test_case "pack and solve allocation" `Quick test_pack_and_solve_allocation;
     Alcotest.test_case "of_space rows sum" `Quick test_of_space_rows_sum;
     Alcotest.test_case "terminal absorbing" `Quick test_terminal_states_absorbing;
     Alcotest.test_case "central uniform probs" `Quick test_central_uniform_probabilities;

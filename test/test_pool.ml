@@ -61,19 +61,26 @@ let test_scatter_covers () =
 
 (* --- determinism ---------------------------------------------------- *)
 
-(* The expansion and the Markov CSR pack run one range body at every
-   width, merged in range order; these pin the merged structures
-   across widths on spaces large enough to split: token-ring ring:8
-   (6561 configurations) and the ring:10 quotient (5934 orbit
-   representatives). A fresh [Statespace.build] per run defeats the
-   (space, class) expansion cache. Under a null sink [pool.tasks] must
-   rise at width > 1, so the tests cannot silently fall back to a
-   single inline range. *)
+(* The expansion and the Markov CSR pack split their passes into
+   ranges at every width and write each range at its global offsets;
+   these pin the packed structures across widths on spaces large enough
+   to split: token-ring ring:8 (6561 configurations), the ring:10
+   quotient (5934 orbit representatives) and Herman's ring of 7 (128
+   configurations), whose randomized rows repeat targets with unequal
+   weights, so the arrival-order sums are pinned too. A fresh
+   [Statespace.build] per run defeats the (space, class) expansion
+   cache. Under a null sink [pool.tasks] must rise at width > 1, so the
+   tests cannot silently fall back to a single inline range. *)
+type space = Space : (unit -> 'a Statespace.t) -> space
+
 let spaces =
   [
-    ("token-ring ring:8", fun () -> Statespace.build (Stabalgo.Token_ring.make ~n:8));
+    ("token-ring ring:8", Space (fun () -> Statespace.build (Stabalgo.Token_ring.make ~n:8)));
     ( "token-ring ring:10 quotient",
-      fun () -> Statespace.quotient (Statespace.build (Stabalgo.Token_ring.make ~n:10)) );
+      Space
+        (fun () -> Statespace.quotient (Statespace.build (Stabalgo.Token_ring.make ~n:10)))
+    );
+    ("herman ring:7", Space (fun () -> Statespace.build (Stabalgo.Herman.make ~n:7)));
   ]
 
 let counting_tasks f =
@@ -81,14 +88,14 @@ let counting_tasks f =
   let r = f () in
   (r, Obs.Counter.value Obs.pool_tasks - before)
 
-let expansion_rows build =
+let expansion_rows (Space build) =
   let space = build () in
   let g, tasks = counting_tasks (fun () -> Checker.expand space Statespace.Distributed) in
   (List.init (Statespace.count space) (Checker.weighted_row g), tasks)
 
 (* The expansion is cached before counting, so only the pack's tasks
    are attributed to it. *)
-let markov_rows build =
+let markov_rows (Space build) =
   let space = build () in
   ignore (Checker.expand space Statespace.Distributed);
   let chain, tasks =
