@@ -5,12 +5,14 @@ let smallest_non_divisor n =
 
 let predecessor ~n p = (p - 1 + n) mod n
 
-let has_token ~n cfg p =
-  let m = smallest_non_divisor n in
-  cfg.(p) <> (cfg.(predecessor ~n p) + 1) mod m
+(* [m] is passed in: the guard runs once per process per configuration,
+   and recomputing [smallest_non_divisor n] there would allocate its
+   local closure on every call. *)
+let holds_token ~n ~m cfg p = cfg.(p) <> (cfg.(predecessor ~n p) + 1) mod m
+let has_token ~n cfg p = holds_token ~n ~m:(smallest_non_divisor n) cfg p
 
-let token_holders ~n cfg =
-  List.filter (has_token ~n cfg) (List.init n Fun.id)
+let holders ~n ~m cfg = List.filter (holds_token ~n ~m cfg) (List.init n Fun.id)
+let token_holders ~n cfg = holders ~n ~m:(smallest_non_divisor n) cfg
 
 let make ~n =
   if n < 3 then invalid_arg "Token_ring.make: need n >= 3";
@@ -18,7 +20,7 @@ let make ~n =
   let pass_token : int Stabcore.Protocol.action =
     {
       label = "A";
-      guard = (fun cfg p -> has_token ~n cfg p);
+      guard = (fun cfg p -> holds_token ~n ~m cfg p);
       result = (fun cfg p -> [ ((cfg.(predecessor ~n p) + 1) mod m, 1.0) ]);
     }
   in
@@ -33,13 +35,14 @@ let make ~n =
   }
 
 let spec ~n =
+  let m = smallest_non_divisor n in
   let step_ok before after =
-    match (token_holders ~n before, token_holders ~n after) with
+    match (holders ~n ~m before, holders ~n ~m after) with
     | [ h ], [ h' ] -> h' = (h + 1) mod n
     | _ -> false
   in
   Stabcore.Spec.make ~step_ok ~name:"single-circulating-token" (fun cfg ->
-      match token_holders ~n cfg with [ _ ] -> true | _ -> false)
+      match holders ~n ~m cfg with [ _ ] -> true | _ -> false)
 
 (* Configurations are determined by the increments c_p = (dt_p -
    dt_pred) mod m: p holds a token iff c_p <> 1, and the increments sum

@@ -293,22 +293,23 @@ let graph_bytes g =
   (Obj.reachable_words (Obj.repr g) * (Sys.word_size / 8))
   + Bigarray.Array1.size_in_bytes entries
 
-let iter_weighted_row g c f =
+let row_weights g c ws =
   let k = group_count g c in
   if k > 0 then begin
     let subset_weight = 1.0 /. float_of_int k in
-    match g.groups with
-    | Singleton | Subsets -> Digraph.iter_succ g.fwd c (fun v -> f v subset_weight)
-    | Outcomes { succ_w; _ } ->
-      let e = ref g.fwd.off.(c) in
-      Digraph.iter_succ g.fwd c (fun v ->
-          f v (succ_w.(!e) *. subset_weight);
-          incr e)
+    let first = g.fwd.off.(c) in
+    for i = 0 to Digraph.out_degree g.fwd c - 1 do
+      ws.(i) <-
+        (match g.groups with
+        | Singleton | Subsets -> subset_weight
+        | Outcomes { succ_w; _ } -> succ_w.(first + i) *. subset_weight)
+    done
   end
 
 let weighted_row g c =
+  let subset_weight = 1.0 /. float_of_int (group_count g c) in
   let out = ref [] in
-  iter_weighted_row g c (fun v w -> out := (v, w) :: !out);
+  iter_groups g c ~group:ignore ~succ:(fun v w -> out := (v, w *. subset_weight) :: !out);
   List.rev !out
 
 type closure_violation =

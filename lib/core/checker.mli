@@ -120,12 +120,12 @@ val weighted_row : graph -> int -> (int * float) list
     order; terminal configurations give []. Consumed by the
     lumpability audit of {!Markov.of_space}. *)
 
-val iter_weighted_row : graph -> int -> (int -> float -> unit) -> unit
-(** [iter_weighted_row g c f] is [weighted_row] without the list:
-    [f target weight] is called once per transition of [c], in
-    transition order, straight off the packed arrays. This is the
-    allocation-free handoff {!Markov.of_space} packs its CSR rows
-    from. *)
+val row_weights : graph -> int -> float array -> unit
+(** [row_weights g c ws] writes the weights of [weighted_row g c] into
+    [ws.(0)], [ws.(1)], ..., one per transition of [c] in transition
+    order (the order of [Digraph.iter_succ] on {!successors}), straight
+    off the packed arrays and without boxing a float. This is the
+    handoff {!Markov.of_space} packs its CSR rows from. *)
 
 type closure_violation =
   | Empty_legitimate_set

@@ -76,9 +76,9 @@ let rec sort_ints (a : int array) (tmp : int array) lo hi =
     done
   end
 
-(* One row at a time, in arrival order: its targets in [keys], its
-   weights in [ws]. A range's scratch doubles as needed, so it stays
-   within twice the range's longest row, whatever [n] is. *)
+(* One row at a time, in arrival order: its targets in [keys], then
+   their weights in [ws]. A range's scratch doubles as needed, so it
+   stays within twice the range's longest row, whatever [n] is. *)
 type scratch = {
   mutable keys : int array;
   mutable ws : float array;
@@ -86,29 +86,33 @@ type scratch = {
   mutable len : int;
 }
 
-let push s target wgt =
+(* The weights are written once the row's targets are all in, so a
+   grown [ws] needs no copy. *)
+let push s target =
   if s.len = Array.length s.keys then begin
     let size = max 16 (2 * s.len) in
-    let grow a zero =
-      let b = Array.make size zero in
-      Array.blit a 0 b 0 s.len;
-      b
-    in
-    s.keys <- grow s.keys 0;
-    s.ws <- grow s.ws 0.0;
+    let keys = Array.make size 0 in
+    Array.blit s.keys 0 keys 0 s.len;
+    s.keys <- keys;
+    s.ws <- Array.create_float size;
     s.tmp <- Array.make (size / 2) 0
   end;
   s.keys.(s.len) <- target;
-  s.ws.(s.len) <- wgt;
   s.len <- s.len + 1
 
-(* Reads row [c] into [s] through [iter c add]; an empty row becomes an
-   absorbing self-loop. *)
-let read_row s iter add c =
+(* Reads the targets of row [c] into [s] through [targets c add], [add]
+   being [push s]; an empty row becomes an absorbing self-loop, and
+   [false] says so. *)
+let read_row s targets add c =
   if c land 1023 = 0 then Cancel.poll ();
   s.len <- 0;
-  iter c add;
-  if s.len = 0 then push s c 1.0
+  targets c add;
+  s.len > 0
+  || begin
+    push s c;
+    s.ws.(0) <- 1.0;
+    false
+  end
 
 (* A fill key is a target above its arrival index in the row, so that
    an int sort orders equal targets by arrival. Targets are below 2^31
@@ -120,26 +124,27 @@ let count_grain = Pool.Grain.site "markov.pack.count"
 let fill_grain = Pool.Grain.site "markov.pack.fill"
 
 (* The CSR pack, in two passes over the rows, as {!Checker.expand}
-   builds its graph. [each_row c add] must call [add target weight] once
-   per transition of [c], and [targets c add] [add target] once per
-   transition too; the count pass reads [targets], which need compute no
-   weight. It sorts each row's targets and stores their number of
+   builds its graph. [targets c add] must call [add target] once per
+   transition of [c], and [weights c ws] write those transitions'
+   weights, in the same order, into [ws.(0)], [ws.(1)], ...; no weight
+   crosses a closure, so none is boxed. The count pass reads [targets]
+   alone. It sorts each row's targets and stores their number of
    distinct ones at [off.(c + 1)]; a serial prefix sum turns the counts
    into offsets, and [cols] and [w] are allocated once at their exact
-   size. The fill pass sorts each row's keys, so equal
+   size. The fill pass reads both, sorts each row's keys, so equal
    targets come together in arrival order, sums each run left to right
    and writes the merged row at its global offset. Every merged weight
    is therefore the same float sum however the pool split either pass.
    Rows are independent, so ranges run concurrently with scratch of
    their own; a row whose fill disagrees with its count raises. *)
-let pack n ~targets ~each_row =
+let pack n ~targets ~weights =
   let off = Array.make (n + 1) 0 in
   let scratch () = { keys = [||]; ws = [||]; tmp = [||]; len = 0 } in
   Pool.parallel_for ~site:count_grain ~min_chunk:64 n (fun ~lo ~hi ->
       let s = scratch () in
-      let add target = push s target 0.0 in
+      let add = push s in
       for c = lo to hi - 1 do
-        read_row s targets add c;
+        ignore (read_row s targets add c);
         sort_ints s.keys s.tmp 0 s.len;
         let distinct = ref 1 in
         for i = 1 to s.len - 1 do
@@ -162,7 +167,7 @@ let pack n ~targets ~each_row =
       let s = scratch () in
       let add = push s in
       for c = lo to hi - 1 do
-        read_row s each_row add c;
+        if read_row s targets add c then weights c s.ws;
         let keys = s.keys and len = s.len in
         for i = 0 to len - 1 do
           keys.(i) <- (keys.(i) lsl arrival_bits) lor i
@@ -240,9 +245,7 @@ let of_space space randomization =
   let g = Checker.expand space cls in
   let n = Statespace.count space in
   let chain =
-    pack n
-      ~targets:(Digraph.iter_succ (Checker.successors g))
-      ~each_row:(Checker.iter_weighted_row g)
+    pack n ~targets:(Digraph.iter_succ (Checker.successors g)) ~weights:(Checker.row_weights g)
   in
   (if Symmetry.paranoid_enabled () then
      match Statespace.quotient_view space with
@@ -270,7 +273,7 @@ let of_rows rows =
     rows;
   pack n
     ~targets:(fun c add -> List.iter (fun (c', _) -> add c') rows.(c))
-    ~each_row:(fun c add -> List.iter (fun (c', w) -> add c' w) rows.(c))
+    ~weights:(fun c ws -> List.iteri (fun i (_, w) -> ws.(i) <- w) rows.(c))
 
 let graph chain = { Digraph.n = chain.n; off = chain.off; rows = Edges chain.cols }
 

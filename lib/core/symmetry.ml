@@ -14,7 +14,8 @@
 
    Validation happens per *generator*, not per element: products of
    valid elements are valid, so closing the swept generators costs no
-   further sweeps. This keeps the setup cost at O(#generators * |C|)
+   further sweeps. This keeps the setup cost at O(#generators * |C| * n)
+   slot comparisons plus one protocol evaluation per configuration,
    even when the group is large (stars have factorial groups). *)
 
 type element = {
@@ -119,120 +120,137 @@ let close_elements enc identity generators =
   (* Identity first, the rest in discovery order. *)
   Array.of_list (List.rev !out)
 
-let sort_dist entries =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (c, w) ->
-      Hashtbl.replace tbl c (w +. Option.value ~default:0.0 (Hashtbl.find_opt tbl c)))
-    entries;
-  Hashtbl.fold (fun c w acc -> (c, w) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-
 exception Not_symmetric
 
-(* Per-configuration singleton data for the commutation sweep, shared
-   by every candidate: the enabled processes (ascending) and, per
-   enabled process, its singleton-activation outcome distribution as
-   code-sorted packed codes. Candidate checks then cost pure integer
-   work, and rows are filled on demand, so rejecting a large candidate
-   set (stars have factorial many automorphisms) pays only for the few
-   configurations each rejection touches — not a full protocol pass per
-   candidate. *)
-type sweep = {
-  s_count : int;
-  s_have : Bytes.t; (* row filled? *)
-  s_en : int array array; (* s_en.(c) = enabled processes of code c *)
-  s_codes : int array array array; (* s_codes.(c).(i) = outcome codes of s_en.(c).(i) *)
-  s_weights : float array array array; (* matching probabilities *)
-  s_fill : int -> unit;
+(* The commutation table, shared by every candidate: one slot per
+   (configuration, process), at [c * n + p], holding
+   - [-1] when [p] is disabled at [c];
+   - the next digit of [p], when its singleton activation has one
+     outcome of weight exactly 1.0;
+   - otherwise [dmax + id], [dmax] the largest domain size and
+     [dists.(id)] the interned outcome distribution of [p]: its local
+     digits, merged and ascending, with their weights.
+   A configuration's slots are filled together on its first touch, so
+   the protocol is evaluated at most once per configuration whatever
+   the number of candidates, and rejecting a large candidate set (stars
+   have factorial many automorphisms) pays only for the configurations
+   before each first mismatch. Unfilled slots are never read, and the
+   int32 array leaves their pages untouched. *)
+type table = {
+  n : int;
+  dmax : int;
+  slots : (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t;
+  filled : Bytes.t;
+  ids : ((int * float) list, int) Hashtbl.t;
+  mutable dists : (int * float) list array; (* by id; grows by doubling *)
 }
 
-let sweep_table (protocol : 'a Protocol.t) enc =
-  let count = Encoding.count enc in
-  let s_have = Bytes.make count '\000' in
-  let s_en = Array.make count [||] in
-  let s_codes = Array.make count [||] in
-  let s_weights = Array.make count [||] in
-  let s_fill code =
-    if Bytes.unsafe_get s_have code = '\000' then begin
-      Bytes.unsafe_set s_have code '\001';
-      let cfg = Encoding.decode enc code in
-      let en = Protocol.enabled_with_actions protocol cfg in
-      let k = List.length en in
-      let ens = Array.make k 0 in
-      let cs = Array.make k [||] in
-      let ws = Array.make k [||] in
-      List.iteri
-        (fun i (p, a) ->
-          let w = Encoding.weight enc p in
-          let cur = Encoding.digit enc p code in
-          ens.(i) <- p;
-          match a.Protocol.result cfg p with
-          | [ (s, pw) ] ->
-            (* Deterministic fast path: no merge, no sort. *)
-            cs.(i) <- [| code + ((Encoding.index_in_domain enc p s - cur) * w) |];
-            ws.(i) <- [| pw |]
-          | outs ->
-            let dist =
-              outs
-              |> List.map (fun (s, pw) ->
-                     (code + ((Encoding.index_in_domain enc p s - cur) * w), pw))
-              |> sort_dist
-            in
-            cs.(i) <- Array.of_list (List.map fst dist);
-            ws.(i) <- Array.of_list (List.map snd dist))
-        en;
-      s_en.(code) <- ens;
-      s_codes.(code) <- cs;
-      s_weights.(code) <- ws
+let intern t dist =
+  match Hashtbl.find_opt t.ids dist with
+  | Some id -> id
+  | None ->
+    let id = Hashtbl.length t.ids in
+    Hashtbl.add t.ids dist id;
+    if id = Array.length t.dists then t.dists <- Array.append t.dists (Array.make (id + 8) []);
+    t.dists.(id) <- dist;
+    id
+
+let outcome_slot t enc p outs =
+  match outs with
+  | [ (s, w) ] when w = 1.0 -> Encoding.index_in_domain enc p s
+  | _ ->
+    let rec merge = function
+      | (d, w) :: (d', w') :: rest when d = d' -> merge ((d, w +. w') :: rest)
+      | x :: rest -> x :: merge rest
+      | [] -> []
+    in
+    List.map (fun (s, w) -> (Encoding.index_in_domain enc p s, w)) outs
+    |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> merge |> intern t |> ( + ) t.dmax
+
+let commutation_table (protocol : 'a Protocol.t) enc =
+  let n = Encoding.processes enc and count = Encoding.count enc in
+  let t =
+    {
+      n;
+      dmax = Array.fold_left max 1 (Array.init n (Encoding.domain_size enc));
+      slots = Bigarray.(Array1.create int32 c_layout (count * n));
+      filled = Bytes.make count '\000';
+      ids = Hashtbl.create 16;
+      dists = [||];
+    }
+  in
+  let cfg = Encoding.decode enc 0 in
+  let fill c =
+    if Bytes.unsafe_get t.filled c = '\000' then begin
+      Bytes.unsafe_set t.filled c '\001';
+      Encoding.decode_into enc c cfg;
+      for p = 0 to n - 1 do
+        let slot =
+          match Protocol.enabled_action protocol cfg p with
+          | None -> -1
+          | Some a -> outcome_slot t enc p (a.Protocol.result cfg p)
+        in
+        Bigarray.Array1.unsafe_set t.slots ((c * n) + p) (Int32.of_int slot)
+      done
     end
   in
-  { s_count = count; s_have; s_en; s_codes; s_weights; s_fill }
+  (t, fill)
 
-(* Exact commutation sweep. Per configuration we compare enabled sets
-   and, for every enabled process, the singleton-activation outcome
-   distributions across the permutation; composite daemon steps are
+let slot t c p = Int32.to_int (Bigarray.Array1.unsafe_get t.slots ((c * t.n) + p))
+let dist t s = if s < t.dmax then [ (s, 1.0) ] else t.dists.(s - t.dmax)
+
+(* Slot [s] of a process [p] at [c] against slot [s'] of [sigma p] at
+   [e c]: both disabled, or both enabled with [tau] (p's digit map)
+   carrying the first distribution onto the second, weights within
+   1e-9. A process changes only its own digit, so comparing local
+   digits is comparing outcome codes; [tau] is a bijection, so mapped
+   digits never merge and sorting alone realigns them. *)
+let same_outcomes t tau s s' =
+  if s < 0 || s' < 0 then s = s'
+  else if s < t.dmax && s' < t.dmax then tau.(s) = s'
+  else
+    let image =
+      List.map (fun (d, w) -> (tau.(d), w)) (dist t s)
+      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    in
+    let d' = dist t s' in
+    List.compare_lengths image d' = 0
+    && List.for_all2 (fun (a, w) (b, w') -> a = b && Float.abs (w -. w') <= 1e-9) image d'
+
+(* Exact commutation sweep. Per configuration we compare, for every
+   process, its singleton-activation slot with that of its image
+   process at the image configuration; composite daemon steps are
    products of these local distributions read from the same
    configuration, so singleton commutation implies commutation for
-   every scheduler class. A validated candidate acts bijectively on
-   codes (its tau rows are bijections), so mapped distributions never
-   merge entries and sorting alone realigns them. *)
-let validates sweep enc e =
+   every scheduler class. Codes are walked in ascending order by a
+   mixed-radix odometer that keeps the image code [e c] current by
+   adding and subtracting [contrib] entries as digits bump, so no digit
+   is divided out. *)
+let validates (t, fill) enc e =
+  let n = t.n in
+  let digits = Array.make n 0 in
+  let image = ref (apply_element enc e 0) in
   try
-    for code = 0 to sweep.s_count - 1 do
-      let code' = apply_element enc e code in
-      sweep.s_fill code;
-      sweep.s_fill code';
-      let en = sweep.s_en.(code) and en' = sweep.s_en.(code') in
-      let k = Array.length en in
-      if Array.length en' <> k then raise Not_symmetric;
-      for i = 0 to k - 1 do
-        let q' = e.perm.(en.(i)) in
-        let j = ref (-1) in
-        for x = 0 to k - 1 do
-          if en'.(x) = q' then j := x
-        done;
-        if !j < 0 then raise Not_symmetric;
-        let codes = sweep.s_codes.(code).(i) in
-        let codes' = sweep.s_codes.(code').(!j) in
-        let ws = sweep.s_weights.(code).(i) in
-        let ws' = sweep.s_weights.(code').(!j) in
-        let m = Array.length codes in
-        if Array.length codes' <> m then raise Not_symmetric;
-        if m = 1 then begin
-          if apply_element enc e codes.(0) <> codes'.(0) then raise Not_symmetric;
-          if Float.abs (ws.(0) -. ws'.(0)) > 1e-9 then raise Not_symmetric
-        end
-        else begin
-          let image = Array.init m (fun x -> (apply_element enc e codes.(x), ws.(x))) in
-          Array.sort (fun (a, _) (b, _) -> Int.compare a b) image;
-          for x = 0 to m - 1 do
-            let c2, w2 = image.(x) in
-            if c2 <> codes'.(x) || Float.abs (w2 -. ws'.(x)) > 1e-9 then
-              raise Not_symmetric
-          done
-        end
-      done
+    for c = 0 to Encoding.count enc - 1 do
+      let c' = !image in
+      fill c;
+      fill c';
+      for p = 0 to n - 1 do
+        if not (same_outcomes t e.tau.(p) (slot t c p) (slot t c' e.perm.(p))) then
+          raise Not_symmetric
+      done;
+      let p = ref 0 in
+      while !p < n && digits.(!p) = Encoding.domain_size enc !p - 1 do
+        image := !image + e.contrib.(!p).(0) - e.contrib.(!p).(digits.(!p));
+        digits.(!p) <- 0;
+        incr p
+      done;
+      if !p < n then begin
+        let row = e.contrib.(!p) and d = digits.(!p) in
+        image := !image + row.(d + 1) - row.(d);
+        digits.(!p) <- d + 1
+      end
     done;
     true
   with Not_symmetric -> false
@@ -253,16 +271,16 @@ let build ?(relabel = default_relabel) ?limit (protocol : 'a Protocol.t) enc =
     elements
   in
   let elements = ref (regen ()) in
-  (* The protocol-evaluation pass is shared by every candidate and
-     skipped entirely when the graph is rigid. *)
-  let sweep = lazy (sweep_table protocol enc) in
+  (* The commutation table is shared by every candidate and never built
+     when no candidate has a digit map. *)
+  let table = lazy (commutation_table protocol enc) in
   List.iter
     (fun perm ->
       if not (Hashtbl.mem !generated perm) then
         match build_tau ~relabel enc perm with
         | None -> ()
         | Some e ->
-          if validates (Lazy.force sweep) enc e then begin
+          if validates (Lazy.force table) enc e then begin
             generators := e :: !generators;
             elements := regen ()
           end)
@@ -276,6 +294,13 @@ let table t =
     let a = Array.make (Encoding.count t.encoding) (-1) in
     t.canon <- Some a;
     a
+
+(* Writes the orbit minimum of [c] into the entry of every orbit member
+   and returns it. *)
+let fill_orbit t tbl c =
+  let m = Array.fold_left (fun m e -> Int.min m (apply_element t.encoding e c)) c t.elements in
+  Array.iter (fun e -> tbl.(apply_element t.encoding e c) <- m) t.elements;
+  m
 
 (* Orbit-representative (minimum code) of [c], memoized per orbit: a
    miss applies every group element once and fills the whole orbit, so
@@ -292,16 +317,7 @@ let canon t c =
   else begin
     Stabobs.Obs.Counter.incr Stabobs.Obs.symmetry_canon_misses;
     Stabobs.Obs.Counter.incr Stabobs.Obs.symmetry_orbits;
-    let enc = t.encoding in
-    let m = ref c in
-    Array.iter
-      (fun e ->
-        let image = apply_element enc e c in
-        if image < !m then m := image)
-      t.elements;
-    let m = !m in
-    Array.iter (fun e -> tbl.(apply_element enc e c) <- m) t.elements;
-    m
+    fill_orbit t tbl c
   end
 
 (* Pool-parallel canonicalization sweep. The orbit minimum of a code
@@ -320,20 +336,10 @@ let canon_grain = Pool.Grain.site "symmetry.canon"
 let fill_table t =
   let n = Encoding.count t.encoding in
   let tbl = table t in
-  let enc = t.encoding in
   Pool.parallel_for ~site:canon_grain ~min_chunk:256 n (fun ~lo ~hi ->
       for c = lo to hi - 1 do
         if c land 1023 = 0 then Cancel.poll ();
-        if tbl.(c) < 0 then begin
-          let m = ref c in
-          Array.iter
-            (fun e ->
-              let image = apply_element enc e c in
-              if image < !m then m := image)
-            t.elements;
-          let m = !m in
-          Array.iter (fun e -> tbl.(apply_element enc e c) <- m) t.elements
-        end
+        if tbl.(c) < 0 then ignore (fill_orbit t tbl c)
       done);
   let orbits = ref 0 in
   for c = 0 to n - 1 do

@@ -5,9 +5,10 @@
     Theorem 3 impossibility argument). This module turns that symmetry
     into a state-space reduction: it takes candidate node permutations
     from {!Stabgraph.Graph.automorphisms}, validates each *generator* by
-    an exact commutation sweep over the full configuration space
-    (enabled sets and per-process outcome distributions must map across
-    the permutation, both checked at tolerance 1e-9), closes the valid
+    an exact commutation sweep over the full configuration space (each
+    process's enabledness and singleton outcome distribution must map
+    onto its image's, weights compared at tolerance 1e-9; the protocol
+    is evaluated at most once per configuration), closes the valid
     generators into a group, and canonicalizes codes to orbit
     representatives (orbit-minimum codes) with a memoizing canon cache.
 

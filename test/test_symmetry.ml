@@ -93,6 +93,165 @@ let test_quotient_memo_keyed_on_relabel () =
   Alcotest.(check bool) "bogus hook is not served the stale quotient" false
     (Statespace.is_quotient (Statespace.quotient ~relabel:state_reversal space2))
 
+(* --- independent oracle for the validated group --- *)
+
+(* Group orders measured before the commutation check moved to digit
+   slots; a validator change must reproduce every one of them. *)
+let pinned_orders =
+  [
+    ("token-ring", "ring:8", 8);
+    ("coloring", "ring:8", 16);
+    ("coloring", "chain:8", 2);
+    ("coloring", "star:6", 120);
+    ("herman", "ring:9", 9);
+    ("centers", "star:6", 120);
+    ("mis", "ring:8", 16);
+    ("bfs-tree", "star:6", 120);
+    ("leader-tree", "star:7", 1);
+    ("matching", "ring:6", 1);
+    ("dijkstra-3state", "ring:8", 1);
+    ("two-bool", "ring:2", 2);
+  ]
+
+let test_pinned_group_orders () =
+  List.iter
+    (fun (name, topology, expected) ->
+      let (Registry.Entry e) = Registry.find ~name ~topology () in
+      let sym = Symmetry.build ?relabel:e.relabel e.protocol (Encoding.of_protocol e.protocol) in
+      Alcotest.(check int) (name ^ "@" ^ topology) expected (Symmetry.group_order sym))
+    pinned_orders
+
+(* The node permutation of element [i], read off its code action alone:
+   the code whose only non-zero digit is [p]'s differs from code 0's
+   image exactly at the digit of [sigma p]. *)
+let perm_of enc sym i =
+  let n = Encoding.processes enc in
+  let base = Encoding.decode enc (Symmetry.apply sym i 0) in
+  Array.init n (fun p ->
+      if Encoding.domain_size enc p < 2 then Alcotest.fail "oracle needs domains of size >= 2";
+      let img = Encoding.decode enc (Symmetry.apply sym i (Encoding.weight enc p)) in
+      match List.filter (fun q -> img.(q) <> base.(q)) (List.init n Fun.id) with
+      | [ q ] -> q
+      | _ -> Alcotest.failf "element %d does not move one digit per process" i)
+
+(* A process's singleton step as (code, weight) pairs, merged and sorted
+   by code, rebuilt from [Protocol.step_outcomes] and [Encoding.encode]
+   alone; [None] when the process is disabled. *)
+let singleton_dist (proto : 'a Protocol.t) enc cfg p ~map =
+  if not (Protocol.is_enabled proto cfg p) then None
+  else
+    Some
+      (Protocol.step_outcomes proto cfg [ p ]
+      |> List.map (fun (cfg', w) -> (map (Encoding.encode enc cfg'), w))
+      |> List.sort compare)
+
+(* Every element of the validated group, not only its generators,
+   commutes with every singleton step: the distribution of [p] at [c],
+   carried through the element's code action, is the distribution of
+   [sigma p] at the image of [c]. Shares no code with the validator. *)
+let test_oracle_commutation () =
+  List.iter
+    (fun (name, topology) ->
+      let (Registry.Entry e) = Registry.find ~name ~topology () in
+      let proto = e.protocol in
+      let enc = Encoding.of_protocol proto in
+      let sym = Symmetry.build ?relabel:e.relabel proto enc in
+      if Symmetry.is_trivial sym then Alcotest.failf "%s@%s: trivial group" name topology;
+      for i = 0 to Symmetry.group_order sym - 1 do
+        let perm = perm_of enc sym i in
+        for c = 0 to Encoding.count enc - 1 do
+          let cfg = Encoding.decode enc c in
+          let c' = Symmetry.apply sym i c in
+          let cfg' = Encoding.decode enc c' in
+          Array.iteri
+            (fun p q ->
+              let ok =
+                match
+                  ( singleton_dist proto enc cfg p ~map:(Symmetry.apply sym i),
+                    singleton_dist proto enc cfg' q ~map:Fun.id )
+                with
+                | None, None -> true
+                | Some d, Some d' ->
+                  List.length d = List.length d'
+                  && List.for_all2
+                       (fun (x, w) (x', w') -> x = x' && Float.abs (w -. w') <= 1e-9)
+                       d d'
+                | _ -> false
+              in
+              if not ok then
+                Alcotest.failf "%s@%s: element %d breaks process %d at code %d" name
+                  topology i p c)
+            perm
+        done
+      done)
+    [
+      ("token-ring", "ring:6");
+      ("coloring", "ring:6");
+      ("coloring", "chain:5");
+      ("coloring", "star:5");
+      ("herman", "ring:7");
+      ("centers", "star:5");
+      ("mis", "ring:6");
+      ("bfs-tree", "star:4");
+      ("two-bool", "ring:2");
+    ]
+
+(* A token ring whose process-0 guard is negated at exactly one
+   configuration: every rotation and reflection then fails at that
+   configuration or at its preimage, so only the identity survives.
+   Codes 0 and the last code are the two ends of the validator's walk
+   (all digits 0, all digits maximal); both are fixed by every rotation. *)
+let test_one_configuration_mutant () =
+  let n = 6 in
+  let proto = Stabalgo.Token_ring.make ~n in
+  let enc = Encoding.of_protocol proto in
+  List.iter
+    (fun code ->
+      let target = Encoding.decode enc code in
+      let actions =
+        List.map
+          (fun (a : int Protocol.action) ->
+            let guard cfg p =
+              let g = a.guard cfg p in
+              if p = 0 && cfg = target then not g else g
+            in
+            { a with guard })
+          proto.actions
+      in
+      let sym = Symmetry.build { proto with actions } enc in
+      Alcotest.(check int) (Printf.sprintf "mutant at code %d" code) 1
+        (Symmetry.group_order sym))
+    [ 0; Encoding.count enc - 1 ];
+  Alcotest.(check int) "unmutated ring" n (Symmetry.group_order (Symmetry.build proto enc))
+
+(* The protocol is evaluated at most once per configuration, whatever
+   the number of candidates: coloring star:5 has 24 of them. *)
+let test_guard_calls_bounded () =
+  List.iter
+    (fun (name, topology) ->
+      let (Registry.Entry e) = Registry.find ~name ~topology () in
+      let calls = ref 0 in
+      let actions =
+        List.map
+          (fun (a : _ Protocol.action) ->
+            {
+              a with
+              guard =
+                (fun cfg p ->
+                  incr calls;
+                  a.guard cfg p);
+            })
+          e.protocol.actions
+      in
+      let proto = { e.protocol with actions } in
+      let enc = Encoding.of_protocol proto in
+      let sym = Symmetry.build ?relabel:e.relabel proto enc in
+      if Symmetry.is_trivial sym then Alcotest.failf "%s@%s: trivial group" name topology;
+      let bound = Encoding.count enc * Encoding.processes enc * List.length actions in
+      if !calls > bound then
+        Alcotest.failf "%s@%s: %d guard calls > %d" name topology !calls bound)
+    [ ("coloring", "star:5"); ("token-ring", "ring:8") ]
+
 (* --- canonicalization --- *)
 
 let test_canon_idempotent_and_partitions () =
@@ -329,6 +488,12 @@ let suite =
       test_trivial_group_returns_same_space;
     Alcotest.test_case "quotient memo keyed on relabel hook" `Quick
       test_quotient_memo_keyed_on_relabel;
+    Alcotest.test_case "pinned group orders" `Quick test_pinned_group_orders;
+    Alcotest.test_case "oracle: every element commutes" `Quick test_oracle_commutation;
+    Alcotest.test_case "one-configuration mutant keeps identity only" `Quick
+      test_one_configuration_mutant;
+    Alcotest.test_case "guard calls bounded by configurations" `Quick
+      test_guard_calls_bounded;
     Alcotest.test_case "canon idempotent, orbits partition" `Quick
       test_canon_idempotent_and_partitions;
     Alcotest.test_case "orbit sizes sum to base count" `Quick
