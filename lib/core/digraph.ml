@@ -57,20 +57,16 @@ let[@inline] next_target g u i prev =
     done;
     !sum + target deltas !j
 
-(* The depth-first passes keep each frame's last target beside its
-   cursor, for [next_target]; an [Edges] graph needs none. *)
+(* The depth-first passes keep the top frame's last target in a local,
+   for [next_target], and park it beside the frame's cursor only while
+   a child frame runs above it; an [Edges] graph needs none. *)
 let last_targets g = match g.rows with Edges _ -> [||] | Subsets _ -> Array.make g.n 0
 
-let[@inline] set_last g last depth v =
+let[@inline] park_last g last depth v =
   match g.rows with Edges _ -> () | Subsets _ -> last.(depth) <- v
 
-let[@inline] next_in_frame g last depth u i =
-  match g.rows with
-  | Edges dst -> target dst i
-  | Subsets _ ->
-    let v = next_target g u i last.(depth) in
-    last.(depth) <- v;
-    v
+let[@inline] parked_last g last depth =
+  match g.rows with Edges _ -> 0 | Subsets _ -> last.(depth)
 
 let out_degree g u = stop g u - first g u
 
@@ -171,24 +167,25 @@ let reach ?within g ~seeds =
   Array.map (fun d -> d <> max_int) (distances ?within g ~seeds)
 
 (* Iterative depth-first search: frame [k] of the current path is node
-   [path.(k)] with its next successor at [cursor.(k)] (and, in a
-   [Subsets] row, the target before it at [last.(k)]). [mark.(v)] is 0
-   while [v] is unvisited and 1 + its height once it is finished, which
-   is what an edge into [v] adds to its source's height; an inside node
-   starts at 1, as if finished at height 0. So each edge reads one
-   mark, as a plain cycle search would. On the path a mark is negative:
-   minus what the successors scanned so far give the node (at least 1),
-   and finishing flips its sign. *)
+   [path.(k)] with its next successor at [cursor.(k)]. In a [Subsets]
+   row the target before the cursor is [prev] for the top frame and
+   [last.(k)] for a frame below it. Entering [v] from an edge leaves
+   [prev = v], both the parent's last target and the child's start.
+   [mark.(v)] is 0 while [v] is unvisited and 1 + its height once it is
+   finished, which is what an edge into [v] adds to its source's
+   height; an inside node starts at 1, as if finished at height 0. So
+   each edge reads one mark, as a plain cycle search would. On the path
+   a mark is negative: minus what the successors scanned so far give
+   the node (at least 1), and finishing flips its sign. *)
 let heights_outside g ~inside =
   check_length "heights_outside" g "inside" inside;
   let mark = Array.init g.n (fun v -> if inside.(v) then 1 else 0) in
   let path = Array.make g.n 0 and cursor = Array.make g.n 0 and last = last_targets g in
-  let depth = ref 0 in
+  let depth = ref 0 and prev = ref 0 in
   let enter v =
     mark.(v) <- -1;
     path.(!depth) <- v;
     cursor.(!depth) <- first g v;
-    set_last g last !depth v;
     incr depth
   in
   (* [u] is on the path: a successor marked [m] makes its mark >= 1 + m. *)
@@ -198,17 +195,22 @@ let heights_outside g ~inside =
     for start = 0 to g.n - 1 do
       if mark.(start) = 0 then begin
         enter start;
+        prev := start;
         while !depth > 0 do
           let top = !depth - 1 in
           let u = path.(top) and i = cursor.(top) in
           if i = stop g u then begin
             mark.(u) <- -mark.(u);
             depth := top;
-            if top > 0 then raise_to path.(top - 1) mark.(u)
+            if top > 0 then begin
+              raise_to path.(top - 1) mark.(u);
+              prev := parked_last g last (top - 1)
+            end
           end
           else begin
             cursor.(top) <- i + 1;
-            let v = next_in_frame g last top u i in
+            let v = next_target g u i !prev in
+            prev := v;
             let m = mark.(v) in
             if m < 0 then begin
               (* Back edge u -> v: the path from v to u closes it. *)
@@ -217,7 +219,10 @@ let heights_outside g ~inside =
               in
               raise_notrace (Cycle (collect top []))
             end
-            else if m = 0 then enter v
+            else if m = 0 then begin
+              park_last g last top v;
+              enter v
+            end
             else raise_to u m
           end
         done
@@ -231,17 +236,17 @@ let cycle_outside g ~inside =
   check_length "cycle_outside" g "inside" inside;
   match heights_outside g ~inside with Ok _ -> None | Error cycle -> Some cycle
 
-(* Iterative Tarjan with the DFS frames in [work]/[cursor]/[last] as in
-   [heights_outside]. A completed component gets the next id in
-   [comp], so a visited node is on the Tarjan stack iff it has no id
-   yet; members are bucketed by id at the end, which lists them
-   ascending. *)
+(* Iterative Tarjan with the DFS frames in [work]/[cursor], and
+   [prev]/[last], as in [heights_outside]. A completed component gets
+   the next id in [comp], so a visited node is on the Tarjan stack iff
+   it has no id yet; members are bucketed by id at the end, which lists
+   them ascending. *)
 let sccs ?(keep = fun _ -> true) g =
   let n = g.n in
   let index = Array.make n (-1) and low = Array.make n 0 in
   let stack = Array.make n 0 and sp = ref 0 in
   let work = Array.make n 0 and cursor = Array.make n 0 and last = last_targets g in
-  let depth = ref 0 in
+  let depth = ref 0 and prev = ref 0 in
   let comp = Array.make n (-1) and ncomp = ref 0 in
   let next_index = ref 0 in
   let enter v =
@@ -252,20 +257,24 @@ let sccs ?(keep = fun _ -> true) g =
     incr sp;
     work.(!depth) <- v;
     cursor.(!depth) <- first g v;
-    set_last g last !depth v;
     incr depth
   in
   for root = 0 to n - 1 do
     if keep root && index.(root) < 0 then begin
       enter root;
+      prev := root;
       while !depth > 0 do
         let top = !depth - 1 in
         let u = work.(top) and i = cursor.(top) in
         if i < stop g u then begin
           cursor.(top) <- i + 1;
-          let v = next_in_frame g last top u i in
+          let v = next_target g u i !prev in
+          prev := v;
           if keep v then
-            if index.(v) < 0 then enter v
+            if index.(v) < 0 then begin
+              park_last g last top v;
+              enter v
+            end
             else if comp.(v) < 0 then low.(u) <- min low.(u) index.(v)
         end
         else begin
@@ -282,7 +291,8 @@ let sccs ?(keep = fun _ -> true) g =
           end;
           if top > 0 then begin
             let parent = work.(top - 1) in
-            low.(parent) <- min low.(parent) low.(u)
+            low.(parent) <- min low.(parent) low.(u);
+            prev := parked_last g last (top - 1)
           end
         end
       done

@@ -1,33 +1,184 @@
 type randomization = Central_uniform | Distributed_uniform | Sync
 
-(* The chain lives in compressed-sparse-row form, packed straight off
-   the checker's flat successor arrays: row [c] occupies
-   [off.(c) .. off.(c + 1) - 1] of [cols]/[w], targets merged and
-   sorted ascending, weights summing to 1. [cols] is an int32
-   {!Digraph.edges} array, so {!graph} hands it to the kernel without
-   a copy. Terminal configurations are stored as probability-1
-   self-loops, so every row is non-empty and the solvers never
-   special-case absorption. *)
-type t = { n : int; off : int array; cols : Digraph.edges; w : float array }
+(* A chain has one of two row sources; row [c] is read through [off]
+   either way.
+   - [Packed]: compressed-sparse-row data packed off the checker's flat
+     successor arrays. Row [c] occupies [off.(c) .. off.(c + 1) - 1] of
+     [cols]/[w], targets merged and sorted ascending, weights summing
+     to 1. [cols] is an int32 {!Digraph.edges} array, so {!graph} hands
+     it to the kernel without a copy. Terminal configurations are
+     stored as probability-1 self-loops, so every row is non-empty and
+     the solvers never special-case absorption.
+   - [Factored]: the distributed randomized daemon over a deterministic
+     protocol on a full space, kept as the checker's [Subsets] graph
+     itself. Entries [off.(c) .. off.(c + 1) - 1] of [deltas] are the k
+     per-process deltas of [c]; every non-empty subset of them weighs
+     1/(2^k - 1), and {!merge_factored} writes the row the pack would
+     have stored, bit for bit. [widest] is the largest k. *)
+type rows =
+  | Packed of { cols : Digraph.edges; w : float array }
+  | Factored of { deltas : Digraph.edges; widest : int }
+
+type t = { n : int; off : int array; rows : rows }
 
 let states chain = chain.n
 
-(* A local read of the target array, so that it compiles to a plain
+(* A local read of a target array, so that it compiles to a plain
    32-bit load: the kernel's {!Digraph.target} is a call across a
    module boundary. *)
-let[@inline] col chain i = Int32.to_int (Bigarray.Array1.get chain.cols i)
+let[@inline] col (cols : Digraph.edges) i = Int32.to_int (Bigarray.Array1.get cols i)
 
-let row chain c =
-  let out = ref [] in
-  for i = chain.off.(c + 1) - 1 downto chain.off.(c) do
-    out := (col chain i, chain.w.(i)) :: !out
+(* Scratch for merging factored rows: the sorted subset sums so far
+   with their multiplicities, and a second pair to merge into. *)
+type merger = {
+  mutable keys : int array;
+  mutable mult : int array;
+  mutable keys' : int array;
+  mutable mult' : int array;
+}
+
+let merger k =
+  let size = 1 lsl k in
+  {
+    keys = Array.make size 0;
+    mult = Array.make size 0;
+    keys' = Array.make size 0;
+    mult' = Array.make size 0;
+  }
+
+(* The float the pack's arrival-order merge gives [m] equal weights
+   [w]: their left fold. *)
+let repeated w m =
+  let sum = ref w in
+  for _ = 2 to m do
+    sum := !sum +. w
   done;
-  !out
+  !sum
 
-let iter_row chain c f =
-  for i = chain.off.(c) to chain.off.(c + 1) - 1 do
-    f (col chain i) chain.w.(i)
-  done
+(* Writes row [c] of a factored chain, merged and ascending, at [pos]
+   of [cols]/[w], and returns the position after it. The targets are
+   the subset sums of [c]'s k deltas: starting from the empty sum [c],
+   each delta d merges the sorted sums with themselves shifted by d,
+   adding the multiplicities of sums that meet, so the sums come out
+   ascending in O(2^k) with a 2^k scratch. A zero delta meets every
+   sum and just doubles the multiplicities. The empty subset is no
+   step, so [c]'s own multiplicity drops by one: with z zero deltas
+   among distinct-digit ones, every other sum has multiplicity 2^z and
+   the self-loop 2^z - 1. A target of multiplicity m weighs the left
+   fold of m copies of 1/(2^k - 1), the weight {!Checker.row_weights}
+   gives each subset, which is what the pack sums in arrival order. A
+   terminal row is the absorbing (c, 1.0). *)
+let merge_factored m ~off ~deltas c (cols : Digraph.edges) (w : float array) pos =
+  let first = off.(c) and k = off.(c + 1) - off.(c) in
+  if k = 0 then begin
+    Bigarray.Array1.set cols pos (Int32.of_int c);
+    w.(pos) <- 1.0;
+    pos + 1
+  end
+  else begin
+    m.keys.(0) <- c;
+    m.mult.(0) <- 1;
+    let len = ref 1 in
+    for j = first to first + k - 1 do
+      let d = col deltas j in
+      let keys = m.keys and mult = m.mult and n = !len in
+      if d = 0 then
+        for i = 0 to n - 1 do
+          mult.(i) <- 2 * mult.(i)
+        done
+      else begin
+        let keys' = m.keys' and mult' = m.mult' in
+        let i = ref 0 and i' = ref 0 and o = ref 0 in
+        while !i < n && !i' < n do
+          let a = keys.(!i) and b = keys.(!i') + d in
+          if a < b then begin
+            keys'.(!o) <- a;
+            mult'.(!o) <- mult.(!i);
+            incr i
+          end
+          else if b < a then begin
+            keys'.(!o) <- b;
+            mult'.(!o) <- mult.(!i');
+            incr i'
+          end
+          else begin
+            keys'.(!o) <- a;
+            mult'.(!o) <- mult.(!i) + mult.(!i');
+            incr i;
+            incr i'
+          end;
+          incr o
+        done;
+        while !i < n do
+          keys'.(!o) <- keys.(!i);
+          mult'.(!o) <- mult.(!i);
+          incr i;
+          incr o
+        done;
+        while !i' < n do
+          keys'.(!o) <- keys.(!i') + d;
+          mult'.(!o) <- mult.(!i');
+          incr i';
+          incr o
+        done;
+        len := !o;
+        m.keys <- keys';
+        m.mult <- mult';
+        m.keys' <- keys;
+        m.mult' <- mult
+      end
+    done;
+    let unit = 1.0 /. float_of_int ((1 lsl k) - 1) in
+    let last_m = ref 1 and last_w = ref unit and e = ref pos in
+    for i = 0 to !len - 1 do
+      let target = m.keys.(i) in
+      let times = if target = c then m.mult.(i) - 1 else m.mult.(i) in
+      if times > 0 then begin
+        if times <> !last_m then begin
+          last_m := times;
+          last_w := repeated unit times
+        end;
+        Bigarray.Array1.set cols !e (Int32.of_int target);
+        w.(!e) <- !last_w;
+        incr e
+      end
+    done;
+    !e
+  end
+
+(* A reader of a factored chain's rows of at most [k] deltas: [read c f]
+   merges row [c] into scratch the reader owns and calls [f target
+   weight] along it, ascending. A reader serves one domain. *)
+let factored_reader chain deltas k =
+  let m = merger k in
+  let cols = Digraph.create_edges ~nodes:chain.n (1 lsl k) and w = Array.create_float (1 lsl k) in
+  fun c f ->
+    for i = 0 to merge_factored m ~off:chain.off ~deltas c cols w 0 - 1 do
+      f (col cols i) w.(i)
+    done
+
+(* [rows_reader chain] reads merged rows one at a time, as
+   [factored_reader] does, a factored chain's scratch sized for its
+   widest row. *)
+let rows_reader chain =
+  match chain.rows with
+  | Packed { cols; w } ->
+    fun c f ->
+      for i = chain.off.(c) to chain.off.(c + 1) - 1 do
+        f (col cols i) w.(i)
+      done
+  | Factored { deltas; widest } -> factored_reader chain deltas widest
+
+(* A single row gets scratch sized for itself, not the widest row. *)
+let row chain c =
+  let read =
+    match chain.rows with
+    | Packed _ -> rows_reader chain
+    | Factored { deltas; _ } -> factored_reader chain deltas (chain.off.(c + 1) - chain.off.(c))
+  in
+  let out = ref [] in
+  read c (fun c' w -> out := (c', w) :: !out);
+  List.rev !out
 
 let merge_row entries =
   let tbl = Hashtbl.create 16 in
@@ -189,7 +340,7 @@ let pack n ~targets ~weights =
         done;
         if !e <> off.(c + 1) then disagree c
       done);
-  { n; off; cols; w }
+  { n; off; rows = Packed { cols; w } }
 
 (* Strong-lumpability audit of a quotient chain, enabled by paranoid
    mode: every orbit member of the *full* space must project (through
@@ -233,7 +384,10 @@ let check_lumpability chain space base reps rep_of cls =
    transition relation once, not twice. On a quotient space the packed
    graph already has canonicalized targets, so the very same read-off
    produces the lumped chain; orbit sizes only matter to consumers that
-   average over the full space (see {!hitting_stats}). *)
+   average over the full space (see {!hitting_stats}). A graph in the
+   [Subsets] layout (a deterministic protocol on a full space, under
+   the distributed class) is the factored chain itself, so it is kept,
+   not packed. *)
 let of_space space randomization =
   Stabobs.Obs.span "markov.of_space" @@ fun () ->
   let cls =
@@ -245,7 +399,17 @@ let of_space space randomization =
   let g = Checker.expand space cls in
   let n = Statespace.count space in
   let chain =
-    pack n ~targets:(Digraph.iter_succ (Checker.successors g)) ~weights:(Checker.row_weights g)
+    match (Checker.successors g).rows with
+    | Digraph.Subsets deltas ->
+      let off = (Checker.successors g).off in
+      let widest = ref 0 in
+      for c = 0 to n - 1 do
+        widest := max !widest (off.(c + 1) - off.(c))
+      done;
+      { n; off; rows = Factored { deltas; widest = !widest } }
+    | Digraph.Edges _ ->
+      pack n ~targets:(Digraph.iter_succ (Checker.successors g))
+        ~weights:(Checker.row_weights g)
   in
   (if Symmetry.paranoid_enabled () then
      match Statespace.quotient_view space with
@@ -275,19 +439,23 @@ let of_rows rows =
     ~targets:(fun c add -> List.iter (fun (c', _) -> add c') rows.(c))
     ~weights:(fun c ws -> List.iteri (fun i (_, w) -> ws.(i) <- w) rows.(c))
 
-let graph chain = { Digraph.n = chain.n; off = chain.off; rows = Edges chain.cols }
+let graph chain =
+  let rows =
+    match chain.rows with
+    | Packed { cols; _ } -> Digraph.Edges cols
+    | Factored { deltas; _ } -> Digraph.Subsets deltas
+  in
+  { Digraph.n = chain.n; off = chain.off; rows }
 
 let bsccs chain =
-  let comps = Digraph.sccs (graph chain) in
+  let g = graph chain in
+  let comps = Digraph.sccs g in
   let component = Array.make chain.n (-1) in
   List.iteri (fun i members -> Array.iter (fun c -> component.(c) <- i) members) comps;
   List.filteri
     (fun i members ->
       Array.for_all
-        (fun c ->
-          let inside = ref true in
-          iter_row chain c (fun c' _ -> if component.(c') <> i then inside := false);
-          !inside)
+        (fun c -> not (Digraph.exists_succ g c (fun c' -> component.(c') <> i)))
         members)
     comps
   |> List.map Array.to_list
@@ -323,51 +491,91 @@ type solve_outcome = Converged of solve_stats | Max_sweeps of solve_stats
    which makes singleton blocks exact in one evaluation. Stops on the
    relative residual ||x_{k+1} - x_k||_inf / max(1, ||x||_inf) <= tol;
    a block exceeding [max_sweeps] aborts the remaining blocks and
-   reports [Max_sweeps] with the partial iterate left in [x]. *)
+   reports [Max_sweeps] with the partial iterate left in [x].
+
+   The sweeps read row [r] at [roff.(r) .. roff.(r + 1) - 1] of
+   [cols]/[w]. A packed chain lends its own arrays, [r] being the
+   state. A factored chain merges a block's rows once, before its
+   sweeps, into block-local arrays, [r] being the member's index in
+   the block; they are sized once, for the block with the most
+   entries, so the merged chain is never held whole. Both read the
+   same merged rows in the same order, so the arithmetic is the same
+   float for float. *)
 let solve_transient ~kind ~tolerance ~max_sweeps chain ~transient ~base x =
   let blocks = transient_blocks chain ~transient in
   let nblocks = List.length blocks in
   let x_old = match kind with Jacobi -> Array.make chain.n 0.0 | Gauss_seidel -> [||] in
   let block_of = Array.make chain.n (-1) in
+  let factored, roff, cols, w, load =
+    match chain.rows with
+    | Packed { cols; w } -> (false, chain.off, cols, w, ignore)
+    | Factored { deltas; widest } ->
+      let entries = ref 0 and members = ref 0 in
+      List.iter
+        (fun block ->
+          (* A row merges to at most 2^k - 1 entries, or 1 if terminal. *)
+          let bound acc c = acc + max 1 ((1 lsl (chain.off.(c + 1) - chain.off.(c))) - 1) in
+          entries := max !entries (Array.fold_left bound 0 block);
+          members := max !members (Array.length block))
+        blocks;
+      let m = merger widest and roff = Array.make (!members + 1) 0 in
+      let cols = Digraph.create_edges ~nodes:chain.n !entries
+      and w = Array.create_float !entries in
+      let load block =
+        Array.iteri
+          (fun r c -> roff.(r + 1) <- merge_factored m ~off:chain.off ~deltas c cols w roff.(r))
+          block
+      in
+      (true, roff, cols, w, load)
+  in
   Stabobs.Obs.span "markov.solve.sparse"
     ~args:[ ("blocks", Stabobs.Json.Int nblocks) ]
   @@ fun () ->
   let total_sweeps = ref 0 in
   let worst = ref 0.0 in
   let failed = ref false in
-  let value c src =
-    (* One diagonal-solved evaluation of state [c]'s equation; targets
-       inside the current block are read from [src] ([x] in place, or
-       the previous sweep's [x_old]). *)
+  (* [value] leaves its result in [out.(0)]: a float returned from a
+     closure would be boxed, once per evaluation. *)
+  let out = Array.make 1 0.0 in
+  let value c r src =
+    (* One diagonal-solved evaluation of state [c]'s equation, its row
+       at [r]; targets inside the current block are read from [src]
+       ([x] in place, or the previous sweep's [x_old]). *)
     let acc = ref base in
     let self = ref 0.0 in
     let b = block_of.(c) in
-    for i = chain.off.(c) to chain.off.(c + 1) - 1 do
-      let c' = col chain i in
-      let wv = chain.w.(i) in
+    for i = roff.(r) to roff.(r + 1) - 1 do
+      let c' = col cols i in
+      let wv = w.(i) in
       if c' = c then self := !self +. wv
       else if block_of.(c') = b then acc := !acc +. (wv *. src.(c'))
       else acc := !acc +. (wv *. x.(c'))
     done;
     let d = 1.0 -. !self in
-    if d > 1e-12 then !acc /. d
-    else
-      (* No leak through the diagonal: the plain fixed-point update.
-         A transient state with w_cc = 1 violates the solvability
-         precondition; this keeps the sweep finite so the block times
-         out instead of dividing by zero. *)
-      !acc +. (!self *. src.(c))
+    out.(0) <-
+      (if d > 1e-12 then !acc /. d
+       else
+         (* No leak through the diagonal: the plain fixed-point update.
+            A transient state with w_cc = 1 violates the solvability
+            precondition; this keeps the sweep finite so the block times
+            out instead of dividing by zero. *)
+         !acc +. (!self *. src.(c)))
   in
   let solve_block bid block =
     let bsize = Array.length block in
     Array.iter (fun c -> block_of.(c) <- bid) block;
+    load block;
     if bsize = 1 then begin
       let c = block.(0) in
+      let r = if factored then 0 else c in
       let self = ref 0.0 in
-      for i = chain.off.(c) to chain.off.(c + 1) - 1 do
-        if col chain i = c then self := !self +. chain.w.(i)
+      for i = roff.(r) to roff.(r + 1) - 1 do
+        if col cols i = c then self := !self +. w.(i)
       done;
-      if 1.0 -. !self > 1e-12 then x.(c) <- value c x
+      if 1.0 -. !self > 1e-12 then begin
+        value c r x;
+        x.(c) <- out.(0)
+      end
       else failed := true (* absorbing-in-transient: no finite solution *)
     end
     else
@@ -397,7 +605,8 @@ let solve_transient ~kind ~tolerance ~max_sweeps chain ~transient ~base x =
           let norm = ref 1.0 in
           for k = 0 to bsize - 1 do
             let c = block.(k) in
-            let v = value c src in
+            value c (if factored then k else c) src;
+            let v = out.(0) in
             delta := Float.max !delta (Float.abs (v -. x.(c)));
             norm := Float.max !norm (Float.abs v);
             x.(c) <- v
@@ -462,9 +671,10 @@ let dense_transient chain ~transient ~base x =
     let pos = Array.make chain.n (-1) in
     Array.iteri (fun i c -> pos.(c) <- i) states;
     let a = Stablinalg.Matrix.identity t_count and b = Array.make t_count base in
+    let read = rows_reader chain in
     Array.iteri
       (fun i c ->
-        iter_row chain c (fun c' w ->
+        read c (fun c' w ->
             let j = pos.(c') in
             if j >= 0 then Stablinalg.Matrix.set a i j (Stablinalg.Matrix.get a i j -. w)
             else b.(i) <- b.(i) +. (w *. x.(c'))))
@@ -532,13 +742,14 @@ let transient_distribution chain ~init ~steps =
   let total = Array.fold_left ( +. ) 0.0 init in
   if Array.exists (fun w -> w < 0.0) init || Float.abs (total -. 1.0) > 1e-9 then
     invalid_arg "Markov.transient_distribution: not a distribution";
+  let read = rows_reader chain in
   let current = ref (Array.copy init) in
   for _ = 1 to steps do
     let next = Array.make n 0.0 in
     Array.iteri
       (fun c mass ->
         if mass > 0.0 then
-          iter_row chain c (fun c' w -> next.(c') <- next.(c') +. (mass *. w)))
+          read c (fun c' w -> next.(c') <- next.(c') +. (mass *. w)))
       !current;
     current := next
   done;

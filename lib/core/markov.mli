@@ -12,12 +12,23 @@
     hitting times (the quantitative study the paper leaves as future
     work).
 
-    The chain itself is compressed-sparse-row data packed directly off
-    the checker's flat successor arrays, and the iterative solvers are
-    BSCC-aware: the transient subgraph is decomposed into strongly
-    connected blocks solved in reverse topological order, so acyclic
-    parts cost one back-substitution pass and iteration is confined to
-    the blocks that actually need it. See [docs/markov-solvers.md]. *)
+    A chain has one of two row sources, picked from the checker graph's
+    layout. Under {!Distributed_uniform}, a deterministic protocol on a
+    full space is {e factored}: the chain keeps the checker's
+    {!Digraph.Subsets} graph (each configuration's k per-process
+    deltas) and nothing else, since every non-empty subset of the k
+    enabled processes weighs 1/(2^k - 1). Its rows are merged on demand,
+    into exactly the entries the pack would store. Every other chain
+    (quotients, central, synchronous, randomized protocols, {!of_rows})
+    is {e packed}: compressed-sparse-row data merged once off the
+    checker's flat successor arrays. Both give every function below the
+    same answers, bit for bit; only the order of {!transient_blocks}
+    may differ. The iterative solvers are BSCC-aware: the transient
+    subgraph is decomposed into strongly connected blocks solved in
+    reverse topological order, so acyclic parts cost one
+    back-substitution pass and iteration is confined to the blocks that
+    actually need it; a factored chain's rows are merged one block at a
+    time. See [docs/markov-solvers.md]. *)
 
 type randomization =
   | Central_uniform
@@ -33,7 +44,9 @@ type t
     configurations are absorbing (probability-1 self-loop). *)
 
 val of_space : 'a Statespace.t -> randomization -> t
-(** Expand the full chain. Row probabilities sum to 1. On a quotient
+(** Expand the full chain. Row probabilities sum to 1. The chain is
+    factored when the checker's graph is in the {!Digraph.Subsets}
+    layout, packed otherwise. On a quotient
     space (see {!Statespace.quotient}) this is the strongly lumped
     chain: hitting times and absorption probabilities per representative
     equal the full chain's at every orbit member. With
@@ -50,12 +63,21 @@ val of_rows : (int * float) list array -> t
 
 val states : t -> int
 val row : t -> int -> (int * float) list
-(** Successor distribution of a state, merged and sorted by code. *)
+(** Successor distribution of a state, merged and sorted by code; an
+    absorbing state is [[(c, 1.0)]]. A target reached by several
+    activated subsets (or outcomes) weighs their weights summed in
+    arrival order. *)
 
 val graph : t -> Digraph.t
-(** The positive-probability edges as a {!Digraph} CSR (the chain's
-    own arrays, not a copy): each row's targets ascending and distinct,
-    an absorbing state with its self-loop. *)
+(** The positive-probability edges as a {!Digraph} graph (the chain's
+    own arrays, not a copy). Targets may repeat and need not be sorted,
+    and a terminal state may have no edge at all: a factored chain
+    hands over the checker's {!Digraph.Subsets} graph, whose rows are
+    the subset sums in mask order, with a self-loop per subset of
+    zero deltas and none for a terminal state. A packed chain's rows
+    are ascending and distinct, an absorbing state with its self-loop.
+    Reachability and the strongly connected components are the same
+    either way. *)
 
 val bsccs : t -> int list list
 (** Bottom strongly connected components (no edge leaving). *)
@@ -104,7 +126,10 @@ type solve_outcome =
       (** some block hit its sweep budget (or a transient state had no
           probability of ever leaving itself); [residual] is
           [infinity] and the partial iterate is what the accompanying
-          array holds *)
+          array holds. The blocks after the failing one are left
+          unsolved, so the partial iterate and [sweeps] depend on the
+          block order, which a factored chain and its packed twin may
+          not share *)
 
 val transient_blocks : t -> transient:bool array -> int array list
 (** Strongly connected components of the chain restricted to
@@ -112,7 +137,9 @@ val transient_blocks : t -> transient:bool array -> int array list
     every positive-probability edge out of a block lands inside it, in
     an {e earlier} block, or outside [transient]. This is the order the
     sparse solvers process blocks in. Members are sorted ascending.
-    This is {!Digraph.sccs} on {!graph}. *)
+    This is {!Digraph.sccs} on {!graph}: a factored chain and its
+    packed twin have the same blocks, but Tarjan may complete them in
+    another order. *)
 
 val sparse_hitting_times :
   ?kind:sparse_kind ->

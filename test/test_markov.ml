@@ -287,20 +287,154 @@ let test_pack_is_arrival_merge () =
     (of_space "ring:10 quotient" quotient Statespace.Distributed Markov.Distributed_uniform
     > 0)
 
-(* Memory gates on token-ring ring:8 (6561 configurations, 384,063
-   chain entries), the expansion cached first. The pack allocates its
-   arrays once at their exact size, so it allocates at most twice the
-   chain's heap arrays (the int32 targets live outside the heap); the
+(* {1 Factored chains against their packed twins}
+
+   A distributed randomized chain over a deterministic protocol on a
+   full space keeps only the checker's [Subsets] graph and merges its
+   rows on demand; its packed twin is [Markov.of_rows] over
+   [Checker.weighted_row], the arrival-order pack of the same subset
+   steps. Every row, every solve and every graph answer must agree
+   bit for bit (weights and times as [Int64.bits_of_float]). *)
+
+let factored chain =
+  match (Markov.graph chain).Digraph.rows with
+  | Digraph.Subsets _ -> true
+  | Digraph.Edges _ -> false
+
+let packed_twin space =
+  let g = Checker.expand space Statespace.Distributed in
+  Markov.of_rows (Array.init (Statespace.count space) (Checker.weighted_row g))
+
+(* The zero deltas of a [Subsets] graph: steps that rewrite a digit to
+   itself, which give the 2^z - 1 self-loop. *)
+let zero_deltas space =
+  let fwd = Checker.successors (Checker.expand space Statespace.Distributed) in
+  match fwd.Digraph.rows with
+  | Digraph.Edges _ -> 0
+  | Digraph.Subsets deltas ->
+    let zeros = ref 0 in
+    for i = 0 to fwd.Digraph.off.(fwd.Digraph.n) - 1 do
+      if Digraph.target deltas i = 0 then incr zeros
+    done;
+    !zeros
+
+let bit_array a = Array.map Int64.bits_of_float a
+
+let check_solve label (x, outcome) (x', outcome') =
+  Alcotest.(check (array int64)) label (bit_array x') (bit_array x);
+  if outcome <> outcome' then Alcotest.failf "%s: solver outcomes differ" label
+
+(* [target] is a second, arbitrary set, so absorption is not all ones. *)
+let check_twins label space ~legitimate ~target =
+  let chain = Markov.of_space space Markov.Distributed_uniform in
+  if not (factored chain) then Alcotest.failf "%s: chain is not factored" label;
+  let twin = packed_twin space in
+  let n = Markov.states twin in
+  Alcotest.(check int) (label ^ " states") n (Markov.states chain);
+  for c = 0 to n - 1 do
+    Alcotest.(check (list (pair int int64)))
+      (Printf.sprintf "%s row %d" label c)
+      (bits (Markov.row twin c))
+      (bits (Markov.row chain c))
+  done;
+  let sets = List.sort compare in
+  Alcotest.(check (list (list int))) (label ^ " bsccs") (sets (Markov.bsccs twin))
+    (sets (Markov.bsccs chain));
+  let blocks c ~transient = sets (List.map Array.to_list (Markov.transient_blocks c ~transient)) in
+  let transient = Array.map not legitimate in
+  Alcotest.(check (list (list int))) (label ^ " blocks") (blocks twin ~transient)
+    (blocks chain ~transient);
+  Alcotest.(check (array bool)) (label ^ " reaches") (Markov.reaches twin ~target)
+    (Markov.reaches chain ~target);
+  let count set = Array.fold_left (fun k b -> if b then k + 1 else k) 0 set in
+  let sparse kind = Markov.Sparse { kind; tolerance = 1e-10; max_sweeps = 100_000 } in
+  let kinds = [ ("gs", Markov.Gauss_seidel); ("jacobi", Markov.Jacobi) ] in
+  (match Markov.converges_with_prob_one twin ~legitimate with
+  | Error c ->
+    if Markov.converges_with_prob_one chain ~legitimate <> Error c then
+      Alcotest.failf "%s: prob-1 verdicts differ" label
+  | Ok () ->
+    if Markov.converges_with_prob_one chain ~legitimate <> Ok () then
+      Alcotest.failf "%s: prob-1 verdicts differ" label;
+    List.iter
+      (fun (name, kind) ->
+        check_solve
+          (Printf.sprintf "%s hitting %s" label name)
+          (Markov.hitting_times_checked ~method_:(sparse kind) twin ~legitimate)
+          (Markov.hitting_times_checked ~method_:(sparse kind) chain ~legitimate))
+      kinds;
+    if count transient <= Markov.dense_limit then
+      check_solve (label ^ " hitting exact")
+        (Markov.hitting_times_checked ~method_:Markov.Exact twin ~legitimate)
+        (Markov.hitting_times_checked ~method_:Markov.Exact chain ~legitimate));
+  List.iter
+    (fun (name, kind) ->
+      check_solve
+        (Printf.sprintf "%s absorption %s" label name)
+        (Markov.sparse_absorption ~kind twin ~legitimate:target)
+        (Markov.sparse_absorption ~kind chain ~legitimate:target))
+    kinds;
+  if count (Markov.reaches twin ~target) <= Markov.dense_limit then
+    Alcotest.(check (array int64)) (label ^ " absorption exact")
+      (bit_array (Markov.absorption_probabilities ~method_:Markov.Exact twin ~legitimate:target))
+      (bit_array (Markov.absorption_probabilities ~method_:Markov.Exact chain ~legitimate:target))
+
+let arbitrary_set seed n =
+  let rng = Random.State.make [| seed |] in
+  let set = Array.init n (fun _ -> Random.State.int rng 5 = 0) in
+  set.(Random.State.int rng n) <- true;
+  set
+
+let test_factored_is_packed_twin () =
+  List.iter
+    (fun (name, sizes) ->
+      List.iter
+        (fun n ->
+          let (Stabexp.Registry.Entry e) =
+            Stabexp.Registry.find ~name ~topology:(Printf.sprintf "ring:%d" n) ()
+          in
+          let space = Statespace.build e.protocol in
+          let count = Statespace.count space in
+          check_twins
+            (Printf.sprintf "%s ring:%d" name n)
+            space
+            ~legitimate:(Statespace.legitimate_set space e.spec)
+            ~target:(arbitrary_set n count))
+        sizes)
+    [
+      ("token-ring", [ 3; 4; 5; 6; 7; 8 ]);
+      ("dijkstra-3state", [ 3; 4; 5; 6; 7; 8 ]);
+      ("coloring", [ 4; 5; 6; 7 ]);
+    ];
+  (* Lazy random protocols keep some digits, so their rows carry zero
+     deltas and the 2^z - 1 self-loop; their targets are arbitrary, so
+     some chains fail prob-1 and only absorption is compared. *)
+  let zeros = ref 0 in
+  for seed = 0 to 29 do
+    let p = Test_random_systems.lazy_protocol (Test_random_systems.random_protocol (seed + 80_000)) in
+    let space = Statespace.build p in
+    zeros := !zeros + zero_deltas space;
+    check_twins p.Protocol.name space
+      ~legitimate:(Test_random_systems.random_target seed space)
+      ~target:(arbitrary_set seed (Statespace.count space))
+  done;
+  if !zeros = 0 then Alcotest.fail "no lazy protocol stepped a process to its own state"
+
+(* Memory gates. The token-ring ring:10 quotient (5934 orbit states)
+   is packed, its expansion cached first: the pack allocates its arrays
+   once at their exact size, so it allocates at most twice the chain's
+   heap arrays (the int32 targets live outside the heap), and the
    sparse solvers read the chain in place and box nothing per edge, so
    a full solve allocates at most 2 minor words per chain entry. *)
 let test_pack_and_solve_allocation () =
-  let n = 8 in
-  let space = Statespace.build (Stabalgo.Token_ring.make ~n) in
+  let n = 10 in
+  let space = Statespace.quotient (Statespace.build (Stabalgo.Token_ring.make ~n)) in
   let legitimate = Statespace.legitimate_set space (Stabalgo.Token_ring.spec ~n) in
   ignore (Checker.expand space Statespace.Distributed);
   let before = Gc.allocated_bytes () in
   let chain = Markov.of_space space Markov.Distributed_uniform in
   let allocated = Gc.allocated_bytes () -. before in
+  if factored chain then Alcotest.fail "a quotient chain must be packed";
   let heap = float_of_int (Obj.reachable_words (Obj.repr chain) * (Sys.word_size / 8)) in
   if allocated > 2.0 *. heap then
     Alcotest.failf "of_space allocated %.0f B for %.0f B of chain arrays (%.2fx > 2x)"
@@ -316,6 +450,36 @@ let test_pack_and_solve_allocation () =
       if per_entry > 2.0 then
         Alcotest.failf "%s allocated %.2f minor words per chain entry (> 2)" name per_entry)
     [ ("Gauss-Seidel", Markov.Gauss_seidel); ("Jacobi", Markov.Jacobi) ]
+
+(* Token-ring ring:8 (6561 configurations, 384,063 merged entries,
+   4.6 MB packed) is factored: [of_space] keeps the checker's graph, and
+   a Gauss-Seidel solve merges one block's rows at a time into scratch
+   sized for the largest block (31,752 entries). Together they allocate
+   (minor and major, [Gc.allocated_bytes]) under half the bytes of the
+   packed twin. The block scratch's int32 targets, 4 B per entry of the
+   largest block, live outside the heap and are not counted. The
+   minor heap is emptied first, so that promoting the twin's rows is
+   not counted either. *)
+let test_factored_allocation () =
+  let n = 8 in
+  let space = Statespace.build (Stabalgo.Token_ring.make ~n) in
+  let legitimate = Statespace.legitimate_set space (Stabalgo.Token_ring.spec ~n) in
+  let twin = packed_twin space in
+  let entries = Digraph.edge_count (Markov.graph twin) in
+  let packed =
+    float_of_int ((Obj.reachable_words (Obj.repr twin) * (Sys.word_size / 8)) + (4 * entries))
+  in
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let chain = Markov.of_space space Markov.Distributed_uniform in
+  (match Markov.sparse_hitting_times ~kind:Markov.Gauss_seidel chain ~legitimate with
+  | _, Markov.Converged _ -> ()
+  | _, Markov.Max_sweeps _ -> Alcotest.fail "Gauss-Seidel did not converge");
+  let allocated = Gc.allocated_bytes () -. before in
+  if not (factored chain) then Alcotest.fail "token-ring ring:8 must be factored";
+  if allocated > 0.5 *. packed then
+    Alcotest.failf "of_space and a solve allocated %.0f B; the packed chain is %.0f B (> 1/2)"
+      allocated packed
 
 (* Randomized rows: the fill writes each outcome weight times the
    subset weight straight into its float scratch, so no weight is boxed
@@ -343,7 +507,10 @@ let suite =
     Alcotest.test_case "of_rows merge/absorb" `Quick test_of_rows_merges_and_absorbs;
     Alcotest.test_case "pack = arrival-order merge, bit for bit" `Quick
       test_pack_is_arrival_merge;
+    Alcotest.test_case "factored chain = packed twin, bit for bit" `Quick
+      test_factored_is_packed_twin;
     Alcotest.test_case "pack and solve allocation" `Quick test_pack_and_solve_allocation;
+    Alcotest.test_case "factored chain and solve allocation" `Quick test_factored_allocation;
     Alcotest.test_case "randomized pack boxes no weight" `Quick
       test_randomized_pack_allocation;
     Alcotest.test_case "of_space rows sum" `Quick test_of_space_rows_sum;
