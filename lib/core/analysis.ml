@@ -94,18 +94,13 @@ let chain ?(keep_nonconverged = false) req =
   Result.bind (exact_space req) (fun space ->
       let legitimate = Statespace.legitimate_set space req.instance.spec in
       let chain = Markov.of_space space (randomization req.cls) in
-      match Markov.converges_with_prob_one chain ~legitimate with
-      | Error c -> Ok (space, Error c)
-      | Ok () -> (
-        let weights = Statespace.orbit_sizes space in
-        match
-          Markov.hitting_stats_checked ?method_:req.hitting ?weights chain ~legitimate
-        with
-        | _, Some (Markov.Max_sweeps s) when not keep_nonconverged ->
-          Error
-            (Printf.sprintf "sparse solver hit its sweep budget (%d sweeps, %d blocks)"
-               s.Markov.sweeps s.Markov.blocks)
-        | hitting -> Ok (space, Ok hitting)))
+      let weights = Statespace.orbit_sizes space in
+      match Markov.hitting_stats_result ?method_:req.hitting ?weights chain ~legitimate with
+      | Ok (_, Some (Markov.Max_sweeps s)) when not keep_nonconverged ->
+        Error
+          (Printf.sprintf "sparse solver hit its sweep budget (%d sweeps, %d blocks)"
+             s.Markov.sweeps s.Markov.blocks)
+      | hitting -> Ok (space, hitting))
 
 let reachable req =
   let { protocol; spec; space; _ } = req.instance in

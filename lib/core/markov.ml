@@ -8,16 +8,20 @@ type randomization = Central_uniform | Distributed_uniform | Sync
      to 1. [cols] is an int32 {!Digraph.edges} array, so {!graph} hands
      it to the kernel without a copy. Terminal configurations are
      stored as probability-1 self-loops, so every row is non-empty and
-     the solvers never special-case absorption.
-   - [Factored]: the distributed randomized daemon over a deterministic
-     protocol on a full space, kept as the checker's [Subsets] graph
-     itself. Entries [off.(c) .. off.(c + 1) - 1] of [deltas] are the k
-     per-process deltas of [c]; every non-empty subset of them weighs
-     1/(2^k - 1), and {!merge_factored} writes the row the pack would
-     have stored, bit for bit. [widest] is the largest k. *)
+     the solvers never special-case absorption. Only randomized
+     protocols ([Outcomes] graphs) and {!of_rows} pack.
+   - [Factored]: a deterministic protocol's chain, kept as the checker's
+     graph itself, [rows] being its {!Digraph.rows}: every step of a
+     configuration weighs the same, so the graph is the whole chain.
+     In a [Subsets] row, entries [off.(c) .. off.(c + 1) - 1] are the k
+     per-process deltas of [c], and every non-empty subset of them
+     weighs 1/(2^k - 1); in an [Edges] row (central, synchronous or
+     quotient) they are the k step targets of [c], each weighing 1/k.
+     {!merge} writes the row the pack would have stored, bit for bit.
+     [widest] is the largest k. *)
 type rows =
   | Packed of { cols : Digraph.edges; w : float array }
-  | Factored of { deltas : Digraph.edges; widest : int }
+  | Factored of { rows : Digraph.rows; widest : int }
 
 type t = { n : int; off : int array; rows : rows }
 
@@ -28,8 +32,18 @@ let states chain = chain.n
    module boundary. *)
 let[@inline] col (cols : Digraph.edges) i = Int32.to_int (Bigarray.Array1.get cols i)
 
+(* The most entries a factored row of k stored entries merges to: the
+   2^k - 1 subset sums of k deltas, or the k targets of k edges; a
+   terminal row is the one absorbing entry. *)
+let merged_bound rows k =
+  match rows with
+  | Digraph.Subsets _ -> max 1 ((1 lsl k) - 1)
+  | Digraph.Edges _ -> max 1 k
+
 (* Scratch for merging factored rows: the sorted subset sums so far
-   with their multiplicities, and a second pair to merge into. *)
+   with their multiplicities, and a second pair to merge into; an
+   [Edges] row sorts its targets in [keys], [keys'] being the sort's
+   buffer. *)
 type merger = {
   mutable keys : int array;
   mutable mult : int array;
@@ -37,8 +51,9 @@ type merger = {
   mutable mult' : int array;
 }
 
-let merger k =
-  let size = 1 lsl k in
+(* Scratch for rows of at most [k] stored entries. *)
+let merger rows k =
+  let size = merged_bound rows k + 1 in
   {
     keys = Array.make size 0;
     mult = Array.make size 0;
@@ -55,8 +70,73 @@ let repeated w m =
   done;
   !sum
 
-(* Writes row [c] of a factored chain, merged and ascending, at [pos]
-   of [cols]/[w], and returns the position after it. The targets are
+(* Merge sort of the ints [a.(lo .. hi - 1)], insertion-sorting short
+   runs; [tmp] holds the left run while it is merged back in place.
+   Rows off the packed graph arrive nearly descending, which would make
+   an insertion sort of a whole row quadratic. *)
+let rec sort_ints (a : int array) (tmp : int array) lo hi =
+  if hi - lo <= 16 then
+    for i = lo + 1 to hi - 1 do
+      let v = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && a.(!j) > v do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- v
+    done
+  else begin
+    let mid = (lo + hi) / 2 in
+    sort_ints a tmp lo mid;
+    sort_ints a tmp mid hi;
+    let n = mid - lo in
+    for i = 0 to n - 1 do
+      tmp.(i) <- a.(lo + i)
+    done;
+    let i = ref 0 and j = ref mid and k = ref lo in
+    while !i < n do
+      if !j >= hi || tmp.(!i) <= a.(!j) then begin
+        a.(!k) <- tmp.(!i);
+        incr i
+      end
+      else begin
+        a.(!k) <- a.(!j);
+        incr j
+      end;
+      incr k
+    done
+  end
+
+(* Writes the absorbing row (c, 1.0) of a terminal configuration. *)
+let absorbing c (cols : Digraph.edges) (w : float array) pos =
+  Bigarray.Array1.set cols pos (Int32.of_int c);
+  w.(pos) <- 1.0;
+  pos + 1
+
+(* Writes the [len] ascending [keys] with their multiplicities [mult],
+   minus one off [c]'s own ([self] subsets of [c]'s steps land back on
+   [c] without being steps), each weighing the left fold of its
+   multiplicity in copies of [unit], which is what the pack sums in
+   arrival order. *)
+let weigh ~keys ~mult ~len ~unit ~self c (cols : Digraph.edges) (w : float array) pos =
+  let last_m = ref 1 and last_w = ref unit and e = ref pos in
+  for i = 0 to len - 1 do
+    let target = keys.(i) in
+    let times = if target = c then mult.(i) - self else mult.(i) in
+    if times > 0 then begin
+      if times <> !last_m then begin
+        last_m := times;
+        last_w := repeated unit times
+      end;
+      Bigarray.Array1.set cols !e (Int32.of_int target);
+      w.(!e) <- !last_w;
+      incr e
+    end
+  done;
+  !e
+
+(* Writes [Subsets] row [c], merged and ascending, at [pos] of
+   [cols]/[w], and returns the position after it. The targets are
    the subset sums of [c]'s k deltas: starting from the empty sum [c],
    each delta d merges the sorted sums with themselves shifted by d,
    adding the multiplicities of sums that meet, so the sums come out
@@ -64,17 +144,11 @@ let repeated w m =
    sum and just doubles the multiplicities. The empty subset is no
    step, so [c]'s own multiplicity drops by one: with z zero deltas
    among distinct-digit ones, every other sum has multiplicity 2^z and
-   the self-loop 2^z - 1. A target of multiplicity m weighs the left
-   fold of m copies of 1/(2^k - 1), the weight {!Checker.row_weights}
-   gives each subset, which is what the pack sums in arrival order. A
-   terminal row is the absorbing (c, 1.0). *)
-let merge_factored m ~off ~deltas c (cols : Digraph.edges) (w : float array) pos =
+   the self-loop 2^z - 1. Each subset weighs 1/(2^k - 1), the weight
+   {!Checker.row_weights} gives it. *)
+let merge_subsets m ~off ~deltas c cols w pos =
   let first = off.(c) and k = off.(c + 1) - off.(c) in
-  if k = 0 then begin
-    Bigarray.Array1.set cols pos (Int32.of_int c);
-    w.(pos) <- 1.0;
-    pos + 1
-  end
+  if k = 0 then absorbing c cols w pos
   else begin
     m.keys.(0) <- c;
     m.mult.(0) <- 1;
@@ -129,31 +203,49 @@ let merge_factored m ~off ~deltas c (cols : Digraph.edges) (w : float array) pos
       end
     done;
     let unit = 1.0 /. float_of_int ((1 lsl k) - 1) in
-    let last_m = ref 1 and last_w = ref unit and e = ref pos in
-    for i = 0 to !len - 1 do
-      let target = m.keys.(i) in
-      let times = if target = c then m.mult.(i) - 1 else m.mult.(i) in
-      if times > 0 then begin
-        if times <> !last_m then begin
-          last_m := times;
-          last_w := repeated unit times
-        end;
-        Bigarray.Array1.set cols !e (Int32.of_int target);
-        w.(!e) <- !last_w;
-        incr e
-      end
-    done;
-    !e
+    weigh ~keys:m.keys ~mult:m.mult ~len:!len ~unit ~self:1 c cols w pos
   end
 
-(* A reader of a factored chain's rows of at most [k] deltas: [read c f]
-   merges row [c] into scratch the reader owns and calls [f target
-   weight] along it, ascending. A reader serves one domain. *)
-let factored_reader chain deltas k =
-  let m = merger k in
-  let cols = Digraph.create_edges ~nodes:chain.n (1 lsl k) and w = Array.create_float (1 lsl k) in
+(* Writes [Edges] row [c] as [merge_subsets] does: its k targets,
+   sorted, each distinct one with its number of copies, and each step
+   weighing 1/k, the weight {!Checker.row_weights} gives a [Singleton]
+   group. *)
+let merge_edges m ~off ~targets c cols w pos =
+  let first = off.(c) and k = off.(c + 1) - off.(c) in
+  if k = 0 then absorbing c cols w pos
+  else begin
+    let keys = m.keys and mult = m.mult in
+    for i = 0 to k - 1 do
+      keys.(i) <- col targets (first + i)
+    done;
+    sort_ints keys m.keys' 0 k;
+    let len = ref 0 in
+    for i = 0 to k - 1 do
+      if i > 0 && keys.(i) = keys.(!len - 1) then mult.(!len - 1) <- mult.(!len - 1) + 1
+      else begin
+        keys.(!len) <- keys.(i);
+        mult.(!len) <- 1;
+        incr len
+      end
+    done;
+    weigh ~keys ~mult ~len:!len ~unit:(1.0 /. float_of_int k) ~self:0 c cols w pos
+  end
+
+(* Writes factored row [c], merged and ascending, at [pos] of
+   [cols]/[w], and returns the position after it. *)
+let merge m ~off rows c cols w pos =
+  match rows with
+  | Digraph.Subsets deltas -> merge_subsets m ~off ~deltas c cols w pos
+  | Digraph.Edges targets -> merge_edges m ~off ~targets c cols w pos
+
+(* A reader of a factored chain's rows of at most [k] stored entries:
+   [read c f] merges row [c] into scratch the reader owns and calls
+   [f target weight] along it, ascending. A reader serves one domain. *)
+let factored_reader chain rows k =
+  let m = merger rows k and size = merged_bound rows k in
+  let cols = Digraph.create_edges ~nodes:chain.n size and w = Array.create_float size in
   fun c f ->
-    for i = 0 to merge_factored m ~off:chain.off ~deltas c cols w 0 - 1 do
+    for i = 0 to merge m ~off:chain.off rows c cols w 0 - 1 do
       f (col cols i) w.(i)
     done
 
@@ -167,18 +259,21 @@ let rows_reader chain =
       for i = chain.off.(c) to chain.off.(c + 1) - 1 do
         f (col cols i) w.(i)
       done
-  | Factored { deltas; widest } -> factored_reader chain deltas widest
+  | Factored { rows; widest } -> factored_reader chain rows widest
+
+let read_list read c =
+  let out = ref [] in
+  read c (fun c' w -> out := (c', w) :: !out);
+  List.rev !out
 
 (* A single row gets scratch sized for itself, not the widest row. *)
 let row chain c =
   let read =
     match chain.rows with
     | Packed _ -> rows_reader chain
-    | Factored { deltas; _ } -> factored_reader chain deltas (chain.off.(c + 1) - chain.off.(c))
+    | Factored { rows; _ } -> factored_reader chain rows (chain.off.(c + 1) - chain.off.(c))
   in
-  let out = ref [] in
-  read c (fun c' w -> out := (c', w) :: !out);
-  List.rev !out
+  read_list read c
 
 let merge_row entries =
   let tbl = Hashtbl.create 16 in
@@ -189,43 +284,6 @@ let merge_row entries =
     entries;
   Hashtbl.fold (fun c w acc -> (c, w) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-
-(* Merge sort of the ints [a.(lo .. hi - 1)], insertion-sorting short
-   runs; [tmp] holds the left run while it is merged back in place.
-   Rows off the packed graph arrive nearly descending, which would make
-   an insertion sort of a whole row quadratic. *)
-let rec sort_ints (a : int array) (tmp : int array) lo hi =
-  if hi - lo <= 16 then
-    for i = lo + 1 to hi - 1 do
-      let v = a.(i) in
-      let j = ref (i - 1) in
-      while !j >= lo && a.(!j) > v do
-        a.(!j + 1) <- a.(!j);
-        decr j
-      done;
-      a.(!j + 1) <- v
-    done
-  else begin
-    let mid = (lo + hi) / 2 in
-    sort_ints a tmp lo mid;
-    sort_ints a tmp mid hi;
-    let n = mid - lo in
-    for i = 0 to n - 1 do
-      tmp.(i) <- a.(lo + i)
-    done;
-    let i = ref 0 and j = ref mid and k = ref lo in
-    while !i < n do
-      if !j >= hi || tmp.(!i) <= a.(!j) then begin
-        a.(!k) <- tmp.(!i);
-        incr i
-      end
-      else begin
-        a.(!k) <- a.(!j);
-        incr j
-      end;
-      incr k
-    done
-  end
 
 (* One row at a time, in arrival order: its targets in [keys], then
    their weights in [ws]. A range's scratch doubles as needed, so it
@@ -347,9 +405,12 @@ let pack n ~targets ~weights =
    rep_of) onto exactly the lumped row its representative got. This is
    the condition making quotient hitting times and absorption
    probabilities equal to the full chain's. Expensive — it expands the
-   base space — and therefore gated. *)
-let check_lumpability chain space base reps rep_of cls =
+   base space — and therefore gated. The lumped rows are read through
+   one reader, so a factored chain merges into the same scratch for
+   every full-space code. *)
+let check_lumpability chain space base rep_of cls =
   let g = Checker.expand base cls in
+  let read = rows_reader chain in
   let project entries =
     match entries with
     | [] -> None
@@ -363,7 +424,7 @@ let check_lumpability chain space base reps rep_of cls =
          c (Statespace.uid space))
   in
   for c = 0 to Statespace.count base - 1 do
-    let expected = row chain rep_of.(c) in
+    let expected = read_list read rep_of.(c) in
     match project (Checker.weighted_row g c) with
     | None ->
       (* Terminal in the base: its representative must be absorbing. *)
@@ -376,18 +437,17 @@ let check_lumpability chain space base reps rep_of cls =
                 (fun (i, w) (i', w') -> i = i' && Float.abs (w -. w') <= 1e-9)
                 row expected)
       then fail c
-  done;
-  ignore reps
+  done
 
-(* The chain is read off the checker's packed expansion, so a space
-   analysed exhaustively and then probabilistically expands its
-   transition relation once, not twice. On a quotient space the packed
-   graph already has canonicalized targets, so the very same read-off
-   produces the lumped chain; orbit sizes only matter to consumers that
-   average over the full space (see {!hitting_stats}). A graph in the
-   [Subsets] layout (a deterministic protocol on a full space, under
-   the distributed class) is the factored chain itself, so it is kept,
-   not packed. *)
+(* The chain is read off the checker's expansion, so a space analysed
+   exhaustively and then probabilistically expands its transition
+   relation once, not twice. On a quotient space the graph already has
+   canonicalized targets, so the very same read-off produces the lumped
+   chain; orbit sizes only matter to consumers that average over the
+   full space (see {!hitting_stats}). A deterministic protocol's graph
+   ([Singleton] or [Subsets] groups) is the factored chain itself, so
+   it is kept; only a randomized protocol's [Outcomes] graph, whose
+   outcome weights differ, is packed. *)
 let of_space space randomization =
   Stabobs.Obs.span "markov.of_space" @@ fun () ->
   let cls =
@@ -398,24 +458,23 @@ let of_space space randomization =
   in
   let g = Checker.expand space cls in
   let n = Statespace.count space in
+  let fwd = Checker.successors g in
   let chain =
-    match (Checker.successors g).rows with
-    | Digraph.Subsets deltas ->
-      let off = (Checker.successors g).off in
+    match (Checker.packing g).groups with
+    | Checker.Singleton | Checker.Subsets ->
+      let off = fwd.off in
       let widest = ref 0 in
       for c = 0 to n - 1 do
         widest := max !widest (off.(c + 1) - off.(c))
       done;
-      { n; off; rows = Factored { deltas; widest = !widest } }
-    | Digraph.Edges _ ->
-      pack n ~targets:(Digraph.iter_succ (Checker.successors g))
-        ~weights:(Checker.row_weights g)
+      { n; off; rows = Factored { rows = fwd.rows; widest = !widest } }
+    | Checker.Outcomes _ ->
+      pack n ~targets:(Digraph.iter_succ fwd) ~weights:(Checker.row_weights g)
   in
   (if Symmetry.paranoid_enabled () then
      match Statespace.quotient_view space with
      | None -> ()
-     | Some (base, reps, rep_of, _) ->
-       check_lumpability chain space base reps rep_of cls);
+     | Some (base, _, rep_of, _) -> check_lumpability chain space base rep_of cls);
   chain
 
 let of_rows rows =
@@ -443,7 +502,7 @@ let graph chain =
   let rows =
     match chain.rows with
     | Packed { cols; _ } -> Digraph.Edges cols
-    | Factored { deltas; _ } -> Digraph.Subsets deltas
+    | Factored { rows; _ } -> rows
   in
   { Digraph.n = chain.n; off = chain.off; rows }
 
@@ -466,6 +525,7 @@ let transient_blocks chain ~transient =
 let reaches chain ~target = Digraph.reaches (graph chain) ~target
 
 let converges_with_prob_one chain ~legitimate =
+  Stabobs.Obs.span "markov.prob1" @@ fun () ->
   match Array.find_index not (reaches chain ~target:legitimate) with
   | None -> Ok ()
   | Some c -> Error c
@@ -509,21 +569,20 @@ let solve_transient ~kind ~tolerance ~max_sweeps chain ~transient ~base x =
   let factored, roff, cols, w, load =
     match chain.rows with
     | Packed { cols; w } -> (false, chain.off, cols, w, ignore)
-    | Factored { deltas; widest } ->
+    | Factored { rows; widest } ->
       let entries = ref 0 and members = ref 0 in
       List.iter
         (fun block ->
-          (* A row merges to at most 2^k - 1 entries, or 1 if terminal. *)
-          let bound acc c = acc + max 1 ((1 lsl (chain.off.(c + 1) - chain.off.(c))) - 1) in
+          let bound acc c = acc + merged_bound rows (chain.off.(c + 1) - chain.off.(c)) in
           entries := max !entries (Array.fold_left bound 0 block);
           members := max !members (Array.length block))
         blocks;
-      let m = merger widest and roff = Array.make (!members + 1) 0 in
+      let m = merger rows widest and roff = Array.make (!members + 1) 0 in
       let cols = Digraph.create_edges ~nodes:chain.n !entries
       and w = Array.create_float !entries in
       let load block =
         Array.iteri
-          (fun r c -> roff.(r + 1) <- merge_factored m ~off:chain.off ~deltas c cols w roff.(r))
+          (fun r c -> roff.(r + 1) <- merge m ~off:chain.off rows c cols w roff.(r))
           block
       in
       (true, roff, cols, w, load)
@@ -689,25 +748,34 @@ let default_method ~transient =
   if transient <= dense_limit then Exact
   else Sparse { kind = Gauss_seidel; tolerance = 1e-10; max_sweeps = 1_000_000 }
 
+(* The probability-1 check, one {!reaches} pass, then the solve; a
+   state that cannot reach [legitimate] is the error. *)
+let hitting_times_result ?method_ chain ~legitimate =
+  Result.map
+    (fun () ->
+      let transient = Array.map not legitimate in
+      let count = Array.fold_left (fun k t -> if t then k + 1 else k) 0 transient in
+      let x = Array.make chain.n 0.0 in
+      if count = 0 then (x, None)
+      else
+        match Option.value method_ ~default:(default_method ~transient:count) with
+        | Exact ->
+          dense_transient chain ~transient ~base:1.0 x;
+          (x, None)
+        | Sparse { kind; tolerance; max_sweeps } ->
+          let outcome =
+            solve_transient ~kind ~tolerance ~max_sweeps chain ~transient ~base:1.0 x
+          in
+          (x, Some outcome))
+    (converges_with_prob_one chain ~legitimate)
+
 let hitting_times_checked ?method_ chain ~legitimate =
-  (match converges_with_prob_one chain ~legitimate with
-  | Ok () -> ()
+  match hitting_times_result ?method_ chain ~legitimate with
+  | Ok solved -> solved
   | Error c ->
     invalid_arg
       (Printf.sprintf
-         "Markov.expected_hitting_times: state %d cannot reach the legitimate set" c));
-  let transient = Array.map not legitimate in
-  let count = Array.fold_left (fun k t -> if t then k + 1 else k) 0 transient in
-  let x = Array.make chain.n 0.0 in
-  if count = 0 then (x, None)
-  else
-    match Option.value method_ ~default:(default_method ~transient:count) with
-    | Exact ->
-      dense_transient chain ~transient ~base:1.0 x;
-      (x, None)
-    | Sparse { kind; tolerance; max_sweeps } ->
-      let outcome = solve_transient ~kind ~tolerance ~max_sweeps chain ~transient ~base:1.0 x in
-      (x, Some outcome)
+         "Markov.expected_hitting_times: state %d cannot reach the legitimate set" c)
 
 let method_tolerance = function
   | Some (Sparse { tolerance; _ }) -> tolerance
@@ -788,6 +856,11 @@ let stats_of_times ?weights times =
 (* One solve for all summary statistics. *)
 let hitting_stats ?method_ ?weights chain ~legitimate =
   stats_of_times ?weights (expected_hitting_times ?method_ chain ~legitimate)
+
+let hitting_stats_result ?method_ ?weights chain ~legitimate =
+  Result.map
+    (fun (times, outcome) -> (stats_of_times ?weights times, outcome))
+    (hitting_times_result ?method_ chain ~legitimate)
 
 let hitting_stats_checked ?method_ ?weights chain ~legitimate =
   let times, outcome = hitting_times_checked ?method_ chain ~legitimate in

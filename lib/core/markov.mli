@@ -13,22 +13,26 @@
     work).
 
     A chain has one of two row sources, picked from the checker graph's
-    layout. Under {!Distributed_uniform}, a deterministic protocol on a
-    full space is {e factored}: the chain keeps the checker's
-    {!Digraph.Subsets} graph (each configuration's k per-process
-    deltas) and nothing else, since every non-empty subset of the k
-    enabled processes weighs 1/(2^k - 1). Its rows are merged on demand,
-    into exactly the entries the pack would store. Every other chain
-    (quotients, central, synchronous, randomized protocols, {!of_rows})
-    is {e packed}: compressed-sparse-row data merged once off the
-    checker's flat successor arrays. Both give every function below the
-    same answers, bit for bit; only the order of {!transient_blocks}
-    may differ. The iterative solvers are BSCC-aware: the transient
-    subgraph is decomposed into strongly connected blocks solved in
-    reverse topological order, so acyclic parts cost one
-    back-substitution pass and iteration is confined to the blocks that
-    actually need it; a factored chain's rows are merged one block at a
-    time. See [docs/markov-solvers.md]. *)
+    layout. Every deterministic protocol's chain is its checker graph:
+    all k steps of a configuration weigh the same, 1/k, so the graph
+    holds the whole chain, and the chain is {e factored}, keeping that
+    graph and nothing else. That covers every daemon class and quotient:
+    a full space under {!Distributed_uniform} stores each
+    configuration's k per-process deltas ({!Digraph.Subsets}, every
+    non-empty subset of them one step of weight 1/(2^k - 1)); the
+    central and synchronous classes and every quotient store the steps'
+    targets ({!Digraph.Edges}). Rows are merged on demand, into exactly
+    the entries the pack would store. Only randomized protocols, whose
+    outcome weights differ, and {!of_rows} are {e packed}:
+    compressed-sparse-row data merged once off the checker's flat
+    successor arrays. Both give every function below the same answers,
+    bit for bit; only the order of {!transient_blocks} may differ. The
+    iterative solvers are BSCC-aware: the transient subgraph is
+    decomposed into strongly connected blocks solved in reverse
+    topological order, so acyclic parts cost one back-substitution pass
+    and iteration is confined to the blocks that actually need it; a
+    factored chain's rows are merged one block at a time. See
+    [docs/markov-solvers.md]. *)
 
 type randomization =
   | Central_uniform
@@ -44,9 +48,10 @@ type t
     configurations are absorbing (probability-1 self-loop). *)
 
 val of_space : 'a Statespace.t -> randomization -> t
-(** Expand the full chain. Row probabilities sum to 1. The chain is
-    factored when the checker's graph is in the {!Digraph.Subsets}
-    layout, packed otherwise. On a quotient
+(** Expand the full chain. Row probabilities sum to 1. A deterministic
+    protocol's chain is factored: it keeps {!Checker.expand}'s graph
+    (cached per space and class) and allocates nothing per state; a
+    randomized protocol's chain is packed. On a quotient
     space (see {!Statespace.quotient}) this is the strongly lumped
     chain: hitting times and absorption probabilities per representative
     equal the full chain's at every orbit member. With
@@ -72,12 +77,14 @@ val graph : t -> Digraph.t
 (** The positive-probability edges as a {!Digraph} graph (the chain's
     own arrays, not a copy). Targets may repeat and need not be sorted,
     and a terminal state may have no edge at all: a factored chain
-    hands over the checker's {!Digraph.Subsets} graph, whose rows are
-    the subset sums in mask order, with a self-loop per subset of
-    zero deltas and none for a terminal state. A packed chain's rows
-    are ascending and distinct, an absorbing state with its self-loop.
-    Reachability and the strongly connected components are the same
-    either way. *)
+    hands over the checker's graph itself, whose rows are its steps in
+    expander order, with no edge for a terminal state: the subset sums
+    in mask order of a {!Digraph.Subsets} graph, with a self-loop per
+    subset of zero deltas, or the step targets of a {!Digraph.Edges}
+    graph, a target repeated once per step that reaches it. A packed
+    chain's rows are ascending and distinct, an absorbing state with
+    its self-loop. Reachability and the strongly connected components
+    are the same either way. *)
 
 val bsccs : t -> int list list
 (** Bottom strongly connected components (no edge leaving). *)
@@ -238,6 +245,17 @@ val hitting_stats :
     {!Statespace.orbit_sizes} for a lumped chain so the mean matches a
     uniformly random initial configuration of the {e full} space. *)
 
+val hitting_stats_result :
+  ?method_:hitting_method ->
+  ?weights:int array ->
+  t ->
+  legitimate:bool array ->
+  (hitting_stats * solve_outcome option, int) result
+(** The probability-1 check and the solve of one Markov question, with
+    one {!reaches} pass: [Error c] names a state from which [L] is
+    unreachable, as {!converges_with_prob_one} does, and [Ok] carries
+    what {!hitting_stats_checked} returns. *)
+
 val hitting_stats_checked :
   ?method_:hitting_method ->
   ?weights:int array ->
@@ -246,7 +264,9 @@ val hitting_stats_checked :
   hitting_stats * solve_outcome option
 (** {!hitting_stats} through {!hitting_times_checked}: the summary plus
     the sparse solver's typed outcome, never raising on [Max_sweeps]
-    (the stats then summarize the partial iterate). *)
+    (the stats then summarize the partial iterate). Raises
+    [Invalid_argument] without probability-1 convergence; prefer
+    {!hitting_stats_result}, which returns that case instead. *)
 
 val mean_hitting_time : t -> legitimate:bool array -> float
 (** [(hitting_stats chain ~legitimate).mean] — the expected

@@ -127,7 +127,44 @@ let test_hitting_requires_convergence () =
   Alcotest.check_raises "diverging state"
     (Invalid_argument "Markov.expected_hitting_times: state 0 cannot reach the legitimate set")
     (fun () ->
-      ignore (Markov.expected_hitting_times chain ~legitimate:[| false; true |]))
+      ignore (Markov.expected_hitting_times chain ~legitimate:[| false; true |]));
+  match Markov.hitting_stats_result chain ~legitimate:[| false; true |] with
+  | Error 0 -> ()
+  | Error c -> Alcotest.failf "hitting_stats_result names state %d, not 0" c
+  | Ok _ -> Alcotest.fail "hitting_stats_result solved a chain without prob-1 convergence"
+
+(* A Markov question through the analysis ladder decides probability-1
+   convergence once: one [markov.prob1] span (one whole-graph
+   [Digraph.reaches] pass) per answer, whose hitting times equal the
+   ones [hitting_stats_checked] gives. *)
+let test_one_prob1_pass () =
+  let n = 6 in
+  let instance = Analysis.instance (Stabalgo.Token_ring.make ~n) (Stabalgo.Token_ring.spec ~n) in
+  let profile = Stabobs.Obs.Profile.create () in
+  Stabobs.Obs.install (Stabobs.Obs.Profile.sink profile);
+  let answer =
+    Fun.protect ~finally:Stabobs.Obs.clear (fun () ->
+        Analysis.chain (Analysis.request instance Statespace.Distributed))
+  in
+  let passes =
+    List.fold_left
+      (fun k (r : Stabobs.Obs.Profile.row) ->
+        if r.Stabobs.Obs.Profile.name = "markov.prob1" then k + r.Stabobs.Obs.Profile.count
+        else k)
+      0
+      (Stabobs.Obs.Profile.rows profile)
+  in
+  Alcotest.(check int) "prob-1 passes" 1 passes;
+  match answer with
+  | Ok (space, Ok (stats, _)) ->
+    let legitimate = Statespace.legitimate_set space (Stabalgo.Token_ring.spec ~n) in
+    let chain = Markov.of_space space Markov.Distributed_uniform in
+    let checked, _ = Markov.hitting_stats_checked chain ~legitimate in
+    Alcotest.(check (array int64)) "hitting times"
+      (Array.map Int64.bits_of_float checked.Markov.times)
+      (Array.map Int64.bits_of_float stats.Markov.times)
+  | Ok (_, Error c) -> Alcotest.failf "state %d cannot reach L" c
+  | Error msg -> Alcotest.fail msg
 
 let test_bsccs () =
   (* 0 -> 1 -> 2 <-> 3 (cycle), 4 absorbing, 1 -> 4. *)
@@ -289,20 +326,31 @@ let test_pack_is_arrival_merge () =
 
 (* {1 Factored chains against their packed twins}
 
-   A distributed randomized chain over a deterministic protocol on a
-   full space keeps only the checker's [Subsets] graph and merges its
-   rows on demand; its packed twin is [Markov.of_rows] over
-   [Checker.weighted_row], the arrival-order pack of the same subset
-   steps. Every row, every solve and every graph answer must agree
-   bit for bit (weights and times as [Int64.bits_of_float]). *)
+   A deterministic protocol's chain keeps only the checker's graph and
+   merges its rows on demand: the [Subsets] graph of a full space under
+   the distributed class, and the [Edges] graph of a quotient or of the
+   central or synchronous class. Its packed twin is [Markov.of_rows]
+   over [Checker.weighted_row], the arrival-order pack of the same
+   steps. Every row, every solve and every graph answer must agree bit
+   for bit (weights and times as [Int64.bits_of_float]). *)
 
-let factored chain =
-  match (Markov.graph chain).Digraph.rows with
-  | Digraph.Subsets _ -> true
-  | Digraph.Edges _ -> false
+let randomization = function
+  | Statespace.Central -> Markov.Central_uniform
+  | Statespace.Distributed -> Markov.Distributed_uniform
+  | Statespace.Synchronous -> Markov.Sync
 
-let packed_twin space =
-  let g = Checker.expand space Statespace.Distributed in
+let class_name = function
+  | Statespace.Central -> "central"
+  | Statespace.Distributed -> "distributed"
+  | Statespace.Synchronous -> "sync"
+
+(* Whether [chain] kept the checker's graph of [space] under [cls]
+   itself, offsets and all, rather than a packed copy. *)
+let factored space cls chain =
+  (Markov.graph chain).Digraph.off == (Checker.successors (Checker.expand space cls)).Digraph.off
+
+let packed_twin space cls =
+  let g = Checker.expand space cls in
   Markov.of_rows (Array.init (Statespace.count space) (Checker.weighted_row g))
 
 (* The zero deltas of a [Subsets] graph: steps that rewrite a digit to
@@ -324,18 +372,29 @@ let check_solve label (x, outcome) (x', outcome') =
   Alcotest.(check (array int64)) label (bit_array x') (bit_array x);
   if outcome <> outcome' then Alcotest.failf "%s: solver outcomes differ" label
 
-(* [target] is a second, arbitrary set, so absorption is not all ones. *)
-let check_twins label space ~legitimate ~target =
-  let chain = Markov.of_space space Markov.Distributed_uniform in
-  if not (factored chain) then Alcotest.failf "%s: chain is not factored" label;
-  let twin = packed_twin space in
+(* [target] is a second, arbitrary set, so absorption is not all ones.
+   Returns the number of rows that merged repeated targets: fewer
+   entries than the 2^k - 1 subsets of a [Subsets] row or the k steps
+   of an [Edges] row. *)
+let check_twins label space cls ~legitimate ~target =
+  let chain = Markov.of_space space (randomization cls) in
+  if not (factored space cls chain) then Alcotest.failf "%s: chain is not factored" label;
+  let twin = packed_twin space cls in
   let n = Markov.states twin in
   Alcotest.(check int) (label ^ " states") n (Markov.states chain);
+  let fwd = Checker.successors (Checker.expand space cls) in
+  let steps c =
+    let k = Digraph.out_degree fwd c in
+    match fwd.Digraph.rows with Digraph.Subsets _ -> (1 lsl k) - 1 | Digraph.Edges _ -> k
+  in
+  let merged = ref 0 in
   for c = 0 to n - 1 do
+    let row = Markov.row chain c in
     Alcotest.(check (list (pair int int64)))
       (Printf.sprintf "%s row %d" label c)
       (bits (Markov.row twin c))
-      (bits (Markov.row chain c))
+      (bits row);
+    if List.length row < steps c then incr merged
   done;
   let sets = List.sort compare in
   Alcotest.(check (list (list int))) (label ^ " bsccs") (sets (Markov.bsccs twin))
@@ -377,7 +436,8 @@ let check_twins label space ~legitimate ~target =
   if count (Markov.reaches twin ~target) <= Markov.dense_limit then
     Alcotest.(check (array int64)) (label ^ " absorption exact")
       (bit_array (Markov.absorption_probabilities ~method_:Markov.Exact twin ~legitimate:target))
-      (bit_array (Markov.absorption_probabilities ~method_:Markov.Exact chain ~legitimate:target))
+      (bit_array (Markov.absorption_probabilities ~method_:Markov.Exact chain ~legitimate:target));
+  !merged
 
 let arbitrary_set seed n =
   let rng = Random.State.make [| seed |] in
@@ -385,56 +445,102 @@ let arbitrary_set seed n =
   set.(Random.State.int rng n) <- true;
   set
 
-let test_factored_is_packed_twin () =
-  List.iter
-    (fun (name, sizes) ->
-      List.iter
-        (fun n ->
-          let (Stabexp.Registry.Entry e) =
-            Stabexp.Registry.find ~name ~topology:(Printf.sprintf "ring:%d" n) ()
-          in
+(* Registry instances under [cls], quotiented when asked; returns the
+   rows that merged repeated targets. *)
+let check_registry ?(quotient = false) cls families =
+  List.fold_left
+    (fun merged (name, topologies) ->
+      List.fold_left
+        (fun merged topology ->
+          let (Stabexp.Registry.Entry e) = Stabexp.Registry.find ~name ~topology () in
           let space = Statespace.build e.protocol in
-          let count = Statespace.count space in
-          check_twins
-            (Printf.sprintf "%s ring:%d" name n)
-            space
-            ~legitimate:(Statespace.legitimate_set space e.spec)
-            ~target:(arbitrary_set n count))
-        sizes)
-    [
-      ("token-ring", [ 3; 4; 5; 6; 7; 8 ]);
-      ("dijkstra-3state", [ 3; 4; 5; 6; 7; 8 ]);
-      ("coloring", [ 4; 5; 6; 7 ]);
-    ];
-  (* Lazy random protocols keep some digits, so their rows carry zero
-     deltas and the 2^z - 1 self-loop; their targets are arbitrary, so
-     some chains fail prob-1 and only absorption is compared. *)
-  let zeros = ref 0 in
+          let space = if quotient then Statespace.quotient ?relabel:e.relabel space else space in
+          if quotient && not (Statespace.is_quotient space) then
+            Alcotest.failf "%s %s: no quotient" name topology;
+          merged
+          + check_twins
+              (Printf.sprintf "%s %s %s%s" name topology (class_name cls)
+                 (if quotient then " quotient" else ""))
+              space cls
+              ~legitimate:(Statespace.legitimate_set space e.spec)
+              ~target:
+                (arbitrary_set
+                   (Scanf.sscanf topology "%_[a-z]:%d" Fun.id)
+                   (Statespace.count space)))
+        merged topologies)
+    0 families
+
+let rings = List.map (Printf.sprintf "ring:%d")
+
+let test_factored_is_packed_twin () =
+  ignore
+    (check_registry Statespace.Distributed
+       [
+         ("token-ring", rings [ 3; 4; 5; 6; 7; 8 ]);
+         ("dijkstra-3state", rings [ 3; 4; 5; 6; 7; 8 ]);
+         ("coloring", rings [ 4; 5; 6; 7 ]);
+       ]);
+  (* Canonicalized targets meet: several subsets of a quotient row land
+     in one orbit. *)
+  let merged =
+    check_registry ~quotient:true Statespace.Distributed
+      [
+        ("token-ring", rings [ 6; 7; 8; 9; 10; 15 ]);
+        ("coloring", rings [ 5; 6; 7 ] @ [ "star:4"; "star:5" ]);
+      ]
+  in
+  if merged = 0 then Alcotest.fail "no quotient row merged repeated targets";
+  List.iter
+    (fun cls ->
+      ignore
+        (check_registry cls
+           [
+             ("token-ring", rings [ 3; 4; 5; 6; 7; 8 ]);
+             ("dijkstra-3state", rings [ 3; 4; 5; 6; 7; 8 ]);
+           ]))
+    [ Statespace.Central; Statespace.Synchronous ];
+  (* Lazy random protocols keep some digits, so their [Subsets] rows
+     carry zero deltas and the 2^z - 1 self-loop, and their central
+     rows repeat the self-loop once per lazy process; their targets are
+     arbitrary, so some chains fail prob-1 and only absorption is
+     compared. *)
+  let zeros = ref 0 and merged = ref 0 in
   for seed = 0 to 29 do
     let p = Test_random_systems.lazy_protocol (Test_random_systems.random_protocol (seed + 80_000)) in
     let space = Statespace.build p in
     zeros := !zeros + zero_deltas space;
-    check_twins p.Protocol.name space
-      ~legitimate:(Test_random_systems.random_target seed space)
-      ~target:(arbitrary_set seed (Statespace.count space))
+    List.iter
+      (fun cls ->
+        let m =
+          check_twins
+            (Printf.sprintf "%s %s" p.Protocol.name (class_name cls))
+            space cls
+            ~legitimate:(Test_random_systems.random_target seed space)
+            ~target:(arbitrary_set seed (Statespace.count space))
+        in
+        if cls = Statespace.Central then merged := !merged + m)
+      [ Statespace.Distributed; Statespace.Central; Statespace.Synchronous ]
   done;
-  if !zeros = 0 then Alcotest.fail "no lazy protocol stepped a process to its own state"
+  if !zeros = 0 then Alcotest.fail "no lazy protocol stepped a process to its own state";
+  if !merged = 0 then Alcotest.fail "no lazy central row merged repeated targets"
 
-(* Memory gates. The token-ring ring:10 quotient (5934 orbit states)
-   is packed, its expansion cached first: the pack allocates its arrays
-   once at their exact size, so it allocates at most twice the chain's
-   heap arrays (the int32 targets live outside the heap), and the
-   sparse solvers read the chain in place and box nothing per edge, so
-   a full solve allocates at most 2 minor words per chain entry. *)
+(* Memory gates. Herman's ring of 11 under the synchronous class (2048
+   configurations, 177,148 chain entries; randomized, so packed), its
+   expansion cached first: the pack allocates its arrays once at their exact size, so it
+   allocates at most twice the chain's heap arrays (the int32 targets
+   live outside the heap), and the sparse solvers read the chain in
+   place and box nothing per edge, so a full solve allocates at most 2
+   minor words per chain entry. *)
 let test_pack_and_solve_allocation () =
-  let n = 10 in
-  let space = Statespace.quotient (Statespace.build (Stabalgo.Token_ring.make ~n)) in
-  let legitimate = Statespace.legitimate_set space (Stabalgo.Token_ring.spec ~n) in
-  ignore (Checker.expand space Statespace.Distributed);
+  let n = 11 in
+  let space = Statespace.build (Stabalgo.Herman.make ~n) in
+  let legitimate = Statespace.legitimate_set space (Stabalgo.Herman.spec ~n) in
+  ignore (Checker.expand space Statespace.Synchronous);
   let before = Gc.allocated_bytes () in
-  let chain = Markov.of_space space Markov.Distributed_uniform in
+  let chain = Markov.of_space space Markov.Sync in
   let allocated = Gc.allocated_bytes () -. before in
-  if factored chain then Alcotest.fail "a quotient chain must be packed";
+  if factored space Statespace.Synchronous chain then
+    Alcotest.fail "a randomized chain must be packed";
   let heap = float_of_int (Obj.reachable_words (Obj.repr chain) * (Sys.word_size / 8)) in
   if allocated > 2.0 *. heap then
     Alcotest.failf "of_space allocated %.0f B for %.0f B of chain arrays (%.2fx > 2x)"
@@ -451,6 +557,30 @@ let test_pack_and_solve_allocation () =
         Alcotest.failf "%s allocated %.2f minor words per chain entry (> 2)" name per_entry)
     [ ("Gauss-Seidel", Markov.Gauss_seidel); ("Jacobi", Markov.Jacobi) ]
 
+(* The packed twin's bytes: its heap arrays plus 4 B per int32 target
+   outside the heap. *)
+let packed_bytes twin =
+  float_of_int
+    ((Obj.reachable_words (Obj.repr twin) * (Sys.word_size / 8))
+    + (4 * Digraph.edge_count (Markov.graph twin)))
+
+(* The token-ring ring:10 quotient (5934 orbit states) is factored: with
+   its expansion cached, [of_space] keeps the checker's [Edges] graph
+   and allocates (minor and major, [Gc.allocated_bytes]) under 1 % of
+   the bytes of the packed twin. *)
+let test_quotient_of_space_allocation () =
+  let space = Statespace.quotient (Statespace.build (Stabalgo.Token_ring.make ~n:10)) in
+  let packed = packed_bytes (packed_twin space Statespace.Distributed) in
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let chain = Markov.of_space space Markov.Distributed_uniform in
+  let allocated = Gc.allocated_bytes () -. before in
+  if not (factored space Statespace.Distributed chain) then
+    Alcotest.fail "the ring:10 quotient chain must be factored";
+  if allocated > 0.01 *. packed then
+    Alcotest.failf "of_space allocated %.0f B; the packed chain is %.0f B (> 1 %%)" allocated
+      packed
+
 (* Token-ring ring:8 (6561 configurations, 384,063 merged entries,
    4.6 MB packed) is factored: [of_space] keeps the checker's graph, and
    a Gauss-Seidel solve merges one block's rows at a time into scratch
@@ -464,11 +594,7 @@ let test_factored_allocation () =
   let n = 8 in
   let space = Statespace.build (Stabalgo.Token_ring.make ~n) in
   let legitimate = Statespace.legitimate_set space (Stabalgo.Token_ring.spec ~n) in
-  let twin = packed_twin space in
-  let entries = Digraph.edge_count (Markov.graph twin) in
-  let packed =
-    float_of_int ((Obj.reachable_words (Obj.repr twin) * (Sys.word_size / 8)) + (4 * entries))
-  in
+  let packed = packed_bytes (packed_twin space Statespace.Distributed) in
   Gc.minor ();
   let before = Gc.allocated_bytes () in
   let chain = Markov.of_space space Markov.Distributed_uniform in
@@ -476,7 +602,8 @@ let test_factored_allocation () =
   | _, Markov.Converged _ -> ()
   | _, Markov.Max_sweeps _ -> Alcotest.fail "Gauss-Seidel did not converge");
   let allocated = Gc.allocated_bytes () -. before in
-  if not (factored chain) then Alcotest.fail "token-ring ring:8 must be factored";
+  if not (factored space Statespace.Distributed chain) then
+    Alcotest.fail "token-ring ring:8 must be factored";
   if allocated > 0.5 *. packed then
     Alcotest.failf "of_space and a solve allocated %.0f B; the packed chain is %.0f B (> 1/2)"
       allocated packed
@@ -511,6 +638,7 @@ let suite =
       test_factored_is_packed_twin;
     Alcotest.test_case "pack and solve allocation" `Quick test_pack_and_solve_allocation;
     Alcotest.test_case "factored chain and solve allocation" `Quick test_factored_allocation;
+    Alcotest.test_case "quotient of_space allocation" `Quick test_quotient_of_space_allocation;
     Alcotest.test_case "randomized pack boxes no weight" `Quick
       test_randomized_pack_allocation;
     Alcotest.test_case "of_space rows sum" `Quick test_of_space_rows_sum;
@@ -520,6 +648,7 @@ let suite =
     Alcotest.test_case "gambler hitting times" `Quick test_gambler_hitting_times;
     Alcotest.test_case "exact vs iterative" `Quick test_gambler_exact_vs_iterative;
     Alcotest.test_case "hitting needs convergence" `Quick test_hitting_requires_convergence;
+    Alcotest.test_case "one prob-1 pass per question" `Quick test_one_prob1_pass;
     Alcotest.test_case "bsccs" `Quick test_bsccs;
     Alcotest.test_case "reaches" `Quick test_reaches;
     Alcotest.test_case "prob-1 convergence" `Quick test_converges_with_prob_one;

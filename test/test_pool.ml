@@ -65,9 +65,10 @@ let test_scatter_covers () =
    ranges at every width and write each range at its global offsets;
    these pin the packed structures across widths on spaces large enough
    to split: token-ring ring:8 (6561 configurations), the ring:10
-   quotient (5934 orbit representatives) and Herman's ring of 7 (128
-   configurations), whose randomized rows repeat targets with unequal
-   weights, so the arrival-order sums are pinned too. A fresh
+   quotient (5934 orbit representatives) and Herman's rings of 7 and 9
+   (128 and 512 configurations), whose randomized rows repeat targets
+   with unequal weights, so the arrival-order sums are pinned too. A
+   fresh
    [Statespace.build] per run defeats the (space, class) expansion
    cache. Under a null sink [pool.tasks] must rise at width > 1, so the
    tests cannot silently fall back to a single inline range. *)
@@ -81,6 +82,13 @@ let spaces =
         (fun () -> Statespace.quotient (Statespace.build (Stabalgo.Token_ring.make ~n:10)))
     );
     ("herman ring:7", Space (fun () -> Statespace.build (Stabalgo.Herman.make ~n:7)));
+  ]
+
+(* Only randomized protocols pack their chains. *)
+let randomized_spaces =
+  [
+    ("herman ring:7", Space (fun () -> Statespace.build (Stabalgo.Herman.make ~n:7)));
+    ("herman ring:9", Space (fun () -> Statespace.build (Stabalgo.Herman.make ~n:9)));
   ]
 
 let counting_tasks f =
@@ -126,38 +134,42 @@ let identical_across_widths ?(spaces = spaces) what rows () =
 let test_expansion_identical_across_widths =
   identical_across_widths "weighted rows" expansion_rows
 
-(* Token-ring ring:8 is left out here: its chain is factored, kept as
-   the checker's graph and merged on demand, so it has no pack to
-   split. *)
+(* A deterministic protocol's chain is factored, kept as the checker's
+   graph and merged on demand, so it has no pack to split: only the
+   randomized Herman rings reach the pool here. *)
 let test_markov_identical_across_widths =
-  identical_across_widths
-    ~spaces:(List.filter (fun (label, _) -> label <> "token-ring ring:8") spaces)
-    "CSR rows" markov_rows
+  identical_across_widths ~spaces:randomized_spaces "CSR rows" markov_rows
 
-(* The factored token-ring ring:8 chain runs no pool task of its own;
-   its rows and Gauss-Seidel hitting times, over an expansion split at
-   every width, are the same bits at widths 1, 2 and 4. *)
+(* The factored chains of token-ring ring:8 and of the ring:10
+   quotient run no pool task of their own; their rows and Gauss-Seidel
+   hitting times, over an expansion (and a symmetry validation) split
+   at every width, are the same bits at widths 1, 2 and 4. *)
 let test_factored_markov_identical_across_widths () =
   Obs.install (Obs.null_sink ());
   Fun.protect ~finally:Obs.clear @@ fun () ->
-  let n = 8 in
-  let answer () =
-    let space = Statespace.build (Stabalgo.Token_ring.make ~n) in
-    let legitimate = Statespace.legitimate_set space (Stabalgo.Token_ring.spec ~n) in
-    let chain = Markov.of_space space Markov.Distributed_uniform in
-    let rows =
-      List.init (Markov.states chain) (fun c ->
-          List.map (fun (t, w) -> (t, Int64.bits_of_float w)) (Markov.row chain c))
-    in
-    let times, _ = Markov.sparse_hitting_times chain ~legitimate in
-    (rows, Array.map Int64.bits_of_float times)
-  in
-  let reference = with_width 1 answer in
   List.iter
-    (fun w ->
-      if with_width w answer <> reference then
-        Alcotest.failf "token-ring ring:8, width %d: rows or hitting times differ" w)
-    [ 2; 4 ]
+    (fun (n, quotient) ->
+      let answer () =
+        let space = Statespace.build (Stabalgo.Token_ring.make ~n) in
+        let space = if quotient then Statespace.quotient space else space in
+        let legitimate = Statespace.legitimate_set space (Stabalgo.Token_ring.spec ~n) in
+        let chain = Markov.of_space space Markov.Distributed_uniform in
+        let rows =
+          List.init (Markov.states chain) (fun c ->
+              List.map (fun (t, w) -> (t, Int64.bits_of_float w)) (Markov.row chain c))
+        in
+        let times, _ = Markov.sparse_hitting_times chain ~legitimate in
+        (rows, Array.map Int64.bits_of_float times)
+      in
+      let reference = with_width 1 answer in
+      List.iter
+        (fun w ->
+          if with_width w answer <> reference then
+            Alcotest.failf "token-ring ring:%d%s, width %d: rows or hitting times differ" n
+              (if quotient then " quotient" else "")
+              w)
+        [ 2; 4 ])
+    [ (8, false); (10, true) ]
 
 (* Every sampler draws the same sample at every pool width: one stream
    per run is pre-split in run order (Montecarlo.sample), and each run
