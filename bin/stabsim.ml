@@ -215,7 +215,7 @@ let obs_term =
     let doc =
       "Width of the work-stealing Domain pool shared by every parallel stage \
        (state-space expansion, quotient canonicalization, Monte-Carlo \
-       sampling, sparse-chain construction, campaign workers). Default: the \
+       sampling, campaign workers). Default: the \
        recommended domain count minus one, at least 1; values below 1 are \
        clamped."
     in

@@ -125,7 +125,8 @@ val row_weights : graph -> int -> float array -> unit
     [ws.(0)], [ws.(1)], ..., one per transition of [c] in transition
     order (the order of [Digraph.iter_succ] on {!successors}), straight
     off the packed arrays and without boxing a float. This is the
-    handoff {!Markov.of_space} packs its CSR rows from. *)
+    weight reader of a {!Markov.of_space} chain, which merges each
+    [Edges] row from it on demand. *)
 
 type closure_violation =
   | Empty_legitimate_set

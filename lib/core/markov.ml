@@ -1,79 +1,74 @@
 type randomization = Central_uniform | Distributed_uniform | Sync
 
-(* A chain has one of two row sources; row [c] is read through [off]
-   either way.
-   - [Packed]: compressed-sparse-row data packed off the checker's flat
-     successor arrays. Row [c] occupies [off.(c) .. off.(c + 1) - 1] of
-     [cols]/[w], targets merged and sorted ascending, weights summing
-     to 1. [cols] is an int32 {!Digraph.edges} array, so {!graph} hands
-     it to the kernel without a copy. Terminal configurations are
-     stored as probability-1 self-loops, so every row is non-empty and
-     the solvers never special-case absorption. Only randomized
-     protocols ([Outcomes] graphs) and {!of_rows} pack.
-   - [Factored]: a deterministic protocol's chain, kept as the checker's
-     graph itself, [rows] being its {!Digraph.rows}: every step of a
-     configuration weighs the same, so the graph is the whole chain.
-     In a [Subsets] row, entries [off.(c) .. off.(c + 1) - 1] are the k
-     per-process deltas of [c], and every non-empty subset of them
-     weighs 1/(2^k - 1); in an [Edges] row (central, synchronous or
-     quotient) they are the k step targets of [c], each weighing 1/k.
-     {!merge} writes the row the pack would have stored, bit for bit.
-     [widest] is the largest k. *)
-type rows =
-  | Packed of { cols : Digraph.edges; w : float array }
-  | Factored of { rows : Digraph.rows; widest : int }
+(* A chain is a {!Digraph} graph [g] plus a per-row weight reader
+   [weights]: row [c] is entries [g.off.(c) .. g.off.(c + 1) - 1] of
+   [g]'s row array, merged on demand by {!merge} into its targets,
+   ascending, with weights summing to 1.
+   - {!of_space} keeps the checker's graph itself. In a [Subsets] row (a
+     deterministic protocol on a full space under the distributed
+     class) the entries are the k per-process deltas of [c], and every
+     non-empty subset of them weighs 1/(2^k - 1). In an [Edges] row
+     (the central and synchronous classes, quotients and randomized
+     protocols) they are the step targets of [c] in transition order,
+     and [weights c ws] writes their weights, {!Checker.row_weights}:
+     1/g for each of a configuration's g steps, times the outcome's
+     probability for a randomized protocol.
+   - {!of_rows} stores [Edges] rows already merged, their weights in an
+     array beside them.
+   A terminal configuration's row is empty and merges to the absorbing
+   (c, 1.0), so the solvers never special-case absorption. [widest] is
+   the most entries a row stores. *)
+type t = { g : Digraph.t; weights : int -> float array -> unit; widest : int }
 
-type t = { n : int; off : int array; rows : rows }
-
-let states chain = chain.n
+let states chain = chain.g.n
 
 (* A local read of a target array, so that it compiles to a plain
    32-bit load: the kernel's {!Digraph.target} is a call across a
    module boundary. *)
 let[@inline] col (cols : Digraph.edges) i = Int32.to_int (Bigarray.Array1.get cols i)
 
-(* The most entries a factored row of k stored entries merges to: the
-   2^k - 1 subset sums of k deltas, or the k targets of k edges; a
-   terminal row is the one absorbing entry. *)
-let merged_bound rows k =
-  match rows with
-  | Digraph.Subsets _ -> max 1 ((1 lsl k) - 1)
-  | Digraph.Edges _ -> max 1 k
+(* The most entries a row of k stored entries merges to: the 2^k - 1
+   subset sums of k deltas, or the k targets of k edges, but never more
+   targets than the chain has states; a terminal row is the one
+   absorbing entry. *)
+let merged_bound chain k =
+  match chain.g.rows with
+  | Digraph.Subsets _ -> min chain.g.n (max 1 ((1 lsl k) - 1))
+  | Digraph.Edges _ -> min chain.g.n (max 1 k)
 
-(* Scratch for merging factored rows: the sorted subset sums so far
-   with their multiplicities, and a second pair to merge into; an
-   [Edges] row sorts its targets in [keys], [keys'] being the sort's
-   buffer. *)
+(* Scratch for merging rows of at most [k] stored entries. A [Subsets]
+   row keeps its sorted subset sums so far, with their multiplicities,
+   in [keys]/[mult] and merges into [keys']/[mult']; the sums are
+   distinct codes of the chain, so [merged_bound] bounds them. An
+   [Edges] row sorts its arrival keys in [keys], [keys'] being the
+   sort's buffer, and reads its weights into [ws]. *)
 type merger = {
   mutable keys : int array;
   mutable mult : int array;
   mutable keys' : int array;
   mutable mult' : int array;
+  ws : float array;
 }
 
-(* Scratch for rows of at most [k] stored entries. *)
-let merger rows k =
-  let size = merged_bound rows k + 1 in
-  {
-    keys = Array.make size 0;
-    mult = Array.make size 0;
-    keys' = Array.make size 0;
-    mult' = Array.make size 0;
-  }
-
-(* The float the pack's arrival-order merge gives [m] equal weights
-   [w]: their left fold. *)
-let repeated w m =
-  let sum = ref w in
-  for _ = 2 to m do
-    sum := !sum +. w
-  done;
-  !sum
+let merger chain k =
+  match chain.g.rows with
+  | Digraph.Subsets _ ->
+    let size = merged_bound chain k + 1 in
+    let ints () = Array.make size 0 in
+    { keys = ints (); mult = ints (); keys' = ints (); mult' = ints (); ws = [||] }
+  | Digraph.Edges _ ->
+    {
+      keys = Array.make k 0;
+      mult = [||];
+      keys' = Array.make ((k / 2) + 1) 0;
+      mult' = [||];
+      ws = Array.create_float k;
+    }
 
 (* Merge sort of the ints [a.(lo .. hi - 1)], insertion-sorting short
    runs; [tmp] holds the left run while it is merged back in place.
-   Rows off the packed graph arrive nearly descending, which would make
-   an insertion sort of a whole row quadratic. *)
+   Rows off the checker's graph arrive nearly descending, which would
+   make an insertion sort of a whole row quadratic. *)
 let rec sort_ints (a : int array) (tmp : int array) lo hi =
   if hi - lo <= 16 then
     for i = lo + 1 to hi - 1 do
@@ -113,28 +108,6 @@ let absorbing c (cols : Digraph.edges) (w : float array) pos =
   w.(pos) <- 1.0;
   pos + 1
 
-(* Writes the [len] ascending [keys] with their multiplicities [mult],
-   minus one off [c]'s own ([self] subsets of [c]'s steps land back on
-   [c] without being steps), each weighing the left fold of its
-   multiplicity in copies of [unit], which is what the pack sums in
-   arrival order. *)
-let weigh ~keys ~mult ~len ~unit ~self c (cols : Digraph.edges) (w : float array) pos =
-  let last_m = ref 1 and last_w = ref unit and e = ref pos in
-  for i = 0 to len - 1 do
-    let target = keys.(i) in
-    let times = if target = c then mult.(i) - self else mult.(i) in
-    if times > 0 then begin
-      if times <> !last_m then begin
-        last_m := times;
-        last_w := repeated unit times
-      end;
-      Bigarray.Array1.set cols !e (Int32.of_int target);
-      w.(!e) <- !last_w;
-      incr e
-    end
-  done;
-  !e
-
 (* Writes [Subsets] row [c], merged and ascending, at [pos] of
    [cols]/[w], and returns the position after it. The targets are
    the subset sums of [c]'s k deltas: starting from the empty sum [c],
@@ -145,7 +118,9 @@ let weigh ~keys ~mult ~len ~unit ~self c (cols : Digraph.edges) (w : float array
    step, so [c]'s own multiplicity drops by one: with z zero deltas
    among distinct-digit ones, every other sum has multiplicity 2^z and
    the self-loop 2^z - 1. Each subset weighs 1/(2^k - 1), the weight
-   {!Checker.row_weights} gives it. *)
+   {!Checker.row_weights} gives it, and a sum of multiplicity m weighs
+   the left fold of m copies of it, what summing its subsets in
+   arrival order gives. *)
 let merge_subsets m ~off ~deltas c cols w pos =
   let first = off.(c) and k = off.(c + 1) - off.(c) in
   if k = 0 then absorbing c cols w pos
@@ -203,63 +178,84 @@ let merge_subsets m ~off ~deltas c cols w pos =
       end
     done;
     let unit = 1.0 /. float_of_int ((1 lsl k) - 1) in
-    weigh ~keys:m.keys ~mult:m.mult ~len:!len ~unit ~self:1 c cols w pos
+    let last_m = ref 1 and last_w = ref unit and e = ref pos in
+    for i = 0 to !len - 1 do
+      let target = m.keys.(i) in
+      let times = if target = c then m.mult.(i) - 1 else m.mult.(i) in
+      if times > 0 then begin
+        if times <> !last_m then begin
+          last_m := times;
+          last_w := unit;
+          for _ = 2 to times do
+            last_w := !last_w +. unit
+          done
+        end;
+        Bigarray.Array1.set cols !e (Int32.of_int target);
+        w.(!e) <- !last_w;
+        incr e
+      end
+    done;
+    !e
   end
 
-(* Writes [Edges] row [c] as [merge_subsets] does: its k targets,
-   sorted, each distinct one with its number of copies, and each step
-   weighing 1/k, the weight {!Checker.row_weights} gives a [Singleton]
-   group. *)
-let merge_edges m ~off ~targets c cols w pos =
+(* An arrival key is a target above its arrival index in the row, so
+   that an int sort orders equal targets by arrival. Targets are below
+   2^31 ({!Digraph.create_edges}), and a row of 2^31 entries would need
+   48 GiB of scratch, so a key fits in 62 bits. *)
+let arrival_bits = 31
+let arrival_mask = (1 lsl arrival_bits) - 1
+
+(* Writes [Edges] row [c] as [merge_subsets] does: its k targets, each
+   weighing what [weights] writes, keyed by arrival and sorted, so that
+   equal targets come together in arrival order and each run is summed
+   left to right. *)
+let merge_edges m ~off ~targets ~weights c cols w pos =
   let first = off.(c) and k = off.(c + 1) - off.(c) in
   if k = 0 then absorbing c cols w pos
   else begin
-    let keys = m.keys and mult = m.mult in
+    weights c m.ws;
+    let keys = m.keys in
     for i = 0 to k - 1 do
-      keys.(i) <- col targets (first + i)
+      keys.(i) <- (col targets (first + i) lsl arrival_bits) lor i
     done;
     sort_ints keys m.keys' 0 k;
-    let len = ref 0 in
-    for i = 0 to k - 1 do
-      if i > 0 && keys.(i) = keys.(!len - 1) then mult.(!len - 1) <- mult.(!len - 1) + 1
-      else begin
-        keys.(!len) <- keys.(i);
-        mult.(!len) <- 1;
-        incr len
-      end
+    let e = ref pos and i = ref 0 in
+    while !i < k do
+      let target = keys.(!i) lsr arrival_bits in
+      let sum = ref m.ws.(keys.(!i) land arrival_mask) in
+      incr i;
+      while !i < k && keys.(!i) lsr arrival_bits = target do
+        sum := !sum +. m.ws.(keys.(!i) land arrival_mask);
+        incr i
+      done;
+      Bigarray.Array1.set cols !e (Int32.of_int target);
+      w.(!e) <- !sum;
+      incr e
     done;
-    weigh ~keys ~mult ~len:!len ~unit:(1.0 /. float_of_int k) ~self:0 c cols w pos
+    !e
   end
 
-(* Writes factored row [c], merged and ascending, at [pos] of
-   [cols]/[w], and returns the position after it. *)
-let merge m ~off rows c cols w pos =
-  match rows with
+(* Writes row [c], merged and ascending, at [pos] of [cols]/[w], and
+   returns the position after it. *)
+let merge m chain c cols w pos =
+  let off = chain.g.off in
+  match chain.g.rows with
   | Digraph.Subsets deltas -> merge_subsets m ~off ~deltas c cols w pos
-  | Digraph.Edges targets -> merge_edges m ~off ~targets c cols w pos
+  | Digraph.Edges targets -> merge_edges m ~off ~targets ~weights:chain.weights c cols w pos
 
-(* A reader of a factored chain's rows of at most [k] stored entries:
-   [read c f] merges row [c] into scratch the reader owns and calls
-   [f target weight] along it, ascending. A reader serves one domain. *)
-let factored_reader chain rows k =
-  let m = merger rows k and size = merged_bound rows k in
-  let cols = Digraph.create_edges ~nodes:chain.n size and w = Array.create_float size in
+(* A reader of the chain's rows of at most [k] stored entries: [read c
+   f] merges row [c] into scratch the reader owns and calls [f target
+   weight] along it, ascending. A reader serves one domain. *)
+let reader chain k =
+  let m = merger chain k and size = merged_bound chain k in
+  let cols = Digraph.create_edges ~nodes:chain.g.n size and w = Array.create_float size in
   fun c f ->
-    for i = 0 to merge m ~off:chain.off rows c cols w 0 - 1 do
+    for i = 0 to merge m chain c cols w 0 - 1 do
       f (col cols i) w.(i)
     done
 
-(* [rows_reader chain] reads merged rows one at a time, as
-   [factored_reader] does, a factored chain's scratch sized for its
-   widest row. *)
-let rows_reader chain =
-  match chain.rows with
-  | Packed { cols; w } ->
-    fun c f ->
-      for i = chain.off.(c) to chain.off.(c + 1) - 1 do
-        f (col cols i) w.(i)
-      done
-  | Factored { rows; widest } -> factored_reader chain rows widest
+(* Scratch sized for the widest row. *)
+let rows_reader chain = reader chain chain.widest
 
 let read_list read c =
   let out = ref [] in
@@ -268,137 +264,20 @@ let read_list read c =
 
 (* A single row gets scratch sized for itself, not the widest row. *)
 let row chain c =
-  let read =
-    match chain.rows with
-    | Packed _ -> rows_reader chain
-    | Factored { rows; _ } -> factored_reader chain rows (chain.off.(c + 1) - chain.off.(c))
-  in
-  read_list read c
+  read_list (reader chain (chain.g.off.(c + 1) - chain.g.off.(c))) c
 
-let merge_row entries =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (c, w) ->
-      let prev = Option.value (Hashtbl.find_opt tbl c) ~default:0.0 in
-      Hashtbl.replace tbl c (prev +. w))
-    entries;
-  Hashtbl.fold (fun c w acc -> (c, w) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-
-(* One row at a time, in arrival order: its targets in [keys], then
-   their weights in [ws]. A range's scratch doubles as needed, so it
-   stays within twice the range's longest row, whatever [n] is. *)
-type scratch = {
-  mutable keys : int array;
-  mutable ws : float array;
-  mutable tmp : int array;
-  mutable len : int;
-}
-
-(* The weights are written once the row's targets are all in, so a
-   grown [ws] needs no copy. *)
-let push s target =
-  if s.len = Array.length s.keys then begin
-    let size = max 16 (2 * s.len) in
-    let keys = Array.make size 0 in
-    Array.blit s.keys 0 keys 0 s.len;
-    s.keys <- keys;
-    s.ws <- Array.create_float size;
-    s.tmp <- Array.make (size / 2) 0
-  end;
-  s.keys.(s.len) <- target;
-  s.len <- s.len + 1
-
-(* Reads the targets of row [c] into [s] through [targets c add], [add]
-   being [push s]; an empty row becomes an absorbing self-loop, and
-   [false] says so. *)
-let read_row s targets add c =
-  if c land 1023 = 0 then Cancel.poll ();
-  s.len <- 0;
-  targets c add;
-  s.len > 0
-  || begin
-    push s c;
-    s.ws.(0) <- 1.0;
-    false
-  end
-
-(* A fill key is a target above its arrival index in the row, so that
-   an int sort orders equal targets by arrival. Targets are below 2^31
-   ({!Digraph.create_edges}), and a row of 2^31 entries would need
-   48 GiB of scratch, so a key fits in 62 bits. *)
-let arrival_bits = 31
-let arrival_mask = (1 lsl arrival_bits) - 1
-let count_grain = Pool.Grain.site "markov.pack.count"
-let fill_grain = Pool.Grain.site "markov.pack.fill"
-
-(* The CSR pack, in two passes over the rows, as {!Checker.expand}
-   builds its graph. [targets c add] must call [add target] once per
-   transition of [c], and [weights c ws] write those transitions'
-   weights, in the same order, into [ws.(0)], [ws.(1)], ...; no weight
-   crosses a closure, so none is boxed. The count pass reads [targets]
-   alone. It sorts each row's targets and stores their number of
-   distinct ones at [off.(c + 1)]; a serial prefix sum turns the counts
-   into offsets, and [cols] and [w] are allocated once at their exact
-   size. The fill pass reads both, sorts each row's keys, so equal
-   targets come together in arrival order, sums each run left to right
-   and writes the merged row at its global offset. Every merged weight
-   is therefore the same float sum however the pool split either pass.
-   Rows are independent, so ranges run concurrently with scratch of
-   their own; a row whose fill disagrees with its count raises. *)
-let pack n ~targets ~weights =
-  let off = Array.make (n + 1) 0 in
-  let scratch () = { keys = [||]; ws = [||]; tmp = [||]; len = 0 } in
-  Pool.parallel_for ~site:count_grain ~min_chunk:64 n (fun ~lo ~hi ->
-      let s = scratch () in
-      let add = push s in
-      for c = lo to hi - 1 do
-        ignore (read_row s targets add c);
-        sort_ints s.keys s.tmp 0 s.len;
-        let distinct = ref 1 in
-        for i = 1 to s.len - 1 do
-          if s.keys.(i) <> s.keys.(i - 1) then incr distinct
-        done;
-        off.(c + 1) <- !distinct
-      done);
-  for c = 1 to n do
-    off.(c) <- off.(c) + off.(c - 1)
-  done;
-  let cols = Digraph.create_edges ~nodes:n off.(n) and w = Array.create_float off.(n) in
-  let disagree c =
-    invalid_arg
-      (Printf.sprintf
-         "Markov: the fill pass disagrees with the count pass at state %d (is the row \
-          source pure?)"
-         c)
-  in
-  Pool.parallel_for ~site:fill_grain ~min_chunk:64 n (fun ~lo ~hi ->
-      let s = scratch () in
-      let add = push s in
-      for c = lo to hi - 1 do
-        if read_row s targets add c then weights c s.ws;
-        let keys = s.keys and len = s.len in
-        for i = 0 to len - 1 do
-          keys.(i) <- (keys.(i) lsl arrival_bits) lor i
-        done;
-        sort_ints keys s.tmp 0 len;
-        let e = ref off.(c) and i = ref 0 in
-        while !i < len do
-          let target = keys.(!i) lsr arrival_bits in
-          let sum = ref s.ws.(keys.(!i) land arrival_mask) in
-          incr i;
-          while !i < len && keys.(!i) lsr arrival_bits = target do
-            sum := !sum +. s.ws.(keys.(!i) land arrival_mask);
-            incr i
-          done;
-          if !e >= off.(c + 1) then disagree c;
-          Bigarray.Array1.set cols !e (Int32.of_int target);
-          w.(!e) <- !sum;
-          incr e
-        done;
-        if !e <> off.(c + 1) then disagree c
-      done);
-  { n; off; rows = Packed { cols; w } }
+(* [entries] merged by target, ascending: a stable sort keeps equal
+   targets in arrival order, and their weights are summed left to
+   right. *)
+let merge_entries entries =
+  List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) entries
+  |> List.fold_left
+       (fun acc (c, w) ->
+         match acc with
+         | (c', sum) :: rest when c' = c -> (c, sum +. w) :: rest
+         | _ -> (c, w) :: acc)
+       []
+  |> List.rev
 
 (* Strong-lumpability audit of a quotient chain, enabled by paranoid
    mode: every orbit member of the *full* space must project (through
@@ -406,15 +285,15 @@ let pack n ~targets ~weights =
    the condition making quotient hitting times and absorption
    probabilities equal to the full chain's. Expensive — it expands the
    base space — and therefore gated. The lumped rows are read through
-   one reader, so a factored chain merges into the same scratch for
-   every full-space code. *)
+   one reader, so they merge into the same scratch for every full-space
+   code. *)
 let check_lumpability chain space base rep_of cls =
   let g = Checker.expand base cls in
   let read = rows_reader chain in
   let project entries =
     match entries with
     | [] -> None
-    | _ -> Some (merge_row (List.map (fun (c, w) -> (rep_of.(c), w)) entries))
+    | _ -> Some (merge_entries (List.map (fun (c, w) -> (rep_of.(c), w)) entries))
   in
   let fail c =
     invalid_arg
@@ -439,15 +318,21 @@ let check_lumpability chain space base rep_of cls =
       then fail c
   done
 
+let widest_row (g : Digraph.t) =
+  let k = ref 0 in
+  for c = 0 to g.n - 1 do
+    k := max !k (g.off.(c + 1) - g.off.(c))
+  done;
+  !k
+
 (* The chain is read off the checker's expansion, so a space analysed
    exhaustively and then probabilistically expands its transition
    relation once, not twice. On a quotient space the graph already has
    canonicalized targets, so the very same read-off produces the lumped
    chain; orbit sizes only matter to consumers that average over the
-   full space (see {!hitting_stats}). A deterministic protocol's graph
-   ([Singleton] or [Subsets] groups) is the factored chain itself, so
-   it is kept; only a randomized protocol's [Outcomes] graph, whose
-   outcome weights differ, is packed. *)
+   full space (see {!hitting_stats}). The graph, with
+   {!Checker.row_weights} as its weight reader, is the chain: nothing
+   is allocated per state. *)
 let of_space space randomization =
   Stabobs.Obs.span "markov.of_space" @@ fun () ->
   let cls =
@@ -457,26 +342,17 @@ let of_space space randomization =
     | Sync -> Statespace.Synchronous
   in
   let g = Checker.expand space cls in
-  let n = Statespace.count space in
   let fwd = Checker.successors g in
-  let chain =
-    match (Checker.packing g).groups with
-    | Checker.Singleton | Checker.Subsets ->
-      let off = fwd.off in
-      let widest = ref 0 in
-      for c = 0 to n - 1 do
-        widest := max !widest (off.(c + 1) - off.(c))
-      done;
-      { n; off; rows = Factored { rows = fwd.rows; widest = !widest } }
-    | Checker.Outcomes _ ->
-      pack n ~targets:(Digraph.iter_succ fwd) ~weights:(Checker.row_weights g)
-  in
+  let chain = { g = fwd; weights = Checker.row_weights g; widest = widest_row fwd } in
   (if Symmetry.paranoid_enabled () then
      match Statespace.quotient_view space with
      | None -> ()
      | Some (base, _, rep_of, _) -> check_lumpability chain space base rep_of cls);
   chain
 
+(* Each row is merged once, by [merge_entries], not by the chain's own
+   merger, and stored with its weights; reading it merges it again,
+   which leaves it as it is. *)
 let of_rows rows =
   let n = Array.length rows in
   Array.iter
@@ -494,22 +370,28 @@ let of_rows rows =
         if Float.abs (total -. 1.0) > 1e-9 then
           invalid_arg "Markov.of_rows: row does not sum to 1")
     rows;
-  pack n
-    ~targets:(fun c add -> List.iter (fun (c', _) -> add c') rows.(c))
-    ~weights:(fun c ws -> List.iteri (fun i (_, w) -> ws.(i) <- w) rows.(c))
+  let merged = Array.map merge_entries rows in
+  let off = Array.make (n + 1) 0 in
+  Array.iteri (fun c row -> off.(c + 1) <- off.(c) + List.length row) merged;
+  let cols = Digraph.create_edges ~nodes:n off.(n) and w = Array.create_float off.(n) in
+  Array.iteri
+    (fun c row ->
+      List.iteri
+        (fun i (c', wc) ->
+          Bigarray.Array1.set cols (off.(c) + i) (Int32.of_int c');
+          w.(off.(c) + i) <- wc)
+        row)
+    merged;
+  let g = { Digraph.n; off; rows = Digraph.Edges cols } in
+  let weights c ws = Array.blit w off.(c) ws 0 (off.(c + 1) - off.(c)) in
+  { g; weights; widest = widest_row g }
 
-let graph chain =
-  let rows =
-    match chain.rows with
-    | Packed { cols; _ } -> Digraph.Edges cols
-    | Factored { rows; _ } -> rows
-  in
-  { Digraph.n = chain.n; off = chain.off; rows }
+let graph chain = chain.g
 
 let bsccs chain =
   let g = graph chain in
   let comps = Digraph.sccs g in
-  let component = Array.make chain.n (-1) in
+  let component = Array.make chain.g.n (-1) in
   List.iteri (fun i members -> Array.iter (fun c -> component.(c) <- i) members) comps;
   List.filteri
     (fun i members ->
@@ -553,39 +435,32 @@ type solve_outcome = Converged of solve_stats | Max_sweeps of solve_stats
    a block exceeding [max_sweeps] aborts the remaining blocks and
    reports [Max_sweeps] with the partial iterate left in [x].
 
-   The sweeps read row [r] at [roff.(r) .. roff.(r + 1) - 1] of
-   [cols]/[w]. A packed chain lends its own arrays, [r] being the
-   state. A factored chain merges a block's rows once, before its
-   sweeps, into block-local arrays, [r] being the member's index in
-   the block; they are sized once, for the block with the most
-   entries, so the merged chain is never held whole. Both read the
-   same merged rows in the same order, so the arithmetic is the same
-   float for float. *)
+   The sweeps read the [r]-th member of a block at
+   [roff.(r) .. roff.(r + 1) - 1] of [cols]/[w]: a block's rows are
+   merged once, before its sweeps, into these block-local arrays. They
+   are sized once, for the block whose rows merge to the most entries
+   at most, so the merged chain is never held whole. *)
 let solve_transient ~kind ~tolerance ~max_sweeps chain ~transient ~base x =
+  let n = states chain and off = chain.g.off in
   let blocks = transient_blocks chain ~transient in
   let nblocks = List.length blocks in
-  let x_old = match kind with Jacobi -> Array.make chain.n 0.0 | Gauss_seidel -> [||] in
-  let block_of = Array.make chain.n (-1) in
-  let factored, roff, cols, w, load =
-    match chain.rows with
-    | Packed { cols; w } -> (false, chain.off, cols, w, ignore)
-    | Factored { rows; widest } ->
-      let entries = ref 0 and members = ref 0 in
-      List.iter
-        (fun block ->
-          let bound acc c = acc + merged_bound rows (chain.off.(c + 1) - chain.off.(c)) in
-          entries := max !entries (Array.fold_left bound 0 block);
-          members := max !members (Array.length block))
-        blocks;
-      let m = merger rows widest and roff = Array.make (!members + 1) 0 in
-      let cols = Digraph.create_edges ~nodes:chain.n !entries
-      and w = Array.create_float !entries in
-      let load block =
-        Array.iteri
-          (fun r c -> roff.(r + 1) <- merge m ~off:chain.off rows c cols w roff.(r))
-          block
-      in
-      (true, roff, cols, w, load)
+  let x_old = match kind with Jacobi -> Array.make n 0.0 | Gauss_seidel -> [||] in
+  let block_of = Array.make n (-1) in
+  let entries = ref 0 and members = ref 0 in
+  List.iter
+    (fun block ->
+      let bound acc c = acc + merged_bound chain (off.(c + 1) - off.(c)) in
+      entries := max !entries (Array.fold_left bound 0 block);
+      members := max !members (Array.length block))
+    blocks;
+  let m = merger chain chain.widest and roff = Array.make (!members + 1) 0 in
+  let cols = Digraph.create_edges ~nodes:n !entries and w = Array.create_float !entries in
+  let load block =
+    Array.iteri
+      (fun r c ->
+        if r land 1023 = 1023 then Cancel.poll ();
+        roff.(r + 1) <- merge m chain c cols w roff.(r))
+      block
   in
   Stabobs.Obs.span "markov.solve.sparse"
     ~args:[ ("blocks", Stabobs.Json.Int nblocks) ]
@@ -626,13 +501,12 @@ let solve_transient ~kind ~tolerance ~max_sweeps chain ~transient ~base x =
     load block;
     if bsize = 1 then begin
       let c = block.(0) in
-      let r = if factored then 0 else c in
       let self = ref 0.0 in
-      for i = roff.(r) to roff.(r + 1) - 1 do
+      for i = roff.(0) to roff.(1) - 1 do
         if col cols i = c then self := !self +. w.(i)
       done;
       if 1.0 -. !self > 1e-12 then begin
-        value c r x;
+        value c 0 x;
         x.(c) <- out.(0)
       end
       else failed := true (* absorbing-in-transient: no finite solution *)
@@ -664,7 +538,7 @@ let solve_transient ~kind ~tolerance ~max_sweeps chain ~transient ~base x =
           let norm = ref 1.0 in
           for k = 0 to bsize - 1 do
             let c = block.(k) in
-            value c (if factored then k else c) src;
+            value c k src;
             let v = out.(0) in
             delta := Float.max !delta (Float.abs (v -. x.(c)));
             norm := Float.max !norm (Float.abs v);
@@ -690,7 +564,7 @@ let solve_transient ~kind ~tolerance ~max_sweeps chain ~transient ~base x =
 
 let sparse_hitting_times ?(kind = Gauss_seidel) ?(tolerance = 1e-10)
     ?(max_sweeps = 1_000_000) chain ~legitimate =
-  let x = Array.make chain.n 0.0 in
+  let x = Array.make chain.g.n 0.0 in
   let transient = Array.map not legitimate in
   let outcome = solve_transient ~kind ~tolerance ~max_sweeps chain ~transient ~base:1.0 x in
   (x, outcome)
@@ -723,11 +597,11 @@ let no_convergence fn ~tolerance (stats : solve_stats) =
    of 0 or 1 adds an exact [0.0] or [w], so b carries no rounding the
    boundary did not. *)
 let dense_transient chain ~transient ~base x =
-  let states = Array.of_seq (Seq.filter (Array.get transient) (Seq.init chain.n Fun.id)) in
+  let states = Array.of_seq (Seq.filter (Array.get transient) (Seq.init chain.g.n Fun.id)) in
   let t_count = Array.length states in
   if t_count > 0 then begin
     Stabobs.Obs.span "markov.solve.exact" @@ fun () ->
-    let pos = Array.make chain.n (-1) in
+    let pos = Array.make chain.g.n (-1) in
     Array.iteri (fun i c -> pos.(c) <- i) states;
     let a = Stablinalg.Matrix.identity t_count and b = Array.make t_count base in
     let read = rows_reader chain in
@@ -755,7 +629,7 @@ let hitting_times_result ?method_ chain ~legitimate =
     (fun () ->
       let transient = Array.map not legitimate in
       let count = Array.fold_left (fun k t -> if t then k + 1 else k) 0 transient in
-      let x = Array.make chain.n 0.0 in
+      let x = Array.make chain.g.n 0.0 in
       if count = 0 then (x, None)
       else
         match Option.value method_ ~default:(default_method ~transient:count) with
@@ -808,7 +682,10 @@ let transient_distribution chain ~init ~steps =
   if Array.length init <> n then
     invalid_arg "Markov.transient_distribution: distribution length mismatch";
   let total = Array.fold_left ( +. ) 0.0 init in
-  if Array.exists (fun w -> w < 0.0) init || Float.abs (total -. 1.0) > 1e-9 then
+  if
+    Array.exists (fun w -> w < 0.0 || not (Float.is_finite w)) init
+    || Float.abs (total -. 1.0) > 1e-9
+  then
     invalid_arg "Markov.transient_distribution: not a distribution";
   let read = rows_reader chain in
   let current = ref (Array.copy init) in

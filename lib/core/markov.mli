@@ -12,26 +12,24 @@
     hitting times (the quantitative study the paper leaves as future
     work).
 
-    A chain has one of two row sources, picked from the checker graph's
-    layout. Every deterministic protocol's chain is its checker graph:
-    all k steps of a configuration weigh the same, 1/k, so the graph
-    holds the whole chain, and the chain is {e factored}, keeping that
-    graph and nothing else. That covers every daemon class and quotient:
-    a full space under {!Distributed_uniform} stores each
+    A chain is a {!Digraph} graph plus a per-row weight reader, and
+    its rows are merged on demand. {!of_space} keeps the checker's
+    graph itself, so it allocates nothing per state: a deterministic
+    protocol's full space under {!Distributed_uniform} stores each
     configuration's k per-process deltas ({!Digraph.Subsets}, every
     non-empty subset of them one step of weight 1/(2^k - 1)); the
-    central and synchronous classes and every quotient store the steps'
-    targets ({!Digraph.Edges}). Rows are merged on demand, into exactly
-    the entries the pack would store. Only randomized protocols, whose
-    outcome weights differ, and {!of_rows} are {e packed}:
-    compressed-sparse-row data merged once off the checker's flat
-    successor arrays. Both give every function below the same answers,
-    bit for bit; only the order of {!transient_blocks} may differ. The
+    central and synchronous classes, every quotient and every
+    randomized protocol store the steps' targets ({!Digraph.Edges}),
+    weighed by {!Checker.row_weights}: 1/g for each of a
+    configuration's g steps, times the outcome's probability for a
+    randomized one. {!of_rows} stores its rows
+    merged, with their weights. Every row reads as its targets merged
+    and ascending, equal targets' weights summed in arrival order. The
     iterative solvers are BSCC-aware: the transient subgraph is
     decomposed into strongly connected blocks solved in reverse
     topological order, so acyclic parts cost one back-substitution pass
-    and iteration is confined to the blocks that actually need it; a
-    factored chain's rows are merged one block at a time. See
+    and iteration is confined to the blocks that actually need it; the
+    rows are merged one block at a time. See
     [docs/markov-solvers.md]. *)
 
 type randomization =
@@ -48,10 +46,10 @@ type t
     configurations are absorbing (probability-1 self-loop). *)
 
 val of_space : 'a Statespace.t -> randomization -> t
-(** Expand the full chain. Row probabilities sum to 1. A deterministic
-    protocol's chain is factored: it keeps {!Checker.expand}'s graph
-    (cached per space and class) and allocates nothing per state; a
-    randomized protocol's chain is packed. On a quotient
+(** Expand the full chain. Row probabilities sum to 1. The chain keeps
+    {!Checker.expand}'s graph (cached per space and class) with
+    {!Checker.row_weights} as its weight reader, and allocates nothing
+    per state. On a quotient
     space (see {!Statespace.quotient}) this is the strongly lumped
     chain: hitting times and absorption probabilities per representative
     equal the full chain's at every orbit member. With
@@ -60,11 +58,14 @@ val of_space : 'a Statespace.t -> randomization -> t
 
 val of_rows : (int * float) list array -> t
 (** Build a chain from explicit rows (state [i]'s successor
-    distribution). Rows are merged and validated: every target in
-    range, weights finite, positive and summing to 1 within [1e-9]
-    ([Invalid_argument] otherwise, NaN included); empty rows become
-    absorbing. Used for comparator systems modelled directly at
-    a coarser abstraction (e.g. Israeli-Jalfon token positions). *)
+    distribution). Rows are validated: every target in range, weights
+    finite, positive and summing to 1 within [1e-9]
+    ([Invalid_argument] otherwise, NaN included). Each row is then
+    merged once, by a stable sort of its own, equal targets' weights
+    summed in arrival order, and stored merged; empty rows become
+    absorbing. Used for comparator systems modelled directly at a
+    coarser abstraction (e.g. Israeli-Jalfon token positions), and as
+    the independent twin a chain's rows are tested against. *)
 
 val states : t -> int
 val row : t -> int -> (int * float) list
@@ -76,15 +77,15 @@ val row : t -> int -> (int * float) list
 val graph : t -> Digraph.t
 (** The positive-probability edges as a {!Digraph} graph (the chain's
     own arrays, not a copy). Targets may repeat and need not be sorted,
-    and a terminal state may have no edge at all: a factored chain
+    and a terminal state has no edge at all: a chain from {!of_space}
     hands over the checker's graph itself, whose rows are its steps in
-    expander order, with no edge for a terminal state: the subset sums
-    in mask order of a {!Digraph.Subsets} graph, with a self-loop per
-    subset of zero deltas, or the step targets of a {!Digraph.Edges}
-    graph, a target repeated once per step that reaches it. A packed
-    chain's rows are ascending and distinct, an absorbing state with
-    its self-loop. Reachability and the strongly connected components
-    are the same either way. *)
+    expander order: the subset sums in mask order of a
+    {!Digraph.Subsets} graph, with a self-loop per subset of zero
+    deltas, or the step targets of a {!Digraph.Edges} graph, a target
+    repeated once per step (or outcome) that reaches it. A chain from
+    {!of_rows} has its merged rows, ascending and distinct.
+    Reachability and the strongly connected components are those of
+    the merged rows either way. *)
 
 val bsccs : t -> int list list
 (** Bottom strongly connected components (no edge leaving). *)
@@ -135,7 +136,7 @@ type solve_outcome =
           [infinity] and the partial iterate is what the accompanying
           array holds. The blocks after the failing one are left
           unsolved, so the partial iterate and [sweeps] depend on the
-          block order, which a factored chain and its packed twin may
+          block order, which two chains with the same merged rows may
           not share *)
 
 val transient_blocks : t -> transient:bool array -> int array list
@@ -144,8 +145,8 @@ val transient_blocks : t -> transient:bool array -> int array list
     every positive-probability edge out of a block lands inside it, in
     an {e earlier} block, or outside [transient]. This is the order the
     sparse solvers process blocks in. Members are sorted ascending.
-    This is {!Digraph.sccs} on {!graph}: a factored chain and its
-    packed twin have the same blocks, but Tarjan may complete them in
+    This is {!Digraph.sccs} on {!graph}: two chains with the same
+    merged rows have the same blocks, but Tarjan may complete them in
     another order. *)
 
 val sparse_hitting_times :
@@ -214,8 +215,8 @@ val absorption_probabilities :
 val transient_distribution : t -> init:float array -> steps:int -> float array
 (** [transient_distribution chain ~init ~steps] pushes the initial
     distribution through [steps] chain steps. [init] must be a
-    distribution over states (non-negative, summing to 1 within
-    [1e-9]). *)
+    distribution over states (finite, non-negative, summing to 1
+    within [1e-9]; [Invalid_argument] otherwise, NaN included). *)
 
 val mass_in : float array -> bool array -> float
 (** [mass_in dist set] sums the probability mass inside [set] — e.g.

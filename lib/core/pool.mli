@@ -1,8 +1,8 @@
 (** Process-wide work-stealing Domain pool.
 
     Every Domain-parallel site in the library — packed-graph expansion,
-    quotient canonicalization, Monte-Carlo sampling, sparse-chain row
-    construction, campaign workers — schedules through this one pool
+    quotient canonicalization, Monte-Carlo sampling, campaign workers —
+    schedules through this one pool
     instead of paying a fresh [Domain.spawn] per call. The pool keeps
     [width () - 1] helper domains alive between calls; the submitting
     domain always participates, so a width-1 pool degenerates to plain

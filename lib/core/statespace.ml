@@ -260,6 +260,13 @@ let enabled_mask t =
     scan s c;
     s.mask
 
+(* The longest outcome list merged by a linear scan per outcome; a
+   longer one indexes its codes in a table. Indexing every list, in one
+   table reset per list, made the central expansion of Herman's ring
+   of 11 (two outcomes a step) allocate 106 minor words per transition
+   instead of 84 and take about 1.4x the time. *)
+let short_product = 8
+
 (* Mask-native transition enumeration. Each enabled process's action
    is evaluated exactly once per configuration; its local outcomes are
    turned into packed-code deltas against the source code, so a
@@ -321,6 +328,25 @@ let make_expander ~relative t cls =
     let outs =
       match outs with
       | [ _ ] -> outs
+      | _ when List.compare_length_with outs short_product > 0 ->
+        (* Each code's slot, in first-occurrence order, indexed by a
+           table of its own: a long product (a synchronous step of many
+           coin flips) would otherwise merge in quadratic time. *)
+        let m = List.length outs in
+        let slot = Hashtbl.create m in
+        let codes = Array.make m 0 and ws = Array.create_float m in
+        let len = ref 0 in
+        List.iter
+          (fun (code, w) ->
+            match Hashtbl.find slot code with
+            | i -> ws.(i) <- ws.(i) +. w
+            | exception Not_found ->
+              Hashtbl.add slot code !len;
+              codes.(!len) <- code;
+              ws.(!len) <- w;
+              incr len)
+          outs;
+        List.init !len (fun i -> (codes.(i), ws.(i)))
       | _ ->
         let rec add acc ((code, w) as o) =
           match acc with

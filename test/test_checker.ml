@@ -167,6 +167,22 @@ let test_expand_allocation () =
   if per_edge > 4.0 then
     Alcotest.failf "%.2f minor words per transition, at most 4 allowed" per_edge
 
+(* A randomized step's outcome list is the product of its processes'
+   coin flips, merged by code. Herman's ring of 11 under the
+   synchronous class (2048 configurations, one step each, up to 2^11
+   outcomes) merges those lists in linear time, at most 200 minor words
+   per transition at width 1 (1,734 when each outcome walked and
+   rebuilt the merged list). *)
+let test_randomized_expand_allocation () =
+  Pool.set_width 1;
+  let space = Statespace.build (Stabalgo.Herman.make ~n:11) in
+  let before = Gc.minor_words () in
+  let g = Checker.expand space Statespace.Synchronous in
+  let words = Gc.minor_words () -. before in
+  let per_edge = words /. float_of_int (Checker.graph_edge_count g) in
+  if per_edge > 200.0 then
+    Alcotest.failf "%.1f minor words per transition, at most 200 allowed" per_edge
+
 (* A deterministic protocol's graph under the distributed class stores
    no group level, no reverse and no edge: per configuration it keeps
    the enabled mask, one offset and one int32 delta per enabled
@@ -361,6 +377,8 @@ let suite =
     Alcotest.test_case "step-spec violation" `Quick test_step_spec_violation;
     Alcotest.test_case "expand edge counts" `Quick test_expand_edge_count;
     Alcotest.test_case "expand allocation" `Quick test_expand_allocation;
+    Alcotest.test_case "randomized expand allocation" `Quick
+      test_randomized_expand_allocation;
     Alcotest.test_case "graph footprint" `Quick test_graph_footprint;
     Alcotest.test_case "expand rejects mislabelled protocol" `Quick
       test_expand_rejects_mislabelled_protocol;

@@ -243,8 +243,8 @@ let test_hitting_times_match_simulation () =
     if Float.abs (s.Stabstats.Stats.mean -. exact) > slack then
       Alcotest.failf "MC mean %f vs exact %f (slack %f)" s.Stabstats.Stats.mean exact slack
 
-(* The pack's reference: equal targets summed left to right in arrival
-   order, then sorted by target; an empty row is an absorbing
+(* The merge's reference: equal targets summed left to right in
+   arrival order, then sorted by target; an empty row is an absorbing
    self-loop. Weights are compared bit for bit. The second result
    counts the repeated targets merged, so a caller can insist that a
    summation order was actually exercised. *)
@@ -268,7 +268,7 @@ let bits row = List.map (fun (t, w) -> (t, Int64.bits_of_float w)) row
 
 (* Every row of [chain] against the reference merge of [arrivals c];
    returns the number of repeated targets merged. *)
-let check_pack label chain arrivals =
+let check_rows label chain arrivals =
   let repeats = ref 0 in
   for c = 0 to Markov.states chain - 1 do
     let expected, r = arrival_merge c (arrivals c) in
@@ -297,19 +297,22 @@ let random_rows rng ~n ~long =
       let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 raw in
       List.map (fun (t, w) -> (t, w /. total)) raw)
 
-let test_pack_is_arrival_merge () =
+(* Every row layout merges as the reference does: [of_rows]' own merge,
+   and the chain's merge of the checker's [Edges] rows, randomized,
+   quotient, central and synchronous. *)
+let test_rows_are_arrival_merge () =
   let rng = Random.State.make [| 2024 |] in
   let repeats = ref 0 in
   for trial = 0 to 20 do
     let long = trial = 20 in
     let rows = random_rows rng ~n:(if long then 300 else 1 + Random.State.int rng 40) ~long in
     let chain = Markov.of_rows rows in
-    repeats := !repeats + check_pack (Printf.sprintf "of_rows %d" trial) chain (Array.get rows)
+    repeats := !repeats + check_rows (Printf.sprintf "of_rows %d" trial) chain (Array.get rows)
   done;
   Alcotest.(check bool) "random rows repeat targets" true (!repeats > 0);
   let of_space label space cls randomization =
     let g = Checker.expand space cls in
-    check_pack label (Markov.of_space space randomization) (Checker.weighted_row g)
+    check_rows label (Markov.of_space space randomization) (Checker.weighted_row g)
   in
   (* Herman's coin flips can land a process on its old value, so under
      the distributed daemon several subsets reach the same target with
@@ -322,17 +325,30 @@ let test_pack_is_arrival_merge () =
   let quotient = Statespace.quotient (Statespace.build (Stabalgo.Token_ring.make ~n:10)) in
   Alcotest.(check bool) "quotient rows repeat targets" true
     (of_space "ring:10 quotient" quotient Statespace.Distributed Markov.Distributed_uniform
-    > 0)
+    > 0);
+  let central_and_sync name space =
+    ignore (of_space (name ^ " central") space Statespace.Central Markov.Central_uniform);
+    ignore (of_space (name ^ " sync") space Statespace.Synchronous Markov.Sync)
+  in
+  for n = 3 to 6 do
+    central_and_sync
+      (Printf.sprintf "token-ring ring:%d" n)
+      (Statespace.build (Stabalgo.Token_ring.make ~n));
+    central_and_sync
+      (Printf.sprintf "dijkstra-3state ring:%d" n)
+      (Statespace.build (Stabalgo.Dijkstra_three.make ~n))
+  done
 
-(* {1 Factored chains against their packed twins}
+(* {1 Chains against their [of_rows] twins}
 
-   A deterministic protocol's chain keeps only the checker's graph and
-   merges its rows on demand: the [Subsets] graph of a full space under
-   the distributed class, and the [Edges] graph of a quotient or of the
-   central or synchronous class. Its packed twin is [Markov.of_rows]
-   over [Checker.weighted_row], the arrival-order pack of the same
-   steps. Every row, every solve and every graph answer must agree bit
-   for bit (weights and times as [Int64.bits_of_float]). *)
+   A chain keeps only the checker's graph and merges its rows on
+   demand: the [Subsets] graph of a deterministic full space under the
+   distributed class, and the [Edges] graph of a quotient, of the
+   central or synchronous class, or of a randomized protocol. Its twin
+   is [Markov.of_rows] over [Checker.weighted_row], the same steps
+   merged once by [of_rows]' own stable sort. Every row, every solve
+   and every graph answer must agree bit for bit (weights and times as
+   [Int64.bits_of_float]). *)
 
 let randomization = function
   | Statespace.Central -> Markov.Central_uniform
@@ -345,11 +361,11 @@ let class_name = function
   | Statespace.Synchronous -> "sync"
 
 (* Whether [chain] kept the checker's graph of [space] under [cls]
-   itself, offsets and all, rather than a packed copy. *)
-let factored space cls chain =
+   itself, offsets and all, rather than a copy. *)
+let keeps_graph space cls chain =
   (Markov.graph chain).Digraph.off == (Checker.successors (Checker.expand space cls)).Digraph.off
 
-let packed_twin space cls =
+let twin space cls =
   let g = Checker.expand space cls in
   Markov.of_rows (Array.init (Statespace.count space) (Checker.weighted_row g))
 
@@ -378,8 +394,9 @@ let check_solve label (x, outcome) (x', outcome') =
    of an [Edges] row. *)
 let check_twins label space cls ~legitimate ~target =
   let chain = Markov.of_space space (randomization cls) in
-  if not (factored space cls chain) then Alcotest.failf "%s: chain is not factored" label;
-  let twin = packed_twin space cls in
+  if not (keeps_graph space cls chain) then
+    Alcotest.failf "%s: chain is not the checker's graph" label;
+  let twin = twin space cls in
   let n = Markov.states twin in
   Alcotest.(check int) (label ^ " states") n (Markov.states chain);
   let fwd = Checker.successors (Checker.expand space cls) in
@@ -499,6 +516,16 @@ let test_factored_is_packed_twin () =
              ("dijkstra-3state", rings [ 3; 4; 5; 6; 7; 8 ]);
            ]))
     [ Statespace.Central; Statespace.Synchronous ];
+  (* Herman's randomized rows: unequal outcome weights, and under the
+     distributed class several subsets' coin flips meet on one
+     target. *)
+  let merged =
+    List.fold_left
+      (fun merged cls -> merged + check_registry cls [ ("herman", rings [ 5; 7; 9 ]) ])
+      0
+      [ Statespace.Distributed; Statespace.Central; Statespace.Synchronous ]
+  in
+  if merged = 0 then Alcotest.fail "no herman row merged repeated targets";
   (* Lazy random protocols keep some digits, so their [Subsets] rows
      carry zero deltas and the 2^z - 1 self-loop, and their central
      rows repeat the self-loop once per lazy process; their targets are
@@ -524,27 +551,33 @@ let test_factored_is_packed_twin () =
   if !zeros = 0 then Alcotest.fail "no lazy protocol stepped a process to its own state";
   if !merged = 0 then Alcotest.fail "no lazy central row merged repeated targets"
 
+(* The twin's bytes: its heap arrays plus 4 B per int32 target
+   outside the heap. *)
+let twin_bytes twin =
+  float_of_int
+    ((Obj.reachable_words (Obj.repr twin) * (Sys.word_size / 8))
+    + (4 * Digraph.edge_count (Markov.graph twin)))
+
 (* Memory gates. Herman's ring of 11 under the synchronous class (2048
-   configurations, 177,148 chain entries; randomized, so packed), its
-   expansion cached first: the pack allocates its arrays once at their exact size, so it
-   allocates at most twice the chain's heap arrays (the int32 targets
-   live outside the heap), and the sparse solvers read the chain in
-   place and box nothing per edge, so a full solve allocates at most 2
-   minor words per chain entry. *)
-let test_pack_and_solve_allocation () =
+   configurations, 177,148 chain entries), its expansion cached first:
+   [of_space] keeps the checker's graph, so it allocates (minor and
+   major, [Gc.allocated_bytes]) under 1 % of the twin's bytes, and the
+   sparse solvers merge each block's rows into scratch allocated once
+   per solve and box nothing per entry, so a full solve allocates at
+   most 2 minor words per chain entry. *)
+let test_randomized_allocation () =
   let n = 11 in
   let space = Statespace.build (Stabalgo.Herman.make ~n) in
   let legitimate = Statespace.legitimate_set space (Stabalgo.Herman.spec ~n) in
-  ignore (Checker.expand space Statespace.Synchronous);
+  let twin = twin_bytes (twin space Statespace.Synchronous) in
+  Gc.minor ();
   let before = Gc.allocated_bytes () in
   let chain = Markov.of_space space Markov.Sync in
   let allocated = Gc.allocated_bytes () -. before in
-  if factored space Statespace.Synchronous chain then
-    Alcotest.fail "a randomized chain must be packed";
-  let heap = float_of_int (Obj.reachable_words (Obj.repr chain) * (Sys.word_size / 8)) in
-  if allocated > 2.0 *. heap then
-    Alcotest.failf "of_space allocated %.0f B for %.0f B of chain arrays (%.2fx > 2x)"
-      allocated heap (allocated /. heap);
+  if not (keeps_graph space Statespace.Synchronous chain) then
+    Alcotest.fail "the herman ring:11 chain must be the checker's graph";
+  if allocated > 0.01 *. twin then
+    Alcotest.failf "of_space allocated %.0f B; the twin is %.0f B (> 1 %%)" allocated twin;
   let entries = float_of_int (Digraph.edge_count (Markov.graph chain)) in
   List.iter
     (fun (name, kind) ->
@@ -557,44 +590,18 @@ let test_pack_and_solve_allocation () =
         Alcotest.failf "%s allocated %.2f minor words per chain entry (> 2)" name per_entry)
     [ ("Gauss-Seidel", Markov.Gauss_seidel); ("Jacobi", Markov.Jacobi) ]
 
-(* The packed twin's bytes: its heap arrays plus 4 B per int32 target
-   outside the heap. *)
-let packed_bytes twin =
-  float_of_int
-    ((Obj.reachable_words (Obj.repr twin) * (Sys.word_size / 8))
-    + (4 * Digraph.edge_count (Markov.graph twin)))
-
-(* The token-ring ring:10 quotient (5934 orbit states) is factored: with
-   its expansion cached, [of_space] keeps the checker's [Edges] graph
-   and allocates (minor and major, [Gc.allocated_bytes]) under 1 % of
-   the bytes of the packed twin. *)
-let test_quotient_of_space_allocation () =
-  let space = Statespace.quotient (Statespace.build (Stabalgo.Token_ring.make ~n:10)) in
-  let packed = packed_bytes (packed_twin space Statespace.Distributed) in
-  Gc.minor ();
-  let before = Gc.allocated_bytes () in
-  let chain = Markov.of_space space Markov.Distributed_uniform in
-  let allocated = Gc.allocated_bytes () -. before in
-  if not (factored space Statespace.Distributed chain) then
-    Alcotest.fail "the ring:10 quotient chain must be factored";
-  if allocated > 0.01 *. packed then
-    Alcotest.failf "of_space allocated %.0f B; the packed chain is %.0f B (> 1 %%)" allocated
-      packed
-
-(* Token-ring ring:8 (6561 configurations, 384,063 merged entries,
-   4.6 MB packed) is factored: [of_space] keeps the checker's graph, and
-   a Gauss-Seidel solve merges one block's rows at a time into scratch
-   sized for the largest block (31,752 entries). Together they allocate
-   (minor and major, [Gc.allocated_bytes]) under half the bytes of the
-   packed twin. The block scratch's int32 targets, 4 B per entry of the
-   largest block, live outside the heap and are not counted. The
-   minor heap is emptied first, so that promoting the twin's rows is
-   not counted either. *)
-let test_factored_allocation () =
-  let n = 8 in
-  let space = Statespace.build (Stabalgo.Token_ring.make ~n) in
-  let legitimate = Statespace.legitimate_set space (Stabalgo.Token_ring.spec ~n) in
-  let packed = packed_bytes (packed_twin space Statespace.Distributed) in
+(* Herman's ring of 9 under the distributed class stores 1,952,614
+   entries, which merge to 262,144 (512 targets in each of 512 rows).
+   The solve's block scratch is sized by merged entries, at most one
+   per state in a row, so [of_space] and a Gauss-Seidel solve together
+   allocate (minor and major, [Gc.allocated_bytes]) under the bytes of
+   the twin, which holds the merged rows once; scratch sized by the
+   stored entries would be about seven times as large. *)
+let test_randomized_block_scratch () =
+  let n = 9 in
+  let space = Statespace.build (Stabalgo.Herman.make ~n) in
+  let legitimate = Statespace.legitimate_set space (Stabalgo.Herman.spec ~n) in
+  let twin = twin_bytes (twin space Statespace.Distributed) in
   Gc.minor ();
   let before = Gc.allocated_bytes () in
   let chain = Markov.of_space space Markov.Distributed_uniform in
@@ -602,45 +609,65 @@ let test_factored_allocation () =
   | _, Markov.Converged _ -> ()
   | _, Markov.Max_sweeps _ -> Alcotest.fail "Gauss-Seidel did not converge");
   let allocated = Gc.allocated_bytes () -. before in
-  if not (factored space Statespace.Distributed chain) then
-    Alcotest.fail "token-ring ring:8 must be factored";
-  if allocated > 0.5 *. packed then
-    Alcotest.failf "of_space and a solve allocated %.0f B; the packed chain is %.0f B (> 1/2)"
-      allocated packed
+  if allocated > twin then
+    Alcotest.failf "of_space and a solve allocated %.0f B; the twin is %.0f B" allocated twin
 
-(* Randomized rows: the fill writes each outcome weight times the
-   subset weight straight into its float scratch, so no weight is boxed
-   on its way into the pack. Herman ring:9 under the synchronous daemon
-   (512 configurations, 19,684 chain entries), the expansion cached
-   first: at most 0.5 minor words per chain entry (2.45 when every
-   weight crossed a closure), and the chain bit for bit the
-   arrival-order merge of [Checker.weighted_row], read through the
-   graph's groups. *)
-let test_randomized_pack_allocation () =
-  let space = Statespace.build (Stabalgo.Herman.make ~n:9) in
-  let g = Checker.expand space Statespace.Synchronous in
-  let before = Gc.minor_words () in
-  let chain = Markov.of_space space Markov.Sync in
-  let words = Gc.minor_words () -. before in
-  let entries = float_of_int (Digraph.edge_count (Markov.graph chain)) in
-  if words /. entries > 0.5 then
-    Alcotest.failf "of_space allocated %.2f minor words per chain entry (> 0.5)"
-      (words /. entries);
-  ignore (check_pack "herman ring:9 sync" chain (Checker.weighted_row g))
+(* The token-ring ring:10 quotient (5934 orbit states): with its
+   expansion cached, [of_space] keeps the checker's [Edges] graph and
+   allocates (minor and major, [Gc.allocated_bytes]) under 1 % of the
+   bytes of the twin. *)
+let test_quotient_of_space_allocation () =
+  let space = Statespace.quotient (Statespace.build (Stabalgo.Token_ring.make ~n:10)) in
+  let twin = twin_bytes (twin space Statespace.Distributed) in
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let chain = Markov.of_space space Markov.Distributed_uniform in
+  let allocated = Gc.allocated_bytes () -. before in
+  if not (keeps_graph space Statespace.Distributed chain) then
+    Alcotest.fail "the ring:10 quotient chain must be the checker's graph";
+  if allocated > 0.01 *. twin then
+    Alcotest.failf "of_space allocated %.0f B; the twin is %.0f B (> 1 %%)" allocated twin
+
+(* Token-ring ring:8 (6561 configurations, 384,063 merged entries,
+   4.6 MB as a twin): [of_space] keeps the checker's graph, and a
+   Gauss-Seidel solve merges one block's rows at a time into scratch
+   sized for the largest block (31,752 entries). Together they allocate
+   (minor and major, [Gc.allocated_bytes]) under half the bytes of the
+   twin. The block scratch's int32 targets, 4 B per entry of the
+   largest block, live outside the heap and are not counted. The minor
+   heap is emptied first, so that promoting the twin's rows is not
+   counted either. *)
+let test_factored_allocation () =
+  let n = 8 in
+  let space = Statespace.build (Stabalgo.Token_ring.make ~n) in
+  let legitimate = Statespace.legitimate_set space (Stabalgo.Token_ring.spec ~n) in
+  let twin = twin_bytes (twin space Statespace.Distributed) in
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let chain = Markov.of_space space Markov.Distributed_uniform in
+  (match Markov.sparse_hitting_times ~kind:Markov.Gauss_seidel chain ~legitimate with
+  | _, Markov.Converged _ -> ()
+  | _, Markov.Max_sweeps _ -> Alcotest.fail "Gauss-Seidel did not converge");
+  let allocated = Gc.allocated_bytes () -. before in
+  if not (keeps_graph space Statespace.Distributed chain) then
+    Alcotest.fail "token-ring ring:8 must be the checker's graph";
+  if allocated > 0.5 *. twin then
+    Alcotest.failf "of_space and a solve allocated %.0f B; the twin is %.0f B (> 1/2)"
+      allocated twin
 
 let suite =
   [
     Alcotest.test_case "of_rows validation" `Quick test_of_rows_validation;
     Alcotest.test_case "of_rows merge/absorb" `Quick test_of_rows_merges_and_absorbs;
-    Alcotest.test_case "pack = arrival-order merge, bit for bit" `Quick
-      test_pack_is_arrival_merge;
+    Alcotest.test_case "rows = arrival-order merge, bit for bit" `Quick
+      test_rows_are_arrival_merge;
     Alcotest.test_case "factored chain = packed twin, bit for bit" `Quick
       test_factored_is_packed_twin;
-    Alcotest.test_case "pack and solve allocation" `Quick test_pack_and_solve_allocation;
+    Alcotest.test_case "randomized chain allocation" `Quick test_randomized_allocation;
+    Alcotest.test_case "randomized block scratch under twin" `Quick
+      test_randomized_block_scratch;
     Alcotest.test_case "factored chain and solve allocation" `Quick test_factored_allocation;
     Alcotest.test_case "quotient of_space allocation" `Quick test_quotient_of_space_allocation;
-    Alcotest.test_case "randomized pack boxes no weight" `Quick
-      test_randomized_pack_allocation;
     Alcotest.test_case "of_space rows sum" `Quick test_of_space_rows_sum;
     Alcotest.test_case "terminal absorbing" `Quick test_terminal_states_absorbing;
     Alcotest.test_case "central uniform probs" `Quick test_central_uniform_probabilities;

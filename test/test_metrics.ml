@@ -247,7 +247,16 @@ let test_transient_distribution_validation () =
   let chain = Markov.of_rows [| [ (0, 1.0) ] |] in
   Alcotest.check_raises "not a distribution"
     (Invalid_argument "Markov.transient_distribution: not a distribution") (fun () ->
-      ignore (Markov.transient_distribution chain ~init:[| 0.5 |] ~steps:1))
+      ignore (Markov.transient_distribution chain ~init:[| 0.5 |] ~steps:1));
+  (* NaN is neither negative nor, summed, more than 1e-9 away from 1,
+     so it must be rejected as non-finite; an infinite entry likewise. *)
+  let two_state = Markov.of_rows [| [ (1, 1.0) ]; [ (0, 0.5); (1, 0.5) ] |] in
+  List.iter
+    (fun init ->
+      Alcotest.check_raises "non-finite entry"
+        (Invalid_argument "Markov.transient_distribution: not a distribution") (fun () ->
+          ignore (Markov.transient_distribution two_state ~init ~steps:1)))
+    [ [| Float.nan; 1.0 |]; [| 1.0; Float.nan |]; [| Float.infinity; 1.0 |] ]
 
 let test_mass_in () =
   check_float "mass" 0.5 (Markov.mass_in [| 0.3; 0.5; 0.2 |] [| true; false; true |])

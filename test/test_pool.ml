@@ -61,17 +61,15 @@ let test_scatter_covers () =
 
 (* --- determinism ---------------------------------------------------- *)
 
-(* The expansion and the Markov CSR pack split their passes into
-   ranges at every width and write each range at its global offsets;
-   these pin the packed structures across widths on spaces large enough
-   to split: token-ring ring:8 (6561 configurations), the ring:10
-   quotient (5934 orbit representatives) and Herman's rings of 7 and 9
-   (128 and 512 configurations), whose randomized rows repeat targets
-   with unequal weights, so the arrival-order sums are pinned too. A
-   fresh
+(* The expansion splits its passes into ranges at every width and
+   writes each range at its global offsets; this pins the packed graph
+   across widths on spaces large enough to split: token-ring ring:8
+   (6561 configurations), the ring:10 quotient (5934 orbit
+   representatives) and Herman's ring of 7 (128 configurations), whose
+   randomized rows repeat targets with unequal weights. A fresh
    [Statespace.build] per run defeats the (space, class) expansion
    cache. Under a null sink [pool.tasks] must rise at width > 1, so the
-   tests cannot silently fall back to a single inline range. *)
+   test cannot silently fall back to a single inline range. *)
 type space = Space : (unit -> 'a Statespace.t) -> space
 
 let spaces =
@@ -84,13 +82,6 @@ let spaces =
     ("herman ring:7", Space (fun () -> Statespace.build (Stabalgo.Herman.make ~n:7)));
   ]
 
-(* Only randomized protocols pack their chains. *)
-let randomized_spaces =
-  [
-    ("herman ring:7", Space (fun () -> Statespace.build (Stabalgo.Herman.make ~n:7)));
-    ("herman ring:9", Space (fun () -> Statespace.build (Stabalgo.Herman.make ~n:9)));
-  ]
-
 let counting_tasks f =
   let before = Obs.Counter.value Obs.pool_tasks in
   let r = f () in
@@ -101,17 +92,7 @@ let expansion_rows (Space build) =
   let g, tasks = counting_tasks (fun () -> Checker.expand space Statespace.Distributed) in
   (List.init (Statespace.count space) (Checker.weighted_row g), tasks)
 
-(* The expansion is cached before counting, so only the pack's tasks
-   are attributed to it. *)
-let markov_rows (Space build) =
-  let space = build () in
-  ignore (Checker.expand space Statespace.Distributed);
-  let chain, tasks =
-    counting_tasks (fun () -> Markov.of_space space Markov.Distributed_uniform)
-  in
-  (List.init (Markov.states chain) (Markov.row chain), tasks)
-
-let identical_across_widths ?(spaces = spaces) what rows () =
+let identical_across_widths what rows () =
   Obs.install (Obs.null_sink ());
   Fun.protect ~finally:Obs.clear @@ fun () ->
   List.iter
@@ -134,25 +115,44 @@ let identical_across_widths ?(spaces = spaces) what rows () =
 let test_expansion_identical_across_widths =
   identical_across_widths "weighted rows" expansion_rows
 
-(* A deterministic protocol's chain is factored, kept as the checker's
-   graph and merged on demand, so it has no pack to split: only the
-   randomized Herman rings reach the pool here. *)
-let test_markov_identical_across_widths =
-  identical_across_widths ~spaces:randomized_spaces "CSR rows" markov_rows
+(* A chain is the checker's graph, merged on demand, and runs no pool
+   task of its own. The chains of token-ring ring:8, of the ring:10
+   quotient and of Herman's rings of 7 and 9 (whose randomized rows
+   sum repeated targets' unequal weights in arrival order) have the
+   same rows and Gauss-Seidel hitting times, bit for bit, at widths 1,
+   2 and 4, over an expansion (and a symmetry validation) split at
+   every width. *)
+type chain_space = Chain : string * (unit -> 'a Statespace.t) * 'a Spec.t -> chain_space
 
-(* The factored chains of token-ring ring:8 and of the ring:10
-   quotient run no pool task of their own; their rows and Gauss-Seidel
-   hitting times, over an expansion (and a symmetry validation) split
-   at every width, are the same bits at widths 1, 2 and 4. *)
+let chain_spaces =
+  let token_ring ~n ~quotient =
+    Chain
+      ( Printf.sprintf "token-ring ring:%d%s" n (if quotient then " quotient" else ""),
+        (fun () ->
+          let space = Statespace.build (Stabalgo.Token_ring.make ~n) in
+          if quotient then Statespace.quotient space else space),
+        Stabalgo.Token_ring.spec ~n )
+  and herman ~n =
+    Chain
+      ( Printf.sprintf "herman ring:%d" n,
+        (fun () -> Statespace.build (Stabalgo.Herman.make ~n)),
+        Stabalgo.Herman.spec ~n )
+  in
+  [
+    token_ring ~n:8 ~quotient:false;
+    token_ring ~n:10 ~quotient:true;
+    herman ~n:7;
+    herman ~n:9;
+  ]
+
 let test_factored_markov_identical_across_widths () =
   Obs.install (Obs.null_sink ());
   Fun.protect ~finally:Obs.clear @@ fun () ->
   List.iter
-    (fun (n, quotient) ->
+    (fun (Chain (label, build, spec)) ->
       let answer () =
-        let space = Statespace.build (Stabalgo.Token_ring.make ~n) in
-        let space = if quotient then Statespace.quotient space else space in
-        let legitimate = Statespace.legitimate_set space (Stabalgo.Token_ring.spec ~n) in
+        let space = build () in
+        let legitimate = Statespace.legitimate_set space spec in
         let chain = Markov.of_space space Markov.Distributed_uniform in
         let rows =
           List.init (Markov.states chain) (fun c ->
@@ -165,11 +165,9 @@ let test_factored_markov_identical_across_widths () =
       List.iter
         (fun w ->
           if with_width w answer <> reference then
-            Alcotest.failf "token-ring ring:%d%s, width %d: rows or hitting times differ" n
-              (if quotient then " quotient" else "")
-              w)
+            Alcotest.failf "%s, width %d: rows or hitting times differ" label w)
         [ 2; 4 ])
-    [ (8, false); (10, true) ]
+    chain_spaces
 
 (* Every sampler draws the same sample at every pool width: one stream
    per run is pre-split in run order (Montecarlo.sample), and each run
@@ -359,8 +357,6 @@ let suite =
     Alcotest.test_case "scatter covers once per task" `Quick test_scatter_covers;
     Alcotest.test_case "expansion identical across widths" `Quick
       test_expansion_identical_across_widths;
-    Alcotest.test_case "markov rows identical across widths" `Quick
-      test_markov_identical_across_widths;
     Alcotest.test_case "factored markov identical across widths" `Quick
       test_factored_markov_identical_across_widths;
     Alcotest.test_case "montecarlo identical across widths" `Quick
