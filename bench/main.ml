@@ -150,7 +150,7 @@ let analyze_leader_tree ~quotient () =
   Stabcore.Checker.analyze space Stabcore.Statespace.Distributed
     (Stabalgo.Leader_tree.spec g)
 
-(* The work-stealing expansion entries time the same full-space
+(* The pooled expansion entries time the same full-space
    analysis at pinned pool widths, so a committed baseline records the
    machine's actual 1-domain vs 4-domain expansion scaling. A fresh
    [Statespace.build] per run gives the space a fresh uid, which

@@ -52,8 +52,8 @@ let print_profile profile =
     Stabexp.Report.print table;
     Printf.printf "wall clock: %s\n%!" (Obs.pretty_ns (Obs.Profile.wall_ns profile))
 
-(* Per-domain pool utilization: how the task-execution time of the
-   work-stealing pool split across its lanes. Empty (and silent) when
+(* Per-domain pool utilization: how the chunk-execution time of the
+   pool split across its lanes. Empty (and silent) when
    nothing ran through the pool, e.g. at width 1. *)
 let print_pool () =
   let lanes = List.filter (fun (_, ns) -> ns > 0) (Stabcore.Pool.busy_ns ()) in
@@ -213,9 +213,10 @@ let obs_term =
   in
   let domains_arg =
     let doc =
-      "Width of the work-stealing Domain pool shared by every parallel stage \
-       (state-space expansion, quotient canonicalization, Monte-Carlo \
-       sampling, campaign workers). Default: the \
+      "Width of the self-scheduling Domain pool shared by every parallel \
+       stage (state-space expansion, quotient canonicalization, Monte-Carlo \
+       sampling, campaign workers); each stage's indices are claimed in \
+       chunks of about 1/(8N) of the range. Default: the \
        recommended domain count minus one, at least 1; values below 1 are \
        clamped."
     in
@@ -994,11 +995,6 @@ let profile_json profile =
                 (List.map
                    (fun (lane, ns) -> (lane, Json.Int ns))
                    (Stabcore.Pool.busy_ns ())) );
-            ( "grain_ns_per_unit",
-              Json.Obj
-                (List.map
-                   (fun (site, c) -> (site, Json.Float c))
-                   (Stabcore.Pool.Grain.snapshot ())) );
           ] );
       (* The full Registry snapshot (gauges + labels included), so one
          document carries phases, pool state and gauges together. The

@@ -108,9 +108,6 @@ let record_expansion g =
       Stabobs.Dist.record_int Stabobs.Dist.checker_out_degree (Digraph.out_degree g.fwd c)
     done
 
-let count_grain = Pool.Grain.site "checker.expand.count"
-let fill_grain = Pool.Grain.site "checker.expand.fill"
-
 let each_config ~lo ~hi f =
   for c = lo to hi - 1 do
     if c land 255 = 0 then Cancel.poll ();
@@ -148,7 +145,7 @@ let build_graph space cls =
   (* Group offsets per configuration: in the deterministic layouts
      group [i] of the fill is entry [i], so they are [off] itself. *)
   let grp_off = if deterministic then off else Array.make (n + 1) 0 in
-  Pool.parallel_for ~site:count_grain ~min_chunk:64 n (fun ~lo ~hi ->
+  Pool.parallel_for ~min_chunk:64 n (fun ~lo ~hi ->
       if deterministic then begin
         let enabled_mask = Statespace.enabled_mask space in
         each_config ~lo ~hi (fun c ->
@@ -205,7 +202,7 @@ let build_graph space cls =
           %#x (are the guards pure?)"
          c mask enabled.(c) expected)
   in
-  Pool.parallel_for ~site:fill_grain ~min_chunk:64 n (fun ~lo ~hi ->
+  Pool.parallel_for ~min_chunk:64 n (fun ~lo ~hi ->
       let expand =
         if subsets then Statespace.delta_expander space else Statespace.expander space cls
       in

@@ -18,8 +18,6 @@ let of_samples ~times ~rounds ~timeouts =
     rounds_summary = summarize rounds;
   }
 
-let runs_grain = Pool.Grain.site "montecarlo.runs"
-
 (* One stream per run is split off [rng] in run order BEFORE anything
    is scheduled, so run [r]'s outcome is a pure function of its stream
    and the sample is the same at every pool width. Each run draws from
@@ -30,7 +28,7 @@ let runs_grain = Pool.Grain.site "montecarlo.runs"
 let sample ~runs rng f =
   if runs < 0 then invalid_arg "Montecarlo.sample: negative run count";
   let streams = Array.init runs (fun _ -> Stabrng.Rng.split rng) in
-  Pool.map_ranges ~site:runs_grain runs (fun ~lo ~hi ->
+  Pool.map_ranges runs (fun ~lo ~hi ->
       Array.init (hi - lo) (fun i ->
           Cancel.poll ();
           f (Stabrng.Rng.copy streams.(lo + i))))

@@ -18,20 +18,17 @@ type 'a t = {
 
 let deterministic t = not t.randomized
 
-let enabled_action t cfg p = List.find_opt (fun a -> a.guard cfg p) t.actions
+let rec first_enabled cfg p = function
+  | [] -> None
+  | a :: rest -> if a.guard cfg p then Some a else first_enabled cfg p rest
+
+let enabled_action t cfg p = first_enabled cfg p t.actions
 
 let is_enabled t cfg p = List.exists (fun a -> a.guard cfg p) t.actions
 
 let enabled_processes t cfg =
   Stabgraph.Graph.fold_nodes
     (fun p acc -> if is_enabled t cfg p then p :: acc else acc)
-    t.graph []
-  |> List.rev
-
-let enabled_with_actions t cfg =
-  Stabgraph.Graph.fold_nodes
-    (fun p acc ->
-      match enabled_action t cfg p with None -> acc | Some a -> (p, a) :: acc)
     t.graph []
   |> List.rev
 

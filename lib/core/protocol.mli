@@ -68,10 +68,6 @@ val is_enabled : 'a t -> 'a array -> int -> bool
 val enabled_processes : 'a t -> 'a array -> int list
 (** Sorted list of enabled process ids — the paper's [Enabled(gamma)]. *)
 
-val enabled_with_actions : 'a t -> 'a array -> (int * 'a action) list
-(** [enabled_processes] paired with each process's enabled action, with
-    every guard evaluated once. *)
-
 val is_terminal : 'a t -> 'a array -> bool
 (** No process is enabled. *)
 

@@ -331,12 +331,10 @@ let canon t c =
    be called once on a freshly built group (see Statespace.quotient);
    the post-pass would re-count orbits already charged by earlier
    [canon] misses. *)
-let canon_grain = Pool.Grain.site "symmetry.canon"
-
 let fill_table t =
   let n = Encoding.count t.encoding in
   let tbl = table t in
-  Pool.parallel_for ~site:canon_grain ~min_chunk:256 n (fun ~lo ~hi ->
+  Pool.parallel_for ~min_chunk:256 n (fun ~lo ~hi ->
       for c = lo to hi - 1 do
         if c land 1023 = 0 then Cancel.poll ();
         if tbl.(c) < 0 then ignore (fill_orbit t tbl c)

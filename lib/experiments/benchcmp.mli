@@ -67,12 +67,6 @@ type delta = {
   status : status;
 }
 
-val default_noise_floor_ns : float
-(** 5 ns: nanosecond-scale entries drift by 1-2 ns between processes
-    (code layout, CPU frequency state), which is 30%+ in relative
-    terms while meaning nothing; a real dark-path regression costs
-    tens of ns and clears the floor easily. *)
-
 val compare_docs :
   ?noise_floor_ns:float ->
   gate_pct:float ->
@@ -82,9 +76,10 @@ val compare_docs :
   delta list
 (** One delta per artifact in either document, baseline order first,
     candidate-only entries appended. The significance band of each
-    entry is the pooled ci95 half-width or [noise_floor_ns], whichever
-    is larger. Raises [Invalid_argument] unless [gate_pct] is finite
-    and non-negative: a NaN or infinite tolerance would never gate. *)
+    entry is the pooled ci95 half-width or [noise_floor_ns] (default
+    5 ns), whichever is larger. Raises [Invalid_argument] unless
+    [gate_pct] is finite and non-negative: a NaN or infinite tolerance
+    would never gate. *)
 
 val gate_failures : delta list -> delta list
 (** The deltas that should fail CI: status {!Regression}. *)

@@ -130,8 +130,8 @@ let e1_token_sweep ?method_ ?(seed = 42) ?(quick = true) () =
      1594323 configurations, far past the dense solver's cutoff. The
      protocol is self-stabilizing under the central daemon, so the
      transient graph is acyclic and the BSCC-blocked backend finishes
-     in one back-substitution pass; expansion and CSR construction go
-     through the work-stealing pool. *)
+     in one back-substitution pass; expansion goes through the Domain
+     pool. *)
   let dijkstra3 =
     List.map
       (fun n ->

@@ -131,11 +131,12 @@ val checker_scc_builds : Counter.t
 val pool_tasks : Counter.t
 val pool_steals : Counter.t
 val pool_splits : Counter.t
-(** Work-stealing pool activity ("pool.tasks" / "pool.steals" /
-    "pool.splits"): tasks executed, tasks taken from another domain's
-    deque, and adaptive range splits performed by
-    [Stabcore.Pool.parallel_for]. Scheduling telemetry only — their
-    values legitimately vary run to run and across widths. *)
+(** Domain pool activity ("pool.tasks" / "pool.steals" /
+    "pool.splits"): chunks executed, chunks run by a domain other than
+    the job's submitter, and chunks per job beyond the first, in every
+    [Stabcore.Pool] job (none at width 1). Scheduling telemetry only —
+    steals legitimately vary run to run, and all three vary across
+    widths. *)
 
 (** {1 Spans} *)
 

@@ -1,6 +1,7 @@
-(* Tests for the shared work-stealing Domain pool: chunk coverage and
-   byte-identical results across widths, stealing under skew,
-   cancellation draining, exception propagation, and helper lifecycle.
+(* Tests for the shared self-scheduling Domain pool: chunk coverage and
+   byte-identical results across widths, chunks taken by helpers under
+   skew, cancellation draining, exception propagation, helper
+   lifecycle, and a fixed-seed stress harness of random nested jobs.
 
    Width changes are process-global, so every test restores width 1
    (the default on single-core CI boxes) before returning — the rest
@@ -15,8 +16,8 @@ let with_width w f =
 
 (* --- coverage ------------------------------------------------------- *)
 
-(* Every index visited exactly once, whatever the width and however
-   aggressively ranges split (grain_ns:0 splits down to min_chunk). *)
+(* Every index visited exactly once, whatever the width and chunk size
+   (at width 4, 10000 indices make 32 chunks of 313). *)
 let test_parallel_for_covers () =
   List.iter
     (fun w ->
@@ -24,7 +25,7 @@ let test_parallel_for_covers () =
           for _rep = 1 to 3 do
             let n = 10_000 in
             let hits = Array.make n 0 in
-            Pool.parallel_for ~grain_ns:0 ~min_chunk:7 n (fun ~lo ~hi ->
+            Pool.parallel_for ~min_chunk:7 n (fun ~lo ~hi ->
                 for i = lo to hi - 1 do
                   hits.(i) <- hits.(i) + 1
                 done);
@@ -172,9 +173,9 @@ let test_factored_markov_identical_across_widths () =
 (* Every sampler draws the same sample at every pool width: one stream
    per run is pre-split in run order (Montecarlo.sample), and each run
    builds its own daemon, so even round-robin is safe on the pool.
-   Clearing the grain estimates before each call makes the pool open
-   with 2 * width chunks, so at width > 1 every sampler must split
-   (pool.tasks > 1) however cheap its runs are. *)
+   The pool cuts every job into about 8 * width chunks, so at width > 1
+   every sampler must split (pool.tasks > 1) however cheap its runs
+   are. *)
 let test_montecarlo_identical_across_widths () =
   Obs.install (Obs.null_sink ());
   Fun.protect ~finally:Obs.clear @@ fun () ->
@@ -225,10 +226,7 @@ let test_montecarlo_identical_across_widths () =
                ~n:8 ~init_tokens:[ 0; 2; 4; 6 ]) );
     ]
   in
-  let run sampler =
-    Pool.Grain.reset_all ();
-    counting_tasks sampler
-  in
+  let run sampler = counting_tasks sampler in
   let reference = with_width 1 (fun () -> List.map (fun (_, f) -> fst (run f)) samplers) in
   List.iter
     (fun w ->
@@ -244,9 +242,10 @@ let test_montecarlo_identical_across_widths () =
 
 (* --- stealing ------------------------------------------------------- *)
 
-(* Skewed range: the caller parks in the first chunk, so the split-off
-   right halves sit on its deque until a helper steals them. Even on
-   one core the sleeping caller yields the cpu to the helper. *)
+(* Skewed range: whichever domain claims the first chunk parks in it,
+   so the other claims the rest; at least one chunk then runs off the
+   submitting domain (a steal). Even on one core the sleeping domain
+   yields the cpu to the other. *)
 let test_steals_under_skew () =
   (* Counters are dropped while no sink is installed; give the test a
      throwaway memory sink so pool.steals actually ticks. *)
@@ -256,7 +255,7 @@ let test_steals_under_skew () =
   with_width 2 (fun () ->
       let before = Obs.Counter.value Obs.pool_steals in
       let slept = ref false in
-      Pool.parallel_for ~grain_ns:0 ~min_chunk:1 4 (fun ~lo ~hi:_ ->
+      Pool.parallel_for ~min_chunk:1 4 (fun ~lo ~hi:_ ->
           if lo = 0 && not !slept then begin
             slept := true;
             Unix.sleepf 0.05
@@ -276,7 +275,7 @@ let test_cancellation_drains () =
       let raised =
         try
           Cancel.with_current tok (fun () ->
-              Pool.parallel_for ~grain_ns:0 ~min_chunk:1 64 (fun ~lo ~hi ->
+              Pool.parallel_for ~min_chunk:1 64 (fun ~lo ~hi ->
                   if lo = 0 then Cancel.cancel tok;
                   for _ = lo to hi - 1 do
                     Cancel.poll ()
@@ -301,7 +300,7 @@ let test_exception_propagates () =
       for _rep = 1 to 2 do
         let raised =
           try
-            Pool.parallel_for ~grain_ns:0 ~min_chunk:1 32 (fun ~lo ~hi:_ ->
+            Pool.parallel_for ~min_chunk:1 32 (fun ~lo ~hi:_ ->
                 if lo >= 16 then failwith "boom");
             false
           with Failure m when m = "boom" -> true
@@ -320,7 +319,7 @@ let test_exception_propagates () =
 let test_width_lifecycle () =
   Pool.set_width 3;
   Alcotest.(check int) "helpers spawn lazily" 0 (Pool.helpers_alive ());
-  Pool.parallel_for ~grain_ns:0 ~min_chunk:1 8 (fun ~lo:_ ~hi:_ -> ());
+  Pool.parallel_for ~min_chunk:1 8 (fun ~lo:_ ~hi:_ -> ());
   Alcotest.(check int) "width-1 helpers after first call" 2
     (Pool.helpers_alive ());
   Pool.set_width 1;
@@ -329,25 +328,177 @@ let test_width_lifecycle () =
   Alcotest.(check bool) "default width is at least 1" true
     (Pool.default_width () >= 1)
 
-(* --- grain estimator ------------------------------------------------ *)
+(* --- stress ----------------------------------------------------------- *)
 
-let test_grain_damping () =
-  let s = Pool.Grain.site "test.grain" in
-  Alcotest.(check (float 0.0)) "starts unmeasured" 0.0 (Pool.Grain.ns_per_unit s);
-  Pool.Grain.measured s ~units:1_000 ~ns:1_000_000;
-  Alcotest.(check (float 1e-9)) "first measurement taken raw" 1000.0
-    (Pool.Grain.ns_per_unit s);
-  (* A wild outlier moves the estimate by at most alpha * max_change:
-     one preempted chunk cannot wreck the grain. *)
-  Pool.Grain.measured s ~units:1_000 ~ns:100_000_000;
-  Alcotest.(check (float 1e-9)) "outlier clamped then damped" 1100.0
-    (Pool.Grain.ns_per_unit s);
-  (* Sub-5% jitter is ignored entirely. *)
-  Pool.Grain.measured s ~units:1_000 ~ns:1_120_000;
-  Alcotest.(check (float 1e-9)) "jitter below min_change ignored" 1100.0
-    (Pool.Grain.ns_per_unit s);
-  Alcotest.(check bool) "snapshot lists the site" true
-    (List.mem_assoc "test.grain" (Pool.Grain.snapshot ()))
+(* Random nested jobs from a fixed seed. Each node is one pool call
+   ([parallel_for], [map_ranges] or [scatter]) over at most 8 indices,
+   and index [i] runs child [i]: a nested call (depth at most 3) or a
+   leaf that spins, raises, or cancels the tree's token and polls.
+   Every index counts its runs; every node keeps what its indices
+   raised and what its own call raised, so the checks below need no
+   assumption about which domain ran what. *)
+type kind = For of int | Map of int | Scatter
+type leaf = Spin of int | Fail | Cancel_tree
+
+type node = {
+  kind : kind;
+  children : child array;
+  hits : int Atomic.t array;
+  raised : exn list Atomic.t; (* raised by this node's indices *)
+  outcome : exn option option Atomic.t; (* None: never called *)
+}
+
+and child = Leaf of leaf | Sub of node
+
+let rec gen rs depth =
+  let n = Random.State.int rs 9 in
+  let kind =
+    match Random.State.int rs 3 with
+    | 0 -> For (1 + Random.State.int rs 3)
+    | 1 -> Map (1 + Random.State.int rs 3)
+    | _ -> Scatter
+  in
+  let child _ =
+    if depth < 3 && Random.State.int rs 3 = 0 then Sub (gen rs (depth + 1))
+    else
+      match Random.State.int rs 40 with
+      | 0 -> Leaf Fail
+      | 1 -> Leaf Cancel_tree
+      | _ -> Leaf (Spin (Random.State.int rs 20000))
+  in
+  {
+    kind;
+    children = Array.init n child;
+    hits = Array.init n (fun _ -> Atomic.make 0);
+    raised = Atomic.make [];
+    outcome = Atomic.make None;
+  }
+
+let rec push cell x =
+  let seen = Atomic.get cell in
+  if not (Atomic.compare_and_set cell seen (x :: seen)) then push cell x
+
+(* Violations found while the tree runs; raising them inside a job
+   would only turn them into one more injected failure. *)
+let violations = Atomic.make []
+
+let rec run_node tok node =
+  let n = Array.length node.children in
+  let index i =
+    Atomic.incr node.hits.(i);
+    try
+      match node.children.(i) with
+      | Sub c -> run_node tok c
+      | Leaf (Spin k) ->
+        for _ = 1 to k do
+          ignore (Sys.opaque_identity i)
+        done
+      | Leaf Fail -> failwith (Printf.sprintf "leaf %d" i)
+      | Leaf Cancel_tree ->
+        Cancel.cancel tok;
+        Cancel.poll ();
+        push violations "a cancelling leaf polled without raising"
+    with e ->
+      push node.raised e;
+      raise e
+  in
+  let indices ~lo ~hi =
+    for i = lo to hi - 1 do
+      index i
+    done
+  in
+  let call () =
+    match node.kind with
+    | For min_chunk -> Pool.parallel_for ~min_chunk n indices
+    | Map min_chunk ->
+      let parts =
+        Pool.map_ranges ~min_chunk n (fun ~lo ~hi ->
+            indices ~lo ~hi;
+            List.init (hi - lo) (fun k -> lo + k))
+      in
+      if List.concat parts <> List.init n Fun.id then
+        push violations "map_ranges results out of order"
+    | Scatter -> Pool.scatter n index
+  in
+  match call () with
+  | () -> Atomic.set node.outcome (Some None)
+  | exception e ->
+    Atomic.set node.outcome (Some (Some e));
+    raise e
+
+let rec check_node ~width node =
+  match Atomic.get node.outcome with
+  | None -> ()
+  | Some outcome ->
+    let raised = Atomic.get node.raised in
+    Array.iteri
+      (fun i h ->
+        let h = Atomic.get h in
+        if outcome = None && h <> 1 then
+          Alcotest.failf "width %d: index %d of a job that did not fail ran %d times" width i
+            h;
+        if h > 1 then Alcotest.failf "width %d: index %d ran %d times" width i h)
+      node.hits;
+    (match (outcome, raised) with
+    | None, [] -> ()
+    | None, _ :: _ -> Alcotest.failf "width %d: an index raised but the join returned" width
+    | Some e, _ ->
+      if not (List.memq e raised) then
+        Alcotest.failf "width %d: the join raised %s, which none of its indices raised" width
+          (Printexc.to_string e);
+      (* Serially, the first failing index stops the job. *)
+      if width = 1 && List.length raised <> 1 then
+        Alcotest.failf "width 1: %d indices raised in one job" (List.length raised));
+    Array.iter (function Sub c -> check_node ~width c | Leaf _ -> ()) node.children
+
+let test_stress_nested_jobs () =
+  let rs = Random.State.make [| 2029 |] in
+  let clean = ref 0 and failed = ref 0 and cancelled = ref 0 in
+  List.iter
+    (fun w ->
+      with_width w (fun () ->
+          for _tree = 1 to 150 do
+            let root = gen rs 1 in
+            let tok = Cancel.create () in
+            (match Cancel.with_current tok (fun () -> run_node tok root) with
+            | () -> incr clean
+            | exception Cancel.Cancelled _ -> incr cancelled
+            | exception Failure _ -> incr failed);
+            (match Atomic.get violations with
+            | [] -> ()
+            | v :: _ -> Alcotest.failf "width %d: %s" w v);
+            check_node ~width:w root;
+            if Pool.helpers_alive () > Pool.width () - 1 then
+              Alcotest.failf "width %d: %d helpers alive" w (Pool.helpers_alive ())
+          done;
+          let sum = Atomic.make 0 in
+          Pool.parallel_for 1000 (fun ~lo ~hi -> ignore (Atomic.fetch_and_add sum (hi - lo)));
+          Alcotest.(check int) (Printf.sprintf "width %d: pool reusable" w) 1000 (Atomic.get sum)))
+    [ 1; 2; 3; 4 ];
+  (* The seed must exercise all three endings, or the harness proves
+     less than it claims. *)
+  if !clean = 0 || !failed = 0 || !cancelled = 0 then
+    Alcotest.failf "trees: %d clean, %d failed, %d cancelled" !clean !failed !cancelled
+
+(* Quotient canonicalization races on purpose: domains filling members
+   of one orbit each compute its minimum and store the same values. At
+   width 4 the 6561 configurations of token-ring ring:8 make 26 chunks
+   of 256, so orbits straddle chunks; every fill must equal the width-1
+   table. *)
+let test_symmetry_fill_contention () =
+  let p = Stabalgo.Token_ring.make ~n:8 in
+  let table () =
+    let enc = Encoding.of_protocol p in
+    let sym = Symmetry.build p enc in
+    Symmetry.fill_table sym;
+    Array.init (Encoding.count enc) (Symmetry.canon_value sym)
+  in
+  let reference = with_width 1 table in
+  with_width 4 (fun () ->
+      for rep = 1 to 5 do
+        if table () <> reference then
+          Alcotest.failf "rep %d: the width-4 canon table differs from width 1" rep
+      done)
 
 let suite =
   [
@@ -365,5 +516,7 @@ let suite =
     Alcotest.test_case "cancellation drains" `Quick test_cancellation_drains;
     Alcotest.test_case "exception propagates" `Quick test_exception_propagates;
     Alcotest.test_case "width lifecycle" `Quick test_width_lifecycle;
-    Alcotest.test_case "grain damping" `Quick test_grain_damping;
+    Alcotest.test_case "stress: random nested jobs" `Quick test_stress_nested_jobs;
+    Alcotest.test_case "stress: symmetry fill contention" `Quick
+      test_symmetry_fill_contention;
   ]

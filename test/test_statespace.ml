@@ -240,14 +240,13 @@ let test_expander_matches_reference () =
         Alcotest.failf "the reference systems never produce the %s layout" layout)
     [ "singleton"; "subsets"; "outcomes" ]
 
-(* The packed layout is the same at widths 1 and 2. Clearing the grain
-   estimates before each expansion makes the pool open with 2 * width
-   chunks, so at width 2 both passes split wherever the space is large
-   enough (at least two 64-configuration chunks). A fresh space per
-   expansion defeats the expansion cache. *)
+(* The packed layout is the same at widths 1 and 2. The pool cuts each
+   pass into about 16 chunks at width 2, floored at 64 configurations,
+   so both passes split wherever the space is large enough (at least
+   two 64-configuration chunks). A fresh space per expansion defeats
+   the expansion cache. *)
 let layout space cls =
   let before = Stabobs.Obs.Counter.value Stabobs.Obs.pool_tasks in
-  Pool.Grain.reset_all ();
   let g = Checker.expand space cls in
   let tasks = Stabobs.Obs.Counter.value Stabobs.Obs.pool_tasks - before in
   let pk = Checker.packing g and fwd = Checker.successors g in
