@@ -1159,18 +1159,18 @@ let figures_cmd =
 let theorems_cmd =
   let run () id =
     wrap (fun () ->
-        let results = Stabexp.Theorems.all () in
         let selected =
           match id with
-          | None -> results
+          | None -> Stabexp.Theorems.all
           | Some id ->
             List.filter
-              (fun r -> String.lowercase_ascii r.Stabexp.Theorems.id = String.lowercase_ascii id)
-              results
+              (fun (tid, _) -> String.lowercase_ascii tid = String.lowercase_ascii id)
+              Stabexp.Theorems.all
         in
         if selected = [] then failwith "no such theorem id (use e.g. T2 or T8/T9)";
         List.iter
-          (fun r ->
+          (fun (_, check) ->
+            let r = check () in
             Stabexp.Report.print (Stabexp.Theorems.report r);
             Printf.printf "   => %s\n\n"
               (if Stabexp.Theorems.all_hold r then "VERIFIED" else "FAILED"))
@@ -1180,7 +1180,7 @@ let theorems_cmd =
     Arg.(
       value
       & opt (some string) None
-      & info [ "id" ] ~docv:"ID" ~doc:"Check a single theorem (T1, T2, T3, T4, T6, T7, T8/T9).")
+      & info [ "id" ] ~docv:"ID" ~doc:"Check a single theorem (T1, T2, T3, T4, T5, T6, T7, T8/T9).")
   in
   Cmd.v
     (Cmd.info "theorems" ~doc:"Machine-check the paper's theorems on small instances.")
@@ -1231,79 +1231,6 @@ let portfolio_cmd =
        ~doc:
         "Classify every bundled algorithm under every scheduler class (tables P1, P2, E8).")
     Term.(term_result (const run $ obs_term))
-
-let bench_cmd =
-  let run () baseline candidate gate_pct markdown =
-    wrap (fun () ->
-        let load path =
-          match Stabexp.Benchcmp.load path with
-          | Ok doc -> doc
-          | Error e -> failwith e
-        in
-        let baseline = load baseline in
-        let candidate = load candidate in
-        (match Stabexp.Benchcmp.cores_mismatch ~baseline ~candidate with
-        | Some w -> Obs.warnf "bench: %s" w
-        | None -> ());
-        let deltas =
-          Stabexp.Benchcmp.compare_docs ~gate_pct ~baseline ~candidate ()
-        in
-        Stabexp.Report.print (Stabexp.Benchcmp.report deltas);
-        (match markdown with
-        | None -> ()
-        | Some path ->
-          let oc = open_out path in
-          output_string oc
-            (Stabexp.Benchcmp.markdown ~gate_pct ~baseline ~candidate deltas);
-          close_out oc);
-        match Stabexp.Benchcmp.gate_failures deltas with
-        | [] -> Printf.printf "gate: PASS (no significant regression >= %.0f%%)\n" gate_pct
-        | failures ->
-          (* A failed gate is not a usage error: exit 1, not cmdliner's 124. *)
-          Printf.eprintf "stabsim: gate: FAIL — %d significant regression(s): %s\n"
-            (List.length failures)
-            (String.concat ", " (List.map (fun d -> d.Stabexp.Benchcmp.name) failures));
-          exit 1)
-  in
-  let baseline_arg =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "baseline" ] ~docv:"FILE"
-          ~doc:"Baseline bench record (e.g. the committed BENCH_checker.json).")
-  in
-  let candidate_arg =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "candidate" ] ~docv:"FILE"
-          ~doc:"Candidate bench record (a fresh $(b,bench/main.exe --json) output).")
-  in
-  let gate_pct_arg =
-    Arg.(
-      value
-      & opt tolerance 20.0
-      & info [ "gate-pct" ] ~docv:"P"
-          ~doc:
-            "Fail only on mean slowdowns of at least $(docv) percent that also \
-             exceed the pooled ci95 noise band of the two records.")
-  in
-  let markdown_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "markdown" ] ~docv:"FILE"
-          ~doc:"Also write the delta table as GitHub markdown to $(docv).")
-  in
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:
-         "Compare two bench records and gate on statistically significant \
-          regressions (exit 1 when the gate fails).")
-    Term.(
-      term_result
-        (const run $ obs_term $ baseline_arg $ candidate_arg $ gate_pct_arg
-        $ markdown_arg))
 
 (* --- campaign (sharded, crash-resumable experiment matrices) --- *)
 
@@ -1567,7 +1494,6 @@ let main =
       orbit_cmd;
       faults_cmd;
       profile_cmd;
-      bench_cmd;
       campaign_cmd;
       status_cmd;
       doctor_cmd;

@@ -13,7 +13,7 @@
 
     {b Cost when dark.} With no current token installed, {!poll} is a
     domain-local read and a branch — no clock read, no allocation — so
-    the polled loops stay bench-gate flat.
+    the polled loops pay almost nothing for it.
 
     {b Domains.} The current token is per-domain state ([Domain.DLS]).
     Library code that shards work across [Domain.spawn] re-installs the

@@ -1,7 +1,7 @@
 (** Reproductions of the paper's three figures (example executions).
 
-    Each function both computes the underlying object — so benches and
-    tests can assert on it — and renders a human-readable account. *)
+    Each function both computes the underlying object — so tests can
+    assert on it — and renders a human-readable account. *)
 
 (** {1 Figure 1: token circulation from a legitimate configuration} *)
 

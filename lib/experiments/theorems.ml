@@ -319,14 +319,14 @@ let theorems8_9 () =
     rows = List.map check instances;
   }
 
-let all () =
+let all =
   [
-    theorem1 ();
-    theorem2 ();
-    theorem3 ();
-    theorem4 ();
-    theorem5 ();
-    theorem6 ();
-    theorem7 ();
-    theorems8_9 ();
+    ("T1", theorem1);
+    ("T2", fun () -> theorem2 ());
+    ("T3", theorem3);
+    ("T4", fun () -> theorem4 ());
+    ("T5", theorem5);
+    ("T6", theorem6);
+    ("T7", theorem7);
+    ("T8/T9", theorems8_9);
   ]

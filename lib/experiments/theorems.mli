@@ -1,6 +1,6 @@
 (** Machine-checked reproductions of the paper's theorems (T1-T9 in
     DESIGN.md). Each function returns both structured verdicts — used
-    by the test-suite and the bench assertions — and a printable
+    by the test-suite and [stabsim theorems] — and a printable
     report. *)
 
 type row = { label : string; holds : bool; detail : string }
@@ -52,5 +52,7 @@ val theorems8_9 : unit -> result
 (** Transformed Algorithms 1/2/3 converge with probability 1 under the
     synchronous and distributed randomized schedulers, with closure. *)
 
-val all : unit -> result list
-(** T1, T2, T3, T4, T5, T6, T7, T8/9 in order. *)
+val all : (string * (unit -> result)) list
+(** T1, T2, T3, T4, T5, T6, T7, T8/T9 in order, each id paired with the
+    check that proves it (with default arguments), so one theorem can
+    be run without computing the others. *)

@@ -8,8 +8,8 @@
 
     {b Same cost discipline as {!Obs.Counter}.} With no sink installed
     a [record] is one atomic load and a branch — no allocation, no
-    domain-local state touched. The bench's [obs-dist-disabled] entry
-    pins the dark cost at the same ~ns scale as counters and spans.
+    domain-local state touched; the test "disabled path allocates
+    nothing" in [test_obs.ml] pins the zero allocation.
 
     {b Domain-safe.} One accumulator cell per (dist, domain), created
     through [Domain.DLS] on first record; each cell has a single

@@ -8,8 +8,8 @@
    terminated. Each ring has a single writer (its domain); the dump
    reads cursors and slots racily, which can at worst return a
    neighboring generation of an already-complete event. Disabled cost
-   is one atomic load and a branch per call site, pinned by the
-   obs-flight-disabled bench entry. *)
+   is one atomic load and a branch per call site, with no allocation
+   (test_obs.ml "disabled path allocates nothing"). *)
 
 type cell = {
   c_domain : int;

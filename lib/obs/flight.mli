@@ -4,8 +4,8 @@
     Every Domain that emits events keeps a ring buffer of its last N
     span / message events (plus ring-only {!note} breadcrumbs), at the
     same cost discipline as {!Obs.Counter} cells: disabled, a call
-    site pays one atomic load and a branch (pinned by the
-    [obs-flight-disabled] bench entry); enabled, a record is one DLS
+    site pays one atomic load and a branch and allocates nothing
+    (pinned by [test_obs.ml]); enabled, a record is one DLS
     lookup and two plain atomic ops on a single-writer cell — no
     locks, no contention.
 

@@ -1,10 +1,11 @@
 (** Minimal JSON values: emission and parsing.
 
     One tiny module shared by every JSON producer in the tree — the
-    JSONL event sink, the Chrome trace exporter and the bench's
-    [BENCH_checker.json] — so none of them hand-roll comma placement or
-    string escaping. The parser exists for round-trip tests and for
-    validating line-delimited event logs; it accepts standard JSON
+    JSONL event sink, the Chrome trace exporter, the flight dump and
+    the benchmark's result files — so none of them hand-roll comma
+    placement or string escaping. The parser reads campaign specs,
+    checkpoints, flight dumps and benchmark results, and validates
+    line-delimited event logs in tests; it accepts standard JSON
     (RFC 8259) minus nothing of relevance at this scale. *)
 
 type t =

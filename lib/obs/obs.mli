@@ -10,8 +10,8 @@
     degrades to one atomic load, a branch and a tail call of the
     wrapped closure, and every counter bump to a load and a branch —
     no clock read, no allocation. Instrument hot paths freely; the
-    bench's [obs-span-disabled] / [obs-counter-disabled] entries pin
-    the disabled cost.
+    test "disabled path allocates nothing" in [test_obs.ml] pins the
+    zero allocation.
 
     {b Domain-safe.} Counters keep one accumulator cell per Domain
     (registered through [Domain.DLS] on first touch) and merge them on

@@ -83,7 +83,7 @@ let histogram ~bins xs =
   { bounds; counts }
 
 (* Two-sided 97.5% Student-t critical values. For the handful-of-samples
-   regime the bench harness lives in, the normal 1.96 badly under-covers
+   regime of timing samples, the normal 1.96 badly under-covers
    (n = 3 would claim a ±ci95 less than half the honest band); the step
    table errs high between tabulated points, never low. *)
 let t95 df =

@@ -41,7 +41,7 @@ val pp_summary : Format.formatter -> summary -> unit
 
 (** {1 Comparing means}
 
-    The noise-band test behind the bench gate: two measured means are
+    A noise-band test: two measured means are
     distinguishable only when they differ by more than the pooled 95%
     half-width of their difference. *)
 

@@ -91,6 +91,10 @@ golden orbit-tree cat orbit -p leader-tree -t chain:4
 golden orbit-ring cat orbit -p token-ring -t ring:5
 golden figures cat figures
 golden theorems cat theorems
+# One theorem by id runs only that theorem's check.
+golden theorems-t3 cat theorems --id T3
+# Tables P1, P2, E8, P4 and the resilience radii.
+golden portfolio cat portfolio
 # Nonsense solver and fault parameters are usage errors, not runs.
 rejects tol-negative markov -p token-ring -t ring:5 --solver gs --tol=-1
 rejects tol-nan markov -p token-ring -t ring:5 --solver gs --tol nan
@@ -100,10 +104,7 @@ rejects wake-p-nan trace -p token-ring -t ring:5 --crash 1 --wake-p nan
 # configuration, or no timeline). The dump holds one event, so only
 # --last can make doctor fail.
 rejects steps-negative trace -p token-ring -t ring:5 --steps=-5 --seed 2
-# A NaN or infinite gate tolerance would never fail the perf gate.
-bench=$dir/../../BENCH_checker.json
-rejects gate-pct-nan bench --baseline "$bench" --candidate "$bench" --gate-pct nan
-rejects gate-pct-inf bench --baseline "$bench" --candidate "$bench" --gate-pct inf
+rejects theorem-id-unknown theorems --id T99
 dump=$(mktemp)
 printf '%s\n%s\n' \
   '{"type":"flight","schema":1,"reason":"cli","ts_ns":2000000000,"pid":1,"cmdline":["stabsim"],"ocaml":"5.1","cores":1,"commit":"0","dirty":false}' \

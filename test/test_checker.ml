@@ -156,7 +156,9 @@ let test_expand_edge_count () =
 
 (* Expansion allocates per configuration (the statements' own outcome
    lists) and per range (the expander's scratch), not per transition:
-   about 2.5 minor words per transition here. *)
+   2.33 minor words per transition here at width 1. The bound sits
+   close above that, so one more two-word block per configuration
+   (+0.27 words per transition) fails it. *)
 let test_expand_allocation () =
   Pool.set_width 1;
   let space = Statespace.build (Stabalgo.Dijkstra_three.make ~n:6) in
@@ -164,8 +166,8 @@ let test_expand_allocation () =
   let g = Checker.expand space Statespace.Distributed in
   let words = Gc.minor_words () -. before in
   let per_edge = words /. float_of_int (Checker.graph_edge_count g) in
-  if per_edge > 4.0 then
-    Alcotest.failf "%.2f minor words per transition, at most 4 allowed" per_edge
+  if per_edge > 2.5 then
+    Alcotest.failf "%.2f minor words per transition, at most 2.5 allowed" per_edge
 
 (* A randomized step's outcome list is the product of its processes'
    coin flips, merged by code. Herman's ring of 11 under the

@@ -119,6 +119,14 @@ let test_theorem_results_hold () =
     [ Stabexp.Theorems.theorem2 ~max_n:5 (); Stabexp.Theorems.theorem3 ();
       Stabexp.Theorems.theorem6 () ]
 
+let test_theorem_ids () =
+  (* [stabsim theorems --id] selects by the list's id, so each must be
+     the id its check reports. *)
+  List.iter
+    (fun (id, run) ->
+      Alcotest.(check string) "id of the check's result" id (run ()).Stabexp.Theorems.id)
+    Stabexp.Theorems.all
+
 let test_theorem_report_renders () =
   let r = Stabexp.Theorems.theorem3 () in
   let rendered = Stabexp.Report.render (Stabexp.Theorems.report r) in
@@ -194,6 +202,7 @@ let suite =
     Alcotest.test_case "figure 2" `Quick test_fig2;
     Alcotest.test_case "figure 3" `Quick test_fig3;
     Alcotest.test_case "theorem verdicts" `Quick test_theorem_results_hold;
+    Alcotest.test_case "theorem ids" `Quick test_theorem_ids;
     Alcotest.test_case "theorem report" `Quick test_theorem_report_renders;
     Alcotest.test_case "E3 inverse bias" `Quick test_e3_overhead_is_inverse_bias;
     Alcotest.test_case "E1 exact worst" `Quick test_e1_exact_rows_have_worst;

@@ -39,7 +39,6 @@ let () =
       ("flight", Test_flight.suite);
       ("status", Test_status.suite);
       ("sigflush", Test_sigflush.suite);
-      ("benchcmp", Test_benchcmp.suite);
       ("gcp", Test_gcp.suite);
       ("experiments", Test_experiments.suite);
       ("integration", Test_integration.suite);

@@ -152,25 +152,37 @@ let test_message_levels () =
   Alcotest.(check (list string)) "only passing levels emit" [ "kept" ] texts
 
 let dark_alloc_dist = Dist.make "test.dark-alloc"
+let dark_alloc_gauge = Stabobs.Registry.Gauge.make "test.dark-alloc"
 
 let test_disabled_path_allocates_nothing () =
   Obs.clear ();
+  (* The flight recorder's disabled path too. *)
+  let flight_was = Stabobs.Flight.enabled () in
+  Stabobs.Flight.disable ();
   (* GC sampling on: the mode flag alone must not light anything up —
      only a sink does. *)
   Obs.set_gc_sampling true;
-  Fun.protect ~finally:(fun () -> Obs.set_gc_sampling false) (fun () ->
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_gc_sampling false;
+      if flight_was then Stabobs.Flight.enable ())
+    (fun () ->
       let body = ignore in
-      (* Warm both paths once so any one-time setup is off the meter. *)
+      (* Warm every path once so any one-time setup is off the meter. *)
       Obs.span "warmup" body;
       Obs.Counter.add Obs.engine_steps 1;
       Dist.record dark_alloc_dist 1.0;
       Dist.record_int dark_alloc_dist 1;
+      Stabobs.Registry.Gauge.set dark_alloc_gauge 1;
+      Stabobs.Flight.note "warmup";
       let before = Gc.minor_words () in
       for _ = 1 to 10_000 do
         Obs.span "dark" body;
         Obs.Counter.add Obs.engine_steps 1;
         Dist.record dark_alloc_dist 1.0;
-        Dist.record_int dark_alloc_dist 1
+        Dist.record_int dark_alloc_dist 1;
+        Stabobs.Registry.Gauge.set dark_alloc_gauge 1;
+        Stabobs.Flight.note "dark"
       done;
       let delta = Gc.minor_words () -. before in
       (* The loop itself must not allocate; leave a few words of slack
