@@ -78,11 +78,11 @@ let () =
   List.iter
     (fun (name, r) ->
       let chain = Markov.of_space tspace r in
-      match Markov.converges_with_prob_one chain ~legitimate with
-      | Ok () ->
-        let mean = Markov.mean_hitting_time chain ~legitimate in
+      match Markov.hitting_stats_result chain ~legitimate with
+      | Ok (stats, _) ->
         Format.printf
-          "transformed protocol under %s: converges w.p. 1, mean %.3f steps@." name mean
+          "transformed protocol under %s: converges w.p. 1, mean %.3f steps@." name
+          stats.Markov.mean
       | Error _ -> Format.printf "transformed protocol under %s: still diverges@." name)
     [
       ("synchronous daemon", Markov.Sync);

@@ -43,10 +43,9 @@ let () =
   List.iter
     (fun (name, r) ->
       let chain = Markov.of_space tspace r in
-      match Markov.converges_with_prob_one chain ~legitimate:tleg with
-      | Ok () ->
-        Format.printf "%-28s converges w.p.1, mean %.3f steps@." name
-          (Markov.mean_hitting_time chain ~legitimate:tleg)
+      match Markov.hitting_stats_result chain ~legitimate:tleg with
+      | Ok (stats, _) ->
+        Format.printf "%-28s converges w.p.1, mean %.3f steps@." name stats.Markov.mean
       | Error _ -> Format.printf "%-28s still diverges@." name)
     [
       ("central randomized daemon", Markov.Central_uniform);
@@ -75,10 +74,9 @@ let () =
       let tp = Transformer.randomize ~coin_bias:bias protocol in
       let sp = Statespace.build tp in
       let leg = Statespace.legitimate_set sp (Transformer.lift_spec spec) in
-      let chain = Markov.of_space sp Markov.Sync in
-      Format.printf "bias %.2f: mean %.3f steps, worst %.3f@." bias
-        (Markov.mean_hitting_time chain ~legitimate:leg)
-        (Markov.max_hitting_time chain ~legitimate:leg))
+      let stats = Markov.hitting_stats (Markov.of_space sp Markov.Sync) ~legitimate:leg in
+      Format.printf "bias %.2f: mean %.3f steps, worst %.3f@." bias stats.Markov.mean
+        stats.Markov.max)
     [ 0.1; 0.25; 0.5; 0.75; 0.9 ];
 
   (* Cross-validate one point by simulation. *)

@@ -24,9 +24,6 @@ val make : ?colors:int -> Stabgraph.Graph.t -> int Stabcore.Protocol.t
 val proper : Stabgraph.Graph.t -> int array -> bool
 (** No edge is monochromatic. *)
 
-val conflicts : Stabgraph.Graph.t -> int array -> int list
-(** Processes sharing a color with some neighbor, sorted. *)
-
 val spec : Stabgraph.Graph.t -> int Stabcore.Spec.t
 (** Legitimate: proper colorings (exactly the terminal
     configurations). *)

@@ -36,6 +36,8 @@ val sample_convergence :
   n:int ->
   init_tokens:int list ->
   Stabcore.Montecarlo.result
-(** Monte-Carlo convergence times (steps to a single token) with a
-    central random daemon, for ring sizes beyond exhaustive analysis.
+(** Test seam: an independent Monte-Carlo walk of the token
+    abstraction that the tests check {!chain}'s exact hitting times
+    against. Monte-Carlo convergence times (steps to a single token)
+    with a central random daemon.
     [init_tokens] are the starting token positions (non-empty). *)

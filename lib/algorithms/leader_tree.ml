@@ -8,8 +8,6 @@ let equal_par a b =
   | Parent i, Parent j -> i = j
   | Root, Parent _ | Parent _, Root -> false
 
-let is_leader cfg p = cfg.(p) = Root
-
 let leaders cfg =
   Array.to_list (Array.mapi (fun p s -> (p, s)) cfg)
   |> List.filter_map (fun (p, s) -> if s = Root then Some p else None)

@@ -32,17 +32,11 @@ val relabel : Stabgraph.Graph.t -> perm:int array -> int -> par -> par
     [relabel g ~perm p (Parent k)] re-indexes the pointer for residence
     at [perm.(p)]. Pass to {!Stabcore.Statespace.quotient}. *)
 
-val is_leader : par array -> int -> bool
-(** [Par_p = ⊥]. *)
-
 val leaders : par array -> int list
 
 val children : Stabgraph.Graph.t -> par array -> int -> int list
 (** Global ids of p's children, sorted. *)
 
-val root_of : Stabgraph.Graph.t -> par array -> int -> int
-(** Follow parent pointers from [p] to the initial extremity of its
-    ParPath (Definition 12); in an acyclic graph this terminates. *)
 
 val is_lc : Stabgraph.Graph.t -> par array -> bool
 (** Definition 13: exactly one process [p] has [Par_p = ⊥] and every

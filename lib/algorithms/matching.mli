@@ -24,13 +24,8 @@ type pointer = Null | Pointer of int  (** local neighbor index *)
 
 val make : Stabgraph.Graph.t -> pointer Stabcore.Protocol.t
 
-val matched_pairs : Stabgraph.Graph.t -> pointer array -> (int * int) list
-(** Mutually-pointing pairs [(p, q)] with [p < q], sorted. *)
-
-val is_maximal_matching : Stabgraph.Graph.t -> pointer array -> bool
-(** The mutually-pointing pairs form a matching that no edge between
-    two unmatched processes could extend, and every pointer is either
-    [Null] or part of a matched pair. *)
-
 val spec : Stabgraph.Graph.t -> pointer Stabcore.Spec.t
-(** Legitimate: {!is_maximal_matching} (the terminal configurations). *)
+(** Legitimate: the mutually-pointing pairs form a matching that no
+    edge between two unmatched processes could extend, and every
+    pointer is either [Null] or part of a matched pair (the terminal
+    configurations). *)

@@ -23,8 +23,6 @@ val make : Stabgraph.Graph.t -> bool Stabcore.Protocol.t
 val independent : Stabgraph.Graph.t -> bool array -> bool
 (** No two adjacent members. *)
 
-val maximal_independent : Stabgraph.Graph.t -> bool array -> bool
-(** Independent, and every non-member has a member neighbor. *)
-
 val spec : Stabgraph.Graph.t -> bool Stabcore.Spec.t
-(** Legitimate: {!maximal_independent} (the terminal configurations). *)
+(** Legitimate: independent, and every non-member has a member
+    neighbor (the terminal configurations). *)

@@ -23,9 +23,6 @@ type record = {
   error : string option;
 }
 
-val record_to_json : record -> Stabobs.Json.t
-val record_of_json : Stabobs.Json.t -> record option
-
 type sink
 (** An open checkpoint file, append mode. Appends are serialized with
     a mutex so campaign workers on several domains interleave whole

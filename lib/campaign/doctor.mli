@@ -26,12 +26,6 @@ val parse_string : string -> (t, string) result
 val domains : t -> int list
 (** Domains with at least one event, ascending. *)
 
-val open_spans : t -> (int * (string * int) list) list
-(** Per domain, the stack of spans begun but never closed before the
-    dump, outermost first, each with its begin instant. Bounded-ring
-    honesty: an evicted begin whose end survived is ignored; an
-    unmatched begin stays open. *)
-
 val hints : t -> string list
 (** The heuristic diagnoses: an in-flight cell past its deadline whose
     token stopped being polled, a worker heartbeat gap (one cell held

@@ -47,14 +47,17 @@ type options = {
   checkpoint : string option;  (** checkpoint file path; [None] disables *)
   fresh : bool;  (** truncate the checkpoint instead of resuming *)
   timeout_ms : int option;  (** overrides the campaign's per-cell timeout *)
-  sleep : float -> unit;  (** backoff sleeper (seconds); injectable for tests *)
+  sleep : float -> unit;
+      (** backoff sleeper (seconds); injectable for tests. A cell's
+          [i]-th backoff is [backoff_ms * 2^i * u_i / 1000] with [u_i]
+          uniform in [0.5, 1.5) drawn from the cell's seed *)
   stop_after : int option;
       (** test hook: request a drain after this many checkpoint appends
           — simulates a kill between two cells deterministically *)
   flight : string option;
       (** base path for flight-dump artifacts; [None] (default)
           disables them. With [Some base], the runner refreshes
-          {!rolling_dump_path}[ base] after every settled cell (an
+          [base ^ ".flight.jsonl"] after every settled cell (an
           atomic-rename write, so a SIGKILL always leaves a parseable
           dump) and writes [base ^ ".flight-" ^ hash12 ^ ".jsonl"]
           ([hash12]: the first 12 characters of the cell hash) for
@@ -67,10 +70,6 @@ type options = {
 val default_options : unit -> options
 (** {!Stabcore.Pool.default_width} workers, no checkpoint, resume
     semantics, campaign timeout, [Unix.sleepf], no flight dumps. *)
-
-val rolling_dump_path : string -> string
-(** [base ^ ".flight.jsonl"] — the crash-surviving dump refreshed
-    after every settled cell. *)
 
 val request_drain : unit -> unit
 (** Ask the campaign to stop gracefully: running cells are cancelled at
@@ -117,11 +116,6 @@ val progress : unit -> progress option
 
 val heartbeats : unit -> heartbeat list
 (** One entry per worker slot of the latest run, in slot order. *)
-
-val backoff_delays : seed:int -> base_ms:int -> attempts:int -> float list
-(** The deterministic backoff schedule, in seconds: delay [i] is
-    [base_ms * 2^i * u_i / 1000] with [u_i] uniform in [0.5, 1.5) drawn
-    from a generator seeded with [seed]. *)
 
 val run : ?options:options -> Campaign.t -> cell_outcome list * stats
 (** Execute (or resume) the campaign. The outcome list is in campaign

@@ -29,17 +29,6 @@ let clear t i =
 
 let copy t = { bytes = Bytes.copy t.bytes; length = t.length }
 
-(* Popcount of one byte; 256 entries beat bit tricks at this width. *)
-let popcount8 =
-  Array.init 256 (fun b ->
-      let rec go b acc = if b = 0 then acc else go (b lsr 1) (acc + (b land 1)) in
-      go b 0)
-
-let cardinal t =
-  let acc = ref 0 in
-  Bytes.iter (fun ch -> acc := !acc + popcount8.(Char.code ch)) t.bytes;
-  !acc
-
 let iter f t =
   for byte = 0 to Bytes.length t.bytes - 1 do
     let b = Char.code (Bytes.unsafe_get t.bytes byte) in
@@ -55,19 +44,5 @@ let fold f t init =
   !acc
 
 let is_empty t = Bytes.for_all (fun ch -> ch = '\000') t.bytes
-
-let of_bool_array a =
-  let t = create (Array.length a) in
-  Array.iteri (fun i b -> if b then set t i) a;
-  t
-
-let to_bool_array t = Array.init t.length (mem t)
-
-let complement t =
-  let out = create t.length in
-  for i = 0 to t.length - 1 do
-    if not (mem t i) then set out i
-  done;
-  out
 
 let elements t = List.rev (fold (fun acc i -> i :: acc) t [])

@@ -20,9 +20,6 @@ val clear : t -> int -> unit
 
 val copy : t -> t
 
-val cardinal : t -> int
-(** Number of set bits (byte-wise table lookup). *)
-
 val iter : (int -> unit) -> t -> unit
 (** Applies the function to every set index, ascending. *)
 
@@ -30,12 +27,6 @@ val fold : ('acc -> int -> 'acc) -> t -> 'acc -> 'acc
 (** Folds over set indices, ascending. *)
 
 val is_empty : t -> bool
-
-val of_bool_array : bool array -> t
-val to_bool_array : t -> bool array
-
-val complement : t -> t
-(** Fresh set with every bit flipped. *)
 
 val elements : t -> int list
 (** Set indices, ascending. *)

@@ -372,19 +372,14 @@ type divergence = Cycle of int list | Dead_end of int
 (* A configuration is terminal iff it has no transition group: every
    scheduler class allows at least one activation whenever some
    process is enabled, so "no groups" coincides with an empty enabled
-   mask. [terminal_scan n enabled] reads the masks from [enabled]. *)
-let terminal_scan n enabled ~legitimate =
+   mask. *)
+let terminals_of g ~legitimate =
   Obs.Counter.incr Obs.checker_terminal_scans;
   let out = ref [] in
-  for c = n - 1 downto 0 do
-    if (not legitimate.(c)) && enabled c = 0 then out := c :: !out
+  for c = g.fwd.n - 1 downto 0 do
+    if (not legitimate.(c)) && g.enabled.(c) = 0 then out := c :: !out
   done;
   !out
-
-let terminals_of g ~legitimate = terminal_scan g.fwd.n (Array.get g.enabled) ~legitimate
-
-let illegitimate_terminals space ~legitimate =
-  terminal_scan (Statespace.count space) (Statespace.enabled_mask space) ~legitimate
 
 (* Certain convergence given an already-computed terminal list, so
    [analyze] scans for terminals exactly once per verdict. *)

@@ -102,16 +102,20 @@ type packing = {
     hold the rest of the packing. *)
 
 val packing : graph -> packing
-(** The packed arrays themselves, not copies: treat them as read-only.
-    For audits of the layout, which must not depend on the pool
-    width. *)
+(** Test seam: the layout tests audit the packing through it; it must
+    not depend on the pool width. The packed arrays themselves, not
+    copies: treat them as read-only. *)
 
 val iter_groups : graph -> int -> group:(int -> unit) -> succ:(int -> float -> unit) -> unit
-(** [iter_groups g c ~group ~succ] replays the transitions of [c] as
-    {!Statespace.expander} emitted them: for each group, in transition
-    order, [group active] with its activated subset as a process
-    bitmask, then [succ target weight] for each of its outcomes, in
-    outcome order. The same in every {!groups} layout. *)
+(** Test seam: the expansion tests compare a configuration's packed
+    groups, activated subsets included, against
+    {!Statespace.expander}'s; callers read rows through
+    {!row_weights}. [iter_groups g c ~group ~succ] replays the
+    transitions of [c] as {!Statespace.expander} emitted them: for
+    each group, in transition order, [group active] with its activated
+    subset as a process bitmask, then [succ target weight] for each of
+    its outcomes, in outcome order. The same in every {!groups}
+    layout. *)
 
 val weighted_row : graph -> int -> (int * float) list
 (** [weighted_row g c] reads off the Markov row of [c] under the
@@ -167,13 +171,15 @@ val certain_convergence :
 
 val strongly_fair_divergence :
   'a Statespace.t -> graph -> legitimate:bool array -> int list option
-(** [Some states] is a witness set outside [L] supporting an infinite
+(** Test seam: tests inject arbitrary legitimate sets through it;
+    callers reach the same analysis through {!analyze}.
+    [Some states] is a witness set outside [L] supporting an infinite
     strongly-fair execution that never reaches [L] (every process
     enabled somewhere in the set fires inside the set). [None] means
     every strongly-fair execution converges — together with closure
     this is deterministic self-stabilization under a strongly fair
     daemon of the class. Terminal dead-ends are NOT reported here; use
-    {!certain_convergence} or {!illegitimate_terminals}.
+    {!certain_convergence}.
 
     Per-process fairness is not invariant under the symmetry group, so
     on a quotient space the Streett analysis runs against the BASE
@@ -183,18 +189,11 @@ val strongly_fair_divergence :
 
 val weakly_fair_divergence :
   'a Statespace.t -> graph -> legitimate:bool array -> int list option
-(** Same for weak fairness: the witness set has, for every process,
-    either a configuration where it is disabled or an internal
-    transition firing it. On a quotient the analysis likewise runs
-    against the base space. *)
-
-val illegitimate_terminals :
-  'a Statespace.t -> legitimate:bool array -> int list
-(** Terminal configurations outside [L], ascending; any of these is a
-    maximal finite execution that never converges, whatever the
-    fairness. Needs no graph: the scan behind {!certain_convergence}'s
-    dead ends, reading each configuration's enabled mask from
-    {!Statespace.enabled_mask}. *)
+(** Test seam: as {!strongly_fair_divergence}. Same for weak
+    fairness: the witness set has, for every process, either a
+    configuration where it is disabled or an internal transition
+    firing it. On a quotient the analysis likewise runs against the
+    base space. *)
 
 (** {1 Verdicts} *)
 
@@ -250,8 +249,10 @@ val pseudo_stabilizing :
     bounded prefixes. *)
 
 val hamming : 'a Statespace.t -> 'a array -> 'a array -> int
-(** Number of processes whose states differ — the fault measure of
-    k-stabilization (how many process memories changed). *)
+(** Test seam: the fault tests measure injected corruption with it and
+    check {!k_faulty_set} against it. Number of processes whose
+    states differ — the fault measure of k-stabilization (how many
+    process memories changed). *)
 
 val k_faulty_set : 'a Statespace.t -> legitimate:bool array -> k:int -> bool array
 (** Configurations at Hamming distance at most [k] from some legitimate

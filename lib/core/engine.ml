@@ -102,14 +102,6 @@ let run ?(record = true) ?stop_on ?inject ~max_steps rng protocol scheduler ~ini
   in
   go (Array.copy init) 0 []
 
-let convergence_time ?inject ~max_steps rng protocol scheduler spec ~init =
-  let result =
-    run ~record:false ~stop_on:spec ?inject ~max_steps rng protocol scheduler ~init
-  in
-  match result.stop with
-  | Converged -> Some result.steps
-  | Terminal | Exhausted | Stalled -> None
-
 let convergence_cost ?inject ~max_steps rng protocol scheduler spec ~init =
   let result =
     run ~record:false ~stop_on:spec ?inject ~max_steps rng protocol scheduler ~init

@@ -60,19 +60,6 @@ val run :
     step; the replacement is counted in [injections]. A corrupted
     configuration is observable by the scheduler the same step. *)
 
-val convergence_time :
-  ?inject:(step:int -> cfg:'a array -> 'a array option) ->
-  max_steps:int ->
-  Stabrng.Rng.t ->
-  'a Protocol.t ->
-  'a Scheduler.t ->
-  'a Spec.t ->
-  init:'a array ->
-  int option
-(** Steps needed to first hit the legitimate set, or [None] if the
-    budget runs out first. A terminal illegitimate configuration also
-    yields [None]. *)
-
 val convergence_cost :
   ?inject:(step:int -> cfg:'a array -> 'a array option) ->
   max_steps:int ->
@@ -82,7 +69,9 @@ val convergence_cost :
   'a Spec.t ->
   init:'a array ->
   (int * int) option
-(** Like {!convergence_time} but returns [(steps, rounds)]. *)
+(** [(steps, rounds)] needed to first hit the legitimate set, or
+    [None] if the budget runs out first. A terminal illegitimate
+    configuration also yields [None]. *)
 
 val replay : 'a Protocol.t -> init:'a array -> int list list -> 'a trace
 (** [replay protocol ~init script] executes the exact step sequence

@@ -742,6 +742,3 @@ let hitting_stats_result ?method_ ?weights chain ~legitimate =
 let hitting_stats_checked ?method_ ?weights chain ~legitimate =
   let times, outcome = hitting_times_checked ?method_ chain ~legitimate in
   (stats_of_times ?weights times, outcome)
-
-let mean_hitting_time chain ~legitimate = (hitting_stats chain ~legitimate).mean
-let max_hitting_time chain ~legitimate = (hitting_stats chain ~legitimate).max

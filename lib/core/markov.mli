@@ -88,7 +88,9 @@ val graph : t -> Digraph.t
     the merged rows either way. *)
 
 val bsccs : t -> int list list
-(** Bottom strongly connected components (no edge leaving). *)
+(** Test seam: Theorem 7's third view, which the tests check against
+    {!converges_with_prob_one}. Bottom strongly connected components
+    (no edge leaving). *)
 
 val reaches : t -> target:bool array -> bool array
 (** [reaches chain ~target] marks states from which [target] is
@@ -139,16 +141,6 @@ type solve_outcome =
           block order, which two chains with the same merged rows may
           not share *)
 
-val transient_blocks : t -> transient:bool array -> int array list
-(** Strongly connected components of the chain restricted to
-    [transient], in reverse topological order of the condensation:
-    every positive-probability edge out of a block lands inside it, in
-    an {e earlier} block, or outside [transient]. This is the order the
-    sparse solvers process blocks in. Members are sorted ascending.
-    This is {!Digraph.sccs} on {!graph}: two chains with the same
-    merged rows have the same blocks, but Tarjan may complete them in
-    another order. *)
-
 val sparse_hitting_times :
   ?kind:sparse_kind ->
   ?tolerance:float ->
@@ -163,19 +155,6 @@ val sparse_hitting_times :
     (not checked here): probability-1 convergence to [L] — without it
     some block has no finite solution and the solve reports
     [Max_sweeps]. *)
-
-val sparse_absorption :
-  ?kind:sparse_kind ->
-  ?tolerance:float ->
-  ?max_sweeps:int ->
-  t ->
-  legitimate:bool array ->
-  float array * solve_outcome
-(** Probability of eventually reaching [L], per state, by the same
-    blocked sweeps restricted to states that can reach [L] (default
-    tolerance [1e-12]); states that cannot reach [L] get 0, states
-    inside it 1. Defined for chains that do {e not} converge with
-    probability 1. *)
 
 val hitting_times_checked :
   ?method_:hitting_method ->
@@ -268,12 +247,3 @@ val hitting_stats_checked :
     (the stats then summarize the partial iterate). Raises
     [Invalid_argument] without probability-1 convergence; prefer
     {!hitting_stats_result}, which returns that case instead. *)
-
-val mean_hitting_time : t -> legitimate:bool array -> float
-(** [(hitting_stats chain ~legitimate).mean] — the expected
-    stabilization time from a uniformly random initial configuration.
-    Prefer {!hitting_stats} when also reporting the max. *)
-
-val max_hitting_time : t -> legitimate:bool array -> float
-(** [(hitting_stats chain ~legitimate).max] — worst-case starting
-    state. *)

@@ -58,8 +58,10 @@ val set_width : int -> unit
     Calling with the current width is a no-op. *)
 
 val helpers_alive : unit -> int
-(** Helper domains currently spawned (0 until the first parallel call
-    after a width change; at most [width () - 1]). For leak tests. *)
+(** Test seam: the pool tests check through it that helpers spawn
+    lazily and never leak. Helper domains currently spawned (0 until
+    the first parallel call after a width change; at most
+    [width () - 1]). *)
 
 val parallel_for : ?min_chunk:int -> int -> (lo:int -> hi:int -> unit) -> unit
 (** [parallel_for n body] runs [body ~lo ~hi] over disjoint chunks

@@ -34,19 +34,6 @@ let enabled_processes t cfg =
 
 let is_terminal t cfg = enabled_processes t cfg = []
 
-let dist_tolerance = 1e-9
-
-let check_dist dist =
-  match dist with
-  | [] -> invalid_arg "Protocol.check_dist: empty distribution"
-  | _ ->
-    let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 dist in
-    (* Written so that NaN fails: every comparison with it is false. *)
-    if not (List.for_all (fun (_, w) -> w > 0.0 && Float.is_finite w) dist) then
-      invalid_arg "Protocol.check_dist: weight not finite and positive";
-    if Float.abs (total -. 1.0) > dist_tolerance then
-      invalid_arg "Protocol.check_dist: weights do not sum to 1"
-
 (* Merge equal configurations, summing probabilities; quadratic but the
    distributions involved are tiny. *)
 let merge_outcomes equal outcomes =

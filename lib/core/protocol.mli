@@ -97,10 +97,7 @@ val pp_config : 'a t -> Format.formatter -> 'a array -> unit
 (** {1 Validation} *)
 
 val exclusive_guards_violation : 'a t -> 'a array -> int option
-(** [Some p] if two distinct actions are enabled at [p] in the given
-    configuration — a modelling error in the protocol definition. *)
-
-val check_dist : 'a dist -> unit
-(** Raises [Invalid_argument] unless every weight is finite and
-    positive (a NaN weight included) and the weights sum to 1 within
-    [1e-9]. *)
+(** Test seam: the algorithm tests check every bundled protocol's
+    guards with it over whole state spaces. [Some p] if two distinct
+    actions are enabled at [p] in the given configuration — a
+    modelling error in the protocol definition. *)

@@ -92,18 +92,3 @@ let crash ?(wake_p = 0.0) ~failed sched =
         in
         draw ());
   }
-
-let probabilistic_gate p sched =
-  if p <= 0.0 || p > 1.0 then invalid_arg "Scheduler.probabilistic_gate: p outside (0, 1]";
-  {
-    name = Printf.sprintf "%s+gate(%g)" sched.name p;
-    choose =
-      (fun rng ~step ~cfg ~enabled ->
-        let base = sched.choose rng ~step ~cfg ~enabled in
-        let rec keep () =
-          match List.filter (fun _ -> Stabrng.Rng.bernoulli rng p) base with
-          | [] -> keep ()
-          | kept -> kept
-        in
-        keep ());
-  }

@@ -55,7 +55,3 @@ val crash : ?wake_p:float -> failed:int list -> 'a t -> 'a t
     face of crash faults; for exhaustive verdicts on the induced
     sub-protocol use {!Faults.crash_protocol}. *)
 
-val probabilistic_gate : float -> 'a t -> 'a t
-(** [probabilistic_gate p sched] filters the chosen subset, keeping each
-    process independently with probability [p] (re-drawing until the
-    kept set is non-empty). Models unreliable activation. *)

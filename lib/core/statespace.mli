@@ -152,7 +152,3 @@ val procs_of_mask : int -> int list
 val successors : 'a t -> sched_class -> int -> int list
 (** De-duplicated successor codes over all subsets and outcomes,
     ascending. *)
-
-val subset_count : int -> int
-(** [subset_count k] = number of non-empty subsets of a [k]-set; guards
-    in callers that want to bound distributed-class fan-out. *)

@@ -361,5 +361,3 @@ let orbit t c =
   let tbl = Hashtbl.create 8 in
   Array.iter (fun e -> Hashtbl.replace tbl (apply_element enc e c) ()) t.elements;
   Hashtbl.fold (fun code () acc -> code :: acc) tbl [] |> List.sort Int.compare
-
-let orbit_size t c = List.length (orbit t c)

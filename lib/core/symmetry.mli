@@ -42,7 +42,9 @@ val is_trivial : 'a t -> bool
 (** [group_order t <= 1] — quotienting would be the identity map. *)
 
 val apply : 'a t -> int -> int -> int
-(** [apply t i code] is the image of [code] under group element [i]. *)
+(** Test seam: the symmetry tests check each group element's action
+    through it; callers reach it through {!canon} and {!orbit}.
+    [apply t i code] is the image of [code] under group element [i]. *)
 
 val canon : 'a t -> int -> int
 (** Orbit representative (minimum code of the orbit). Memoized: the
@@ -67,8 +69,6 @@ val canon_value : 'a t -> int -> int
 val orbit : 'a t -> int -> int list
 (** All codes in the orbit of [c], sorted, without memoization. *)
 
-val orbit_size : 'a t -> int -> int
-
 (** {1 Soundness checks}
 
     With paranoid mode on (programmatically or via the
@@ -77,4 +77,7 @@ val orbit_size : 'a t -> int -> int
     see {!Statespace.quotient} and {!Markov.of_space}. *)
 
 val set_paranoid : bool -> unit
+(** Test seam: tests switch paranoid mode on without the environment
+    variable. *)
+
 val paranoid_enabled : unit -> bool

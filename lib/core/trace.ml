@@ -7,11 +7,6 @@ let pp_fired fmt fired =
     fired;
   Format.fprintf fmt "}@]"
 
-let pp_event protocol fmt e =
-  Format.fprintf fmt "@[<h>%a --%a--> %a@]"
-    (Protocol.pp_config protocol) e.Engine.before pp_fired e.Engine.fired
-    (Protocol.pp_config protocol) e.Engine.after
-
 let pp protocol fmt trace =
   Format.fprintf fmt "@[<v>%a" (Protocol.pp_config protocol) trace.Engine.init;
   List.iter
@@ -19,15 +14,6 @@ let pp protocol fmt trace =
       Format.fprintf fmt "@,  --%a--> %a" pp_fired e.Engine.fired
         (Protocol.pp_config protocol) e.Engine.after)
     trace.Engine.events;
-  Format.fprintf fmt "@]"
-
-let pp_compact protocol fmt trace =
-  Format.fprintf fmt "@[<v>";
-  List.iteri
-    (fun i cfg ->
-      if i > 0 then Format.fprintf fmt "@,";
-      Protocol.pp_config protocol fmt cfg)
-    (Engine.configs trace);
   Format.fprintf fmt "@]"
 
 let to_string protocol trace = Format.asprintf "%a" (pp protocol) trace

@@ -7,9 +7,4 @@ val pp : 'a Protocol.t -> Format.formatter -> 'a Engine.trace -> unit
     the fired (process, action) pairs and the resulting
     configuration. *)
 
-val pp_compact : 'a Protocol.t -> Format.formatter -> 'a Engine.trace -> unit
-(** Configurations only, one per line. *)
-
-val pp_event : 'a Protocol.t -> Format.formatter -> 'a Engine.event -> unit
-
 val to_string : 'a Protocol.t -> 'a Engine.trace -> string

@@ -35,4 +35,3 @@ val lift_spec : 'a Spec.t -> 'a coin_state Spec.t
     or the step projects to an original step). *)
 
 val lift_config : 'a array -> coins:bool array -> 'a coin_state array
-val project_config : 'a coin_state array -> 'a array

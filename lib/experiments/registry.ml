@@ -13,14 +13,18 @@ type entry =
       -> entry
 
 let topology_of_string s =
+  let int field =
+    match int_of_string_opt field with
+    | Some n -> n
+    | None ->
+      invalid_arg (Printf.sprintf "Registry: topology %s: %S is not an integer" s field)
+  in
   match String.split_on_char ':' s with
-  | [ "chain"; n ] -> Stabgraph.Graph.chain (int_of_string n)
-  | [ "star"; n ] -> Stabgraph.Graph.star (int_of_string n)
-  | [ "ring"; n ] -> Stabgraph.Graph.ring (int_of_string n)
+  | [ "chain"; n ] -> Stabgraph.Graph.chain (int n)
+  | [ "star"; n ] -> Stabgraph.Graph.star (int n)
+  | [ "ring"; n ] -> Stabgraph.Graph.ring (int n)
   | [ "random"; n; seed ] ->
-    Stabgraph.Graph.random_tree
-      (Stabrng.Rng.create (int_of_string seed))
-      (int_of_string n)
+    Stabgraph.Graph.random_tree (Stabrng.Rng.create (int seed)) (int n)
   | [ n ] -> (
     match int_of_string_opt n with
     | Some n -> Stabgraph.Graph.ring n
@@ -30,7 +34,7 @@ let topology_of_string s =
 let ring_size topology =
   let g = topology_of_string topology in
   if not (Stabgraph.Graph.is_ring g) then
-    invalid_arg "Registry: this protocol needs a ring topology (e.g. ring:6)";
+    invalid_arg "Registry: this protocol needs a ring of at least 3 nodes (e.g. ring:6)";
   Stabgraph.Graph.size g
 
 let tree_of topology =

@@ -20,7 +20,8 @@ type entry =
 
 val topology_of_string : string -> Stabgraph.Graph.t
 (** Parses ["chain:4"], ["star:5"], ["ring:6"], ["random:8:seed"]
-    (random tree). Raises [Invalid_argument] on malformed input. *)
+    (random tree). Raises [Invalid_argument] naming the whole topology
+    on malformed input, a field that is not an integer included. *)
 
 val find : name:string -> topology:string -> ?transformed:bool -> unit -> entry
 (** [find ~name ~topology ()] builds the instance. Known names:

@@ -65,13 +65,12 @@ let theorem1 () =
     rows;
   }
 
-let theorem2 ?(max_n = 7) ?(quotient = false) () =
+let theorem2 () =
   let rows =
     List.map
       (fun n ->
         let p = Stabalgo.Token_ring.make ~n in
         let space = Statespace.build p in
-        let space = if quotient then Statespace.quotient space else space in
         let v =
           Checker.analyze space Statespace.Distributed (Stabalgo.Token_ring.spec ~n)
         in
@@ -87,7 +86,7 @@ let theorem2 ?(max_n = 7) ?(quotient = false) () =
               | Some w -> Printf.sprintf "%d states" (List.length w)
               | None -> "none");
         })
-      (List.init (max_n - 2) (fun i -> i + 3))
+      [ 3; 4; 5; 6; 7 ]
   in
   { id = "T2"; claim = "Algorithm 1: weak-stabilizing, not self-stabilizing"; rows }
 
@@ -127,7 +126,7 @@ let theorem3 () =
       ];
   }
 
-let theorem4 ?(max_n = 6) ?(quotient = false) () =
+let theorem4 () =
   let rows =
     List.concat_map
       (fun n ->
@@ -135,14 +134,6 @@ let theorem4 ?(max_n = 6) ?(quotient = false) () =
           (fun i g ->
             let p = Stabalgo.Leader_tree.make g in
             let space = Statespace.build p in
-            let space =
-              (* Sound but typically a no-op: Algorithm 2's A2/A3 do
-                 local-index arithmetic, so the validated group is
-                 trivial on most trees (see docs/symmetry.md). *)
-              if quotient then
-                Statespace.quotient ~relabel:(Stabalgo.Leader_tree.relabel g) space
-              else space
-            in
             let v =
               Checker.analyze space Statespace.Distributed (Stabalgo.Leader_tree.spec g)
             in
@@ -154,7 +145,7 @@ let theorem4 ?(max_n = 6) ?(quotient = false) () =
               detail = Printf.sprintf "weak=%b self=%b" weak self;
             })
           (Stabgraph.Graph.all_trees n))
-      (List.init (max_n - 1) (fun i -> i + 2))
+      [ 2; 3; 4; 5; 6 ]
   in
   { id = "T4"; claim = "Algorithm 2: weak-stabilizing leader election on trees"; rows }
 
@@ -322,9 +313,9 @@ let theorems8_9 () =
 let all =
   [
     ("T1", theorem1);
-    ("T2", fun () -> theorem2 ());
+    ("T2", theorem2);
     ("T3", theorem3);
-    ("T4", fun () -> theorem4 ());
+    ("T4", theorem4);
     ("T5", theorem5);
     ("T6", theorem6);
     ("T7", theorem7);

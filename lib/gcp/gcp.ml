@@ -19,8 +19,6 @@ let load path =
 
 let name (program : program) = program.Ast.name
 
-let variables (program : program) = List.map (fun (n, _, _) -> n) program.Ast.vars
-
 let var_index (program : program) name =
   let rec go i = function
     | [] -> raise Not_found

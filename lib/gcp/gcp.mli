@@ -29,8 +29,6 @@ val load : string -> (program, string) result
 (** [load path] reads and parses a [.gcp] file. *)
 
 val name : program -> string
-val variables : program -> string list
-(** Declared variable names, in declaration order. *)
 
 val instantiate :
   program ->

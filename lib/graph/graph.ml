@@ -21,8 +21,6 @@ let local_index g p q =
   in
   go 0
 
-let are_neighbors g p q = match local_index g p q with _ -> true | exception Not_found -> false
-
 let of_edges ~n edges =
   if n <= 0 then invalid_arg "Graph.of_edges: n must be positive";
   let seen = Hashtbl.create (List.length edges) in
@@ -60,29 +58,6 @@ let complete n =
     for q = p + 1 to n - 1 do
       edges := (p, q) :: !edges
     done
-  done;
-  of_edges ~n !edges
-
-let grid rows cols =
-  if rows < 1 || cols < 1 then invalid_arg "Graph.grid: need positive dimensions";
-  let id r c = (r * cols) + c in
-  let edges = ref [] in
-  for r = 0 to rows - 1 do
-    for c = 0 to cols - 1 do
-      if c + 1 < cols then edges := (id r c, id r (c + 1)) :: !edges;
-      if r + 1 < rows then edges := (id r c, id (r + 1) c) :: !edges
-    done
-  done;
-  of_edges ~n:(rows * cols) !edges
-
-let tree_of_parents parents =
-  let n = Array.length parents in
-  if n < 1 then invalid_arg "Graph.tree_of_parents: empty";
-  let edges = ref [] in
-  for i = 1 to n - 1 do
-    if parents.(i) < 0 || parents.(i) >= i then
-      invalid_arg "Graph.tree_of_parents: parents.(i) must satisfy 0 <= parents.(i) < i";
-    edges := (parents.(i), i) :: !edges
   done;
   of_edges ~n !edges
 
@@ -165,13 +140,6 @@ let eccentricity g p =
       if d < 0 then invalid_arg "Graph.eccentricity: disconnected graph" else max acc d)
     0 (bfs g p)
 
-let diameter g =
-  let best = ref 0 in
-  for p = 0 to g.n - 1 do
-    best := max !best (eccentricity g p)
-  done;
-  !best
-
 let centers g =
   let ecc = Array.init g.n (eccentricity g) in
   let radius = Array.fold_left min ecc.(0) ecc in
@@ -203,8 +171,6 @@ let pp fmt g =
   List.iter (fun (p, q) -> Format.fprintf fmt "@ %d-%d" p q) (edges g);
   Format.fprintf fmt ")@]"
 
-let equal_structure g1 g2 = g1.n = g2.n && edges g1 = edges g2
-
 (* AHU canonical encoding of a rooted tree: children encodings sorted
    and concatenated inside parentheses. *)
 let rec ahu g parent root =
@@ -220,9 +186,6 @@ let tree_canonical g =
      minimum of both encodings so the form is isomorphism-invariant. *)
   let forms = List.map (fun c -> ahu g (-1) c) (centers g) in
   List.fold_left min (List.hd forms) forms
-
-let isomorphic_trees g1 g2 =
-  size g1 = size g2 && String.equal (tree_canonical g1) (tree_canonical g2)
 
 (* --- automorphism groups --- *)
 

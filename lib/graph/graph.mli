@@ -31,14 +31,6 @@ val star : int -> t
 val complete : int -> t
 (** [complete n] is K_n. Requires [n >= 1]. *)
 
-val grid : int -> int -> t
-(** [grid rows cols] is the rows x cols king-free mesh (4-neighbor). *)
-
-val tree_of_parents : int array -> t
-(** [tree_of_parents parents] builds the tree where node [i > 0] is
-    linked to [parents.(i)] with [parents.(i) < i]; [parents.(0)] is
-    ignored. Rejects arrays that do not satisfy [parents.(i) < i]. *)
-
 val random_tree : Stabrng.Rng.t -> int -> t
 (** A uniformly random labelled tree on [n] nodes (random Pruefer
     sequence). Requires [n >= 1]. *)
@@ -80,8 +72,6 @@ val local_index : t -> int -> int -> int
 (** [local_index g p q] is the local index under which [p] sees its
     neighbor [q]. Raises [Not_found] if [q] is not a neighbor of [p]. *)
 
-val are_neighbors : t -> int -> int -> bool
-
 val edges : t -> (int * int) list
 (** Each undirected edge once, as [(min, max)] pairs, sorted. *)
 
@@ -97,9 +87,6 @@ val is_ring : t -> bool
 val dist : t -> int -> int -> int
 (** BFS distance. Raises [Invalid_argument] on a disconnected pair. *)
 
-val eccentricity : t -> int -> int
-val diameter : t -> int
-
 val centers : t -> int list
 (** Nodes of minimum eccentricity, sorted. For a tree this has one or
     two (neighboring) elements — the paper's Property 1. *)
@@ -109,12 +96,6 @@ val leaves : t -> int list
 
 val pp : Format.formatter -> t -> unit
 (** Prints [n] and the edge list. *)
-
-val equal_structure : t -> t -> bool
-(** Same node count and identical edge sets (not isomorphism). *)
-
-val isomorphic_trees : t -> t -> bool
-(** AHU canonical-form equality. Both arguments must be trees. *)
 
 val automorphisms : ?limit:int -> t -> int array list
 (** The automorphism group of [g] as node permutations, the identity

@@ -46,40 +46,25 @@ let mul a b =
   done;
   out
 
-let mul_vec a v =
-  if a.cols <> Array.length v then invalid_arg "Matrix.mul_vec: dimension mismatch";
-  Array.init a.rows (fun i ->
-      let acc = ref 0.0 in
-      for j = 0 to a.cols - 1 do
-        acc := !acc +. (get a i j *. v.(j))
-      done;
-      !acc)
-
-let transpose m =
-  let out = create ~rows:m.cols ~cols:m.rows in
-  for i = 0 to m.rows - 1 do
-    for j = 0 to m.cols - 1 do
-      set out j i (get m i j)
-    done
-  done;
-  out
-
 let pivot_tolerance = 1e-12
 
-(* In-place forward elimination + back substitution on an augmented
-   system: [a] square, [b] with the same row count and any column
-   count. Both are destroyed; the solution lands in [b]. *)
+(* In-place forward elimination + back substitution: [a] square, [b]
+   of the same size. Both are destroyed; the solution lands in [b]. *)
 let solve_in_place a b =
   let n = a.rows in
   if a.cols <> n then invalid_arg "Matrix.solve: matrix not square";
-  if b.rows <> n then invalid_arg "Matrix.solve: rhs dimension mismatch";
-  let swap_rows m i j =
-    if i <> j then
-      for k = 0 to m.cols - 1 do
-        let tmp = get m i k in
-        set m i k (get m j k);
-        set m j k tmp
-      done
+  if Array.length b <> n then invalid_arg "Matrix.solve: rhs dimension mismatch";
+  let swap_rows i j =
+    if i <> j then begin
+      for k = 0 to n - 1 do
+        let tmp = get a i k in
+        set a i k (get a j k);
+        set a j k tmp
+      done;
+      let tmp = b.(i) in
+      b.(i) <- b.(j);
+      b.(j) <- tmp
+    end
   in
   for col = 0 to n - 1 do
     (* Partial pivoting: bring the largest |entry| of the column up. *)
@@ -101,8 +86,7 @@ let solve_in_place a b =
       failwith
         (Printf.sprintf "Matrix.solve: singular system (column %d, pivot %g)" col
            pivot_abs);
-    swap_rows a col !pivot_row;
-    swap_rows b col !pivot_row;
+    swap_rows col !pivot_row;
     let pivot = get a col col in
     for r = col + 1 to n - 1 do
       let factor = get a r col /. pivot in
@@ -110,41 +94,22 @@ let solve_in_place a b =
         for k = col to n - 1 do
           set a r k (get a r k -. (factor *. get a col k))
         done;
-        for k = 0 to b.cols - 1 do
-          set b r k (get b r k -. (factor *. get b col k))
-        done
+        b.(r) <- b.(r) -. (factor *. b.(col))
       end
     done
   done;
   for col = n - 1 downto 0 do
-    let pivot = get a col col in
-    for k = 0 to b.cols - 1 do
-      let acc = ref (get b col k) in
-      for j = col + 1 to n - 1 do
-        acc := !acc -. (get a col j *. get b j k)
-      done;
-      set b col k (!acc /. pivot)
-    done
+    let acc = ref b.(col) in
+    for j = col + 1 to n - 1 do
+      acc := !acc -. (get a col j *. b.(j))
+    done;
+    b.(col) <- !acc /. get a col col
   done
 
 let solve a b =
-  let a = copy a in
-  let rhs = create ~rows:(Array.length b) ~cols:1 in
-  Array.iteri (fun i v -> set rhs i 0 v) b;
-  solve_in_place a rhs;
-  Array.init (rows rhs) (fun i -> get rhs i 0)
-
-let solve_many a b =
-  let a = copy a and b = copy b in
-  solve_in_place a b;
+  let b = Array.copy b in
+  solve_in_place (copy a) b;
   b
-
-let max_abs_diff a b =
-  if a.rows <> b.rows || a.cols <> b.cols then
-    invalid_arg "Matrix.max_abs_diff: shape mismatch";
-  let best = ref 0.0 in
-  Array.iteri (fun i v -> best := Float.max !best (Float.abs (v -. b.data.(i)))) a.data;
-  !best
 
 let pp fmt m =
   Format.fprintf fmt "@[<v>";

@@ -27,21 +27,10 @@ val copy : t -> t
 val mul : t -> t -> t
 (** Matrix product; dimensions must agree. *)
 
-val mul_vec : t -> float array -> float array
-(** Matrix-vector product. *)
-
-val transpose : t -> t
-
 val solve : t -> float array -> float array
 (** [solve a b] solves [a x = b] by Gaussian elimination with partial
     pivoting. [a] must be square and non-singular (within [1e-12]
     pivot tolerance) and is not modified. Raises [Failure] on a
     (numerically) singular system. *)
-
-val solve_many : t -> t -> t
-(** [solve_many a b] solves [a x = b] column-wise. *)
-
-val max_abs_diff : t -> t -> float
-(** Infinity-norm distance between two same-shaped matrices. *)
 
 val pp : Format.formatter -> t -> unit

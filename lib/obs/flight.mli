@@ -59,15 +59,12 @@ val events : unit -> Obs.event list
 val domains : unit -> int list
 (** Domains with at least one recorded event, ascending. *)
 
-val dump_string : reason:string -> string
-(** The dump artifact as a string: JSONL, one object per line (header,
-    sections, registry, events — see module doc). *)
-
 val dump_to : reason:string -> string -> unit
-(** Write the dump to a file atomically (temp sibling + rename), so a
-    path refreshed periodically is always parseable even if the
-    process is SIGKILLed mid-write. Raises [Sys_error] on unwritable
-    paths. *)
+(** Write the dump artifact — JSONL, one object per line (header,
+    sections, registry, events — see module doc) — to a file
+    atomically (temp sibling + rename), so a path refreshed
+    periodically is always parseable even if the process is SIGKILLed
+    mid-write. Raises [Sys_error] on unwritable paths. *)
 
 (** {1 Crash-exit plumbing}
 
@@ -77,7 +74,6 @@ val dump_to : reason:string -> string -> unit
     pending. Clean exits leave no artifact. *)
 
 val set_pending : string -> unit
-val take_pending : unit -> string option
 
 val set_exit_dump : string -> unit
 (** Arrange for a pending-reason dump to [path] at process exit (the
@@ -92,6 +88,7 @@ val dump_pending : unit -> unit
 (**/**)
 
 val reset_for_tests : unit -> unit
-(** Zero every ring. *)
+(** Test seam: each test starts from empty rings, so suite order never
+    matters. Zero every ring. *)
 
 (**/**)

@@ -15,14 +15,6 @@ let level_name = function
 let current_level = Atomic.make (rank Warn)
 let set_level l = Atomic.set current_level (rank l)
 
-let get_level () =
-  match Atomic.get current_level with
-  | 0 -> Quiet
-  | 1 -> Error
-  | 2 -> Warn
-  | 3 -> Info
-  | _ -> Debug
-
 let would_log l = rank l > 0 && rank l <= Atomic.get current_level
 
 (* --- events and the sink stack --- *)
@@ -384,23 +376,17 @@ let event_to_json = function
 
 let null_sink () = { emit = (fun _ -> ()); close = (fun () -> ()) }
 
-let jsonl_sink ~write_line =
+let jsonl_channel oc =
   let mu = Mutex.create () in
   {
     emit =
       (fun e ->
         let line = Json.to_string (event_to_json e) in
-        Mutex.protect mu (fun () -> write_line line));
-    close = (fun () -> ());
+        Mutex.protect mu (fun () ->
+            output_string oc line;
+            output_char oc '\n'));
+    close = (fun () -> close_out oc);
   }
-
-let jsonl_channel oc =
-  let base =
-    jsonl_sink ~write_line:(fun line ->
-        output_string oc line;
-        output_char oc '\n')
-  in
-  { base with close = (fun () -> close_out oc) }
 
 let chrome_channel oc =
   let mu = Mutex.create () in

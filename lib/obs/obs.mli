@@ -31,8 +31,6 @@ val set_level : level -> unit
     not. {!Quiet} silences everything, including the stderr fallback
     for warnings. *)
 
-val get_level : unit -> level
-
 val errorf : ('a, Format.formatter, unit, unit) format4 -> 'a
 (** Messages at or below the current level are printed to stderr and
     emitted to every installed sink as a {!Message} event; others are
@@ -102,12 +100,6 @@ val symmetry_canon_misses : Counter.t
 (** Canon-cache lookups that found / filled an orbit entry
     ("symmetry.canon-hit" / "symmetry.canon-miss"). *)
 
-val gc_minor_words : Counter.t
-(** Per-span GC deltas, accumulated at span close when GC sampling is
-    on ("gc.minor_words" / "gc.major_collections"). Inclusive like
-    span durations: a nested sampled span contributes to every
-    enclosing span's delta, so these totals over-count nesting the
-    same way {!Profile} totals do. *)
 
 val markov_solve_sweeps : Counter.t
 (** Iterative sweeps performed by the sparse Markov solvers
@@ -160,13 +152,13 @@ val with_tags : (string * Json.t) list -> (unit -> 'a) -> 'a
     domain-local: spans emitted by domains spawned inside [f] do not
     inherit them. With no sink installed this is [f ()]. *)
 
-val current_tags : unit -> (string * Json.t) list
-(** The ambient tag list of the calling domain (outermost first). *)
-
 val set_gc_sampling : bool -> unit
 (** Off by default. When on, every span brackets its body with a
     [Gc.quick_stat] pair and reports the deltas ({!gc_delta}) on its
-    end event, bumping {!gc_minor_words} and "gc.major_collections".
+    end event, bumping the "gc.minor_words" and "gc.major_collections"
+    counters. Inclusive like span durations: a nested sampled span
+    contributes to every enclosing span's delta, so these totals
+    over-count nesting the same way {!Profile} totals do.
     Costs two GC stat reads per span on the lit path only; the dark
     path (no sink) is unchanged — no stat read, no allocation. *)
 
@@ -251,12 +243,9 @@ val stderr_sink : unit -> sink
     span opens shown only at {!Debug}. Messages are not re-printed
     here (the logger already writes them to stderr). *)
 
-val jsonl_sink : write_line:(string -> unit) -> sink
-(** Structured sink: one compact JSON object per event, one per line. *)
-
 val jsonl_channel : out_channel -> sink
-(** {!jsonl_sink} owning the channel: closing the sink flushes and
-    closes it. *)
+(** Structured sink: one compact JSON object per event, one per line.
+    Owns the channel: closing the sink flushes and closes it. *)
 
 val chrome_channel : out_channel -> sink
 (** Chrome [trace_event] exporter: spans become complete ("X") events
@@ -268,8 +257,8 @@ val chrome_channel : out_channel -> sink
     in [chrome://tracing] and Perfetto. Owns the channel. *)
 
 val memory_sink : unit -> sink * (unit -> event list)
-(** Buffering sink for tests: the accessor returns events in emission
-    order. *)
+(** Test seam: tests capture emitted events through it. Buffering
+    sink: the accessor returns events in emission order. *)
 
 (** {1 Per-phase profiling} *)
 

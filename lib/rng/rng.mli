@@ -24,9 +24,6 @@ val copy : t -> t
 (** [copy t] duplicates the current state; the copy replays the same
     stream as [t]. *)
 
-val bits64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform over [0, bound). Requires [bound > 0].
     Uses rejection sampling, so the distribution is exactly uniform. *)

@@ -82,35 +82,6 @@ let histogram ~bins xs =
     xs;
   { bounds; counts }
 
-(* Two-sided 97.5% Student-t critical values. For the handful-of-samples
-   regime of timing samples, the normal 1.96 badly under-covers
-   (n = 3 would claim a ±ci95 less than half the honest band); the step
-   table errs high between tabulated points, never low. *)
-let t95 df =
-  if df <= 0 then 0.0
-  else if df = 1 then 12.706
-  else if df = 2 then 4.303
-  else if df = 3 then 3.182
-  else if df = 4 then 2.776
-  else if df = 5 then 2.571
-  else if df = 6 then 2.447
-  else if df = 7 then 2.365
-  else if df = 8 then 2.306
-  else if df = 9 then 2.262
-  else if df <= 12 then 2.228
-  else if df <= 15 then 2.179
-  else if df <= 20 then 2.131
-  else if df <= 30 then 2.086
-  else if df <= 60 then 2.042
-  else 1.959964
-
-let ci95_halfwidth s = t95 (s.count - 1) *. s.stderr
-
-let pooled_halfwidth a b = sqrt ((a *. a) +. (b *. b))
-
-let means_differ ~mean_a ~half_a ~mean_b ~half_b =
-  Float.abs (mean_b -. mean_a) > pooled_halfwidth half_a half_b
-
 let pp_summary fmt s =
   Format.fprintf fmt "%.3f +/- %.3f [%.3f, %.3f] (n=%d)" s.mean s.stderr s.min s.max
     s.count

@@ -105,6 +105,8 @@ rejects wake-p-nan trace -p token-ring -t ring:5 --crash 1 --wake-p nan
 # --last can make doctor fail.
 rejects steps-negative trace -p token-ring -t ring:5 --steps=-5 --seed 2
 rejects theorem-id-unknown theorems --id T99
+# A topology field that is not an integer is a usage error too.
+rejects topology-not-integer check -p token-ring -t random:3:x
 dump=$(mktemp)
 printf '%s\n%s\n' \
   '{"type":"flight","schema":1,"reason":"cli","ts_ns":2000000000,"pid":1,"cmdline":["stabsim"],"ocaml":"5.1","cores":1,"commit":"0","dirty":false}' \

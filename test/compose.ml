@@ -1,3 +1,5 @@
+open Stabcore
+
 type ('a, 'b) layered = { base : 'a; overlay : 'b }
 
 let base_config cfg = Array.map (fun s -> s.base) cfg

@@ -14,6 +14,8 @@
     test-suite rebuilds it with {!collateral} and checks it is
     step-for-step the hand-written {!Stabalgo.Center_leader}. *)
 
+open Stabcore
+
 type ('a, 'b) layered = { base : 'a; overlay : 'b }
 
 val collateral :

@@ -194,7 +194,7 @@ let test_herman_quadratic_growth () =
     let space = Statespace.build p in
     let legitimate = Statespace.legitimate_set space (Stabalgo.Herman.spec ~n) in
     let chain = Markov.of_space space Markov.Sync in
-    Markov.max_hitting_time chain ~legitimate
+    (Markov.hitting_stats chain ~legitimate).Markov.max
   in
   let h3 = hit 3 and h7 = hit 7 in
   Alcotest.(check bool) "h7 > 3 * h3" true (h7 > 3.0 *. h3)

@@ -8,11 +8,11 @@ let test_set_mem_clear () =
   Bitset.set s 8;
   Bitset.set s 69;
   Alcotest.(check (list int)) "elements" [ 0; 7; 8; 69 ] (Bitset.elements s);
-  Alcotest.(check int) "cardinal" 4 (Bitset.cardinal s);
+  Alcotest.(check bool) "not empty" false (Bitset.is_empty s);
   Bitset.clear s 8;
   Alcotest.(check bool) "cleared" false (Bitset.mem s 8);
   Alcotest.(check bool) "neighbor bit survives clear" true (Bitset.mem s 7);
-  Alcotest.(check int) "cardinal after clear" 3 (Bitset.cardinal s)
+  Alcotest.(check (list int)) "elements after clear" [ 0; 7; 69 ] (Bitset.elements s)
 
 let test_bounds () =
   let s = Bitset.create 8 in
@@ -23,11 +23,12 @@ let test_bounds () =
 
 let test_bool_array_roundtrip () =
   let a = Array.init 53 (fun i -> i mod 3 = 0 || i mod 7 = 1) in
-  let s = Bitset.of_bool_array a in
-  Alcotest.(check (array bool)) "roundtrip" a (Bitset.to_bool_array s);
-  Alcotest.(check int) "cardinal matches popcount"
+  let s = Bitset.create 53 in
+  Array.iteri (fun i b -> if b then Bitset.set s i) a;
+  Alcotest.(check (array bool)) "roundtrip" a (Array.init 53 (Bitset.mem s));
+  Alcotest.(check int) "elements match the set entries"
     (Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 a)
-    (Bitset.cardinal s)
+    (List.length (Bitset.elements s))
 
 let test_iter_fold_ascending () =
   let s = Bitset.create 40 in
@@ -40,8 +41,6 @@ let test_iter_fold_ascending () =
 let test_complement_copy () =
   let s = Bitset.create 10 in
   List.iter (Bitset.set s) [ 1; 4; 9 ];
-  let c = Bitset.complement s in
-  Alcotest.(check (list int)) "complement" [ 0; 2; 3; 5; 6; 7; 8 ] (Bitset.elements c);
   let d = Bitset.copy s in
   Bitset.clear d 4;
   Alcotest.(check bool) "copy is independent" true (Bitset.mem s 4)
@@ -49,7 +48,7 @@ let test_complement_copy () =
 let test_empty_length () =
   let s = Bitset.create 0 in
   Alcotest.(check int) "zero length" 0 (Bitset.length s);
-  Alcotest.(check int) "zero cardinal" 0 (Bitset.cardinal s);
+  Alcotest.(check (list int)) "no elements" [] (Bitset.elements s);
   Alcotest.(check bool) "empty" true (Bitset.is_empty s)
 
 let suite =

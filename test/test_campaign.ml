@@ -148,18 +148,33 @@ let sample_record status =
     error = None;
   }
 
+(* The checkpoint file's text after appending [records] to a fresh
+   file. *)
+let checkpoint_text records =
+  let path = tmp_checkpoint () in
+  let sink = Checkpoint.open_append ~fresh:true ~name:"t" path in
+  List.iter (Checkpoint.append sink) records;
+  Checkpoint.close sink;
+  let text = In_channel.with_open_text path In_channel.input_all in
+  Sys.remove path;
+  text
+
 let test_checkpoint_roundtrip () =
   List.iter
     (fun status ->
       let r = sample_record status in
-      match Checkpoint.record_of_json (Checkpoint.record_to_json r) with
-      | None -> Alcotest.fail "roundtrip lost the record"
-      | Some r' ->
-        Alcotest.(check bool) "identical" true (r = r'))
+      match Checkpoint.parse_string (checkpoint_text [ r ]) with
+      | [ r' ] -> Alcotest.(check bool) "identical" true (r = r')
+      | _ -> Alcotest.fail "roundtrip lost the record")
     [ Checkpoint.Done; Checkpoint.Degraded; Checkpoint.Timed_out; Checkpoint.Quarantined ]
 
 let test_checkpoint_parse_tolerates_torn_tail () =
-  let whole = Json.to_string (Checkpoint.record_to_json (sample_record Checkpoint.Done)) in
+  let whole =
+    let text = checkpoint_text [ sample_record Checkpoint.Done ] in
+    match String.split_on_char '\n' text with
+    | [ _header; record; "" ] -> record
+    | _ -> Alcotest.fail "expected a header and one record line"
+  in
   let torn = String.sub whole 0 (String.length whole - 7) in
   let text =
     String.concat "\n"
@@ -236,9 +251,34 @@ let test_cancel_current_scoping () =
 
 (* --- deterministic backoff --- *)
 
+(* The sleeps the runner asks for while a cell times out on every rung
+   of its ladder (a deadline already past when each attempt starts),
+   under campaign seed [seed]. *)
+let backoff_sleeps ~seed =
+  let campaign = green_campaign () in
+  let campaign =
+    {
+      campaign with
+      Campaign.seed;
+      backoff_ms = 100;
+      cells = [ List.hd campaign.Campaign.cells ];
+    }
+  in
+  let sleeps = ref [] in
+  let options =
+    {
+      (quiet_options ()) with
+      Runner.timeout_ms = Some 0;
+      sleep = (fun d -> sleeps := d :: !sleeps);
+    }
+  in
+  ignore (Runner.run ~options campaign);
+  List.rev !sleeps
+
 let test_backoff_deterministic_and_bounded () =
-  let a = Runner.backoff_delays ~seed:99 ~base_ms:100 ~attempts:6 in
-  let b = Runner.backoff_delays ~seed:99 ~base_ms:100 ~attempts:6 in
+  let a = backoff_sleeps ~seed:99 in
+  let b = backoff_sleeps ~seed:99 in
+  Alcotest.(check bool) "the failing cell backs off" true (List.length a >= 2);
   Alcotest.(check (list (float 0.0))) "same seed, same schedule" a b;
   List.iteri
     (fun i d ->
@@ -249,7 +289,7 @@ let test_backoff_deterministic_and_bounded () =
         true
         (d >= 0.5 *. base && d < 1.5 *. base))
     a;
-  let c = Runner.backoff_delays ~seed:100 ~base_ms:100 ~attempts:6 in
+  let c = backoff_sleeps ~seed:100 in
   Alcotest.(check bool) "different seed, different jitter" true (a <> c)
 
 (* --- the runner itself --- *)

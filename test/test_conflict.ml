@@ -5,6 +5,12 @@ open Stabcore
 
 (* --- coloring --- *)
 
+(* Processes sharing a color with some neighbor, ascending. *)
+let conflicts g cfg =
+  List.filter
+    (fun p -> Array.exists (fun q -> cfg.(q) = cfg.(p)) (Stabgraph.Graph.neighbors g p))
+    (List.init (Stabgraph.Graph.size g) Fun.id)
+
 let test_coloring_validation () =
   Alcotest.check_raises "too few colors"
     (Invalid_argument "Coloring.make: need colors > max degree") (fun () ->
@@ -60,7 +66,7 @@ let test_coloring_smallest_free () =
   (* center 0 with neighbors colored 0,1,2 -> smallest free is 3. *)
   let cfg = [| 0; 0; 1; 2 |] in
   Alcotest.(check bool) "center in conflict" true
-    (List.mem 0 (Stabalgo.Coloring.conflicts g cfg));
+    (List.mem 0 (conflicts g cfg));
   let p = Stabalgo.Coloring.make g in
   match Protocol.step_outcomes p cfg [ 0 ] with
   | [ (next, _) ] -> Alcotest.(check int) "recolors to 3" 3 next.(0)
@@ -77,7 +83,7 @@ let qcheck_coloring_conflicts_monotone_central =
       let r = Engine.run ~record:true ~max_steps:30 rng p (Scheduler.central_random ()) ~init in
       let counts =
         List.map
-          (fun cfg -> List.length (Stabalgo.Coloring.conflicts g cfg))
+          (fun cfg -> List.length (conflicts g cfg))
           (Engine.configs r.Engine.trace)
       in
       let rec non_increasing = function
@@ -102,13 +108,28 @@ let qcheck_coloring_stays_in_palette =
 
 (* --- matching --- *)
 
+(* Mutually-pointing pairs [(p, q)] with [p < q], ascending; a pointer
+   is a local neighbor index. *)
+let matched_pairs g cfg =
+  let target p =
+    match cfg.(p) with
+    | Stabalgo.Matching.Null -> None
+    | Stabalgo.Matching.Pointer k -> Some (Stabgraph.Graph.neighbor g p k)
+  in
+  List.filter_map
+    (fun p ->
+      match target p with
+      | Some q when p < q && target q = Some p -> Some (p, q)
+      | Some _ | None -> None)
+    (List.init (Stabgraph.Graph.size g) Fun.id)
+
 let test_matching_terminal_iff_maximal () =
   List.iter
     (fun g ->
       let p = Stabalgo.Matching.make g in
       let enc = Encoding.of_protocol p in
       Encoding.iter enc (fun _ cfg ->
-          if Protocol.is_terminal p cfg <> Stabalgo.Matching.is_maximal_matching g cfg then
+          if Protocol.is_terminal p cfg <> (Stabalgo.Matching.spec g).Spec.legitimate cfg then
             Alcotest.fail "terminal <> maximal matching"))
     [
       Stabgraph.Graph.chain 4;
@@ -141,7 +162,7 @@ let test_matched_pairs () =
   let cfg = [| Pointer 0; Pointer 0; Pointer 1; Null |] in
   Alcotest.(check (list (pair int int))) "one pair" [ (0, 1) ] (matched_pairs g cfg);
   Alcotest.(check bool) "not maximal (dangling pointer)" false
-    (is_maximal_matching g cfg)
+    ((spec g).Spec.legitimate cfg)
 
 let test_matching_rules () =
   let g = Stabgraph.Graph.chain 3 in
@@ -172,7 +193,7 @@ let test_matching_mutual_proposals_marry () =
   match Protocol.step_outcomes p [| Null; Null |] [ 0; 1 ] with
   | [ (next, _) ] ->
     Alcotest.(check (list (pair int int))) "married" [ (0, 1) ] (matched_pairs g next);
-    Alcotest.(check bool) "maximal" true (is_maximal_matching g next)
+    Alcotest.(check bool) "maximal" true ((spec g).Spec.legitimate next)
   | _ -> Alcotest.fail "deterministic step expected"
 
 let qcheck_matching_pairs_disjoint =
@@ -188,7 +209,7 @@ let qcheck_matching_pairs_disjoint =
       in
       List.for_all
         (fun cfg ->
-          let pairs = Stabalgo.Matching.matched_pairs g cfg in
+          let pairs = matched_pairs g cfg in
           let vertices = List.concat_map (fun (a, b) -> [ a; b ]) pairs in
           List.length vertices = List.length (List.sort_uniq compare vertices))
         (Engine.configs r.Engine.trace))
@@ -205,7 +226,7 @@ let qcheck_matching_terminal_runs_are_maximal =
         Engine.run ~record:false ~max_steps:2_000 rng p (Scheduler.central_random ()) ~init
       in
       match r.Engine.stop with
-      | Engine.Terminal -> Stabalgo.Matching.is_maximal_matching g r.Engine.final
+      | Engine.Terminal -> (Stabalgo.Matching.spec g).Spec.legitimate r.Engine.final
       | Engine.Exhausted | Engine.Converged | Engine.Stalled -> true)
 
 let suite =

@@ -58,19 +58,19 @@ let test_convergence_time () =
   let p = Fixtures.coin_protocol ~p_stop:0.5 () in
   let rng = Stabrng.Rng.create 3 in
   (match
-     Engine.convergence_time ~max_steps:10_000 rng p (Scheduler.central_first ())
+     Engine.convergence_cost ~max_steps:10_000 rng p (Scheduler.central_first ())
        Fixtures.coin_spec ~init:[| 0 |]
    with
-  | Some t -> Alcotest.(check bool) "positive time" true (t >= 1)
+  | Some (t, _) -> Alcotest.(check bool) "positive time" true (t >= 1)
   | None -> Alcotest.fail "should converge");
   (* Already-legitimate start takes zero steps. *)
   match
-    Engine.convergence_time ~max_steps:10 rng p (Scheduler.central_first ())
+    Engine.convergence_cost ~max_steps:10 rng p (Scheduler.central_first ())
       Fixtures.coin_spec ~init:[| 2 |]
   with
-  | Some 0 -> ()
+  | Some (0, _) -> ()
   | other -> Alcotest.failf "expected Some 0, got %s"
-               (match other with None -> "None" | Some t -> string_of_int t)
+               (match other with None -> "None" | Some (t, _) -> string_of_int t)
 
 let test_replay () =
   let p = Fixtures.mod3_protocol () in
@@ -152,19 +152,6 @@ let test_adversary_sees_config () =
   Alcotest.(check (list int)) "driven by cfg" [ 1 ]
     (s.Scheduler.choose rng ~step:0 ~cfg:[| 0; 1 |] ~enabled:[ 0; 1 ])
 
-let test_probabilistic_gate () =
-  let s = Scheduler.probabilistic_gate 0.5 (Scheduler.synchronous ()) in
-  let rng = Stabrng.Rng.create 7 in
-  for _ = 1 to 200 do
-    let chosen = s.Scheduler.choose rng ~step:0 ~cfg:[||] ~enabled:[ 1; 2; 3; 4 ] in
-    Alcotest.(check bool) "non-empty" true (chosen <> []);
-    Alcotest.(check bool) "subset" true
-      (List.for_all (fun p -> List.mem p [ 1; 2; 3; 4 ]) chosen)
-  done;
-  Alcotest.check_raises "bad p"
-    (Invalid_argument "Scheduler.probabilistic_gate: p outside (0, 1]") (fun () ->
-      ignore (Scheduler.probabilistic_gate 0.0 (Scheduler.synchronous ())))
-
 (* Trace rendering *)
 
 let contains ~needle haystack =
@@ -198,21 +185,19 @@ let suite =
     Alcotest.test_case "round robin" `Quick test_round_robin_cycles;
     Alcotest.test_case "adversary validation" `Quick test_adversary_validation;
     Alcotest.test_case "adversary sees config" `Quick test_adversary_sees_config;
-    Alcotest.test_case "probabilistic gate" `Quick test_probabilistic_gate;
     Alcotest.test_case "trace pp" `Quick test_trace_pp;
   ]
 
 let test_trace_pp_compact_and_event () =
+  (* One line per configuration; a step's line shows the fired
+     (process:action) pairs on the arrow into its successor. *)
   let p = Fixtures.mod3_protocol () in
   let trace = Engine.replay p ~init:[| 1; 1 |] [ [ 0 ] ] in
-  let compact = Format.asprintf "%a" (Trace.pp_compact p) trace in
-  Alcotest.(check bool) "compact lists configs" true
-    (contains ~needle:"[1 1]" compact && contains ~needle:"[2 1]" compact);
-  match trace.Engine.events with
-  | e :: _ ->
-    let rendered = Format.asprintf "%a" (Trace.pp_event p) e in
-    Alcotest.(check bool) "event shows arrow" true (contains ~needle:"-->" rendered)
-  | [] -> Alcotest.fail "expected events"
+  match String.split_on_char '\n' (Trace.to_string p trace) with
+  | [ init; step ] ->
+    Alcotest.(check bool) "initial line" true (contains ~needle:"[1 1]" init);
+    Alcotest.(check bool) "step's arrow" true (contains ~needle:"--{0:bump}--> [2 1]" step)
+  | lines -> Alcotest.failf "expected two lines, got %d" (List.length lines)
 
 let extra_suite =
   [ Alcotest.test_case "trace compact/event pp" `Quick test_trace_pp_compact_and_event ]

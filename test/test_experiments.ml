@@ -60,6 +60,22 @@ let test_registry_topologies () =
   Alcotest.check_raises "garbage" (Invalid_argument "Registry: unknown topology bogus")
     (fun () -> ignore (Stabexp.Registry.topology_of_string "bogus"))
 
+let test_registry_topology_errors () =
+  (* A field that is not an integer is a typed error naming the whole
+     topology, never a bare [Failure "int_of_string"]. *)
+  List.iter
+    (fun (topology, field) ->
+      Alcotest.check_raises topology
+        (Invalid_argument
+           (Printf.sprintf "Registry: topology %s: %S is not an integer" topology field))
+        (fun () -> ignore (Stabexp.Registry.topology_of_string topology)))
+    [ ("ring:x", "x"); ("chain:x", "x"); ("star:4a", "4a"); ("random:3:x", "x");
+      ("random:x:1", "x") ];
+  (* ring:2 parses (one edge) but is no ring: rings need 3 nodes. *)
+  Alcotest.check_raises "ring:2"
+    (Invalid_argument "Registry: this protocol needs a ring of at least 3 nodes (e.g. ring:6)")
+    (fun () -> ignore (Stabexp.Registry.find ~name:"token-ring" ~topology:"ring:2" ()))
+
 let test_registry_find () =
   List.iter
     (fun name ->
@@ -116,8 +132,7 @@ let test_theorem_results_hold () =
     (fun r ->
       if not (Stabexp.Theorems.all_hold r) then
         Alcotest.failf "%s failed" r.Stabexp.Theorems.id)
-    [ Stabexp.Theorems.theorem2 ~max_n:5 (); Stabexp.Theorems.theorem3 ();
-      Stabexp.Theorems.theorem6 () ]
+    (List.map (fun id -> List.assoc id Stabexp.Theorems.all ()) [ "T2"; "T3"; "T6" ])
 
 let test_theorem_ids () =
   (* [stabsim theorems --id] selects by the list's id, so each must be
@@ -128,7 +143,7 @@ let test_theorem_ids () =
     Stabexp.Theorems.all
 
 let test_theorem_report_renders () =
-  let r = Stabexp.Theorems.theorem3 () in
+  let r = List.assoc "T3" Stabexp.Theorems.all () in
   let rendered = Stabexp.Report.render (Stabexp.Theorems.report r) in
   Alcotest.(check bool) "mentions id" true (contains ~needle:"T3" rendered)
 
@@ -195,6 +210,7 @@ let suite =
     Alcotest.test_case "report cells" `Quick test_report_cells;
     Alcotest.test_case "report markdown" `Quick test_report_markdown;
     Alcotest.test_case "registry topologies" `Quick test_registry_topologies;
+    Alcotest.test_case "registry topology errors" `Quick test_registry_topology_errors;
     Alcotest.test_case "registry find" `Quick test_registry_find;
     Alcotest.test_case "registry transformed" `Quick test_registry_transformed;
     Alcotest.test_case "registry tree guard" `Quick test_registry_tree_protocol_rejects_ring;

@@ -26,6 +26,20 @@ let fresh f =
       Obs.clear ())
     f
 
+let contains s sub =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* Write a dump to a scratch file and read it back as the doctor does. *)
+let dump_and_load ~reason =
+  let path = Filename.temp_file "stabsim-flight" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Flight.dump_to ~reason path;
+      Doctor.load path)
+
 let message_texts events =
   List.filter_map
     (function Obs.Message { text; _ } -> Some text | _ -> None)
@@ -60,10 +74,9 @@ let test_enable_lights_hot () =
 let test_note_bypasses_level () =
   fresh (fun () ->
       Flight.enable ();
-      let saved = Obs.get_level () in
       Obs.set_level Obs.Quiet;
       Fun.protect
-        ~finally:(fun () -> Obs.set_level saved)
+        ~finally:(fun () -> Obs.set_level Obs.Warn)
         (fun () -> Flight.note "under quiet");
       Alcotest.(check (list string))
         "recorded despite Quiet" [ "under quiet" ]
@@ -172,8 +185,7 @@ let test_dump_roundtrip () =
           Flight.add_section "flight-test-boom" (fun () -> Json.Null))
         (fun () ->
           Obs.span "flight.test.open" (fun () -> Flight.note "pre-dump");
-          let dump = Flight.dump_string ~reason:"unit round-trip" in
-          match Doctor.parse_string dump with
+          match dump_and_load ~reason:"unit round-trip" with
           | Error e -> Alcotest.failf "dump does not parse: %s" e
           | Ok t ->
             Alcotest.(check (option string))
@@ -224,30 +236,45 @@ let test_open_spans_at_dump () =
       Flight.enable ();
       let parsed =
         Obs.span "outer" (fun () ->
-            Obs.span "inner" (fun () ->
-                Doctor.parse_string (Flight.dump_string ~reason:"mid-span")))
+            Obs.span "inner" (fun () -> dump_and_load ~reason:"mid-span"))
       in
       match parsed with
       | Error e -> Alcotest.failf "dump does not parse: %s" e
       | Ok t -> (
-        match Doctor.open_spans t with
-        | [ (_, stack) ] ->
-          Alcotest.(check (list string))
-            "open stack outermost first" [ "outer"; "inner" ]
-            (List.map fst stack)
-        | other ->
+        let lines = String.split_on_char '\n' (Doctor.render t) in
+        match List.filter (fun l -> contains l " (open ") lines with
+        | [ line ] ->
+          Alcotest.(check bool) "open stack outermost first" true
+            (contains line "outer (open " && contains line " > inner (open ")
+        | lines ->
           Alcotest.failf "expected one domain with open spans, got %d"
-            (List.length other)))
+            (List.length lines)))
 
 let test_pending_latch () =
+  (* The latch as the crash-exit path reads it: [dump_pending] writes
+     the exit dump iff a reason is pending, and consumes it. *)
   fresh (fun () ->
-      Alcotest.(check (option string)) "starts empty" None (Flight.take_pending ());
+      let path = Filename.temp_file "stabsim-flight-exit" ".jsonl" in
+      Sys.remove path;
+      Flight.set_exit_dump path;
+      let written () =
+        let r = Doctor.load path in
+        (try Sys.remove path with Sys_error _ -> ());
+        match r with
+        | Ok t -> (
+          match Json.member "reason" t.Doctor.header with
+          | Some (Json.String s) -> Some s
+          | _ -> Some "?")
+        | Error _ -> None
+      in
+      Flight.dump_pending ();
+      Alcotest.(check (option string)) "starts empty" None (written ());
       Flight.set_pending "first";
       Flight.set_pending "second";
-      Alcotest.(check (option string))
-        "last reason wins" (Some "second") (Flight.take_pending ());
-      Alcotest.(check (option string))
-        "take consumes" None (Flight.take_pending ()))
+      Flight.dump_pending ();
+      Alcotest.(check (option string)) "last reason wins" (Some "second") (written ());
+      Flight.dump_pending ();
+      Alcotest.(check (option string)) "take consumes" None (written ()))
 
 (* --- the Cancel observers the campaign dump section depends on --- *)
 
@@ -284,11 +311,6 @@ let synthetic_dump =
       {|{"type":"section","name":"campaign","data":{"name":"synthetic","inflight":[{"deadline_ns":90000000000,"last_poll_ns":null,"cancelled":null}],"workers":[{"worker":1,"domain":1,"cell":"ring:9/markov","cell_started_ns":80000000000}]}}|};
       {|{"type":"message","level":"warn","ts_ns":99000000000,"domain":1,"text":"markov: sweep budget exhausted (Max_sweeps=200)"}|};
     ]
-
-let contains s sub =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  go 0
 
 let test_doctor_hints () =
   match Doctor.parse_string synthetic_dump with
@@ -336,7 +358,7 @@ let read_line_fd fd =
 let test_sigkill_leaves_parseable_dump () =
   let checkpoint = Filename.temp_file "stabsim-flight-child" ".checkpoint.jsonl" in
   let base = Filename.remove_extension checkpoint in
-  let dump = Stabcampaign.Runner.rolling_dump_path base in
+  let dump = base ^ ".flight.jsonl" in
   Fun.protect
     ~finally:(fun () ->
       List.iter

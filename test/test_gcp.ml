@@ -27,8 +27,7 @@ legitimate terminal|}
 
 let test_parse_minimal () =
   let p = ok_exn (Stabgcp.Gcp.parse mis_source) in
-  Alcotest.(check string) "name" "mis" (Stabgcp.Gcp.name p);
-  Alcotest.(check (list string)) "variables" [ "inS" ] (Stabgcp.Gcp.variables p)
+  Alcotest.(check string) "name" "mis" (Stabgcp.Gcp.name p)
 
 let test_comments_and_whitespace () =
   let source =
@@ -93,7 +92,7 @@ let test_mis_matches_native_everywhere () =
           let e2 = Protocol.enabled_processes dsl dsl_cfg in
           if e1 <> e2 then Alcotest.fail "enabled sets differ";
           Alcotest.(check bool) "specs agree"
-            (Stabalgo.Mis.maximal_independent g cfg)
+            ((Stabalgo.Mis.spec g).Spec.legitimate cfg)
             (dsl_spec.Spec.legitimate dsl_cfg);
           List.iter
             (fun p ->

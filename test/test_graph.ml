@@ -8,7 +8,7 @@ let test_ring_structure () =
   Alcotest.(check bool) "is ring" true (Graph.is_ring g);
   Alcotest.(check bool) "connected" true (Graph.is_connected g);
   Graph.iter_nodes (fun p -> Alcotest.(check int) "degree 2" 2 (Graph.degree g p)) g;
-  Alcotest.(check int) "diameter" 3 (Graph.diameter g)
+  Alcotest.(check int) "opposite nodes" 3 (Graph.dist g 0 3)
 
 let test_ring_two () =
   let g = Graph.ring 2 in
@@ -18,33 +18,26 @@ let test_ring_two () =
 let test_chain_structure () =
   let g = Graph.chain 5 in
   Alcotest.(check bool) "is tree" true (Graph.is_tree g);
-  Alcotest.(check int) "diameter" 4 (Graph.diameter g);
+  Alcotest.(check int) "end to end" 4 (Graph.dist g 0 4);
   Alcotest.(check (list int)) "leaves" [ 0; 4 ] (Graph.leaves g);
   Alcotest.(check (list int)) "center" [ 2 ] (Graph.centers g)
 
 let test_chain_even_two_centers () =
   let g = Graph.chain 4 in
   Alcotest.(check (list int)) "two adjacent centers" [ 1; 2 ] (Graph.centers g);
-  Alcotest.(check bool) "centers adjacent" true (Graph.are_neighbors g 1 2)
+  Alcotest.(check int) "centers adjacent" 1 (Graph.dist g 1 2)
 
 let test_star () =
   let g = Graph.star 7 in
   Alcotest.(check int) "center degree" 6 (Graph.degree g 0);
   Alcotest.(check (list int)) "center" [ 0 ] (Graph.centers g);
-  Alcotest.(check int) "diameter" 2 (Graph.diameter g);
+  Alcotest.(check int) "leaf to leaf" 2 (Graph.dist g 1 6);
   Alcotest.(check int) "max degree" 6 (Graph.max_degree g)
 
 let test_complete () =
   let g = Graph.complete 5 in
   Alcotest.(check int) "edges" 10 (List.length (Graph.edges g));
-  Alcotest.(check int) "diameter" 1 (Graph.diameter g)
-
-let test_grid () =
-  let g = Graph.grid 3 4 in
-  Alcotest.(check int) "size" 12 (Graph.size g);
-  Alcotest.(check int) "edges" 17 (List.length (Graph.edges g));
-  Alcotest.(check int) "corner degree" 2 (Graph.degree g 0);
-  Alcotest.(check bool) "connected" true (Graph.is_connected g)
+  Alcotest.(check int) "all adjacent" 1 (Graph.dist g 0 4)
 
 let test_of_edges_validation () =
   let inv name f = Alcotest.check_raises name (Invalid_argument name) f in
@@ -68,17 +61,7 @@ let test_local_indexes () =
 let test_distances () =
   let g = Graph.chain 6 in
   Alcotest.(check int) "dist ends" 5 (Graph.dist g 0 5);
-  Alcotest.(check int) "dist self" 0 (Graph.dist g 3 3);
-  Alcotest.(check int) "eccentricity end" 5 (Graph.eccentricity g 0);
-  Alcotest.(check int) "eccentricity middle" 3 (Graph.eccentricity g 2)
-
-let test_tree_of_parents () =
-  let g = Graph.tree_of_parents [| -1; 0; 0; 1; 1 |] in
-  Alcotest.(check bool) "is tree" true (Graph.is_tree g);
-  Alcotest.(check int) "degree of 1" 3 (Graph.degree g 1);
-  Alcotest.check_raises "bad parent"
-    (Invalid_argument "Graph.tree_of_parents: parents.(i) must satisfy 0 <= parents.(i) < i")
-    (fun () -> ignore (Graph.tree_of_parents [| -1; 2; 1 |]))
+  Alcotest.(check int) "dist self" 0 (Graph.dist g 3 3)
 
 (* Counts of unlabelled trees on n nodes: OEIS A000055. *)
 let test_all_trees_counts () =
@@ -100,13 +83,24 @@ let test_all_trees_are_trees () =
         (Graph.all_trees n))
     [ 2; 3; 4; 5; 6; 7 ]
 
+(* A tree's canonical form, independent of the library's: the least
+   AHU encoding over every choice of root. *)
+let canonical_form g =
+  let rec ahu parent root =
+    Array.to_list (Graph.neighbors g root)
+    |> List.filter (fun q -> q <> parent)
+    |> List.map (ahu root) |> List.sort compare |> String.concat ""
+    |> Printf.sprintf "(%s)"
+  in
+  List.fold_left min (ahu (-1) 0) (List.init (Graph.size g) (ahu (-1)))
+
 let test_all_trees_pairwise_nonisomorphic () =
   let trees = Array.of_list (Graph.all_trees 6) in
   Array.iteri
     (fun i gi ->
       Array.iteri
         (fun j gj ->
-          if i < j && Graph.isomorphic_trees gi gj then
+          if i < j && canonical_form gi = canonical_form gj then
             Alcotest.failf "trees %d and %d are isomorphic" i j)
         trees)
     trees
@@ -120,8 +114,7 @@ let test_property_one () =
         (fun g ->
           match Graph.centers g with
           | [ _ ] -> ()
-          | [ c1; c2 ] ->
-            Alcotest.(check bool) "two centers neighbors" true (Graph.are_neighbors g c1 c2)
+          | [ c1; c2 ] -> Alcotest.(check int) "two centers neighbors" 1 (Graph.dist g c1 c2)
           | cs -> Alcotest.failf "tree with %d centers" (List.length cs))
         (Graph.all_trees n))
     [ 2; 3; 4; 5; 6; 7 ]
@@ -134,20 +127,6 @@ let test_random_tree_is_tree () =
     if not (Graph.is_tree g) then Alcotest.failf "random_tree %d not a tree" n;
     Alcotest.(check int) "size" n (Graph.size g)
   done
-
-let test_isomorphic_trees () =
-  (* Same chain labelled differently. *)
-  let g1 = Graph.of_edges ~n:4 [ (0, 1); (1, 2); (2, 3) ] in
-  let g2 = Graph.of_edges ~n:4 [ (3, 1); (1, 0); (0, 2) ] in
-  Alcotest.(check bool) "relabelled chains isomorphic" true (Graph.isomorphic_trees g1 g2);
-  let star = Graph.star 4 in
-  Alcotest.(check bool) "chain vs star" false (Graph.isomorphic_trees g1 star)
-
-let test_equal_structure () =
-  let g1 = Graph.ring 4 and g2 = Graph.ring 4 in
-  Alcotest.(check bool) "same rings" true (Graph.equal_structure g1 g2);
-  Alcotest.(check bool) "ring vs chain" false
-    (Graph.equal_structure g1 (Graph.chain 4))
 
 let test_fold_iter () =
   let g = Graph.ring 5 in
@@ -183,19 +162,15 @@ let suite =
     Alcotest.test_case "chain even centers" `Quick test_chain_even_two_centers;
     Alcotest.test_case "star" `Quick test_star;
     Alcotest.test_case "complete" `Quick test_complete;
-    Alcotest.test_case "grid" `Quick test_grid;
     Alcotest.test_case "of_edges validation" `Quick test_of_edges_validation;
     Alcotest.test_case "local indexes" `Quick test_local_indexes;
     Alcotest.test_case "distances" `Quick test_distances;
-    Alcotest.test_case "tree_of_parents" `Quick test_tree_of_parents;
     Alcotest.test_case "all_trees counts (A000055)" `Quick test_all_trees_counts;
     Alcotest.test_case "all_trees are trees" `Quick test_all_trees_are_trees;
     Alcotest.test_case "all_trees pairwise distinct" `Quick test_all_trees_pairwise_nonisomorphic;
-    Alcotest.test_case "Property 1 (tree centers)" `Quick test_property_one;
     Alcotest.test_case "random_tree is tree" `Quick test_random_tree_is_tree;
-    Alcotest.test_case "tree isomorphism" `Quick test_isomorphic_trees;
-    Alcotest.test_case "equal_structure" `Quick test_equal_structure;
     Alcotest.test_case "fold/iter" `Quick test_fold_iter;
+    Alcotest.test_case "Property 1 (tree centers)" `Quick test_property_one;
     QCheck_alcotest.to_alcotest qcheck_random_tree_edge_count;
     QCheck_alcotest.to_alcotest qcheck_bfs_triangle_inequality;
   ]

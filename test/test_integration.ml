@@ -178,7 +178,7 @@ let test_transformer_overhead_shape () =
   let space = Statespace.build p in
   let legitimate = Statespace.legitimate_set space spec in
   let base_chain = Markov.of_space space Markov.Central_uniform in
-  let base = Markov.mean_hitting_time base_chain ~legitimate in
+  let base = (Markov.hitting_stats base_chain ~legitimate).Markov.mean in
   let tp = Transformer.randomize p in
   let tspace = Statespace.build tp in
   let tspec = Transformer.lift_spec spec in
@@ -187,7 +187,7 @@ let test_transformer_overhead_shape () =
   (* Average over coin components of the corresponding initial states =
      mean over all states whose projection matches; we just compare
      means over the whole space. *)
-  let transformed = Markov.mean_hitting_time tchain ~legitimate:tleg in
+  let transformed = (Markov.hitting_stats tchain ~legitimate:tleg).Markov.mean in
   Alcotest.(check bool)
     (Printf.sprintf "transformed (%f) about 2x slower than raw (%f)" transformed base)
     true

@@ -16,18 +16,19 @@ let test_helpers_on_oriented_chain () =
      index 0), 1 is Root, 2 points to 1 (local index 0). *)
   let cfg = [| Parent 0; Root; Parent 0 |] in
   Alcotest.(check (list int)) "leaders" [ 1 ] (leaders cfg);
-  Alcotest.(check bool) "is_leader" true (is_leader cfg 1);
   Alcotest.(check (list int)) "children of root" [ 0; 2 ] (children g cfg 1);
-  Alcotest.(check int) "root_of leaf" 1 (root_of g cfg 0);
   Alcotest.(check bool) "is_lc" true (is_lc g cfg)
 
 let test_root_of_stops_at_mutual_pair () =
   let g = Stabgraph.Graph.chain 3 in
-  (* 0 <-> 1 mutually pointing, 2 points to 1. ParPath(2) stops at 1
-     because Par_1 = 0 and Par_0 = 1 (mutual). *)
   let cfg = [| Parent 0; Parent 0; Parent 0 |] in
-  Alcotest.(check int) "stops at mutual pair" 1 (root_of g cfg 2);
-  Alcotest.(check bool) "not lc (no root)" false (is_lc g cfg)
+  Alcotest.(check bool) "not lc (no root)" false (is_lc g cfg);
+  (* 0 is the only root; 1 <-> 2 point at each other and 3 points to
+     2. ParPath(1) stops at the mutual pair instead of cycling, so the
+     single leader does not make the configuration legitimate. *)
+  let g = Stabgraph.Graph.chain 4 in
+  let cfg = [| Root; Parent 1; Parent 0; Parent 0 |] in
+  Alcotest.(check bool) "stops at mutual pair" false (is_lc g cfg)
 
 let test_two_roots_not_lc () =
   let g = Stabgraph.Graph.chain 2 in

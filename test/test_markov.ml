@@ -213,9 +213,9 @@ let test_convergence_iff_bsccs_legitimate () =
 let test_mean_max_hitting () =
   let chain = gambler () in
   let legitimate = [| false; false; false; true |] in
-  check_float "mean" ((9.0 +. 8.0 +. 5.0 +. 0.0) /. 4.0)
-    (Markov.mean_hitting_time chain ~legitimate);
-  check_float "max" 9.0 (Markov.max_hitting_time chain ~legitimate)
+  let stats = Markov.hitting_stats chain ~legitimate in
+  check_float "mean" ((9.0 +. 8.0 +. 5.0 +. 0.0) /. 4.0) stats.Markov.mean;
+  check_float "max" 9.0 stats.Markov.max
 
 let test_hitting_times_match_simulation () =
   (* Token ring n=4 under central uniform: compare exact hitting time
@@ -416,7 +416,9 @@ let check_twins label space cls ~legitimate ~target =
   let sets = List.sort compare in
   Alcotest.(check (list (list int))) (label ^ " bsccs") (sets (Markov.bsccs twin))
     (sets (Markov.bsccs chain));
-  let blocks c ~transient = sets (List.map Array.to_list (Markov.transient_blocks c ~transient)) in
+  let blocks c ~transient =
+    sets (List.map Array.to_list (Digraph.sccs ~keep:(Array.get transient) (Markov.graph c)))
+  in
   let transient = Array.map not legitimate in
   Alcotest.(check (list (list int))) (label ^ " blocks") (blocks twin ~transient)
     (blocks chain ~transient);
@@ -445,10 +447,15 @@ let check_twins label space cls ~legitimate ~target =
         (Markov.hitting_times_checked ~method_:Markov.Exact chain ~legitimate));
   List.iter
     (fun (name, kind) ->
-      check_solve
+      let absorption c =
+        bit_array
+          (Markov.absorption_probabilities
+             ~method_:(Markov.Sparse { kind; tolerance = 1e-12; max_sweeps = 1_000_000 })
+             c ~legitimate:target)
+      in
+      Alcotest.(check (array int64))
         (Printf.sprintf "%s absorption %s" label name)
-        (Markov.sparse_absorption ~kind twin ~legitimate:target)
-        (Markov.sparse_absorption ~kind chain ~legitimate:target))
+        (absorption twin) (absorption chain))
     kinds;
   if count (Markov.reaches twin ~target) <= Markov.dense_limit then
     Alcotest.(check (array int64)) (label ^ " absorption exact")

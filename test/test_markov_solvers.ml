@@ -61,14 +61,12 @@ let test_differential_backends () =
           let dense =
             Markov.absorption_probabilities ~method_:Markov.Exact chain ~legitimate
           in
-          let gs =
-            converged (tag ^ "/absorption/gs")
-              (Markov.sparse_absorption ~kind:Markov.Gauss_seidel chain ~legitimate)
+          let sparse kind =
+            Markov.absorption_probabilities
+              ~method_:(Markov.Sparse { kind; tolerance = 1e-12; max_sweeps = 1_000_000 })
+              chain ~legitimate
           in
-          let jacobi =
-            converged (tag ^ "/absorption/jacobi")
-              (Markov.sparse_absorption ~kind:Markov.Jacobi chain ~legitimate)
-          in
+          let gs = sparse Markov.Gauss_seidel and jacobi = sparse Markov.Jacobi in
           let dgs = max_abs_diff dense gs in
           let djac = max_abs_diff dense jacobi in
           if dgs > 1e-8 then Alcotest.failf "%s: dense vs gs absorption drift %g" tag dgs;
@@ -119,7 +117,7 @@ let test_block_ordering () =
   let legitimate = Statespace.legitimate_set space e.spec in
   let chain = Markov.of_space space Markov.Distributed_uniform in
   let transient = Array.map not legitimate in
-  let blocks = Markov.transient_blocks chain ~transient in
+  let blocks = Digraph.sccs ~keep:(Array.get transient) (Markov.graph chain) in
   let n = Markov.states chain in
   let block_of = Array.make n (-1) in
   List.iteri

@@ -103,8 +103,8 @@ let test_span_end_carries_counters () =
   Obs.Counter.reset_all ()
 
 let test_jsonl_round_trip () =
-  let lines = ref [] in
-  let sink = Obs.jsonl_sink ~write_line:(fun l -> lines := l :: !lines) in
+  let path = Filename.temp_file "stabsim-jsonl" ".jsonl" in
+  let sink = Obs.jsonl_channel (open_out path) in
   with_sink sink (fun () ->
       Obs.Counter.reset_all ();
       Obs.span "phase" ~args:[ ("k", Json.Int 2) ] (fun () ->
@@ -112,7 +112,9 @@ let test_jsonl_round_trip () =
       Obs.set_level Obs.Warn;
       Obs.warnf "warning: %s" "with \"quotes\" and \xe2\x86\x92 utf8");
   Obs.Counter.reset_all ();
-  let lines = List.rev !lines in
+  let text = In_channel.with_open_text path In_channel.input_all in
+  Sys.remove path;
+  let lines = List.filter (( <> ) "") (String.split_on_char '\n' text) in
   Alcotest.(check int) "begin + end + message" 3 (List.length lines);
   List.iter
     (fun line ->
@@ -365,7 +367,7 @@ let test_gc_counters_accumulate () =
               done);
           Alcotest.(check bool)
             "gc.minor_words counter ticks" true
-            (Obs.Counter.value Obs.gc_minor_words > 900_000)));
+            (List.assoc "gc.minor_words" (Obs.Counter.snapshot ()) > 900_000)));
   Obs.Counter.reset_all ()
 
 let test_dist_profile_capture_in_pipeline () =
@@ -552,7 +554,12 @@ let test_with_tags_dark () =
   Obs.clear ();
   let r = Obs.with_tags [ ("k", Json.Int 1) ] (fun () -> 5) in
   Alcotest.(check int) "dark with_tags is just the body" 5 r;
-  Alcotest.(check bool) "no tags retained" true (Obs.current_tags () = [])
+  let sink, events = Obs.memory_sink () in
+  with_sink sink (fun () -> Obs.span "after" ignore);
+  Alcotest.(check bool) "no tags retained" true
+    (List.for_all
+       (function Obs.Span_begin { args; _ } | Obs.Span_end { args; _ } -> args = [] | _ -> true)
+       (events ()))
 
 (* --- Chrome trace per-Domain lanes --- *)
 

@@ -116,27 +116,6 @@ let test_equal_config () =
   Alcotest.(check bool) "not equal" false (Protocol.equal_config p [| 1; 2 |] [| 2; 1 |]);
   Alcotest.(check bool) "length mismatch" false (Protocol.equal_config p [| 1 |] [| 1; 2 |])
 
-let test_check_dist () =
-  Protocol.check_dist [ (1, 0.5); (2, 0.5) ];
-  Alcotest.check_raises "empty" (Invalid_argument "Protocol.check_dist: empty distribution")
-    (fun () -> Protocol.check_dist []);
-  Alcotest.check_raises "bad sum"
-    (Invalid_argument "Protocol.check_dist: weights do not sum to 1") (fun () ->
-      Protocol.check_dist [ (1, 0.4); (2, 0.4) ]);
-  (* NaN compares false with everything, so neither the sign test nor
-     the sum test alone would catch it. *)
-  List.iter
-    (fun (name, dist) ->
-      Alcotest.check_raises name
-        (Invalid_argument "Protocol.check_dist: weight not finite and positive") (fun () ->
-          Protocol.check_dist dist))
-    [
-      ("non-positive", [ (1, 0.0); (2, 1.0) ]);
-      ("nan", [ (1, Float.nan) ]);
-      ("nan beside 0.5", [ (1, 0.5); (2, Float.nan) ]);
-      ("infinity", [ (1, Float.infinity) ]);
-    ]
-
 let test_exclusive_guards () =
   let p = Fixtures.mod3_protocol () in
   Alcotest.(check bool) "single action protocols are exclusive" true
@@ -194,7 +173,6 @@ let suite =
     Alcotest.test_case "sample probabilities" `Slow test_step_sample_respects_probabilities;
     Alcotest.test_case "random config in domain" `Quick test_random_config_in_domain;
     Alcotest.test_case "equal_config" `Quick test_equal_config;
-    Alcotest.test_case "check_dist" `Quick test_check_dist;
     Alcotest.test_case "exclusive guards detector" `Quick test_exclusive_guards;
     Alcotest.test_case "algorithm guards exclusive" `Quick test_algorithm_guards_exclusive_everywhere;
     Alcotest.test_case "pp_config" `Quick test_pp_config;

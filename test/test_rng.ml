@@ -5,41 +5,41 @@ open Stabrng
 let test_deterministic () =
   let a = Rng.create 42 and b = Rng.create 42 in
   for _ = 1 to 100 do
-    Alcotest.(check int64) "same stream" (Rng.bits64 a) (Rng.bits64 b)
+    Alcotest.(check (float 0.0)) "same stream" (Rng.float a) (Rng.float b)
   done
 
 let test_seed_sensitivity () =
   let a = Rng.create 1 and b = Rng.create 2 in
   let differs = ref false in
   for _ = 1 to 16 do
-    if Rng.bits64 a <> Rng.bits64 b then differs := true
+    if Rng.float a <> Rng.float b then differs := true
   done;
   Alcotest.(check bool) "different seeds diverge" true !differs
 
 let test_copy_replays () =
   let a = Rng.create 7 in
-  ignore (Rng.bits64 a);
+  ignore (Rng.float a);
   let b = Rng.copy a in
-  let xs = List.init 50 (fun _ -> Rng.bits64 a) in
-  let ys = List.init 50 (fun _ -> Rng.bits64 b) in
-  Alcotest.(check (list int64)) "copy replays" xs ys
+  let xs = List.init 50 (fun _ -> Rng.float a) in
+  let ys = List.init 50 (fun _ -> Rng.float b) in
+  Alcotest.(check (list (float 0.0))) "copy replays" xs ys
 
 let test_split_independent_of_parent_continuation () =
   (* After a split, the parent's continuation must not equal the
      child's stream (they are distinct states). *)
   let parent = Rng.create 9 in
   let child = Rng.split parent in
-  let px = List.init 20 (fun _ -> Rng.bits64 parent) in
-  let cx = List.init 20 (fun _ -> Rng.bits64 child) in
+  let px = List.init 20 (fun _ -> Rng.float parent) in
+  let cx = List.init 20 (fun _ -> Rng.float child) in
   Alcotest.(check bool) "parent and child streams differ" true (px <> cx)
 
 let test_split_deterministic () =
   let mk () =
     let parent = Rng.create 123 in
     let child = Rng.split parent in
-    List.init 10 (fun _ -> Rng.bits64 child)
+    List.init 10 (fun _ -> Rng.float child)
   in
-  Alcotest.(check (list int64)) "splits reproducible" (mk ()) (mk ())
+  Alcotest.(check (list (float 0.0))) "splits reproducible" (mk ()) (mk ())
 
 let test_int_bounds () =
   let rng = Rng.create 5 in

@@ -87,8 +87,8 @@ let test_successors_dedup () =
   Alcotest.(check (list int)) "sorted" (List.sort compare succ) succ
 
 let test_subset_count () =
-  Alcotest.(check int) "2^3-1" 7 (Statespace.subset_count 3);
-  Alcotest.(check int) "2^0-1" 0 (Statespace.subset_count 0)
+  Alcotest.(check int) "2^3-1" 7 (Statespace.group_count Statespace.Distributed 0b1011);
+  Alcotest.(check int) "2^0-1" 0 (Statespace.group_count Statespace.Distributed 0)
 
 let test_legitimate_set () =
   let p = Fixtures.mod3_protocol () in

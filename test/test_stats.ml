@@ -11,8 +11,9 @@ let test_mean () =
 
 let test_variance () =
   (* mean 3, squared deviations 4 + 1 + 0 + 9 = 14, n - 1 = 3 *)
-  check_float "variance" (14.0 /. 3.0) (Stats.variance [| 1.0; 2.0; 3.0; 6.0 |]);
-  check_float "single sample" 0.0 (Stats.variance [| 5.0 |])
+  check_float "variance" (14.0 /. 3.0)
+    ((Stats.summarize [| 1.0; 2.0; 3.0; 6.0 |]).Stats.stddev ** 2.0);
+  check_float "single sample" 0.0 (Stats.summarize [| 5.0 |]).Stats.stddev
 
 let test_summarize () =
   let s = Stats.summarize [| 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 |] in
@@ -74,41 +75,6 @@ let test_histogram_constant_data () =
   let h = Stats.histogram ~bins:3 [| 2.0; 2.0; 2.0 |] in
   Alcotest.(check int) "all in first bin" 3 h.Stats.counts.(0)
 
-let test_significance_band () =
-  (* pooled half-width is the quadrature sum ... *)
-  Alcotest.(check (float 1e-9)) "pooled 3-4-5" 5.0 (Stats.pooled_halfwidth 3.0 4.0);
-  Alcotest.(check (float 1e-9)) "pooled with zero" 2.0 (Stats.pooled_halfwidth 2.0 0.0);
-  (* ... and means differ only beyond it. *)
-  Alcotest.(check bool) "inside the band: indistinguishable" false
-    (Stats.means_differ ~mean_a:100.0 ~half_a:3.0 ~mean_b:104.0 ~half_b:4.0);
-  Alcotest.(check bool) "beyond the band: significant" true
-    (Stats.means_differ ~mean_a:100.0 ~half_a:3.0 ~mean_b:106.0 ~half_b:4.0);
-  Alcotest.(check bool) "direction does not matter" true
-    (Stats.means_differ ~mean_a:106.0 ~half_a:3.0 ~mean_b:100.0 ~half_b:4.0);
-  (* Degenerate point data: any nonzero difference counts. *)
-  Alcotest.(check bool) "points: equal means do not differ" false
-    (Stats.means_differ ~mean_a:5.0 ~half_a:0.0 ~mean_b:5.0 ~half_b:0.0);
-  Alcotest.(check bool) "points: nonzero difference differs" true
-    (Stats.means_differ ~mean_a:5.0 ~half_a:0.0 ~mean_b:5.1 ~half_b:0.0)
-
-let test_t95_and_ci95_halfwidth () =
-  (* Monotone non-increasing in df, pinned at the tabulated ends. *)
-  Alcotest.(check (float 1e-9)) "df=1" 12.706 (Stats.t95 1);
-  Alcotest.(check (float 1e-9)) "df=4" 2.776 (Stats.t95 4);
-  Alcotest.(check (float 1e-9)) "large df is the normal value" 1.959964 (Stats.t95 1000);
-  Alcotest.(check (float 0.0)) "df<=0 degenerates" 0.0 (Stats.t95 0);
-  let rec mono prev df =
-    df > 200
-    || (Stats.t95 df <= prev +. 1e-12) && mono (Stats.t95 df) (df + 1)
-  in
-  Alcotest.(check bool) "t95 non-increasing" true (mono (Stats.t95 1) 2);
-  (* ci95_halfwidth applies the small-sample correction to stderr. *)
-  let s = Stats.summarize [| 10.0; 12.0; 14.0 |] in
-  Alcotest.(check (float 1e-9))
-    "halfwidth = t95(n-1) * stderr"
-    (Stats.t95 2 *. s.Stats.stderr)
-    (Stats.ci95_halfwidth s)
-
 let qcheck_histogram_total =
   QCheck.Test.make ~count:200 ~name:"histogram preserves sample count"
     QCheck.(pair (int_range 1 10) (list_of_size (Gen.int_range 1 50) (float_range (-100.0) 100.0)))
@@ -144,8 +110,6 @@ let suite =
     Alcotest.test_case "quantile total order" `Quick test_quantile_total_order;
     Alcotest.test_case "histogram" `Quick test_histogram;
     Alcotest.test_case "histogram constant" `Quick test_histogram_constant_data;
-    Alcotest.test_case "significance band" `Quick test_significance_band;
-    Alcotest.test_case "t95 and ci95 halfwidth" `Quick test_t95_and_ci95_halfwidth;
     QCheck_alcotest.to_alcotest qcheck_histogram_total;
     QCheck_alcotest.to_alcotest qcheck_quantile_monotone;
     QCheck_alcotest.to_alcotest qcheck_mean_bounds;

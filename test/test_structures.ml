@@ -33,7 +33,10 @@ let test_bfs_terminal_configs_correct () =
 let test_bfs_correct_distances () =
   (* Run to terminal on a random graph-ish tree and compare against
      BFS distances computed independently by the graph library. *)
-  let g = Stabgraph.Graph.grid 2 3 in
+  (* The 2x3 mesh: rows 0-1-2 and 3-4-5, joined column by column. *)
+  let g =
+    Stabgraph.Graph.of_edges ~n:6 [ (0, 1); (1, 2); (3, 4); (4, 5); (0, 3); (1, 4); (2, 5) ]
+  in
   let p = Stabalgo.Bfs_tree.make g in
   let rng = Stabrng.Rng.create 17 in
   let init = Protocol.random_config rng p in
@@ -98,7 +101,7 @@ let test_mis_terminal_iff_maximal () =
       let p = Stabalgo.Mis.make g in
       let enc = Encoding.of_protocol p in
       Encoding.iter enc (fun _ cfg ->
-          if Protocol.is_terminal p cfg <> Stabalgo.Mis.maximal_independent g cfg then
+          if Protocol.is_terminal p cfg <> (Stabalgo.Mis.spec g).Spec.legitimate cfg then
             Alcotest.fail "terminal <> maximal independent"))
     mis_graphs
 
@@ -138,11 +141,11 @@ let test_mis_predicates () =
   let g = Stabgraph.Graph.chain 3 in
   Alcotest.(check bool) "independent" true (Stabalgo.Mis.independent g [| true; false; true |]);
   Alcotest.(check bool) "maximal" true
-    (Stabalgo.Mis.maximal_independent g [| true; false; true |]);
+    ((Stabalgo.Mis.spec g).Spec.legitimate [| true; false; true |]);
   Alcotest.(check bool) "not independent" false
     (Stabalgo.Mis.independent g [| true; true; false |]);
   Alcotest.(check bool) "independent not maximal" false
-    (Stabalgo.Mis.maximal_independent g [| true; false; false |])
+    ((Stabalgo.Mis.spec g).Spec.legitimate [| true; false; false |])
 
 let qcheck_mis_runs_end_maximal =
   QCheck.Test.make ~count:100 ~name:"central MIS runs end in maximal independent sets"
@@ -156,7 +159,7 @@ let qcheck_mis_runs_end_maximal =
         Engine.run ~record:false ~max_steps:2_000 rng p (Scheduler.central_random ()) ~init
       in
       match r.Engine.stop with
-      | Engine.Terminal -> Stabalgo.Mis.maximal_independent g r.Engine.final
+      | Engine.Terminal -> (Stabalgo.Mis.spec g).Spec.legitimate r.Engine.final
       | Engine.Exhausted | Engine.Converged | Engine.Stalled -> true)
 
 let suite =

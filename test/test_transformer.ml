@@ -79,11 +79,15 @@ let test_bias_validation () =
   Alcotest.check_raises "bias 1" (Invalid_argument "Transformer.randomize: coin_bias outside (0, 1)")
     (fun () -> ignore (Transformer.randomize ~coin_bias:1.0 p))
 
+(* The original variables of a transformed configuration. *)
+let project cfg = Array.map (fun s -> s.Transformer.core) cfg
+
 let test_lift_project_config () =
   let cores = [| 1; 2; 3 |] in
   let lifted = Transformer.lift_config cores ~coins:[| true; false; true |] in
-  Alcotest.(check (array int)) "project inverts lift" cores
-    (Transformer.project_config lifted);
+  Alcotest.(check (array int)) "project inverts lift" cores (project lifted);
+  Alcotest.(check (array bool)) "coins kept" [| true; false; true |]
+    (Array.map (fun s -> s.Transformer.coin) lifted);
   Alcotest.check_raises "length mismatch"
     (Invalid_argument "Transformer.lift_config: length mismatch") (fun () ->
       ignore (Transformer.lift_config cores ~coins:[| true |]))
@@ -205,8 +209,8 @@ let qcheck_projection_simulates_original =
          original-protocol step activating the winning processes. *)
       List.for_all
         (fun e ->
-          let before = Transformer.project_config e.Engine.before in
-          let after = Transformer.project_config e.Engine.after in
+          let before = project e.Engine.before in
+          let after = project e.Engine.after in
           if Protocol.equal_config p before after then true
           else begin
             (* The winners are the processes whose coin landed true. *)
