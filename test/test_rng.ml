@@ -8,6 +8,44 @@ let test_deterministic () =
     Alcotest.(check (float 0.0)) "same stream" (Rng.float a) (Rng.float b)
   done
 
+(* Known answers: the first eight [float], [int 1000] and [bool] draws
+   of seed 42, of a child split off it and of a copy taken after two
+   draws, each kind from a fresh generator. Every seeded output of the
+   repository rests on this stream, so a change to the generator's
+   representation must leave these values exactly as they are. *)
+let known_answers name fresh ~floats ~ints ~bools =
+  let take f = let g = fresh () in List.init 8 (fun _ -> f g) in
+  Alcotest.(check (list (float 0.0))) (name ^ " floats") floats (take Rng.float);
+  Alcotest.(check (list int)) (name ^ " ints") ints (take (fun g -> Rng.int g 1000));
+  Alcotest.(check (list bool)) (name ^ " bools") bools (take Rng.bool)
+
+let test_known_answers () =
+  known_answers "create 42"
+    (fun () -> Rng.create 42)
+    ~floats:
+      [ 0x1.a0ec9a9e88ecdp-1; 0x1.467905d15dbccp-2; 0x1.f7c0f9f61849dp-1; 0x1.66fb3ec019b06p-1;
+        0x1.96463870e908dp-1; 0x1.2d1b3e009ca1bp-1; 0x1.00b8c7f910d18p-3; 0x1.35d29c0e1db19p-1 ]
+    ~ints:[ 491; 485; 318; 616; 958; 920; 159; 281 ]
+    ~bools:[ true; true; false; false; true; true; false; false ];
+  known_answers "split child"
+    (fun () -> Rng.split (Rng.create 42))
+    ~floats:
+      [ 0x1.3eef22975fb8p-2; 0x1.97eb00285f3ddp-1; 0x1.cf244118faebcp-1; 0x1.052bb6ae17c44p-1;
+        0x1.7d5214ff369d8p-2; 0x1.283ba7b2ac3b8p-4; 0x1.2de9a6d44d447p-1; 0x1.9482492a19eaap-1 ]
+    ~ints:[ 665; 989; 371; 773; 663; 710; 826; 709 ]
+    ~bools:[ true; true; true; true; true; true; false; true ];
+  known_answers "copy"
+    (fun () ->
+      let g = Rng.create 42 in
+      ignore (Rng.int g 1000);
+      ignore (Rng.float g);
+      Rng.copy g)
+    ~floats:
+      [ 0x1.f7c0f9f61849dp-1; 0x1.66fb3ec019b06p-1; 0x1.96463870e908dp-1; 0x1.2d1b3e009ca1bp-1;
+        0x1.00b8c7f910d18p-3; 0x1.35d29c0e1db19p-1; 0x1.a9679ed784ae4p-3; 0x1.dddfac6433694p-1 ]
+    ~ints:[ 318; 616; 958; 920; 159; 281; 614; 836 ]
+    ~bools:[ false; false; true; true; false; false; true; false ]
+
 let test_seed_sensitivity () =
   let a = Rng.create 1 and b = Rng.create 2 in
   let differs = ref false in
@@ -207,6 +245,7 @@ let qcheck_subset_sound =
 let suite =
   [
     Alcotest.test_case "deterministic" `Quick test_deterministic;
+    Alcotest.test_case "known answers" `Quick test_known_answers;
     Alcotest.test_case "seed sensitivity" `Quick test_seed_sensitivity;
     Alcotest.test_case "copy replays" `Quick test_copy_replays;
     Alcotest.test_case "split independence" `Quick test_split_independent_of_parent_continuation;
