@@ -9,13 +9,12 @@ let normal_enabled ~n cfg p =
 let top_enabled ~n cfg =
   cfg.(n - 2) = cfg.(0) && (cfg.(n - 2) + 1) mod m <> cfg.(n - 1)
 
-let privileged ~n cfg =
-  List.filter
-    (fun p ->
-      if p = 0 then bottom_enabled ~n cfg
-      else if p = n - 1 then top_enabled ~n cfg
-      else normal_enabled ~n cfg p)
-    (List.init n Fun.id)
+let is_privileged ~n cfg p =
+  if p = 0 then bottom_enabled ~n cfg
+  else if p = n - 1 then top_enabled ~n cfg
+  else normal_enabled ~n cfg p
+
+let privileged ~n cfg = List.filter (is_privileged ~n cfg) (List.init n Fun.id)
 
 let make ~n =
   if n < 3 then invalid_arg "Dijkstra_three.make: need n >= 3";
@@ -57,5 +56,10 @@ let make ~n =
   }
 
 let spec ~n =
+  (* Runs once per engine step: count in place, build no list. *)
   Stabcore.Spec.make ~name:"single-privilege-3state" (fun cfg ->
-      match privileged ~n cfg with [ _ ] -> true | _ -> false)
+      let count = ref 0 in
+      for p = 0 to n - 1 do
+        if is_privileged ~n cfg p then incr count
+      done;
+      !count = 1)

@@ -14,6 +14,15 @@ let has_token ~n cfg p = holds_token ~n ~m:(smallest_non_divisor n) cfg p
 let holders ~n ~m cfg = List.filter (holds_token ~n ~m cfg) (List.init n Fun.id)
 let token_holders ~n cfg = holders ~n ~m:(smallest_non_divisor n) cfg
 
+(* The legitimacy predicate runs once per engine step: it counts
+   holders in place rather than building the list. *)
+let holder_count ~n ~m cfg =
+  let count = ref 0 in
+  for p = 0 to n - 1 do
+    if holds_token ~n ~m cfg p then incr count
+  done;
+  !count
+
 let make ~n =
   if n < 3 then invalid_arg "Token_ring.make: need n >= 3";
   let m = smallest_non_divisor n in
@@ -42,7 +51,7 @@ let spec ~n =
     | _ -> false
   in
   Stabcore.Spec.make ~step_ok ~name:"single-circulating-token" (fun cfg ->
-      match holders ~n ~m cfg with [ _ ] -> true | _ -> false)
+      holder_count ~n ~m cfg = 1)
 
 (* Configurations are determined by the increments c_p = (dt_p -
    dt_pred) mod m: p holds a token iff c_p <> 1, and the increments sum

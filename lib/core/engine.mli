@@ -58,7 +58,13 @@ val run :
     moves — with the step counter and the current configuration.
     Returning [Some cfg'] replaces the configuration without consuming a
     step; the replacement is counted in [injections]. A corrupted
-    configuration is observable by the scheduler the same step. *)
+    configuration is observable by the scheduler the same step. The
+    hook must not mutate the configuration it receives: the engine
+    evaluates each guard once per configuration and keeps the result
+    until the configuration is replaced.
+
+    Raises [Invalid_argument] when a statement returns a malformed
+    distribution (see {!Protocol.check_outcomes}). *)
 
 val convergence_cost :
   ?inject:(step:int -> cfg:'a array -> 'a array option) ->

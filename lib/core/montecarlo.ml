@@ -40,7 +40,7 @@ let sample ~runs rng f =
 let estimate ?inject ?init ~runs ~max_steps rng protocol scheduler spec =
   Stabobs.Obs.span "montecarlo.estimate" @@ fun () ->
   let init =
-    match init with Some f -> f | None -> fun s -> Protocol.random_config s protocol
+    match init with Some f -> f | None -> Protocol.config_sampler protocol
   in
   let out =
     sample ~runs rng (fun stream ->

@@ -90,11 +90,29 @@ let step_sample rng t cfg active =
     active;
   next
 
-let random_config rng t =
-  let n = Stabgraph.Graph.size t.graph in
-  Array.init n (fun p ->
-      let dom = Array.of_list (t.domain p) in
-      Stabrng.Rng.choice rng dom)
+let config_sampler t =
+  let domains = Array.init (Stabgraph.Graph.size t.graph) (fun p -> Array.of_list (t.domain p)) in
+  fun rng -> Array.map (fun dom -> Stabrng.Rng.choice rng dom) domains
+
+let random_config rng t = config_sampler t rng
+
+let malformed t a p what =
+  invalid_arg
+    (Printf.sprintf "Protocol %s: action %s at process %d returned %s" t.name a.label p what)
+
+let rec outcome_total t a p acc = function
+  | [] -> acc
+  | (_, w) :: rest ->
+    if w > 0.0 then outcome_total t a p (acc +. w) rest
+    else malformed t a p (Printf.sprintf "an outcome of non-positive weight %g" w)
+
+let check_outcomes t a p dist =
+  match dist with
+  | [] -> malformed t a p "an empty outcome distribution"
+  | _ :: _ ->
+    let total = outcome_total t a p 0.0 dist in
+    if not (Float.abs (total -. 1.0) <= 1e-9) then
+      malformed t a p (Printf.sprintf "outcome weights summing to %.17g, not 1" total)
 
 let pp_config t fmt cfg =
   Format.fprintf fmt "@[<h>[";

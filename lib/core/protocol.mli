@@ -89,6 +89,20 @@ val random_config : Stabrng.Rng.t -> 'a t -> 'a array
     domain. This is how experiments model the arbitrary initial
     configuration of Definitions 1-3. *)
 
+val config_sampler : 'a t -> Stabrng.Rng.t -> 'a array
+(** [config_sampler t] is {!random_config} with each process's domain
+    turned into an array once, for callers that draw many
+    configurations: [config_sampler t rng] draws exactly what
+    [random_config rng t] draws. *)
+
+val check_outcomes : 'a t -> 'a action -> int -> 'a dist -> unit
+(** [check_outcomes t a p dist] checks a distribution that action [a]
+    returned at process [p]: it must be non-empty, with positive
+    weights summing to 1 within 1e-9. Raises [Invalid_argument] naming
+    [t], [p] and [a]'s label otherwise. The samplers and the state-space
+    expansion call it on every non-singleton distribution they
+    consume. *)
+
 val equal_config : 'a t -> 'a array -> 'a array -> bool
 
 val pp_config : 'a t -> Format.formatter -> 'a array -> unit

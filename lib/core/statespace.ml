@@ -372,7 +372,9 @@ let make_expander ~relative t cls =
       | [ (st, _) ] ->
         deltas.(i) <-
           (Encoding.index_in_domain enc p st - Encoding.digit enc p raw) * Encoding.weight enc p
-      | _ -> deterministic := false
+      | _ ->
+        Protocol.check_outcomes t.protocol s.acts.(i) p dist;
+        deterministic := false
     done;
     if k > 0 then
       match cls with

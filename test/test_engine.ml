@@ -2,6 +2,11 @@
 
 open Stabcore
 
+let contains ~needle haystack =
+  let nl = String.length needle and hl = String.length haystack in
+  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
+  go 0
+
 let test_run_reaches_terminal () =
   let p = Fixtures.mod3_protocol () in
   let rng = Stabrng.Rng.create 1 in
@@ -154,11 +159,6 @@ let test_adversary_sees_config () =
 
 (* Trace rendering *)
 
-let contains ~needle haystack =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-  go 0
-
 let test_trace_pp () =
   let p = Fixtures.mod3_protocol () in
   let trace = Engine.replay p ~init:[| 1; 1 |] [ [ 0 ] ] in
@@ -166,6 +166,172 @@ let test_trace_pp () =
   Alcotest.(check bool) "mentions initial config" true (contains ~needle:"[1 1]" rendered);
   Alcotest.(check bool) "mentions fired action" true (contains ~needle:"0:bump" rendered);
   Alcotest.(check bool) "mentions successor" true (contains ~needle:"[2 1]" rendered)
+
+(* The engine against the list-based loop it replaced
+   ({!Engine_reference}): every registry protocol, plain and
+   transformed, under five daemons, three fault regimes and three
+   seeds. Both loops draw from equal streams and must agree on the run
+   field for field, on every recorded event, and on the stream they
+   leave behind (so they drew the same number of times). *)
+let daemons () =
+  [
+    ("central-random", Scheduler.central_random);
+    ("distributed-random", Scheduler.distributed_random);
+    ("synchronous", Scheduler.synchronous);
+    ("round-robin", Scheduler.round_robin);
+    ( "crash(wake=0.3)",
+      fun () -> Scheduler.crash ~wake_p:0.3 ~failed:[ 1 ] (Scheduler.distributed_random ()) );
+    ("crash", fun () -> Scheduler.crash ~failed:[ 0; 1 ] (Scheduler.central_random ()));
+  ]
+
+let plans p =
+  [
+    ("no faults", None);
+    ("periodic", Some (Faults.periodic p ~gap:7 ~faults:1));
+    ("burst", Some (Faults.burst p ~at:[ 2; 9 ] ~faults:2));
+  ]
+
+let topology_for name =
+  match Stabexp.Registry.find ~name ~topology:"ring:5" () with
+  | _ -> "ring:5"
+  | exception Invalid_argument _ -> "random:6:3"
+
+let same_run (type a) (p : a Protocol.t) tag (r : a Engine.run) (e : a Engine.run) =
+  let cfg = Protocol.equal_config p in
+  let check_bool what ok = if not ok then Alcotest.failf "%s: %s differs" tag what in
+  Alcotest.(check int) (tag ^ ": steps") e.Engine.steps r.Engine.steps;
+  Alcotest.(check int) (tag ^ ": rounds") e.Engine.rounds r.Engine.rounds;
+  Alcotest.(check int) (tag ^ ": injections") e.Engine.injections r.Engine.injections;
+  check_bool "stop" (e.Engine.stop = r.Engine.stop);
+  check_bool "final" (cfg e.Engine.final r.Engine.final);
+  let ev = r.Engine.trace.Engine.events and ev' = e.Engine.trace.Engine.events in
+  Alcotest.(check int) (tag ^ ": events") (List.length ev') (List.length ev);
+  List.iter2
+    (fun (a : a Engine.event) (b : a Engine.event) ->
+      check_bool "event before" (cfg a.Engine.before b.Engine.before);
+      check_bool "event after" (cfg a.Engine.after b.Engine.after);
+      Alcotest.(check (list (pair int string))) (tag ^ ": fired") b.Engine.fired a.Engine.fired)
+    ev ev'
+
+let test_engine_matches_reference () =
+  let compared = ref 0 and stopped = Hashtbl.create 4 in
+  List.iter
+    (fun name ->
+      let topology = topology_for name in
+      List.iter
+        (fun transformed ->
+          let (Stabexp.Registry.Entry e) = Stabexp.Registry.find ~name ~topology ~transformed () in
+          let p = e.protocol in
+          List.iter
+            (fun seed ->
+              List.iter
+                (fun (dname, daemon) ->
+                  List.iter
+                    (fun (fname, plan) ->
+                      let tag =
+                        Printf.sprintf "%s%s@%s %s %s seed %d"
+                          (if transformed then "trans:" else "")
+                          name topology dname fname seed
+                      in
+                      let init = Protocol.random_config (Stabrng.Rng.create (seed + 1000)) p in
+                      (* Odd seeds stop in L; even ones run to a terminal
+                         configuration, a stall or the budget. *)
+                      let stop_on = if seed land 1 = 1 then Some e.spec else None in
+                      let go run =
+                        let rng = Stabrng.Rng.create seed in
+                        let inject = Option.map (fun plan -> Faults.arm plan rng) plan in
+                        let r = run ?stop_on ?inject ~max_steps:120 rng p (daemon ()) ~init in
+                        (r, Stabrng.Rng.float rng)
+                      in
+                      let r, after = go (Engine.run ~record:true) in
+                      let r', after' = go (Engine_reference.run ~record:true) in
+                      same_run p tag r r';
+                      Alcotest.(check (float 0.0)) (tag ^ ": stream after") after' after;
+                      Hashtbl.replace stopped r.Engine.stop ();
+                      incr compared)
+                    (plans p))
+                (daemons ()))
+            [ 1; 2; 3 ])
+        [ false; true ])
+    Stabexp.Registry.names;
+  Alcotest.(check int) "runs compared"
+    (List.length Stabexp.Registry.names * 2 * 3 * List.length (daemons ()) * 3)
+    !compared;
+  (* Every way a run can end was met. *)
+  Alcotest.(check int) "stop reasons covered" 4 (Hashtbl.length stopped)
+
+(* A statement whose two outcomes weigh 0.4 each: a chain built from it
+   would carry a row summing to 0.8 and a hitting time with no meaning,
+   so both consumers of outcome lists refuse it by name. *)
+let leaky_coin () : int Protocol.t =
+  let leak : int Protocol.action =
+    {
+      label = "leak";
+      guard = (fun cfg p -> cfg.(p) <> 2);
+      result = (fun _ _ -> [ (0, 0.4); (2, 0.4) ]);
+    }
+  in
+  {
+    Protocol.name = "leaky-coin";
+    graph = Stabgraph.Graph.chain 1;
+    domain = (fun _ -> [ 0; 1; 2 ]);
+    actions = [ leak ];
+    equal = Int.equal;
+    pp = Format.pp_print_int;
+    randomized = true;
+  }
+
+let raises_malformed what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted a distribution summing to 0.8" what
+  | exception Invalid_argument msg ->
+    List.iter
+      (fun needle ->
+        if not (contains ~needle msg) then
+          Alcotest.failf "%s: %S does not name %S" what msg needle)
+      [ "leaky-coin"; "leak"; "process 0"; "0.8" ]
+
+let test_malformed_distribution () =
+  Pool.set_width 1;
+  let p = leaky_coin () in
+  raises_malformed "Montecarlo.estimate" (fun () ->
+      Montecarlo.estimate ~runs:4 ~max_steps:50 (Stabrng.Rng.create 1) p
+        Scheduler.central_random Fixtures.coin_spec);
+  raises_malformed "Markov.of_space Sync" (fun () ->
+      Markov.of_space (Statespace.build p) Markov.Sync);
+  let leak = List.hd p.Protocol.actions in
+  let empty = { p with Protocol.actions = [ { leak with result = (fun _ _ -> []) } ] } in
+  Alcotest.check_raises "empty distribution"
+    (Invalid_argument
+       "Protocol leaky-coin: action leak at process 0 returned an empty outcome distribution")
+    (fun () ->
+      ignore
+        (Engine.run ~max_steps:5 (Stabrng.Rng.create 1) empty (Scheduler.central_first ())
+           ~init:[| 0 |]))
+
+(* Allocation gate for the engine step: token-ring ring:24 under the
+   distributed random daemon, 500 runs at width 1, from uniform
+   configurations to the legitimate set. One guard pass per
+   configuration, unboxed RNG draws and a legitimacy count that builds
+   no list leave the configuration copy, the [enabled] and [active]
+   lists and the drawn bits: 51 minor words a step measured (538 when
+   every step evaluated each guard three times and boxed the RNG
+   state). *)
+let test_step_allocation () =
+  Pool.set_width 1;
+  let n = 24 in
+  let p = Stabalgo.Token_ring.make ~n in
+  let before = Gc.minor_words () in
+  let r =
+    Montecarlo.estimate ~runs:500 ~max_steps:100_000 (Stabrng.Rng.create 2008) p
+      Scheduler.distributed_random (Stabalgo.Token_ring.spec ~n)
+  in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "no timeouts" 0 r.Montecarlo.timeouts;
+  let steps = Array.fold_left ( + ) 0 r.Montecarlo.times in
+  let per_step = words /. float_of_int steps in
+  if per_step > 59.0 then
+    Alcotest.failf "%.1f minor words per engine step, at most 59 allowed" per_step
 
 let suite =
   [
@@ -200,6 +366,11 @@ let test_trace_pp_compact_and_event () =
   | lines -> Alcotest.failf "expected two lines, got %d" (List.length lines)
 
 let extra_suite =
-  [ Alcotest.test_case "trace compact/event pp" `Quick test_trace_pp_compact_and_event ]
+  [
+    Alcotest.test_case "trace compact/event pp" `Quick test_trace_pp_compact_and_event;
+    Alcotest.test_case "engine = reference loop" `Quick test_engine_matches_reference;
+    Alcotest.test_case "malformed distribution" `Quick test_malformed_distribution;
+    Alcotest.test_case "step allocation" `Quick test_step_allocation;
+  ]
 
 let suite = suite @ extra_suite

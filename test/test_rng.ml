@@ -245,7 +245,6 @@ let qcheck_subset_sound =
 let suite =
   [
     Alcotest.test_case "deterministic" `Quick test_deterministic;
-    Alcotest.test_case "known answers" `Quick test_known_answers;
     Alcotest.test_case "seed sensitivity" `Quick test_seed_sensitivity;
     Alcotest.test_case "copy replays" `Quick test_copy_replays;
     Alcotest.test_case "split independence" `Quick test_split_independent_of_parent_continuation;
@@ -268,4 +267,5 @@ let suite =
     Alcotest.test_case "nonempty subset uniform" `Slow test_nonempty_subset_uniform;
     QCheck_alcotest.to_alcotest qcheck_int_in_bounds;
     QCheck_alcotest.to_alcotest qcheck_subset_sound;
+    Alcotest.test_case "known answers" `Quick test_known_answers;
   ]
