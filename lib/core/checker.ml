@@ -539,12 +539,18 @@ let analyze space cls spec =
        Obs.span "checker.sccs" (fun () -> sccs_outside fg fleg))
   in
   let closure = Obs.span "checker.closure" (fun () -> check_closure space g spec) in
-  let possible =
-    Obs.span "checker.possible" (fun () -> possible_convergence space g ~legitimate)
-  in
   let certain =
     Obs.span "checker.certain" (fun () ->
         certain_of_terminals g ~legitimate ~terminals)
+  in
+  (* Certain convergence implies possible convergence (every execution
+     reaches [L], and some execution starts anywhere), so the
+     reachability pass runs only when certain convergence fails. The
+     implication needs the terminal scan as well as the acyclicity of
+     [C \ L]: a terminal outside [L] reaches nothing. *)
+  let possible =
+    if Result.is_ok certain then Ok ()
+    else Obs.span "checker.possible" (fun () -> possible_convergence space g ~legitimate)
   in
   (* Certain convergence leaves no divergence at all — no cycle and no
      terminal outside [L], a fact that lifts from a quotient to its
@@ -676,7 +682,9 @@ let best_case_steps _space g ~legitimate =
 
 (* Certain convergence is "no terminal outside L, and C \ L acyclic";
    the kernel's outside-set DFS checks the second half and yields the
-   longest escape from every configuration in the same pass. *)
+   longest escape from every configuration in the same pass. After
+   [analyze] or [certain_convergence] on the same graph and [L], the
+   kernel's memo answers without a second search. *)
 let worst_case_steps _space g ~legitimate =
   match terminals_of g ~legitimate with
   | _ :: _ -> None

@@ -157,7 +157,9 @@ val possible_convergence :
     Decided forward by {!Digraph.reaches}, with no reverse graph: a
     strongly connected component reaches [L] iff a member is in [L]
     or has an edge into a component that does, so [L] is reachable
-    from everywhere iff every bottom component meets it (Thm 7). *)
+    from everywhere iff every bottom component meets it (Thm 7).
+    Every call runs that pass; {!analyze} skips it when certain
+    convergence holds, which implies possible convergence. *)
 
 type divergence =
   | Cycle of int list  (** configuration codes of a cycle outside [L] *)
@@ -207,7 +209,12 @@ type verdict = {
 }
 
 val analyze : 'a Statespace.t -> Statespace.sched_class -> 'a Spec.t -> verdict
-(** The closure/possible/certain verdicts are computed eagerly; the two
+(** The closure/possible/certain verdicts are computed eagerly, certain
+    convergence first: when it holds (no terminal configuration and no
+    cycle outside [L]) every configuration reaches [L], so [possible]
+    is [Ok ()] and the reachability pass of {!possible_convergence}
+    does not run. Otherwise [possible] is {!possible_convergence}'s
+    answer, witness included. The two
     fairness witnesses are deferred until forced (along with the SCC
     decomposition of [C \ L] they share), so callers that only need
     weak/self verdicts never pay for the Streett analysis. The
@@ -291,9 +298,12 @@ val worst_case_steps : 'a Statespace.t -> graph -> legitimate:bool array -> int 
     subgraph is a DAG with no terminal configuration); [None]
     otherwise. For a self-stabilizing protocol this is its exact
     stabilization time under the worst daemon of the class. One scan
-    for terminals and one depth-first search ({!Digraph.heights_outside})
-    decide certain convergence and fill the values together, in O(n)
-    ints of scratch beyond the graph. *)
+    for terminals and {!Digraph.heights_outside} decide certain
+    convergence and fill the values together, in O(n) ints of scratch
+    beyond the graph. The depth-first search behind it runs only when
+    the kernel's memo lacks the answer: after {!analyze} or
+    {!certain_convergence} on the same graph and an equal [legitimate],
+    the call scans for terminals and copies the remembered heights. *)
 
 val convergence_radius_histogram :
   'a Statespace.t -> graph -> legitimate:bool array -> (int * int) list

@@ -177,8 +177,8 @@ let reach ?within g ~seeds =
    each edge reads one mark, as a plain cycle search would. On the path
    a mark is negative: minus what the successors scanned so far give
    the node (at least 1), and finishing flips its sign. *)
-let heights_outside g ~inside =
-  check_length "heights_outside" g "inside" inside;
+let heights_pass g ~inside =
+  Stabobs.Obs.Counter.incr Stabobs.Obs.checker_heights_passes;
   let mark = Array.init g.n (fun v -> if inside.(v) then 1 else 0) in
   let path = Array.make g.n 0 and cursor = Array.make g.n 0 and last = last_targets g in
   let depth = ref 0 and prev = ref 0 in
@@ -232,9 +232,46 @@ let heights_outside g ~inside =
     Ok mark
   with Cycle cycle -> Error cycle
 
+(* The last answer of [heights_pass], with [inside] packed to bits
+   beside it. The ephemeron holds the graph weakly: an answer lives
+   only as long as its graph, and a graph dropped elsewhere is not kept
+   alive here. Domains may race on the slot; each entry is immutable,
+   so the loser only evicts the winner's. *)
+let last_heights :
+    (t, Bitset.t * (int array, int list) result) Ephemeron.K1.t option Atomic.t =
+  Atomic.make None
+
+let same_set bits inside =
+  let rec go v = v < 0 || (Bitset.mem bits v = inside.(v) && go (v - 1)) in
+  go (Array.length inside - 1)
+
+let shared_heights g ~inside =
+  let remembered =
+    match Atomic.get last_heights with
+    | None -> None
+    | Some entry -> (
+      match Ephemeron.K1.query entry g with
+      | Some (bits, answer) when same_set bits inside -> Some answer
+      | _ -> None)
+  in
+  match remembered with
+  | Some answer -> answer
+  | None ->
+    let answer = heights_pass g ~inside in
+    let bits = Bitset.create g.n in
+    Array.iteri (fun v b -> if b then Bitset.set bits v) inside;
+    Atomic.set last_heights (Some (Ephemeron.K1.make g (bits, answer)));
+    answer
+
+let heights_outside g ~inside =
+  check_length "heights_outside" g "inside" inside;
+  match shared_heights g ~inside with
+  | Ok heights -> Ok (Array.copy heights)
+  | Error _ as cycle -> cycle
+
 let cycle_outside g ~inside =
   check_length "cycle_outside" g "inside" inside;
-  match heights_outside g ~inside with Ok _ -> None | Error cycle -> Some cycle
+  match shared_heights g ~inside with Ok _ -> None | Error cycle -> Some cycle
 
 (* Iterative Tarjan with the DFS frames in [work]/[cursor], and
    [prev]/[last], as in [heights_outside]. A completed component gets
@@ -316,6 +353,7 @@ let sccs ?(keep = fun _ -> true) g =
    target seed at worst, which the component reaches anyway. *)
 let reaches g ~target:goal =
   check_length "reaches" g "target" goal;
+  Stabobs.Obs.Counter.incr Stabobs.Obs.checker_reaches_passes;
   let marked = Array.copy goal in
   let hits u =
     marked.(u)

@@ -117,12 +117,25 @@ val heights_outside : t -> inside:bool array -> (int array, int list) result
     ascending order fills each height as its node finishes; the first
     back edge [u -> v] found instead returns [Error] with the cycle it
     closes, listed along its edges from [v] to [u]: the head is the
-    back-edge target. *)
+    back-edge target.
+
+    The module remembers one answer, its last: the graph, held through
+    an ephemeron so that the memo never keeps a graph alive, the
+    contents of [inside], packed to one bit per node, and the result.
+    A call on the same graph (physical equality of the record) with an
+    [inside] of equal contents returns that answer without a search;
+    any other call searches and replaces it. Each call returns a fresh
+    heights array, so neither mutating it nor mutating [inside] after
+    the call changes a later answer. A graph's rows must not change
+    after a call on it. The slot is an [Atomic], so domains may call
+    concurrently; a race only costs a search. Each search ticks
+    {!Stabobs.Obs.checker_heights_passes}. *)
 
 val cycle_outside : t -> inside:bool array -> int list option
 (** A cycle through nodes outside [inside] only, or [None] if the
     subgraph they induce is acyclic: {!heights_outside} with the
-    heights dropped, so the cycle is the one it returns. *)
+    heights dropped, so the cycle is the one it returns. It shares that
+    memo, and copies no heights. *)
 
 val sccs : ?keep:(int -> bool) -> t -> int array list
 (** Tarjan's strongly connected components of the subgraph induced by
@@ -139,4 +152,5 @@ val reaches : t -> target:bool array -> bool array
     when a member is a target or has an edge into a marked node, and
     then marks all its members. In a finite graph, every node reaches
     the target set iff every bottom component meets it (Thm 7's
-    criterion). *)
+    criterion). Nothing is remembered: each call runs the pass and
+    ticks {!Stabobs.Obs.checker_reaches_passes}. *)

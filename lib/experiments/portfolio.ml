@@ -59,14 +59,19 @@ let taxonomy_instance (Registry.Entry e) cls =
   let g = Checker.expand space cls in
   let legitimate = Statespace.legitimate_set space e.spec in
   let closure = Result.is_ok (Checker.check_closure space g e.spec) in
+  (* Certain convergence implies possible convergence, so the
+     reachability pass runs only for the systems that are not
+     self-stabilizing. *)
+  let self_t = closure && Result.is_ok (Checker.certain_convergence space g ~legitimate) in
   {
     algorithm_t = e.label;
     class_t = Format.asprintf "%a" Statespace.pp_sched_class cls;
-    weak_t = closure && Result.is_ok (Checker.possible_convergence space g ~legitimate);
+    weak_t =
+      self_t || (closure && Result.is_ok (Checker.possible_convergence space g ~legitimate));
     pseudo = Result.is_ok (Checker.pseudo_stabilizing space g ~legitimate);
     one_stabilizing =
       closure && Result.is_ok (Checker.k_stabilizing space g ~legitimate ~k:1);
-    self_t = closure && Result.is_ok (Checker.certain_convergence space g ~legitimate);
+    self_t;
   }
 
 let taxonomy () =

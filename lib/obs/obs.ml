@@ -176,6 +176,8 @@ let markov_solve_sweeps = Counter.make "markov.solve.sweeps"
 let checker_reverse_builds = Counter.make "checker.reverse_builds"
 let checker_terminal_scans = Counter.make "checker.terminal_scans"
 let checker_scc_builds = Counter.make "checker.scc_builds"
+let checker_heights_passes = Counter.make "checker.heights_passes"
+let checker_reaches_passes = Counter.make "checker.reaches_passes"
 let pool_tasks = Counter.make "pool.tasks"
 let pool_steals = Counter.make "pool.steals"
 let pool_splits = Counter.make "pool.splits"

@@ -120,6 +120,16 @@ val checker_scc_builds : Counter.t
     read them to assert that [Checker.analyze] builds no reverse and
     derives the others exactly once per verdict. *)
 
+val checker_heights_passes : Counter.t
+val checker_reaches_passes : Counter.t
+(** Graph-kernel passes that ran ("checker.heights_passes" /
+    "checker.reaches_passes"), wherever called: depth-first searches
+    of [Digraph.heights_outside] (an answer its memo returns does not
+    count) and SCC passes of [Digraph.reaches]. Tests read them to
+    assert that [Checker.analyze] followed by
+    [Checker.worst_case_steps] on a self-stabilizing system runs one
+    search and no reachability pass. *)
+
 val pool_tasks : Counter.t
 val pool_steals : Counter.t
 val pool_splits : Counter.t

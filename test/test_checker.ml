@@ -505,3 +505,86 @@ let fairness_suite =
   ]
 
 let suite = suite @ fairness_suite
+
+(* Certain convergence settles possible convergence in [analyze], and
+   the kernel remembers its last outside-set search. Both shortcuts are
+   held here to the kernel's passes run on a physically distinct copy
+   of the graph, which the memo, keyed by graph identity, cannot
+   answer. Random deterministic systems give [Subsets] rows under the
+   distributed class and [Edges] rows under the central and synchronous
+   ones; their guards leave terminals outside most target sets, and the
+   denser targets leave some systems certainly convergent. *)
+let classes = [| Statespace.Distributed; Statespace.Central; Statespace.Synchronous |]
+
+let test_verdicts_match_kernel () =
+  let seen_dead_end = ref 0 and seen_certain = ref 0 and seen_cycle = ref 0 in
+  let prop seed =
+    let space = Statespace.build (Test_random_systems.random_protocol seed) in
+    let cls = classes.(seed mod 3) in
+    let rng = Stabrng.Rng.create (seed + 31) in
+    let density = [| 0.25; 0.6; 0.9 |].(Stabrng.Rng.int rng 3) in
+    let target =
+      Array.init (Statespace.count space) (fun _ -> Stabrng.Rng.bernoulli rng density)
+    in
+    let spec = Spec.make ~name:"random" (fun cfg -> target.(Statespace.code space cfg)) in
+    let v = Checker.analyze space cls spec in
+    let copy =
+      { (Checker.successors (Checker.expand space cls)) with Digraph.n = Array.length target }
+    in
+    let possible =
+      match Array.find_index not (Digraph.reaches copy ~target) with
+      | None -> Ok ()
+      | Some c -> Error c
+    in
+    let dead_end c = (not target.(c)) && Digraph.out_degree copy c = 0 in
+    let certain =
+      match Seq.find dead_end (Seq.init copy.n Fun.id) with
+      | Some c ->
+        incr seen_dead_end;
+        Error (Checker.Dead_end c)
+      | None -> (
+        match Digraph.cycle_outside copy ~inside:target with
+        | Some cycle ->
+          incr seen_cycle;
+          Error (Checker.Cycle cycle)
+        | None ->
+          incr seen_certain;
+          Ok ())
+    in
+    v.Checker.possible = possible && v.Checker.certain = certain
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:300 ~name:"analyze = kernel passes on a copy" QCheck.small_nat prop);
+  if !seen_dead_end = 0 || !seen_cycle = 0 || !seen_certain = 0 then
+    Alcotest.failf "coverage: %d dead ends, %d cycles, %d certainly convergent" !seen_dead_end
+      !seen_cycle !seen_certain
+
+(* On a self-stabilizing system [analyze] and then [worst_case_steps]
+   run one outside-set search between them and no reachability pass.
+   A fresh space keys a fresh graph, so no earlier answer is
+   remembered. *)
+let test_one_search_per_verdict () =
+  let value = Stabobs.Obs.Counter.value in
+  let space = Statespace.build (Stabalgo.Dijkstra_three.make ~n:6) in
+  let spec = Stabalgo.Dijkstra_three.spec ~n:6 in
+  Test_differential.counting @@ fun () ->
+  let heights0 = value Stabobs.Obs.checker_heights_passes in
+  let reaches0 = value Stabobs.Obs.checker_reaches_passes in
+  let v = Checker.analyze space Statespace.Distributed spec in
+  let g = Checker.expand space Statespace.Distributed in
+  let worst =
+    Checker.worst_case_steps space g ~legitimate:(Statespace.legitimate_set space spec)
+  in
+  Alcotest.(check bool) "self-stabilizing" true (Checker.self_stabilizing v);
+  Alcotest.(check bool) "weak-stabilizing" true (Checker.weak_stabilizing v);
+  Alcotest.(check bool) "worst case defined" true (worst <> None);
+  Alcotest.(check int) "heights passes" 1 (value Stabobs.Obs.checker_heights_passes - heights0);
+  Alcotest.(check int) "reaches passes" 0 (value Stabobs.Obs.checker_reaches_passes - reaches0)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "analyze = kernel passes on a copy" `Quick test_verdicts_match_kernel;
+      Alcotest.test_case "one search per self-stabilizing verdict" `Quick
+        test_one_search_per_verdict;
+    ]

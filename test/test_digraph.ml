@@ -325,6 +325,63 @@ let test_rejects_wrong_lengths () =
            (Markov.of_rows [| [ (1, 1.0) ]; [] |])
            ~legitimate:[| false |]))
 
+(* The memo of [heights_outside] keeps one answer, keyed by graph
+   identity and the contents of [inside]. Two graphs of one size (a
+   factored graph and the reverse of its edges) and two sets are
+   queried in a random interleaving through one reused [inside] array,
+   which is overwritten before each call and flipped after it; every
+   returned heights array is overwritten too. Each answer must equal a
+   pass on a fresh copy, and a search must run exactly when the
+   (graph, set) pair differs from the call before. *)
+let qcheck_heights_memo =
+  let ops = QCheck.Gen.(list_size (int_range 1 12) (triple bool bool bool)) in
+  let arb_memo =
+    QCheck.make
+      ~print:(fun (c, l) -> Printf.sprintf "%s ops=%d" (print c) (List.length l))
+      QCheck.Gen.(pair gen_subsets ops)
+  in
+  QCheck.Test.make ~count:300 ~name:"subsets: heights memo answers as a fresh pass" arb_memo
+    (fun (c, ops) ->
+      let n = nodes c in
+      let fresh = [| (fun () -> graph c); (fun () -> Digraph.reverse (csr c)) |] in
+      let graphs = Array.map (fun make -> make ()) fresh in
+      let sets = [| c.mark; c.keep |] in
+      let expected =
+        Array.map
+          (fun make ->
+            Array.map (fun s -> Digraph.heights_outside (make ()) ~inside:(Array.copy s)) sets)
+          fresh
+      in
+      let passes () = Stabobs.Obs.Counter.value Stabobs.Obs.checker_heights_passes in
+      Test_differential.counting @@ fun () ->
+      let before = passes () and searches = ref 0 and last = ref None in
+      let inside = Array.make n false in
+      let answers_match =
+        List.for_all
+          (fun (which, set, heights) ->
+            let gi = Bool.to_int which and si = Bool.to_int set in
+            let key = (gi, sets.(si)) in
+            if !last <> Some key then incr searches;
+            last := Some key;
+            Array.blit sets.(si) 0 inside 0 n;
+            let want = expected.(gi).(si) in
+            let ok =
+              if heights then begin
+                let got = Digraph.heights_outside graphs.(gi) ~inside in
+                let ok = got = want in
+                Result.iter (fun h -> Array.fill h 0 n 7777) got;
+                ok
+              end
+              else
+                Digraph.cycle_outside graphs.(gi) ~inside
+                = (match want with Ok _ -> None | Error cycle -> Some cycle)
+            in
+            Array.iteri (fun v b -> inside.(v) <- not b) inside;
+            ok)
+          ops
+      in
+      answers_match && passes () - before = !searches)
+
 let suite =
   Alcotest.
     [
@@ -343,4 +400,4 @@ let suite =
              qcheck_sccs source;
            ])
          [ ("", arb); ("subsets: ", arb_subsets) ]
-      @ [ qcheck_subsets_match_edges ])
+      @ [ qcheck_subsets_match_edges; qcheck_heights_memo ])

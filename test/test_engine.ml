@@ -333,6 +333,29 @@ let test_step_allocation () =
   if per_step > 59.0 then
     Alcotest.failf "%.1f minor words per engine step, at most 59 allowed" per_step
 
+(* The same gate for Algorithm 2: leader-tree on the random tree
+   random:10:7 under the distributed random daemon, 500 runs at width 1.
+   Its guards count children in place and its legitimacy predicate
+   walks parent pointers without building a list or an option, so a
+   step allocates little beyond the engine's own words and the drawn
+   statement's outcome: 70.3 minor words a step measured (936 when the
+   guards copied neighbour arrays, filtered lists and boxed every
+   parent in an option). *)
+let test_leader_tree_step_allocation () =
+  Pool.set_width 1;
+  let g = Stabgraph.Graph.random_tree (Stabrng.Rng.create 7) 10 in
+  let before = Gc.minor_words () in
+  let r =
+    Montecarlo.estimate ~runs:500 ~max_steps:100_000 (Stabrng.Rng.create 2008)
+      (Stabalgo.Leader_tree.make g) Scheduler.distributed_random (Stabalgo.Leader_tree.spec g)
+  in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "no timeouts" 0 r.Montecarlo.timeouts;
+  let steps = Array.fold_left ( + ) 0 r.Montecarlo.times in
+  let per_step = words /. float_of_int steps in
+  if per_step > 80.0 then
+    Alcotest.failf "%.1f minor words per engine step, at most 80 allowed" per_step
+
 let suite =
   [
     Alcotest.test_case "run to terminal" `Quick test_run_reaches_terminal;
@@ -371,6 +394,7 @@ let extra_suite =
     Alcotest.test_case "engine = reference loop" `Quick test_engine_matches_reference;
     Alcotest.test_case "malformed distribution" `Quick test_malformed_distribution;
     Alcotest.test_case "step allocation" `Quick test_step_allocation;
+    Alcotest.test_case "leader-tree step allocation" `Quick test_leader_tree_step_allocation;
   ]
 
 let suite = suite @ extra_suite
