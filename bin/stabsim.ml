@@ -966,26 +966,6 @@ let profile_json profile =
                    ("major_collections", Json.Int r.Obs.Profile.major_collections);
                  ])
              (Obs.Profile.rows profile)) );
-      ( "counters",
-        Json.Obj
-          (List.filter_map
-             (fun (name, v) -> if v = 0 then None else Some (name, Json.Int v))
-             (Obs.Counter.snapshot ())) );
-      ( "dists",
-        Json.Obj
-          (List.map
-             (fun (name, (s : Stabobs.Dist.summary)) ->
-               ( name,
-                 Json.Obj
-                   [
-                     ("count", Json.Int s.Stabobs.Dist.count);
-                     ("mean", Json.Float s.Stabobs.Dist.mean);
-                     ("p50", Json.Float s.Stabobs.Dist.p50);
-                     ("p95", Json.Float s.Stabobs.Dist.p95);
-                     ("p99", Json.Float s.Stabobs.Dist.p99);
-                     ("max", Json.Float s.Stabobs.Dist.max);
-                   ] ))
-             (Stabobs.Dist.snapshot ())) );
       ( "pool",
         Json.Obj
           [
@@ -996,10 +976,9 @@ let profile_json profile =
                    (fun (lane, ns) -> (lane, Json.Int ns))
                    (Stabcore.Pool.busy_ns ())) );
           ] );
-      (* The full Registry snapshot (gauges + labels included), so one
-         document carries phases, pool state and gauges together. The
-         counters/dists above stay for compatibility; this section is
-         the complete metric view. *)
+      (* The full Registry snapshot (counters, gauges, labels and
+         dists), so one document carries phases, pool state and every
+         metric together. *)
       ( "registry",
         Stabobs.Registry.snapshot_json (Stabobs.Registry.snapshot ()) );
     ]

@@ -15,15 +15,11 @@
 
 type state = { dist : int; parent : int  (** local index; ignored at the root *) }
 
-val root : int
-(** Process 0 is the distinguished root. *)
-
 val make : Stabgraph.Graph.t -> state Stabcore.Protocol.t
-(** Requires a connected graph. Distances live in [[0 .. n]]. *)
-
-val correct : Stabgraph.Graph.t -> state array -> bool
-(** Every process's distance equals its BFS distance from the root and
-    its parent is a neighbor one level closer (vacuous at the root). *)
+(** Process 0 is the distinguished root. Requires a connected graph.
+    Distances live in [[0 .. n]]. *)
 
 val spec : Stabgraph.Graph.t -> state Stabcore.Spec.t
-(** Legitimate: {!correct} — exactly the terminal configurations. *)
+(** Legitimate: every process's distance equals its BFS distance from
+    the root and its parent is a neighbor one level closer (vacuous at
+    the root) — exactly the terminal configurations. *)

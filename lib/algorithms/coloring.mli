@@ -21,9 +21,6 @@ val make : ?colors:int -> Stabgraph.Graph.t -> int Stabcore.Protocol.t
     the greedy rule total); pass more for slacker palettes. Raises
     [Invalid_argument] if [colors <= max_degree g]. *)
 
-val proper : Stabgraph.Graph.t -> int array -> bool
-(** No edge is monochromatic. *)
-
 val spec : Stabgraph.Graph.t -> int Stabcore.Spec.t
-(** Legitimate: proper colorings (exactly the terminal
-    configurations). *)
+(** Legitimate: proper colorings, where no edge is monochromatic
+    (exactly the terminal configurations). *)

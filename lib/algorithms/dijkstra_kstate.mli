@@ -24,8 +24,5 @@ val make : n:int -> ?k:int -> unit -> int Stabcore.Protocol.t
     threshold (see the k-sweep in the test-suite and EXPERIMENTS.md).
     Requires [n >= 3]. *)
 
-val privileged : n:int -> int array -> int list
-(** Enabled (privileged) processes of a configuration. *)
-
 val spec : n:int -> int Stabcore.Spec.t
 (** Legitimate: exactly one privilege. *)

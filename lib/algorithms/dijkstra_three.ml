@@ -14,8 +14,6 @@ let is_privileged ~n cfg p =
   else if p = n - 1 then top_enabled ~n cfg
   else normal_enabled ~n cfg p
 
-let privileged ~n cfg = List.filter (is_privileged ~n cfg) (List.init n Fun.id)
-
 let make ~n =
   if n < 3 then invalid_arg "Dijkstra_three.make: need n >= 3";
   let bottom : int Stabcore.Protocol.action =

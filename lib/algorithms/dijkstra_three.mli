@@ -25,8 +25,5 @@ val make : n:int -> int Stabcore.Protocol.t
 (** Requires [n >= 3]. The topology is the [n]-ring so the top machine
     can read the bottom one; normal machines ignore that edge. *)
 
-val privileged : n:int -> int array -> int list
-(** Enabled machines. *)
-
 val spec : n:int -> int Stabcore.Spec.t
 (** Legitimate: exactly one privilege. *)

@@ -19,8 +19,5 @@ val make : n:int -> bool Stabcore.Protocol.t
 (** Requires odd [n >= 3]. Every process is always enabled; run it
     under the synchronous scheduler / [Markov.Sync] only. *)
 
-val has_token : n:int -> bool array -> int -> bool
-val token_holders : n:int -> bool array -> int list
-
 val spec : n:int -> bool Stabcore.Spec.t
 (** Legitimate: exactly one token. *)

@@ -24,9 +24,6 @@ let is_root cfg p = match cfg.(p) with Root -> true | Parent _ -> false
 
 let points_to g cfg q p = parent_of g cfg q = p
 
-let children g cfg p =
-  Array.to_list (Graph.neighbors g p) |> List.filter (fun q -> points_to g cfg q p)
-
 let child_count g cfg p =
   let count = ref 0 in
   for k = 0 to Graph.degree g p - 1 do

@@ -34,10 +34,6 @@ val relabel : Stabgraph.Graph.t -> perm:int array -> int -> par -> par
 
 val leaders : par array -> int list
 
-val children : Stabgraph.Graph.t -> par array -> int -> int list
-(** Global ids of p's children, sorted. *)
-
-
 val is_lc : Stabgraph.Graph.t -> par array -> bool
 (** Definition 13: exactly one process [p] has [Par_p = ⊥] and every
     other process's ParPath reaches [p]. *)

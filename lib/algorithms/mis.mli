@@ -20,9 +20,6 @@ retreat :: p = In  ∧ ∃q ∈ Neig_p: q = In  -> p <- Out
 val make : Stabgraph.Graph.t -> bool Stabcore.Protocol.t
 (** [true] = in the set. *)
 
-val independent : Stabgraph.Graph.t -> bool array -> bool
-(** No two adjacent members. *)
-
 val spec : Stabgraph.Graph.t -> bool Stabcore.Spec.t
 (** Legitimate: independent, and every non-member has a member
     neighbor (the terminal configurations). *)

@@ -9,7 +9,6 @@ let predecessor ~n p = (p - 1 + n) mod n
    and recomputing [smallest_non_divisor n] there would allocate its
    local closure on every call. *)
 let holds_token ~n ~m cfg p = cfg.(p) <> (cfg.(predecessor ~n p) + 1) mod m
-let has_token ~n cfg p = holds_token ~n ~m:(smallest_non_divisor n) cfg p
 
 let holders ~n ~m cfg = List.filter (holds_token ~n ~m cfg) (List.init n Fun.id)
 let token_holders ~n cfg = holders ~n ~m:(smallest_non_divisor n) cfg

@@ -20,16 +20,9 @@ val smallest_non_divisor : int -> int
 (** [smallest_non_divisor n] is the paper's [m_N]: the least integer
     [>= 2] that does not divide [n]. Requires [n >= 1]. *)
 
-val predecessor : n:int -> int -> int
-(** [predecessor ~n p] is p's predecessor [(p - 1 + n) mod n] in the
-    fixed orientation used by this instantiation. *)
-
 val make : n:int -> int Stabcore.Protocol.t
 (** The protocol on the ring of [n >= 3] processes; local state is the
-    counter value. *)
-
-val has_token : n:int -> int array -> int -> bool
-(** The paper's [Token(p)] predicate. *)
+    counter value. Process [p]'s predecessor is [(p - 1 + n) mod n]. *)
 
 val token_holders : n:int -> int array -> int list
 (** Sorted token holders; never empty (Lemma 4). *)

@@ -38,12 +38,10 @@ val append : sink -> record -> unit
 
 val close : sink -> unit
 
-val parse_string : string -> record list
-(** Parse checkpoint text: cell records in file order, unparsable and
-    non-cell lines skipped. *)
-
 val load : string -> record list
-(** [parse_string] of a file; a missing file is an empty checkpoint. *)
+(** The cell records of a checkpoint file in file order, unparsable
+    and non-cell lines skipped; a missing file is an empty
+    checkpoint. *)
 
 val index : record list -> (string, record) Hashtbl.t
 (** Key records by hash, later records winning. *)

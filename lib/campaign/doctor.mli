@@ -21,17 +21,10 @@ val load : string -> (t, string) result
 (** Read and classify a dump file; [Error] carries a one-line cause
     (unreadable file, torn line, not a flight dump). *)
 
-val parse_string : string -> (t, string) result
-
-val domains : t -> int list
-(** Domains with at least one event, ascending. *)
-
-val hints : t -> string list
-(** The heuristic diagnoses: an in-flight cell past its deadline whose
-    token stopped being polled, a worker heartbeat gap (one cell held
-    far longer than the dump instant), and the sparse solver burning
-    its sweep budget ([Max_sweeps]). Empty when nothing smells. *)
-
 val render : ?last:int -> t -> string
 (** The full human report ([last] caps the merged timeline, default
-    20). *)
+    20). It ends with the heuristic diagnoses, one ["  - "] line each
+    under ["hints:"], when anything smells: an in-flight cell past its
+    deadline whose token stopped being polled, a worker heartbeat gap
+    (one cell held far longer than the dump instant), and the sparse
+    solver burning its sweep budget ([Max_sweeps]). *)

@@ -372,19 +372,12 @@ let run_cell_analysis campaign (cell : Campaign.cell) rung =
 
 exception Drain_exit
 
-type finished = {
-  f_status : Checkpoint.status;
-  f_mode : string;
-  f_retries : int;
-  f_payload : Json.t;
-  f_error : string option;
-}
-
 (* Crash budget: a cell that crashes its worker twice is poison and is
    quarantined rather than allowed a third try. *)
 let crash_budget = 2
 
-let attempt_cell (campaign : Campaign.t) options (cell : Campaign.cell) =
+(* The checkpoint record of the cell's final attempt. *)
+let attempt_cell (campaign : Campaign.t) options (cell : Campaign.cell) ~hash ~label =
   let timeout_ms =
     match options.timeout_ms with
     | Some _ as t -> t
@@ -416,8 +409,7 @@ let attempt_cell (campaign : Campaign.t) options (cell : Campaign.cell) =
   let transients = ref 0 in
   let crashes = ref 0 in
   let finish status mode payload error =
-    { f_status = status; f_mode = mode; f_retries = !retries; f_payload = payload;
-      f_error = error }
+    { Checkpoint.hash; label; status; mode; retries = !retries; payload; error }
   in
   let rec again rung rest degraded =
     retry ();
@@ -447,9 +439,7 @@ let attempt_cell (campaign : Campaign.t) options (cell : Campaign.cell) =
     (* Down one rung, or end [status] when none is left; a timeout
        counts as a retry and backs off. *)
     let demote ~timeout status why =
-      let note =
-        Printf.sprintf "campaign: %s %s on the %s rung" (Campaign.cell_label cell) why mode
-      in
+      let note = Printf.sprintf "campaign: %s %s on the %s rung" label why mode in
       match rest with
       | next :: rest' ->
         Obs.infof "%s; demoting" note;
@@ -478,8 +468,8 @@ let attempt_cell (campaign : Campaign.t) options (cell : Campaign.cell) =
                    campaign.Campaign.retries msg))
     | `Crash msg ->
       incr crashes;
-      Stabobs.Flight.notef "campaign: %s crashed on the %s rung (%d/%d): %s"
-        (Campaign.cell_label cell) mode !crashes crash_budget msg;
+      Stabobs.Flight.notef "campaign: %s crashed on the %s rung (%d/%d): %s" label mode
+        !crashes crash_budget msg;
       if !crashes >= crash_budget then
         finish Checkpoint.Quarantined mode Json.Null (Some msg)
       else again rung rest degraded
@@ -490,7 +480,7 @@ let attempt_cell (campaign : Campaign.t) options (cell : Campaign.cell) =
 
 (* {1 The sharded pool} *)
 
-let outcome_of_record cell (r : Checkpoint.record) =
+let outcome_of_record ~from_checkpoint ~duration_ns cell (r : Checkpoint.record) =
   {
     cell;
     hash = r.Checkpoint.hash;
@@ -499,8 +489,8 @@ let outcome_of_record cell (r : Checkpoint.record) =
     retries = r.Checkpoint.retries;
     payload = r.Checkpoint.payload;
     error = r.Checkpoint.error;
-    duration_ns = 0;
-    from_checkpoint = true;
+    duration_ns;
+    from_checkpoint;
   }
 
 let append_with_retry options sink record =
@@ -574,7 +564,7 @@ let run ?options campaign =
             Obs.Counter.incr c_skipped;
             Atomic.incr live.v_skipped;
             settle ();
-            results.(i) <- Some (outcome_of_record cell r)
+            results.(i) <- Some (outcome_of_record ~from_checkpoint:true ~duration_ns:0 cell r)
           | None -> (
             let label = Campaign.cell_label cell in
             let t0 = Obs.now_ns () in
@@ -591,31 +581,19 @@ let run ?options campaign =
                 ]
               @@ fun () ->
               Obs.span "campaign.cell" ~args:[ ("label", Json.String label) ]
-                (fun () -> attempt_cell campaign options cell)
+                (fun () -> attempt_cell campaign options cell ~hash ~label)
             with
             | exception Drain_exit -> ()
-            | f ->
+            | r ->
               let duration_ns = Obs.now_ns () - t0 in
               Stabobs.Dist.record_int d_cell_duration duration_ns;
-              Obs.Counter.incr (counter_of_status f.f_status);
-              Atomic.incr (live_counter live f.f_status);
+              Obs.Counter.incr (counter_of_status r.Checkpoint.status);
+              Atomic.incr (live_counter live r.Checkpoint.status);
               Atomic.incr live.v_executed;
               ignore (Atomic.fetch_and_add live.v_executed_ns duration_ns);
               settle ();
-              let outcome =
-                {
-                  cell;
-                  hash;
-                  status = f.f_status;
-                  mode = f.f_mode;
-                  retries = f.f_retries;
-                  payload = f.f_payload;
-                  error = f.f_error;
-                  duration_ns;
-                  from_checkpoint = false;
-                }
-              in
-              results.(i) <- Some outcome;
+              results.(i) <-
+                Some (outcome_of_record ~from_checkpoint:false ~duration_ns cell r);
               (* Forensics before bookkeeping: a quarantined or
                  timed-out cell gets its own dump while the rings
                  still hold its final events, and the rolling dump is
@@ -625,12 +603,12 @@ let run ?options campaign =
                  artifact. *)
               Option.iter
                 (fun base ->
-                  (match f.f_status with
+                  (match r.Checkpoint.status with
                   | Checkpoint.Quarantined | Checkpoint.Timed_out ->
                     let reason =
                       Printf.sprintf "cell %s: %s%s" label
-                        (Checkpoint.status_to_string f.f_status)
-                        (match f.f_error with
+                        (Checkpoint.status_to_string r.Checkpoint.status)
+                        (match r.Checkpoint.error with
                         | None -> ""
                         | Some e -> ": " ^ e)
                     in
@@ -640,16 +618,7 @@ let run ?options campaign =
                 options.flight;
               Option.iter
                 (fun sink ->
-                  append_with_retry options sink
-                    {
-                      Checkpoint.hash;
-                      label;
-                      status = f.f_status;
-                      mode = f.f_mode;
-                      retries = f.f_retries;
-                      payload = f.f_payload;
-                      error = f.f_error;
-                    };
+                  append_with_retry options sink r;
                   let k = Atomic.fetch_and_add appended 1 + 1 in
                   match options.stop_after with
                   | Some limit when k >= limit -> request_drain ()

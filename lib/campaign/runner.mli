@@ -76,8 +76,6 @@ val request_drain : unit -> unit
     their next poll, no new cell starts, checkpoints and sinks flush.
     Safe from a signal handler (atomic stores only). *)
 
-val draining : unit -> bool
-
 (** {1 Live progress}
 
     The status server ({!Status}) polls these from its accept-loop

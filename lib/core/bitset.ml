@@ -4,8 +4,6 @@ let create length =
   if length < 0 then invalid_arg "Bitset.create: negative length";
   { bytes = Bytes.make ((length + 7) / 8) '\000'; length }
 
-let length t = t.length
-
 let check t i op =
   if i < 0 || i >= t.length then
     invalid_arg (Printf.sprintf "Bitset.%s: index %d out of bounds [0,%d)" op i t.length)
@@ -26,23 +24,3 @@ let clear t i =
   Bytes.unsafe_set t.bytes byte
     (Char.unsafe_chr
        (Char.code (Bytes.unsafe_get t.bytes byte) land lnot (1 lsl (i land 7)) land 0xff))
-
-let copy t = { bytes = Bytes.copy t.bytes; length = t.length }
-
-let iter f t =
-  for byte = 0 to Bytes.length t.bytes - 1 do
-    let b = Char.code (Bytes.unsafe_get t.bytes byte) in
-    if b <> 0 then
-      for bit = 0 to 7 do
-        if b land (1 lsl bit) <> 0 then f ((byte lsl 3) + bit)
-      done
-  done
-
-let fold f t init =
-  let acc = ref init in
-  iter (fun i -> acc := f !acc i) t;
-  !acc
-
-let is_empty t = Bytes.for_all (fun ch -> ch = '\000') t.bytes
-
-let elements t = List.rev (fold (fun acc i -> i :: acc) t [])

@@ -4,7 +4,7 @@
     many sets of configurations (alive, on-stack, membership masks). A
     [bool array] spends a word per element; this Bytes-backed
     representation spends a bit, which keeps whole-space masks resident
-    in cache for the packed-graph passes. Indices are [0 .. length-1];
+    in cache for the packed-graph passes. Indices of [create n] are [0 .. n-1];
     out-of-range access raises [Invalid_argument]. *)
 
 type t
@@ -12,21 +12,6 @@ type t
 val create : int -> t
 (** All-zero set of the given length. *)
 
-val length : t -> int
-
 val mem : t -> int -> bool
 val set : t -> int -> unit
 val clear : t -> int -> unit
-
-val copy : t -> t
-
-val iter : (int -> unit) -> t -> unit
-(** Applies the function to every set index, ascending. *)
-
-val fold : ('acc -> int -> 'acc) -> t -> 'acc -> 'acc
-(** Folds over set indices, ascending. *)
-
-val is_empty : t -> bool
-
-val elements : t -> int list
-(** Set indices, ascending. *)

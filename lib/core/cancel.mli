@@ -41,16 +41,10 @@ val cancel : ?reason:reason -> t -> unit
     cancelling an already-cancelled token is a no-op, so a timeout and
     a drain racing on the same token report one consistent cause. *)
 
-val cancelled : t -> reason option
-(** The flag, checking (and latching) the deadline first. *)
-
 val peek : t -> reason option
 (** The flag as-is: no deadline check, no latch, no {!last_poll_ns}
     update. This is the observer a flight dump uses so inspecting a
     live token never perturbs it. *)
-
-val check : t -> unit
-(** @raise Cancelled if the token is cancelled or past its deadline. *)
 
 val deadline_ns : t -> int option
 
@@ -73,7 +67,8 @@ val with_current : t -> (unit -> 'a) -> 'a
     on exit (exceptions included). *)
 
 val poll : unit -> unit
-(** [check] on the current token, if any. This is the hook threaded
+(** Checks the current token, if any: checks (and latches) its
+    deadline first, then @raise Cancelled if the token is cancelled. This is the hook threaded
     through the library's long loops; call it every few hundred units
     of work, not per innermost iteration. *)
 

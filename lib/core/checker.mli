@@ -53,7 +53,8 @@ val graph_edge_count : graph -> int
     subset sums of each configuration, not the [k] deltas stored. *)
 
 val graph_bytes : graph -> int
-(** The bytes the graph holds: its words on the OCaml heap plus the
+(** Test seam: the graph footprint test bounds the expansion's memory
+    through it. The bytes the graph holds: its words on the OCaml heap plus the
     payload of its one int32 row array (targets, or deltas in the
     {!Subsets} layout). The graph keeps no reverse, so the figure is
     final once {!expand} returns. [Obj.reachable_words] alone sees only

@@ -8,14 +8,11 @@
 
 type 'a t
 
-val make : equal:('a -> 'a -> bool) -> 'a list array -> 'a t
-(** [make ~equal domains] requires every domain to be non-empty and
-    duplicate-free (w.r.t. [equal]), and the total space size
-    [prod |D_i|] to fit in an OCaml [int]; raises [Invalid_argument]
-    otherwise. *)
-
 val of_protocol : 'a Protocol.t -> 'a t
-(** Encoding for the full configuration space of a protocol. *)
+(** Encoding for the full configuration space of a protocol. Requires
+    every domain to be non-empty and duplicate-free (w.r.t. the
+    protocol's [equal]), and the total space size [prod |D_i|] to fit
+    in an OCaml [int]; raises [Invalid_argument] otherwise. *)
 
 val count : 'a t -> int
 (** Total number of configurations, the paper's [|C|]. *)

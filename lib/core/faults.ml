@@ -133,55 +133,30 @@ let recovery_profile ?plan ~runs ~max_steps rng protocol scheduler spec ~from ~f
     ~init:(fun stream -> corrupt stream protocol from ~faults)
     ~runs ~max_steps rng protocol scheduler spec
 
-type availability = {
-  observed : int;
-  in_l : int;
-  injections : int;
-  entries : int;
-  availability : float;
-  stalled : bool;
-}
-
 let availability ~horizon rng protocol scheduler spec ~plan ~init =
   if horizon <= 0 then invalid_arg "Faults.availability: horizon must be positive";
   let inject = arm plan rng in
   let observed = ref 0 in
   let in_l = ref 0 in
-  let entries = ref 0 in
-  let was_in_l = ref false in
   (* Observation rides the injection hook: the engine calls it exactly
      once per iteration with the pre-injection configuration, so the
      availability denominator is the number of observed configurations
      whatever stops the run. *)
   let observing ~step ~cfg =
     incr observed;
-    let here = spec.Spec.legitimate cfg in
-    if here then begin
-      incr in_l;
-      if not !was_in_l then incr entries
-    end;
-    was_in_l := here;
+    if spec.Spec.legitimate cfg then incr in_l;
     inject ~step ~cfg
   in
-  let run =
-    Engine.run ~record:false ~inject:observing ~max_steps:horizon rng protocol scheduler
-      ~init
-  in
-  {
-    observed = !observed;
-    in_l = !in_l;
-    injections = run.Engine.injections;
-    entries = !entries;
-    availability =
-      (if !observed = 0 then 0.0 else float_of_int !in_l /. float_of_int !observed);
-    stalled = run.Engine.stop = Engine.Stalled;
-  }
+  ignore
+    (Engine.run ~record:false ~inject:observing ~max_steps:horizon rng protocol scheduler
+       ~init);
+  if !observed = 0 then 0.0 else float_of_int !in_l /. float_of_int !observed
 
 let availability_profile ~runs ~horizon rng protocol scheduler spec ~plan ~init =
   if runs <= 0 then invalid_arg "Faults.availability_profile: runs must be positive";
   Stabobs.Obs.span "faults.availability_profile" @@ fun () ->
   Montecarlo.sample ~runs rng (fun stream ->
-      (availability ~horizon stream protocol (scheduler ()) spec ~plan ~init).availability)
+      availability ~horizon stream protocol (scheduler ()) spec ~plan ~init)
   |> Stabstats.Stats.summarize
 
 (* --- crash faults, protocol view --- *)

@@ -88,28 +88,6 @@ val recovery_profile :
     keeps injecting while the system recovers (armed per run with
     {!arm}): time to first re-entry of [L] under recurrent faults. *)
 
-type availability = {
-  observed : int;  (** configurations observed (one per engine iteration) *)
-  in_l : int;  (** of which legitimate *)
-  injections : int;  (** faults the plan actually injected *)
-  entries : int;  (** transitions from outside [L] into [L] (recoveries) *)
-  availability : float;  (** [in_l / observed] *)
-  stalled : bool;  (** the run ended {!Engine.Stalled} *)
-}
-
-val availability :
-  horizon:int ->
-  Stabrng.Rng.t ->
-  'a Protocol.t ->
-  'a Scheduler.t ->
-  'a Spec.t ->
-  plan:'a plan ->
-  init:'a array ->
-  availability
-(** Run for [horizon] steps under the plan (no convergence stopping)
-    and measure the fraction of time spent in [L] — the paper's
-    closure-and-convergence pair turned into an uptime number. *)
-
 val availability_profile :
   runs:int ->
   horizon:int ->
@@ -120,9 +98,13 @@ val availability_profile :
   plan:'a plan ->
   init:'a array ->
   Stabstats.Stats.summary
-(** {!availability} over [runs] independent runs, each with its own
+(** Availability over [runs] independent runs, each with its own
     stream and daemon ([scheduler ()]), sampled through
-    {!Montecarlo.sample}: the same summary at every pool width. *)
+    {!Montecarlo.sample}: the same summary at every pool width. A run
+    lasts [horizon] steps under the plan (no convergence stopping) and
+    measures the fraction of its observed configurations (one per
+    engine iteration) that lie in [L] — the paper's
+    closure-and-convergence pair turned into an uptime number. *)
 
 (** {1 Crash faults} *)
 

@@ -75,7 +75,9 @@ val row : t -> int -> (int * float) list
     arrival order. *)
 
 val graph : t -> Digraph.t
-(** The positive-probability edges as a {!Digraph} graph (the chain's
+(** Test seam: the Markov tests check through it that a chain keeps the
+    checker's graph itself and compare its blocks and entry counts.
+    The positive-probability edges as a {!Digraph} graph (the chain's
     own arrays, not a copy). Targets may repeat and need not be sorted,
     and a terminal state has no edge at all: a chain from {!of_space}
     hands over the checker's graph itself, whose rows are its steps in

@@ -131,7 +131,3 @@ let radius_of metrics =
     adversarial = largest (fun m -> m.guaranteed);
     probabilistic = largest (fun m -> m.prob_one);
   }
-
-let radius space cls spec ~max_k =
-  if max_k < 0 then invalid_arg "Resilience.radius: negative max_k";
-  radius_of (analyze space cls spec ~ks:(List.init (max_k + 1) Fun.id))

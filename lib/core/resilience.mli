@@ -54,7 +54,3 @@ val radius_of : metric list -> radius
 (** Both radii from a metric list (the properties are downward closed
     in [k], so the radius is the last budget before the first
     failure). Raises [Invalid_argument] on an empty list. *)
-
-val radius :
-  'a Statespace.t -> Statespace.sched_class -> 'a Spec.t -> max_k:int -> radius
-(** [radius_of (analyze ~ks:[0; ...; max_k])]. *)

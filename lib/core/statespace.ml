@@ -85,8 +85,6 @@ let symmetry_order t =
 let orbit_sizes t =
   match t.view with Full -> None | Quotient q -> Some (Array.copy q.sizes)
 
-let representative t c = match t.view with Full -> c | Quotient q -> q.reps.(c)
-
 let quotient_view t =
   match t.view with
   | Full -> None

@@ -25,7 +25,7 @@ val protocol : 'a t -> 'a Protocol.t
 val encoding : 'a t -> 'a Encoding.t
 (** The encoding of the *full* configuration space — also for
     quotients, whose configuration codes index representatives, not
-    encoding codes. Use {!representative} to translate. *)
+    encoding codes. {!quotient_view}'s [reps] translates them. *)
 
 val count : 'a t -> int
 (** Number of configurations: [|C|] for a full space, the number of
@@ -60,10 +60,6 @@ val symmetry_order : 'a t -> int
 val orbit_sizes : 'a t -> int array option
 (** Per-representative orbit sizes of a quotient ([None] for a full
     space). Summing them yields [count (base t)]. Fresh array. *)
-
-val representative : 'a t -> int -> int
-(** The full-space encoding code behind configuration [c]: the orbit
-    representative for a quotient, [c] itself for a full space. *)
 
 val quotient_view : 'a t -> ('a t * int array * int array * int array) option
 (** [(base, reps, rep_of, sizes)] of a quotient: representative codes,

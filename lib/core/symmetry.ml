@@ -295,30 +295,10 @@ let table t =
     t.canon <- Some a;
     a
 
-(* Writes the orbit minimum of [c] into the entry of every orbit member
-   and returns it. *)
+(* Writes the orbit minimum of [c] into the entry of every orbit member. *)
 let fill_orbit t tbl c =
   let m = Array.fold_left (fun m e -> Int.min m (apply_element t.encoding e c)) c t.elements in
-  Array.iter (fun e -> tbl.(apply_element t.encoding e c) <- m) t.elements;
-  m
-
-(* Orbit-representative (minimum code) of [c], memoized per orbit: a
-   miss applies every group element once and fills the whole orbit, so
-   each orbit is computed exactly once. The table is only ever written
-   from the single-threaded quotient sweep; afterwards all lookups are
-   read-only hits, which keeps Domain-parallel expansion safe. *)
-let canon t c =
-  let tbl = table t in
-  let cached = tbl.(c) in
-  if cached >= 0 then begin
-    Stabobs.Obs.Counter.incr Stabobs.Obs.symmetry_canon_hits;
-    cached
-  end
-  else begin
-    Stabobs.Obs.Counter.incr Stabobs.Obs.symmetry_canon_misses;
-    Stabobs.Obs.Counter.incr Stabobs.Obs.symmetry_orbits;
-    fill_orbit t tbl c
-  end
+  Array.iter (fun e -> tbl.(apply_element t.encoding e c) <- m) t.elements
 
 (* Pool-parallel canonicalization sweep. The orbit minimum of a code
    does not depend on visit order, so when two domains race on members
@@ -326,18 +306,17 @@ let canon t c =
    values — the duplicated orbit walk is the only cost, and the filled
    table is identical to the serial ascending sweep's. Counters are
    emitted once from an exact post-pass (a representative is its own
-   canon), so the recorded hit/miss/orbit totals match the serial sweep
-   at every pool width instead of varying with race outcomes. Meant to
-   be called once on a freshly built group (see Statespace.quotient);
-   the post-pass would re-count orbits already charged by earlier
-   [canon] misses. *)
+   canon), so the recorded hit/miss/orbit totals match a serial
+   ascending sweep at every pool width instead of varying with race
+   outcomes. Meant to be called once on a freshly built group (see
+   Statespace.quotient); a second call would count the orbits again. *)
 let fill_table t =
   let n = Encoding.count t.encoding in
   let tbl = table t in
   Pool.parallel_for ~min_chunk:256 n (fun ~lo ~hi ->
       for c = lo to hi - 1 do
         if c land 1023 = 0 then Cancel.poll ();
-        if tbl.(c) < 0 then ignore (fill_orbit t tbl c)
+        if tbl.(c) < 0 then fill_orbit t tbl c
       done);
   let orbits = ref 0 in
   for c = 0 to n - 1 do
@@ -355,9 +334,3 @@ let canon_value t c =
   let v = (table t).(c) in
   assert (v >= 0);
   v
-
-let orbit t c =
-  let enc = t.encoding in
-  let tbl = Hashtbl.create 8 in
-  Array.iter (fun e -> Hashtbl.replace tbl (apply_element enc e c) ()) t.elements;
-  Hashtbl.fold (fun code () acc -> code :: acc) tbl [] |> List.sort Int.compare

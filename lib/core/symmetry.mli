@@ -43,31 +43,23 @@ val is_trivial : 'a t -> bool
 
 val apply : 'a t -> int -> int -> int
 (** Test seam: the symmetry tests check each group element's action
-    through it; callers reach it through {!canon} and {!orbit}.
-    [apply t i code] is the image of [code] under group element [i]. *)
-
-val canon : 'a t -> int -> int
-(** Orbit representative (minimum code of the orbit). Memoized: the
-    first lookup of an orbit fills the entry of every member, counted by
-    the [symmetry.canon-hit] / [symmetry.canon-miss] /
-    [symmetry.orbits] counters. The cache is written only by
-    single-threaded sweeps or {!fill_table}; concurrent readers of a
-    fully-populated cache are safe. *)
+    through it; callers reach it through {!fill_table}.
+    [apply t i code] is the image of [code] under group element [i],
+    for [0 <= i < group_order t]. *)
 
 val fill_table : 'a t -> unit
-(** Populate the whole canon cache, sharded across the
+(** Populate the whole canon cache (each code's orbit representative,
+    the minimum code of its orbit), sharded across the
     {!Stabcore.Pool}. Safe at any pool width: the orbit minimum is
     visit-order independent, so racing domains write identical values,
-    and the hit/miss/orbit counters are emitted from an exact post-pass
-    — the same totals the serial ascending sweep records. Call it once,
-    on a freshly built group, before read-only parallel consumption. *)
+    and the [symmetry.canon-hit] / [symmetry.canon-miss] /
+    [symmetry.orbits] counters are emitted from an exact post-pass —
+    the same totals at every width. Call it once, on a freshly built
+    group, before read-only parallel consumption. *)
 
 val canon_value : 'a t -> int -> int
-(** Counter-free read of a cache entry filled by {!fill_table} (or by
-    earlier {!canon} calls). Asserts the entry is present. *)
-
-val orbit : 'a t -> int -> int list
-(** All codes in the orbit of [c], sorted, without memoization. *)
+(** Counter-free read of a cache entry filled by {!fill_table}.
+    Asserts the entry is present. *)
 
 (** {1 Soundness checks}
 

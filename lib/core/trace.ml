@@ -16,4 +16,3 @@ let pp protocol fmt trace =
     trace.Engine.events;
   Format.fprintf fmt "@]"
 
-let to_string protocol trace = Format.asprintf "%a" (pp protocol) trace

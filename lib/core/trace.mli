@@ -6,5 +6,3 @@ val pp : 'a Protocol.t -> Format.formatter -> 'a Engine.trace -> unit
 (** Full trace: initial configuration, then one line per step showing
     the fired (process, action) pairs and the resulting
     configuration. *)
-
-val to_string : 'a Protocol.t -> 'a Engine.trace -> string

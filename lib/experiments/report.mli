@@ -9,12 +9,9 @@ val create : title:string -> columns:string list -> t
 val add_row : t -> string list -> unit
 (** Raises [Invalid_argument] on column-count mismatch. *)
 
-val render : t -> string
-(** The title, a header line, a separator and the rows, columns padded
-    to their widest cell. *)
-
 val print : t -> unit
-(** [render] to stdout, followed by a blank line. *)
+(** The title, a header line, a separator and the rows, columns padded
+    to their widest cell, to stdout, followed by a blank line. *)
 
 val to_markdown : t -> string
 (** GitHub-flavored markdown: an [###] title heading, a header row and

@@ -21,12 +21,9 @@ legitimate terminal
 type program
 (** A parsed, type-checked program. *)
 
-val parse : string -> (program, string) result
-(** Parse and type-check source text. The error string carries
-    line/column information. *)
-
 val load : string -> (program, string) result
-(** [load path] reads and parses a [.gcp] file. *)
+(** [load path] reads, parses and type-checks a [.gcp] file. A parse or
+    type error's string carries line/column information. *)
 
 val name : program -> string
 

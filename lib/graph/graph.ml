@@ -51,16 +51,6 @@ let star n =
   if n < 2 then invalid_arg "Graph.star: need n >= 2";
   of_edges ~n (List.init (n - 1) (fun i -> (0, i + 1)))
 
-let complete n =
-  if n < 1 then invalid_arg "Graph.complete: need n >= 1";
-  let edges = ref [] in
-  for p = 0 to n - 1 do
-    for q = p + 1 to n - 1 do
-      edges := (p, q) :: !edges
-    done
-  done;
-  of_edges ~n !edges
-
 let tree_of_pruefer seq n =
   (* Standard Pruefer decoding: n >= 2, seq has length n - 2. The node
      n-1 never becomes the working leaf, so the last edge joins the
@@ -145,9 +135,6 @@ let centers g =
   let radius = Array.fold_left min ecc.(0) ecc in
   List.filter (fun p -> ecc.(p) = radius) (List.init g.n Fun.id)
 
-let leaves g =
-  List.filter (fun p -> degree g p = 1) (List.init g.n Fun.id)
-
 let fold_nodes f g acc =
   let rec go p acc = if p >= g.n then acc else go (p + 1) (f p acc) in
   go 0 acc
@@ -165,11 +152,6 @@ let edges g =
       g []
   in
   List.sort compare all
-
-let pp fmt g =
-  Format.fprintf fmt "@[<hov 2>graph(n=%d;" g.n;
-  List.iter (fun (p, q) -> Format.fprintf fmt "@ %d-%d" p q) (edges g);
-  Format.fprintf fmt ")@]"
 
 (* AHU canonical encoding of a rooted tree: children encodings sorted
    and concatenated inside parentheses. *)

@@ -28,9 +28,6 @@ val chain : int -> t
 val star : int -> t
 (** [star n] has center [0] linked to [1 .. n-1]. Requires [n >= 2]. *)
 
-val complete : int -> t
-(** [complete n] is K_n. Requires [n >= 1]. *)
-
 val random_tree : Stabrng.Rng.t -> int -> t
 (** A uniformly random labelled tree on [n] nodes (random Pruefer
     sequence). Requires [n >= 1]. *)
@@ -90,12 +87,6 @@ val dist : t -> int -> int -> int
 val centers : t -> int list
 (** Nodes of minimum eccentricity, sorted. For a tree this has one or
     two (neighboring) elements — the paper's Property 1. *)
-
-val leaves : t -> int list
-(** Degree-1 nodes, sorted. *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints [n] and the edge list. *)
 
 val automorphisms : ?limit:int -> t -> int array list
 (** The automorphism group of [g] as node permutations, the identity

@@ -1,58 +1,23 @@
-type t = { rows : int; cols : int; data : float array }
+(* Square, row-major. *)
+type t = { n : int; data : float array }
 
-let create ~rows ~cols =
-  if rows <= 0 || cols <= 0 then invalid_arg "Matrix.create: dimensions must be positive";
-  { rows; cols; data = Array.make (rows * cols) 0.0 }
-
-let rows m = m.rows
-let cols m = m.cols
-
-let get m i j = m.data.((i * m.cols) + j)
-let set m i j v = m.data.((i * m.cols) + j) <- v
+let get m i j = m.data.((i * m.n) + j)
+let set m i j v = m.data.((i * m.n) + j) <- v
 
 let identity n =
-  let m = create ~rows:n ~cols:n in
+  if n <= 0 then invalid_arg "Matrix.identity: dimension must be positive";
+  let m = { n; data = Array.make (n * n) 0.0 } in
   for i = 0 to n - 1 do
     set m i i 1.0
   done;
   m
 
-let of_rows arr =
-  let r = Array.length arr in
-  if r = 0 then invalid_arg "Matrix.of_rows: empty";
-  let c = Array.length arr.(0) in
-  if c = 0 then invalid_arg "Matrix.of_rows: empty row";
-  let m = create ~rows:r ~cols:c in
-  Array.iteri
-    (fun i row ->
-      if Array.length row <> c then invalid_arg "Matrix.of_rows: ragged rows";
-      Array.iteri (fun j v -> set m i j v) row)
-    arr;
-  m
-
-let copy m = { m with data = Array.copy m.data }
-
-let mul a b =
-  if a.cols <> b.rows then invalid_arg "Matrix.mul: dimension mismatch";
-  let out = create ~rows:a.rows ~cols:b.cols in
-  for i = 0 to a.rows - 1 do
-    for k = 0 to a.cols - 1 do
-      let aik = get a i k in
-      if aik <> 0.0 then
-        for j = 0 to b.cols - 1 do
-          set out i j (get out i j +. (aik *. get b k j))
-        done
-    done
-  done;
-  out
-
 let pivot_tolerance = 1e-12
 
-(* In-place forward elimination + back substitution: [a] square, [b]
-   of the same size. Both are destroyed; the solution lands in [b]. *)
+(* In-place forward elimination + back substitution: [b] of [a]'s
+   size. Both are destroyed; the solution lands in [b]. *)
 let solve_in_place a b =
-  let n = a.rows in
-  if a.cols <> n then invalid_arg "Matrix.solve: matrix not square";
+  let n = a.n in
   if Array.length b <> n then invalid_arg "Matrix.solve: rhs dimension mismatch";
   let swap_rows i j =
     if i <> j then begin
@@ -108,17 +73,5 @@ let solve_in_place a b =
 
 let solve a b =
   let b = Array.copy b in
-  solve_in_place (copy a) b;
+  solve_in_place { a with data = Array.copy a.data } b;
   b
-
-let pp fmt m =
-  Format.fprintf fmt "@[<v>";
-  for i = 0 to m.rows - 1 do
-    Format.fprintf fmt "@[<hov 2>[";
-    for j = 0 to m.cols - 1 do
-      Format.fprintf fmt "@ %.6g" (get m i j)
-    done;
-    Format.fprintf fmt " ]@]";
-    if i < m.rows - 1 then Format.fprintf fmt "@,"
-  done;
-  Format.fprintf fmt "@]"

@@ -1,18 +1,9 @@
-(* Streaming distributions: Welford moments plus retained samples for
-   exact quantiles, one single-writer cell per (dist, domain) exactly
-   like Obs.Counter. The scalar accumulators live in a floatarray so
-   the lit-path updates store unboxed; the dark path is one atomic
-   load and a branch, shared with the counter/span guard. *)
+(* Streaming distributions: every sample retained, one single-writer
+   cell per (dist, domain) exactly like Obs.Counter; count, moments and
+   quantiles are read off the merged samples. The dark path is one
+   atomic load and a branch, shared with the counter/span guard. *)
 
-(* Slots of [scal]: 0 = running mean, 1 = running M2 (sum of squared
-   deviations), per Welford. Min/max/quantiles come from the retained
-   samples at read time. *)
-type cell = {
-  mutable count : int;
-  scal : floatarray;
-  mutable samples : floatarray;
-  mutable len : int;
-}
+type cell = { mutable samples : floatarray; mutable len : int }
 
 type t = {
   dname : string;
@@ -24,9 +15,7 @@ type t = {
 let registry_mu = Mutex.create ()
 let registry : t list ref = ref []
 
-let new_cell () =
-  let scal = Float.Array.make 2 0.0 in
-  { count = 0; scal; samples = Float.Array.create 0; len = 0 }
+let new_cell () = { samples = Float.Array.create 0; len = 0 }
 
 let make dname =
   let mu = Mutex.create () in
@@ -50,26 +39,13 @@ let push cell x =
   Float.Array.set cell.samples cell.len x;
   cell.len <- cell.len + 1
 
-let record t x =
-  if Obs.on () then begin
-    let cell = Domain.DLS.get t.key in
-    let n = cell.count + 1 in
-    cell.count <- n;
-    let mean = Float.Array.get cell.scal 0 in
-    let delta = x -. mean in
-    let mean' = mean +. (delta /. float_of_int n) in
-    Float.Array.set cell.scal 0 mean';
-    Float.Array.set cell.scal 1 (Float.Array.get cell.scal 1 +. (delta *. (x -. mean')));
-    push cell x
-  end
+let record t x = if Obs.on () then push (Domain.DLS.get t.key) x
 
 let record_int t k = if Obs.on () then record t (float_of_int k)
 
-let name t = t.dname
-
 let cells_of t = Mutex.protect t.mu (fun () -> !(t.cells))
 
-let count t = List.fold_left (fun acc c -> acc + c.count) 0 (cells_of t)
+let count t = List.fold_left (fun acc c -> acc + c.len) 0 (cells_of t)
 
 type summary = {
   count : int;
@@ -81,24 +57,6 @@ type summary = {
   p95 : float;
   p99 : float;
 }
-
-(* Chan et al.'s pairwise combination of Welford accumulators: exact
-   for the merged stream regardless of how samples were split across
-   domains. *)
-let merge_moments cells =
-  List.fold_left
-    (fun (n, mean, m2) (c : cell) ->
-      if c.count = 0 then (n, mean, m2)
-      else begin
-        let na = float_of_int n and nb = float_of_int c.count in
-        let mb = Float.Array.get c.scal 0 and m2b = Float.Array.get c.scal 1 in
-        let total = na +. nb in
-        let delta = mb -. mean in
-        ( n + c.count,
-          mean +. (delta *. nb /. total),
-          m2 +. m2b +. (delta *. delta *. na *. nb /. total) )
-      end)
-    (0, 0.0, 0.0) cells
 
 let merged_samples cells total =
   let all = Float.Array.create total in
@@ -124,13 +82,21 @@ let quantile_sorted sorted q =
     (Float.Array.get sorted lo *. (1.0 -. frac)) +. (Float.Array.get sorted hi *. frac)
   end
 
+(* Two passes over the merged samples, as Stabstats.Stats.summarize
+   takes them: the mean, then the squared deviations from it. *)
 let summary t =
   let cells = cells_of t in
-  let n, mean, m2 = merge_moments cells in
+  let n = List.fold_left (fun acc c -> acc + c.len) 0 cells in
   if n = 0 then None
   else begin
     let sorted = merged_samples cells n in
-    let stddev = if n < 2 then 0.0 else sqrt (m2 /. float_of_int (n - 1)) in
+    let mean = Float.Array.fold_left ( +. ) 0.0 sorted /. float_of_int n in
+    let stddev =
+      if n < 2 then 0.0
+      else
+        let m2 = Float.Array.fold_left (fun acc x -> acc +. ((x -. mean) ** 2.0)) 0.0 sorted in
+        sqrt (m2 /. float_of_int (n - 1))
+    in
     Some
       {
         count = n;
@@ -144,28 +110,12 @@ let summary t =
       }
   end
 
-let quantile t q =
-  if q < 0.0 || q > 1.0 then invalid_arg "Dist.quantile: q out of [0, 1]";
-  let cells = cells_of t in
-  let n = List.fold_left (fun acc (c : cell) -> acc + c.count) 0 cells in
-  if n = 0 then None else Some (quantile_sorted (merged_samples cells n) q)
-
 let all () = List.rev (Mutex.protect registry_mu (fun () -> !registry))
 
 let snapshot () =
   List.filter_map (fun t -> Option.map (fun s -> (t.dname, s)) (summary t)) (all ())
 
-let reset_all () =
-  List.iter
-    (fun t ->
-      List.iter
-        (fun (c : cell) ->
-          c.count <- 0;
-          c.len <- 0;
-          Float.Array.set c.scal 0 0.0;
-          Float.Array.set c.scal 1 0.0)
-        (cells_of t))
-    (all ())
+let reset_all () = List.iter (fun t -> List.iter (fun c -> c.len <- 0) (cells_of t)) (all ())
 
 let engine_run_steps = make "engine.run.steps"
 let checker_out_degree = make "checker.out-degree"

@@ -2,9 +2,10 @@
 
     A [Dist.t] accumulates a stream of float samples — span durations,
     per-run step counts, transition fan-outs — and answers with
-    count/mean/stddev (Welford's online algorithm, so the running
-    moments are numerically stable) and exact quantiles (every sample
-    is retained; p50/p95/p99 are read off the sorted union on demand).
+    count/mean/stddev and exact quantiles: every sample is retained,
+    and the summary is read off their sorted union on demand (two
+    passes, mean then squared deviations, as
+    [Stabstats.Stats.summarize] takes them).
 
     {b Same cost discipline as {!Obs.Counter}.} With no sink installed
     a [record] is one atomic load and a branch — no allocation, no
@@ -13,9 +14,9 @@
 
     {b Domain-safe.} One accumulator cell per (dist, domain), created
     through [Domain.DLS] on first record; each cell has a single
-    writer. Readers merge cells with the parallel-Welford combination
-    formula, so moments over samples recorded from [Domain.spawn]ed
-    workers are exact. Reads are racy against concurrent writers —
+    writer. Readers merge the cells' samples, so a summary over samples
+    recorded from [Domain.spawn]ed workers is the same as over one
+    stream. Reads are racy against concurrent writers —
     summarize between, not during, instrumented work (the same
     contract as {!Obs.Counter.reset_all}).
 
@@ -37,8 +38,9 @@ val record_int : t -> int -> unit
 (** [record] of [float_of_int]; the conversion is skipped on the dark
     path, so an int sample costs nothing when telemetry is off. *)
 
-val name : t -> string
 val count : t -> int
+(** Test seam: the tests check through it that dark records are dropped
+    and that the pipeline's dists fill. Samples recorded so far. *)
 
 type summary = {
   count : int;
@@ -54,18 +56,14 @@ type summary = {
 val summary : t -> summary option
 (** [None] until at least one sample has been recorded. *)
 
-val quantile : t -> float -> float option
-(** [quantile t q] with [0 <= q <= 1]; [None] when empty. Linear
-    interpolation between order statistics, matching
-    [Stabstats.Stats.quantile]. *)
-
 val snapshot : unit -> (string * summary) list
 (** Every registered dist that has recorded at least one sample, in
     registration order. *)
 
 val reset_all : unit -> unit
-(** Drop every sample of every dist. Racy against concurrent writers;
-    call between, not during, instrumented work. *)
+(** Test seam: tests start each case from empty distributions. Drop
+    every sample of every dist. Racy against concurrent writers; call
+    between, not during, instrumented work. *)
 
 (** {1 The pipeline's well-known distributions} *)
 

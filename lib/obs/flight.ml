@@ -49,7 +49,6 @@ let enable ?capacity:cap () =
   | _ -> ());
   Obs.set_flight_hook (Some record)
 
-let disable () = Obs.set_flight_hook None
 
 (* Breadcrumbs: ring-only messages that bypass the log level and the
    sinks — the places that matter in a post-mortem (cancellation
@@ -79,12 +78,6 @@ let events () =
         (List.init (cur - lo) Fun.id))
     all
   |> List.stable_sort (fun a b -> compare (event_ts a) (event_ts b))
-
-let domains () =
-  Mutex.protect cells_mu (fun () -> !cells)
-  |> List.filter_map (fun c ->
-         if Atomic.get c.cursor > 0 then Some c.c_domain else None)
-  |> List.sort_uniq compare
 
 (* --- dump sections --- *)
 
@@ -237,6 +230,7 @@ let dump_pending = write_exit_dump
    list is cleared — rings of live domains are re-created (and
    re-registered) on their next record. *)
 let reset_for_tests () =
+  Obs.set_flight_hook None;
   Mutex.protect cells_mu (fun () ->
       List.iter
         (fun c ->

@@ -29,10 +29,6 @@ val enable : ?capacity:int -> unit -> unit
     ring {e created from now on}; rings already created keep their
     size. Idempotent. *)
 
-val disable : unit -> unit
-(** Stop recording (rings retain their contents; a later dump still
-    sees them). *)
-
 val enabled : unit -> bool
 
 val note : ?level:Obs.level -> string -> unit
@@ -51,13 +47,10 @@ val add_section : string -> (unit -> Json.t) -> unit
     the dump. *)
 
 val events : unit -> Obs.event list
-(** Merged ring contents across every domain that ever recorded, in
-    timestamp order. Racy against live writers (a concurrent record
-    may or may not appear) — meant for dumps and tests, not
-    synchronization. *)
-
-val domains : unit -> int list
-(** Domains with at least one recorded event, ascending. *)
+(** Test seam: the flight tests read the rings through it; callers see
+    them in {!dump_to}'s artifact. Merged ring contents across every
+    domain that ever recorded, in timestamp order. Racy against live
+    writers (a concurrent record may or may not appear). *)
 
 val dump_to : reason:string -> string -> unit
 (** Write the dump artifact — JSONL, one object per line (header,
@@ -88,7 +81,7 @@ val dump_pending : unit -> unit
 (**/**)
 
 val reset_for_tests : unit -> unit
-(** Test seam: each test starts from empty rings, so suite order never
-    matters. Zero every ring. *)
+(** Test seam: each test starts dark from empty rings, so suite order
+    never matters. Stop recording and zero every ring. *)
 
 (**/**)

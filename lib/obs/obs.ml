@@ -145,8 +145,6 @@ module Counter = struct
     let cells = Mutex.protect t.mu (fun () -> !(t.cells)) in
     List.fold_left (fun acc cell -> acc + Atomic.get cell) 0 cells
 
-  let name t = t.cname
-
   let all () = List.rev (Mutex.protect registry_mu (fun () -> !registry))
 
   let snapshot () = List.map (fun t -> (t.cname, value t)) (all ())

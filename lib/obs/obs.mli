@@ -57,8 +57,6 @@ module Counter : sig
   (** Sum over every per-Domain cell, including cells of domains that
       have since terminated. *)
 
-  val name : t -> string
-
   val snapshot : unit -> (string * int) list
   (** Every registered counter with its current value, in registration
       order. *)

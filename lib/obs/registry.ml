@@ -16,11 +16,8 @@ module Gauge = struct
 
   let set t v = if Obs.hot () then Atomic.set t.cell v
   let add t k = if k <> 0 && Obs.hot () then ignore (Atomic.fetch_and_add t.cell k)
-  let value t = Atomic.get t.cell
-  let name t = t.gname
   let all () = List.rev (Mutex.protect registry_mu (fun () -> !registry))
-  let snapshot () = List.map (fun t -> (t.gname, value t)) (all ())
-  let reset_all () = List.iter (fun t -> Atomic.set t.cell 0) (all ())
+  let snapshot () = List.map (fun t -> (t.gname, Atomic.get t.cell)) (all ())
 end
 
 module Label = struct
@@ -35,14 +32,12 @@ module Label = struct
     t
 
   let set t v = if Obs.hot () then Atomic.set t.cell (Some v)
-  let clear t = Atomic.set t.cell None
-  let value t = Atomic.get t.cell
   let all () = List.rev (Mutex.protect registry_mu (fun () -> !registry))
 
   let snapshot () =
-    List.filter_map (fun t -> Option.map (fun v -> (t.lname, v)) (value t)) (all ())
-
-  let reset_all () = List.iter (fun t -> Atomic.set t.cell None) (all ())
+    List.filter_map
+      (fun t -> Option.map (fun v -> (t.lname, v)) (Atomic.get t.cell))
+      (all ())
 end
 
 type snapshot = {

@@ -35,15 +35,6 @@ module Gauge : sig
 
   val add : t -> int -> unit
   (** Atomic increment (negative [k] decrements); no-op when dark. *)
-
-  val value : t -> int
-  val name : t -> string
-
-  val snapshot : unit -> (string * int) list
-  (** Every registered gauge with its current value, in registration
-      order. *)
-
-  val reset_all : unit -> unit
 end
 
 module Label : sig
@@ -53,22 +44,17 @@ module Label : sig
 
   val set : t -> string -> unit
   (** No-op when dark. *)
-
-  val clear : t -> unit
-  val value : t -> string option
-
-  val snapshot : unit -> (string * string) list
-  (** Every set label, in registration order; cleared and never-set
-      labels are omitted. *)
-
-  val reset_all : unit -> unit
 end
 
 type snapshot = {
   ts_ns : int;  (** monotonic instant the snapshot was taken *)
   counters : (string * int) list;  (** {!Obs.Counter.snapshot} *)
-  gauges : (string * int) list;  (** {!Gauge.snapshot} *)
-  labels : (string * string) list;  (** {!Label.snapshot} *)
+  gauges : (string * int) list;
+      (** every registered gauge with its current value, in
+          registration order *)
+  labels : (string * string) list;
+      (** every set label, in registration order; never-set labels
+          are omitted *)
   dists : (string * Dist.summary) list;  (** {!Dist.snapshot} *)
 }
 

@@ -55,6 +55,3 @@ val nonempty_subset : t -> 'a list -> 'a list
 (** [nonempty_subset t items] is a uniformly random non-empty subset of
     a non-empty [items] — the choice a distributed randomized scheduler
     makes among enabled processes. Preserves the input order. *)
-
-val subset : t -> 'a list -> 'a list
-(** Uniformly random (possibly empty) subset. *)

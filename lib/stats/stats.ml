@@ -61,27 +61,6 @@ let quantile xs q =
     (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
   end
 
-let median xs = quantile xs 0.5
-
-type histogram = { bounds : float array; counts : int array }
-
-let histogram ~bins xs =
-  if bins < 1 then invalid_arg "Stats.histogram: bins must be >= 1";
-  if Array.length xs = 0 then invalid_arg "Stats.histogram: empty";
-  let lo = Array.fold_left Float.min xs.(0) xs in
-  let hi = Array.fold_left Float.max xs.(0) xs in
-  let hi = if hi = lo then lo +. 1.0 else hi in
-  let width = (hi -. lo) /. float_of_int bins in
-  let bounds = Array.init (bins + 1) (fun i -> lo +. (float_of_int i *. width)) in
-  let counts = Array.make bins 0 in
-  Array.iter
-    (fun x ->
-      let idx = int_of_float ((x -. lo) /. width) in
-      let idx = if idx >= bins then bins - 1 else if idx < 0 then 0 else idx in
-      counts.(idx) <- counts.(idx) + 1)
-    xs;
-  { bounds; counts }
-
 let pp_summary fmt s =
   Format.fprintf fmt "%.3f +/- %.3f [%.3f, %.3f] (n=%d)" s.mean s.stderr s.min s.max
     s.count

@@ -24,15 +24,5 @@ val quantile : float array -> float -> float
 (** [quantile xs q] with [0 <= q <= 1]; linear interpolation between
     order statistics. Does not modify the input. *)
 
-val median : float array -> float
-
-type histogram = { bounds : float array; counts : int array }
-(** [counts.(i)] falls in [[bounds.(i), bounds.(i+1))]; the last bin is
-    closed on the right. *)
-
-val histogram : bins:int -> float array -> histogram
-(** Equal-width bins over the data range. Requires [bins >= 1] and a
-    non-empty array. *)
-
 val pp_summary : Format.formatter -> summary -> unit
 (** One-line [mean +/- stderr [min, max] (n)] rendering. *)

@@ -18,6 +18,10 @@ failed=0
 # (everything up to and including the Monte-Carlo line).
 answers() { sed -n '1,/^montecarlo/p'; }
 
+# profile --json carries timings and per-lane pool figures; keep the
+# object keys of its top three levels, indented by depth.
+json_keys() { sed -n 's/^\( \{2,6\}\)"\([^"]*\)":.*/\1\2/p'; }
+
 # golden NAME FILTER ARGS...: run stabsim ARGS at the pool width, pipe
 # stdout through FILTER and compare with NAME.expected.
 golden() {
@@ -84,6 +88,7 @@ golden montecarlo cat montecarlo -p token-ring -t ring:5 --runs 200
 # Every sampled table: the E1/E2 Monte-Carlo rows, E6, E10 and E11.
 golden experiments cat experiments
 golden profile answers profile token-ring --n 5 --runs 100
+golden profile-json-keys json_keys profile token-ring --n 5 --runs 100 --json
 # The synchronous analyses: the E9 census (leader-tree reaches
 # terminals, cycle length 0), Figure 3's lasso and Theorem 3's closed
 # set among the theorem checks.

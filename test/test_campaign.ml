@@ -159,11 +159,17 @@ let checkpoint_text records =
   Sys.remove path;
   text
 
+(* [Checkpoint.load] of a file holding [text]. *)
+let load_text text =
+  let path = tmp_checkpoint () in
+  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc text);
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> Checkpoint.load path)
+
 let test_checkpoint_roundtrip () =
   List.iter
     (fun status ->
       let r = sample_record status in
-      match Checkpoint.parse_string (checkpoint_text [ r ]) with
+      match load_text (checkpoint_text [ r ]) with
       | [ r' ] -> Alcotest.(check bool) "identical" true (r = r')
       | _ -> Alcotest.fail "roundtrip lost the record")
     [ Checkpoint.Done; Checkpoint.Degraded; Checkpoint.Timed_out; Checkpoint.Quarantined ]
@@ -180,7 +186,7 @@ let test_checkpoint_parse_tolerates_torn_tail () =
     String.concat "\n"
       [ {|{"type":"campaign","name":"t"}|}; whole; "not json at all"; torn ]
   in
-  let records = Checkpoint.parse_string text in
+  let records = load_text text in
   (* The torn line and the garbage line are skipped; the header is not
      a cell; exactly the one whole record survives. *)
   Alcotest.(check int) "one record" 1 (List.length records)
@@ -227,18 +233,18 @@ let test_checkpoint_append_after_torn_tail () =
 
 let test_cancel_latches_first_reason () =
   let t = Stabcore.Cancel.create () in
-  Alcotest.(check bool) "fresh" true (Stabcore.Cancel.cancelled t = None);
+  Alcotest.(check bool) "fresh" true (Stabcore.Cancel.peek t = None);
   Stabcore.Cancel.cancel ~reason:Stabcore.Cancel.Timeout t;
   Stabcore.Cancel.cancel ~reason:Stabcore.Cancel.Drained t;
   Alcotest.(check bool)
     "first reason wins" true
-    (Stabcore.Cancel.cancelled t = Some Stabcore.Cancel.Timeout)
+    (Stabcore.Cancel.peek t = Some Stabcore.Cancel.Timeout)
 
 let test_cancel_deadline_fires () =
   let t = Stabcore.Cancel.create ~deadline_ns:(Stabobs.Obs.now_ns () - 1) () in
   Alcotest.check_raises "expired deadline"
     (Stabcore.Cancel.Cancelled Stabcore.Cancel.Timeout) (fun () ->
-      Stabcore.Cancel.check t)
+      Stabcore.Cancel.with_current t Stabcore.Cancel.poll)
 
 let test_cancel_current_scoping () =
   Alcotest.(check bool) "no ambient token" true (Stabcore.Cancel.current () = None);
@@ -294,7 +300,7 @@ let test_backoff_deterministic_and_bounded () =
 
 (* --- the runner itself --- *)
 
-let render campaign outcomes = Stabexp.Report.render (Runner.report campaign outcomes)
+let render campaign outcomes = Stabexp.Report.to_markdown (Runner.report campaign outcomes)
 
 let test_run_all_green () =
   let campaign = green_campaign () in

@@ -2,7 +2,15 @@
 
 open Stabcore
 
-let make_enc domains = Encoding.make ~equal:Int.equal (Array.map (fun d -> d) domains)
+(* The encoding of a protocol on a chain whose process [i] has domain
+   [domains.(i)]. *)
+let make_enc domains =
+  Encoding.of_protocol
+    {
+      (Fixtures.ragged_domains ()) with
+      Protocol.graph = Stabgraph.Graph.chain (Array.length domains);
+      domain = Array.get domains;
+    }
 
 let test_count () =
   let enc = make_enc [| [ 0; 1 ]; [ 0; 1; 2 ]; [ 0; 1; 2; 3 ] |] in
@@ -26,7 +34,7 @@ let test_decode_distinct () =
 
 let test_non_contiguous_domain_values () =
   (* Domain values need not be 0-based indexes. *)
-  let enc = Encoding.make ~equal:Int.equal [| [ 10; 20 ]; [ 7; 8; 9 ] |] in
+  let enc = make_enc [| [ 10; 20 ]; [ 7; 8; 9 ] |] in
   Alcotest.(check int) "count" 6 (Encoding.count enc);
   let cfg = [| 20; 9 |] in
   Alcotest.(check (array int)) "roundtrip values" cfg
@@ -77,7 +85,7 @@ let qcheck_roundtrip =
     QCheck.(pair (list_of_size (Gen.int_range 1 5) (int_range 1 5)) (int_range 0 10_000))
     (fun (sizes, salt) ->
       let domains = Array.of_list (List.map (fun s -> List.init s Fun.id) sizes) in
-      let enc = Encoding.make ~equal:Int.equal domains in
+      let enc = make_enc domains in
       let code = salt mod Encoding.count enc in
       Encoding.encode enc (Encoding.decode enc code) = code)
 

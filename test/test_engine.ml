@@ -162,7 +162,7 @@ let test_adversary_sees_config () =
 let test_trace_pp () =
   let p = Fixtures.mod3_protocol () in
   let trace = Engine.replay p ~init:[| 1; 1 |] [ [ 0 ] ] in
-  let rendered = Trace.to_string p trace in
+  let rendered = Format.asprintf "%a" (Trace.pp p) trace in
   Alcotest.(check bool) "mentions initial config" true (contains ~needle:"[1 1]" rendered);
   Alcotest.(check bool) "mentions fired action" true (contains ~needle:"0:bump" rendered);
   Alcotest.(check bool) "mentions successor" true (contains ~needle:"[2 1]" rendered)
@@ -382,7 +382,7 @@ let test_trace_pp_compact_and_event () =
      (process:action) pairs on the arrow into its successor. *)
   let p = Fixtures.mod3_protocol () in
   let trace = Engine.replay p ~init:[| 1; 1 |] [ [ 0 ] ] in
-  match String.split_on_char '\n' (Trace.to_string p trace) with
+  match String.split_on_char '\n' (Format.asprintf "%a" (Trace.pp p) trace) with
   | [ init; step ] ->
     Alcotest.(check bool) "initial line" true (contains ~needle:"[1 1]" init);
     Alcotest.(check bool) "step's arrow" true (contains ~needle:"--{0:bump}--> [2 1]" step)

@@ -12,8 +12,8 @@ let test_report_rendering () =
   let t = Stabexp.Report.create ~title:"demo" ~columns:[ "a"; "bb" ] in
   Stabexp.Report.add_row t [ "x"; "y" ];
   Stabexp.Report.add_row t [ "long-cell"; "z" ];
-  let rendered = Stabexp.Report.render t in
-  Alcotest.(check bool) "title" true (contains ~needle:"== demo" rendered);
+  let rendered = Stabexp.Report.to_markdown t in
+  Alcotest.(check bool) "title" true (contains ~needle:"### demo" rendered);
   Alcotest.(check bool) "header" true (contains ~needle:"a" rendered);
   Alcotest.(check bool) "cells" true (contains ~needle:"long-cell" rendered)
 
@@ -144,7 +144,7 @@ let test_theorem_ids () =
 
 let test_theorem_report_renders () =
   let r = List.assoc "T3" Stabexp.Theorems.all () in
-  let rendered = Stabexp.Report.render (Stabexp.Theorems.report r) in
+  let rendered = Stabexp.Report.to_markdown (Stabexp.Theorems.report r) in
   Alcotest.(check bool) "mentions id" true (contains ~needle:"T3" rendered)
 
 (* --- quantitative spot checks --- *)

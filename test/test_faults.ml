@@ -245,19 +245,16 @@ let test_availability_bounds_and_entries () =
   let spec = Stabalgo.Token_ring.spec ~n in
   let plan = Faults.periodic p ~gap:25 ~faults:1 in
   let a =
-    Faults.availability ~horizon:500 (Stabrng.Rng.create 16) p
-      (Scheduler.central_random ())
-      spec ~plan
-      ~init:(Stabalgo.Token_ring.legitimate_config ~n)
+    (Faults.availability_profile ~runs:1 ~horizon:500 (Stabrng.Rng.create 16) p
+       Scheduler.central_random spec ~plan
+       ~init:(Stabalgo.Token_ring.legitimate_config ~n))
+      .Stabstats.Stats.mean
   in
-  Alcotest.(check bool) "within [0,1]" true (a.Faults.availability >= 0.0 && a.Faults.availability <= 1.0);
-  Alcotest.(check int) "observed = horizon + 1" 501 a.Faults.observed;
-  Alcotest.(check bool) "faults injected" true (a.Faults.injections > 0);
-  Alcotest.(check bool) "recovered at least once" true (a.Faults.entries >= 1);
-  Alcotest.(check bool) "not stalled" true (not a.Faults.stalled);
-  Alcotest.(check bool)
-    "mostly up: faults are rare" true
-    (a.Faults.availability > 0.5)
+  (* The first fault lands at step 25 of 500: up more than half the
+     time means the run recovered, down some of the time means the
+     plan injected. *)
+  Alcotest.(check bool) "faults injected" true (a < 1.0);
+  Alcotest.(check bool) "mostly up: faults are rare, recovery follows" true (a > 0.5)
 
 let test_recovery_profile_with_plan_converges () =
   let n = 5 in

@@ -17,11 +17,9 @@ module Doctor = Stabcampaign.Doctor
    suite order never matters. *)
 let fresh f =
   Obs.clear ();
-  Flight.disable ();
   Flight.reset_for_tests ();
   Fun.protect
     ~finally:(fun () ->
-      Flight.disable ();
       Flight.reset_for_tests ();
       Obs.clear ())
     f
@@ -160,7 +158,11 @@ let test_multi_domain_merge () =
       in
       let a = spawn "a" and b = spawn "b" in
       let ida = Domain.join a and idb = Domain.join b in
-      let ds = Flight.domains () in
+      let ds =
+        List.filter_map
+          (function Obs.Message { domain; _ } -> Some domain | _ -> None)
+          (Flight.events ())
+      in
       Alcotest.(check bool) "domain a's ring merged" true (List.mem ida ds);
       Alcotest.(check bool) "domain b's ring merged" true (List.mem idb ds);
       Alcotest.(check bool) "parent recorded too" true
@@ -280,12 +282,12 @@ let test_pending_latch () =
 
 let test_cancel_peek_does_not_latch () =
   (* A token already past its deadline: [peek] must not notice (no
-     clock read, no latch), [cancelled] must. *)
+     clock read, no latch), [poll] must. *)
   let t = Cancel.create ~deadline_ns:(Obs.now_ns () - 1_000_000) () in
   Alcotest.(check bool) "peek sees nothing" true (Cancel.peek t = None);
   Alcotest.(check bool) "peek did not latch" true (Cancel.peek t = None);
-  Alcotest.(check bool) "cancelled latches the timeout" true
-    (Cancel.cancelled t = Some Cancel.Timeout);
+  Alcotest.check_raises "poll latches the timeout" (Cancel.Cancelled Cancel.Timeout)
+    (fun () -> Cancel.with_current t Cancel.poll);
   Alcotest.(check bool) "now peek sees it" true
     (Cancel.peek t = Some Cancel.Timeout)
 
@@ -293,13 +295,13 @@ let test_cancel_last_poll_tracked () =
   let t = Cancel.create ~deadline_ns:(Obs.now_ns () + 1_000_000_000) () in
   Alcotest.(check int) "no poll yet" 0 (Cancel.last_poll_ns t);
   let before = Obs.now_ns () in
-  ignore (Cancel.cancelled t);
+  Cancel.with_current t Cancel.poll;
   Alcotest.(check bool) "poll instant recorded" true
     (Cancel.last_poll_ns t >= before);
   ignore (Cancel.peek t);
   let after_peek = Cancel.last_poll_ns t in
-  ignore (Cancel.cancelled t);
-  Alcotest.(check bool) "peek froze it, cancelled advanced it" true
+  Cancel.with_current t Cancel.poll;
+  Alcotest.(check bool) "peek froze it, poll advanced it" true
     (Cancel.last_poll_ns t >= after_peek)
 
 (* --- doctor heuristics on a hand-built dump --- *)
@@ -312,26 +314,46 @@ let synthetic_dump =
       {|{"type":"message","level":"warn","ts_ns":99000000000,"domain":1,"text":"markov: sweep budget exhausted (Max_sweeps=200)"}|};
     ]
 
+(* [Doctor.load] of a file holding [text]. *)
+let doctor_load_text text =
+  let path = Filename.temp_file "stabsim-doctor" ".jsonl" in
+  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc text);
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> Doctor.load path)
+
+(* Domains with at least one event. *)
+let event_domains t =
+  List.sort_uniq compare (List.filter_map (Stabobs.Json.member "domain") t.Doctor.events)
+
 let test_doctor_hints () =
-  match Doctor.parse_string synthetic_dump with
+  match doctor_load_text synthetic_dump with
   | Error e -> Alcotest.failf "synthetic dump does not parse: %s" e
   | Ok t ->
-    let hints = Doctor.hints t in
+    let rendered = Doctor.render t in
+    (* The hints are the last section: one line each after "hints:". *)
+    let hints =
+      match List.rev (String.split_on_char '\n' rendered) with
+      | "" :: lines ->
+        let rec upto acc = function
+          | "hints:" :: _ -> acc
+          | l :: rest -> upto (l :: acc) rest
+          | [] -> Alcotest.fail "no hints section rendered"
+        in
+        upto [] lines
+      | _ -> Alcotest.fail "render does not end in a newline"
+    in
     Alcotest.(check int) "all three smells diagnosed" 3 (List.length hints);
     let any sub = List.exists (fun h -> contains h sub) hints in
     Alcotest.(check bool) "stale cancel poll" true
       (any "stopped reaching Cancel.poll");
     Alcotest.(check bool) "heartbeat gap" true (any "heartbeat gap");
-    Alcotest.(check bool) "sweep budget" true (any "sweep budget");
-    let rendered = Doctor.render t in
-    Alcotest.(check bool) "hints rendered" true (contains rendered "hints:")
+    Alcotest.(check bool) "sweep budget" true (any "sweep budget")
 
 let test_doctor_rejects_non_dumps () =
-  (match Doctor.parse_string {|{"type":"span_begin","name":"x","ts_ns":1}|} with
+  (match doctor_load_text {|{"type":"span_begin","name":"x","ts_ns":1}|} with
   | Error e ->
     Alcotest.(check bool) "headerless rejected" true (contains e "no header")
   | Ok _ -> Alcotest.fail "accepted a dump with no header");
-  match Doctor.parse_string "not json at all" with
+  match doctor_load_text "not json at all" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted garbage"
 
@@ -385,7 +407,7 @@ let test_sigkill_leaves_parseable_dump () =
       Sys.file_exists dump
       &&
       match Doctor.load dump with
-      | Ok t -> List.length (Doctor.domains t) >= 2
+      | Ok t -> List.length (event_domains t) >= 2
       | Error _ -> false
     in
     if ripe then ()
@@ -412,7 +434,7 @@ let test_sigkill_leaves_parseable_dump () =
   | Ok t ->
     Alcotest.(check bool) "events survived" true (t.Doctor.events <> []);
     Alcotest.(check bool) "events from more than one domain" true
-      (List.length (Doctor.domains t) >= 2);
+      (List.length (event_domains t) >= 2);
     Alcotest.(check bool) "campaign section present" true
       (List.mem_assoc "campaign" t.Doctor.sections);
     Alcotest.(check bool) "pool section present" true

@@ -6,8 +6,14 @@ open Stabcore
 
 let ok_exn = function Ok v -> v | Error m -> Alcotest.failf "unexpected error: %s" m
 
+(* [Gcp.load] of a file holding [source]. *)
+let parse source =
+  let path = Filename.temp_file "stabsim-gcp" ".gcp" in
+  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc source);
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> Stabgcp.Gcp.load path)
+
 let parse_err source =
-  match Stabgcp.Gcp.parse source with
+  match parse source with
   | Ok _ -> Alcotest.fail "expected a parse/type error"
   | Error m -> m
 
@@ -26,7 +32,7 @@ legitimate terminal|}
 (* --- parsing --- *)
 
 let test_parse_minimal () =
-  let p = ok_exn (Stabgcp.Gcp.parse mis_source) in
+  let p = ok_exn (parse mis_source) in
   Alcotest.(check string) "name" "mis" (Stabgcp.Gcp.name p)
 
 let test_comments_and_whitespace () =
@@ -34,7 +40,7 @@ let test_comments_and_whitespace () =
     "# leading comment\nprotocol demo // trailing comment\nvar x : 0 .. 3\n\
      action up :: x < 3 -> x := x + 1\nlegitimate all x == 3"
   in
-  let p = ok_exn (Stabgcp.Gcp.parse source) in
+  let p = ok_exn (parse source) in
   Alcotest.(check string) "name" "demo" (Stabgcp.Gcp.name p)
 
 let test_parse_error_reports_position () =
@@ -80,7 +86,7 @@ let test_guard_must_be_bool () =
 (* --- instantiation and semantics --- *)
 
 let test_mis_matches_native_everywhere () =
-  let program = ok_exn (Stabgcp.Gcp.parse mis_source) in
+  let program = ok_exn (parse mis_source) in
   List.iter
     (fun g ->
       let dsl, dsl_spec = ok_exn (Stabgcp.Gcp.instantiate program g) in
@@ -111,7 +117,7 @@ let test_degree_dependent_domain () =
   let source =
     "protocol deg\nvar p : 0 .. degree - 1\naction a :: p > 0 -> p := 0\nlegitimate terminal"
   in
-  let program = ok_exn (Stabgcp.Gcp.parse source) in
+  let program = ok_exn (parse source) in
   let g = Stabgraph.Graph.star 4 in
   let protocol, _ = ok_exn (Stabgcp.Gcp.instantiate program g) in
   Alcotest.(check int) "center domain" 3 (List.length (protocol.Protocol.domain 0));
@@ -122,7 +128,7 @@ let test_empty_domain_rejected () =
   let source =
     "protocol bad\nvar p : 1 .. degree - 1\naction a :: p > 1 -> p := 1\nlegitimate terminal"
   in
-  let program = ok_exn (Stabgcp.Gcp.parse source) in
+  let program = ok_exn (parse source) in
   match Stabgcp.Gcp.instantiate program (Stabgraph.Graph.star 3) with
   | Ok _ -> Alcotest.fail "empty domain must be rejected"
   | Error m -> Alcotest.(check bool) "message" true (contains ~needle:"empty domain" m)
@@ -134,7 +140,7 @@ let test_first_and_minmax () =
      action a :: exists q (q.c == c) -> c := first v in 0 .. 3 with forall q (q.c != v)\n\
      legitimate all forall q (q.c != c)"
   in
-  let program = ok_exn (Stabgcp.Gcp.parse source) in
+  let program = ok_exn (parse source) in
   let g = Stabgraph.Graph.star 4 in
   let protocol, _ = ok_exn (Stabgcp.Gcp.instantiate program g) in
   (* center 0 conflicts; neighbors hold 0,1,2 -> first free is 3. *)
@@ -148,7 +154,7 @@ let test_max_aggregate () =
     "protocol m\nvar v : 0 .. 9\naction a :: max q (q.v) > v -> v := max q (q.v)\n\
      legitimate all forall q (q.v <= v)"
   in
-  let program = ok_exn (Stabgcp.Gcp.parse source) in
+  let program = ok_exn (parse source) in
   let g = Stabgraph.Graph.chain 3 in
   let protocol, spec = ok_exn (Stabgcp.Gcp.instantiate program g) in
   let cfg = [| [| 1 |]; [| 5 |]; [| 2 |] |] in
@@ -166,7 +172,7 @@ let test_is_me () =
      action grab :: !(exists q (q.p is me)) -> p := (p + 1) % degree\n\
      legitimate terminal"
   in
-  let program = ok_exn (Stabgcp.Gcp.parse source) in
+  let program = ok_exn (parse source) in
   let g = Stabgraph.Graph.chain 2 in
   let protocol, _ = ok_exn (Stabgcp.Gcp.instantiate program g) in
   (* Both point at each other (only possible value 0): nobody enabled. *)
@@ -178,7 +184,7 @@ let test_runtime_errors_positioned () =
     "protocol r\nvar x : 0 .. 3\naction a :: x < 3 -> x := first v in 0 .. 3 with v > 5\n\
      legitimate terminal"
   in
-  let program = ok_exn (Stabgcp.Gcp.parse source) in
+  let program = ok_exn (parse source) in
   let protocol, _ = ok_exn (Stabgcp.Gcp.instantiate program (Stabgraph.Graph.chain 2)) in
   (try
      ignore (Protocol.step_outcomes protocol [| [| 0 |]; [| 0 |] |] [ 0 ]);
@@ -190,7 +196,7 @@ let test_assignment_outside_domain_rejected () =
   let source =
     "protocol r\nvar x : 0 .. 3\naction a :: x == 0 -> x := 7\nlegitimate terminal"
   in
-  let program = ok_exn (Stabgcp.Gcp.parse source) in
+  let program = ok_exn (parse source) in
   let protocol, _ = ok_exn (Stabgcp.Gcp.instantiate program (Stabgraph.Graph.chain 2)) in
   try
     ignore (Protocol.step_outcomes protocol [| [| 0 |]; [| 0 |] |] [ 0 ]);

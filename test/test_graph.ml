@@ -19,7 +19,6 @@ let test_chain_structure () =
   let g = Graph.chain 5 in
   Alcotest.(check bool) "is tree" true (Graph.is_tree g);
   Alcotest.(check int) "end to end" 4 (Graph.dist g 0 4);
-  Alcotest.(check (list int)) "leaves" [ 0; 4 ] (Graph.leaves g);
   Alcotest.(check (list int)) "center" [ 2 ] (Graph.centers g)
 
 let test_chain_even_two_centers () =
@@ -33,11 +32,6 @@ let test_star () =
   Alcotest.(check (list int)) "center" [ 0 ] (Graph.centers g);
   Alcotest.(check int) "leaf to leaf" 2 (Graph.dist g 1 6);
   Alcotest.(check int) "max degree" 6 (Graph.max_degree g)
-
-let test_complete () =
-  let g = Graph.complete 5 in
-  Alcotest.(check int) "edges" 10 (List.length (Graph.edges g));
-  Alcotest.(check int) "all adjacent" 1 (Graph.dist g 0 4)
 
 let test_of_edges_validation () =
   let inv name f = Alcotest.check_raises name (Invalid_argument name) f in
@@ -161,7 +155,6 @@ let suite =
     Alcotest.test_case "chain structure" `Quick test_chain_structure;
     Alcotest.test_case "chain even centers" `Quick test_chain_even_two_centers;
     Alcotest.test_case "star" `Quick test_star;
-    Alcotest.test_case "complete" `Quick test_complete;
     Alcotest.test_case "of_edges validation" `Quick test_of_edges_validation;
     Alcotest.test_case "local indexes" `Quick test_local_indexes;
     Alcotest.test_case "distances" `Quick test_distances;
@@ -170,8 +163,8 @@ let suite =
     Alcotest.test_case "all_trees pairwise distinct" `Quick test_all_trees_pairwise_nonisomorphic;
     Alcotest.test_case "random_tree is tree" `Quick test_random_tree_is_tree;
     Alcotest.test_case "fold/iter" `Quick test_fold_iter;
-    Alcotest.test_case "Property 1 (tree centers)" `Quick test_property_one;
     QCheck_alcotest.to_alcotest qcheck_random_tree_edge_count;
+    Alcotest.test_case "Property 1 (tree centers)" `Quick test_property_one;
     QCheck_alcotest.to_alcotest qcheck_bfs_triangle_inequality;
   ]
 

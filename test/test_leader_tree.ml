@@ -16,7 +16,6 @@ let test_helpers_on_oriented_chain () =
      index 0), 1 is Root, 2 points to 1 (local index 0). *)
   let cfg = [| Parent 0; Root; Parent 0 |] in
   Alcotest.(check (list int)) "leaders" [ 1 ] (leaders cfg);
-  Alcotest.(check (list int)) "children of root" [ 0; 2 ] (children g cfg 1);
   Alcotest.(check bool) "is_lc" true (is_lc g cfg)
 
 let test_root_of_stops_at_mutual_pair () =

@@ -22,7 +22,6 @@ let test_counter_monotonic () =
       Alcotest.(check int) "accumulates" 4 (Obs.Counter.value c);
       Obs.Counter.add c 0;
       Alcotest.(check int) "add 0 is a no-op" 4 (Obs.Counter.value c);
-      Alcotest.(check string) "name" "configs_expanded" (Obs.Counter.name c);
       let snapshot = Obs.Counter.snapshot () in
       Alcotest.(check (option int))
         "snapshot carries the total" (Some 4)
@@ -160,7 +159,7 @@ let test_disabled_path_allocates_nothing () =
   Obs.clear ();
   (* The flight recorder's disabled path too. *)
   let flight_was = Stabobs.Flight.enabled () in
-  Stabobs.Flight.disable ();
+  Stabobs.Flight.reset_for_tests ();
   (* GC sampling on: the mode flag alone must not light anything up —
      only a sink does. *)
   Obs.set_gc_sampling true;
@@ -231,30 +230,27 @@ let test_dist_matches_stats () =
       | None -> Alcotest.fail "summary after 10 records"
       | Some s ->
         Alcotest.(check int) "count" expect.Stabstats.Stats.count s.Dist.count;
-        Alcotest.(check (float 1e-9)) "Welford mean = batch mean"
+        Alcotest.(check (float 1e-9)) "mean = batch mean"
           expect.Stabstats.Stats.mean s.Dist.mean;
-        Alcotest.(check (float 1e-9)) "Welford stddev = batch stddev"
+        Alcotest.(check (float 1e-9)) "stddev = batch stddev"
           expect.Stabstats.Stats.stddev s.Dist.stddev;
         Alcotest.(check (float 0.0)) "min" expect.Stabstats.Stats.min s.Dist.min;
         Alcotest.(check (float 0.0)) "max" expect.Stabstats.Stats.max s.Dist.max;
         List.iter
-          (fun q ->
-            Alcotest.(check (option (float 1e-9)))
+          (fun (q, v) ->
+            Alcotest.(check (float 1e-9))
               (Printf.sprintf "quantile %.2f matches Stats.quantile" q)
-              (Some (Stabstats.Stats.quantile xs q))
-              (Dist.quantile welford_dist q))
-          [ 0.0; 0.25; 0.5; 0.95; 0.99; 1.0 ]);
+              (Stabstats.Stats.quantile xs q) v)
+          [ (0.5, s.Dist.p50); (0.95, s.Dist.p95); (0.99, s.Dist.p99) ]);
   Dist.reset_all ()
 
 let test_dist_quantile_edges () =
   let sink, _ = Obs.memory_sink () in
   with_sink sink (fun () ->
       Dist.reset_all ();
-      (* Empty: no summary, no quantile. *)
+      (* Empty: no summary. *)
       Alcotest.(check bool) "empty has no summary" true
         (Dist.summary edge_dist_empty = None);
-      Alcotest.(check (option (float 0.0))) "empty has no quantile" None
-        (Dist.quantile edge_dist_empty 0.5);
       Alcotest.(check bool) "empty dist not in snapshot" true
         (List.assoc_opt "test.edge-empty" (Dist.snapshot ()) = None);
       (* Singleton: every quantile is the sample, stddev 0. *)
@@ -299,7 +295,7 @@ let test_dist_merges_across_domains () =
         Alcotest.(check int) "all samples merged" 400 s.Dist.count;
         Alcotest.(check (float 1e-9)) "merged mean" expect.Stabstats.Stats.mean
           s.Dist.mean;
-        Alcotest.(check (float 1e-9)) "merged stddev (parallel Welford)"
+        Alcotest.(check (float 1e-9)) "merged stddev"
           expect.Stabstats.Stats.stddev s.Dist.stddev;
         Alcotest.(check (float 1e-9)) "merged p50"
           (Stabstats.Stats.quantile xs 0.5)
@@ -397,43 +393,41 @@ module Registry = Stabobs.Registry
 
 let g_test = Registry.Gauge.make "test.gauge"
 let l_test = Registry.Label.make "test.label"
+let l_unset = Registry.Label.make "test.label.unset"
+
+(* The registry snapshot's reading of a gauge or label. *)
+let gauge name = List.assoc_opt name (Registry.snapshot ()).Registry.gauges
+let label name = List.assoc_opt name (Registry.snapshot ()).Registry.labels
 
 let test_gauge_basics () =
   let sink, _ = Obs.memory_sink () in
   with_sink sink (fun () ->
       Registry.Gauge.set g_test 7;
-      Alcotest.(check int) "set" 7 (Registry.Gauge.value g_test);
+      Alcotest.(check (option int)) "set" (Some 7) (gauge "test.gauge");
       Registry.Gauge.add g_test 5;
       Registry.Gauge.add g_test (-2);
-      Alcotest.(check int) "add up and down" 10 (Registry.Gauge.value g_test);
-      Alcotest.(check string) "name" "test.gauge" (Registry.Gauge.name g_test);
-      Alcotest.(check (option int))
-        "in the gauge snapshot" (Some 10)
-        (List.assoc_opt "test.gauge" (Registry.Gauge.snapshot ()));
+      Alcotest.(check (option int)) "add up and down" (Some 10) (gauge "test.gauge");
       Registry.Label.set l_test "hello";
-      Alcotest.(check (option string))
-        "label set" (Some "hello")
-        (Registry.Label.value l_test);
-      Alcotest.(check (option string))
-        "in the label snapshot" (Some "hello")
-        (List.assoc_opt "test.label" (Registry.Label.snapshot ()));
-      Registry.Label.clear l_test;
-      Alcotest.(check bool) "cleared label leaves the snapshot" true
-        (List.assoc_opt "test.label" (Registry.Label.snapshot ()) = None));
-  Registry.Gauge.reset_all ();
-  Registry.Label.reset_all ()
+      Alcotest.(check (option string)) "label set" (Some "hello") (label "test.label");
+      Alcotest.(check bool) "never-set label stays out of the snapshot" true
+        (label "test.label.unset" = None))
 
 let test_gauge_dark_without_sink () =
+  let sink, _ = Obs.memory_sink () in
+  with_sink sink (fun () ->
+      Registry.Gauge.set g_test 5;
+      Registry.Label.set l_test "kept");
   Obs.clear ();
-  Registry.Gauge.reset_all ();
-  Registry.Label.reset_all ();
   Registry.Gauge.set g_test 42;
   Registry.Gauge.add g_test 42;
   Registry.Label.set l_test "dropped";
-  Alcotest.(check int) "gauge writes dropped when dark" 0
-    (Registry.Gauge.value g_test);
-  Alcotest.(check bool) "label writes dropped when dark" true
-    (Registry.Label.value l_test = None)
+  Registry.Label.set l_unset "dropped";
+  Alcotest.(check (option int)) "gauge writes dropped when dark" (Some 5)
+    (gauge "test.gauge");
+  Alcotest.(check (option string)) "label writes dropped when dark" (Some "kept")
+    (label "test.label");
+  Alcotest.(check bool) "dark label never enters the snapshot" true
+    (label "test.label.unset" = None)
 
 let hammer_gauge = Registry.Gauge.make "test.hammer.gauge"
 let hammer_counter = Obs.Counter.make "test.hammer.counter"
@@ -447,7 +441,7 @@ let test_snapshot_consistency_under_domains () =
   let sink, _ = Obs.memory_sink () in
   with_sink sink (fun () ->
       Obs.Counter.reset_all ();
-      Registry.Gauge.reset_all ();
+      Registry.Gauge.set hammer_gauge 0;
       let stop = Atomic.make false in
       (* Writers only ever store 10^k: any torn read would produce a
          value outside this set. *)
@@ -481,8 +475,7 @@ let test_snapshot_consistency_under_domains () =
       Atomic.set stop true;
       List.iter Domain.join spawned;
       Alcotest.(check bool) "writers made progress" true (!prev_counter > 0));
-  Obs.Counter.reset_all ();
-  Registry.Gauge.reset_all ()
+  Obs.Counter.reset_all ()
 
 let test_snapshot_json_shape () =
   let sink, _ = Obs.memory_sink () in
@@ -499,8 +492,7 @@ let test_snapshot_json_shape () =
             match Json.member k v with
             | Some (Json.Obj _) -> ()
             | _ -> Alcotest.failf "missing or non-object section %S" k)
-          [ "counters"; "gauges"; "labels"; "dists" ]);
-  Registry.Gauge.reset_all ()
+          [ "counters"; "gauges"; "labels"; "dists" ])
 
 (* --- ambient span tags --- *)
 

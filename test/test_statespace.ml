@@ -141,12 +141,12 @@ let bits outcomes = List.map (fun (code, w) -> (code, Int64.bits_of_float w)) ou
 let reference_groups space cls c =
   let p = Statespace.protocol space in
   let enc = Statespace.encoding space in
-  let cfg = Encoding.decode enc (Statespace.representative space c) in
-  let project =
+  let full_code, project =
     match Statespace.quotient_view space with
-    | None -> Fun.id
-    | Some (_, _, rep_of, _) -> fun code -> rep_of.(code)
+    | None -> (c, Fun.id)
+    | Some (_, reps, rep_of, _) -> (reps.(c), fun code -> rep_of.(code))
   in
+  let cfg = Encoding.decode enc full_code in
   let enabled = Array.of_list (Protocol.enabled_processes p cfg) in
   let k = Array.length enabled in
   let members mask =

@@ -10,9 +10,20 @@ let test_smallest_non_divisor () =
         (Stabalgo.Token_ring.smallest_non_divisor n))
     [ (2, 3); (3, 2); (4, 3); (5, 2); (6, 4); (7, 2); (12, 5); (60, 7) ]
 
+(* Process p's predecessor is p - 1 mod n: a token fired at p - 1
+   lands on p, and one fired at n - 1 wraps to 0. *)
 let test_predecessor () =
-  Alcotest.(check int) "pred of 0" 5 (Stabalgo.Token_ring.predecessor ~n:6 0);
-  Alcotest.(check int) "pred of 3" 2 (Stabalgo.Token_ring.predecessor ~n:6 3)
+  let n = 6 in
+  let p = Stabalgo.Token_ring.make ~n in
+  List.iter
+    (fun (from, into) ->
+      let init = Stabalgo.Token_ring.config_with_tokens_at ~n [ from ] in
+      Alcotest.(check (list int))
+        (Printf.sprintf "pred of %d" into)
+        [ into ]
+        (Stabalgo.Token_ring.token_holders ~n
+           (Engine.final_config (Engine.replay p ~init [ [ from ] ]))))
+    [ (5, 0); (2, 3) ]
 
 let test_make_validation () =
   Alcotest.check_raises "n too small" (Invalid_argument "Token_ring.make: need n >= 3")
