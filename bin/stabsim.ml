@@ -354,9 +354,9 @@ let solver_term =
   let solver_arg =
     let doc =
       Printf.sprintf
-        "Hitting-time solver: auto (dense up to %d transient states, sparse Gauss-Seidel \
-         above), exact (dense Gaussian elimination), gs (BSCC-blocked sparse \
-         Gauss-Seidel), jacobi (BSCC-blocked sparse Jacobi)."
+        "Hitting-time solver: auto (exact up to %d transient states, sparse Gauss-Seidel \
+         above), exact (BSCC-blocked Gaussian elimination, one block at a time), gs \
+         (BSCC-blocked sparse Gauss-Seidel), jacobi (BSCC-blocked sparse Jacobi)."
         Stabcore.Markov.dense_limit
     in
     Arg.(
@@ -638,7 +638,7 @@ let markov_cmd =
   Cmd.v
     (Cmd.info "markov"
        ~doc:
-         "Probability-1 convergence and expected stabilization times (dense or sparse \
+         "Probability-1 convergence and expected stabilization times (exact or sparse \
           BSCC-blocked solvers).")
     term
 

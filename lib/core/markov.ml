@@ -425,27 +425,30 @@ type solve_outcome = Converged of solve_stats | Max_sweeps of solve_stats
    states, in place in [x]; entries outside [transient] are boundary
    values and never written. The transient subgraph is decomposed into
    SCCs and solved block by block in reverse topological order, so
-   every out-of-block target read during a block's sweeps is already
-   final — acyclic transient parts (self-stabilizing protocols) reduce
-   to exact back-substitution, and iteration cost concentrates on the
-   recurrent-looking blocks that need it. Each equation is
-   diagonal-solved: x(c) = (base + sum_{c' <> c} w x(c')) / (1 - w_cc),
-   which makes singleton blocks exact in one evaluation. Stops on the
-   relative residual ||x_{k+1} - x_k||_inf / max(1, ||x||_inf) <= tol;
-   a block exceeding [max_sweeps] aborts the remaining blocks and
-   reports [Max_sweeps] with the partial iterate left in [x].
+   every out-of-block target a block reads is already final: acyclic
+   transient parts (self-stabilizing protocols) reduce to exact
+   back-substitution, and the work concentrates on the blocks that
+   need it.
 
-   The sweeps read the [r]-th member of a block at
-   [roff.(r) .. roff.(r + 1) - 1] of [cols]/[w]: a block's rows are
-   merged once, before its sweeps, into these block-local arrays. They
-   are sized once, for the block whose rows merge to the most entries
-   at most, so the merged chain is never held whole. *)
-let solve_transient ~kind ~tolerance ~max_sweeps chain ~transient ~base x =
+   A block's rows are merged once, into block-local arrays sized for
+   the block whose rows merge to the most entries at most, so the
+   merged chain is never held whole. Each row r then splits into a
+   constant [const.(r)] (base plus the out-of-block Σ w·x, summed in row
+   order), its diagonal [diag.(r)] and its in-block entries, kept at
+   [roff.(r) .. roff.(r + 1) - 1] of [cols]/[w] with their targets
+   renumbered to block positions. A singleton block is the one
+   division x(c) = const / (1 - w_cc) under both methods. A larger
+   block is one b×b elimination of (I - Q) x = const under [Exact],
+   or diagonal-solved sweeps over its in-block entries under [Sparse],
+   which stop on the relative residual
+   ||x_{k+1} - x_k||_inf / max(1, ||x||_inf) <= tol; a block exceeding
+   [max_sweeps] aborts the remaining blocks and reports [Max_sweeps]
+   with the partial iterate left in [x]. A transient state that cannot
+   leave itself (w_cc = 1) has no finite solution and does the same. *)
+let solve_transient method_ chain ~transient ~base x =
   let n = states chain and off = chain.g.off in
   let blocks = transient_blocks chain ~transient in
   let nblocks = List.length blocks in
-  let x_old = match kind with Jacobi -> Array.make n 0.0 | Gauss_seidel -> [||] in
-  let block_of = Array.make n (-1) in
   let entries = ref 0 and members = ref 0 in
   List.iter
     (fun block ->
@@ -455,131 +458,136 @@ let solve_transient ~kind ~tolerance ~max_sweeps chain ~transient ~base x =
     blocks;
   let m = merger chain chain.widest and roff = Array.make (!members + 1) 0 in
   let cols = Digraph.create_edges ~nodes:n !entries and w = Array.create_float !entries in
+  let const = Array.create_float !members and diag = Array.create_float !members in
+  let xb = Array.create_float !members in
+  let x_old =
+    match method_ with
+    | Sparse { kind = Jacobi; _ } -> Array.create_float !members
+    | Sparse { kind = Gauss_seidel; _ } | Exact -> xb
+  in
+  (* [slot.(c)] is [c]'s position in its block, so [c'] is in the block
+     being loaded iff it sits at its slot there. *)
+  let slot = Array.make n 0 in
   let load block =
+    let bsize = Array.length block in
+    Array.iteri (fun r c -> slot.(c) <- r) block;
     Array.iteri
       (fun r c ->
         if r land 1023 = 1023 then Cancel.poll ();
-        roff.(r + 1) <- merge m chain c cols w roff.(r))
+        let stop = merge m chain c cols w roff.(r) in
+        let acc = ref base and self = ref 0.0 and e = ref roff.(r) in
+        for i = roff.(r) to stop - 1 do
+          let c' = col cols i in
+          let j = slot.(c') in
+          if c' = c then self := !self +. w.(i)
+          else if j < bsize && block.(j) = c' then begin
+            Bigarray.Array1.set cols !e (Int32.of_int j);
+            w.(!e) <- w.(i);
+            incr e
+          end
+          else acc := !acc +. (w.(i) *. x.(c'))
+        done;
+        const.(r) <- !acc;
+        diag.(r) <- !self;
+        xb.(r) <- x.(c);
+        roff.(r + 1) <- !e)
       block
   in
-  Stabobs.Obs.span "markov.solve.sparse"
-    ~args:[ ("blocks", Stabobs.Json.Int nblocks) ]
-  @@ fun () ->
+  let span =
+    match method_ with Exact -> "markov.solve.exact" | Sparse _ -> "markov.solve.sparse"
+  in
+  Stabobs.Obs.span span ~args:[ ("blocks", Stabobs.Json.Int nblocks) ] @@ fun () ->
   let total_sweeps = ref 0 in
   let worst = ref 0.0 in
   let failed = ref false in
-  (* [value] leaves its result in [out.(0)]: a float returned from a
-     closure would be boxed, once per evaluation. *)
-  let out = Array.make 1 0.0 in
-  let value c r src =
-    (* One diagonal-solved evaluation of state [c]'s equation, its row
-       at [r]; targets inside the current block are read from [src]
-       ([x] in place, or the previous sweep's [x_old]). *)
-    let acc = ref base in
-    let self = ref 0.0 in
-    let b = block_of.(c) in
-    for i = roff.(r) to roff.(r + 1) - 1 do
-      let c' = col cols i in
-      let wv = w.(i) in
-      if c' = c then self := !self +. wv
-      else if block_of.(c') = b then acc := !acc +. (wv *. src.(c'))
-      else acc := !acc +. (wv *. x.(c'))
+  let eliminate bsize =
+    let a = Stablinalg.Matrix.identity bsize in
+    for k = 0 to bsize - 1 do
+      Stablinalg.Matrix.set a k k (1.0 -. diag.(k));
+      for i = roff.(k) to roff.(k + 1) - 1 do
+        Stablinalg.Matrix.set a k (col cols i) (-.w.(i))
+      done
     done;
-    let d = 1.0 -. !self in
-    out.(0) <-
-      (if d > 1e-12 then !acc /. d
-       else
-         (* No leak through the diagonal: the plain fixed-point update.
-            A transient state with w_cc = 1 violates the solvability
-            precondition; this keeps the sweep finite so the block times
-            out instead of dividing by zero. *)
-         !acc +. (!self *. src.(c)))
+    Array.blit (Stablinalg.Matrix.solve a (Array.sub const 0 bsize)) 0 xb 0 bsize
   in
-  let solve_block bid block =
+  let sweep_block ~tolerance ~max_sweeps bsize =
+    let sweeps = ref 0 in
+    let residual = ref infinity in
+    while (not (!residual <= tolerance)) && not !failed do
+      Cancel.poll ();
+      if !sweeps >= max_sweeps then failed := true
+      else begin
+        incr sweeps;
+        if x_old != xb then Array.blit xb 0 x_old 0 bsize;
+        let delta = ref 0.0 in
+        (* max(1, ||x||_inf) folded into the starting norm. *)
+        let norm = ref 1.0 in
+        for k = 0 to bsize - 1 do
+          let acc = ref const.(k) in
+          for i = roff.(k) to roff.(k + 1) - 1 do
+            acc := !acc +. (w.(i) *. x_old.(col cols i))
+          done;
+          let d = 1.0 -. diag.(k) in
+          let v =
+            if d > 1e-12 then !acc /. d
+            else
+              (* No leak through the diagonal: the plain fixed-point
+                 update, so the block times out instead of dividing by
+                 zero. *)
+              !acc +. (diag.(k) *. x_old.(k))
+          in
+          delta := Float.max !delta (Float.abs (v -. xb.(k)));
+          norm := Float.max !norm (Float.abs v);
+          xb.(k) <- v
+        done;
+        residual := !delta /. !norm;
+        Stabobs.Dist.record Stabobs.Dist.markov_solve_residual !residual
+      end
+    done;
+    Stabobs.Obs.Counter.add Stabobs.Obs.markov_solve_sweeps !sweeps;
+    total_sweeps := !total_sweeps + !sweeps;
+    worst := Float.max !worst !residual
+  in
+  let solve_block block =
     let bsize = Array.length block in
-    Array.iter (fun c -> block_of.(c) <- bid) block;
     load block;
     if bsize = 1 then begin
-      let c = block.(0) in
-      let self = ref 0.0 in
-      for i = roff.(0) to roff.(1) - 1 do
-        if col cols i = c then self := !self +. w.(i)
-      done;
-      if 1.0 -. !self > 1e-12 then begin
-        value c 0 x;
-        x.(c) <- out.(0)
-      end
-      else failed := true (* absorbing-in-transient: no finite solution *)
+      let d = 1.0 -. diag.(0) in
+      if d > 1e-12 then x.(block.(0)) <- const.(0) /. d else failed := true
     end
-    else
-      Stabobs.Obs.span "markov.solve.block"
-        ~args:[ ("size", Stabobs.Json.Int bsize) ]
-      @@ fun () ->
-      let sweeps = ref 0 in
-      let residual = ref infinity in
-      let continue = ref true in
-      while !continue do
-        Cancel.poll ();
-        if !sweeps >= max_sweeps then begin
-          failed := true;
-          continue := false
-        end
-        else begin
-          incr sweeps;
-          let src =
-            match kind with
-            | Gauss_seidel -> x
-            | Jacobi ->
-              Array.iter (fun c -> x_old.(c) <- x.(c)) block;
-              x_old
-          in
-          let delta = ref 0.0 in
-          (* max(1, ||x||_inf) folded into the starting norm. *)
-          let norm = ref 1.0 in
-          for k = 0 to bsize - 1 do
-            let c = block.(k) in
-            value c k src;
-            let v = out.(0) in
-            delta := Float.max !delta (Float.abs (v -. x.(c)));
-            norm := Float.max !norm (Float.abs v);
-            x.(c) <- v
-          done;
-          let rel = !delta /. !norm in
-          residual := rel;
-          Stabobs.Dist.record Stabobs.Dist.markov_solve_residual rel;
-          if rel <= tolerance then continue := false
-        end
-      done;
-      Stabobs.Obs.Counter.add Stabobs.Obs.markov_solve_sweeps !sweeps;
-      total_sweeps := !total_sweeps + !sweeps;
-      worst := Float.max !worst !residual
+    else begin
+      (Stabobs.Obs.span "markov.solve.block" ~args:[ ("size", Stabobs.Json.Int bsize) ]
+       @@ fun () ->
+       match method_ with
+       | Exact -> eliminate bsize
+       | Sparse { tolerance; max_sweeps; _ } -> sweep_block ~tolerance ~max_sweeps bsize);
+      Array.iteri (fun r c -> x.(c) <- xb.(r)) block
+    end
   in
   List.iteri
     (fun bid block ->
       if bid land 1023 = 0 then Cancel.poll ();
-      if not !failed then solve_block bid block)
+      if not !failed then solve_block block)
     blocks;
   let stats = { sweeps = !total_sweeps; residual = !worst; blocks = nblocks } in
   if !failed then Max_sweeps { stats with residual = infinity } else Converged stats
+
+(* [solve_transient] for the entry points: an exact solve reports no
+   outcome, and fails as the elimination does on a singular system. *)
+let solve method_ chain ~transient ~base x =
+  match (method_, solve_transient method_ chain ~transient ~base x) with
+  | Exact, Converged _ -> None
+  | Exact, Max_sweeps _ ->
+    failwith "Markov: singular system (a transient state cannot leave itself)"
+  | Sparse _, outcome -> Some outcome
 
 let sparse_hitting_times ?(kind = Gauss_seidel) ?(tolerance = 1e-10)
     ?(max_sweeps = 1_000_000) chain ~legitimate =
   let x = Array.make chain.g.n 0.0 in
   let transient = Array.map not legitimate in
-  let outcome = solve_transient ~kind ~tolerance ~max_sweeps chain ~transient ~base:1.0 x in
-  (x, outcome)
-
-(* The absorption system: the states outside L that can reach it are
-   transient; L is pinned at 1 and the doomed rest at 0. *)
-let absorption_system chain ~legitimate =
-  let can_reach = reaches chain ~target:legitimate in
-  ( Array.mapi (fun c l -> can_reach.(c) && not l) legitimate,
-    Array.map (fun l -> if l then 1.0 else 0.0) legitimate )
-
-let sparse_absorption ?(kind = Gauss_seidel) ?(tolerance = 1e-12)
-    ?(max_sweeps = 1_000_000) chain ~legitimate =
-  let transient, x = absorption_system chain ~legitimate in
-  let outcome = solve_transient ~kind ~tolerance ~max_sweeps chain ~transient ~base:0.0 x in
+  let outcome =
+    solve_transient (Sparse { kind; tolerance; max_sweeps }) chain ~transient ~base:1.0 x
+  in
   (x, outcome)
 
 let no_convergence fn ~tolerance (stats : solve_stats) =
@@ -588,33 +596,6 @@ let no_convergence fn ~tolerance (stats : solve_stats) =
        "Markov.%s: no convergence after %d sweeps across %d blocks (relative \
         residual %g, tolerance %g)"
        fn stats.sweeps stats.blocks stats.residual tolerance)
-
-(* The dense twin of [solve_transient]: x = base + P x over the
-   [transient] states, solved exactly as (I - Q) x = b by Gaussian
-   elimination, where Q is P restricted to [transient] and b is [base]
-   plus each row's one-step mass into the boundary values already in
-   [x]; entries outside [transient] are never written. A boundary value
-   of 0 or 1 adds an exact [0.0] or [w], so b carries no rounding the
-   boundary did not. *)
-let dense_transient chain ~transient ~base x =
-  let states = Array.of_seq (Seq.filter (Array.get transient) (Seq.init chain.g.n Fun.id)) in
-  let t_count = Array.length states in
-  if t_count > 0 then begin
-    Stabobs.Obs.span "markov.solve.exact" @@ fun () ->
-    let pos = Array.make chain.g.n (-1) in
-    Array.iteri (fun i c -> pos.(c) <- i) states;
-    let a = Stablinalg.Matrix.identity t_count and b = Array.make t_count base in
-    let read = rows_reader chain in
-    Array.iteri
-      (fun i c ->
-        read c (fun c' w ->
-            let j = pos.(c') in
-            if j >= 0 then Stablinalg.Matrix.set a i j (Stablinalg.Matrix.get a i j -. w)
-            else b.(i) <- b.(i) +. (w *. x.(c'))))
-      states;
-    let solved = Stablinalg.Matrix.solve a b in
-    Array.iteri (fun i c -> x.(c) <- solved.(i)) states
-  end
 
 let dense_limit = 1200
 
@@ -632,15 +613,8 @@ let hitting_times_result ?method_ chain ~legitimate =
       let x = Array.make chain.g.n 0.0 in
       if count = 0 then (x, None)
       else
-        match Option.value method_ ~default:(default_method ~transient:count) with
-        | Exact ->
-          dense_transient chain ~transient ~base:1.0 x;
-          (x, None)
-        | Sparse { kind; tolerance; max_sweeps } ->
-          let outcome =
-            solve_transient ~kind ~tolerance ~max_sweeps chain ~transient ~base:1.0 x
-          in
-          (x, Some outcome))
+        let method_ = Option.value method_ ~default:(default_method ~transient:count) in
+        (x, solve method_ chain ~transient ~base:1.0 x))
     (converges_with_prob_one chain ~legitimate)
 
 let hitting_times_checked ?method_ chain ~legitimate =
@@ -661,21 +635,21 @@ let expected_hitting_times ?method_ chain ~legitimate =
   | _, Some (Max_sweeps stats) ->
     no_convergence "sparse_hitting_times" ~tolerance:(method_tolerance method_) stats
 
+(* The absorption system: the states outside L that can reach it are
+   transient; L is pinned at 1 and the doomed rest at 0. *)
 let absorption_probabilities ?method_ chain ~legitimate =
   Stabobs.Obs.span "markov.absorption" @@ fun () ->
   let method_ =
     Option.value method_
       ~default:(Sparse { kind = Gauss_seidel; tolerance = 1e-12; max_sweeps = 1_000_000 })
   in
-  match method_ with
-  | Exact ->
-    let transient, x = absorption_system chain ~legitimate in
-    dense_transient chain ~transient ~base:0.0 x;
-    x
-  | Sparse { kind; tolerance; max_sweeps } -> (
-    match sparse_absorption ~kind ~tolerance ~max_sweeps chain ~legitimate with
-    | p, Converged _ -> p
-    | _, Max_sweeps stats -> no_convergence "sparse_absorption" ~tolerance stats)
+  let can_reach = reaches chain ~target:legitimate in
+  let transient = Array.mapi (fun c l -> can_reach.(c) && not l) legitimate in
+  let x = Array.map (fun l -> if l then 1.0 else 0.0) legitimate in
+  match solve method_ chain ~transient ~base:0.0 x with
+  | None | Some (Converged _) -> x
+  | Some (Max_sweeps stats) ->
+    no_convergence "sparse_absorption" ~tolerance:(method_tolerance (Some method_)) stats
 
 let transient_distribution chain ~init ~steps =
   let n = states chain in

@@ -24,13 +24,12 @@
     configuration's g steps, times the outcome's probability for a
     randomized one. {!of_rows} stores its rows
     merged, with their weights. Every row reads as its targets merged
-    and ascending, equal targets' weights summed in arrival order. The
-    iterative solvers are BSCC-aware: the transient subgraph is
-    decomposed into strongly connected blocks solved in reverse
-    topological order, so acyclic parts cost one back-substitution pass
-    and iteration is confined to the blocks that actually need it; the
-    rows are merged one block at a time. See
-    [docs/markov-solvers.md]. *)
+    and ascending, equal targets' weights summed in arrival order. Both
+    solvers are BSCC-blocked: the transient subgraph is decomposed into
+    strongly connected blocks solved in reverse topological order, so
+    acyclic parts cost one back-substitution pass, and elimination or
+    iteration is confined to the blocks that need it; the rows are
+    merged one block at a time. See [docs/markov-solvers.md]. *)
 
 type randomization =
   | Central_uniform
@@ -110,15 +109,19 @@ type sparse_kind =
   | Jacobi  (** two-buffer sweeps; order-independent within a block *)
 
 type hitting_method =
-  | Exact  (** dense Gaussian elimination; O(t^3) in transient count *)
+  | Exact
+      (** Gaussian elimination per BSCC block: O(sum of b^3) time and
+          O(b^2) memory for the largest block of b states, one division
+          per single-state block *)
   | Sparse of { kind : sparse_kind; tolerance : float; max_sweeps : int }
       (** BSCC-blocked sweeps with relative-residual stopping:
           [||x_{k+1} - x_k||_inf / max(1, ||x||_inf) <= tolerance],
           [max_sweeps] per block *)
 
 val dense_limit : int
-(** Transient-state count up to which {!default_method} solves densely
-    (1200). *)
+(** Transient-state count up to which {!default_method} solves exactly
+    (1200). A chain that small has blocks of at most 1200 states, so
+    an exact solve holds at most a 1200 x 1200 matrix. *)
 
 val default_method : transient:int -> hitting_method
 (** The solver the hitting-time entry points use when no [method_] is
@@ -164,8 +167,8 @@ val hitting_times_checked :
   legitimate:bool array ->
   float array * solve_outcome option
 (** {!expected_hitting_times} with the solver outcome surfaced instead
-    of raised: [None] for dense exact solves (which either succeed or
-    raise from the linear algebra), [Some outcome] for the sparse
+    of raised: [None] for exact solves (which either succeed or raise
+    [Failure] on a singular block), [Some outcome] for the sparse
     backends. On [Max_sweeps] the returned array is the partial
     iterate — callers decide whether to warn, degrade, or fail, and
     record the outcome alongside the numbers. Same probability-1
@@ -191,7 +194,8 @@ val absorption_probabilities :
     [p = P_restricted p + (one-step mass into L)] on states from which
     [L] is reachable; unreachable states get 0. Default method: sparse
     Gauss-Seidel with tolerance 1e-12; [Exact] solves the same
-    restricted system densely (the differential oracle). *)
+    restricted system by elimination per block (the differential
+    oracle). *)
 
 val transient_distribution : t -> init:float array -> steps:int -> float array
 (** [transient_distribution chain ~init ~steps] pushes the initial

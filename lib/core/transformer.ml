@@ -10,15 +10,37 @@ let lift_config cores ~coins =
 let randomize ?(coin_bias = 0.5) (p : 'a Protocol.t) =
   if coin_bias <= 0.0 || coin_bias >= 1.0 then
     invalid_arg "Transformer.randomize: coin_bias outside (0, 1)";
+  (* Every transformed guard and statement reads the projection of its
+     configuration. Each domain keeps the last one it built and reuses
+     it while the configuration's cores are physically the ones it
+     holds, rewriting only the slots that differ, so an engine step
+     projects without allocating. An original guard or statement must
+     not keep the projection past its call. *)
+  let buffer = Domain.DLS.new_key (fun () -> [||]) in
+  let project cfg =
+    let proj = Domain.DLS.get buffer in
+    if Array.length proj <> Array.length cfg then begin
+      let proj = project_config cfg in
+      Domain.DLS.set buffer proj;
+      proj
+    end
+    else begin
+      for i = 0 to Array.length cfg - 1 do
+        let core = cfg.(i).core in
+        if proj.(i) != core then proj.(i) <- core
+      done;
+      proj
+    end
+  in
   let transform_action (a : 'a Protocol.action) =
     {
       Protocol.label = "Trans(" ^ a.Protocol.label ^ ")";
-      guard = (fun cfg i -> a.Protocol.guard (project_config cfg) i);
+      guard = (fun cfg i -> a.Protocol.guard (project cfg) i);
       result =
         (fun cfg i ->
           (* Coin lost: keep the core state, record the toss. Coin won:
              run the original statement, record the toss. *)
-          let core_dist = a.Protocol.result (project_config cfg) i in
+          let core_dist = a.Protocol.result (project cfg) i in
           let win =
             List.map
               (fun (s, w) -> ({ core = s; coin = true }, w *. coin_bias))

@@ -12,6 +12,9 @@ val identity : int -> t
 (** [identity n] is the [n × n] identity. Requires [n > 0]. *)
 
 val get : t -> int -> int -> float
+(** Test seam: the tests read entries back through it, and the
+    whole-matrix Markov reference accumulates into them. *)
+
 val set : t -> int -> int -> float -> unit
 
 val solve : t -> float array -> float array

@@ -19,6 +19,8 @@ val summarize : float array -> summary
 val summarize_ints : int array -> summary
 
 val mean : float array -> float
+(** Test seam: the statistics tests check the mean and its empty-array
+    error on their own; the library reaches it through {!summarize}. *)
 
 val quantile : float array -> float -> float
 (** [quantile xs q] with [0 <= q <= 1]; linear interpolation between

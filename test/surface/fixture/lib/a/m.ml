@@ -11,3 +11,7 @@ end
 
 let seam_used () = 6
 let seam_unused () = 7
+
+type tally = { count : int }
+
+let count t = t.count

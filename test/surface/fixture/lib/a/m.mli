@@ -29,3 +29,11 @@ val seam_used : unit -> int
 
 val seam_unused : unit -> int
 (** Test seam: no test names it. *)
+
+type tally = { count : int }
+(** A record whose field library code reads and writes qualified. *)
+
+val count : tally -> int
+(** Named as [M.count] only by a test. Library code projects the field
+    of the same name and builds the record with a qualified label, which
+    a check that keyed fields like values took for uses. *)

@@ -7,6 +7,8 @@
 #   - as Sub.name for a value of a nested `module Sub : sig ... end`;
 #   - as a bare word in a file that opens M (open M, let open M in,
 #     M.( ... ), include M).
+# A record projection x.M.field and a record label { M.field = ... }
+# name a field, not a value, and do not count.
 # A value kept only for tests to compare against or inject through says
 # so: its doc comment starts with "Test seam:". Such a seam must be
 # named, by the same rules, by some .ml under test/.
@@ -59,7 +61,7 @@ function flush(   i, m, w, mods) {
   for (w in words) delete words[w]
 }
 
-function scan(line,   rest, tok, path) {
+function scan(line,   rest, tok, path, seen, field) {
   # module A = Lib.M (not a functor application)
   if (match(line, /module[ \t]+[A-Z][A-Za-z0-9_'\'']*[ \t]*=[ \t]*[A-Z][A-Za-z0-9_'\''.]*/)) {
     tok = substr(line, RSTART, RLENGTH)
@@ -83,10 +85,17 @@ function scan(line,   rest, tok, path) {
     opened[last(tok)] = 1
     rest = substr(rest, RSTART + RLENGTH)
   }
-  rest = line
+  rest = line; seen = ""
   while (match(rest, /[A-Z][A-Za-z0-9_'\'']*(\.[A-Z][A-Za-z0-9_'\'']*)*\.[a-z_][A-Za-z0-9_'\'']*/)) {
     tok = substr(rest, RSTART, RLENGTH)
+    seen = seen substr(rest, 1, RSTART - 1)
     rest = substr(rest, RSTART + RLENGTH)
+    # A record field, not a value: a projection x.M.field, or a label
+    # { M.field = ... } (also after ; or with).
+    field = seen ~ /[])A-Za-z0-9_'\'']\.$/ ||
+      (seen ~ /(\{|;|with)[ \t]*$/ && rest ~ /^[ \t]*=([^=]|$)/)
+    seen = seen tok
+    if (field) continue
     path = tok; sub(/\.[a-z_][A-Za-z0-9_'\'']*$/, "", path)
     ntok++; tmod[ntok] = last(path); tname[ntok] = substr(tok, length(path) + 2)
   }

@@ -356,6 +356,29 @@ let test_leader_tree_step_allocation () =
   if per_step > 80.0 then
     Alcotest.failf "%.1f minor words per engine step, at most 80 allowed" per_step
 
+(* The same gate for the transformed Algorithm 2 (Section 4's coin
+   tosses) on random:10:7 under the synchronous daemon, 500 runs at
+   width 1. Each domain reuses one projection of the configuration's
+   cores across the transformed guards and statements: 395.7 minor
+   words a step measured (754.8 when every guard and statement
+   projected afresh); the bound is 15 % above the measurement. *)
+let test_transformed_step_allocation () =
+  Pool.set_width 1;
+  let g = Stabgraph.Graph.random_tree (Stabrng.Rng.create 7) 10 in
+  let before = Gc.minor_words () in
+  let r =
+    Montecarlo.estimate ~runs:500 ~max_steps:100_000 (Stabrng.Rng.create 2008)
+      (Transformer.randomize (Stabalgo.Leader_tree.make g))
+      Scheduler.synchronous
+      (Transformer.lift_spec (Stabalgo.Leader_tree.spec g))
+  in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "no timeouts" 0 r.Montecarlo.timeouts;
+  let steps = Array.fold_left ( + ) 0 r.Montecarlo.times in
+  let per_step = words /. float_of_int steps in
+  if per_step > 455.0 then
+    Alcotest.failf "%.1f minor words per engine step, at most 455 allowed" per_step
+
 let suite =
   [
     Alcotest.test_case "run to terminal" `Quick test_run_reaches_terminal;
@@ -395,6 +418,7 @@ let extra_suite =
     Alcotest.test_case "malformed distribution" `Quick test_malformed_distribution;
     Alcotest.test_case "step allocation" `Quick test_step_allocation;
     Alcotest.test_case "leader-tree step allocation" `Quick test_leader_tree_step_allocation;
+    Alcotest.test_case "transformed step allocation" `Quick test_transformed_step_allocation;
   ]
 
 let suite = suite @ extra_suite

@@ -662,6 +662,124 @@ let test_factored_allocation () =
     Alcotest.failf "of_space and a solve allocated %.0f B; the twin is %.0f B (> 1/2)"
       allocated twin
 
+(* {1 The blocked exact solve against the whole-matrix elimination}
+
+   [Exact] eliminates one strongly connected block of the transient
+   part at a time, each row's out-of-block mass folded into its
+   constant. [Dense_reference] eliminates the whole transient part at
+   once. Hitting times (where probability-1 convergence holds) and
+   absorption into a second, arbitrary set must agree within 1e-12
+   relative. *)
+
+let close a b = a = b || Float.abs (a -. b) <= 1e-12 *. Float.max (Float.abs a) (Float.abs b)
+
+(* Returns the number of multi-state transient blocks the chain's two
+   systems had, so a caller can insist that elimination inside a block
+   was exercised. *)
+let check_blocked_exact label space cls ~legitimate ~target =
+  let chain = Markov.of_space space (randomization cls) in
+  let compare what ~transient expected actual =
+    let t = Array.fold_left (fun k b -> if b then k + 1 else k) 0 transient in
+    if t > Markov.dense_limit then
+      Alcotest.failf "%s %s: %d transient states, above the dense limit" label what t;
+    Array.iteri
+      (fun c e ->
+        if not (close e actual.(c)) then
+          Alcotest.failf "%s %s: state %d blocked %h, whole-matrix %h" label what c
+            actual.(c) e)
+      expected;
+    List.length
+      (List.filter
+         (fun b -> Array.length b > 1)
+         (Digraph.sccs ~keep:(Array.get transient) (Markov.graph chain)))
+  in
+  let hitting =
+    match Markov.converges_with_prob_one chain ~legitimate with
+    | Error _ -> 0
+    | Ok () ->
+      compare "hitting" ~transient:(Array.map not legitimate)
+        (Dense_reference.hitting_times chain ~legitimate)
+        (Markov.expected_hitting_times ~method_:Markov.Exact chain ~legitimate)
+  in
+  let reach = Markov.reaches chain ~target in
+  hitting
+  + compare "absorption"
+      ~transient:(Array.mapi (fun c r -> r && not target.(c)) reach)
+      (Dense_reference.absorption chain ~legitimate:target)
+      (Markov.absorption_probabilities ~method_:Markov.Exact chain ~legitimate:target)
+
+let test_blocked_exact_is_whole_matrix () =
+  let blocks = ref 0 in
+  let classes = [ Statespace.Distributed; Statespace.Central; Statespace.Synchronous ] in
+  for seed = 0 to 29 do
+    let p = Test_random_systems.lazy_protocol (Test_random_systems.random_protocol (seed + 80_000)) in
+    let space = Statespace.build p in
+    List.iter
+      (fun cls ->
+        blocks :=
+          !blocks
+          + check_blocked_exact
+              (Printf.sprintf "%s %s" p.Protocol.name (class_name cls))
+              space cls
+              ~legitimate:(Test_random_systems.random_target seed space)
+              ~target:(arbitrary_set seed (Statespace.count space)))
+      classes
+  done;
+  let token_ring ~quotient n cls =
+    let space = Statespace.build (Stabalgo.Token_ring.make ~n) in
+    let space = if quotient then Statespace.quotient space else space in
+    blocks :=
+      !blocks
+      + check_blocked_exact
+          (Printf.sprintf "token-ring ring:%d %s%s" n (class_name cls)
+             (if quotient then " quotient" else ""))
+          space cls
+          ~legitimate:(Statespace.legitimate_set space (Stabalgo.Token_ring.spec ~n))
+          ~target:(arbitrary_set n (Statespace.count space))
+  in
+  List.iter (fun n -> List.iter (token_ring ~quotient:false n) classes) [ 3; 4; 5 ];
+  List.iter (fun n -> token_ring ~quotient:true n Statespace.Distributed) [ 6; 7; 8 ];
+  if !blocks = 0 then Alcotest.fail "no multi-state transient block was eliminated"
+
+(* Dijkstra's three-state ring is self-stabilizing, so every transient
+   block is a single state, which both methods settle with the same
+   one division: exact and Gauss-Seidel hitting times and absorption
+   agree bit for bit, and Gauss-Seidel sweeps nothing. *)
+let test_singleton_blocks_exact_is_gs () =
+  let gs = Markov.Sparse { kind = Markov.Gauss_seidel; tolerance = 1e-10; max_sweeps = 100 } in
+  for n = 3 to 8 do
+    let space = Statespace.build (Stabalgo.Dijkstra_three.make ~n) in
+    let legitimate = Statespace.legitimate_set space (Stabalgo.Dijkstra_three.spec ~n) in
+    List.iter
+      (fun cls ->
+        let label = Printf.sprintf "dijkstra-3state ring:%d %s" n (class_name cls) in
+        let chain = Markov.of_space space (randomization cls) in
+        let exact, _ = Markov.hitting_times_checked ~method_:Markov.Exact chain ~legitimate in
+        (match Markov.hitting_times_checked ~method_:gs chain ~legitimate with
+        | times, Some (Markov.Converged { sweeps = 0; _ }) ->
+          Alcotest.(check (array int64)) (label ^ " hitting") (bit_array times) (bit_array exact)
+        | _ -> Alcotest.failf "%s: Gauss-Seidel swept a block" label);
+        Alcotest.(check (array int64)) (label ^ " absorption")
+          (bit_array (Markov.absorption_probabilities ~method_:gs chain ~legitimate))
+          (bit_array (Markov.absorption_probabilities ~method_:Markov.Exact chain ~legitimate)))
+      [ Statespace.Distributed; Statespace.Central; Statespace.Synchronous ]
+  done
+
+(* Token-ring ring:8 (6,537 transient states, the largest block 840):
+   the exact solve holds one block's b x b matrix at a time, so the
+   peak heap grows by under 48 MB (24.2 MB measured); one 6,537 x 6,537
+   matrix and its copy would take about 684 MB. *)
+let test_exact_solve_memory () =
+  let n = 8 in
+  let space = Statespace.build (Stabalgo.Token_ring.make ~n) in
+  let legitimate = Statespace.legitimate_set space (Stabalgo.Token_ring.spec ~n) in
+  let chain = Markov.of_space space Markov.Distributed_uniform in
+  let top () = float_of_int ((Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8)) in
+  let before = top () in
+  ignore (Markov.expected_hitting_times ~method_:Markov.Exact chain ~legitimate);
+  let grown = top () -. before in
+  if grown >= 48e6 then Alcotest.failf "the exact solve grew the peak heap by %.1f MB" (grown /. 1e6)
+
 let suite =
   [
     Alcotest.test_case "of_rows validation" `Quick test_of_rows_validation;
@@ -689,4 +807,9 @@ let suite =
     Alcotest.test_case "convergence iff BSCCs legit" `Quick test_convergence_iff_bsccs_legitimate;
     Alcotest.test_case "mean/max hitting" `Quick test_mean_max_hitting;
     Alcotest.test_case "hitting vs simulation" `Slow test_hitting_times_match_simulation;
+    Alcotest.test_case "blocked exact = whole-matrix elimination" `Quick
+      test_blocked_exact_is_whole_matrix;
+    Alcotest.test_case "singleton blocks: exact = Gauss-Seidel, bit for bit" `Quick
+      test_singleton_blocks_exact_is_gs;
+    Alcotest.test_case "exact solve memory" `Quick test_exact_solve_memory;
   ]

@@ -103,6 +103,28 @@ let test_solve_random_roundtrip () =
       b
   done
 
+(* The elimination indexes the row-major data in place, so a solve
+   allocates O(n) minor words (3 measured; its copies of [a] and [b] go
+   straight to the major heap at this size), not boxed floats per
+   multiply-add: this dense system took 129M minor words, about 806 n^2,
+   when the loops read and wrote through [get] and [set]. *)
+let test_solve_allocation () =
+  let n = 400 in
+  let rng = Stabrng.Rng.create 400 in
+  let a = Matrix.identity n in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      let v = Stabrng.Rng.float rng -. 0.5 in
+      Matrix.set a i j (if i = j then v +. float_of_int n else v)
+    done
+  done;
+  let b = Array.init n (fun _ -> Stabrng.Rng.float rng) in
+  let before = Gc.minor_words () in
+  ignore (Matrix.solve a b);
+  let words = Gc.minor_words () -. before in
+  if words >= float_of_int (n * n) then
+    Alcotest.failf "a %dx%d solve allocated %.0f minor words (at least n^2)" n n words
+
 let qcheck_solve_diag =
   QCheck.Test.make ~count:100 ~name:"diagonal systems solve exactly"
     QCheck.(pair (list_of_size (Gen.int_range 1 8) (float_range 1.0 10.0)) (float_range (-5.0) 5.0))
@@ -129,4 +151,5 @@ let suite =
     Alcotest.test_case "solve pure" `Quick test_solve_does_not_mutate;
     Alcotest.test_case "solve random roundtrip" `Quick test_solve_random_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_solve_diag;
+    Alcotest.test_case "solve allocation" `Quick test_solve_allocation;
   ]
