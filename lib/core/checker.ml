@@ -397,9 +397,7 @@ let certain_convergence _space g ~legitimate =
 (* SCCs of the configurations [keep] accepts, in topological order of
    the condensation (sources first): the reverse of the kernel's
    completion order. Members are ascending. *)
-let sccs ?keep g =
-  Obs.Counter.incr Obs.checker_scc_builds;
-  List.rev (Digraph.sccs ?keep g.fwd)
+let sccs ?keep g = List.rev (Digraph.sccs ?keep g.fwd)
 
 (* True iff the SCC (given as a membership test plus member array) has
    at least one internal edge — needed to sustain an infinite execution. *)
@@ -434,14 +432,11 @@ let with_members mask members f =
 (* Streett refinement for strong fairness: an SCC is accepting if every
    process enabled somewhere inside also fires inside; otherwise prune
    the states where the never-firing processes are enabled and
-   recurse. The top-level SCC decomposition is taken as an argument so
-   [analyze] can share it with the weak-fairness check. *)
+   recurse. The components come as a sequence, so only those tried
+   are copied out of the kernel's shared decomposition of [C \ L]. *)
 let strongly_fair_from g components =
   let mask = Bitset.create g.fwd.n in
-  let rec refine components =
-    List.fold_left
-      (fun acc members -> match acc with Some _ -> acc | None -> try_component members)
-      None components
+  let rec refine components = Seq.find_map try_component components
   and try_component members =
     let never_firing =
       with_members mask members (fun in_scc ->
@@ -456,11 +451,16 @@ let strongly_fair_from g components =
       let enables_bad c = g.enabled.(c) land bad <> 0 in
       let kept = Array.of_seq (Seq.filter (Fun.negate enables_bad) (Array.to_seq members)) in
       if kept = [||] then None
-      else refine (with_members mask kept (fun keep -> sccs ~keep g))
+      else refine (List.to_seq (with_members mask kept (fun keep -> sccs ~keep g)))
   in
   refine components
 
-let sccs_outside g legitimate = sccs ~keep:(fun c -> not legitimate.(c)) g
+(* The kernel's remembered blocks of [C \ L], sources first: the pass
+   behind [possible_convergence] on the same graph and set, run once. *)
+let sccs_outside g legitimate =
+  let blocks = Digraph.blocks_outside g.fwd ~inside:legitimate in
+  let count = Digraph.block_count blocks in
+  Seq.init count (fun i -> Digraph.block_members blocks (count - 1 - i))
 
 (* Per-process fairness is NOT orbit-invariant, so the Streett checks
    cannot run on the naive symmetry quotient: a validated automorphism
@@ -487,10 +487,6 @@ let fairness_arena space g ~legitimate =
     ( expand base g.cls,
       Array.init (Array.length rep_of) (fun c -> legitimate.(rep_of.(c))) )
 
-let strongly_fair_divergence space g ~legitimate =
-  let g, legitimate = fairness_arena space g ~legitimate in
-  strongly_fair_from g (sccs_outside g legitimate)
-
 (* Weak fairness needs no refinement: acceptance is monotone in the
    component (see the design notes) — check maximal SCCs only. *)
 let weakly_fair_from g components =
@@ -502,11 +498,14 @@ let weakly_fair_from g components =
     let everywhere = Array.fold_left (fun acc c -> acc land g.enabled.(c)) (-1) members in
     everywhere land lnot (firing_in g in_scc members) = 0
   in
-  List.find_opt accepting components |> Option.map Array.to_list
+  Seq.find accepting components |> Option.map Array.to_list
 
-let weakly_fair_divergence space g ~legitimate =
+let fair_divergence fair_from space g ~legitimate =
   let g, legitimate = fairness_arena space g ~legitimate in
-  weakly_fair_from g (sccs_outside g legitimate)
+  fair_from g (sccs_outside g legitimate)
+
+let strongly_fair_divergence space = fair_divergence strongly_fair_from space
+let weakly_fair_divergence space = fair_divergence weakly_fair_from space
 
 type verdict = {
   closure : (unit, closure_violation) result;
@@ -523,21 +522,12 @@ let analyze space cls spec =
   let legitimate = Statespace.legitimate_set space spec in
   (* Shared intermediates: the terminal list is derived exactly once
      per verdict; reaching [L] is decided forward, so no reverse
-     adjacency is built. The SCC
-     decomposition of C \ L feeds only the two fairness checks, so it
-     is deferred with them: callers that never force a fairness field
-     (weak/self verdicts) skip the Streett machinery entirely, and
-     forcing both fields still decomposes once. *)
+     adjacency is built. The SCC decomposition of C \ L is the
+     kernel's one remembered pass: [possible] runs it, and the two
+     deferred fairness checks read the same answer, so callers that
+     never force a fairness field skip the Streett machinery entirely,
+     and forcing both fields decomposes no further. *)
   let terminals = Obs.span "checker.terminals" (fun () -> terminals_of g ~legitimate) in
-  (* Fairness runs in the base space when [space] is a quotient (see
-     [fairness_arena]); the arena and the SCC decomposition it feeds
-     are shared by both deferred fairness fields. *)
-  let arena = lazy (fairness_arena space g ~legitimate) in
-  let components =
-    lazy
-      (let fg, fleg = Lazy.force arena in
-       Obs.span "checker.sccs" (fun () -> sccs_outside fg fleg))
-  in
   let closure = Obs.span "checker.closure" (fun () -> check_closure space g spec) in
   let certain =
     Obs.span "checker.certain" (fun () ->
@@ -564,14 +554,14 @@ let analyze space cls spec =
       (if divergence_free then None
        else
          Obs.span "checker.fairness.strong" (fun () ->
-             strongly_fair_from (fst (Lazy.force arena)) (Lazy.force components)))
+             strongly_fair_divergence space g ~legitimate))
   in
   let weakly_fair_diverges =
     lazy
       (if divergence_free then None
        else
          Obs.span "checker.fairness.weak" (fun () ->
-             weakly_fair_from (fst (Lazy.force arena)) (Lazy.force components)))
+             weakly_fair_divergence space g ~legitimate))
   in
   {
     closure;

@@ -159,8 +159,11 @@ val possible_convergence :
     strongly connected component reaches [L] iff a member is in [L]
     or has an edge into a component that does, so [L] is reachable
     from everywhere iff every bottom component meets it (Thm 7).
-    Every call runs that pass; {!analyze} skips it when certain
-    convergence holds, which implies possible convergence. *)
+    The pass visits only the configurations outside [L], and the
+    kernel remembers its blocks for the graph and [L], so the fairness
+    checks and a Markov chain of the same graph read them without a
+    second traversal; {!analyze} skips it when certain convergence
+    holds, which implies possible convergence. *)
 
 type divergence =
   | Cycle of int list  (** configuration codes of a cycle outside [L] *)

@@ -232,72 +232,76 @@ let heights_pass g ~inside =
     Ok mark
   with Cycle cycle -> Error cycle
 
-(* The last answer of [heights_pass], with [inside] packed to bits
-   beside it. The ephemeron holds the graph weakly: an answer lives
-   only as long as its graph, and a graph dropped elsewhere is not kept
-   alive here. Domains may race on the slot; each entry is immutable,
-   so the loser only evicts the winner's. *)
-let last_heights :
-    (t, Bitset.t * (int array, int list) result) Ephemeron.K1.t option Atomic.t =
-  Atomic.make None
+(* A one-entry memo of a pass over the nodes outside [inside]: the
+   last answer, with [inside] packed to bits beside it. The ephemeron
+   holds the graph weakly: an answer lives only as long as its graph,
+   and a graph dropped elsewhere is not kept alive here. Domains may
+   race on the slot; each entry is immutable, so the loser only evicts
+   the winner's. *)
+type 'a memo = (t, Bitset.t * 'a) Ephemeron.K1.t option Atomic.t
 
 let same_set bits inside =
   let rec go v = v < 0 || (Bitset.mem bits v = inside.(v) && go (v - 1)) in
   go (Array.length inside - 1)
 
-let shared_heights g ~inside =
-  let remembered =
-    match Atomic.get last_heights with
-    | None -> None
-    | Some entry -> (
-      match Ephemeron.K1.query entry g with
-      | Some (bits, answer) when same_set bits inside -> Some answer
-      | _ -> None)
-  in
-  match remembered with
-  | Some answer -> answer
-  | None ->
-    let answer = heights_pass g ~inside in
+let remember (memo : _ memo) pass g ~inside =
+  match Option.bind (Atomic.get memo) (fun entry -> Ephemeron.K1.query entry g) with
+  | Some (bits, answer) when same_set bits inside -> answer
+  | _ ->
+    let answer = pass g ~inside in
     let bits = Bitset.create g.n in
     Array.iteri (fun v b -> if b then Bitset.set bits v) inside;
-    Atomic.set last_heights (Some (Ephemeron.K1.make g (bits, answer)));
+    Atomic.set memo (Some (Ephemeron.K1.make g (bits, answer)));
     answer
+
+let last_heights : (int array, int list) result memo = Atomic.make None
 
 let heights_outside g ~inside =
   check_length "heights_outside" g "inside" inside;
-  match shared_heights g ~inside with
+  match remember last_heights heights_pass g ~inside with
   | Ok heights -> Ok (Array.copy heights)
   | Error _ as cycle -> cycle
 
 let cycle_outside g ~inside =
   check_length "cycle_outside" g "inside" inside;
-  match shared_heights g ~inside with Ok _ -> None | Error cycle -> Some cycle
+  match remember last_heights heights_pass g ~inside with
+  | Ok _ -> None
+  | Error cycle -> Some cycle
 
-(* Iterative Tarjan with the DFS frames in [work]/[cursor], and
-   [prev]/[last], as in [heights_outside]. A completed component gets
-   the next id in [comp], so a visited node is on the Tarjan stack iff
-   it has no id yet; members are bucketed by id at the end, which lists
-   them ascending. *)
-let sccs ?(keep = fun _ -> true) g =
+(* Iterative Tarjan over the nodes [keep] accepts, with the DFS frames
+   in [work]/[cursor], and [prev]/[last], as in [heights_pass]. One
+   read of [mark.(v)] classifies every edge target, and [keep] is asked
+   once per node: [mark] is 0 for an unvisited node, 1 + its DFS index
+   while it is on the Tarjan stack, and negative once it is settled:
+   -1 outside [keep], and -(2 id + 2 + r) in completed component [id],
+   where [r] is 1 iff the component reaches a node outside [keep]. So a
+   settled target is odd iff an edge into it makes its source reach
+   such a node; that edge sets its frame's [hit] byte. A child frame
+   hands its byte to its parent on return, since the child is either
+   in the parent's component or a completed component the parent has
+   an edge into, so a root's byte is its whole component's [r]. *)
+let tarjan g ~keep =
+  Stabobs.Obs.Counter.incr Stabobs.Obs.checker_scc_builds;
   let n = g.n in
-  let index = Array.make n (-1) and low = Array.make n 0 in
+  let mark = Array.init n (fun v -> if keep v then 0 else -1) and low = Array.make n 0 in
   let stack = Array.make n 0 and sp = ref 0 in
   let work = Array.make n 0 and cursor = Array.make n 0 and last = last_targets g in
+  let hit = Bytes.make n '\000' in
   let depth = ref 0 and prev = ref 0 in
-  let comp = Array.make n (-1) and ncomp = ref 0 in
-  let next_index = ref 0 in
+  let ncomp = ref 0 and next_index = ref 0 in
   let enter v =
-    index.(v) <- !next_index;
+    mark.(v) <- !next_index + 1;
     low.(v) <- !next_index;
     incr next_index;
     stack.(!sp) <- v;
     incr sp;
     work.(!depth) <- v;
     cursor.(!depth) <- first g v;
+    Bytes.set hit !depth '\000';
     incr depth
   in
   for root = 0 to n - 1 do
-    if keep root && index.(root) < 0 then begin
+    if mark.(root) = 0 then begin
       enter root;
       prev := root;
       while !depth > 0 do
@@ -307,69 +311,90 @@ let sccs ?(keep = fun _ -> true) g =
           cursor.(top) <- i + 1;
           let v = next_target g u i !prev in
           prev := v;
-          if keep v then
-            if index.(v) < 0 then begin
-              park_last g last top v;
-              enter v
-            end
-            else if comp.(v) < 0 then low.(u) <- min low.(u) index.(v)
+          let m = mark.(v) in
+          if m = 0 then begin
+            park_last g last top v;
+            enter v
+          end
+          else if m > 0 then low.(u) <- min low.(u) (m - 1)
+          else if m land 1 = 1 then Bytes.set hit top '\001'
         end
         else begin
           depth := top;
-          if low.(u) = index.(u) then begin
-            let rec pop () =
+          let r = Bytes.get hit top in
+          if low.(u) = mark.(u) - 1 then begin
+            (* Pop down to [u], which settles last. *)
+            let settled = -((2 * !ncomp) + 2 + Char.code r) in
+            while mark.(u) > 0 do
               decr sp;
-              let v = stack.(!sp) in
-              comp.(v) <- !ncomp;
-              if v <> u then pop ()
-            in
-            pop ();
+              mark.(stack.(!sp)) <- settled
+            done;
             incr ncomp
           end;
           if top > 0 then begin
             let parent = work.(top - 1) in
             low.(parent) <- min low.(parent) low.(u);
+            if r = '\001' then Bytes.set hit (top - 1) r;
             prev := parked_last g last (top - 1)
           end
         end
       done
     end
   done;
-  let size = Array.make !ncomp 0 in
-  Array.iter (fun id -> if id >= 0 then size.(id) <- size.(id) + 1) comp;
-  let members = Array.map (fun k -> Array.make k 0) size in
-  let filled = Array.make !ncomp 0 in
-  Array.iteri
-    (fun v id ->
-      if id >= 0 then begin
-        members.(id).(filled.(id)) <- v;
-        filled.(id) <- filled.(id) + 1
-      end)
-    comp;
-  Array.to_list members
+  (mark, !ncomp)
 
-(* Components complete sinks first, so every edge leaving a component
-   lands in one whose mark is already final; an edge inside it reads a
-   target seed at worst, which the component reaches anyway. *)
-let reaches g ~target:goal =
-  check_length "reaches" g "target" goal;
+type blocks = { members : int array; start : int array; reaching : Bitset.t }
+
+(* The components of [tarjan] bucketed by id, members ascending within
+   each, with the reach bits lifted out of the marks. *)
+let bucket (mark, ncomp) =
+  let id m = (-m - 2) lsr 1 in
+  let start = Array.make (ncomp + 1) 0 and reaching = Bitset.create ncomp in
+  Array.iter (fun m -> if m < -1 then start.(id m + 1) <- start.(id m + 1) + 1) mark;
+  for k = 0 to ncomp - 1 do
+    start.(k + 1) <- start.(k + 1) + start.(k)
+  done;
+  let members = Array.make start.(ncomp) 0 and filled = Array.sub start 0 ncomp in
+  Array.iteri
+    (fun v m ->
+      if m < -1 then begin
+        let k = id m in
+        members.(filled.(k)) <- v;
+        filled.(k) <- filled.(k) + 1;
+        if m land 1 = 1 then Bitset.set reaching k
+      end)
+    mark;
+  { members; start; reaching }
+
+let block_count b = Array.length b.start - 1
+let block_reaches b k = Bitset.mem b.reaching k
+let block_members b k = Array.sub b.members b.start.(k) (b.start.(k + 1) - b.start.(k))
+let block_start b k = b.start.(k)
+let member b i = b.members.(i)
+
+let sccs ?(keep = fun _ -> true) g =
+  let b = bucket (tarjan g ~keep) in
+  List.init (block_count b) (block_members b)
+
+let outside_pass g ~inside =
   Stabobs.Obs.Counter.incr Stabobs.Obs.checker_reaches_passes;
-  let marked = Array.copy goal in
-  let hits u =
-    marked.(u)
-    ||
-    let prev = ref u and i = ref (first g u) and hit = ref false in
-    let hi = stop g u in
-    while (not !hit) && !i < hi do
-      let v = next_target g u !i !prev in
-      prev := v;
-      hit := marked.(v);
-      incr i
-    done;
-    !hit
-  in
-  List.iter
-    (fun members ->
-      if Array.exists hits members then Array.iter (fun u -> marked.(u) <- true) members)
-    (sccs g);
+  Stabobs.Obs.span "checker.sccs" @@ fun () ->
+  bucket (tarjan g ~keep:(fun v -> not inside.(v)))
+
+let last_blocks : blocks memo = Atomic.make None
+
+let blocks_outside g ~inside =
+  check_length "blocks_outside" g "inside" inside;
+  remember last_blocks outside_pass g ~inside
+
+let reaches g ~target =
+  check_length "reaches" g "target" target;
+  let b = remember last_blocks outside_pass g ~inside:target in
+  let marked = Array.copy target in
+  for k = 0 to block_count b - 1 do
+    if block_reaches b k then
+      for i = b.start.(k) to b.start.(k + 1) - 1 do
+        marked.(b.members.(i)) <- true
+      done
+  done;
   marked

@@ -119,17 +119,18 @@ val heights_outside : t -> inside:bool array -> (int array, int list) result
     closes, listed along its edges from [v] to [u]: the head is the
     back-edge target.
 
-    The module remembers one answer, its last: the graph, held through
-    an ephemeron so that the memo never keeps a graph alive, the
-    contents of [inside], packed to one bit per node, and the result.
-    A call on the same graph (physical equality of the record) with an
-    [inside] of equal contents returns that answer without a search;
-    any other call searches and replaces it. Each call returns a fresh
-    heights array, so neither mutating it nor mutating [inside] after
-    the call changes a later answer. A graph's rows must not change
-    after a call on it. The slot is an [Atomic], so domains may call
-    concurrently; a race only costs a search. Each search ticks
-    {!Stabobs.Obs.checker_heights_passes}. *)
+    The module remembers one answer of this search, its last: the
+    graph, held through an ephemeron so that the memo never keeps a
+    graph alive, the contents of [inside], packed to one bit per node,
+    and the result. A call on the same graph (physical equality of the
+    record) with an [inside] of equal contents returns that answer
+    without a search; any other call searches and replaces it. Each
+    call returns a fresh heights array, so neither mutating it nor
+    mutating [inside] after the call changes a later answer. A graph's
+    rows must not change after a call on it. The slot is an [Atomic],
+    so domains may call concurrently; a race only costs a search. Each
+    search ticks {!Stabobs.Obs.checker_heights_passes}. {!blocks_outside}
+    keeps a memo of its own on the same terms. *)
 
 val cycle_outside : t -> inside:bool array -> int list option
 (** A cycle through nodes outside [inside] only, or [None] if the
@@ -143,14 +144,50 @@ val sccs : ?keep:(int -> bool) -> t -> int array list
     graphs cannot exhaust the stack. Components come in the order
     Tarjan completes them, which is reverse topological order of the
     condensation, sinks first: every edge leaving a component lands in
-    an earlier one or outside [keep]. Members are ascending. *)
+    an earlier one or outside [keep]. Members are ascending. Nothing is
+    remembered: each call runs the pass and ticks
+    {!Stabobs.Obs.checker_scc_builds}. *)
+
+type blocks
+(** The strongly connected components of the subgraph outside a node
+    set, flat: one member sequence, block after block, plus the
+    offsets where each block starts, and one flag per block. *)
+
+val blocks_outside : t -> inside:bool array -> blocks
+(** {!sccs} with [keep] the nodes outside [inside], blocks and members
+    in the same order, each block flagged when it reaches [inside]: a
+    member has an edge into [inside], or into an earlier block that
+    reaches it. The flags are set inside the Tarjan traversal, so the
+    pass reads each edge once. Remembered like {!heights_outside}, in
+    a one-entry memo of its own, and shared with {!reaches}: only a
+    pass that runs ticks {!Stabobs.Obs.checker_reaches_passes} and
+    {!Stabobs.Obs.checker_scc_builds} and opens a ["checker.sccs"]
+    span. The answer is read-only: no accessor below hands out the
+    memo's arrays. *)
+
+val block_count : blocks -> int
+
+val block_start : blocks -> int -> int
+(** [block_start b k], for [k] from 0 to [block_count b]: block [k]'s
+    members are the positions [block_start b k .. block_start b (k + 1) - 1]
+    of the member sequence, so [block_start b (block_count b)] is the
+    number of nodes outside [inside]. *)
+
+val member : blocks -> int -> int
+(** The node at a position of the member sequence. *)
+
+val block_members : blocks -> int -> int array
+(** A fresh copy of block [k]'s members, ascending. *)
+
+val block_reaches : blocks -> int -> bool
+(** Whether block [k] reaches [inside]. *)
 
 val reaches : t -> target:bool array -> bool array
 (** The nodes from which some path (of zero or more edges) reaches a
     [target] node: {!reach} on {!reverse} from [target], node for node,
-    decided forward. One {!sccs} pass marks a component, sinks first,
-    when a member is a target or has an edge into a marked node, and
-    then marks all its members. In a finite graph, every node reaches
-    the target set iff every bottom component meets it (Thm 7's
-    criterion). Nothing is remembered: each call runs the pass and
-    ticks {!Stabobs.Obs.checker_reaches_passes}. *)
+    decided forward: the targets, and the members of the blocks of
+    {!blocks_outside} with [inside = target] that reach it. So the
+    traversal visits only the nodes outside [target], and a call after
+    {!blocks_outside} on the same graph and set runs none. In a finite
+    graph, every node reaches the target set iff every bottom
+    component meets it (Thm 7's criterion). *)

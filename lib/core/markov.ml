@@ -388,22 +388,6 @@ let of_rows rows =
 
 let graph chain = chain.g
 
-let bsccs chain =
-  let g = graph chain in
-  let comps = Digraph.sccs g in
-  let component = Array.make chain.g.n (-1) in
-  List.iteri (fun i members -> Array.iter (fun c -> component.(c) <- i) members) comps;
-  List.filteri
-    (fun i members ->
-      Array.for_all
-        (fun c -> not (Digraph.exists_succ g c (fun c' -> component.(c') <> i)))
-        members)
-    comps
-  |> List.map Array.to_list
-
-let transient_blocks chain ~transient =
-  Digraph.sccs ~keep:(fun c -> transient.(c)) (graph chain)
-
 let reaches chain ~target = Digraph.reaches (graph chain) ~target
 
 let converges_with_prob_one chain ~legitimate =
@@ -421,11 +405,14 @@ type hitting_method =
 type solve_stats = { sweeps : int; residual : float; blocks : int }
 type solve_outcome = Converged of solve_stats | Max_sweeps of solve_stats
 
-(* Blocked substochastic solve of x = base + P x over the [transient]
-   states, in place in [x]; entries outside [transient] are boundary
-   values and never written. The transient subgraph is decomposed into
-   SCCs and solved block by block in reverse topological order, so
-   every out-of-block target a block reads is already final: acyclic
+(* Blocked substochastic solve of x = base + P x over the transient
+   states, in place in [x]; other entries are boundary values and never
+   written. The transient states are the blocks of the kernel's SCC
+   decomposition of C \ L ({!Digraph.blocks_outside}, the pass the
+   probability-1 check already ran on the same graph and set): all of
+   them when [reaching_only] is false, else those that reach L. Blocks
+   are solved in the kernel's order, reverse topological, so every
+   out-of-block target a block reads is already final: acyclic
    transient parts (self-stabilizing protocols) reduce to exact
    back-substitution, and the work concentrates on the blocks that
    need it.
@@ -445,17 +432,23 @@ type solve_outcome = Converged of solve_stats | Max_sweeps of solve_stats
    [max_sweeps] aborts the remaining blocks and reports [Max_sweeps]
    with the partial iterate left in [x]. A transient state that cannot
    leave itself (w_cc = 1) has no finite solution and does the same. *)
-let solve_transient method_ chain ~transient ~base x =
+let solve_transient method_ chain ~legitimate ~reaching_only ~base x =
   let n = states chain and off = chain.g.off in
-  let blocks = transient_blocks chain ~transient in
-  let nblocks = List.length blocks in
-  let entries = ref 0 and members = ref 0 in
-  List.iter
-    (fun block ->
-      let bound acc c = acc + merged_bound chain (off.(c + 1) - off.(c)) in
-      entries := max !entries (Array.fold_left bound 0 block);
-      members := max !members (Array.length block))
-    blocks;
+  let blocks = Digraph.blocks_outside chain.g ~inside:legitimate in
+  let solved k = (not reaching_only) || Digraph.block_reaches blocks k in
+  let lo k = Digraph.block_start blocks k and member = Digraph.member blocks in
+  let nblocks = ref 0 and entries = ref 0 and members = ref 0 in
+  for k = 0 to Digraph.block_count blocks - 1 do
+    if solved k then begin
+      let bound = ref 0 in
+      for i = lo k to lo (k + 1) - 1 do
+        bound := !bound + merged_bound chain (off.(member i + 1) - off.(member i))
+      done;
+      incr nblocks;
+      entries := max !entries !bound;
+      members := max !members (lo (k + 1) - lo k)
+    end
+  done;
   let m = merger chain chain.widest and roff = Array.make (!members + 1) 0 in
   let cols = Digraph.create_edges ~nodes:n !entries and w = Array.create_float !entries in
   let const = Array.create_float !members and diag = Array.create_float !members in
@@ -466,49 +459,53 @@ let solve_transient method_ chain ~transient ~base x =
     | Sparse { kind = Gauss_seidel; _ } | Exact -> xb
   in
   (* [slot.(c)] is [c]'s position in its block, so [c'] is in the block
-     being loaded iff it sits at its slot there. *)
+     at [first] being loaded iff it sits at its slot there. *)
   let slot = Array.make n 0 in
-  let load block =
-    let bsize = Array.length block in
-    Array.iteri (fun r c -> slot.(c) <- r) block;
-    Array.iteri
-      (fun r c ->
-        if r land 1023 = 1023 then Cancel.poll ();
-        let stop = merge m chain c cols w roff.(r) in
-        let acc = ref base and self = ref 0.0 and e = ref roff.(r) in
-        for i = roff.(r) to stop - 1 do
-          let c' = col cols i in
-          let j = slot.(c') in
-          if c' = c then self := !self +. w.(i)
-          else if j < bsize && block.(j) = c' then begin
-            Bigarray.Array1.set cols !e (Int32.of_int j);
-            w.(!e) <- w.(i);
-            incr e
-          end
-          else acc := !acc +. (w.(i) *. x.(c'))
-        done;
-        const.(r) <- !acc;
-        diag.(r) <- !self;
-        xb.(r) <- x.(c);
-        roff.(r + 1) <- !e)
-      block
+  let load first bsize =
+    for r = 0 to bsize - 1 do
+      slot.(member (first + r)) <- r
+    done;
+    for r = 0 to bsize - 1 do
+      let c = member (first + r) in
+      if r land 1023 = 1023 then Cancel.poll ();
+      let stop = merge m chain c cols w roff.(r) in
+      let acc = ref base and self = ref 0.0 and e = ref roff.(r) in
+      for i = roff.(r) to stop - 1 do
+        let c' = col cols i in
+        let j = slot.(c') in
+        if c' = c then self := !self +. w.(i)
+        else if j < bsize && member (first + j) = c' then begin
+          Bigarray.Array1.set cols !e (Int32.of_int j);
+          w.(!e) <- w.(i);
+          incr e
+        end
+        else acc := !acc +. (w.(i) *. x.(c'))
+      done;
+      const.(r) <- !acc;
+      diag.(r) <- !self;
+      xb.(r) <- x.(c);
+      roff.(r + 1) <- !e
+    done
   in
   let span =
     match method_ with Exact -> "markov.solve.exact" | Sparse _ -> "markov.solve.sparse"
   in
-  Stabobs.Obs.span span ~args:[ ("blocks", Stabobs.Json.Int nblocks) ] @@ fun () ->
+  Stabobs.Obs.span span ~args:[ ("blocks", Stabobs.Json.Int !nblocks) ] @@ fun () ->
   let total_sweeps = ref 0 in
   let worst = ref 0.0 in
   let failed = ref false in
+  (* The one b×b matrix is eliminated in place, with the constants as
+     its right-hand side. *)
   let eliminate bsize =
-    let a = Stablinalg.Matrix.identity bsize in
+    let a = Stablinalg.Matrix.identity bsize and rhs = Array.sub const 0 bsize in
     for k = 0 to bsize - 1 do
       Stablinalg.Matrix.set a k k (1.0 -. diag.(k));
       for i = roff.(k) to roff.(k + 1) - 1 do
         Stablinalg.Matrix.set a k (col cols i) (-.w.(i))
       done
     done;
-    Array.blit (Stablinalg.Matrix.solve a (Array.sub const 0 bsize)) 0 xb 0 bsize
+    Stablinalg.Matrix.solve_in_place a rhs;
+    Array.blit rhs 0 xb 0 bsize
   in
   let sweep_block ~tolerance ~max_sweeps bsize =
     let sweeps = ref 0 in
@@ -548,12 +545,13 @@ let solve_transient method_ chain ~transient ~base x =
     total_sweeps := !total_sweeps + !sweeps;
     worst := Float.max !worst !residual
   in
-  let solve_block block =
-    let bsize = Array.length block in
-    load block;
+  let solve_block k =
+    let first = lo k in
+    let bsize = lo (k + 1) - first in
+    load first bsize;
     if bsize = 1 then begin
       let d = 1.0 -. diag.(0) in
-      if d > 1e-12 then x.(block.(0)) <- const.(0) /. d else failed := true
+      if d > 1e-12 then x.(member first) <- const.(0) /. d else failed := true
     end
     else begin
       (Stabobs.Obs.span "markov.solve.block" ~args:[ ("size", Stabobs.Json.Int bsize) ]
@@ -561,21 +559,22 @@ let solve_transient method_ chain ~transient ~base x =
        match method_ with
        | Exact -> eliminate bsize
        | Sparse { tolerance; max_sweeps; _ } -> sweep_block ~tolerance ~max_sweeps bsize);
-      Array.iteri (fun r c -> x.(c) <- xb.(r)) block
+      for r = 0 to bsize - 1 do
+        x.(member (first + r)) <- xb.(r)
+      done
     end
   in
-  List.iteri
-    (fun bid block ->
-      if bid land 1023 = 0 then Cancel.poll ();
-      if not !failed then solve_block block)
-    blocks;
-  let stats = { sweeps = !total_sweeps; residual = !worst; blocks = nblocks } in
+  for k = 0 to Digraph.block_count blocks - 1 do
+    if k land 1023 = 0 then Cancel.poll ();
+    if solved k && not !failed then solve_block k
+  done;
+  let stats = { sweeps = !total_sweeps; residual = !worst; blocks = !nblocks } in
   if !failed then Max_sweeps { stats with residual = infinity } else Converged stats
 
 (* [solve_transient] for the entry points: an exact solve reports no
    outcome, and fails as the elimination does on a singular system. *)
-let solve method_ chain ~transient ~base x =
-  match (method_, solve_transient method_ chain ~transient ~base x) with
+let solve method_ chain ~legitimate ~reaching_only ~base x =
+  match (method_, solve_transient method_ chain ~legitimate ~reaching_only ~base x) with
   | Exact, Converged _ -> None
   | Exact, Max_sweeps _ ->
     failwith "Markov: singular system (a transient state cannot leave itself)"
@@ -584,9 +583,9 @@ let solve method_ chain ~transient ~base x =
 let sparse_hitting_times ?(kind = Gauss_seidel) ?(tolerance = 1e-10)
     ?(max_sweeps = 1_000_000) chain ~legitimate =
   let x = Array.make chain.g.n 0.0 in
-  let transient = Array.map not legitimate in
   let outcome =
-    solve_transient (Sparse { kind; tolerance; max_sweeps }) chain ~transient ~base:1.0 x
+    solve_transient (Sparse { kind; tolerance; max_sweeps }) chain ~legitimate
+      ~reaching_only:false ~base:1.0 x
   in
   (x, outcome)
 
@@ -603,18 +602,18 @@ let default_method ~transient =
   if transient <= dense_limit then Exact
   else Sparse { kind = Gauss_seidel; tolerance = 1e-10; max_sweeps = 1_000_000 }
 
-(* The probability-1 check, one {!reaches} pass, then the solve; a
-   state that cannot reach [legitimate] is the error. *)
+(* The probability-1 check, then the solve over the blocks that check
+   decomposed C \ L into; a state that cannot reach [legitimate] is
+   the error. *)
 let hitting_times_result ?method_ chain ~legitimate =
   Result.map
     (fun () ->
-      let transient = Array.map not legitimate in
-      let count = Array.fold_left (fun k t -> if t then k + 1 else k) 0 transient in
+      let count = Array.fold_left (fun k l -> if l then k else k + 1) 0 legitimate in
       let x = Array.make chain.g.n 0.0 in
       if count = 0 then (x, None)
       else
         let method_ = Option.value method_ ~default:(default_method ~transient:count) in
-        (x, solve method_ chain ~transient ~base:1.0 x))
+        (x, solve method_ chain ~legitimate ~reaching_only:false ~base:1.0 x))
     (converges_with_prob_one chain ~legitimate)
 
 let hitting_times_checked ?method_ chain ~legitimate =
@@ -635,18 +634,17 @@ let expected_hitting_times ?method_ chain ~legitimate =
   | _, Some (Max_sweeps stats) ->
     no_convergence "sparse_hitting_times" ~tolerance:(method_tolerance method_) stats
 
-(* The absorption system: the states outside L that can reach it are
-   transient; L is pinned at 1 and the doomed rest at 0. *)
+(* The absorption system: the states outside L that can reach it, the
+   blocks of C \ L flagged as reaching L, are transient; L is pinned
+   at 1 and the doomed rest at 0. *)
 let absorption_probabilities ?method_ chain ~legitimate =
   Stabobs.Obs.span "markov.absorption" @@ fun () ->
   let method_ =
     Option.value method_
       ~default:(Sparse { kind = Gauss_seidel; tolerance = 1e-12; max_sweeps = 1_000_000 })
   in
-  let can_reach = reaches chain ~target:legitimate in
-  let transient = Array.mapi (fun c l -> can_reach.(c) && not l) legitimate in
   let x = Array.map (fun l -> if l then 1.0 else 0.0) legitimate in
-  match solve method_ chain ~transient ~base:0.0 x with
+  match solve method_ chain ~legitimate ~reaching_only:true ~base:0.0 x with
   | None | Some (Converged _) -> x
   | Some (Max_sweeps stats) ->
     no_convergence "sparse_absorption" ~tolerance:(method_tolerance (Some method_)) stats

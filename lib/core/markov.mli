@@ -8,9 +8,10 @@
     iff the chain reaches [L] with probability 1 from every state —
     which, for finite chains, is equivalent to [L] being reachable from
     every state, and to every bottom SCC intersecting [L]. This module
-    implements all three views plus exact and sparse iterative expected
-    hitting times (the quantitative study the paper leaves as future
-    work).
+    decides the first two, as one pass over the states outside [L]
+    (the tests hold it to the third), plus exact and sparse iterative
+    expected hitting times (the quantitative study the paper leaves as
+    future work).
 
     A chain is a {!Digraph} graph plus a per-row weight reader, and
     its rows are merged on demand. {!of_space} keeps the checker's
@@ -25,11 +26,16 @@
     randomized one. {!of_rows} stores its rows
     merged, with their weights. Every row reads as its targets merged
     and ascending, equal targets' weights summed in arrival order. Both
-    solvers are BSCC-blocked: the transient subgraph is decomposed into
-    strongly connected blocks solved in reverse topological order, so
-    acyclic parts cost one back-substitution pass, and elimination or
-    iteration is confined to the blocks that need it; the rows are
-    merged one block at a time. See [docs/markov-solvers.md]. *)
+    solvers are BSCC-blocked: the states outside [L] are decomposed
+    into strongly connected blocks ({!Digraph.blocks_outside}) solved
+    in reverse topological order, so acyclic parts cost one
+    back-substitution pass, and elimination or iteration is confined to
+    the blocks that need it; the rows are merged one block at a time.
+    That decomposition is the pass {!reaches} and
+    {!converges_with_prob_one} read, remembered by the kernel for the
+    last graph and set, so a check followed by a solve on one chain and
+    one [L] traverses the graph once, and so does a {!Checker.analyze}
+    on the same space before them. See [docs/markov-solvers.md]. *)
 
 type randomization =
   | Central_uniform
@@ -88,16 +94,13 @@ val graph : t -> Digraph.t
     Reachability and the strongly connected components are those of
     the merged rows either way. *)
 
-val bsccs : t -> int list list
-(** Test seam: Theorem 7's third view, which the tests check against
-    {!converges_with_prob_one}. Bottom strongly connected components
-    (no edge leaving). *)
-
 val reaches : t -> target:bool array -> bool array
 (** [reaches chain ~target] marks states from which [target] is
     reachable through positive-probability paths: {!Digraph.reaches}
     on {!graph}, forward over the chain's own arrays, with no reverse
-    built. [target] must have one entry per state. *)
+    built, and answered from the kernel's memo when the last pass was
+    on the same graph and set. [target] must have one entry per
+    state. *)
 
 val converges_with_prob_one : t -> legitimate:bool array -> (unit, int) result
 (** Probability-1 convergence to [L] from {e every} state —
@@ -237,10 +240,12 @@ val hitting_stats_result :
   t ->
   legitimate:bool array ->
   (hitting_stats * solve_outcome option, int) result
-(** The probability-1 check and the solve of one Markov question, with
-    one {!reaches} pass: [Error c] names a state from which [L] is
-    unreachable, as {!converges_with_prob_one} does, and [Ok] carries
-    what {!hitting_stats_checked} returns. *)
+(** The probability-1 check and the solve of one Markov question, over
+    one SCC traversal of the states outside [L], which the check runs
+    (unless the kernel remembers it) and the solve reads: [Error c]
+    names a state from which [L] is unreachable, as
+    {!converges_with_prob_one} does, and [Ok] carries what
+    {!hitting_stats_checked} returns. *)
 
 val hitting_stats_checked :
   ?method_:hitting_method ->

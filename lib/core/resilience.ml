@@ -36,13 +36,15 @@ let prepare space cls spec =
   let chain = Markov.of_space space (Analysis.randomization cls) in
   (* Two forward passes, no reverse: probability-1 convergence from
      every state is [L] reachable from every state, and a state is
-     doomed iff it can reach one that cannot reach [L]. *)
+     doomed iff it can reach one that cannot reach [L]. The hitting
+     times come between them, so their probability-1 check and solve
+     read the first pass's remembered blocks. *)
   let reach_l = Markov.reaches chain ~target:legitimate in
-  let doomed = Markov.reaches chain ~target:(Array.map not reach_l) in
   let hitting =
     if Array.for_all Fun.id reach_l then Some (Markov.expected_hitting_times chain ~legitimate)
     else None
   in
+  let doomed = Markov.reaches chain ~target:(Array.map not reach_l) in
   { space; graph; legitimate; chain; doomed; hitting }
 
 let metric_of_lab lab ~k =

@@ -18,7 +18,14 @@ val get : t -> int -> int -> float
 val set : t -> int -> int -> float -> unit
 
 val solve : t -> float array -> float array
-(** [solve a b] solves [a x = b] by Gaussian elimination with partial
+(** Test seam: the matrix tests and the whole-matrix Markov reference
+    solve through it; the library eliminates in place.
+    [solve a b] solves [a x = b] by Gaussian elimination with partial
     pivoting. [a] must be non-singular (within [1e-12]
     pivot tolerance) and is not modified. Raises [Failure] on a
     (numerically) singular system. *)
+
+val solve_in_place : t -> float array -> unit
+(** [solve_in_place a b] is {!solve} without its two copies: the
+    solution lands in [b], and [a] is left eliminated. The arithmetic
+    is the same, so the solution is bit for bit {!solve}'s. *)

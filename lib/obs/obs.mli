@@ -111,22 +111,26 @@ val checker_scc_builds : Counter.t
     ("checker.reverse_builds" / "checker.terminal_scans" /
     "checker.scc_builds"): reverse-adjacency constructions (every one
     the graph kernel builds, wherever called: nothing memoizes one, and
-    no verdict path builds one), the checker's terminal scans, and its
-    Tarjan SCC decompositions for fairness and pseudo-stabilization
-    (Streett refinement may add decompositions on pruned subsets; the
-    kernel's own pass inside [Digraph.reaches] is not counted). Tests
-    read them to assert that [Checker.analyze] builds no reverse and
-    derives the others exactly once per verdict. *)
+    no verdict path builds one), the checker's terminal scans, and the
+    Tarjan traversals the graph kernel runs, wherever called: every
+    [Digraph.sccs] (Streett refinement on pruned subsets,
+    pseudo-stabilization) and every pass of
+    [Digraph.blocks_outside]/[Digraph.reaches] that its memo does not
+    answer. Tests read them to assert that [Checker.analyze] builds no
+    reverse and derives the others exactly once per verdict. *)
 
 val checker_heights_passes : Counter.t
 val checker_reaches_passes : Counter.t
 (** Graph-kernel passes that ran ("checker.heights_passes" /
     "checker.reaches_passes"), wherever called: depth-first searches
-    of [Digraph.heights_outside] (an answer its memo returns does not
-    count) and SCC passes of [Digraph.reaches]. Tests read them to
-    assert that [Checker.analyze] followed by
-    [Checker.worst_case_steps] on a self-stabilizing system runs one
-    search and no reachability pass. *)
+    of [Digraph.heights_outside] and SCC passes over the nodes outside
+    a set of [Digraph.blocks_outside]/[Digraph.reaches] (each also
+    counted in [checker_scc_builds]); an answer a memo returns does not
+    count. Tests read them to assert that [Checker.analyze] followed
+    by [Checker.worst_case_steps] on a self-stabilizing system runs
+    one search and no reachability pass, and that the check, chain,
+    prob-1 and hitting-time pipeline of a weak-stabilizing system runs
+    one SCC traversal in all, the pass outside [L]. *)
 
 val pool_tasks : Counter.t
 val pool_steals : Counter.t

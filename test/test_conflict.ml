@@ -239,13 +239,13 @@ let suite =
     Alcotest.test_case "coloring weak distributed" `Quick test_coloring_weak_not_self_distributed;
     Alcotest.test_case "coloring transformed sync" `Quick test_coloring_transformed_prob1_sync;
     Alcotest.test_case "coloring smallest free" `Quick test_coloring_smallest_free;
-    QCheck_alcotest.to_alcotest qcheck_coloring_conflicts_monotone_central;
-    QCheck_alcotest.to_alcotest qcheck_coloring_stays_in_palette;
+    Qcheck_seeded.to_alcotest qcheck_coloring_conflicts_monotone_central;
+    Qcheck_seeded.to_alcotest qcheck_coloring_stays_in_palette;
     Alcotest.test_case "matching terminal iff maximal" `Quick test_matching_terminal_iff_maximal;
     Alcotest.test_case "matching self everywhere" `Slow test_matching_self_stabilizing_all_classes;
     Alcotest.test_case "matched pairs" `Quick test_matched_pairs;
     Alcotest.test_case "matching rules" `Quick test_matching_rules;
     Alcotest.test_case "mutual proposals marry" `Quick test_matching_mutual_proposals_marry;
-    QCheck_alcotest.to_alcotest qcheck_matching_pairs_disjoint;
-    QCheck_alcotest.to_alcotest qcheck_matching_terminal_runs_are_maximal;
+    Qcheck_seeded.to_alcotest qcheck_matching_pairs_disjoint;
+    Qcheck_seeded.to_alcotest qcheck_matching_terminal_runs_are_maximal;
   ]

@@ -325,23 +325,48 @@ let test_rejects_wrong_lengths () =
            (Markov.of_rows [| [ (1, 1.0) ]; [] |])
            ~legitimate:[| false |]))
 
-(* The memo of [heights_outside] keeps one answer, keyed by graph
-   identity and the contents of [inside]. Two graphs of one size (a
-   factored graph and the reverse of its edges) and two sets are
-   queried in a random interleaving through one reused [inside] array,
-   which is overwritten before each call and flipped after it; every
-   returned heights array is overwritten too. Each answer must equal a
-   pass on a fresh copy, and a search must run exactly when the
-   (graph, set) pair differs from the call before. *)
-let qcheck_heights_memo =
+(* The blocks of C \ L and their reach flags against a fresh
+   [Digraph.sccs ~keep] of the outside nodes and the full-graph pass
+   [Digraph.reaches] replaced: the same blocks in the same order,
+   members ascending, each flagged iff its members reach the set. The
+   flat reads ([block_start], [member]) list the same sequence. *)
+let qcheck_blocks (name, arb) =
+  QCheck.Test.make ~count:500
+    ~name:(name ^ "blocks outside a set = SCCs + reference reaches, in order") arb (fun c ->
+      let g = graph c in
+      let b = Digraph.blocks_outside g ~inside:c.mark in
+      let count = Digraph.block_count b in
+      let blocks = List.init count (Digraph.block_members b) in
+      let reach = Reaches_reference.reaches (graph c) ~target:c.mark in
+      let flat = Array.init (Digraph.block_start b count) (Digraph.member b) in
+      blocks = Digraph.sccs ~keep:(fun v -> not c.mark.(v)) (graph c)
+      && Digraph.block_start b 0 = 0
+      && List.for_all
+           (fun k ->
+             let lo = Digraph.block_start b k and hi = Digraph.block_start b (k + 1) in
+             let block = Array.sub flat lo (hi - lo) in
+             block = Digraph.block_members b k
+             && Array.for_all (fun v -> reach.(v) = Digraph.block_reaches b k) block)
+           (List.init count Fun.id)
+      && Digraph.reaches g ~target:c.mark = reach)
+
+(* A one-entry memo keeps one answer, keyed by graph identity and the
+   contents of [inside]. Two graphs of one size (a factored graph and
+   the reverse of its edges) and two sets are queried in a random
+   interleaving through one reused [inside] array, which is
+   overwritten before each call and flipped after it; [ask] scribbles
+   over whatever fresh array the call returns. Each answer must equal
+   a call on a fresh copy, and [counter] must tick exactly when the
+   (graph, set) pair differs from the call before. [ask variant g
+   inside] calls one of the memo's two readers. *)
+let qcheck_memo ~name ~counter ask =
   let ops = QCheck.Gen.(list_size (int_range 1 12) (triple bool bool bool)) in
   let arb_memo =
     QCheck.make
       ~print:(fun (c, l) -> Printf.sprintf "%s ops=%d" (print c) (List.length l))
       QCheck.Gen.(pair gen_subsets ops)
   in
-  QCheck.Test.make ~count:300 ~name:"subsets: heights memo answers as a fresh pass" arb_memo
-    (fun (c, ops) ->
+  QCheck.Test.make ~count:300 ~name arb_memo (fun (c, ops) ->
       let n = nodes c in
       let fresh = [| (fun () -> graph c); (fun () -> Digraph.reverse (csr c)) |] in
       let graphs = Array.map (fun make -> make ()) fresh in
@@ -349,38 +374,94 @@ let qcheck_heights_memo =
       let expected =
         Array.map
           (fun make ->
-            Array.map (fun s -> Digraph.heights_outside (make ()) ~inside:(Array.copy s)) sets)
+            Array.map
+              (fun s -> Array.map (fun variant -> ask variant (make ()) (Array.copy s)) [| false; true |])
+              sets)
           fresh
       in
-      let passes () = Stabobs.Obs.Counter.value Stabobs.Obs.checker_heights_passes in
+      let passes () = Stabobs.Obs.Counter.value counter in
       Test_differential.counting @@ fun () ->
       let before = passes () and searches = ref 0 and last = ref None in
       let inside = Array.make n false in
       let answers_match =
         List.for_all
-          (fun (which, set, heights) ->
+          (fun (which, set, variant) ->
             let gi = Bool.to_int which and si = Bool.to_int set in
             let key = (gi, sets.(si)) in
             if !last <> Some key then incr searches;
             last := Some key;
             Array.blit sets.(si) 0 inside 0 n;
-            let want = expected.(gi).(si) in
-            let ok =
-              if heights then begin
-                let got = Digraph.heights_outside graphs.(gi) ~inside in
-                let ok = got = want in
-                Result.iter (fun h -> Array.fill h 0 n 7777) got;
-                ok
-              end
-              else
-                Digraph.cycle_outside graphs.(gi) ~inside
-                = (match want with Ok _ -> None | Error cycle -> Some cycle)
-            in
+            let ok = ask variant graphs.(gi) inside = expected.(gi).(si).(Bool.to_int variant) in
             Array.iteri (fun v b -> inside.(v) <- not b) inside;
             ok)
           ops
       in
       answers_match && passes () - before = !searches)
+
+(* The heights, or the cycle alone; the returned heights are
+   overwritten once copied. *)
+let qcheck_heights_memo =
+  qcheck_memo ~name:"subsets: heights memo answers as a fresh pass"
+    ~counter:Stabobs.Obs.checker_heights_passes (fun heights g inside ->
+      if heights then begin
+        let got = Digraph.heights_outside g ~inside in
+        let copy = Result.map Array.copy got in
+        Result.iter (fun h -> Array.fill h 0 (Array.length h) 7777) got;
+        (copy, None)
+      end
+      else (Error [], Digraph.cycle_outside g ~inside))
+
+(* The blocks with their flags, or the reach set; the returned reach
+   set is overwritten once copied. *)
+let qcheck_blocks_memo =
+  qcheck_memo ~name:"subsets: blocks memo answers as a fresh pass"
+    ~counter:Stabobs.Obs.checker_reaches_passes (fun blocks g inside ->
+      if blocks then begin
+        let b = Digraph.blocks_outside g ~inside in
+        Ok
+          (List.init (Digraph.block_count b) (fun k ->
+               (Digraph.block_members b k, Digraph.block_reaches b k)))
+      end
+      else begin
+        let got = Digraph.reaches g ~target:inside in
+        let copy = Array.copy got in
+        Array.fill got 0 (Array.length got) false;
+        Error copy
+      end)
+
+(* The three ways a remembered decomposition must be dropped, one at a
+   time, each counted: another set on the same graph, the same set on
+   another graph (built alike, so only its identity differs), and the
+   caller's own [inside] array changed in place. *)
+let test_blocks_memo_recomputes () =
+  let adj = [| [ 1 ]; [ 0; 2 ]; [ 3 ]; [ 2 ]; [ 4 ] |] in
+  let case mark = { adj; mark; keep = mark; deltas = None } in
+  let l1 = [| false; false; true; false; false |] and l2 = [| false; false; false; false; true |] in
+  let g1 = csr (case l1) and g2 = csr (case l1) in
+  let passes () = Stabobs.Obs.Counter.value Stabobs.Obs.checker_reaches_passes in
+  let builds () = Stabobs.Obs.Counter.value Stabobs.Obs.checker_scc_builds in
+  Test_differential.counting @@ fun () ->
+  let step label g inside ~runs =
+    let p0 = passes () and b0 = builds () in
+    let got = Digraph.reaches g ~target:inside in
+    Alcotest.(check int) (label ^ ": passes") runs (passes () - p0);
+    Alcotest.(check int) (label ^ ": SCC builds") runs (builds () - b0);
+    Alcotest.(check (array bool)) (label ^ ": answer")
+      (Reaches_reference.reaches (csr (case inside)) ~target:(Array.copy inside))
+      got
+  in
+  let inside = Array.copy l1 in
+  step "first call" g1 inside ~runs:1;
+  step "same graph and set" g1 (Array.copy l1) ~runs:0;
+  step "another set" g1 l2 ~runs:1;
+  step "another graph" g2 l2 ~runs:1;
+  step "back to the first set" g2 inside ~runs:1;
+  Array.blit l2 0 inside 0 (Array.length l2);
+  step "inside mutated in place" g2 inside ~runs:1;
+  Alcotest.(check (array bool)) "reaches {2}" [| true; true; true; true; false |]
+    (Digraph.reaches g1 ~target:l1);
+  Alcotest.(check (array bool)) "reaches {4}" [| false; false; false; false; true |]
+    (Digraph.reaches g1 ~target:l2)
 
 let suite =
   Alcotest.
@@ -388,8 +469,10 @@ let suite =
       test_case "create_edges rejects 2^31 nodes" `Quick test_create_edges_rejects_wide;
       test_case "set_target/target round-trip" `Quick test_target_round_trip;
       test_case "per-node arrays must have length n" `Quick test_rejects_wrong_lengths;
+      test_case "blocks memo recomputes on a new graph, set or inside" `Quick
+        test_blocks_memo_recomputes;
     ]
-  @ List.map QCheck_alcotest.to_alcotest
+  @ List.map Qcheck_seeded.to_alcotest
       (List.concat_map
          (fun source ->
            [
@@ -398,6 +481,7 @@ let suite =
              qcheck_forward_closure source;
              qcheck_cycle_outside source;
              qcheck_sccs source;
+             qcheck_blocks source;
            ])
          [ ("", arb); ("subsets: ", arb_subsets) ]
-      @ [ qcheck_subsets_match_edges; qcheck_heights_memo ])
+      @ [ qcheck_subsets_match_edges; qcheck_heights_memo; qcheck_blocks_memo ])

@@ -100,5 +100,5 @@ let suite =
     Alcotest.test_case "make validation" `Quick test_make_validation;
     Alcotest.test_case "iter order" `Quick test_iter_visits_all_in_order;
     Alcotest.test_case "of_protocol" `Quick test_of_protocol;
-    QCheck_alcotest.to_alcotest qcheck_roundtrip;
+    Qcheck_seeded.to_alcotest qcheck_roundtrip;
   ]

@@ -163,9 +163,9 @@ let suite =
     Alcotest.test_case "all_trees pairwise distinct" `Quick test_all_trees_pairwise_nonisomorphic;
     Alcotest.test_case "random_tree is tree" `Quick test_random_tree_is_tree;
     Alcotest.test_case "fold/iter" `Quick test_fold_iter;
-    QCheck_alcotest.to_alcotest qcheck_random_tree_edge_count;
+    Qcheck_seeded.to_alcotest qcheck_random_tree_edge_count;
     Alcotest.test_case "Property 1 (tree centers)" `Quick test_property_one;
-    QCheck_alcotest.to_alcotest qcheck_bfs_triangle_inequality;
+    Qcheck_seeded.to_alcotest qcheck_bfs_triangle_inequality;
   ]
 
 let test_reorder_neighbors () =

@@ -219,6 +219,6 @@ let suite =
     Alcotest.test_case "Theorem 3 symmetric closure" `Quick test_theorem3_symmetric_closure;
     Alcotest.test_case "Theorem 3 labeling matters" `Quick test_theorem3_labeling_matters;
     Alcotest.test_case "not weak under sync class" `Quick test_not_weak_under_synchronous_class;
-    QCheck_alcotest.to_alcotest qcheck_random_runs_respect_domain;
-    QCheck_alcotest.to_alcotest qcheck_converged_runs_are_lc;
+    Qcheck_seeded.to_alcotest qcheck_random_runs_respect_domain;
+    Qcheck_seeded.to_alcotest qcheck_converged_runs_are_lc;
   ]

@@ -6,6 +6,22 @@ open Stabcore
 
 let check_float = Alcotest.(check (float 1e-7))
 
+(* Theorem 7's third view, which the tests hold the probability-1
+   check to: the bottom strongly connected components of the chain's
+   graph (no edge leaving), members ascending. *)
+let bsccs chain =
+  let g = Markov.graph chain in
+  let comps = Digraph.sccs g in
+  let component = Array.make g.Digraph.n (-1) in
+  List.iteri (fun i members -> Array.iter (fun c -> component.(c) <- i) members) comps;
+  List.filteri
+    (fun i members ->
+      Array.for_all
+        (fun c -> not (Digraph.exists_succ g c (fun c' -> component.(c') <> i)))
+        members)
+    comps
+  |> List.map Array.to_list
+
 let rows_sum_to_one chain =
   let n = Markov.states chain in
   let ok = ref true in
@@ -134,9 +150,8 @@ let test_hitting_requires_convergence () =
   | Ok _ -> Alcotest.fail "hitting_stats_result solved a chain without prob-1 convergence"
 
 (* A Markov question through the analysis ladder decides probability-1
-   convergence once: one [markov.prob1] span (one whole-graph
-   [Digraph.reaches] pass) per answer, whose hitting times equal the
-   ones [hitting_stats_checked] gives. *)
+   convergence once: one [markov.prob1] span per answer, whose hitting
+   times equal the ones [hitting_stats_checked] gives. *)
 let test_one_prob1_pass () =
   let n = 6 in
   let instance = Analysis.instance (Stabalgo.Token_ring.make ~n) (Stabalgo.Token_ring.spec ~n) in
@@ -166,6 +181,42 @@ let test_one_prob1_pass () =
   | Ok (_, Error c) -> Alcotest.failf "state %d cannot reach L" c
   | Error msg -> Alcotest.fail msg
 
+(* The weak-stabilizing pipeline on one graph and one L: the verdicts
+   with both fairness fields forced, the chain, its probability-1 check
+   and Gauss-Seidel hitting times. The kernel's remembered
+   decomposition of C \ L serves possible convergence, both fairness
+   checks, the check and the solve, so exactly one SCC traversal runs,
+   and it is the pass over C \ L. A fresh space keys a fresh graph, so
+   no earlier answer is remembered. *)
+let test_one_scc_pass_per_pipeline () =
+  let n = 6 in
+  let space = Statespace.build (Stabalgo.Token_ring.make ~n) in
+  let spec = Stabalgo.Token_ring.spec ~n in
+  let value = Stabobs.Obs.Counter.value in
+  let builds, passes, (v, prob1, outcome) =
+    Test_differential.counting @@ fun () ->
+    let builds0 = value Stabobs.Obs.checker_scc_builds
+    and passes0 = value Stabobs.Obs.checker_reaches_passes in
+    let v = Checker.analyze space Statespace.Distributed spec in
+    ignore (Lazy.force v.Checker.strongly_fair_diverges);
+    ignore (Lazy.force v.Checker.weakly_fair_diverges);
+    let chain = Markov.of_space space Markov.Distributed_uniform in
+    let legitimate = Statespace.legitimate_set space spec in
+    let prob1 = Markov.converges_with_prob_one chain ~legitimate in
+    let _, outcome = Markov.sparse_hitting_times chain ~legitimate in
+    ( value Stabobs.Obs.checker_scc_builds - builds0,
+      value Stabobs.Obs.checker_reaches_passes - passes0,
+      (v, prob1, outcome) )
+  in
+  Alcotest.(check bool) "weak-stabilizing" true (Checker.weak_stabilizing v);
+  Alcotest.(check bool) "not self-stabilizing" false (Checker.self_stabilizing v);
+  Alcotest.(check bool) "prob-1" true (Result.is_ok prob1);
+  (match outcome with
+  | Markov.Converged _ -> ()
+  | Markov.Max_sweeps _ -> Alcotest.fail "Gauss-Seidel did not converge");
+  Alcotest.(check int) "SCC traversals" 1 builds;
+  Alcotest.(check int) "passes over C \\ L" 1 passes
+
 let test_bsccs () =
   (* 0 -> 1 -> 2 <-> 3 (cycle), 4 absorbing, 1 -> 4. *)
   let chain =
@@ -178,7 +229,7 @@ let test_bsccs () =
         [ (4, 1.0) ];
       |]
   in
-  let bs = List.sort compare (Markov.bsccs chain) in
+  let bs = List.sort compare (bsccs chain) in
   Alcotest.(check (list (list int))) "two bottom components" [ [ 2; 3 ]; [ 4 ] ] bs
 
 let test_reaches () =
@@ -205,7 +256,7 @@ let test_convergence_iff_bsccs_legitimate () =
   let chain = Markov.of_space space Markov.Distributed_uniform in
   let via_reach = Result.is_ok (Markov.converges_with_prob_one chain ~legitimate) in
   let via_bscc =
-    List.for_all (List.exists (fun c -> legitimate.(c))) (Markov.bsccs chain)
+    List.for_all (List.exists (fun c -> legitimate.(c))) (bsccs chain)
   in
   Alcotest.(check bool) "reachability and BSCC views agree" true (via_reach = via_bscc);
   Alcotest.(check bool) "token ring converges w.p.1" true via_reach
@@ -414,8 +465,8 @@ let check_twins label space cls ~legitimate ~target =
     if List.length row < steps c then incr merged
   done;
   let sets = List.sort compare in
-  Alcotest.(check (list (list int))) (label ^ " bsccs") (sets (Markov.bsccs twin))
-    (sets (Markov.bsccs chain));
+  Alcotest.(check (list (list int))) (label ^ " bsccs") (sets (bsccs twin))
+    (sets (bsccs chain));
   let blocks c ~transient =
     sets (List.map Array.to_list (Digraph.sccs ~keep:(Array.get transient) (Markov.graph c)))
   in
@@ -801,6 +852,7 @@ let suite =
     Alcotest.test_case "exact vs iterative" `Quick test_gambler_exact_vs_iterative;
     Alcotest.test_case "hitting needs convergence" `Quick test_hitting_requires_convergence;
     Alcotest.test_case "one prob-1 pass per question" `Quick test_one_prob1_pass;
+    Alcotest.test_case "one SCC pass per weak pipeline" `Quick test_one_scc_pass_per_pipeline;
     Alcotest.test_case "bsccs" `Quick test_bsccs;
     Alcotest.test_case "reaches" `Quick test_reaches;
     Alcotest.test_case "prob-1 convergence" `Quick test_converges_with_prob_one;

@@ -150,6 +150,6 @@ let suite =
     Alcotest.test_case "solve zero column" `Quick test_solve_zero_column;
     Alcotest.test_case "solve pure" `Quick test_solve_does_not_mutate;
     Alcotest.test_case "solve random roundtrip" `Quick test_solve_random_roundtrip;
-    QCheck_alcotest.to_alcotest qcheck_solve_diag;
+    Qcheck_seeded.to_alcotest qcheck_solve_diag;
     Alcotest.test_case "solve allocation" `Quick test_solve_allocation;
   ]

@@ -193,5 +193,5 @@ let suite =
     Alcotest.test_case "certain on orbit" `Quick test_certain_from_legitimate_orbit;
     Alcotest.test_case "large token instance" `Quick test_large_instance_two_tokens;
     Alcotest.test_case "large leader tree" `Quick test_large_leader_tree;
-    QCheck_alcotest.to_alcotest qcheck_onthefly_matches_checker;
+    Qcheck_seeded.to_alcotest qcheck_onthefly_matches_checker;
   ]

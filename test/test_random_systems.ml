@@ -316,12 +316,12 @@ let suite =
   [
     Alcotest.test_case "synchronous analyses = naive walk" `Quick
       test_synchronous_analyses_match_naive_walk;
-    QCheck_alcotest.to_alcotest qcheck_theorem7_core;
-    QCheck_alcotest.to_alcotest qcheck_certain_implies_no_fair_divergence;
-    QCheck_alcotest.to_alcotest qcheck_strong_divergence_implies_weak;
-    QCheck_alcotest.to_alcotest qcheck_best_case_finiteness;
-    QCheck_alcotest.to_alcotest qcheck_worst_case_iff_certain;
-    QCheck_alcotest.to_alcotest qcheck_central_subsumed_by_distributed;
-    QCheck_alcotest.to_alcotest qcheck_markov_rows_sum;
-    QCheck_alcotest.to_alcotest qcheck_simulation_agrees_with_reachability;
+    Qcheck_seeded.to_alcotest qcheck_theorem7_core;
+    Qcheck_seeded.to_alcotest qcheck_certain_implies_no_fair_divergence;
+    Qcheck_seeded.to_alcotest qcheck_strong_divergence_implies_weak;
+    Qcheck_seeded.to_alcotest qcheck_best_case_finiteness;
+    Qcheck_seeded.to_alcotest qcheck_worst_case_iff_certain;
+    Qcheck_seeded.to_alcotest qcheck_central_subsumed_by_distributed;
+    Qcheck_seeded.to_alcotest qcheck_markov_rows_sum;
+    Qcheck_seeded.to_alcotest qcheck_simulation_agrees_with_reachability;
   ]

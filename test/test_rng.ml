@@ -266,7 +266,7 @@ let suite =
     Alcotest.test_case "nonempty subset" `Quick test_nonempty_subset;
     Alcotest.test_case "nonempty subset singleton" `Quick test_nonempty_subset_singleton;
     Alcotest.test_case "nonempty subset uniform" `Slow test_nonempty_subset_uniform;
-    QCheck_alcotest.to_alcotest qcheck_int_in_bounds;
-    QCheck_alcotest.to_alcotest qcheck_subset_sound;
+    Qcheck_seeded.to_alcotest qcheck_int_in_bounds;
+    Qcheck_seeded.to_alcotest qcheck_subset_sound;
     Alcotest.test_case "known answers" `Quick test_known_answers;
   ]

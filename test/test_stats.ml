@@ -90,6 +90,6 @@ let suite =
     Alcotest.test_case "quantile validation" `Quick test_quantile_validation;
     Alcotest.test_case "quantile rejects nan" `Quick test_quantile_rejects_nan;
     Alcotest.test_case "quantile total order" `Quick test_quantile_total_order;
-    QCheck_alcotest.to_alcotest qcheck_quantile_monotone;
-    QCheck_alcotest.to_alcotest qcheck_mean_bounds;
+    Qcheck_seeded.to_alcotest qcheck_quantile_monotone;
+    Qcheck_seeded.to_alcotest qcheck_mean_bounds;
   ]

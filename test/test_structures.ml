@@ -173,5 +173,5 @@ let suite =
     Alcotest.test_case "mis distributed weak" `Quick test_mis_distributed_weak_not_self;
     Alcotest.test_case "mis transformer repairs" `Quick test_mis_transformer_repairs;
     Alcotest.test_case "mis predicates" `Quick test_mis_predicates;
-    QCheck_alcotest.to_alcotest qcheck_mis_runs_end_maximal;
+    Qcheck_seeded.to_alcotest qcheck_mis_runs_end_maximal;
   ]

@@ -207,6 +207,6 @@ let suite =
     Alcotest.test_case "Theorem 2" `Quick test_theorem2;
     Alcotest.test_case "weak under central" `Quick test_weak_under_central;
     Alcotest.test_case "memory requirement" `Quick test_memory_requirement;
-    QCheck_alcotest.to_alcotest qcheck_tokens_never_vanish;
-    QCheck_alcotest.to_alcotest qcheck_token_count_never_increases;
+    Qcheck_seeded.to_alcotest qcheck_tokens_never_vanish;
+    Qcheck_seeded.to_alcotest qcheck_token_count_never_increases;
   ]

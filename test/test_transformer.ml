@@ -246,8 +246,8 @@ let qcheck_transformed_never_invents_core_states =
 
 let projection_suite =
   [
-    QCheck_alcotest.to_alcotest qcheck_projection_simulates_original;
-    QCheck_alcotest.to_alcotest qcheck_transformed_never_invents_core_states;
+    Qcheck_seeded.to_alcotest qcheck_projection_simulates_original;
+    Qcheck_seeded.to_alcotest qcheck_transformed_never_invents_core_states;
   ]
 
 let suite = suite @ projection_suite
