@@ -1,19 +1,33 @@
 module Graph = Stabgraph.Graph
 
-let neighbor_colors g cfg p =
-  Array.to_list (Graph.neighbors g p) |> List.map (fun q -> cfg.(q))
+(* The guard, the statement and the legitimacy predicate run on every
+   engine step and every expanded configuration, so they scan the
+   adjacency in place with [Graph.degree]/[Graph.neighbor]: no list is
+   built and no neighbour array copied. *)
 
-let in_conflict g cfg p = List.mem cfg.(p) (neighbor_colors g cfg p)
+(* Whether some neighbour of [p] has color [c]. *)
+let neighbor_has g (cfg : int array) p c =
+  let k = ref (Graph.degree g p - 1) in
+  while !k >= 0 && cfg.(Graph.neighbor g p !k) <> c do
+    decr k
+  done;
+  !k >= 0
 
-let conflicts g cfg =
-  List.filter (in_conflict g cfg) (List.init (Graph.size g) Fun.id)
+let in_conflict g cfg p = neighbor_has g cfg p cfg.(p)
 
-let proper g cfg = conflicts g cfg = []
+let proper g cfg =
+  let n = Graph.size g and p = ref 0 in
+  while !p < n && not (in_conflict g cfg !p) do
+    incr p
+  done;
+  !p = n
 
 let smallest_free g cfg p =
-  let taken = neighbor_colors g cfg p in
-  let rec go c = if List.mem c taken then go (c + 1) else c in
-  go 0
+  let c = ref 0 in
+  while neighbor_has g cfg p !c do
+    incr c
+  done;
+  !c
 
 let make ?colors g =
   let colors = Option.value colors ~default:(Graph.max_degree g + 1) in

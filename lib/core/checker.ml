@@ -363,7 +363,7 @@ let check_closure space g spec =
   end
 
 let possible_convergence _space g ~legitimate =
-  match Array.find_index not (Digraph.reaches g.fwd ~target:legitimate) with
+  match Digraph.first_unreaching g.fwd ~target:legitimate with
   | None -> Ok ()
   | Some c -> Error c
 

@@ -155,7 +155,8 @@ val possible_convergence :
   'a Statespace.t -> graph -> legitimate:bool array -> (unit, int) result
 (** [Error c] gives a configuration from which no execution reaches
     [L], over all positive-probability edges: the least such code.
-    Decided forward by {!Digraph.reaches}, with no reverse graph: a
+    Decided forward by {!Digraph.first_unreaching}, with no reverse
+    graph and no per-configuration array: a
     strongly connected component reaches [L] iff a member is in [L]
     or has an edge into a component that does, so [L] is reachable
     from everywhere iff every bottom component meets it (Thm 7).

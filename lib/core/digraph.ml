@@ -398,3 +398,14 @@ let reaches g ~target =
       done
   done;
   marked
+
+(* The least member of a block that misses [target] is the block's
+   first, members being ascending, so one read per block suffices. *)
+let first_unreaching g ~target =
+  check_length "first_unreaching" g "target" target;
+  let b = remember last_blocks outside_pass g ~inside:target in
+  let least = ref max_int in
+  for k = 0 to block_count b - 1 do
+    if not (block_reaches b k) then least := min !least b.members.(b.start.(k))
+  done;
+  if !least = max_int then None else Some !least

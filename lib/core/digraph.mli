@@ -191,3 +191,10 @@ val reaches : t -> target:bool array -> bool array
     {!blocks_outside} on the same graph and set runs none. In a finite
     graph, every node reaches the target set iff every bottom
     component meets it (Thm 7's criterion). *)
+
+val first_unreaching : t -> target:bool array -> int option
+(** The smallest node from which no path reaches a [target] node, or
+    [None] if every node reaches one: the first node {!reaches} leaves
+    unmarked, read off the blocks of {!blocks_outside} with
+    [inside = target] (the least member of a block that does not
+    reach it), from the same memo and with no per-node array built. *)

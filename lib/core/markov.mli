@@ -72,6 +72,19 @@ val of_rows : (int * float) list array -> t
     coarser abstraction (e.g. Israeli-Jalfon token positions), and as
     the independent twin a chain's rows are tested against. *)
 
+val of_arrivals : (int * float) list array -> t
+(** Test seam: the merge tests hand the chain's own [Edges] merge rows
+    it never meets otherwise, over more than 65,536 states (three
+    radix passes) and on both sides of {!short_row}. {!of_rows}
+    without its merge: the rows are checked as there, then stored as
+    given, in arrival order, so that every read merges them. *)
+
+val short_row : int
+(** Test seam: the merge tests count the rows long enough to take the
+    radix path. An [Edges] row of at most this many stored entries is
+    insertion-sorted when merged; a longer one is sorted by stable
+    radix passes over its targets' bits. *)
+
 val states : t -> int
 val row : t -> int -> (int * float) list
 (** Successor distribution of a state, merged and sorted by code; an
@@ -105,7 +118,8 @@ val reaches : t -> target:bool array -> bool array
 val converges_with_prob_one : t -> legitimate:bool array -> (unit, int) result
 (** Probability-1 convergence to [L] from {e every} state —
     Definition 2's probabilistic convergence with [I = C]. On failure,
-    returns a state from which [L] is unreachable. *)
+    returns the least state from which [L] is unreachable, read by
+    {!Digraph.first_unreaching} off the kernel's blocks. *)
 
 type sparse_kind =
   | Gauss_seidel  (** in-place sweeps; typically converges in fewer *)

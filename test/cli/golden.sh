@@ -65,6 +65,9 @@ golden check-quotient cat check -p token-ring -t ring:6 --quotient
 golden check-crash cat check -p token-ring -t ring:5 --crash 0
 golden markov cat markov -p token-ring -t ring:5
 golden markov-quotient cat markov -p token-ring -t ring:6 --quotient
+# Quotient rows of up to 2^15 - 1 canonicalized targets: the radix merge,
+# whose summation order the printed residual would show.
+golden markov-quotient-ring15 cat markov -p token-ring -t ring:15 --quotient
 golden markov-central-gs cat markov -p dijkstra-3state -t ring:5 -r central-random \
   --solver gs
 golden reach cat reach -p token-ring -t ring:6

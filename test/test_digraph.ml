@@ -311,6 +311,7 @@ let test_rejects_wrong_lengths () =
   List.iter
     (fun arr ->
       rejects "reaches" "target" arr (fun target -> Digraph.reaches g ~target);
+      rejects "first_unreaching" "target" arr (fun target -> Digraph.first_unreaching g ~target);
       rejects "distances" "seeds" arr (fun seeds -> Digraph.distances g ~seeds);
       rejects "reach" "seeds" arr (fun seeds -> Digraph.reach g ~seeds);
       rejects "heights_outside" "inside" arr (fun inside -> Digraph.heights_outside g ~inside);
@@ -319,7 +320,8 @@ let test_rejects_wrong_lengths () =
   (* A one-entry legitimate set on a two-state chain is refused, not
      read as "state 0 cannot reach [L]". *)
   Alcotest.check_raises "prob-1 on a short legitimate set"
-    (Invalid_argument "Digraph.reaches: target has length 1, the graph 2 nodes") (fun () ->
+    (Invalid_argument "Digraph.first_unreaching: target has length 1, the graph 2 nodes")
+    (fun () ->
       ignore
         (Markov.converges_with_prob_one
            (Markov.of_rows [| [ (1, 1.0) ]; [] |])
@@ -349,6 +351,19 @@ let qcheck_blocks (name, arb) =
              && Array.for_all (fun v -> reach.(v) = Digraph.block_reaches b k) block)
            (List.init count Fun.id)
       && Digraph.reaches g ~target:c.mark = reach)
+
+(* The least node the reference pass leaves unmarked, on a fresh
+   graph and again on the memo the first call left. *)
+let qcheck_first_unreaching (name, arb) =
+  QCheck.Test.make ~count:500
+    ~name:(name ^ "first unreaching node = least node the reference reach misses") arb
+    (fun c ->
+      let expected =
+        Array.find_index not (Reaches_reference.reaches (graph c) ~target:c.mark)
+      in
+      let g = graph c in
+      Digraph.first_unreaching g ~target:c.mark = expected
+      && Digraph.first_unreaching g ~target:(Array.copy c.mark) = expected)
 
 (* A one-entry memo keeps one answer, keyed by graph identity and the
    contents of [inside]. Two graphs of one size (a factored graph and
@@ -463,6 +478,21 @@ let test_blocks_memo_recomputes () =
   Alcotest.(check (array bool)) "reaches {4}" [| false; false; false; false; true |]
     (Digraph.reaches g1 ~target:l2)
 
+(* Once the blocks are remembered, the first unreaching node costs one
+   read per block: on a 100,000-node path into a two-node cycle, far
+   less than the 800 KB a copied target array alone would take. *)
+let test_first_unreaching_allocation () =
+  let n = 100_000 in
+  let adj = Array.init n (fun u -> if u = n - 1 then [ n - 2 ] else [ u + 1 ]) in
+  let target = Array.make n false in
+  let g = csr { adj; mark = target; keep = target; deltas = None } in
+  ignore (Digraph.blocks_outside g ~inside:target);
+  let before = Gc.allocated_bytes () in
+  let first = Digraph.first_unreaching g ~target in
+  let bytes = Gc.allocated_bytes () -. before in
+  Alcotest.(check (option int)) "node 0 misses the empty set" (Some 0) first;
+  if bytes > 1024.0 then Alcotest.failf "first_unreaching allocated %.0f bytes" bytes
+
 let suite =
   Alcotest.
     [
@@ -484,4 +514,9 @@ let suite =
              qcheck_blocks source;
            ])
          [ ("", arb); ("subsets: ", arb_subsets) ]
-      @ [ qcheck_subsets_match_edges; qcheck_heights_memo; qcheck_blocks_memo ])
+      @ [ qcheck_subsets_match_edges; qcheck_heights_memo; qcheck_blocks_memo ]
+      @ List.map qcheck_first_unreaching [ ("", arb); ("subsets: ", arb_subsets) ])
+  @ [
+      Alcotest.test_case "first_unreaching allocates no per-node array" `Quick
+        test_first_unreaching_allocation;
+    ]

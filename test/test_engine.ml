@@ -379,6 +379,27 @@ let test_transformed_step_allocation () =
   if per_step > 455.0 then
     Alcotest.failf "%.1f minor words per engine step, at most 455 allowed" per_step
 
+(* The same gate for the greedy coloring on ring:24 under the
+   distributed random daemon, 500 runs at width 1. Its guard, statement
+   and legitimacy predicate scan neighbour colors in place: 172.6 minor
+   words a step measured (1888 when each call copied the adjacency and
+   built lists of neighbour colors and conflicting processes); the
+   bound is 15 % above the measurement. *)
+let test_coloring_step_allocation () =
+  Pool.set_width 1;
+  let g = Stabgraph.Graph.ring 24 in
+  let before = Gc.minor_words () in
+  let r =
+    Montecarlo.estimate ~runs:500 ~max_steps:100_000 (Stabrng.Rng.create 2008)
+      (Stabalgo.Coloring.make g) Scheduler.distributed_random (Stabalgo.Coloring.spec g)
+  in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "no timeouts" 0 r.Montecarlo.timeouts;
+  let steps = Array.fold_left ( + ) 0 r.Montecarlo.times in
+  let per_step = words /. float_of_int steps in
+  if per_step > 198.0 then
+    Alcotest.failf "%.1f minor words per engine step, at most 198 allowed" per_step
+
 let suite =
   [
     Alcotest.test_case "run to terminal" `Quick test_run_reaches_terminal;
@@ -419,6 +440,7 @@ let extra_suite =
     Alcotest.test_case "step allocation" `Quick test_step_allocation;
     Alcotest.test_case "leader-tree step allocation" `Quick test_leader_tree_step_allocation;
     Alcotest.test_case "transformed step allocation" `Quick test_transformed_step_allocation;
+    Alcotest.test_case "coloring step allocation" `Quick test_coloring_step_allocation;
   ]
 
 let suite = suite @ extra_suite

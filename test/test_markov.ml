@@ -318,22 +318,32 @@ let arrival_merge c entries =
 let bits row = List.map (fun (t, w) -> (t, Int64.bits_of_float w)) row
 
 (* Every row of [chain] against the reference merge of [arrivals c];
-   returns the number of repeated targets merged. *)
+   returns the number of repeated targets merged and the number of rows
+   stored longer than {!Markov.short_row}, the rows the merge
+   radix-sorts. *)
 let check_rows label chain arrivals =
-  let repeats = ref 0 in
+  let repeats = ref 0 and radix = ref 0 in
   for c = 0 to Markov.states chain - 1 do
-    let expected, r = arrival_merge c (arrivals c) in
+    let entries = arrivals c in
+    if List.compare_length_with entries Markov.short_row > 0 then incr radix;
+    let expected, r = arrival_merge c entries in
     repeats := !repeats + r;
     Alcotest.(check (list (pair int int64)))
       (Printf.sprintf "%s row %d" label c)
       (bits expected)
       (bits (Markov.row chain c))
   done;
-  !repeats
+  (!repeats, !radix)
 
-(* Random rows over few targets, so most rows repeat some, with
-   unequal weights normalized to sum to 1; some rows are empty, and
-   the last chain has one row over 4096 entries. *)
+(* [len] entries with targets from [pick ()] and unequal weights,
+   normalized to sum to 1. *)
+let random_row rng ~len pick =
+  let raw = List.init len (fun _ -> (pick (), 0.01 +. Random.State.float rng 1.0)) in
+  let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 raw in
+  List.map (fun (t, w) -> (t, w /. total)) raw
+
+(* Random rows over few targets, so most rows repeat some; some rows
+   are empty, and the last chain has one row over 4096 entries. *)
 let random_rows rng ~n ~long =
   Array.init n (fun c ->
       let len =
@@ -342,15 +352,13 @@ let random_rows rng ~n ~long =
         else 1 + Random.State.int rng 30
       in
       let span = 1 + Random.State.int rng (min n 6) in
-      let raw =
-        List.init len (fun _ -> (Random.State.int rng span, 0.01 +. Random.State.float rng 1.0))
-      in
-      let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 raw in
-      List.map (fun (t, w) -> (t, w /. total)) raw)
+      random_row rng ~len (fun () -> Random.State.int rng span))
 
 (* Every row layout merges as the reference does: [of_rows]' own merge,
-   and the chain's merge of the checker's [Edges] rows, randomized,
-   quotient, central and synchronous. *)
+   the chain's merge of rows stored in arrival order, on both sides of
+   the radix cutoff and over enough states for three radix passes, and
+   of the checker's [Edges] rows, randomized, quotient, central and
+   synchronous. *)
 let test_rows_are_arrival_merge () =
   let rng = Random.State.make [| 2024 |] in
   let repeats = ref 0 in
@@ -358,25 +366,67 @@ let test_rows_are_arrival_merge () =
     let long = trial = 20 in
     let rows = random_rows rng ~n:(if long then 300 else 1 + Random.State.int rng 40) ~long in
     let chain = Markov.of_rows rows in
-    repeats := !repeats + check_rows (Printf.sprintf "of_rows %d" trial) chain (Array.get rows)
+    repeats :=
+      !repeats + fst (check_rows (Printf.sprintf "of_rows %d" trial) chain (Array.get rows))
   done;
   Alcotest.(check bool) "random rows repeat targets" true (!repeats > 0);
+  (* Rows stored unmerged, two of every length up to three times the
+     cutoff, over few targets so that runs of three and more repeats
+     are summed in arrival order. *)
+  let cut = Markov.short_row in
+  let stored = 6 * cut in
+  let n = stored + 100 in
+  let rows =
+    Array.init n (fun c ->
+        if c >= stored then []
+        else
+          let span = 1 + Random.State.int rng 12 in
+          let base = Random.State.int rng (n - span) in
+          random_row rng ~len:(1 + (c / 2)) (fun () -> base + Random.State.int rng span))
+  in
+  let repeats, radix = check_rows "arrivals" (Markov.of_arrivals rows) (Array.get rows) in
+  Alcotest.(check bool) "arrival rows repeat targets" true (repeats > 0);
+  Alcotest.(check bool) "arrival rows insertion-sorted" true (stored - radix > 0);
+  Alcotest.(check bool) "arrival rows radix-sorted" true (radix > 0);
+  (* Over 65,536 states the targets need 17 bits: three radix passes.
+     Each row draws from a few targets spread over the whole range. *)
+  let n = 70_000 in
+  let rows =
+    Array.init n (fun c ->
+        if c mod 500 <> 0 then []
+        else
+          let pool = Array.init 6 (fun _ -> Random.State.int rng n) in
+          random_row rng
+            ~len:(1 + Random.State.int rng (3 * cut))
+            (fun () -> pool.(Random.State.int rng 6)))
+  in
+  let repeats, radix = check_rows "three passes" (Markov.of_arrivals rows) (Array.get rows) in
+  Alcotest.(check bool) "three-pass rows repeat targets" true (repeats > 0);
+  Alcotest.(check bool) "three-pass rows radix-sorted" true (radix > 0);
   let of_space label space cls randomization =
     let g = Checker.expand space cls in
     check_rows label (Markov.of_space space randomization) (Checker.weighted_row g)
   in
+  let radix_repeats label space cls randomization =
+    let repeats, radix = of_space label space cls randomization in
+    Alcotest.(check bool) (label ^ " rows repeat targets") true (repeats > 0);
+    Alcotest.(check bool) (label ^ " rows radix-sorted") true (radix > 0)
+  in
   (* Herman's coin flips can land a process on its old value, so under
      the distributed daemon several subsets reach the same target with
-     unequal weights. *)
-  let herman = Statespace.build (Stabalgo.Herman.make ~n:7) in
-  ignore (of_space "herman sync" herman Statespace.Synchronous Markov.Sync);
-  Alcotest.(check bool) "herman rows repeat targets" true
-    (of_space "herman distributed" herman Statespace.Distributed Markov.Distributed_uniform
-    > 0);
-  let quotient = Statespace.quotient (Statespace.build (Stabalgo.Token_ring.make ~n:10)) in
-  Alcotest.(check bool) "quotient rows repeat targets" true
-    (of_space "ring:10 quotient" quotient Statespace.Distributed Markov.Distributed_uniform
-    > 0);
+     unequal weights: at ring:9, rows of about 3,800 stored outcomes
+     merge to about 7 times fewer targets. *)
+  let herman n = Statespace.build (Stabalgo.Herman.make ~n) in
+  ignore (of_space "herman sync" (herman 7) Statespace.Synchronous Markov.Sync);
+  radix_repeats "herman distributed" (herman 7) Statespace.Distributed
+    Markov.Distributed_uniform;
+  radix_repeats "herman ring:9 distributed" (herman 9) Statespace.Distributed
+    Markov.Distributed_uniform;
+  let quotient n = Statespace.quotient (Statespace.build (Stabalgo.Token_ring.make ~n)) in
+  radix_repeats "ring:10 quotient" (quotient 10) Statespace.Distributed
+    Markov.Distributed_uniform;
+  radix_repeats "ring:15 quotient" (quotient 15) Statespace.Distributed
+    Markov.Distributed_uniform;
   let central_and_sync name space =
     ignore (of_space (name ^ " central") space Statespace.Central Markov.Central_uniform);
     ignore (of_space (name ^ " sync") space Statespace.Synchronous Markov.Sync)
